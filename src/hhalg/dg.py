@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, graded_hom_module, hom_pair_index
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, solve, subquotient
+from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, solve, subquotient
 from .tables import BigradedTable
 
 
@@ -226,9 +226,9 @@ def induced_homology_iso(f: ChainMap, window) -> bool:
             g, [[col[r] for col in cols] for r in range(len(kd[0]))],
             len(kd[0]), len(cols),
         )
-        for v in kd:
-            if solve(mat, v) is None:
-                return False
+        sf = smith_normal_form(mat)
+        if any(sf.solve(v) is None for v in kd):
+            return False
     return True
 
 
@@ -347,7 +347,6 @@ def dg_unit_kernel(A: DGAlgebra):
     # over Z: the order of the class of e_u in coker(d), via Smith form
     import math
 
-    from .linalg import smith_normal_form
     sf = smith_normal_form(in_mat)
     e_u = [1 if r == upos else 0 for r in range(in_mat.rows)]
     y = sf.U.apply(e_u)

@@ -66,6 +66,12 @@ class GroundRing:
 
     def normalize(self, x):
         """Coerce an int/Fraction into canonical form for this ring."""
+        if type(x) is int:  # the common case; skips the Fraction ABC check
+            if self.kind == "Z":
+                return x
+            if self.kind == "Fp":
+                return x % self.p
+            return Fraction(x)
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:

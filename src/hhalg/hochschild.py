@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, graded_hom_module, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, tensor_complex
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, solve, subquotient
+from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, subquotient
 from .resolve import AModule, ext_with_coefficients, free_resolution, _slice_keys
 from .tables import BigradedTable
 
@@ -361,7 +361,12 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
         for c in range(hin.cols)
     ]
     beta_col = [g.one if idx == beta_idx else g.zero for idx in hsrc_idx]
-    hpres = None
+    mat = ExactMatrix(
+        g, [[col[r] for col in [beta_col] + boundary_cols]
+            for r in range(len(hsrc_idx))],
+        len(hsrc_idx), 1 + len(boundary_cols),
+    )
+    sf = smith_normal_form(mat)
     for label, vec in candidates:
         # must be a cycle in the tensor complex
         dense = [vec.get(i, g.zero) for i in src_idx]
@@ -369,12 +374,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
             continue
         img = mu.f.apply_coords(vec)
         target = [img.get(idx, g.zero) for idx in hsrc_idx]
-        mat = ExactMatrix(
-            g, [[col[r] for col in [beta_col] + boundary_cols]
-                for r in range(len(hsrc_idx))],
-            len(hsrc_idx), 1 + len(boundary_cols),
-        )
-        sol = solve(mat, target)
+        sol = sf.solve(target)
         if sol is None:
             continue
         c = sol[0]

@@ -5,6 +5,13 @@ on exact matrices: Smith normal form, kernel bases, cokernel presentations
 and linear solving.  Matrices are dense lists of rows; corpus sizes stay in
 the low hundreds, where dense exact arithmetic is comfortably fast.
 
+A matrix is factored once: `smith_normal_form(M)` returns a `SmithForm`
+that answers rank, kernel, cokernel and any number of solves against M.
+The module functions `rank`, `kernel_basis`, `cokernel` and `solve` are
+one-shot calls on it, and `subquotient` factors its kernel matrix once for
+all image vectors.  Callers that solve against one matrix many times keep
+the `SmithForm` instead of calling `solve` in a loop.
+
 Over Z the Smith form uses minimal-absolute-value pivoting with alternating
 row/column reduction sweeps, which keeps coefficient growth tame at this
 scale.  Over a field the Smith form degenerates to a 0/1 diagonal.
@@ -36,8 +43,16 @@ class ExactMatrix:
                 raise ValueError("ragged matrix")
 
     @staticmethod
+    def _canonical(ground: GroundRing, data, rows: int, cols: int) -> "ExactMatrix":
+        """Wrap rows whose entries are already canonical, without normalizing."""
+        m = object.__new__(ExactMatrix)
+        m.ground, m.rows, m.cols, m.data = ground, rows, cols, data
+        return m
+
+    @staticmethod
     def zero(ground: GroundRing, rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix(ground, [[ground.zero] * cols for _ in range(rows)], rows, cols)
+        z = ground.zero
+        return ExactMatrix._canonical(ground, [[z] * cols for _ in range(rows)], rows, cols)
 
     @staticmethod
     def identity(ground: GroundRing, n: int) -> "ExactMatrix":
@@ -47,9 +62,8 @@ class ExactMatrix:
         return m
 
     def copy(self) -> "ExactMatrix":
-        m = ExactMatrix.zero(self.ground, self.rows, self.cols)
-        m.data = [row[:] for row in self.data]
-        return m
+        return ExactMatrix._canonical(self.ground, [row[:] for row in self.data],
+                                      self.rows, self.cols)
 
     def __eq__(self, other):
         return (
@@ -84,18 +98,18 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
         g = self.ground
-        out = [g.zero] * self.rows
-        for i in range(self.rows):
+        support = [(j, v) for j, v in enumerate(vec) if v != 0]
+        out = []
+        for row in self.data:
             acc = g.zero
-            row = self.data[i]
-            for j, v in enumerate(vec):
-                if v != 0 and row[j] != 0:
+            for j, v in support:
+                if row[j] != 0:
                     acc = g.add(acc, g.mul(row[j], v))
-            out[i] = acc
+            out.append(acc)
         return out
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
+        return ExactMatrix._canonical(
             self.ground,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
             self.cols,
@@ -108,15 +122,58 @@ class ExactMatrix:
 
 @dataclass
 class SmithForm:
-    """U * M * V = D with U, V invertible and D diagonal (d_i | d_{i+1})."""
+    """U * M * V = D with U, V invertible and D diagonal (d_i | d_{i+1}).
+
+    The factorization of M, computed once by `smith_normal_form` and then
+    asked for M's rank, kernel, cokernel and solutions of M x = b.  The
+    nonzero diagonal entries come first, so the first `rank` columns of V
+    map onto im(M) and the rest span ker(M).
+    """
 
     U: ExactMatrix
     D: ExactMatrix
     V: ExactMatrix
+    rank: int = field(init=False)
+
+    def __post_init__(self):
+        self.rank = sum(1 for d in self.diagonal() if d != 0)
 
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
         return [self.D.data[i][i] for i in range(n)]
+
+    def kernel(self):
+        """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
+        V = self.V
+        return [[V.data[i][j] for i in range(V.rows)] for j in range(self.rank, V.cols)]
+
+    def cokernel(self) -> "SubquotientPresentation":
+        """Present target/im(M) by free rank and invariant factors."""
+        torsion = []
+        if not self.D.ground.is_field:
+            torsion = [abs(d) for d in self.diagonal()[:self.rank] if abs(d) > 1]
+        return SubquotientPresentation(self.D.rows - self.rank, tuple(torsion))
+
+    def solve(self, b):
+        """Return x with Mx = b, or None when b is not in im(M) (exactly)."""
+        U, D = self.U, self.D
+        if len(b) != U.cols:
+            raise ValueError("dimension mismatch")
+        g = D.ground
+        c = U.apply([g.normalize(x) for x in b])
+        r = self.rank
+        if any(x != 0 for x in c[r:]):
+            return None
+        y = [g.zero] * D.cols
+        for i in range(r):
+            d = D.data[i][i]
+            if d == 1:
+                y[i] = c[i]
+            elif g.divides(d, c[i]):
+                y[i] = g.div(c[i], d)
+            else:
+                return None
+        return self.V.apply(y)
 
 
 @dataclass(frozen=True)
@@ -272,8 +329,8 @@ def _smith_integer(M: ExactMatrix) -> SmithForm:
                         _swap_cols(D, j, t)
                         _swap_cols(V, j, t)
                         dirty = True
-            if not dirty:
-                # pivot must divide the whole trailing block
+            if not dirty and abs(D.data[t][t]) != 1:
+                # pivot must divide the whole trailing block (a unit always does)
                 d = D.data[t][t]
                 for i in range(t + 1, D.rows):
                     if any(D.data[i][j] % d != 0 for j in range(t + 1, D.cols)):
@@ -333,60 +390,31 @@ def _smith_integer_block(D, U, V, t):
 def smith_normal_form(M: ExactMatrix) -> SmithForm:
     """Diagonalize M as U*M*V = D with a divisibility chain on the diagonal."""
     if M.ground.is_field:
-        sf = _smith_field(M)
-    else:
-        sf = _smith_integer(M)
-    return sf
+        return _smith_field(M)
+    return _smith_integer(M)
 
 
 def rank(M: ExactMatrix) -> int:
-    sf = smith_normal_form(M)
-    return sum(1 for d in sf.diagonal() if d != 0)
+    return smith_normal_form(M).rank
 
 
 def kernel_basis(M: ExactMatrix):
     """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
-    sf = smith_normal_form(M)
-    r = sum(1 for d in sf.diagonal() if d != 0)
-    return [[sf.V.data[i][j] for i in range(M.cols)] for j in range(r, M.cols)]
+    return smith_normal_form(M).kernel()
 
 
 def cokernel(M: ExactMatrix) -> SubquotientPresentation:
     """Present target/im(M) by free rank and invariant factors."""
-    sf = smith_normal_form(M)
-    diag = sf.diagonal()
-    torsion = []
-    nonzero = 0
-    for d in diag:
-        if d == 0:
-            continue
-        nonzero += 1
-        if not M.ground.is_field:
-            d = abs(d)
-            if d > 1:
-                torsion.append(d)
-    return SubquotientPresentation(M.rows - nonzero, tuple(torsion))
+    return smith_normal_form(M).cokernel()
 
 
 def solve(M: ExactMatrix, b):
-    """Return x with Mx = b, or None when unsolvable (exactly)."""
-    if len(b) != M.rows:
-        raise ValueError("dimension mismatch")
-    g = M.ground
-    sf = smith_normal_form(M)
-    c = sf.U.apply([g.normalize(x) for x in b])
-    diag = sf.diagonal()
-    y = [g.zero] * M.cols
-    for i in range(M.rows):
-        d = diag[i] if i < len(diag) else g.zero
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if not g.divides(d, c[i]):
-                return None
-            y[i] = g.div(c[i], d)
-    return sf.V.apply(y)
+    """Return x with Mx = b, or None when unsolvable (exactly).
+
+    This factors M; to solve against one M many times, keep
+    `smith_normal_form(M)` and call its `solve`.
+    """
+    return smith_normal_form(M).solve(b)
 
 
 def determinant(M: ExactMatrix):
@@ -436,17 +464,19 @@ def determinant(M: ExactMatrix):
 def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> SubquotientPresentation:
     """Present span(kernel_vectors)/span(image_vectors).
 
-    Every image vector must lie in the span of the kernel vectors; the image
-    is rewritten in kernel coordinates and the presentation is the cokernel
-    of that coordinate matrix.
+    Every image vector must lie in the span of the kernel vectors (over Z,
+    in their integer span); the image is rewritten in kernel coordinates and
+    the presentation is the cokernel of that coordinate matrix.  The kernel
+    matrix is factored once and every image vector is solved against it.
     """
     if not kernel_vectors:
         return SubquotientPresentation(0)
     dim = len(kernel_vectors[0])
     K = ExactMatrix(ground, [[kernel_vectors[j][i] for j in range(len(kernel_vectors))] for i in range(dim)])
+    sf = smith_normal_form(K)
     cols = []
     for v in image_vectors:
-        x = solve(K, v)
+        x = sf.solve(v)
         if x is None:
             raise ValueError("image vector outside the kernel span")
         cols.append(x)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
 from .base import GradedFreeModule, HomogeneousMap
-from .linalg import SubquotientPresentation, kernel_basis, subquotient
+from .linalg import SubquotientPresentation, kernel_basis, smith_normal_form, subquotient
 from .tables import BigradedTable
 
 
@@ -262,9 +262,6 @@ def _augmentation_checks(A: GradedAlgebra):
                     "algebra is not augmented: product of ideal elements hits the unit"
                 )
     # nilpotency of the augmentation ideal
-    span = _Span(g)
-    for m in nonunit:
-        span.add({m: g.one})
     current = [{m: g.one} for m in nonunit]
     for _ in range(A.rank + 1):
         if not current:
@@ -534,7 +531,6 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
         src_mod, tgt_mod = hom_modules[s], hom_modules[s + 1]
         entries = {}
         for (i, j), elem in dmap.entries.items():
-            blk = HomogeneousMap.zero(N.module, N.module, 0)
             acc = {}
             for m, c in elem.items():
                 for (a, b), v in N.act_map(m).entries.items():
@@ -563,8 +559,7 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
                 cols = []
             pres = subquotient(g, kern, cols)
             if not pres.is_zero:
-                t = key if not A.base.laurent else key
-                table.set(s, t, pres)
+                table.set(s, key, pres)
     return table
 
 
@@ -649,10 +644,10 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     d1f = d1.flatten()
     entries = {}
     F2flat, F1flat = F2.flatten(), F1.flatten()
-    from .linalg import solve
     for key in _slice_keys(F2flat, (res.bounds[1][0] * 2, res.bounds[1][1] * 2)):
         mat, src_idx, tgt_idx = d1f.slice_matrix(key - t)
         rmat, rsrc, rtgt = rhs.slice_matrix(key)
+        sf = None  # factored on the first column that needs a lift
         for c, j in enumerate(rsrc):
             col = [rmat.data[r][c] for r in range(rmat.rows)]
             # align rtgt with tgt_idx of d1
@@ -660,7 +655,9 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
             target = [col[remap[idx]] if idx in remap else g.zero for idx in tgt_idx]
             if all(x == 0 for x in target):
                 continue
-            sol = solve(mat, target)
+            if sf is None:
+                sf = smith_normal_form(mat)
+            sol = sf.solve(target)
             if sol is None:
                 raise AssertionError("cocycle lift failed on an exact resolution")
             for r, v in enumerate(sol):

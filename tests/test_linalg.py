@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,3 +144,90 @@ def test_subquotient():
     pres = subquotient(ZZ, [[1, 0], [0, 1]], [[2, 0]])
     assert (pres.free_rank, pres.torsion) == (1, (2,))
     assert subquotient(ZZ, [], []).is_zero
+
+
+def test_subquotient_rejects_image_outside_kernel_span():
+    # over F3: (0, 1) is not in span{(1, 0)}
+    with pytest.raises(ValueError, match="outside the kernel span"):
+        subquotient(F3, [[1, 0]], [[0, 1]])
+    # over Z: (1, 0) is in the Q-span of (2, 0) but not in its Z-span
+    with pytest.raises(ValueError, match="outside the kernel span"):
+        subquotient(ZZ, [[2, 0]], [[1, 0]])
+    assert subquotient(ZZ, [[2, 0]], [[4, 0]]).torsion == (2,)
+
+
+def test_subquotient_factors_kernel_once(monkeypatch):
+    import hhalg.linalg as linalg
+
+    factored = []
+    real = linalg.smith_normal_form
+
+    def counting(M):
+        factored.append((M.rows, M.cols))
+        return real(M)
+
+    monkeypatch.setattr(linalg, "smith_normal_form", counting)
+    kernel = [[1, 0, 0], [0, 1, 0]]
+    image = [[2, 0, 0], [0, 3, 0], [2, 6, 0], [4, 0, 0]]
+    pres = subquotient(ZZ, kernel, image)
+    assert (pres.free_rank, pres.torsion) == (0, (6,))
+    # one factorization of the kernel matrix, one of the coordinate matrix
+    assert factored == [(3, 2), (2, 4)]
+
+
+def test_factored_solve_against_enumeration_over_f3():
+    rng = random.Random(17)
+    for _ in range(40):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        M = ExactMatrix(F3, [[rng.randint(0, 2) for _ in range(c)] for _ in range(r)])
+        image = {tuple(M.apply(list(x))) for x in itertools.product(range(3), repeat=c)}
+        sf = smith_normal_form(M)
+        for b in itertools.product(range(3), repeat=r):
+            x = sf.solve(list(b))
+            assert (x is None) == (b not in image)
+            if x is not None:
+                assert M.apply(x) == list(b)
+
+
+def test_factored_solve_over_z():
+    rng = random.Random(23)
+    for _ in range(30):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        M = ExactMatrix(ZZ, [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
+        sf = smith_normal_form(M)
+        for _ in range(8):
+            b = M.apply([rng.randint(-6, 6) for _ in range(c)])
+            x = sf.solve(b)
+            assert x is not None and M.apply(x) == b
+
+
+def test_smith_form_answers_rank_kernel_cokernel():
+    # row 3 = row 1 + row 2: rank 2, d1 = gcd of entries, d1*d2 = gcd of 2x2 minors
+    M = ExactMatrix(ZZ, [[2, 4, 6], [6, 6, 12], [8, 10, 18]])
+    sf = smith_normal_form(M)
+    assert sf.diagonal() == [2, 6, 0]
+    assert sf.rank == rank(M) == 2
+    (v,) = sf.kernel()
+    assert sf.kernel() == kernel_basis(M) and M.apply(v) == [0, 0, 0]
+    assert sf.cokernel() == cokernel(M)
+    assert (sf.cokernel().free_rank, sf.cokernel().torsion) == (1, (2, 6))
+
+
+def test_normalize_keeps_canonical_types():
+    F5 = GroundRing.prime_field(5)
+    assert type(QQ.normalize(3)) is Fraction
+    assert QQ.normalize(Fraction(1, 2)) == Fraction(1, 2)
+    assert F5.normalize(-7) == 3
+    assert F5.normalize(Fraction(1, 2)) == 3
+    assert ZZ.normalize(-7) == -7
+    assert ZZ.normalize(Fraction(4, 2)) == 2
+    with pytest.raises(ValueError):
+        ZZ.normalize(Fraction(1, 2))
+
+
+def test_trusted_constructors_over_q_hold_fractions():
+    A = ExactMatrix(QQ, [[1, 2], [3, 4]])
+    made = [ExactMatrix.zero(QQ, 2, 3), ExactMatrix.identity(QQ, 3),
+            A.mul(A), A.mul(ExactMatrix.zero(QQ, 2, 2)), A.copy(), A.transpose()]
+    for m in made:
+        assert all(type(x) is Fraction for row in m.data for x in row)
