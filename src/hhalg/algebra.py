@@ -770,10 +770,9 @@ def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bo
         m, _, _ = f.slice_matrix(key)
         if m.rows != m.cols or rank(m) != m.rows:
             return False
-    for i in range(A.rank):
-        fi = f.apply_coords({i: g.one})
-        for j in range(A.rank):
-            fj = f.apply_coords({j: g.one})
+    images = [f.apply_coords({i: g.one}) for i in range(A.rank)]
+    for i, fi in enumerate(images):
+        for j, fj in enumerate(images):
             lhs = f.apply_coords(A.mul_basis(i, j))
             if lhs != B.mul_coords(fi, fj):
                 return False

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import GradedAlgebra, endomorphism_algebra
+from .algebra import GradedAlgebra
 from .base import GradedFreeModule, HomogeneousMap
 from .dg import DGAlgebra, dg_unit_kernel, homology_at, is_quasi_iso
 from .hochschild import action_map_mu, mu_is_iso
@@ -265,8 +265,3 @@ def endo_smash_invariant(E1: GradedFreeModule, E2: GradedFreeModule) -> bool:
             t, s = theta(a, b)
             data[t][a * n2 + b] = s
     return mat_rank(ExactMatrix(g, data, n, n)) == n
-
-
-def weak_azumaya_endo(E: GradedFreeModule) -> AzumayaReport:
-    """check_weak_azumaya applied to the endomorphism algebra of E."""
-    return check_weak_azumaya(endomorphism_algebra(E))

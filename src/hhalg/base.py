@@ -106,9 +106,14 @@ class HomogeneousMap:
     entries[(i, j)] is the ground scalar carrying source generator j to
     target generator i, weighted by the implied power of the Laurent
     generator.  Entries are present only for degree-compatible pairs.
+
+    The entries are fixed once built (add, scale and compose return new
+    maps), so the map keeps a per-source-column index {j: [(i, c), ...]},
+    built once on first use, that apply_coords and compose read instead of
+    scanning every entry.
     """
 
-    __slots__ = ("source", "target", "degree", "entries")
+    __slots__ = ("source", "target", "degree", "entries", "_columns")
 
     def __init__(self, source: GradedFreeModule, target: GradedFreeModule, degree: int, entries):
         if source.base != target.base:
@@ -129,6 +134,16 @@ class HomogeneousMap:
                 )
             clean[(i, j)] = c
         self.entries = clean
+        self._columns = None
+
+    def _by_column(self) -> dict:
+        """{source index j: [(target index i, scalar), ...]}, built once."""
+        if self._columns is None:
+            cols = {}
+            for (i, j), c in self.entries.items():
+                cols.setdefault(j, []).append((i, c))
+            self._columns = cols
+        return self._columns
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -170,11 +185,9 @@ class HomogeneousMap:
             raise ValueError("composition mismatch")
         g = self.source.base.ground
         out = {}
-        by_src = {}
-        for (i, j), c in self.entries.items():
-            by_src.setdefault(j, []).append((i, c))
+        columns = self._by_column()
         for (k, j), c in first.entries.items():
-            for i, d in by_src.get(k, ()):
+            for i, d in columns.get(k, ()):
                 key = (i, j)
                 out[key] = g.add(out.get(key, g.zero), g.mul(d, c))
         return HomogeneousMap(first.source, self.target, self.degree + first.degree, out)
@@ -191,11 +204,12 @@ class HomogeneousMap:
     def apply_coords(self, coeffs: dict) -> dict:
         """Apply to a coordinate dict {source index: scalar}."""
         g = self.source.base.ground
+        columns = self._by_column()
         out = {}
-        for (i, j), c in self.entries.items():
-            x = coeffs.get(j)
+        for j, x in coeffs.items():
             if x:
-                out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
+                for i, c in columns.get(j, ()):
+                    out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
         return {i: v for i, v in out.items() if v != 0}
 
     # -- slicing ------------------------------------------------------

@@ -4,7 +4,10 @@ Keys hash the canonical presentation text, the computation bounds, and an
 engine version string, so format drift invalidates old entries silently.
 Writes go through a temp file and an atomic rename, safe under concurrent
 batch runs.  Payloads are serialized BigradedTables; a cache hit therefore
-re-renders to output byte-identical with recomputation.
+re-renders to output byte-identical with recomputation.  Each entry is the
+payload's sha256 on the first line, then the payload.  An entry that is
+unreadable, fails its digest or does not parse as a table is a miss: the
+table is recomputed and the entry overwritten.
 """
 
 from __future__ import annotations
@@ -55,12 +58,20 @@ def deserialize_table(text: str) -> BigradedTable:
     return table
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def load(cache_dir, key):
+    """The payload stored under key, or None if absent or its digest fails."""
     try:
         with open(_path(cache_dir, key)) as fh:
-            return fh.read()
-    except OSError:
+            digest, sep, text = fh.read().partition("\n")
+    except (OSError, UnicodeDecodeError):
         return None
+    if not sep or digest != _digest(text):
+        return None
+    return text
 
 
 def store(cache_dir, key, text: str):
@@ -68,7 +79,7 @@ def store(cache_dir, key, text: str):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write(_digest(text) + "\n" + text)
         os.replace(tmp, _path(cache_dir, key))
     except BaseException:
         if os.path.exists(tmp):
@@ -77,10 +88,13 @@ def store(cache_dir, key, text: str):
 
 
 def cached_table(cache_dir, key, compute) -> BigradedTable:
-    """Look up a table; on miss, compute, store, and return it."""
+    """Look up a table; on a miss or a malformed entry, compute, store, and return it."""
     hit = load(cache_dir, key)
     if hit is not None:
-        return deserialize_table(hit)
+        try:
+            return deserialize_table(hit)
+        except (ValueError, KeyError, TypeError):
+            pass
     table = compute()
     store(cache_dir, key, serialize_table(table))
     return table

@@ -252,11 +252,10 @@ class DGAlgebra:
     def _check_leibniz(self):
         A = self.algebra
         g = A.base.ground
-        for i in range(A.rank):
-            di = self.d.apply_coords({i: g.one})
+        images = [self.d.apply_coords({i: g.one}) for i in range(A.rank)]
+        for i, di in enumerate(images):
             sign = g.normalize(-1 if A.parity(i) else 1)
-            for j in range(A.rank):
-                dj = self.d.apply_coords({j: g.one})
+            for j, dj in enumerate(images):
                 lhs = self.d.apply_coords(A.mul_basis(i, j))
                 rhs = A.mul_coords(di, {j: g.one})
                 for k, c in A.mul_coords({i: sign}, dj).items():

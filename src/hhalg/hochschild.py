@@ -224,10 +224,9 @@ def _compose_hom_elements(A: GradedAlgebra, p: dict, q: dict) -> dict:
 
 def _mu_is_multiplicative(A: GradedAlgebra, T: GradedAlgebra, f: HomogeneousMap) -> bool:
     g = A.base.ground
-    for s1 in range(T.rank):
-        p1 = f.apply_coords({s1: g.one})
-        for s2 in range(T.rank):
-            p2 = f.apply_coords({s2: g.one})
+    images = [f.apply_coords({s: g.one}) for s in range(T.rank)]
+    for s1, p1 in enumerate(images):
+        for s2, p2 in enumerate(images):
             lhs = f.apply_coords(T.mul_basis(s1, s2))
             if lhs != _compose_hom_elements(A, p1, p2):
                 return False

@@ -180,6 +180,15 @@ def test_tensor_op_swap_isomorphism():
     assert _is_algebra_iso(L, R, f)
 
 
+def test_bijective_but_not_multiplicative_is_no_algebra_iso():
+    # x -> 2x is bijective over F3, but sends 1 = 1*1 to 2 != 2*2 = 1
+    from hhalg.algebra import _is_algebra_iso
+    A = m2_f3()
+    f = HomogeneousMap(A.module, A.module, 0, {(i, i): 2 for i in range(A.rank)})
+    assert not _is_algebra_iso(A, A, f)
+    assert _is_algebra_iso(A, A, HomogeneousMap.identity(A.module))
+
+
 # -- center -------------------------------------------------------------------
 
 def test_center_m2_is_scalars():

@@ -141,3 +141,76 @@ def test_apply_coords():
     f = HomogeneousMap(M, M, 2, {(1, 0): 1, (0, 1): 3})
     assert f.apply_coords({0: 1}) == {1: 1}
     assert f.apply_coords({1: 2}) == {0: 6}
+
+
+# -- the column index against a naive scan ------------------------------------------
+
+def naive_apply(f, coeffs):
+    g = f.source.base.ground
+    out = {}
+    for (i, j), c in f.entries.items():
+        x = coeffs.get(j)
+        if x:
+            out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
+    return {i: v for i, v in out.items() if v != 0}
+
+
+def naive_compose(f, h):
+    """f o h by a scan over every pair of entries."""
+    g = f.source.base.ground
+    out = {}
+    for (i, k), c in f.entries.items():
+        for (k2, j), d in h.entries.items():
+            if k == k2:
+                out[(i, j)] = g.add(out.get((i, j), g.zero), g.mul(c, d))
+    return HomogeneousMap(h.source, f.target, f.degree + h.degree, out)
+
+
+def random_module(rng, base, name):
+    step = base.period or 1
+    return GradedFreeModule(base, tuple(
+        (f"{name}{i}", step * rng.randint(-2, 2)) for i in range(rng.randint(1, 5))))
+
+
+def random_map(rng, S, T, degree):
+    """A random map whose last source column is always empty."""
+    base = S.base
+    entries = {}
+    for i, (_, td) in enumerate(T.generators):
+        for j, (_, sd) in enumerate(S.generators[:-1]):
+            if base.compatible(sd, degree, td) and rng.random() < 0.6:
+                entries[(i, j)] = rng.randint(-4, 4)
+    return HomogeneousMap(S, T, degree, entries)
+
+
+def random_coords(rng, M):
+    # explicit zeros included; every index, empty columns among them, may appear
+    return {j: rng.choice((0, 0, 1, -1, 2, 3)) for j in range(M.rank) if rng.random() < 0.8}
+
+
+@pytest.mark.parametrize("base", [
+    BaseRing(GroundRing.prime_field(5)),
+    BaseRing(ZZ),
+    BaseRing(GroundRing.prime_field(2), LaurentGenerator("v", 2)),
+], ids=["F5", "Z", "F2[v]"])
+def test_column_index_matches_naive_scan(base):
+    rng = random.Random(11)
+    g = base.ground
+    for _ in range(40):
+        A, B, C = (random_module(rng, base, n) for n in "abc")
+        f = random_map(rng, B, C, 0)
+        h = random_map(rng, A, B, 0)
+        k = random_map(rng, B, C, 0)
+        vs = [random_coords(rng, B) for _ in range(4)]
+        before = [f.apply_coords(v) for v in vs]
+        assert before == [naive_apply(f, v) for v in vs]
+        assert f.apply_coords({B.rank - 1: g.one}) == {}
+        fh = f.compose(h)
+        assert fh == naive_compose(f, h)
+        derived = (f.add(k), f.scale(g.normalize(rng.randint(-4, 4))), fh)
+        # the cached index of f is unchanged by the maps built from it
+        assert [f.apply_coords(v) for v in vs] == before
+        for d in derived:
+            for v in (random_coords(rng, d.source) for _ in range(3)):
+                assert d.apply_coords(v) == naive_apply(d, v)
+        assert f.compose(h) == fh

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -137,6 +139,44 @@ def test_cache_cold_and_warm_outputs_identical(capsys, tmp_path):
     assert os.listdir(tmp_path)  # something was cached
     code2, warm, _ = run(capsys, argv, tmp_path)
     assert code2 == 0 and warm == cold
+
+
+def _corrupt_and_rerun(capsys, tmp_path, corrupt):
+    """Cache one ext table, corrupt its entry, rerun; return (fresh, rerun, entry)."""
+    argv = ["ext", "--file", defpath("exterior1.def"), "--smax", "6"]
+    _, fresh, _ = run(capsys, argv, tmp_path / "fresh")
+    run(capsys, argv, tmp_path / "c")
+    (name,) = os.listdir(tmp_path / "c")
+    entry = tmp_path / "c" / name
+    good = entry.read_text()
+    entry.write_text(corrupt(good))
+    code, out, err = run(capsys, argv, tmp_path / "c")
+    assert code == 0 and err == ""
+    assert entry.read_text() == good  # the entry was overwritten
+    return fresh, out
+
+
+def test_cache_truncated_entry_is_a_miss(capsys, tmp_path):
+    fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda text: text[: len(text) // 2])
+    assert out == fresh
+
+
+def test_cache_edited_entry_is_a_miss(capsys, tmp_path):
+    def edit(text):
+        # the first row's free rank becomes 7; the rest of the entry is kept
+        edited = re.sub(r'("rows": \[\[-?\d+, -?\d+, )\d+', r"\g<1>7", text, count=1)
+        assert edited != text
+        return edited
+
+    fresh, out = _corrupt_and_rerun(capsys, tmp_path, edit)
+    assert out == fresh
+
+
+def test_cache_malformed_entry_with_valid_digest_is_a_miss(capsys, tmp_path):
+    payload = json.dumps({"rows": 1})
+    entry = hashlib.sha256(payload.encode()).hexdigest() + "\n" + payload
+    fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda _: entry)
+    assert out == fresh
 
 
 def test_determinism_across_runs(capsys, tmp_path):

@@ -2,8 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, realize
-from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator, hom_pair_index
+from hhalg import hochschild
+from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, opposite, realize, tensor
+from hhalg.base import (
+    BaseRing,
+    GradedFreeModule,
+    HomogeneousMap,
+    LaurentGenerator,
+    graded_hom_module,
+    hom_pair_index,
+)
 from hhalg.dg import ChainMap, make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
@@ -148,6 +156,20 @@ def test_mu_multiplicative_check_runs():
     f = action_map_mu(lam_tau())
     assert f.degree == 0
     assert f.source.rank == 4 and f.target.rank == 4
+
+
+def test_mu_with_one_entry_changed_fails_the_algebra_map_check(monkeypatch):
+    A = m2_f3()
+    g = A.base.ground
+    entries = hochschild._mu_entries(A)
+    key = max(entries)
+    entries[key] = g.add(entries[key], g.one)
+    T = tensor(A, opposite(A))
+    f = HomogeneousMap(T.module, graded_hom_module(A.module, A.module), 0, entries)
+    assert not hochschild._mu_is_multiplicative(A, T, f)
+    monkeypatch.setattr(hochschild, "_mu_entries", lambda _: dict(entries))
+    with pytest.raises(AssertionError, match="algebra-map check"):
+        action_map_mu(A)
 
 
 def test_mu_dg_chain_map():
