@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap
 from .ground import GroundRing
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, rank, solve, subquotient
+from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, rank, solve
 
 
 class RealizeError(ValueError):
@@ -436,10 +436,6 @@ def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     )
 
 
-def enveloping(A: GradedAlgebra) -> GradedAlgebra:
-    return tensor(A, opposite(A))
-
-
 # ---------------------------------------------------------------------------
 # graded center
 
@@ -490,13 +486,10 @@ def center_basis(A: GradedAlgebra) -> dict:
 
 def center(A: GradedAlgebra) -> dict:
     """Graded center of A, one SubquotientPresentation per degree slice key."""
-    g = A.base.ground
     out = {}
     for key, vecs in center_basis(A).items():
-        dense = [
-            [vec.get(m, g.zero) for m in range(A.rank)] for vec in vecs
-        ]
-        out[key] = subquotient(g, dense, [])
+        # kernel_basis vectors are independent (a lattice basis over Z)
+        out[key] = SubquotientPresentation(len(vecs))
     return out
 
 
@@ -777,11 +770,6 @@ def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bo
             if lhs != B.mul_coords(fi, fj):
                 return False
     return True
-
-
-def unit_kernel(A: GradedAlgebra) -> SubquotientPresentation:
-    """Kernel of base -> A, c |-> c*1.  Zero for any honestly free algebra."""
-    return SubquotientPresentation(0, ())
 
 
 def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ground import GroundRing
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, subquotient
+from .tables import BigradedTable
 
 
 @dataclass(frozen=True)
@@ -226,6 +227,48 @@ class HomogeneousMap:
 
     def __repr__(self):
         return f"HomogeneousMap(deg={self.degree}, entries={self.entries})"
+
+
+def slice_keys(module: GradedFreeModule, window):
+    """The slice keys to visit on a module: every residue class over a
+    Laurent base, otherwise the generator degrees inside the window."""
+    base = module.base
+    if base.laurent:
+        return list(range(base.period))
+    lo, hi = window
+    return [t for t in sorted(set(module.degrees)) if lo <= t <= hi]
+
+
+def cohomology_at(outgoing: HomogeneousMap, incoming: HomogeneousMap | None,
+                  t: int) -> SubquotientPresentation:
+    """ker(outgoing) / im(incoming) on the degree-t slice of outgoing.source.
+
+    incoming is read on its slice t - incoming.degree, so a degree -1
+    differential and a degree-0 cochain map are handled alike; None means
+    there is no incoming map.  Because incoming.target is outgoing.source,
+    both slices index the same generators in the same order.
+    """
+    if incoming is not None and incoming.target != outgoing.source:
+        raise ValueError("incoming map does not land in the source of the outgoing map")
+    out_mat, _, _ = outgoing.slice_matrix(t)
+    image = []
+    if incoming is not None:
+        image = incoming.slice_matrix(t - incoming.degree)[0].transpose().data
+    return subquotient(outgoing.source.base.ground, kernel_basis(out_mat), image)
+
+
+def cohomology_table(maps, top: int, window) -> BigradedTable:
+    """Cohomology of the cochain complex maps[0], maps[1], ... keyed (n, t).
+
+    Degree n is ker(maps[n]) / im(maps[n - 1]) for n = 0..top; maps[top]
+    must exist, so the top reported degree has its outgoing map.
+    """
+    table = BigradedTable(window=tuple(window))
+    for n in range(top + 1):
+        incoming = maps[n - 1] if n else None
+        for key in slice_keys(maps[n].source, window):
+            table.set(n, key, cohomology_at(maps[n], incoming, key))
+    return table
 
 
 def periodic_reduce(f: HomogeneousMap) -> dict:

@@ -11,8 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite
-from .base import BaseRing, GradedFreeModule, HomogeneousMap, graded_hom_module, hom_pair_index
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, solve, subquotient
+from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, graded_hom_module,
+                   hom_pair_index)
+from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, solve
 from .tables import BigradedTable
 
 
@@ -46,12 +47,7 @@ class Complex:
 
 def homology_at(C: Complex, n: int) -> SubquotientPresentation:
     """H_n(C) = ker(d_n) / im(d_{n+1}) as a ground-module presentation."""
-    g = C.base.ground
-    out_mat, _, _ = C.d.slice_matrix(n)
-    kern = kernel_basis(out_mat)
-    in_mat, _, _ = C.d.slice_matrix(n + 1)
-    image = [[in_mat.data[r][c] for r in range(in_mat.rows)] for c in range(in_mat.cols)]
-    return subquotient(g, kern, image)
+    return cohomology_at(C.d, C.d, n)
 
 
 def homology(C: Complex, window) -> BigradedTable:

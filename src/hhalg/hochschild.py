@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite, tensor
-from .base import GradedFreeModule, HomogeneousMap, graded_hom_module, hom_pair_index
-from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, tensor_complex
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, subquotient
-from .resolve import AModule, ext_with_coefficients, free_resolution, _slice_keys
+from .base import GradedFreeModule, HomogeneousMap, cohomology_table, graded_hom_module, hom_pair_index
+from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
+from .linalg import ExactMatrix, SubquotientPresentation, smith_normal_form
+from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
 
@@ -142,26 +142,9 @@ def hochschild_cohomology(A: GradedAlgebra, M: Bimodule | None = None,
     if M is None:
         M = Bimodule.regular(A)
     bar = BarCochainComplex(A, M, n_max, budget)
-    g = A.base.ground
-    table = BigradedTable(window=tuple(window))
+    table = cohomology_table(bar.deltas, min(bar.completed, n_max), window)
     if bar.completed < n_max:
         table.notes = (f"budget exceeded: completed through n = {bar.completed}",)
-    for n in range(min(bar.completed, n_max) + 1):
-        mod = bar.terms[n]
-        for key in _slice_keys(mod, window):
-            mat, src_idx, _ = bar.deltas[n].slice_matrix(key)
-            kern = kernel_basis(mat)
-            if n > 0:
-                imat, _, itgt = bar.deltas[n - 1].slice_matrix(key)
-                remap = {idx: r for r, idx in enumerate(itgt)}
-                cols = [
-                    [imat.data[remap[idx]][c] if idx in remap else g.zero
-                     for idx in src_idx]
-                    for c in range(imat.cols)
-                ]
-            else:
-                cols = []
-            table.set(n, key, subquotient(g, kern, cols))
     return table
 
 
@@ -335,13 +318,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
 
     names = [n for n, _ in T.module.generators]
     iy1, i1y = names.index("y|1"), names.index("1|y")
-    # homology of the tensor complex at degree d+1
-    out_mat, src_idx, _ = T.d.slice_matrix(d1)
-    kern = kernel_basis(out_mat)
-    in_mat, _, _ = T.d.slice_matrix(d1 + 1)
-    image_cols = [[in_mat.data[r][c] for r in range(in_mat.rows)]
-                  for c in range(in_mat.cols)]
-    pres = subquotient(g, kern, image_cols)
+    pres = homology_at(T, d1)
     if pres.free_rank + len(pres.torsion) != 1:
         raise ValueError(f"alpha class is not rank 1: {pres}")
 
@@ -352,13 +329,8 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
     ]
     # betabar: the functional y -> 1 in Hom(A, A) pair coordinates
     beta_idx = hom_pair_index(A.algebra.module, A.algebra.module, 1, 0)
-    hin, _, htgt = H.d.slice_matrix(d1 + 1)
-    hsrc_idx = H.module.slice_indices(d1)
-    remap = {idx: r for r, idx in enumerate(htgt)}
-    boundary_cols = [
-        [hin.data[remap[idx]][c] if idx in remap else g.zero for idx in hsrc_idx]
-        for c in range(hin.cols)
-    ]
+    hin, _, hsrc_idx = H.d.slice_matrix(d1 + 1)
+    boundary_cols = hin.transpose().data
     beta_col = [g.one if idx == beta_idx else g.zero for idx in hsrc_idx]
     mat = ExactMatrix(
         g, [[col[r] for col in [beta_col] + boundary_cols]
@@ -368,8 +340,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
     sf = smith_normal_form(mat)
     for label, vec in candidates:
         # must be a cycle in the tensor complex
-        dense = [vec.get(i, g.zero) for i in src_idx]
-        if any(x != 0 for x in out_mat.apply(dense)):
+        if T.d.apply_coords(vec):
             continue
         img = mu.f.apply_coords(vec)
         target = [img.get(idx, g.zero) for idx in hsrc_idx]
@@ -378,9 +349,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
             continue
         c = sol[0]
         # the homology module containing betabar
-        hker = kernel_basis(H.d.slice_matrix(d1)[0])
-        hpres = subquotient(g, hker, boundary_cols)
-        c, unit = _normalize_class(g, c, hpres)
+        c, unit = _normalize_class(g, c, homology_at(H, d1))
         return MuImageResult(c, Q.defect, unit, label)
     raise ValueError("neither alpha candidate maps to a betabar multiple")
 

@@ -471,6 +471,8 @@ def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> Subquotien
     """
     if not kernel_vectors:
         return SubquotientPresentation(0)
+    if not image_vectors:
+        return SubquotientPresentation(len(kernel_vectors))
     dim = len(kernel_vectors[0])
     K = ExactMatrix(ground, [[kernel_vectors[j][i] for j in range(len(kernel_vectors))] for i in range(dim)])
     sf = smith_normal_form(K)
@@ -480,7 +482,5 @@ def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> Subquotien
         if x is None:
             raise ValueError("image vector outside the kernel span")
         cols.append(x)
-    if not cols:
-        return SubquotientPresentation(len(kernel_vectors))
     R = ExactMatrix(ground, [[cols[j][i] for j in range(len(cols))] for i in range(len(kernel_vectors))])
     return cokernel(R)

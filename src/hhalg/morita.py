@@ -528,13 +528,6 @@ def torsion_S(ctx: MoritaContext, M: ModuleOverAlgebra, window=(-16, 16),
     return CompletionResult("S", table, tuple(window))
 
 
-def torsion_side_TS(ctx: MoritaContext, X: ModuleOverAlgebra,
-                    M: ModuleOverAlgebra, window=(-16, 16),
-                    s_max: int = 8) -> tuple:
-    """(T(X), S(M)): the plain tensor side and the derived Hom side."""
-    return torsion_T(ctx, X), torsion_S(ctx, M, window, s_max)
-
-
 def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),
                       s_max: int = 8) -> bool:
     """Whether S(T(A)) recovers A, as collapsed degree ranks over `compare`."""

@@ -19,8 +19,8 @@ import random
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
-from .base import GradedFreeModule, HomogeneousMap
-from .linalg import SubquotientPresentation, kernel_basis, smith_normal_form, subquotient
+from .base import GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table, slice_keys
+from .linalg import SubquotientPresentation, kernel_basis, smith_normal_form
 from .tables import BigradedTable
 
 
@@ -217,19 +217,11 @@ class Resolution:
         return [st.rank for st in self.stages]
 
 
-def _slice_keys(module: GradedFreeModule, window):
-    base = module.base
-    if base.laurent:
-        return list(range(base.period))
-    lo, hi = window
-    return [t for t in sorted(set(module.degrees)) if lo <= t <= hi]
-
-
 def _flat_kernel(fmap: HomogeneousMap, window):
     """Homogeneous kernel vectors of a degree-0 flattened map, with degrees."""
     base = fmap.source.base
     out = []
-    for key in _slice_keys(fmap.source, window):
+    for key in slice_keys(fmap.source, window):
         mat, src_idx, _ = fmap.slice_matrix(key)
         if not src_idx:
             continue
@@ -331,12 +323,13 @@ def _minimal_generators(A: GradedAlgebra, F: FreeAModule, kernel, t_window):
             d = deg + A.degree(m)
             if w and (A.base.laurent or lo <= d <= hi):
                 span.add(w)
+    flat_gens = F.flatten().generators
     chosen = []
     for deg, vec in sorted(kernel, key=lambda t: (t[0], sorted(t[1]))):
         r = span.reduce(vec)
         if r:
             span.add(r)
-            chosen.append((min(F.flatten().generators[i][1] for i in r), r))
+            chosen.append((min(flat_gens[i][1] for i in r), r))
     return chosen
 
 
@@ -366,13 +359,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     for s in range(s_max):
         F_s = stages[-1]
         acts = {m: F_s.monomial_action(m) for m in range(A.rank)}
-
-        class _Wrap:
-            pass
-
-        target = _Wrap()
-        target.act = lambda ac, vec, acts=acts, g=g: _act_free(g, acts, ac, vec)
-        target.module = F_s.flatten()
+        target = AModule(A, F_s.flatten(), acts, check=False)
         chosen = _greedy_generators(A, target, kernel, rng, trials)
         F_next = FreeAModule(A, tuple(d for d, _ in chosen))
         ent = {}
@@ -385,14 +372,6 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
         kernel = _flat_kernel(d_next.flatten(), t_window) if F_next.rank else []
     return Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=False,
                       target=M, cover=cover_vecs)
-
-
-def _act_free(g, acts, acoords, vec):
-    out = {}
-    for m, a in acoords.items():
-        for i, c in acts[m].apply_coords(vec).items():
-            out[i] = g.add(out.get(i, g.zero), g.mul(a, c))
-    return {i: c for i, c in out.items() if c != 0}
 
 
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng, trials):
@@ -470,23 +449,8 @@ def _audit(res: Resolution, t_window):
     for s in range(1, len(res.maps)):
         outer = flats[s - 1]  # F_s -> F_{s-1}
         inner = flats[s]      # F_{s+1} -> F_s
-        g = A.base.ground
-        for key in _slice_keys(outer.source, t_window):
-            mat, src_idx, _ = outer.slice_matrix(key)
-            kern = kernel_basis(mat)
-            imat, isrc, itgt = inner.slice_matrix(key)
-            cols = []
-            for c in range(imat.cols):
-                col = [imat.data[r][c] for r in range(imat.rows)]
-                cols.append(col)
-            # itgt must align with src_idx ordering
-            if itgt != src_idx:
-                remap = {idx: r for r, idx in enumerate(itgt)}
-                cols = [
-                    [col[remap[idx]] if idx in remap else g.zero for idx in src_idx]
-                    for col in cols
-                ]
-            if not subquotient(g, kern, cols).is_zero:
+        for key in slice_keys(outer.source, t_window):
+            if not cohomology_at(outer, inner, key).is_zero:
                 raise ResolutionError(f"exactness fails at stage {s}, slice {key}")
 
 
@@ -539,28 +503,9 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
                 if v != 0:
                     entries[(j * nN + a, i * nN + b)] = v
         hom_maps.append(HomogeneousMap(src_mod, tgt_mod, 0, entries))
-    table = BigradedTable(window=tuple(window))
     # the top stage has no outgoing differential, so its kernel would be
     # overcounted; report strictly below it
-    for s in range(len(hom_maps)):
-        mod = hom_modules[s]
-        for key in _slice_keys(mod, window):
-            mat, src_idx, _ = hom_maps[s].slice_matrix(key)
-            kern = kernel_basis(mat)
-            if s > 0:
-                imat, _, itgt = hom_maps[s - 1].slice_matrix(key)
-                remap = {idx: r for r, idx in enumerate(itgt)}
-                cols = []
-                for c in range(imat.cols):
-                    col = [imat.data[remap[idx]][c] if idx in remap else g.zero
-                           for idx in src_idx]
-                    cols.append(col)
-            else:
-                cols = []
-            pres = subquotient(g, kern, cols)
-            if not pres.is_zero:
-                table.set(s, key, pres)
-    return table
+    return cohomology_table(hom_maps, len(hom_maps) - 1, window)
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +589,13 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     d1f = d1.flatten()
     entries = {}
     F2flat, F1flat = F2.flatten(), F1.flatten()
-    for key in _slice_keys(F2flat, (res.bounds[1][0] * 2, res.bounds[1][1] * 2)):
-        mat, src_idx, tgt_idx = d1f.slice_matrix(key - t)
-        rmat, rsrc, rtgt = rhs.slice_matrix(key)
+    for key in slice_keys(F2flat, (res.bounds[1][0] * 2, res.bounds[1][1] * 2)):
+        mat, src_idx, _ = d1f.slice_matrix(key - t)
+        rmat, rsrc, _ = rhs.slice_matrix(key)
         sf = None  # factored on the first column that needs a lift
+        # both slices index F0's degree key - t generators, in the same order
         for c, j in enumerate(rsrc):
-            col = [rmat.data[r][c] for r in range(rmat.rows)]
-            # align rtgt with tgt_idx of d1
-            remap = {idx: r for r, idx in enumerate(rtgt)}
-            target = [col[remap[idx]] if idx in remap else g.zero for idx in tgt_idx]
+            target = [rmat.data[r][c] for r in range(rmat.rows)]
             if all(x == 0 for x in target):
                 continue
             if sf is None:

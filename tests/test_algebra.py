@@ -10,7 +10,6 @@ from hhalg.algebra import (
     algebra_isomorphic,
     center,
     center_basis,
-    enveloping,
     frobenius_nilradical,
     ideal_closure,
     opposite,
@@ -19,7 +18,6 @@ from hhalg.algebra import (
     realize,
     semisimple_quotient,
     tensor,
-    unit_kernel,
 )
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
 from hhalg.ground import GroundRing, ZZ
@@ -333,11 +331,7 @@ def test_realize_order_independent():
     assert res.isomorphic
 
 
-# -- enveloping and unit kernel ----------------------------------------------
+# -- enveloping algebra ------------------------------------------------------
 
 def test_enveloping_rank():
-    assert enveloping(exterior_tau()).rank == 4
-
-
-def test_unit_kernel_free():
-    assert unit_kernel(m2_f3()).is_zero
+    assert tensor(exterior_tau(), opposite(exterior_tau())).rank == 4

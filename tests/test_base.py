@@ -7,11 +7,12 @@ from hhalg.base import (
     GradedFreeModule,
     HomogeneousMap,
     LaurentGenerator,
+    cohomology_at,
     graded_hom_module,
     periodic_reduce,
 )
 from hhalg.ground import GroundRing, ZZ
-from hhalg.linalg import ExactMatrix, rank
+from hhalg.linalg import ExactMatrix, SubquotientPresentation, rank
 
 F3 = GroundRing.prime_field(3)
 KU = BaseRing(ZZ, LaurentGenerator("v", 2))
@@ -141,6 +142,39 @@ def test_apply_coords():
     f = HomogeneousMap(M, M, 2, {(1, 0): 1, (0, 1): 3})
     assert f.apply_coords({0: 1}) == {1: 1}
     assert f.apply_coords({1: 2}) == {0: 6}
+
+
+# -- slice cohomology -----------------------------------------------------------------
+
+def test_cohomology_at_two_term_complex_over_z():
+    # Z e1 --2--> Z e0, with |e0| = 0 and |e1| = 1
+    M = GradedFreeModule(BaseRing(ZZ), (("e0", 0), ("e1", 1)))
+    d = HomogeneousMap(M, M, -1, {(0, 1): 2})
+    assert cohomology_at(d, d, 0) == SubquotientPresentation(0, (2,))
+    assert cohomology_at(d, d, 1).is_zero
+    assert cohomology_at(d, None, 0) == SubquotientPresentation(1)
+    # the same complex as degree-0 cochain maps C0 --2--> C1 --> 0
+    C0 = GradedFreeModule(BaseRing(ZZ), (("e1", 0),))
+    C1 = GradedFreeModule(BaseRing(ZZ), (("e0", 0),))
+    delta0 = HomogeneousMap(C0, C1, 0, {(0, 0): 2})
+    delta1 = HomogeneousMap.zero(C1, C1, 0)
+    assert cohomology_at(delta1, delta0, 0) == SubquotientPresentation(0, (2,))
+    assert cohomology_at(delta0, None, 0).is_zero
+
+
+def test_cohomology_at_rejects_an_incoming_map_into_another_module():
+    M = GradedFreeModule(BaseRing(ZZ), (("e", 0),))
+    N = GradedFreeModule(BaseRing(ZZ), (("f", 0),))
+    with pytest.raises(ValueError, match="source of the outgoing map"):
+        cohomology_at(HomogeneousMap.zero(M, M, 0), HomogeneousMap.identity(N), 0)
+
+
+def test_cohomology_at_rejects_an_image_outside_the_kernel():
+    # outgoing o incoming != 0: the image of e is not in ker(outgoing) = span(f)
+    M = GradedFreeModule(BaseRing(ZZ), (("e", 0), ("f", 0)))
+    outgoing = HomogeneousMap(M, M, 0, {(0, 0): 1})
+    with pytest.raises(ValueError, match="image vector outside the kernel span"):
+        cohomology_at(outgoing, HomogeneousMap.identity(M), 0)
 
 
 # -- the column index against a naive scan ------------------------------------------

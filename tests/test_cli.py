@@ -19,6 +19,7 @@ from hhalg.tables import BigradedTable
 from hhalg.linalg import SubquotientPresentation
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
+REFERENCES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "references.json")
 
 
 def defpath(name):
@@ -297,3 +298,17 @@ def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):
     }))
     code, _, err = run(capsys, ["ext", "--file", str(free)], tmp_path)
     assert code == 2 and "diverges" in err
+
+
+# -- the bundled corpus against its recorded output -------------------------------------
+
+with open(REFERENCES) as fh:
+    CLI_CORPUS = json.load(fh)["cli_corpus"]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CORPUS))
+def test_corpus_command_matches_recorded_output(capsys, tmp_path, command):
+    argv = command.split()
+    i = argv.index("--file") + 1
+    argv[i] = defpath(argv[i])
+    assert list(run(capsys, argv, tmp_path)) == CLI_CORPUS[command]

@@ -7,6 +7,7 @@ import pytest
 from hhalg.ground import GroundRing, ZZ, QQ
 from hhalg.linalg import (
     ExactMatrix,
+    SubquotientPresentation,
     cokernel,
     determinant,
     kernel_basis,
@@ -172,6 +173,9 @@ def test_subquotient_factors_kernel_once(monkeypatch):
     pres = subquotient(ZZ, kernel, image)
     assert (pres.free_rank, pres.torsion) == (0, (6,))
     # one factorization of the kernel matrix, one of the coordinate matrix
+    assert factored == [(3, 2), (2, 4)]
+    # with no image vectors the kernel vectors present the module unfactored
+    assert subquotient(ZZ, kernel, []) == SubquotientPresentation(2)
     assert factored == [(3, 2), (2, 4)]
 
 

@@ -20,7 +20,8 @@ from hhalg.morita import (
     retract_identity,
     roundtrip_FG,
     torsion_roundtrip,
-    torsion_side_TS,
+    torsion_S,
+    torsion_T,
 )
 
 F3 = GroundRing.prime_field(3)
@@ -288,7 +289,8 @@ def test_torsion_side_shapes():
     ctx = ctx_ex2()
     X = ModuleOverAlgebra.regular(ctx.A, "right")
     M = ModuleOverAlgebra.regular(ctx.R, "left")
-    T, S = torsion_side_TS(ctx, X, M, window=(-12, 12), s_max=6)
+    T = torsion_T(ctx, X)
+    S = torsion_S(ctx, M, window=(-12, 12), s_max=6)
     assert T.module.rank == 1 and T.side == "left"
     assert S.subject == "S"
     # derived Hom_R(k, R) over the exterior line: the socle in each stage
