@@ -30,7 +30,6 @@ from .defs import (
 from .dg import DGAlgebra, QuotientDGA, homology
 from .hochschild import hochschild_cohomology, mu_homology_image
 from .morita import (
-    ModuleOverAlgebra,
     MoritaContext,
     completion,
     completion_is_equivalence,
@@ -38,12 +37,8 @@ from .morita import (
     roundtrip_FG,
     torsion_roundtrip,
 )
-from .resolve import ext_table
+from .resolve import AModule, ext_table
 from .tables import BigradedTable
-
-
-class BudgetError(RuntimeError):
-    """A bound (budget, window, truncation) was exceeded: exit code 2."""
 
 
 def _parse_window(text):
@@ -220,7 +215,7 @@ def cmd_morita(df, built, args, out):
     window = _parse_window(args.window)
     code = 0
     for name, ctx in _morita_contexts(df, built):
-        M = ModuleOverAlgebra.regular(ctx.R, "right")
+        M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
             key = cachemod.cache_key("completion", df.emit(), name,
                                      args.smax, window)
@@ -251,10 +246,8 @@ def cmd_morita(df, built, args, out):
                     "roundtrip needs a semisimple auxiliary algebra")
             rec = []
             for label, Y in (
-                ("roundtrip F.G on the regular module",
-                 ModuleOverAlgebra.regular(ctx.A, "left")),
-                ("roundtrip F.G on E",
-                 ModuleOverAlgebra(ctx.A, ctx.E, ctx.a_action, "left")),
+                ("roundtrip F.G on the regular module", AModule.regular(ctx.A)),
+                ("roundtrip F.G on E", ctx.E_A),
             ):
                 rec.append((label, ("pass" if roundtrip_FG(ctx, Y, window)
                                     else "fail") + " (corpus-verified)"))
@@ -291,7 +284,6 @@ def _common_flags(p):
                    help="generator budget for bar-complex stages")
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quiet", action="store_true")
 
 

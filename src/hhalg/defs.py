@@ -21,10 +21,10 @@ import json
 from dataclasses import dataclass
 
 from .algebra import AlgebraPresentation, GradedAlgebra, realize
-from .base import BaseRing, HomogeneousMap, LaurentGenerator
+from .base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from .dg import QuotientDGA, make_quotient_dga
 from .ground import GroundRing
-from .morita import ModuleOverAlgebra
+from .resolve import AModule
 
 
 class DefinitionError(Exception):
@@ -475,7 +475,7 @@ def build_algebra(df: DefinitionFile, name: str):
     return realize(pres)
 
 
-def build_module(df: DefinitionFile, name: str, built: dict) -> ModuleOverAlgebra:
+def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
     """Realize a module entry over an already-built algebra.
 
     The action is given on generators; actions of longer monomials are
@@ -486,7 +486,6 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> ModuleOverAlgebr
     if isinstance(A, QuotientDGA):
         raise DefinitionError(f"module {name!r}: modules over dg entries "
                               "are not supported")
-    from .base import GradedFreeModule
     M = GradedFreeModule(A.base, spec["generators"])
     g = A.base.ground
     gen_maps = {}
@@ -516,4 +515,4 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> ModuleOverAlgebr
         if hm.degree != mdeg:
             hm = HomogeneousMap(M, M, mdeg, hm.entries)
         action[idx] = hm
-    return ModuleOverAlgebra(A, M, action, spec["side"])
+    return AModule(A, M, action, spec["side"])

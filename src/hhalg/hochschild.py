@@ -1,9 +1,12 @@
 """Hochschild cohomology via the normalized bar cochain complex.
 
-HH^n(A, M) for a finite-rank graded algebra A and a bimodule M, the action
-map mu from A (x) A^op to Hom(A, A), an independent computation of HH as
-Ext over the enveloping algebra, and the homology image of the alpha class
-under mu for the two-term quotient DGA family.
+A bimodule over A is a left module (resolve.AModule) over the enveloping
+algebra A (x) A^op, with (a (x) b) . x = (-1)^{|b||x|} a . x . b.  This
+module computes HH^n(A, M) for a finite-rank graded algebra A and such a
+bimodule M, the action map mu from A (x) A^op to Hom(A, A) (read off the
+regular bimodule), an independent computation of HH as Ext over the
+enveloping algebra, and the homology image of the alpha class under mu for
+the two-term quotient DGA family.
 """
 
 from __future__ import annotations
@@ -15,48 +18,70 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, graded_hom_module, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
-from .linalg import ExactMatrix, SubquotientPresentation, smith_normal_form
+from .linalg import ExactMatrix, SubquotientPresentation, determinant, rank as mat_rank, smith_normal_form
 from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
 
-class Bimodule:
-    """An A-bimodule: ground module plus left/right monomial actions."""
+def _bimodule_action(A: GradedAlgebra, M: GradedFreeModule, left, right) -> dict:
+    """{i * rank(A) + j: x |-> (-1)^{|e_j||x|} e_i . x . e_j} on M."""
+    g = A.base.ground
+    action = {}
+    for i, li in left.items():
+        for j, rj in right.items():
+            hm = li.compose(rj)
+            if A.parity(j):
+                hm = HomogeneousMap(M, M, hm.degree, {
+                    (k, m): g.neg(c) if M.generators[m][1] % 2 else c
+                    for (k, m), c in hm.entries.items()
+                })
+            if not hm.is_zero():
+                action[i * A.rank + j] = hm
+    return action
 
-    def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule, left, right):
-        self.algebra = algebra
-        self.module = module
-        self.left = dict(left)
-        self.right = dict(right)
 
-    def left_act(self, m, vec):
-        f = self.left.get(m)
-        return f.apply_coords(vec) if f else {}
+def _regular_action(A: GradedAlgebra) -> dict:
+    left = {m: A.left_mult(m) for m in range(A.rank)}
+    right = {m: A.right_mult(m) for m in range(A.rank)}
+    return _bimodule_action(A, A.module, left, right)
 
-    def right_act(self, vec, m):
-        f = self.right.get(m)
-        return f.apply_coords(vec) if f else {}
 
-    @staticmethod
-    def regular(A: GradedAlgebra) -> "Bimodule":
-        left = {m: A.left_mult(m) for m in range(A.rank)}
-        right = {m: A.right_mult(m) for m in range(A.rank)}
-        return Bimodule(A, A.module, left, right)
+def bimodule(A: GradedAlgebra, M: GradedFreeModule, left, right) -> AModule:
+    """The bimodule with the given left and right monomial actions on M.
+
+    The module check rejects actions that are not unital and associative,
+    and left and right actions that do not commute.
+    """
+    return AModule(tensor(A, opposite(A)), M, _bimodule_action(A, M, left, right))
+
+
+def regular_bimodule(A: GradedAlgebra, check=False) -> AModule:
+    """A as a bimodule over itself."""
+    return AModule(tensor(A, opposite(A)), A.module, _regular_action(A), check=check)
 
 
 class BarCochainComplex:
     """Normalized bar cochains C^n = Hom(Abar^{(x)n}, M), with differentials.
+
+    M is a bimodule: an AModule over tensor(A, opposite(A)).
 
     A cochain generator is (word over non-unit monomials, M-coordinate);
     its internal degree is deg(value) - deg(inputs).  d^2 = 0 is asserted
     at construction.
     """
 
-    def __init__(self, A: GradedAlgebra, M: Bimodule, n_max: int = 4,
+    def __init__(self, A: GradedAlgebra, M: AModule, n_max: int = 4,
                  budget: int = 200000):
+        if M.algebra.rank != A.rank ** 2:
+            raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
         self.A = A
         self.M = M
-        self.reduced = [m for m in range(A.rank) if m != A.unit_index]
+        u = A.unit_index
+        self.reduced = [m for m in range(A.rank) if m != u]
+        # the nonzero actions a . x at a (x) 1 and (-1)^{|b||x|} x . b at 1 (x) b
+        act, r = M.action, A.rank
+        self.left = {a: act[a * r + u] for a in self.reduced if a * r + u in act}
+        self.right = {b: act[u * r + b] for b in self.reduced if u * r + b in act}
         self.terms = []
         self.deltas = []
         nM = M.module.rank
@@ -109,10 +134,11 @@ class BarCochainComplex:
         for wi, w in enumerate(src_words):
             for b in range(nM):
                 src = wi * nM + b
-                fpar = (M.module.generators[b][1] - sum(A.degree(a) for a in w)) % 2
+                bpar = M.module.generators[b][1] % 2
+                fpar = (bpar - sum(A.degree(a) for a in w)) % 2
                 # first face: a1 . f(a2..), Koszul sign (-1)^{|a1||f|}
-                for a1 in self.reduced:
-                    val = M.left_act(a1, {b: g.one})
+                for a1, lam in self.left.items():
+                    val = lam.apply_coords({b: g.one})
                     if val:
                         s = minus_one if (fpar and A.parity(a1)) else g.one
                         put((a1,) + w, val, s)
@@ -127,20 +153,22 @@ class BarCochainComplex:
                             s = g.mul(c, minus_one if (i + 1) % 2 else g.one)
                             put(tword, {b: g.one}, s)
                 # last face: (-1)^{n+1} f(a1..an) . a_{n+1}
+                # (the right action undoes the Koszul sign of 1 (x) a_{n+1})
                 slast = minus_one if (n + 1) % 2 else g.one
-                for an in self.reduced:
-                    val = M.right_act({b: g.one}, an)
+                for an, rho in self.right.items():
+                    val = rho.apply_coords({b: g.one})
                     if val:
-                        put(w + (an,), val, slast)
+                        s = g.neg(slast) if (bpar and A.parity(an)) else slast
+                        put(w + (an,), val, s)
         return HomogeneousMap(self.terms[n], self.terms[n + 1], 0, entries)
 
 
-def hochschild_cohomology(A: GradedAlgebra, M: Bimodule | None = None,
+def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
                           n_max: int = 4, window=(-16, 16),
                           budget: int = 200000) -> BigradedTable:
-    """HH^n(A, M) per internal degree slice, keyed (n, t)."""
+    """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A."""
     if M is None:
-        M = Bimodule.regular(A)
+        M = regular_bimodule(A)
     bar = BarCochainComplex(A, M, n_max, budget)
     table = cohomology_table(bar.deltas, min(bar.completed, n_max), window)
     if bar.completed < n_max:
@@ -154,17 +182,11 @@ def hochschild_cohomology(A: GradedAlgebra, M: Bimodule | None = None,
 
 def _mu_entries(A: GradedAlgebra):
     """Entries of mu: (e_i (x) e_j) |-> (x |-> (-1)^{|e_j||x|} e_i x e_j)."""
-    g = A.base.ground
-    r = A.rank
+    M = A.module
     entries = {}
-    for i in range(r):
-        for j in range(r):
-            src = i * r + j
-            for m in range(r):
-                sign = -1 if (A.parity(j) and A.parity(m)) else 1
-                vec = A.mul_coords(A.mul_basis(i, m), {j: g.normalize(sign)})
-                for k, c in vec.items():
-                    entries[(hom_pair_index(A.module, A.module, m, k), src)] = c
+    for src, hm in _regular_action(A).items():
+        for (k, m), c in hm.entries.items():
+            entries[(hom_pair_index(M, M, m, k), src)] = c
     return entries
 
 
@@ -219,7 +241,6 @@ def _mu_is_multiplicative(A: GradedAlgebra, T: GradedAlgebra, f: HomogeneousMap)
 def mu_is_iso(A: GradedAlgebra) -> bool:
     """Whether mu is bijective, slice by slice (unit determinant over Z)."""
     f = action_map_mu(A)
-    from .linalg import determinant, rank as mat_rank
     g = A.base.ground
     keys = {A.base.degree_key(d) for d in f.source.degrees} | {
         A.base.degree_key(d) for d in f.target.degrees
@@ -240,31 +261,11 @@ def mu_is_iso(A: GradedAlgebra) -> bool:
 # the enveloping-algebra path
 
 
-def enveloping_module(A: GradedAlgebra) -> tuple:
-    """(E, M): the enveloping algebra E = A (x) A^op and A as an E-module."""
-    E = tensor(A, opposite(A))
-    g = A.base.ground
-    r = A.rank
-    action = {}
-    for i in range(r):
-        for j in range(r):
-            entries = {}
-            for m in range(r):
-                sign = -1 if (A.parity(j) and A.parity(m)) else 1
-                vec = A.mul_coords(A.mul_basis(i, m), {j: g.normalize(sign)})
-                for k, c in vec.items():
-                    entries[(k, m)] = c
-            hm = HomogeneousMap(A.module, A.module, A.degree(i) + A.degree(j), entries)
-            if not hm.is_zero():
-                action[i * r + j] = hm
-    return E, AModule(E, A.module, action)
-
-
 def hochschild_via_enveloping(A: GradedAlgebra, n_max: int = 4,
                               window=(-16, 16), seed: int = 0) -> BigradedTable:
     """Ext_{A (x) A^op}(A, A), asserted rank-equal to the bar-complex table."""
-    E, M = enveloping_module(A)
-    res = free_resolution(E, M, s_max=n_max + 1, t_window=window, seed=seed)
+    M = regular_bimodule(A, check=True)
+    res = free_resolution(M.algebra, M, s_max=n_max + 1, t_window=window, seed=seed)
     table = ext_with_coefficients(res, M, window)
     bar = hochschild_cohomology(A, None, n_max, window)
     period = A.base.period

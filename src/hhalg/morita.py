@@ -2,9 +2,11 @@
 
 The setting is a triple (R, A, E): E is simultaneously a left R-module and
 a left A-module with commuting actions (the bimodule of the Morita pair).
+Every module here, E included, is a resolve.AModule tagged left or right.
 F sends a right R-module X to the left A-module X (x)_R E; G sends a left
 A-module Y to the derived Hom_A(E, Y), reported as a bigraded homology
-table over an explicit window; the completion of X is G(F(X)).
+table over an explicit window; the completion of X is G(F(X)).  T and S
+are the same pair with the roles of R and A swapped.
 
 For semisimple A the derived Hom collapses to the plain one, and the
 adjunction unit/counit are materialized as explicit matrices, so the
@@ -23,74 +25,13 @@ from .resolve import AModule, _Span, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
 
-class ModuleOverAlgebra:
-    """A finite module over a GradedAlgebra, tagged left or right.
-
-    action maps monomial indices to HomogeneousMaps on the underlying
-    module; unitality and associativity are checked on basis pairs.
-    """
-
-    def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule,
-                 action, side: str = "left", check: bool = True):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        self.algebra = algebra
-        self.module = module
-        self.action = dict(action)
-        self.side = side
-        if check:
-            self._check()
-
-    def act_map(self, m) -> HomogeneousMap:
-        if m in self.action:
-            return self.action[m]
-        return HomogeneousMap.zero(self.module, self.module, self.algebra.degree(m))
-
-    def _check(self):
-        A = self.algebra
-        if self.act_map(A.unit_index) != HomogeneousMap.identity(self.module):
-            raise ValueError("unit does not act as identity")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                lhs = self.act_map(i).compose(self.act_map(j))
-                prod = A.mul_basis(i, j) if self.side == "left" else A.mul_basis(j, i)
-                rhs = HomogeneousMap.zero(self.module, self.module,
-                                          A.degree(i) + A.degree(j))
-                for k, c in prod.items():
-                    rhs = rhs.add(self.act_map(k).scale(c))
-                if lhs != rhs:
-                    raise ValueError(f"{self.side} action fails on pair ({i},{j})")
-
-    def to_amodule(self) -> AModule:
-        if self.side != "left":
-            raise ValueError("only left modules convert to AModule")
-        return AModule(self.algebra, self.module, self.action, check=False)
-
-    @staticmethod
-    def regular(A: GradedAlgebra, side: str = "left") -> "ModuleOverAlgebra":
-        if side == "left":
-            act = {m: A.left_mult(m) for m in range(A.rank)}
-        else:
-            act = {m: A.right_mult(m) for m in range(A.rank)}
-        return ModuleOverAlgebra(A, A.module, act, side, check=False)
-
-    @staticmethod
-    def trivial(A: GradedAlgebra, side: str = "left") -> "ModuleOverAlgebra":
-        """Rank-1 module where non-unit monomials act by zero (A augmented)."""
-        M = GradedFreeModule(A.base, (("k", 0),))
-        return ModuleOverAlgebra(
-            A, M, {A.unit_index: HomogeneousMap.identity(M)}, side
-        )
-
-    @staticmethod
-    def zero(A: GradedAlgebra, side: str = "left") -> "ModuleOverAlgebra":
-        M = GradedFreeModule(A.base, ())
-        return ModuleOverAlgebra(A, M, {}, side, check=False)
-
-
 @dataclass
 class MoritaContext:
-    """The bimodule datum: E a left R-module and left A-module, commuting."""
+    """The bimodule datum: E a left R-module and left A-module, commuting.
+
+    E_R and E_A are E with the R-action and with the A-action, built (and
+    checked) at construction.
+    """
 
     R: GradedAlgebra
     A: GradedAlgebra
@@ -99,28 +40,12 @@ class MoritaContext:
     a_action: dict
 
     def __post_init__(self):
-        ModuleOverAlgebra(self.R, self.E, self.r_action, "left")
-        ModuleOverAlgebra(self.A, self.E, self.a_action, "left")
+        self.E_R = AModule(self.R, self.E, self.r_action)
+        self.E_A = AModule(self.A, self.E, self.a_action)
         for r, fr in self.r_action.items():
             for a, fa in self.a_action.items():
                 if fr.compose(fa) != fa.compose(fr):
                     raise ValueError(f"R and A actions fail to commute on ({r},{a})")
-
-    def r_act(self, m) -> HomogeneousMap:
-        if m in self.r_action:
-            return self.r_action[m]
-        return HomogeneousMap.zero(self.E, self.E, self.R.degree(m))
-
-    def a_act(self, m) -> HomogeneousMap:
-        if m in self.a_action:
-            return self.a_action[m]
-        return HomogeneousMap.zero(self.E, self.E, self.A.degree(m))
-
-    def e_as_a_module(self) -> AModule:
-        return AModule(self.A, self.E, self.a_action, check=False)
-
-    def e_as_r_module(self) -> AModule:
-        return AModule(self.R, self.E, self.r_action, check=False)
 
 
 @dataclass
@@ -143,7 +68,7 @@ class BalancedTensor:
     non-pivot pairs form the basis of the quotient.
     """
 
-    def __init__(self, X: ModuleOverAlgebra, E: GradedFreeModule, s_action_on_E):
+    def __init__(self, X: AModule, E: GradedFreeModule, s_action_on_E):
         S = X.algebra
         g = S.base.ground
         if not g.is_field:
@@ -191,15 +116,20 @@ class BalancedTensor:
         return {self.position[p]: c for p, c in r.items()}
 
 
-def functor_F(ctx: MoritaContext, X: ModuleOverAlgebra) -> ModuleOverAlgebra:
-    """X (x)_R E as a left A-module (A acting through E, Koszul-signed)."""
-    g = ctx.R.base.ground
-    T = BalancedTensor(X, ctx.E, ctx.r_action)
-    nE = ctx.E.rank
+def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
+    """X (x)_S E for a right S-module X, where `over` is E as an S-module.
+
+    The result is a left module over the algebra of `acting`, which acts
+    on the E factor with the Koszul sign (-1)^{|a||x|}.
+    """
+    B = acting.algebra
+    g = B.base.ground
+    T = BalancedTensor(X, over.module, over.action)
+    nE = over.module.rank
     action = {}
-    for a in range(ctx.A.rank):
-        fa = ctx.a_act(a)
-        apar = ctx.A.degree(a) % 2
+    for a in range(B.rank):
+        fa = acting.act_map(a)
+        apar = B.degree(a) % 2
         entries = {}
         for pos, p in enumerate(T.kept):
             i, j = divmod(p, nE)
@@ -209,26 +139,30 @@ def functor_F(ctx: MoritaContext, X: ModuleOverAlgebra) -> ModuleOverAlgebra:
                 img[i * nE + j2] = g.mul(g.normalize(sign), c)
             for pos2, c in T.reduce(img).items():
                 entries[(pos2, pos)] = c
-        hm = HomogeneousMap(T.module, T.module, ctx.A.degree(a), entries)
+        hm = HomogeneousMap(T.module, T.module, B.degree(a), entries)
         if not hm.is_zero():
             action[a] = hm
-    out = ModuleOverAlgebra(ctx.A, T.module, action, "left")
+    out = AModule(B, T.module, action)
     out.tensor = T
     return out
 
 
-def functor_G(ctx: MoritaContext, Y: ModuleOverAlgebra, window=(-16, 16),
+def functor_F(ctx: MoritaContext, X: AModule) -> AModule:
+    """X (x)_R E as a left A-module."""
+    return _tensor_E(X, ctx.E_R, ctx.E_A)
+
+
+def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
               s_max: int = 8, seed: int = 0, notes=()) -> CompletionResult:
     """Derived Hom_A(E, Y) as a bigraded homology table over the window."""
     if Y.side != "left":
         raise ValueError("G takes a left A-module")
-    res = free_resolution(ctx.A, ctx.e_as_a_module(), s_max=s_max,
-                          t_window=window, seed=seed)
-    table = ext_with_coefficients(res, Y.to_amodule(), window)
+    res = free_resolution(ctx.A, ctx.E_A, s_max=s_max, t_window=window, seed=seed)
+    table = ext_with_coefficients(res, Y, window)
     return CompletionResult("G", table, tuple(window), tuple(notes))
 
 
-def completion(ctx: MoritaContext, M: ModuleOverAlgebra, window=(-16, 16),
+def completion(ctx: MoritaContext, M: AModule, window=(-16, 16),
                s_max: int = 8, notes=()) -> CompletionResult:
     """The completion G(F(M)) of a right R-module M."""
     if M.module.rank == 0:
@@ -258,7 +192,7 @@ def degree_ranks(module: GradedFreeModule, lo=None, hi=None) -> dict:
     return out
 
 
-def completion_is_equivalence(ctx: MoritaContext, M: ModuleOverAlgebra,
+def completion_is_equivalence(ctx: MoritaContext, M: AModule,
                               compare, window=(-16, 16), s_max: int = 8) -> bool:
     """Whether the canonical map M -> completion(M) is a homology iso.
 
@@ -276,7 +210,7 @@ def completion_is_equivalence(ctx: MoritaContext, M: ModuleOverAlgebra,
 # the plain (underived) kit, for semisimple A
 
 
-def _hom_basis(E: ModuleOverAlgebra, Y: ModuleOverAlgebra):
+def _hom_basis(E: AModule, Y: AModule):
     """Basis of Hom_A(E, Y) for left A-modules, as (degree, HomogeneousMap)."""
     if E.side != Y.side:
         raise ValueError("hom takes modules of the same handedness")
@@ -337,7 +271,7 @@ def _in_basis(g, basis, target: HomogeneousMap) -> dict:
     return {cands[a][0]: c for a, c in enumerate(sol) if c != 0}
 
 
-def endo_algebra(E: ModuleOverAlgebra) -> GradedAlgebra:
+def endo_algebra(E: AModule) -> GradedAlgebra:
     """Hom_R(E, E) under composition, as a graded algebra.
 
     The basis is the commutant of the action, re-based so the identity map
@@ -363,19 +297,18 @@ def endo_algebra(E: ModuleOverAlgebra) -> GradedAlgebra:
     return GradedAlgebra(E.algebra.base, monomials, 0, mult)
 
 
-def plain_hom_A(ctx: MoritaContext, Y: ModuleOverAlgebra) -> ModuleOverAlgebra:
+def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
     """Hom_A(E, Y) as a right R-module, for semisimple A (underived case)."""
     if radical(ctx.A):
         raise ValueError("plain Hom is only honest for semisimple A")
     g = ctx.R.base.ground
-    EA = ModuleOverAlgebra(ctx.A, ctx.E, ctx.a_action, "left", check=False)
-    basis = _hom_basis(EA, Y)
+    basis = _hom_basis(ctx.E_A, Y)
     M = GradedFreeModule(
         ctx.R.base, tuple((f"w{a}", d) for a, (d, _) in enumerate(basis))
     )
     action = {}
     for m in range(ctx.R.rank):
-        rho = ctx.r_act(m)
+        rho = ctx.E_R.act_map(m)
         entries = {}
         for a, (_, z) in enumerate(basis):
             img = z.compose(rho)  # (w . r)(e) = w(r . e)
@@ -384,12 +317,12 @@ def plain_hom_A(ctx: MoritaContext, Y: ModuleOverAlgebra) -> ModuleOverAlgebra:
         hm = HomogeneousMap(M, M, ctx.R.degree(m), entries)
         if not hm.is_zero():
             action[m] = hm
-    W = ModuleOverAlgebra(ctx.R, M, action, "right")
+    W = AModule(ctx.R, M, action, "right")
     W.hom_basis = basis
     return W
 
 
-def roundtrip_FG(ctx: MoritaContext, Y: ModuleOverAlgebra,
+def roundtrip_FG(ctx: MoritaContext, Y: AModule,
                  compare=(-16, 16)) -> bool:
     """Whether F(G(Y)) has the same degree ranks as Y (semisimple A)."""
     if Y.module.rank == 0:
@@ -400,7 +333,7 @@ def roundtrip_FG(ctx: MoritaContext, Y: ModuleOverAlgebra,
     return degree_ranks(FW.module, lo, hi) == degree_ranks(Y.module, lo, hi)
 
 
-def retract_identity(ctx: MoritaContext, X: ModuleOverAlgebra) -> bool:
+def retract_identity(ctx: MoritaContext, X: AModule) -> bool:
     """Exact check that F(X) -> F(completion X) -> F(X) is the identity.
 
     Builds the adjunction unit under F and the counit as matrices
@@ -443,8 +376,8 @@ def retract_identity(ctx: MoritaContext, X: ModuleOverAlgebra) -> bool:
     return True
 
 
-def adjunction_triangles(ctx: MoritaContext, X: ModuleOverAlgebra,
-                         Y: ModuleOverAlgebra) -> bool:
+def adjunction_triangles(ctx: MoritaContext, X: AModule,
+                         Y: AModule) -> bool:
     """Both triangle identities, exactly, for semisimple A.
 
     Triangle 1 (on F): the retract identity for X.  Triangle 2 (on G):
@@ -493,45 +426,25 @@ def adjunction_triangles(ctx: MoritaContext, X: ModuleOverAlgebra,
 # the torsion side: T and S
 
 
-def torsion_T(ctx: MoritaContext, X: ModuleOverAlgebra) -> ModuleOverAlgebra:
+def torsion_T(ctx: MoritaContext, X: AModule) -> AModule:
     """T(X) = X (x)_A E as a left R-module, for a right A-module X."""
-    g = ctx.R.base.ground
-    T = BalancedTensor(X, ctx.E, ctx.a_action)
-    nE = ctx.E.rank
-    action = {}
-    for m in range(ctx.R.rank):
-        fm = ctx.r_act(m)
-        mpar = ctx.R.degree(m) % 2
-        entries = {}
-        for pos, p in enumerate(T.kept):
-            i, j = divmod(p, nE)
-            sign = -1 if (mpar and X.module.generators[i][1] % 2) else 1
-            img = {}
-            for j2, c in fm.apply_coords({j: g.one}).items():
-                img[i * nE + j2] = g.mul(g.normalize(sign), c)
-            for pos2, c in T.reduce(img).items():
-                entries[(pos2, pos)] = c
-        hm = HomogeneousMap(T.module, T.module, ctx.R.degree(m), entries)
-        if not hm.is_zero():
-            action[m] = hm
-    return ModuleOverAlgebra(ctx.R, T.module, action, "left")
+    return _tensor_E(X, ctx.E_A, ctx.E_R)
 
 
-def torsion_S(ctx: MoritaContext, M: ModuleOverAlgebra, window=(-16, 16),
+def torsion_S(ctx: MoritaContext, M: AModule, window=(-16, 16),
               s_max: int = 8, seed: int = 0) -> CompletionResult:
     """S(M) = derived Hom_R(E, M), as a bigraded table."""
     if M.side != "left":
         raise ValueError("S takes a left R-module")
-    res = free_resolution(ctx.R, ctx.e_as_r_module(), s_max=s_max,
-                          t_window=window, seed=seed)
-    table = ext_with_coefficients(res, M.to_amodule(), window)
+    res = free_resolution(ctx.R, ctx.E_R, s_max=s_max, t_window=window, seed=seed)
+    table = ext_with_coefficients(res, M, window)
     return CompletionResult("S", table, tuple(window))
 
 
 def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),
                       s_max: int = 8) -> bool:
     """Whether S(T(A)) recovers A, as collapsed degree ranks over `compare`."""
-    TA = torsion_T(ctx, ModuleOverAlgebra.regular(ctx.A, "right"))
+    TA = torsion_T(ctx, AModule.regular(ctx.A, "right"))
     S = torsion_S(ctx, TA, window, s_max)
     lo, hi = compare
     got = {d: r for d, r in collapsed_ranks(S.table).items() if lo <= d <= hi}

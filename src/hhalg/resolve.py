@@ -1,4 +1,7 @@
-"""Free resolutions over finite-rank graded algebras and bigraded Ext tables.
+"""Modules, free resolutions and bigraded Ext tables over graded algebras.
+
+AModule is the one module class: left or right modules, and through the
+enveloping algebra bimodules (hochschild) and Morita data (morita).
 
 Two resolution builders:
 
@@ -91,30 +94,42 @@ class AModuleMap:
 
 
 class AModule:
-    """A finite module over a GradedAlgebra: ground module + monomial actions."""
+    """A finite left or right module over a GradedAlgebra.
 
-    def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule, action, check=True):
+    action maps monomial indices to HomogeneousMaps on the ground module
+    (absent monomials act by zero); unitality and associativity are
+    checked on basis pairs unless check=False.  A bimodule is a left
+    module over tensor(A, opposite(A)) (see hochschild.bimodule).
+    """
+
+    def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule, action,
+                 side: str = "left", check: bool = True):
+        if side not in ("left", "right"):
+            raise ValueError("side must be 'left' or 'right'")
         self.algebra = algebra
         self.module = module
         self.action = dict(action)  # monomial index -> HomogeneousMap
+        self.side = side
         if check:
             self._check()
 
     def _check(self):
         A = self.algebra
-        ident = HomogeneousMap.identity(self.module)
-        if self.act_map(A.unit_index) != ident:
-            raise ValueError("unit does not act as identity")
         g = A.base.ground
+        if self.act_map(A.unit_index) != HomogeneousMap.identity(self.module):
+            raise ValueError("unit does not act as identity")
         for i in range(A.rank):
             for j in range(A.rank):
                 lhs = self.act_map(i).compose(self.act_map(j))
-                rhs = HomogeneousMap.zero(self.module, self.module,
-                                          A.degree(i) + A.degree(j))
-                for k, c in A.mul_basis(i, j).items():
-                    rhs = rhs.add(self.act_map(k).scale(c))
-                if lhs != rhs:
-                    raise ValueError(f"action not associative on pair ({i},{j})")
+                prod = A.mul_basis(i, j) if self.side == "left" else A.mul_basis(j, i)
+                # a product may wrap a Laurent period: read each act_map(k)
+                # in the degree of the pair, which moves only implied powers
+                rhs = {}
+                for k, c in prod.items():
+                    for key, v in self.act_map(k).entries.items():
+                        rhs[key] = g.add(rhs.get(key, g.zero), g.mul(c, v))
+                if lhs != HomogeneousMap(self.module, self.module, lhs.degree, rhs):
+                    raise ValueError(f"{self.side} action fails on pair ({i},{j})")
 
     def act_map(self, m) -> HomogeneousMap:
         if m in self.action:
@@ -130,17 +145,21 @@ class AModule:
         return {i: c for i, c in out.items() if c != 0}
 
     @staticmethod
-    def trivial(algebra: GradedAlgebra) -> "AModule":
-        """The augmentation module: rank 1, non-unit monomials act by zero."""
-        M = GradedFreeModule(algebra.base, (("k", 0),))
-        g = algebra.base.ground
-        act = {algebra.unit_index: HomogeneousMap.identity(M)}
-        return AModule(algebra, M, act, check=False)
+    def regular(algebra: GradedAlgebra, side: str = "left") -> "AModule":
+        mult = algebra.left_mult if side == "left" else algebra.right_mult
+        act = {m: mult(m) for m in range(algebra.rank)}
+        return AModule(algebra, algebra.module, act, side, check=False)
 
     @staticmethod
-    def regular(algebra: GradedAlgebra) -> "AModule":
-        act = {m: algebra.left_mult(m) for m in range(algebra.rank)}
-        return AModule(algebra, algebra.module, act, check=False)
+    def trivial(algebra: GradedAlgebra, side: str = "left") -> "AModule":
+        """The augmentation module: rank 1, non-unit monomials act by zero."""
+        M = GradedFreeModule(algebra.base, (("k", 0),))
+        act = {algebra.unit_index: HomogeneousMap.identity(M)}
+        return AModule(algebra, M, act, side, check=False)
+
+    @staticmethod
+    def zero(algebra: GradedAlgebra, side: str = "left") -> "AModule":
+        return AModule(algebra, GradedFreeModule(algebra.base, ()), {}, side, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,8 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     g = A.base.ground
     if not g.is_field:
         raise ResolutionError("resolutions require a field ground")
+    if M.side != "left":
+        raise ValueError("free_resolution takes a left module")
     rng = random.Random(seed)
     # stage 0: cover M
     targets = [(M.module.generators[i][1], {i: g.one}) for i in range(M.module.rank)]
@@ -476,7 +497,10 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
 
     Works for any resolution; for non-free coefficient patterns this is
     the engine behind completion tables and the enveloping-algebra path.
+    N must be a left module.
     """
+    if N.side != "left":
+        raise ValueError("ext_with_coefficients takes a left module")
     A = res.algebra
     g = A.base.ground
     hom_modules = []

@@ -26,7 +26,6 @@ from hhalg.hochschild import (
 )
 from hhalg.linalg import ExactMatrix, cokernel, smith_normal_form
 from hhalg.morita import (
-    ModuleOverAlgebra,
     MoritaContext,
     collapsed_ranks,
     completion,
@@ -34,7 +33,7 @@ from hhalg.morita import (
     retract_identity,
     roundtrip_FG,
 )
-from hhalg.resolve import ext_base_change, ext_table, minimal_resolution, yoneda_square
+from hhalg.resolve import AModule, ext_base_change, ext_table, minimal_resolution, yoneda_square
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -212,18 +211,18 @@ def test_criterion_10_morita_roundtrips():
         tmon = [i for i in range(R.rank) if i != R.unit_index][0]
         ctx = MoritaContext(R, A, E, {R.unit_index: ident, tmon: ident},
                             {A.unit_index: ident})
-        for Y in (ModuleOverAlgebra.regular(A, "left"),
-                  ModuleOverAlgebra(A, E, ctx.a_action, "left")):
+        for Y in (AModule.regular(A, "left"),
+                  AModule(A, E, ctx.a_action, "left")):
             assert roundtrip_FG(ctx, Y)
-        for X in (ModuleOverAlgebra.regular(R, "right"),
-                  ModuleOverAlgebra(R, E, ctx.r_action, "right")):
+        for X in (AModule.regular(R, "right"),
+                  AModule(R, E, ctx.r_action, "right")):
             assert retract_identity(ctx, X)
         # adic shadows: truncated polynomial and exterior lines
         trunc = lambda T: realize(AlgebraPresentation(
             BaseRing(F3), (("y", 1),), ([(1, ("y",) * T, 0)],)))
         lam = exterior(BaseRing(F3), (("x", -1),))
         ctx1, ctx2 = local_ctx(trunc(20), lam), local_ctx(lam, trunc(20))
-        reg = lambda c: ModuleOverAlgebra.regular(c.R, "right")
+        reg = lambda c: AModule.regular(c.R, "right")
         # the exterior line is already complete: in-window equivalence
         assert completion_is_equivalence(ctx2, reg(ctx2), compare=(-10, 10))
         # idempotence in-window: ex:2 materializes to itself; ex:1's

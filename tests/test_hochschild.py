@@ -16,13 +16,15 @@ from hhalg.dg import ChainMap, make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
     BarCochainComplex,
-    Bimodule,
     action_map_mu,
+    bimodule,
     hochschild_cohomology,
     hochschild_via_enveloping,
     mu_homology_image,
     mu_is_iso,
+    regular_bimodule,
 )
+from hhalg.resolve import AModule
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -99,9 +101,31 @@ def test_hh_trivial_coefficients():
     A = dual_numbers_f3()
     k = GradedFreeModule(A.base, (("k", 0),))
     ident = HomogeneousMap.identity(k)
-    M = Bimodule(A, k, {A.unit_index: ident}, {A.unit_index: ident})
+    M = bimodule(A, k, {A.unit_index: ident}, {A.unit_index: ident})
     t = hochschild_cohomology(A, M, n_max=4)
     assert [n_ranks(t, n) for n in range(5)] == [1, 1, 1, 1, 1]
+
+
+def test_bimodule_with_noncommuting_actions_is_rejected():
+    # t acts with square zero on either side alone, but t.(x.t) != (t.x).t
+    A = dual_numbers_f3()
+    M = GradedFreeModule(A.base, (("a", 0), ("b", 0)))
+    ident = HomogeneousMap.identity(M)
+    t = [m for m in range(A.rank) if m != A.unit_index][0]
+    left = {A.unit_index: ident, t: HomogeneousMap(M, M, 0, {(1, 0): 1})}
+    right = {A.unit_index: ident, t: HomogeneousMap(M, M, 0, {(0, 1): 1})}
+    bimodule(A, M, left, {A.unit_index: ident})
+    bimodule(A, M, {A.unit_index: ident}, right)
+    with pytest.raises(ValueError, match="action fails"):
+        bimodule(A, M, left, right)
+
+
+def test_hh_rejects_a_one_sided_module():
+    # a left A-module is not a bimodule; its actions would be read at the
+    # wrong enveloping indices and give a wrong table
+    A = dual_numbers_f3()
+    with pytest.raises(ValueError, match="must be a bimodule"):
+        hochschild_cohomology(A, AModule.regular(A))
 
 
 def test_hh_budget_reports_completed_range():
@@ -114,7 +138,7 @@ def test_hh_budget_reports_completed_range():
 def test_bar_differential_squares_to_zero_with_signs():
     # odd-degree generators over F3 exercise every Koszul sign; the
     # constructor hard-checks d^2 = 0
-    BarCochainComplex(lam_x_f3(), Bimodule.regular(lam_x_f3()), n_max=3)
+    BarCochainComplex(lam_x_f3(), regular_bimodule(lam_x_f3()), n_max=3)
 
 
 # -- the enveloping-algebra path --------------------------------------------------
@@ -138,6 +162,14 @@ def test_enveloping_path_graded_signs():
 
 def test_enveloping_path_laurent():
     t = hochschild_via_enveloping(lam_tau(), n_max=2)
+    assert [n_ranks(t, n) for n in range(3)] == [2, 2, 2]
+
+
+def test_enveloping_path_wraps_a_laurent_period():
+    # t^2 = v: products of the enveloping algebra land a Laurent period
+    # below their pair degree, and the module check must accept them
+    A = realize(AlgebraPresentation(KU2, (("t", 1),), ([(1, ("t", "t"), 0), (1, (), 1)],)))
+    t = hochschild_via_enveloping(A, n_max=2)
     assert [n_ranks(t, n) for n in range(3)] == [2, 2, 2]
 
 

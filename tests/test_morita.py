@@ -6,8 +6,8 @@ from hhalg.ground import GroundRing
 from hhalg.morita import (
     BalancedTensor,
     CompletionResult,
-    ModuleOverAlgebra,
     MoritaContext,
+    _hom_basis,
     adjunction_triangles,
     collapsed_ranks,
     completion,
@@ -23,6 +23,7 @@ from hhalg.morita import (
     torsion_S,
     torsion_T,
 )
+from hhalg.resolve import AModule, ext_with_coefficients, free_resolution
 
 F3 = GroundRing.prime_field(3)
 BASE3 = BaseRing(F3)
@@ -54,7 +55,7 @@ def etale_ctx():
 def second_factor(ctx):
     # the complementary idempotent summand: t acts as zero
     M = GradedFreeModule(BASE3, (("f", 0),))
-    return ModuleOverAlgebra(
+    return AModule(
         ctx.R, M, {ctx.R.unit_index: HomogeneousMap.identity(M)}, "right"
     )
 
@@ -94,13 +95,13 @@ def test_module_action_checks():
     bad = {R.unit_index: HomogeneousMap.identity(M),
            t: HomogeneousMap(M, M, 0, {(0, 0): 2})}  # 2^2 != 2 in F3
     with pytest.raises(ValueError):
-        ModuleOverAlgebra(R, M, bad, "right")
+        AModule(R, M, bad, "right")
 
 
 def test_regular_modules_both_sides():
     R = etale()
     for side in ("left", "right"):
-        X = ModuleOverAlgebra.regular(R, side)
+        X = AModule.regular(R, side)
         X._check()
 
 
@@ -120,11 +121,30 @@ def test_context_rejects_noncommuting_actions():
                       {A2.unit_index: ident, s: swap})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda ctx: AModule(ctx.R, ctx.E, ctx.r_action, "middle"), "side must be"),
+    (lambda ctx: functor_G(ctx, AModule.regular(ctx.A, "right")), "left A-module"),
+    (lambda ctx: torsion_S(ctx, AModule.regular(ctx.R, "right")), "left R-module"),
+    (lambda ctx: BalancedTensor(AModule.regular(ctx.R), ctx.E, ctx.r_action),
+     "right module"),
+    (lambda ctx: _hom_basis(ctx.E_A, AModule.regular(ctx.A, "right")), "handedness"),
+    (lambda ctx: free_resolution(ctx.R, AModule.regular(ctx.R, "right"), s_max=1),
+     "left module"),
+    (lambda ctx: ext_with_coefficients(free_resolution(ctx.R, ctx.E_R, s_max=1),
+                                       AModule.regular(ctx.R, "right")),
+     "left module"),
+], ids=["bad-side", "functor_G", "torsion_S", "BalancedTensor", "_hom_basis",
+        "free_resolution", "ext_with_coefficients"])
+def test_wrong_side_is_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(etale_ctx())
+
+
 # -- endomorphism algebras of modules -------------------------------------------------
 
 def test_endo_algebra_of_idempotent_factor():
     ctx = etale_ctx()
-    E = ModuleOverAlgebra(ctx.R, ctx.E, ctx.r_action, "left")
+    E = AModule(ctx.R, ctx.E, ctx.r_action, "left")
     A = endo_algebra(E)
     assert A.rank == 1 and A.monomials[A.unit_index] == ("id", 0)
 
@@ -132,7 +152,7 @@ def test_endo_algebra_of_idempotent_factor():
 def test_endo_algebra_of_regular_module():
     # Hom_R(R, R) over the split quadratic algebra: rank 2, unit first
     R = etale()
-    A = endo_algebra(ModuleOverAlgebra.regular(R, "left"))
+    A = endo_algebra(AModule.regular(R, "left"))
     assert A.rank == 2 and A.unit_index == 0
 
 
@@ -140,8 +160,7 @@ def test_endo_algebra_of_free_rank_two():
     from hhalg.azumaya import check_classical_azumaya
     k = scalar_algebra()
     M = GradedFreeModule(BASE3, (("a", 0), ("b", 0)))
-    E = ModuleOverAlgebra(k, M, {k.unit_index: HomogeneousMap.identity(M)},
-                          "left")
+    E = AModule(k, M, {k.unit_index: HomogeneousMap.identity(M)}, "left")
     A = endo_algebra(E)
     assert A.rank == 4
     assert check_classical_azumaya(A).overall
@@ -151,7 +170,7 @@ def test_endo_algebra_of_free_rank_two():
 
 def test_tensor_regular_gives_e():
     ctx = etale_ctx()
-    X = ModuleOverAlgebra.regular(ctx.R, "right")
+    X = AModule.regular(ctx.R, "right")
     T = BalancedTensor(X, ctx.E, ctx.r_action)
     assert T.module.rank == 1
 
@@ -165,9 +184,8 @@ def test_f_annihilates_the_other_factor():
 def test_f_is_additive_on_the_regular_module():
     # R = E (+) E', so F(R) = F(E) since F(E') = 0
     ctx = etale_ctx()
-    FR = functor_F(ctx, ModuleOverAlgebra.regular(ctx.R, "right"))
-    FE = functor_F(ctx, ModuleOverAlgebra(
-        ctx.R, ctx.E, ctx.r_action, "right"))
+    FR = functor_F(ctx, AModule.regular(ctx.R, "right"))
+    FE = functor_F(ctx, AModule(ctx.R, ctx.E, ctx.r_action, "right"))
     assert degree_ranks(FR.module) == degree_ranks(FE.module)
 
 
@@ -175,39 +193,39 @@ def test_f_is_additive_on_the_regular_module():
 
 def test_plain_hom_recovers_scalars():
     ctx = etale_ctx()
-    Y = ModuleOverAlgebra.regular(ctx.A, "left")
+    Y = AModule.regular(ctx.A, "left")
     W = plain_hom_A(ctx, Y)
     assert W.module.rank == 1 and W.side == "right"
 
 
 def test_roundtrip_fg_on_corpus():
     ctx = etale_ctx()
-    for Y in (ModuleOverAlgebra.regular(ctx.A, "left"),
-              ModuleOverAlgebra(ctx.A, ctx.E, ctx.a_action, "left"),
-              ModuleOverAlgebra.zero(ctx.A, "left")):
+    for Y in (AModule.regular(ctx.A, "left"),
+              AModule(ctx.A, ctx.E, ctx.a_action, "left"),
+              AModule.zero(ctx.A, "left")):
         assert roundtrip_FG(ctx, Y)
 
 
 def test_plain_hom_requires_semisimple():
     ctx = ctx_ex2()  # A is a truncated polynomial algebra, not semisimple
     with pytest.raises(ValueError):
-        plain_hom_A(ctx, ModuleOverAlgebra.regular(ctx.A, "left"))
+        plain_hom_A(ctx, AModule.regular(ctx.A, "left"))
 
 
 # -- retract and triangle identities --------------------------------------------------
 
 def test_retract_identity_on_corpus():
     ctx = etale_ctx()
-    for X in (ModuleOverAlgebra.regular(ctx.R, "right"),
-              ModuleOverAlgebra(ctx.R, ctx.E, ctx.r_action, "right")):
+    for X in (AModule.regular(ctx.R, "right"),
+              AModule(ctx.R, ctx.E, ctx.r_action, "right")):
         assert retract_identity(ctx, X)
 
 
 def test_adjunction_triangles_on_corpus():
     ctx = etale_ctx()
-    X = ModuleOverAlgebra.regular(ctx.R, "right")
-    for Y in (ModuleOverAlgebra.regular(ctx.A, "left"),
-              ModuleOverAlgebra(ctx.A, ctx.E, ctx.a_action, "left")):
+    X = AModule.regular(ctx.R, "right")
+    for Y in (AModule.regular(ctx.A, "left"),
+              AModule(ctx.A, ctx.E, ctx.a_action, "left")):
         assert adjunction_triangles(ctx, X, Y)
 
 
@@ -217,7 +235,7 @@ def test_completion_power_series_pattern():
     # completing the truncated polynomial line along the augmentation fills
     # in one class per degree step -- the power-series pattern in the window
     ctx = ctx_ex1()
-    R = ModuleOverAlgebra.regular(ctx.R, "right")
+    R = AModule.regular(ctx.R, "right")
     comp = completion(ctx, R, window=(-16, 16), s_max=8,
                       notes=("truncated model: valid inside the window only",))
     assert isinstance(comp, CompletionResult)
@@ -230,21 +248,21 @@ def test_completion_is_equivalence_for_exterior_line():
     # the exterior line is already complete: the canonical comparison is an
     # in-window homology isomorphism
     ctx = ctx_ex2()
-    R = ModuleOverAlgebra.regular(ctx.R, "right")
+    R = AModule.regular(ctx.R, "right")
     assert completion_is_equivalence(ctx, R, compare=(-10, 10))
 
 
 def test_completion_not_equivalence_for_truncated_line():
     # the truncated polynomial line is NOT complete: ranks differ in-window
     ctx = ctx_ex1()
-    R = ModuleOverAlgebra.regular(ctx.R, "right")
+    R = AModule.regular(ctx.R, "right")
     assert not completion_is_equivalence(ctx, R, compare=(-16, 16))
 
 
 def test_completion_idempotent_in_window():
     # re-completing the in-window materialization reproduces the same table
     ctx = ctx_ex2()
-    R = ModuleOverAlgebra.regular(ctx.R, "right")
+    R = AModule.regular(ctx.R, "right")
     t1 = completion(ctx, R, window=(-12, 12), s_max=6).table
     t2 = completion(ctx, R, window=(-12, 12), s_max=6).table
     assert t1 == t2
@@ -253,9 +271,9 @@ def test_completion_idempotent_in_window():
     ctx1 = ctx_ex1()
     shallow = local_ctx(truncated_poly(20), exterior())
     deep = local_ctx(truncated_poly(24), exterior())
-    c1 = completion(ctx1, ModuleOverAlgebra.regular(ctx1.R, "right"),
+    c1 = completion(ctx1, AModule.regular(ctx1.R, "right"),
                     window=(-12, 12), s_max=6).table
-    c2 = completion(deep, ModuleOverAlgebra.regular(deep.R, "right"),
+    c2 = completion(deep, AModule.regular(deep.R, "right"),
                     window=(-12, 12), s_max=6).table
     assert {k: v for k, v in collapsed_ranks(c1).items() if 0 <= k <= 6} == \
            {k: v for k, v in collapsed_ranks(c2).items() if 0 <= k <= 6}
@@ -264,13 +282,13 @@ def test_completion_idempotent_in_window():
 
 def test_completion_of_zero_module():
     ctx = ctx_ex1()
-    comp = completion(ctx, ModuleOverAlgebra.zero(ctx.R, "right"))
+    comp = completion(ctx, AModule.zero(ctx.R, "right"))
     assert comp.table.is_zero()
 
 
 def test_g_table_matches_f_then_g():
     ctx = ctx_ex1()
-    R = ModuleOverAlgebra.regular(ctx.R, "right")
+    R = AModule.regular(ctx.R, "right")
     Y = functor_F(ctx, R)
     g1 = functor_G(ctx, Y, window=(-12, 12), s_max=6)
     c1 = completion(ctx, R, window=(-12, 12), s_max=6)
@@ -287,8 +305,8 @@ def test_torsion_roundtrip_recovers_a():
 
 def test_torsion_side_shapes():
     ctx = ctx_ex2()
-    X = ModuleOverAlgebra.regular(ctx.A, "right")
-    M = ModuleOverAlgebra.regular(ctx.R, "left")
+    X = AModule.regular(ctx.A, "right")
+    M = AModule.regular(ctx.R, "left")
     T = torsion_T(ctx, X)
     S = torsion_S(ctx, M, window=(-12, 12), s_max=6)
     assert T.module.rank == 1 and T.side == "left"
