@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap
 from .ground import GroundRing
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, rank, solve
+from .linalg import Echelon, ExactMatrix, SubquotientPresentation, kernel_basis, rank
 
 
 class RealizeError(ValueError):
@@ -616,77 +616,46 @@ def frobenius_nilradical(A: GradedAlgebra) -> list:
 # ideals and quotients (field grounds)
 
 
-def _echelon_span(g, vectors, n):
-    """Row-echelon basis of the span of coordinate dicts, as dense rows."""
-    rows = [[vec.get(i, g.zero) for i in range(n)] for vec in vectors]
-    basis = []  # list of (pivot, row)
-    for row in rows:
-        row = list(row)
-        for piv, b in basis:
-            if row[piv] != 0:
-                f = g.mul(row[piv], g.inv(b[piv]))
-                row = [g.sub(x, g.mul(f, y)) for x, y in zip(row, b)]
-        for i, x in enumerate(row):
-            if x != 0:
-                basis.append((i, row))
-                break
-    basis.sort(key=lambda t: t[0])
-    return basis
-
-
 def ideal_closure(A: GradedAlgebra, vectors) -> list:
-    """Two-sided ideal generated by the given vectors, as a span basis."""
+    """Two-sided ideal generated by the given vectors, as an echelon basis."""
     g = A.base.ground
     if not g.is_field:
         raise ValueError("ideal closure implemented over field grounds")
-    n = A.rank
-    basis = _echelon_span(g, vectors, n)
-    queue = [dict(enumerate(row)) for _, row in basis]
+    span = Echelon(g)
+    queue = [v for v in vectors if span.add(v)]
     while queue:
         x = queue.pop()
-        for i in range(n):
+        for i in range(A.rank):
             for y in (A.mul_coords({i: g.one}, x), A.mul_coords(x, {i: g.one})):
-                row = [y.get(c, g.zero) for c in range(n)]
-                for piv, b in basis:
-                    if row[piv] != 0:
-                        f = g.mul(row[piv], g.inv(b[piv]))
-                        row = [g.sub(u, g.mul(f, w)) for u, w in zip(row, b)]
-                pivot = next((c for c, u in enumerate(row) if u != 0), None)
-                if pivot is not None:
-                    basis.append((pivot, row))
-                    basis.sort(key=lambda t: t[0])
-                    queue.append(dict(enumerate(row)))
-    return [{i: v for i, v in enumerate(row) if v != 0} for _, row in basis]
+                if span.add(y):
+                    queue.append(y)
+    return [span.rows[p] for p in sorted(span.rows)]
 
 
 def quotient_by_ideal(A: GradedAlgebra, ideal_vectors) -> GradedAlgebra:
-    """A / I for a two-sided homogeneous ideal given by a spanning set."""
+    """A / I for a two-sided homogeneous ideal given by a spanning set.
+
+    The kept monomials are the non-pivots of I's echelon basis, and a
+    product is its normal form modulo I.
+    """
     g = A.base.ground
     if not g.is_field:
         raise ValueError("quotients implemented over field grounds")
-    n = A.rank
-    basis = _echelon_span(g, ideal_vectors, n)
-    pivots = [p for p, _ in basis]
-    if A.unit_index in pivots:
+    span = Echelon(g)
+    for v in ideal_vectors:
+        span.add(v)
+    if A.unit_index in span.rows:
         raise ValueError("ideal contains the unit")
-    keep = [i for i in range(n) if i not in pivots]
-
-    def project(vec):
-        row = [vec.get(i, g.zero) for i in range(n)]
-        for piv, b in basis:
-            if row[piv] != 0:
-                f = g.mul(row[piv], g.inv(b[piv]))
-                row = [g.sub(x, g.mul(f, y)) for x, y in zip(row, b)]
-        return {keep.index(i): row[i] for i in keep if row[i] != 0}
-
+    keep = [i for i in range(A.rank) if i not in span.rows]
+    position = {i: a for a, i in enumerate(keep)}
     monomials = [A.monomials[i] for i in keep]
     mult = {}
     for a, i in enumerate(keep):
         for b, j in enumerate(keep):
-            vec = project(A.mul_basis(i, j))
+            vec = span.reduce(A.mul_basis(i, j))
             if vec:
-                mult[(a, b)] = vec
-    return GradedAlgebra(A.base, monomials, keep.index(A.unit_index), mult)
+                mult[(a, b)] = {position[k]: vec[k] for k in sorted(vec)}
+    return GradedAlgebra(A.base, monomials, position[A.unit_index], mult)
 
 
 def semisimple_quotient(A: GradedAlgebra) -> GradedAlgebra:

@@ -202,11 +202,12 @@ def _morita_contexts(df, built):
                 raise DefinitionError(f"morita task missing {key!r}")
         E_R = build_module(df, spec["E_R"], built)
         E_A = build_module(df, spec["E_A"], built)
+        if E_R.algebra is not built[spec["R"]] or E_A.algebra is not built[spec["A"]]:
+            raise DefinitionError("E_R and E_A must be modules over R and A")
         if E_R.module.generators != E_A.module.generators:
             raise DefinitionError(
                 "E_R and E_A must present the same underlying module")
-        ctx = MoritaContext(built[spec["R"]], built[spec["A"]],
-                            E_R.module, E_R.action, E_A.action)
+        ctx = MoritaContext.of_modules(E_R, E_A)
         out.append((f"{spec['R']}|{spec['A']}|{spec['E_R']}", ctx))
     return out
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, graded_hom_module,
                    hom_pair_index)
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, smith_normal_form, solve
+from .linalg import ExactMatrix, SubquotientPresentation, factor, kernel_basis, smith_normal_form, solve
 from .tables import BigradedTable
 
 
@@ -222,7 +222,7 @@ def induced_homology_iso(f: ChainMap, window) -> bool:
             g, [[col[r] for col in cols] for r in range(len(kd[0]))],
             len(kd[0]), len(cols),
         )
-        sf = smith_normal_form(mat)
+        sf = factor(mat)
         if any(sf.solve(v) is None for v in kd):
             return False
     return True

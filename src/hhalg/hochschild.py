@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, graded_hom_module, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
-from .linalg import ExactMatrix, SubquotientPresentation, determinant, rank as mat_rank, smith_normal_form
+from .linalg import ExactMatrix, SubquotientPresentation, determinant, factor, rank as mat_rank
 from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
@@ -338,7 +338,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
             for r in range(len(hsrc_idx))],
         len(hsrc_idx), 1 + len(boundary_cols),
     )
-    sf = smith_normal_form(mat)
+    sf = factor(mat)
     for label, vec in candidates:
         # must be a cycle in the tensor complex
         if T.d.apply_coords(vec):

@@ -1,20 +1,22 @@
 """Exact linear algebra over Z, F_p and Q.
 
 Everything the homology and Ext machinery needs reduces to four primitives
-on exact matrices: Smith normal form, kernel bases, cokernel presentations
-and linear solving.  Matrices are dense lists of rows; corpus sizes stay in
-the low hundreds, where dense exact arithmetic is comfortably fast.
+on exact matrices: rank, kernel bases, cokernel presentations and linear
+solving.  `ExactMatrix` holds a matrix as dense lists of rows.
 
-A matrix is factored once: `smith_normal_form(M)` returns a `SmithForm`
-that answers rank, kernel, cokernel and any number of solves against M.
-The module functions `rank`, `kernel_basis`, `cokernel` and `solve` are
-one-shot calls on it, and `subquotient` factors its kernel matrix once for
-all image vectors.  Callers that solve against one matrix many times keep
-the `SmithForm` instead of calling `solve` in a loop.
+Over a field there is one elimination: `Echelon`, a span of sparse dict
+vectors in reduced echelon form with least-index pivots.  Over Z the Smith
+normal form stays, because it carries the torsion; it uses minimal
+absolute value pivoting with alternating row/column sweeps, which keeps
+coefficient growth tame at this scale.
 
-Over Z the Smith form uses minimal-absolute-value pivoting with alternating
-row/column reduction sweeps, which keeps coefficient growth tame at this
-scale.  Over a field the Smith form degenerates to a 0/1 diagonal.
+A matrix is factored once: `factor(M)` returns an `EchelonForm` over a
+field and a `SmithForm` over Z, and both answer rank, kernel, cokernel and
+any number of solves against M.  The module functions `rank`,
+`kernel_basis`, `cokernel` and `solve` are one-shot calls on it, and
+`subquotient` factors its kernel vectors once for all image vectors.
+Callers that solve against one matrix many times keep the factored form
+instead of calling `solve` in a loop.
 """
 
 from __future__ import annotations
@@ -120,9 +122,117 @@ class ExactMatrix:
         return f"ExactMatrix({self.ground}, {self.data})"
 
 
+class Echelon:
+    """A span of sparse vectors over a field, in reduced echelon form.
+
+    Vectors are dicts {coordinate: scalar}; zero entries are dropped.
+    `rows` maps each pivot to its row: the pivot is the row's least
+    coordinate and carries 1, and no row is nonzero at another row's pivot.
+    """
+
+    __slots__ = ("ground", "rows")
+
+    def __init__(self, ground: GroundRing):
+        self.ground = ground
+        self.rows = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vec: dict) -> dict:
+        """The normal form of vec modulo the span: zero at every pivot."""
+        g = self.ground
+        rows = self.rows
+        out = {i: x for i, x in vec.items() if x != 0}
+        # a row is zero at the other pivots, so one pass clears them all
+        for p in [i for i in out if i in rows]:
+            f = out[p]
+            for i, c in rows[p].items():
+                x = g.sub(out.get(i, 0), g.mul(f, c))
+                if x == 0:
+                    del out[i]
+                else:
+                    out[i] = x
+        return out
+
+    def add(self, vec: dict) -> bool:
+        """Extend the span by vec; False when vec already lies in it."""
+        g = self.ground
+        r = self.reduce(vec)
+        if not r:
+            return False
+        p = min(r)
+        if r[p] != 1:
+            inv = g.inv(r[p])
+            r = {i: g.mul(inv, c) for i, c in r.items()}
+        for q, row in self.rows.items():
+            f = row.get(p)
+            if f is not None:
+                new = dict(row)
+                for i, c in r.items():
+                    x = g.sub(new.get(i, 0), g.mul(f, c))
+                    if x == 0:
+                        del new[i]
+                    else:
+                        new[i] = x
+                self.rows[q] = new
+        self.rows[p] = r
+        return True
+
+
+class EchelonForm:
+    """M over a field, factored once into an Echelon of its tagged columns.
+
+    Column j enters as (M e_j) + e_{rows + j}: every vector of the span is
+    (M x, x), so a row pivoted in the tag block is a kernel vector, and the
+    normal form of (b, 0) is (0, -x) with M x = b exactly when b is in the
+    image.
+    """
+
+    def __init__(self, M: ExactMatrix):
+        g = M.ground
+        n = self.nrows = M.rows
+        self.ncols = M.cols
+        self.echelon = Echelon(g)
+        data = M.data
+        for j in range(M.cols):
+            col = {i: data[i][j] for i in range(n) if data[i][j] != 0}
+            col[n + j] = g.one
+            self.echelon.add(col)
+        self.rank = sum(1 for p in self.echelon.rows if p < n)
+
+    def kernel(self):
+        """A basis of {v : Mv = 0}, in order of pivot."""
+        g, n = self.echelon.ground, self.nrows
+        out = []
+        for p in sorted(self.echelon.rows):
+            if p >= n:
+                v = [g.zero] * self.ncols
+                for i, c in self.echelon.rows[p].items():
+                    v[i - n] = c
+                out.append(v)
+        return out
+
+    def cokernel(self) -> "SubquotientPresentation":
+        return SubquotientPresentation(self.nrows - self.rank)
+
+    def solve(self, b):
+        """Return x with Mx = b, or None when b is not in im(M)."""
+        if len(b) != self.nrows:
+            raise ValueError("dimension mismatch")
+        g, n = self.echelon.ground, self.nrows
+        x = [g.zero] * self.ncols
+        for i, c in self.echelon.reduce(dict(enumerate(map(g.normalize, b)))).items():
+            if i < n:
+                return None
+            x[i - n] = g.neg(c)
+        return x
+
+
 @dataclass
 class SmithForm:
-    """U * M * V = D with U, V invertible and D diagonal (d_i | d_{i+1}).
+    """U * M * V = D over Z, with U, V unimodular and D diagonal (d_i | d_{i+1}).
 
     The factorization of M, computed once by `smith_normal_form` and then
     asked for M's rank, kernel, cokernel and solutions of M x = b.  The
@@ -149,9 +259,7 @@ class SmithForm:
 
     def cokernel(self) -> "SubquotientPresentation":
         """Present target/im(M) by free rank and invariant factors."""
-        torsion = []
-        if not self.D.ground.is_field:
-            torsion = [abs(d) for d in self.diagonal()[:self.rank] if abs(d) > 1]
+        torsion = [abs(d) for d in self.diagonal()[:self.rank] if abs(d) > 1]
         return SubquotientPresentation(self.D.rows - self.rank, tuple(torsion))
 
     def solve(self, b):
@@ -164,15 +272,11 @@ class SmithForm:
         r = self.rank
         if any(x != 0 for x in c[r:]):
             return None
-        y = [g.zero] * D.cols
+        y = [0] * D.cols
         for i in range(r):
-            d = D.data[i][i]
-            if d == 1:
-                y[i] = c[i]
-            elif g.divides(d, c[i]):
-                y[i] = g.div(c[i], d)
-            else:
+            if c[i] % D.data[i][i]:
                 return None
+            y[i] = c[i] // D.data[i][i]
         return self.V.apply(y)
 
 
@@ -231,56 +335,11 @@ def _scale_row(m: ExactMatrix, i, u):
     m.data[i] = [g.mul(u, x) for x in m.data[i]]
 
 
-def _scale_col(m: ExactMatrix, j, u):
-    g = m.ground
-    for row in m.data:
-        row[j] = g.mul(u, row[j])
-
-
-def _smith_field(M: ExactMatrix) -> SmithForm:
+def smith_normal_form(M: ExactMatrix) -> SmithForm:
+    """Diagonalize M over Z as U*M*V = D with a divisibility chain on the diagonal."""
     g = M.ground
-    D = M.copy()
-    U = ExactMatrix.identity(g, M.rows)
-    V = ExactMatrix.identity(g, M.cols)
-    t = 0
-    n = min(M.rows, M.cols)
-    while t < n:
-        piv = None
-        for i in range(t, D.rows):
-            for j in range(t, D.cols):
-                if D.data[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            _swap_rows(D, i, t)
-            _swap_rows(U, i, t)
-        if j != t:
-            _swap_cols(D, j, t)
-            _swap_cols(V, j, t)
-        inv = g.inv(D.data[t][t])
-        _scale_row(D, t, inv)
-        _scale_row(U, t, inv)
-        for i in range(D.rows):
-            if i != t and D.data[i][t] != 0:
-                c = g.neg(D.data[i][t])
-                _addmul_row(D, i, t, c)
-                _addmul_row(U, i, t, c)
-        for j in range(D.cols):
-            if j != t and D.data[t][j] != 0:
-                c = g.neg(D.data[t][j])
-                _addmul_col(D, j, t, c)
-                _addmul_col(V, j, t, c)
-        t += 1
-    return SmithForm(U, D, V)
-
-
-def _smith_integer(M: ExactMatrix) -> SmithForm:
-    g = M.ground
+    if g.is_field:
+        raise ValueError("the Smith form is taken over Z; over a field use factor()")
     D = M.copy()
     U = ExactMatrix.identity(g, M.rows)
     V = ExactMatrix.identity(g, M.cols)
@@ -387,61 +446,45 @@ def _smith_integer_block(D, U, V, t):
         _scale_row(U, t, -1)
 
 
-def smith_normal_form(M: ExactMatrix) -> SmithForm:
-    """Diagonalize M as U*M*V = D with a divisibility chain on the diagonal."""
+def factor(M: ExactMatrix):
+    """Factor M once: an `EchelonForm` over a field, a `SmithForm` over Z."""
     if M.ground.is_field:
-        return _smith_field(M)
-    return _smith_integer(M)
+        return EchelonForm(M)
+    return smith_normal_form(M)
 
 
 def rank(M: ExactMatrix) -> int:
-    return smith_normal_form(M).rank
+    return factor(M).rank
 
 
 def kernel_basis(M: ExactMatrix):
-    """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
-    return smith_normal_form(M).kernel()
+    """A basis of {v : Mv = 0} (a lattice basis over Z)."""
+    return factor(M).kernel()
 
 
 def cokernel(M: ExactMatrix) -> SubquotientPresentation:
     """Present target/im(M) by free rank and invariant factors."""
-    return smith_normal_form(M).cokernel()
+    return factor(M).cokernel()
 
 
 def solve(M: ExactMatrix, b):
     """Return x with Mx = b, or None when unsolvable (exactly).
 
-    This factors M; to solve against one M many times, keep
-    `smith_normal_form(M)` and call its `solve`.
+    This factors M; to solve against one M many times, keep `factor(M)`
+    and call its `solve`.
     """
-    return smith_normal_form(M).solve(b)
+    return factor(M).solve(b)
 
 
 def determinant(M: ExactMatrix):
-    """Exact determinant (fraction-free over Z), used by audits and tests."""
+    """Exact determinant over Z (fraction-free Bareiss elimination)."""
     if M.rows != M.cols:
         raise ValueError("determinant of non-square matrix")
-    g = M.ground
+    if M.ground.is_field:
+        raise ValueError("the determinant is taken over Z; over a field use rank")
     n = M.rows
     if n == 0:
-        return g.one
-    if g.is_field:
-        A = M.copy()
-        det = g.one
-        for t in range(n):
-            piv = next((i for i in range(t, n) if A.data[i][t] != 0), None)
-            if piv is None:
-                return g.zero
-            if piv != t:
-                _swap_rows(A, piv, t)
-                det = g.neg(det)
-            det = g.mul(det, A.data[t][t])
-            inv = g.inv(A.data[t][t])
-            for i in range(t + 1, n):
-                if A.data[i][t] != 0:
-                    c = g.neg(g.mul(A.data[i][t], inv))
-                    _addmul_row(A, i, t, c)
-        return det
+        return 1
     # Bareiss over Z
     a = [row[:] for row in M.data]
     sign = 1
@@ -465,14 +508,24 @@ def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> Subquotien
     """Present span(kernel_vectors)/span(image_vectors).
 
     Every image vector must lie in the span of the kernel vectors (over Z,
-    in their integer span); the image is rewritten in kernel coordinates and
-    the presentation is the cokernel of that coordinate matrix.  The kernel
-    matrix is factored once and every image vector is solved against it.
+    in their integer span), which are taken to be independent.  Over a
+    field the presentation is a difference of two echelon ranks.  Over Z
+    the image is rewritten in kernel coordinates and the presentation is
+    the cokernel of that coordinate matrix; the kernel matrix is factored
+    once and every image vector is solved against it.
     """
     if not kernel_vectors:
         return SubquotientPresentation(0)
     if not image_vectors:
         return SubquotientPresentation(len(kernel_vectors))
+    if ground.is_field:
+        spans = Echelon(ground), Echelon(ground)
+        for span, vectors in zip(spans, (kernel_vectors, image_vectors)):
+            for v in vectors:
+                span.add({i: x for i, x in enumerate(map(ground.normalize, v)) if x != 0})
+        if any(spans[0].reduce(row) for row in spans[1].rows.values()):
+            raise ValueError("image vector outside the kernel span")
+        return SubquotientPresentation(spans[0].rank - spans[1].rank)
     dim = len(kernel_vectors[0])
     K = ExactMatrix(ground, [[kernel_vectors[j][i] for j in range(len(kernel_vectors))] for i in range(dim)])
     sf = smith_normal_form(K)

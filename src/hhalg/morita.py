@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
 from .base import GradedFreeModule, HomogeneousMap, graded_hom_module
-from .linalg import ExactMatrix, kernel_basis, solve
-from .resolve import AModule, _Span, ext_with_coefficients, free_resolution
+from .linalg import Echelon, ExactMatrix, kernel_basis, solve
+from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
 
@@ -30,7 +30,7 @@ class MoritaContext:
     """The bimodule datum: E a left R-module and left A-module, commuting.
 
     E_R and E_A are E with the R-action and with the A-action, built (and
-    checked) at construction.
+    checked) at construction, or taken as already checked by `of_modules`.
     """
 
     R: GradedAlgebra
@@ -40,10 +40,24 @@ class MoritaContext:
     a_action: dict
 
     def __post_init__(self):
-        self.E_R = AModule(self.R, self.E, self.r_action)
-        self.E_A = AModule(self.A, self.E, self.a_action)
-        for r, fr in self.r_action.items():
-            for a, fa in self.a_action.items():
+        self._adopt(AModule(self.R, self.E, self.r_action),
+                    AModule(self.A, self.E, self.a_action))
+
+    @classmethod
+    def of_modules(cls, E_R: AModule, E_A: AModule) -> "MoritaContext":
+        """The context on two left modules over one E, whose axioms hold."""
+        if E_R.side != "left" or E_A.side != "left":
+            raise ValueError("a Morita context takes E as a left R- and A-module")
+        ctx = object.__new__(cls)
+        ctx.R, ctx.A, ctx.E = E_R.algebra, E_A.algebra, E_R.module
+        ctx.r_action, ctx.a_action = E_R.action, E_A.action
+        ctx._adopt(E_R, E_A)
+        return ctx
+
+    def _adopt(self, E_R: AModule, E_A: AModule):
+        self.E_R, self.E_A = E_R, E_A
+        for r, fr in E_R.action.items():
+            for a, fa in E_A.action.items():
                 if fr.compose(fa) != fa.compose(fr):
                     raise ValueError(f"R and A actions fail to commute on ({r},{a})")
 
@@ -78,7 +92,7 @@ class BalancedTensor:
         self.X = X
         self.E = E
         nE = E.rank
-        span = _Span(g)
+        span = Echelon(g)
         for m in range(S.rank):
             if m == S.unit_index:
                 continue

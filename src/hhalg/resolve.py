@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
 from .base import GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table, slice_keys
-from .linalg import SubquotientPresentation, kernel_basis, smith_normal_form
+from .linalg import Echelon, SubquotientPresentation, factor, kernel_basis
 from .tables import BigradedTable
 
 
@@ -163,56 +163,6 @@ class AModule:
 
 
 # ---------------------------------------------------------------------------
-# incremental spans over a field
-
-
-class _Span:
-    """Echelonized span of homogeneous vectors (dict coords), least pivots."""
-
-    def __init__(self, g):
-        self.g = g
-        self.rows = {}  # pivot index -> normalized vector dict
-
-    def reduce(self, vec: dict) -> dict:
-        g = self.g
-        vec = dict(vec)
-        while vec:
-            p = min(vec)
-            if p not in self.rows:
-                return vec
-            f = vec[p]
-            for i, c in self.rows[p].items():
-                vec[i] = g.sub(vec.get(i, g.zero), g.mul(f, c))
-                if vec[i] == 0:
-                    del vec[i]
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        g = self.g
-        r = self.reduce(vec)
-        if not r:
-            return False
-        p = min(r)
-        inv = g.inv(r[p])
-        self.rows[p] = {i: g.mul(inv, c) for i, c in r.items()}
-        # keep fully reduced form
-        for q, row in list(self.rows.items()):
-            if q != p and p in row:
-                f = row[p]
-                new = dict(row)
-                for i, c in self.rows[p].items():
-                    new[i] = g.sub(new.get(i, g.zero), g.mul(f, c))
-                    if new[i] == 0:
-                        del new[i]
-                self.rows[q] = new
-        return True
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-
-# ---------------------------------------------------------------------------
 # resolutions
 
 
@@ -278,7 +228,7 @@ def _augmentation_checks(A: GradedAlgebra):
         if not current:
             return
         nxt = []
-        step = _Span(g)
+        step = Echelon(g)
         for x in current:
             for m in nonunit:
                 y = A.mul_coords({m: g.one}, x)
@@ -330,7 +280,7 @@ def _minimal_generators(A: GradedAlgebra, F: FreeAModule, kernel, t_window):
     g = A.base.ground
     lo, hi = t_window
     u = A.unit_index
-    span = _Span(g)
+    span = Echelon(g)
     actions = None
     for deg, vec in kernel:
         if actions is None:
@@ -403,35 +353,33 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng, trials):
     A-span, which keeps stage ranks near-minimal in practice.
     """
     g = A.base.ground
-    total = _Span(g)
+    total = Echelon(g)
     for _, vec in vectors:
         total.add(vec)
-    goal = total.dim
-    span = _Span(g)
+    goal = total.rank
+    span = Echelon(g)
     chosen = []
     by_deg = {}
     for deg, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
         by_deg.setdefault(deg, []).append(vec)
 
     def a_span_gain(vec):
-        probe = _Span(g)
-        probe.rows = {k: dict(v) for k, v in span.rows.items()}
-        gained = 0
-        for m in range(A.rank):
-            w = target.act({m: g.one}, vec)
-            if w and probe.add(w):
-                gained += 1
-        return gained, probe
+        # the rank of vec's A-orbit modulo the span, in a scratch echelon
+        orbit = [target.act({m: g.one}, vec) for m in range(A.rank)]
+        fresh = Echelon(g)
+        for w in orbit:
+            fresh.add(span.reduce(w))
+        return fresh.rank, orbit
 
-    while span.dim < goal:
+    while span.rank < goal:
         candidates = []
-        for deg, vecs in by_deg.items():
+        for vecs in by_deg.values():
             for vec in vecs:
                 if span.reduce(vec):
-                    candidates.append((deg, vec))
+                    candidates.append(vec)
                     break
         extra = []
-        for deg, vecs in by_deg.items():
+        for vecs in by_deg.values():
             live = [v for v in vecs if span.reduce(v)]
             if len(live) > 1:
                 for _ in range(trials):
@@ -443,16 +391,17 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng, trials):
                                 combo[i] = g.add(combo.get(i, g.zero), g.mul(c, x))
                     combo = {i: x for i, x in combo.items() if x != 0}
                     if combo and span.reduce(combo):
-                        extra.append((deg, combo))
+                        extra.append(combo)
         best = None
-        for deg, vec in candidates + extra:
-            gained, probe = a_span_gain(vec)
+        for vec in candidates + extra:
+            gained, orbit = a_span_gain(vec)
             if best is None or gained > best[0]:
-                best = (gained, deg, vec, probe)
+                best = (gained, vec, orbit)
         if best is None:
             raise ResolutionError("generator selection stalled")
-        _, deg, vec, probe = best
-        span.rows = probe.rows
+        _, vec, orbit = best
+        for w in orbit:
+            span.add(w)
         gen_deg = min(target.module.generators[i][1] for i in vec)
         chosen.append((gen_deg, vec))
     return chosen
@@ -623,7 +572,7 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
             if all(x == 0 for x in target):
                 continue
             if sf is None:
-                sf = smith_normal_form(mat)
+                sf = factor(mat)
             sol = sf.solve(target)
             if sol is None:
                 raise AssertionError("cocycle lift failed on an exact resolution")

@@ -273,6 +273,22 @@ def _in_span(A, span_vecs, v):
     return solve(M, [v.get(i, g.zero) for i in range(n)]) is not None
 
 
+def test_ideal_closure_and_quotient_of_a_non_monomial_generator():
+    # F3[y]/y^5 with |y| = 0, so the ideal of y^2 + y^3 is homogeneous
+    A = trunc_poly(3, 5, deg=0)
+    pos = {name: i for i, (name, _) in enumerate(A.monomials)}
+    y2, y3, y4 = pos["y*y"], pos["y*y*y"], pos["y*y*y*y"]
+    closure = ideal_closure(A, [{y2: 1, y3: 1}])
+    assert len(closure) == 3
+    for v in ({y2: 1}, {y3: 1}, {y4: 1}):
+        assert _in_span(A, closure, v)
+    Q = quotient_by_ideal(A, closure)
+    assert [name for name, _ in Q.monomials] == ["1", "y"]
+    y = [i for i in range(Q.rank) if i != Q.unit_index][0]
+    assert Q.mul_basis(y, y) == {}
+    assert Q.mul_basis(Q.unit_index, y) == {y: 1}
+
+
 def test_semisimplification_idempotent():
     for A in (trunc_poly(3, 3), trunc_poly(2, 4, deg=0)):
         S = semisimple_quotient(A)

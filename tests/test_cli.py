@@ -262,6 +262,40 @@ def test_morita_torsion_subcommand(capsys, tmp_path):
     assert code == 0 and "pass (corpus-verified)" in out
 
 
+def test_morita_checks_each_module_once(capsys, tmp_path, monkeypatch):
+    from hhalg.resolve import AModule
+
+    checked = []
+    real = AModule._check
+
+    def counting(self):
+        checked.append((self.algebra.monomials, self.module.generators, self.side))
+        return real(self)
+
+    monkeypatch.setattr(AModule, "_check", counting)
+    code, _, _ = run(capsys, ["morita", "--file", defpath("etale.def")], tmp_path)
+    assert code == 0
+    # E_R over R = F3[t]/(t^2 - t) and E_A over the scalars, one check each
+    on_e = sorted(m for m, gens, _ in checked if gens == (("e", 0),))
+    assert on_e == [(("1", 0),), (("1", 0), ("t", 0))]
+
+
+def test_morita_module_failing_its_axioms(capsys, tmp_path):
+    with open(defpath("etale.def")) as fh:
+        doc = json.load(fh)
+    doc["modules"]["E_R"]["action"]["t"] = [[0, 0, 2]]  # t^2 = t fails: 4 != 2
+    bad = tmp_path / "bad.def"
+    bad.write_text(json.dumps(doc))
+    for check in ("completion", "roundtrip"):
+        code, out, err = run(capsys, ["morita", "--file", str(bad), "--check", check],
+                             tmp_path)
+        assert (code, out, err) == (1, "", "error: left action fails on pair (1,1)\n")
+    doc["modules"]["E_R"].update({"over": "A", "action": {}})
+    bad.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["morita", "--file", str(bad)], tmp_path)
+    assert (code, err) == (1, "error: E_R and E_A must be modules over R and A\n")
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["ext", "--file", "no-such.def"], tmp_path)
     assert code == 1 and "error" in err

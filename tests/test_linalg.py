@@ -6,10 +6,12 @@ import pytest
 
 from hhalg.ground import GroundRing, ZZ, QQ
 from hhalg.linalg import (
+    Echelon,
     ExactMatrix,
     SubquotientPresentation,
     cokernel,
     determinant,
+    factor,
     kernel_basis,
     rank,
     smith_normal_form,
@@ -54,10 +56,15 @@ def test_snf_identity():
 
 
 def test_snf_field_zero_one():
-    sf = check_smith(ExactMatrix(F3, [[2, 1], [1, 1]]))
-    assert sf.diagonal() == [1, 1]
-    sf = check_smith(ExactMatrix(F2, [[1, 1], [1, 1]]))
-    assert sf.diagonal() == [1, 0]
+    # over a field the Smith diagonal is 1^rank 0^rest: rank and kernel say it all
+    M = ExactMatrix(F3, [[2, 1], [1, 1]])
+    assert rank(M) == 2 and kernel_basis(M) == []
+    M = ExactMatrix(F2, [[1, 1], [1, 1]])
+    assert rank(M) == 1 and kernel_basis(M) == [[1, 1]]
+    with pytest.raises(ValueError, match="over Z"):
+        smith_normal_form(M)
+    with pytest.raises(ValueError, match="over Z"):
+        determinant(M)
 
 
 def test_kernel_basis_f2():
@@ -185,7 +192,7 @@ def test_factored_solve_against_enumeration_over_f3():
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         M = ExactMatrix(F3, [[rng.randint(0, 2) for _ in range(c)] for _ in range(r)])
         image = {tuple(M.apply(list(x))) for x in itertools.product(range(3), repeat=c)}
-        sf = smith_normal_form(M)
+        sf = factor(M)
         for b in itertools.product(range(3), repeat=r):
             x = sf.solve(list(b))
             assert (x is None) == (b not in image)
@@ -235,3 +242,63 @@ def test_trusted_constructors_over_q_hold_fractions():
             A.mul(A), A.mul(ExactMatrix.zero(QQ, 2, 2)), A.copy(), A.transpose()]
     for m in made:
         assert all(type(x) is Fraction for row in m.data for x in row)
+
+
+# -- the field echelon against the integer Smith form and against itself ---------------
+
+F5 = GroundRing.prime_field(5)
+
+
+def test_echelon_ranks_by_universal_coefficients():
+    # rank over F_p counts the invariant factors prime to p, rank over Q the nonzero ones
+    rng = random.Random(41)
+    for _ in range(60):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+        diag = smith_normal_form(ExactMatrix(ZZ, rows)).diagonal()
+        assert rank(ExactMatrix(QQ, rows)) == sum(1 for d in diag if d != 0)
+        for p in (2, 3, 5):
+            Mp = ExactMatrix(GroundRing.prime_field(p), rows)
+            assert rank(Mp) == sum(1 for d in diag if d % p != 0)
+
+
+def random_field_matrix(rng, g, r, c, density):
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if g == QQ else rng.randint(0, g.p - 1)
+    return ExactMatrix(g, [[entry() for _ in range(c)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("g", [F2, F3, F5, QQ], ids=str)
+def test_echelon_form_self_consistency(g):
+    rng = random.Random(43)
+    for density in (0.1, 0.9):
+        for _ in range(4):
+            r, c = rng.randint(1, 40), rng.randint(1, 40)
+            M = random_field_matrix(rng, g, r, c, density)
+            fm = factor(M)
+            ker = fm.kernel()
+            assert len(ker) == c - fm.rank
+            assert all(x == 0 for v in ker for x in M.apply(v))
+            assert rank(M.transpose()) == fm.rank
+            x0 = [g.normalize(rng.randint(-3, 3)) for _ in range(c)]
+            b = M.apply(x0)
+            assert M.apply(fm.solve(b)) == b
+            b = [g.normalize(rng.randint(-3, 3)) for _ in range(r)]
+            extended = ExactMatrix(g, [row + [x] for row, x in zip(M.data, b)])
+            if rank(extended) > fm.rank:
+                assert fm.solve(b) is None
+            else:
+                assert M.apply(fm.solve(b)) == b
+
+
+def test_echelon_reduce_is_the_full_normal_form():
+    span = Echelon(F3)
+    assert span.add({1: 1, 2: 1}) and span.add({2: 2, 3: 1})
+    assert not span.add({1: 2, 2: 2})
+    assert span.rows == {1: {1: 1, 3: 1}, 2: {2: 1, 3: 2}}
+    # the least coordinate is not a pivot, later ones are: all pivots cleared
+    assert span.reduce({0: 1, 1: 1, 2: 1}) == {0: 1}
+    assert span.reduce({1: 1, 3: 2}) == {3: 1}
+    assert span.rank == 2

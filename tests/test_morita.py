@@ -175,6 +175,18 @@ def test_tensor_regular_gives_e():
     assert T.module.rank == 1
 
 
+def test_balanced_tensor_reduce_clears_every_pivot():
+    # S (x)_S S for S = F3[t]/t^2: pairs (1,1), (1,t), (t,1), (t,t) with
+    # relations (t,1) = (1,t) and (t,t) = 0, so the pivots are 1 and 3
+    S = truncated_poly(2, d=0)
+    X = AModule.regular(S, "right")
+    T = BalancedTensor(X, S.module, {m: S.left_mult(m) for m in range(S.rank)})
+    assert sorted(T.span.rows) == [1, 3] and T.kept == [0, 2]
+    # least coordinate kept, a later one a pivot: (1,1) + (1,t) = (1,1) + (t,1)
+    assert T.reduce({0: 1, 1: 1}) == {0: 1, 1: 1}
+    assert T.reduce({3: 2}) == {}
+
+
 def test_f_annihilates_the_other_factor():
     ctx = etale_ctx()
     FX = functor_F(ctx, second_factor(ctx))
