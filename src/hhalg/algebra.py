@@ -454,12 +454,11 @@ def center_basis(A: GradedAlgebra) -> dict:
     out = {}
     for key, idxs in by_key.items():
         zpar = key % 2
-        rows = []
         # one row per (basis element j, output coordinate k)
         row_map = {}
-        cols = len(idxs)
-        data = {}
-        for c, m in enumerate(idxs):
+        columns = []
+        for m in idxs:
+            col = {}
             for j in range(A.rank):
                 sign = -1 if (zpar and A.parity(j)) else 1
                 diff = dict(A.mul_basis(m, j))
@@ -468,19 +467,10 @@ def center_basis(A: GradedAlgebra) -> dict:
                     diff[k] = g.sub(diff.get(k, g.zero), w)
                 for k, v in diff.items():
                     if v != 0:
-                        r = row_map.setdefault((j, k), len(row_map))
-                        data[(r, c)] = v
-        nrows = max(len(row_map), 1)
-        mat = ExactMatrix(
-            g,
-            [[data.get((r, c), g.zero) for c in range(cols)] for r in range(nrows)],
-            nrows,
-            cols,
-        )
-        vecs = kernel_basis(mat)
-        out[key] = [
-            {idxs[c]: v for c, v in enumerate(vec) if v != 0} for vec in vecs
-        ]
+                        col[row_map.setdefault((j, k), len(row_map))] = v
+            columns.append(col)
+        vecs = kernel_basis(ExactMatrix.from_columns(g, len(row_map), columns))
+        out[key] = [{idxs[c]: v for c, v in vec.items()} for vec in vecs]
     return {k: v for k, v in out.items() if v}
 
 
@@ -497,17 +487,6 @@ def center(A: GradedAlgebra) -> dict:
 # radical
 
 
-def _left_mult_matrix(A: GradedAlgebra, coords: dict) -> ExactMatrix:
-    g = A.base.ground
-    n = A.rank
-    data = [[g.zero] * n for _ in range(n)]
-    for i, a in coords.items():
-        for j in range(n):
-            for k, c in A.mul_basis(i, j).items():
-                data[k][j] = g.add(data[k][j], g.mul(a, c))
-    return ExactMatrix(g, data, n, n)
-
-
 def _mat_pow_trace(M: ExactMatrix, e: int):
     g = M.ground
     R = ExactMatrix.identity(g, M.rows)
@@ -519,7 +498,7 @@ def _mat_pow_trace(M: ExactMatrix, e: int):
         e >>= 1
     t = g.zero
     for i in range(M.rows):
-        t = g.add(t, R.data[i][i])
+        t = g.add(t, R[i, i])
     return t
 
 
@@ -540,12 +519,14 @@ def radical(A: GradedAlgebra) -> list:
     lift = GroundRing.integers()
 
     def lift_left_mult(coords):
-        data = [[0] * n for _ in range(n)]
-        for i, a in coords.items():
-            for j in range(n):
+        columns = []
+        for j in range(n):
+            col = {}
+            for i, a in coords.items():
                 for k2, c in A.mul_basis(i, j).items():
-                    data[k2][j] += (a % p) * (c % p)
-        return ExactMatrix(lift, data, n, n)
+                    col[k2] = col.get(k2, 0) + (a % p) * (c % p)
+            columns.append({k2: x for k2, x in col.items() if x})
+        return ExactMatrix.from_columns(lift, n, columns)
 
     basis = [{i: g.one} for i in range(n)]
     l = 0
@@ -565,15 +546,11 @@ def radical(A: GradedAlgebra) -> list:
                     raise ArithmeticError("trace chain divisibility violated")
                 row.append((t // q) % p)
             rows.append(row)
-        mat = ExactMatrix(g, rows, len(basis), len(basis))
-        combos = kernel_basis(mat)
         new_basis = []
-        for combo in combos:
+        for combo in kernel_basis(ExactMatrix(g, rows)):
             vec = {}
-            for c, x in zip(combo, basis):
-                if c == 0:
-                    continue
-                for m, v in x.items():
+            for a, c in combo.items():
+                for m, v in basis[a].items():
                     vec[m] = g.add(vec.get(m, g.zero), g.mul(c, v))
             vec = {m: v for m, v in vec.items() if v != 0}
             if vec:
@@ -600,16 +577,13 @@ def frobenius_nilradical(A: GradedAlgebra) -> list:
         for _ in range(p - 1):
             acc = A.mul_coords(acc, x)
         cols.append(acc)
-    F = ExactMatrix(
-        g, [[cols[j].get(i, g.zero) for j in range(n)] for i in range(n)], n, n
-    )
+    F = ExactMatrix.from_columns(g, n, cols)
     M = F
     m = 1
     while p ** m < n:
         M = M.mul(F)
         m += 1
-    vecs = kernel_basis(M)
-    return [{i: v for i, v in enumerate(vec) if v != 0} for vec in vecs]
+    return kernel_basis(M)
 
 
 # ---------------------------------------------------------------------------

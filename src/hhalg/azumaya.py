@@ -259,9 +259,9 @@ def endo_smash_invariant(E1: GradedFreeModule, E2: GradedFreeModule) -> bool:
                         return False
     # bijectivity of the full structure matrix
     n = n1 * n2
-    data = [[g.zero] * n for _ in range(n)]
+    columns = []
     for a in range(n1):
         for b in range(n2):
             t, s = theta(a, b)
-            data[t][a * n2 + b] = s
-    return mat_rank(ExactMatrix(g, data, n, n)) == n
+            columns.append({t: s})
+    return mat_rank(ExactMatrix.from_columns(g, n, columns)) == n

@@ -110,8 +110,8 @@ class HomogeneousMap:
 
     The entries are fixed once built (add, scale and compose return new
     maps), so the map keeps a per-source-column index {j: [(i, c), ...]},
-    built once on first use, that apply_coords and compose read instead of
-    scanning every entry.
+    built once on first use, that apply_coords, compose and slice_matrix
+    read instead of scanning every entry.
     """
 
     __slots__ = ("source", "target", "degree", "entries", "_columns")
@@ -217,13 +217,16 @@ class HomogeneousMap:
     def slice_matrix(self, t: int):
         """The ground matrix from degree-t source slice to degree-(t+deg) target slice.
 
-        Returns (matrix, source_indices, target_indices).
+        Returns (matrix, source_indices, target_indices).  Column a of the
+        matrix is source generator source_indices[a], read off the column
+        index, with its entries keyed by position in target_indices.
         """
         src = self.source.slice_indices(t)
         tgt = self.target.slice_indices(t + self.degree)
-        g = self.source.base.ground
-        data = [[self.entries.get((i, j), g.zero) for j in src] for i in tgt]
-        return ExactMatrix(g, data, len(tgt), len(src)), src, tgt
+        pos = {i: r for r, i in enumerate(tgt)}
+        by_column = self._by_column()
+        columns = [{pos[i]: c for i, c in by_column.get(j, ())} for j in src]
+        return ExactMatrix.from_columns(self.source.base.ground, len(tgt), columns), src, tgt
 
     def __repr__(self):
         return f"HomogeneousMap(deg={self.degree}, entries={self.entries})"
@@ -253,7 +256,7 @@ def cohomology_at(outgoing: HomogeneousMap, incoming: HomogeneousMap | None,
     out_mat, _, _ = outgoing.slice_matrix(t)
     image = []
     if incoming is not None:
-        image = incoming.slice_matrix(t - incoming.degree)[0].transpose().data
+        image = incoming.slice_matrix(t - incoming.degree)[0].columns
     return subquotient(outgoing.source.base.ground, kernel_basis(out_mat), image)
 
 
@@ -269,26 +272,6 @@ def cohomology_table(maps, top: int, window) -> BigradedTable:
         for key in slice_keys(maps[n].source, window):
             table.set(n, key, cohomology_at(maps[n], incoming, key))
     return table
-
-
-def periodic_reduce(f: HomogeneousMap) -> dict:
-    """Ground matrices of f, one per slice key.
-
-    With a Laurent generator the keys are residue classes mod |v| (keyed by
-    source residue); otherwise one block per integer degree in the support
-    of the source or target.
-    """
-    base = f.source.base
-    if base.laurent:
-        keys = sorted(
-            {base.degree_key(d) for d in f.source.degrees}
-            | {base.degree_key(d - f.degree) for d in f.target.degrees}
-        )
-    else:
-        keys = sorted(
-            {d for d in f.source.degrees} | {d - f.degree for d in f.target.degrees}
-        )
-    return {t: f.slice_matrix(t)[0] for t in keys}
 
 
 def graded_hom_module(M: GradedFreeModule, N: GradedFreeModule, degree: int = 0) -> GradedFreeModule:

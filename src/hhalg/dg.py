@@ -207,22 +207,17 @@ def induced_homology_iso(f: ChainMap, window) -> bool:
         if homology_at(C, n) != homology_at(D, n):
             return False
         # surjectivity: f(ker d_C) + im d_D spans ker d_D
-        kc = kernel_basis(C.d.slice_matrix(n)[0])
-        fmat, src_idx, tgt_idx = f.f.slice_matrix(n)
-        pushed = [fmat.apply(v) for v in kc]
-        dmat, _, _ = D.d.slice_matrix(n + 1)
-        im = [[dmat.data[r][c] for r in range(dmat.rows)] for c in range(dmat.cols)]
-        cols = pushed + im
-        kd = kernel_basis(D.d.slice_matrix(n)[0])
+        # the three slices below index D's degree-n generators in one order
+        dn = D.d.slice_matrix(n)[0]
+        kd = kernel_basis(dn)
         if not kd:
             continue
+        fmat = f.f.slice_matrix(n)[0]
+        cols = [fmat.apply(v) for v in kernel_basis(C.d.slice_matrix(n)[0])]
+        cols += D.d.slice_matrix(n + 1)[0].columns
         if not cols:
             return False
-        mat = ExactMatrix(
-            g, [[col[r] for col in cols] for r in range(len(kd[0]))],
-            len(kd[0]), len(cols),
-        )
-        sf = factor(mat)
+        sf = factor(ExactMatrix.from_columns(g, dn.cols, cols))
         if any(sf.solve(v) is None for v in kd):
             return False
     return True
@@ -335,19 +330,17 @@ def dg_unit_kernel(A: DGAlgebra):
         raise ValueError("unit not visible in its own degree slice")
     if g.is_field:
         # c*1 in im(d) for c != 0 iff 1 in im(d)
-        target = [g.one if r == upos else g.zero for r in range(in_mat.rows)]
-        if solve(in_mat, target) is not None:
+        if solve(in_mat, {upos: g.one}) is not None:
             return SubquotientPresentation(1, ()), g.one
         return SubquotientPresentation(0, ()), g.zero
     # over Z: the order of the class of e_u in coker(d), via Smith form
     import math
 
     sf = smith_normal_form(in_mat)
-    e_u = [1 if r == upos else 0 for r in range(in_mat.rows)]
-    y = sf.U.apply(e_u)
+    y = sf.U.apply({upos: 1})
     diag = sf.diagonal()
     n = 1
-    for r, yr in enumerate(y):
+    for r, yr in y.items():
         dr = diag[r] if r < len(diag) else 0
         if dr == 0:
             if yr != 0:

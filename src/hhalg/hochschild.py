@@ -330,25 +330,21 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
     ]
     # betabar: the functional y -> 1 in Hom(A, A) pair coordinates
     beta_idx = hom_pair_index(A.algebra.module, A.algebra.module, 1, 0)
-    hin, _, hsrc_idx = H.d.slice_matrix(d1 + 1)
-    boundary_cols = hin.transpose().data
-    beta_col = [g.one if idx == beta_idx else g.zero for idx in hsrc_idx]
-    mat = ExactMatrix(
-        g, [[col[r] for col in [beta_col] + boundary_cols]
-            for r in range(len(hsrc_idx))],
-        len(hsrc_idx), 1 + len(boundary_cols),
-    )
-    sf = factor(mat)
+    hin, _, hd1_idx = H.d.slice_matrix(d1 + 1)
+    pos = {idx: r for r, idx in enumerate(hd1_idx)}
+    # column 0 is betabar (zero when it lies outside degree d1), the rest
+    # are the boundaries into degree d1
+    beta = {pos[beta_idx]: g.one} if beta_idx in pos else {}
+    sf = factor(ExactMatrix.from_columns(g, hin.rows, [beta] + hin.columns))
     for label, vec in candidates:
         # must be a cycle in the tensor complex
         if T.d.apply_coords(vec):
             continue
         img = mu.f.apply_coords(vec)
-        target = [img.get(idx, g.zero) for idx in hsrc_idx]
-        sol = sf.solve(target)
+        sol = sf.solve({pos[idx]: x for idx, x in img.items()})
         if sol is None:
             continue
-        c = sol[0]
+        c = sol.get(0, g.zero)
         # the homology module containing betabar
         c, unit = _normalize_class(g, c, homology_at(H, d1))
         return MuImageResult(c, Q.defect, unit, label)

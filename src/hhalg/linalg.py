@@ -2,7 +2,12 @@
 
 Everything the homology and Ext machinery needs reduces to four primitives
 on exact matrices: rank, kernel bases, cokernel presentations and linear
-solving.  `ExactMatrix` holds a matrix as dense lists of rows.
+solving.  `ExactMatrix` stores a matrix as sparse columns, one dict
+{row: scalar} per column, because the slices of graded maps are sparse and
+arrive column by column.  This module is the only one that knows how a
+matrix is stored: vectors go in and come out as sparse dicts
+{index: scalar}, and dense rows exist only as the scratch copy that the
+integer Smith form and determinant work on.
 
 Over a field there is one elimination: `Echelon`, a span of sparse dict
 vectors in reduced echelon form with least-index pivots.  Over Z the Smith
@@ -12,7 +17,8 @@ coefficient growth tame at this scale.
 
 A matrix is factored once: `factor(M)` returns an `EchelonForm` over a
 field and a `SmithForm` over Z, and both answer rank, kernel, cokernel and
-any number of solves against M.  The module functions `rank`,
+any number of solves against M.  `EchelonForm` adds M's columns to the
+echelon as they are stored.  The module functions `rank`,
 `kernel_basis`, `cokernel` and `solve` are one-shot calls on it, and
 `subquotient` factors its kernel vectors once for all image vectors.
 Callers that solve against one matrix many times keep the factored form
@@ -27,99 +33,81 @@ from .ground import GroundRing
 
 
 class ExactMatrix:
-    """A rows x cols matrix with entries in a GroundRing."""
+    """A rows x cols matrix over a GroundRing, stored as sparse columns.
 
-    __slots__ = ("ground", "rows", "cols", "data")
+    columns[j] is {i: scalar}, the nonzero entries of column j in canonical
+    form.  A matrix is built from dense rows (a literal matrix, normalized
+    here) or by `from_columns` from sparse columns that are already
+    canonical, as slices of a HomogeneousMap are.
+    """
 
-    def __init__(self, ground: GroundRing, data, rows=None, cols=None):
+    __slots__ = ("ground", "rows", "cols", "columns")
+
+    def __init__(self, ground: GroundRing, data, *, cols=None):
+        """The matrix with these dense rows; cols is read off the rows when there are any."""
         self.ground = ground
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        self.rows = rows
-        self.cols = cols
-        self.data = [[ground.normalize(x) for x in row] for row in data]
-        for row in self.data:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
+        self.rows = len(data)
+        self.cols = len(data[0]) if data else (cols or 0)
+        if any(len(row) != self.cols for row in data):
+            raise ValueError("ragged matrix")
+        self.columns = _columns_of([[ground.normalize(x) for x in row] for row in data], self.cols)
 
     @staticmethod
-    def _canonical(ground: GroundRing, data, rows: int, cols: int) -> "ExactMatrix":
-        """Wrap rows whose entries are already canonical, without normalizing."""
+    def from_columns(ground: GroundRing, rows: int, columns) -> "ExactMatrix":
+        """Wrap sparse columns {row: scalar} whose entries are canonical and nonzero."""
         m = object.__new__(ExactMatrix)
-        m.ground, m.rows, m.cols, m.data = ground, rows, cols, data
+        m.ground, m.rows, m.columns = ground, rows, list(columns)
+        m.cols = len(m.columns)
         return m
-
-    @staticmethod
-    def zero(ground: GroundRing, rows: int, cols: int) -> "ExactMatrix":
-        z = ground.zero
-        return ExactMatrix._canonical(ground, [[z] * cols for _ in range(rows)], rows, cols)
 
     @staticmethod
     def identity(ground: GroundRing, n: int) -> "ExactMatrix":
-        m = ExactMatrix.zero(ground, n, n)
-        for i in range(n):
-            m.data[i][i] = ground.one
-        return m
+        return ExactMatrix.from_columns(ground, n, [{j: ground.one} for j in range(n)])
 
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix._canonical(self.ground, [row[:] for row in self.data],
-                                      self.rows, self.cols)
+    @property
+    def data(self):
+        """A fresh dense copy of the rows, zeros included.
+
+        The integer Smith form and determinant eliminate on it in place.
+        """
+        z = self.ground.zero
+        return [[col.get(i, z) for col in self.columns] for i in range(self.rows)]
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
             and self.ground == other.ground
-            and self.data == other.data
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.columns == other.columns
         )
 
     def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
+        return self.columns[ij[1]].get(ij[0], self.ground.zero)
+
+    def apply(self, vec: dict) -> dict:
+        """M times a sparse column vector {j: scalar}, as a sparse vector."""
+        g = self.ground
+        out = {}
+        for j, x in vec.items():
+            if not 0 <= j < self.cols:
+                raise ValueError("dimension mismatch")
+            for i, c in self.columns[j].items():
+                out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
+        return {i: v for i, v in out.items() if v != 0}
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
-        g = self.ground
-        out = ExactMatrix.zero(g, self.rows, other.cols)
-        for i in range(self.rows):
-            ai = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ai[k]
-                if a == 0:
-                    continue
-                bk = other.data[k]
-                for j in range(other.cols):
-                    if bk[j] != 0:
-                        oi[j] = g.add(oi[j], g.mul(a, bk[j]))
-        return out
-
-    def apply(self, vec):
-        """Matrix times column vector (a list of scalars)."""
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        g = self.ground
-        support = [(j, v) for j, v in enumerate(vec) if v != 0]
-        out = []
-        for row in self.data:
-            acc = g.zero
-            for j, v in support:
-                if row[j] != 0:
-                    acc = g.add(acc, g.mul(row[j], v))
-            out.append(acc)
-        return out
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._canonical(
-            self.ground,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.cols,
-            self.rows,
-        )
+        return ExactMatrix.from_columns(self.ground, self.rows,
+                                        [self.apply(col) for col in other.columns])
 
     def __repr__(self):
         return f"ExactMatrix({self.ground}, {self.data})"
+
+
+def _columns_of(data, cols: int) -> list:
+    """The sparse columns of dense rows with canonical entries."""
+    return [{i: row[j] for i, row in enumerate(data) if row[j] != 0} for j in range(cols)]
 
 
 class Echelon:
@@ -195,39 +183,35 @@ class EchelonForm:
         n = self.nrows = M.rows
         self.ncols = M.cols
         self.echelon = Echelon(g)
-        data = M.data
-        for j in range(M.cols):
-            col = {i: data[i][j] for i in range(n) if data[i][j] != 0}
-            col[n + j] = g.one
-            self.echelon.add(col)
+        for j, col in enumerate(M.columns):
+            self.echelon.add({**col, n + j: g.one})
         self.rank = sum(1 for p in self.echelon.rows if p < n)
 
     def kernel(self):
-        """A basis of {v : Mv = 0}, in order of pivot."""
-        g, n = self.echelon.ground, self.nrows
-        out = []
-        for p in sorted(self.echelon.rows):
-            if p >= n:
-                v = [g.zero] * self.ncols
-                for i, c in self.echelon.rows[p].items():
-                    v[i - n] = c
-                out.append(v)
-        return out
+        """A basis of {v : Mv = 0} as sparse vectors, in order of pivot."""
+        n = self.nrows
+        return [{i - n: c for i, c in row.items()}
+                for p, row in sorted(self.echelon.rows.items()) if p >= n]
 
     def cokernel(self) -> "SubquotientPresentation":
         return SubquotientPresentation(self.nrows - self.rank)
 
-    def solve(self, b):
-        """Return x with Mx = b, or None when b is not in im(M)."""
-        if len(b) != self.nrows:
-            raise ValueError("dimension mismatch")
+    def solve(self, b: dict):
+        """Return a sparse x with Mx = b, or None when b is not in im(M)."""
         g, n = self.echelon.ground, self.nrows
-        x = [g.zero] * self.ncols
-        for i, c in self.echelon.reduce(dict(enumerate(map(g.normalize, b)))).items():
+        x = {}
+        for i, c in self.echelon.reduce(_target(g, b, n)).items():
             if i < n:
                 return None
             x[i - n] = g.neg(c)
         return x
+
+
+def _target(g: GroundRing, b: dict, n: int) -> dict:
+    """b with canonical entries, checked to be a vector of length n."""
+    if any(not 0 <= i < n for i in b):
+        raise ValueError("dimension mismatch")
+    return {i: g.normalize(x) for i, x in b.items()}
 
 
 @dataclass
@@ -249,34 +233,28 @@ class SmithForm:
         self.rank = sum(1 for d in self.diagonal() if d != 0)
 
     def diagonal(self):
-        n = min(self.D.rows, self.D.cols)
-        return [self.D.data[i][i] for i in range(n)]
+        return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
 
     def kernel(self):
         """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
-        V = self.V
-        return [[V.data[i][j] for i in range(V.rows)] for j in range(self.rank, V.cols)]
+        return [dict(col) for col in self.V.columns[self.rank:]]
 
     def cokernel(self) -> "SubquotientPresentation":
         """Present target/im(M) by free rank and invariant factors."""
         torsion = [abs(d) for d in self.diagonal()[:self.rank] if abs(d) > 1]
         return SubquotientPresentation(self.D.rows - self.rank, tuple(torsion))
 
-    def solve(self, b):
-        """Return x with Mx = b, or None when b is not in im(M) (exactly)."""
-        U, D = self.U, self.D
-        if len(b) != U.cols:
-            raise ValueError("dimension mismatch")
-        g = D.ground
-        c = U.apply([g.normalize(x) for x in b])
-        r = self.rank
-        if any(x != 0 for x in c[r:]):
-            return None
-        y = [0] * D.cols
-        for i in range(r):
-            if c[i] % D.data[i][i]:
+    def solve(self, b: dict):
+        """Return a sparse x with Mx = b, or None when b is not in im(M) (exactly)."""
+        c = self.U.apply(_target(self.D.ground, b, self.U.cols))
+        y = {}
+        for i, x in c.items():
+            if i >= self.rank:
                 return None
-            y[i] = c[i] // D.data[i][i]
+            d = self.D[i, i]
+            if x % d:
+                return None
+            y[i] = x // d
         return self.V.apply(y)
 
 
@@ -306,33 +284,36 @@ class SubquotientPresentation:
         return " + ".join(parts)
 
 
-def _swap_rows(m: ExactMatrix, i, j):
-    m.data[i], m.data[j] = m.data[j], m.data[i]
+# The integer Smith form works on a dense scratch copy of the rows.
+
+def _swap_rows(m, i, j):
+    m[i], m[j] = m[j], m[i]
 
 
-def _swap_cols(m: ExactMatrix, i, j):
-    for row in m.data:
+def _swap_cols(m, i, j):
+    for row in m:
         row[i], row[j] = row[j], row[i]
 
 
-def _addmul_row(m: ExactMatrix, dst, src, c):
-    g = m.ground
-    row_d, row_s = m.data[dst], m.data[src]
-    for j in range(m.cols):
-        if row_s[j] != 0:
-            row_d[j] = g.add(row_d[j], g.mul(c, row_s[j]))
+def _addmul_row(m, dst, src, c):
+    row_d = m[dst]
+    for j, x in enumerate(m[src]):
+        if x:
+            row_d[j] += c * x
 
 
-def _addmul_col(m: ExactMatrix, dst, src, c):
-    g = m.ground
-    for row in m.data:
-        if row[src] != 0:
-            row[dst] = g.add(row[dst], g.mul(c, row[src]))
+def _addmul_col(m, dst, src, c):
+    for row in m:
+        if row[src]:
+            row[dst] += c * row[src]
 
 
-def _scale_row(m: ExactMatrix, i, u):
-    g = m.ground
-    m.data[i] = [g.mul(u, x) for x in m.data[i]]
+def _eye(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _negate_row(m, i):
+    m[i] = [-x for x in m[i]]
 
 
 def smith_normal_form(M: ExactMatrix) -> SmithForm:
@@ -340,18 +321,18 @@ def smith_normal_form(M: ExactMatrix) -> SmithForm:
     g = M.ground
     if g.is_field:
         raise ValueError("the Smith form is taken over Z; over a field use factor()")
-    D = M.copy()
-    U = ExactMatrix.identity(g, M.rows)
-    V = ExactMatrix.identity(g, M.cols)
-    n = min(M.rows, M.cols)
+    rows, cols = M.rows, M.cols
+    D = M.data
+    U, V = _eye(rows), _eye(cols)
+    n = min(rows, cols)
     t = 0
     while t < n:
         # minimal |entry| pivot in the trailing block
         piv = None
         best = None
-        for i in range(t, D.rows):
-            for j in range(t, D.cols):
-                a = D.data[i][j]
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = D[i][j]
                 if a != 0 and (best is None or abs(a) < best):
                     best = abs(a)
                     piv = (i, j)
@@ -368,38 +349,38 @@ def smith_normal_form(M: ExactMatrix) -> SmithForm:
         dirty = True
         while dirty:
             dirty = False
-            for i in range(t + 1, D.rows):
-                a = D.data[i][t]
+            for i in range(t + 1, rows):
+                a = D[i][t]
                 if a != 0:
-                    q = a // D.data[t][t]
+                    q = a // D[t][t]
                     _addmul_row(D, i, t, -q)
                     _addmul_row(U, i, t, -q)
-                    if D.data[i][t] != 0:
+                    if D[i][t] != 0:
                         _swap_rows(D, i, t)
                         _swap_rows(U, i, t)
                         dirty = True
-            for j in range(t + 1, D.cols):
-                a = D.data[t][j]
+            for j in range(t + 1, cols):
+                a = D[t][j]
                 if a != 0:
-                    q = a // D.data[t][t]
+                    q = a // D[t][t]
                     _addmul_col(D, j, t, -q)
                     _addmul_col(V, j, t, -q)
-                    if D.data[t][j] != 0:
+                    if D[t][j] != 0:
                         _swap_cols(D, j, t)
                         _swap_cols(V, j, t)
                         dirty = True
-            if not dirty and abs(D.data[t][t]) != 1:
+            if not dirty and abs(D[t][t]) != 1:
                 # pivot must divide the whole trailing block (a unit always does)
-                d = D.data[t][t]
-                for i in range(t + 1, D.rows):
-                    if any(D.data[i][j] % d != 0 for j in range(t + 1, D.cols)):
+                d = D[t][t]
+                for i in range(t + 1, rows):
+                    if any(D[i][j] % d != 0 for j in range(t + 1, cols)):
                         _addmul_row(D, t, i, 1)
                         _addmul_row(U, t, i, 1)
                         dirty = True
                         break
-        if D.data[t][t] < 0:
-            _scale_row(D, t, -1)
-            _scale_row(U, t, -1)
+        if D[t][t] < 0:
+            _negate_row(D, t)
+            _negate_row(U, t)
         t += 1
     # enforce the divisibility chain (minimal pivoting usually guarantees it,
     # but keep the invariant explicit and robust)
@@ -407,13 +388,14 @@ def smith_normal_form(M: ExactMatrix) -> SmithForm:
     while changed:
         changed = False
         for i in range(n - 1):
-            a, b = D.data[i][i], D.data[i + 1][i + 1]
+            a, b = D[i][i], D[i + 1][i + 1]
             if a != 0 and b % a != 0:
                 _addmul_col(D, i, i + 1, 1)
                 _addmul_col(V, i, i + 1, 1)
                 _smith_integer_block(D, U, V, i)
                 changed = True
-    return SmithForm(U, D, V)
+    return SmithForm(*(ExactMatrix.from_columns(g, len(m), _columns_of(m, c))
+                       for m, c in ((U, rows), (D, cols), (V, cols))))
 
 
 def _smith_integer_block(D, U, V, t):
@@ -421,29 +403,27 @@ def _smith_integer_block(D, U, V, t):
     dirty = True
     while dirty:
         dirty = False
-        for i in range(D.rows):
-            if i != t and D.data[i][t] != 0:
-                d = D.data[t][t]
-                q = D.data[i][t] // d
+        for i in range(len(D)):
+            if i != t and D[i][t] != 0:
+                q = D[i][t] // D[t][t]
                 _addmul_row(D, i, t, -q)
                 _addmul_row(U, i, t, -q)
-                if D.data[i][t] != 0:  # remainder: smaller pivot found
+                if D[i][t] != 0:  # remainder: smaller pivot found
                     _swap_rows(D, i, t)
                     _swap_rows(U, i, t)
                     dirty = True
-        for j in range(D.cols):
-            if j != t and D.data[t][j] != 0:
-                d = D.data[t][t]
-                q = D.data[t][j] // d
+        for j in range(len(D[t])):
+            if j != t and D[t][j] != 0:
+                q = D[t][j] // D[t][t]
                 _addmul_col(D, j, t, -q)
                 _addmul_col(V, j, t, -q)
-                if D.data[t][j] != 0:
+                if D[t][j] != 0:
                     _swap_cols(D, j, t)
                     _swap_cols(V, j, t)
                     dirty = True
-    if D.data[t][t] < 0:
-        _scale_row(D, t, -1)
-        _scale_row(U, t, -1)
+    if D[t][t] < 0:
+        _negate_row(D, t)
+        _negate_row(U, t)
 
 
 def factor(M: ExactMatrix):
@@ -458,7 +438,7 @@ def rank(M: ExactMatrix) -> int:
 
 
 def kernel_basis(M: ExactMatrix):
-    """A basis of {v : Mv = 0} (a lattice basis over Z)."""
+    """A basis of {v : Mv = 0} as sparse vectors (a lattice basis over Z)."""
     return factor(M).kernel()
 
 
@@ -467,8 +447,8 @@ def cokernel(M: ExactMatrix) -> SubquotientPresentation:
     return factor(M).cokernel()
 
 
-def solve(M: ExactMatrix, b):
-    """Return x with Mx = b, or None when unsolvable (exactly).
+def solve(M: ExactMatrix, b: dict):
+    """Return a sparse x with Mx = b for a sparse b, or None when unsolvable (exactly).
 
     This factors M; to solve against one M many times, keep `factor(M)`
     and call its `solve`.
@@ -486,7 +466,7 @@ def determinant(M: ExactMatrix):
     if n == 0:
         return 1
     # Bareiss over Z
-    a = [row[:] for row in M.data]
+    a = M.data
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -507,12 +487,14 @@ def determinant(M: ExactMatrix):
 def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> SubquotientPresentation:
     """Present span(kernel_vectors)/span(image_vectors).
 
-    Every image vector must lie in the span of the kernel vectors (over Z,
-    in their integer span), which are taken to be independent.  Over a
-    field the presentation is a difference of two echelon ranks.  Over Z
-    the image is rewritten in kernel coordinates and the presentation is
-    the cokernel of that coordinate matrix; the kernel matrix is factored
-    once and every image vector is solved against it.
+    The vectors are sparse {coordinate: scalar} with canonical entries, as
+    kernels and matrix columns are.  Every image vector must lie in the
+    span of the kernel vectors (over Z, in their integer span), which are
+    taken to be independent.  Over a field the presentation is a
+    difference of two echelon ranks.  Over Z the image is rewritten in
+    kernel coordinates and the presentation is the cokernel of that
+    coordinate matrix; the kernel matrix is factored once and every image
+    vector is solved against it.
     """
     if not kernel_vectors:
         return SubquotientPresentation(0)
@@ -522,18 +504,17 @@ def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> Subquotien
         spans = Echelon(ground), Echelon(ground)
         for span, vectors in zip(spans, (kernel_vectors, image_vectors)):
             for v in vectors:
-                span.add({i: x for i, x in enumerate(map(ground.normalize, v)) if x != 0})
+                span.add(v)
         if any(spans[0].reduce(row) for row in spans[1].rows.values()):
             raise ValueError("image vector outside the kernel span")
         return SubquotientPresentation(spans[0].rank - spans[1].rank)
-    dim = len(kernel_vectors[0])
-    K = ExactMatrix(ground, [[kernel_vectors[j][i] for j in range(len(kernel_vectors))] for i in range(dim)])
-    sf = smith_normal_form(K)
-    cols = []
+    # coordinates past every vector's support are zero throughout
+    dim = 1 + max(i for v in (*kernel_vectors, *image_vectors) for i in v)
+    sf = smith_normal_form(ExactMatrix.from_columns(ground, dim, kernel_vectors))
+    coords = []
     for v in image_vectors:
         x = sf.solve(v)
         if x is None:
             raise ValueError("image vector outside the kernel span")
-        cols.append(x)
-    R = ExactMatrix(ground, [[cols[j][i] for j in range(len(cols))] for i in range(len(kernel_vectors))])
-    return cokernel(R)
+        coords.append(x)
+    return cokernel(ExactMatrix.from_columns(ground, len(kernel_vectors), coords))

@@ -206,6 +206,16 @@ def degree_ranks(module: GradedFreeModule, lo=None, hi=None) -> dict:
     return out
 
 
+def completion_matches(table: BigradedTable, M: AModule, compare) -> bool:
+    """Whether a completion table of M has M's collapsed degree ranks.
+
+    Compared over the explicit range `compare`; nothing is claimed outside it.
+    """
+    lo, hi = compare
+    got = {d: r for d, r in collapsed_ranks(table).items() if lo <= d <= hi}
+    return got == degree_ranks(M.module, lo, hi)
+
+
 def completion_is_equivalence(ctx: MoritaContext, M: AModule,
                               compare, window=(-16, 16), s_max: int = 8) -> bool:
     """Whether the canonical map M -> completion(M) is a homology iso.
@@ -213,11 +223,7 @@ def completion_is_equivalence(ctx: MoritaContext, M: AModule,
     Compared as collapsed degree ranks over the explicit range `compare`;
     nothing is claimed outside it.
     """
-    lo, hi = compare
-    comp = completion(ctx, M, window, s_max)
-    got = {d: r for d, r in collapsed_ranks(comp.table).items() if lo <= d <= hi}
-    want = degree_ranks(M.module, lo, hi)
-    return got == want
+    return completion_matches(completion(ctx, M, window, s_max).table, M, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -238,32 +244,29 @@ def _hom_basis(E: AModule, Y: AModule):
         if not idxs:
             continue
         # constraint: z o lambda_E(a) = lambda_Y(a) o z for all monomials a
-        rows = []
+        columns = [{} for _ in idxs]
+        nrows = 0
         for a in range(A.rank):
             if a == A.unit_index:
                 continue
             lamE, lamY = E.act_map(a), Y.act_map(a)
-            cols = []
+            diffs = []
             for idx in idxs:
                 i, j = divmod(idx, nY)
                 z = HomogeneousMap(E.module, Y.module, key, {(j, i): g.one})
-                diff = z.compose(lamE).add(lamY.compose(z).neg())
-                cols.append(diff)
+                diffs.append(z.compose(lamE).add(lamY.compose(z).neg()))
             # stack the entry coordinates of the differences
-            entry_keys = sorted({k for c in cols for k in c.entries})
-            for ek in entry_keys:
-                rows.append([c.entries.get(ek, g.zero) for c in cols])
-        if rows:
-            kern = kernel_basis(ExactMatrix(g, rows, len(rows), len(idxs)))
-        else:
-            kern = [[g.one if a == b else g.zero for b in range(len(idxs))]
-                    for a in range(len(idxs))]
-        for v in kern:
+            row = {ek: nrows + r for r, ek in
+                   enumerate(sorted({k for d in diffs for k in d.entries}))}
+            for col, d in zip(columns, diffs):
+                for ek, c in d.entries.items():
+                    col[row[ek]] = c
+            nrows += len(row)
+        for v in kernel_basis(ExactMatrix.from_columns(g, nrows, columns)):
             entries = {}
-            for a, c in enumerate(v):
-                if c != 0:
-                    i, j = divmod(idxs[a], nY)
-                    entries[(j, i)] = c
+            for a, c in v.items():
+                i, j = divmod(idxs[a], nY)
+                entries[(j, i)] = c
             basis.append((key, HomogeneousMap(E.module, Y.module, key, entries)))
     return basis
 
@@ -273,16 +276,13 @@ def _in_basis(g, basis, target: HomogeneousMap) -> dict:
     cands = [(a, z) for a, (d, z) in enumerate(basis)
              if z.source.base.degree_key(d) == z.source.base.degree_key(target.degree)]
     keys = sorted({k for _, z in cands for k in z.entries} | set(target.entries))
-    if not keys:
-        return {}
-    mat = ExactMatrix(
-        g, [[z.entries.get(k, g.zero) for _, z in cands] for k in keys],
-        len(keys), len(cands),
-    )
-    sol = solve(mat, [target.entries.get(k, g.zero) for k in keys])
+    row = {k: r for r, k in enumerate(keys)}
+    mat = ExactMatrix.from_columns(
+        g, len(keys), [{row[k]: c for k, c in z.entries.items()} for _, z in cands])
+    sol = solve(mat, {row[k]: c for k, c in target.entries.items()})
     if sol is None:
         raise ValueError("map does not lie in the hom module")
-    return {cands[a][0]: c for a, c in enumerate(sol) if c != 0}
+    return {cands[a][0]: c for a, c in sol.items()}
 
 
 def endo_algebra(E: AModule) -> GradedAlgebra:

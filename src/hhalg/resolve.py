@@ -195,10 +195,9 @@ def _flat_kernel(fmap: HomogeneousMap, window):
         if not src_idx:
             continue
         for v in kernel_basis(mat):
-            vec = {src_idx[a]: c for a, c in enumerate(v) if c != 0}
-            if vec:
-                deg = min(fmap.source.generators[i][1] for i in vec)
-                out.append((deg, vec))
+            vec = {src_idx[a]: c for a, c in v.items()}
+            deg = min(fmap.source.generators[i][1] for i in vec)
+            out.append((deg, vec))
     return out
 
 
@@ -567,18 +566,16 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
         rmat, rsrc, _ = rhs.slice_matrix(key)
         sf = None  # factored on the first column that needs a lift
         # both slices index F0's degree key - t generators, in the same order
-        for c, j in enumerate(rsrc):
-            target = [rmat.data[r][c] for r in range(rmat.rows)]
-            if all(x == 0 for x in target):
+        for target, j in zip(rmat.columns, rsrc):
+            if not target:
                 continue
             if sf is None:
                 sf = factor(mat)
             sol = sf.solve(target)
             if sol is None:
                 raise AssertionError("cocycle lift failed on an exact resolution")
-            for r, v in enumerate(sol):
-                if v != 0:
-                    entries[(src_idx[r], j)] = v
+            for r, v in sol.items():
+                entries[(src_idx[r], j)] = v
     f2flat = HomogeneousMap(F2flat, F1flat, -t, entries)
     # compose with the original cocycle: read off unit coordinates
     out = {}

@@ -248,12 +248,12 @@ def test_criterion_11_substrate_smith_forms():
         p = 3
         for _ in range(200):
             r, c = rng.randint(1, 5), rng.randint(1, 5)
-            M = ExactMatrix(ZZ, [[rng.randint(-5, 5) for _ in range(c)]
-                                 for _ in range(r)])
+            rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+            M = ExactMatrix(ZZ, rows)
             sf = smith_normal_form(M)
             assert sf.U.mul(M).mul(sf.V) == sf.D
-            Mp = ExactMatrix(GroundRing.prime_field(p), M.data)
-            images = {tuple(x % p for x in Mp.apply(list(v)))
+            Mp = ExactMatrix(GroundRing.prime_field(p), rows)
+            images = {frozenset(Mp.apply(dict(enumerate(v))).items())
                       for v in itertools.product(range(p), repeat=c)}
             size = p ** r // len(images)
             assert p ** cokernel(Mp).free_rank == size

@@ -268,9 +268,8 @@ def _in_span(A, span_vecs, v):
     n = A.rank
     if not span_vecs:
         return not v
-    M = ExactMatrix(g, [[w.get(i, g.zero) for w in span_vecs] for i in range(n)],
-                    n, len(span_vecs))
-    return solve(M, [v.get(i, g.zero) for i in range(n)]) is not None
+    M = ExactMatrix.from_columns(g, n, span_vecs)
+    return solve(M, v) is not None
 
 
 def test_ideal_closure_and_quotient_of_a_non_monomial_generator():

@@ -9,7 +9,6 @@ from hhalg.base import (
     LaurentGenerator,
     cohomology_at,
     graded_hom_module,
-    periodic_reduce,
 )
 from hhalg.ground import GroundRing, ZZ
 from hhalg.linalg import ExactMatrix, SubquotientPresentation, rank
@@ -31,25 +30,23 @@ def test_multiplication_by_v_is_unit_block():
     M = GradedFreeModule(KU, (("e", 0),))
     # degree-2 self-map sending e to v*e: stored scalar 1, implied exponent 1
     f = HomogeneousMap(M, M, 2, {(0, 0): 1})
-    blocks = periodic_reduce(f)
-    assert list(blocks) == [0]
-    assert blocks[0].data == [[1]]
+    assert M.degree_support() == [0]
+    assert f.slice_matrix(0)[0] == ExactMatrix(ZZ, [[1]])
 
 
 def test_multiplication_by_p_block():
     M = GradedFreeModule(KU, (("e", 0),))
     f = HomogeneousMap(M, M, 0, {(0, 0): 5})
-    assert periodic_reduce(f)[0].data == [[5]]
+    assert f.slice_matrix(0)[0] == ExactMatrix(ZZ, [[5]])
 
 
 def test_zero_map_blocks():
     M = GradedFreeModule(KU, (("e", 0), ("f", 1)))
     z = HomogeneousMap.zero(M, M, 0)
-    blocks = periodic_reduce(z)
-    assert sorted(blocks) == [0, 1]
-    assert all(b.data == [[0, 0]] or b.data == [[0]] for b in blocks.values())
+    assert M.degree_support() == [0, 1]
+    blocks = [z.slice_matrix(t)[0] for t in M.degree_support()]
     # residues split the generators, so each block is 1x1
-    assert all(b.rows == 1 and b.cols == 1 for b in blocks.values())
+    assert all(b == ExactMatrix(ZZ, [[0]]) for b in blocks)
 
 
 def test_homogeneity_enforced():
@@ -106,12 +103,11 @@ def window_slice_oracle(f, lo, hi):
               [i for i, (_, d) in enumerate(f.target.generators) if d == t + f.degree]
         g = f.source.base.ground
         out[t] = ExactMatrix(
-            g, [[f.entries.get((i, j), g.zero) for j in src] for i in tgt],
-            len(tgt), len(src))
+            g, [[f.entries.get((i, j), g.zero) for j in src] for i in tgt], cols=len(src))
     return out
 
 
-def test_periodic_reduce_matches_window_oracle():
+def test_residue_slices_match_window_oracle():
     # over a period-2 base every degree-t slice must agree with the residue
     # block; check ranks across a window of width 3 periods
     rng = random.Random(9)
@@ -127,14 +123,13 @@ def test_periodic_reduce_matches_window_oracle():
                 if (sd + fdeg - td) % 2 == 0 and rng.random() < 0.6:
                     entries[(i, j)] = rng.randint(-2, 2)
         f = HomogeneousMap(S, T, fdeg, entries)
-        blocks = periodic_reduce(f)
         oracle = window_slice_oracle(f, -3, 3)
         for t, m in oracle.items():
-            r = t % 2
-            if r in blocks:
-                assert rank(m) == rank(blocks[r])
-            else:
-                assert m.rows == 0 and m.cols == 0
+            block = f.slice_matrix(t % 2)[0]
+            assert rank(m) == rank(block)
+            assert (m.rows, m.cols) == (block.rows, block.cols)
+            # the residue block, read off the column index, is the dense scan itself
+            assert m == block
 
 
 def test_apply_coords():

@@ -280,6 +280,25 @@ def test_morita_checks_each_module_once(capsys, tmp_path, monkeypatch):
     assert on_e == [(("1", 0),), (("1", 0), ("t", 0))]
 
 
+def test_morita_warm_completion_builds_no_functor(capsys, tmp_path, monkeypatch):
+    import hhalg.morita as morita
+
+    argv = ["morita", "--file", defpath("etale.def")]
+    cold = run(capsys, argv, tmp_path)
+    calls = []
+    real = morita.functor_G
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(morita, "functor_G", counting)
+    warm = run(capsys, argv, tmp_path)
+    assert cold[0] == 0 and warm == cold
+    # the cached table is judged as it stands: G is not built again
+    assert len(calls) == 0
+
+
 def test_morita_module_failing_its_axioms(capsys, tmp_path):
     with open(defpath("etale.def")) as fh:
         doc = json.load(fh)

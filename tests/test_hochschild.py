@@ -24,6 +24,7 @@ from hhalg.hochschild import (
     mu_is_iso,
     regular_bimodule,
 )
+from hhalg.linalg import SubquotientPresentation
 from hhalg.resolve import AModule
 
 F2 = GroundRing.prime_field(2)
@@ -54,6 +55,14 @@ def lam_tau():
 
 def lam_x_f3():
     return realize(AlgebraPresentation(BaseRing(F3), (("x", -1),), ([(1, ("x", "x"), 0)],)))
+
+
+def lam_2_f3():
+    return realize(AlgebraPresentation(BaseRing(F3), (("x1", -1), ("x2", -1)), (
+        [(1, ("x1", "x1"), 0)],
+        [(1, ("x2", "x2"), 0)],
+        [(1, ("x1", "x2"), 0), (1, ("x2", "x1"), 0)],
+    )))
 
 
 def n_ranks(table, n):
@@ -139,6 +148,25 @@ def test_bar_differential_squares_to_zero_with_signs():
     # odd-degree generators over F3 exercise every Koszul sign; the
     # constructor hard-checks d^2 = 0
     BarCochainComplex(lam_x_f3(), regular_bimodule(lam_x_f3()), n_max=3)
+
+
+def test_bar_table_pins_the_koszul_sign_of_the_right_action():
+    # HH^n(Λ(V)) = Λ(V) (x) S^n(V*) in odd characteristic, V = <x1, x2> in
+    # degree -1: Λ(V) has ranks 1, 2, 1 in degrees 0, -1, -2, and S^n(V*) is
+    # n + 1 copies shifted up by n.  A wrong sign on the right action keeps
+    # d^2 = 0 but changes these ranks.
+    want = {}
+    for n in range(3):
+        for t, r in ((0, 1), (-1, 2), (-2, 1)):
+            want[(n, t + n)] = (n + 1) * r
+    A = lam_2_f3()
+    bar = hochschild_cohomology(A, n_max=2)
+    assert {k: p for k, p in bar.entries.items() if not p.is_zero} == {
+        k: SubquotientPresentation(r) for k, r in want.items()}
+    # the enveloping route has no bar signs; its degree t is the bar's -t
+    env = hochschild_via_enveloping(A, n_max=2)
+    assert {(s, -t): p for (s, t), p in env.entries.items() if not p.is_zero} == {
+        k: SubquotientPresentation(r) for k, r in want.items()}
 
 
 # -- the enveloping-algebra path --------------------------------------------------

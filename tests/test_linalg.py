@@ -60,7 +60,7 @@ def test_snf_field_zero_one():
     M = ExactMatrix(F3, [[2, 1], [1, 1]])
     assert rank(M) == 2 and kernel_basis(M) == []
     M = ExactMatrix(F2, [[1, 1], [1, 1]])
-    assert rank(M) == 1 and kernel_basis(M) == [[1, 1]]
+    assert rank(M) == 1 and kernel_basis(M) == [{0: 1, 1: 1}]
     with pytest.raises(ValueError, match="over Z"):
         smith_normal_form(M)
     with pytest.raises(ValueError, match="over Z"):
@@ -69,7 +69,7 @@ def test_snf_field_zero_one():
 
 def test_kernel_basis_f2():
     ker = kernel_basis(ExactMatrix(F2, [[1, 1]]))
-    assert ker == [[1, 1]]
+    assert ker == [{0: 1, 1: 1}]
 
 
 def test_kernel_invertible_empty():
@@ -91,12 +91,12 @@ def test_cokernel_examples():
 
 def test_solve():
     I = ExactMatrix.identity(ZZ, 3)
-    assert solve(I, [5, -2, 7]) == [5, -2, 7]
-    assert solve(ExactMatrix(ZZ, [[2]]), [3]) is None
-    x = solve(ExactMatrix(QQ, [[2]]), [3])
+    assert solve(I, {0: 5, 1: -2, 2: 7}) == {0: 5, 1: -2, 2: 7}
+    assert solve(ExactMatrix(ZZ, [[2]]), {0: 3}) is None
+    x = solve(ExactMatrix(QQ, [[2]]), {0: 3})
     assert x is not None and x[0] * 2 == 3
     with pytest.raises(ValueError):
-        solve(I, [1, 2])
+        solve(I, {3: 1})
 
 
 def test_rank_nullity_over_field():
@@ -122,7 +122,7 @@ def enumeration_cokernel_size(M, p):
     """|F_p^rows / im(M mod p)| by direct enumeration."""
     images = set()
     for vec in itertools.product(range(p), repeat=M.cols):
-        images.add(tuple(x % p for x in M.apply(list(vec))))
+        images.add(frozenset(M.apply(dict(enumerate(vec))).items()))
     return p ** M.rows // len(images)
 
 
@@ -131,9 +131,10 @@ def test_random_integer_matrices_vs_enumeration():
     p = 3
     for _ in range(40):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
-        M = ExactMatrix(ZZ, [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
+        rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
+        M = ExactMatrix(ZZ, rows)
         check_smith(M)
-        Mp = ExactMatrix(GroundRing.prime_field(p), M.data)
+        Mp = ExactMatrix(GroundRing.prime_field(p), rows)
         coker = cokernel(Mp)
         assert p ** coker.free_rank == enumeration_cokernel_size(Mp, p)
 
@@ -144,12 +145,12 @@ def test_kernel_vectors_annihilate():
         r, c = rng.randint(1, 5), rng.randint(1, 5)
         M = ExactMatrix(ZZ, [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)])
         for v in kernel_basis(M):
-            assert all(x == 0 for x in M.apply(v))
+            assert M.apply(v) == {}
 
 
 def test_subquotient():
     # Z^2 / span{(2,0)} inside kernel basis {(1,0),(0,1)}
-    pres = subquotient(ZZ, [[1, 0], [0, 1]], [[2, 0]])
+    pres = subquotient(ZZ, [{0: 1}, {1: 1}], [{0: 2}])
     assert (pres.free_rank, pres.torsion) == (1, (2,))
     assert subquotient(ZZ, [], []).is_zero
 
@@ -157,11 +158,11 @@ def test_subquotient():
 def test_subquotient_rejects_image_outside_kernel_span():
     # over F3: (0, 1) is not in span{(1, 0)}
     with pytest.raises(ValueError, match="outside the kernel span"):
-        subquotient(F3, [[1, 0]], [[0, 1]])
+        subquotient(F3, [{0: 1}], [{1: 1}])
     # over Z: (1, 0) is in the Q-span of (2, 0) but not in its Z-span
     with pytest.raises(ValueError, match="outside the kernel span"):
-        subquotient(ZZ, [[2, 0]], [[1, 0]])
-    assert subquotient(ZZ, [[2, 0]], [[4, 0]]).torsion == (2,)
+        subquotient(ZZ, [{0: 2}], [{0: 1}])
+    assert subquotient(ZZ, [{0: 2}], [{0: 4}]).torsion == (2,)
 
 
 def test_subquotient_factors_kernel_once(monkeypatch):
@@ -175,15 +176,16 @@ def test_subquotient_factors_kernel_once(monkeypatch):
         return real(M)
 
     monkeypatch.setattr(linalg, "smith_normal_form", counting)
-    kernel = [[1, 0, 0], [0, 1, 0]]
-    image = [[2, 0, 0], [0, 3, 0], [2, 6, 0], [4, 0, 0]]
+    kernel = [{0: 1}, {1: 1}]
+    image = [{0: 2}, {1: 3}, {0: 2, 1: 6}, {0: 4}]
     pres = subquotient(ZZ, kernel, image)
     assert (pres.free_rank, pres.torsion) == (0, (6,))
-    # one factorization of the kernel matrix, one of the coordinate matrix
-    assert factored == [(3, 2), (2, 4)]
+    # one factorization of the kernel matrix, one of the coordinate matrix;
+    # the kernel matrix has a row for each coordinate the vectors reach
+    assert factored == [(2, 2), (2, 4)]
     # with no image vectors the kernel vectors present the module unfactored
     assert subquotient(ZZ, kernel, []) == SubquotientPresentation(2)
-    assert factored == [(3, 2), (2, 4)]
+    assert factored == [(2, 2), (2, 4)]
 
 
 def test_factored_solve_against_enumeration_over_f3():
@@ -191,13 +193,15 @@ def test_factored_solve_against_enumeration_over_f3():
     for _ in range(40):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         M = ExactMatrix(F3, [[rng.randint(0, 2) for _ in range(c)] for _ in range(r)])
-        image = {tuple(M.apply(list(x))) for x in itertools.product(range(3), repeat=c)}
+        image = {frozenset(M.apply(dict(enumerate(x))).items())
+                 for x in itertools.product(range(3), repeat=c)}
         sf = factor(M)
         for b in itertools.product(range(3), repeat=r):
-            x = sf.solve(list(b))
-            assert (x is None) == (b not in image)
+            b = {i: x for i, x in enumerate(b) if x}
+            x = sf.solve(b)
+            assert (x is None) == (frozenset(b.items()) not in image)
             if x is not None:
-                assert M.apply(x) == list(b)
+                assert M.apply(x) == b
 
 
 def test_factored_solve_over_z():
@@ -207,7 +211,7 @@ def test_factored_solve_over_z():
         M = ExactMatrix(ZZ, [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)])
         sf = smith_normal_form(M)
         for _ in range(8):
-            b = M.apply([rng.randint(-6, 6) for _ in range(c)])
+            b = M.apply(dict(enumerate(rng.randint(-6, 6) for _ in range(c))))
             x = sf.solve(b)
             assert x is not None and M.apply(x) == b
 
@@ -219,7 +223,7 @@ def test_smith_form_answers_rank_kernel_cokernel():
     assert sf.diagonal() == [2, 6, 0]
     assert sf.rank == rank(M) == 2
     (v,) = sf.kernel()
-    assert sf.kernel() == kernel_basis(M) and M.apply(v) == [0, 0, 0]
+    assert sf.kernel() == kernel_basis(M) and M.apply(v) == {}
     assert sf.cokernel() == cokernel(M)
     assert (sf.cokernel().free_rank, sf.cokernel().torsion) == (1, (2, 6))
 
@@ -238,8 +242,8 @@ def test_normalize_keeps_canonical_types():
 
 def test_trusted_constructors_over_q_hold_fractions():
     A = ExactMatrix(QQ, [[1, 2], [3, 4]])
-    made = [ExactMatrix.zero(QQ, 2, 3), ExactMatrix.identity(QQ, 3),
-            A.mul(A), A.mul(ExactMatrix.zero(QQ, 2, 2)), A.copy(), A.transpose()]
+    made = [ExactMatrix(QQ, [[0, 0, 0], [0, 0, 0]]), ExactMatrix.identity(QQ, 3),
+            A.mul(A), A.mul(ExactMatrix(QQ, [[0, 0], [0, 0]]))]
     for m in made:
         assert all(type(x) is Fraction for row in m.data for x in row)
 
@@ -262,12 +266,12 @@ def test_echelon_ranks_by_universal_coefficients():
             assert rank(Mp) == sum(1 for d in diag if d % p != 0)
 
 
-def random_field_matrix(rng, g, r, c, density):
+def random_field_rows(rng, g, r, c, density):
     def entry():
         if rng.random() >= density:
             return 0
         return Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if g == QQ else rng.randint(0, g.p - 1)
-    return ExactMatrix(g, [[entry() for _ in range(c)] for _ in range(r)])
+    return [[entry() for _ in range(c)] for _ in range(r)]
 
 
 @pytest.mark.parametrize("g", [F2, F3, F5, QQ], ids=str)
@@ -276,17 +280,19 @@ def test_echelon_form_self_consistency(g):
     for density in (0.1, 0.9):
         for _ in range(4):
             r, c = rng.randint(1, 40), rng.randint(1, 40)
-            M = random_field_matrix(rng, g, r, c, density)
+            rows = random_field_rows(rng, g, r, c, density)
+            M = ExactMatrix(g, rows)
             fm = factor(M)
             ker = fm.kernel()
             assert len(ker) == c - fm.rank
-            assert all(x == 0 for v in ker for x in M.apply(v))
-            assert rank(M.transpose()) == fm.rank
-            x0 = [g.normalize(rng.randint(-3, 3)) for _ in range(c)]
+            assert all(M.apply(v) == {} for v in ker)
+            assert rank(ExactMatrix(g, [list(col) for col in zip(*rows)])) == fm.rank
+            x0 = dict(enumerate(g.normalize(rng.randint(-3, 3)) for _ in range(c)))
             b = M.apply(x0)
             assert M.apply(fm.solve(b)) == b
             b = [g.normalize(rng.randint(-3, 3)) for _ in range(r)]
-            extended = ExactMatrix(g, [row + [x] for row, x in zip(M.data, b)])
+            extended = ExactMatrix(g, [row + [x] for row, x in zip(rows, b)])
+            b = {i: x for i, x in enumerate(b) if x != 0}
             if rank(extended) > fm.rank:
                 assert fm.solve(b) is None
             else:
@@ -302,3 +308,28 @@ def test_echelon_reduce_is_the_full_normal_form():
     assert span.reduce({0: 1, 1: 1, 2: 1}) == {0: 1}
     assert span.reduce({1: 1, 3: 2}) == {3: 1}
     assert span.rank == 2
+
+
+# -- the two constructors --------------------------------------------------------------
+
+@pytest.mark.parametrize("g", [F2, F3, F5, QQ, ZZ], ids=str)
+def test_dense_rows_and_sparse_columns_build_the_same_matrix(g):
+    rng = random.Random(47)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(25)]
+    for r, c in shapes:
+        rows = [[g.normalize(rng.choice((0, 0, 0, 1, -1, 2, 3))) for _ in range(c)]
+                for _ in range(r)]
+        dense = ExactMatrix(g, rows, cols=c)
+        sparse = ExactMatrix.from_columns(
+            g, r, [{i: rows[i][j] for i in range(r) if rows[i][j] != 0} for j in range(c)])
+        assert dense == sparse and (sparse.rows, sparse.cols) == (r, c)
+        fd, fs = factor(dense), factor(sparse)
+        assert fd.rank == fs.rank
+        assert fd.kernel() == fs.kernel()
+        assert fd.cokernel() == fs.cokernel()
+        for _ in range(4):
+            b = dense.apply({j: g.normalize(rng.randint(-3, 3)) for j in range(c)})
+            x = fd.solve(b)
+            assert x == fs.solve(b) and dense.apply(x) == b
+            b = {i: x for i in range(r) if (x := g.normalize(rng.randint(-3, 3))) != 0}
+            assert fd.solve(b) == fs.solve(b)
