@@ -6,6 +6,10 @@ critical-pair completion pass), and manipulated through structure
 constants.  Laurent powers never appear explicitly: every structure
 constant is a ground scalar whose v-power is implied by the degrees of
 the three monomials involved, exactly as in HomogeneousMap.
+
+check_action is the one action check: associativity of a structure
+table, the module axioms of resolve.AModule and the algebra-map property
+of hochschild's action map mu all go through it.
 """
 
 from __future__ import annotations
@@ -213,8 +217,9 @@ class GradedAlgebra:
 
     mult[(i, j)] is the coordinate dict of e_i * e_j over the monomial
     basis; scalars carry implied Laurent powers.  The unit is a basis
-    monomial.  Associativity and unitality are asserted at construction
-    unless check=False (used for constructions associative by design).
+    monomial.  Unitality is asserted at construction, and associativity
+    as check_action on the left multiplications, unless check=False (used
+    for constructions associative by design).
     """
 
     def __init__(self, base: BaseRing, monomials, unit_index: int, mult, check=True):
@@ -243,7 +248,12 @@ class GradedAlgebra:
                 raise ValueError("unit must sit in degree 0")
         if check:
             self._check_unit()
-            self._check_associativity()
+            # (e_i e_j) e_k = e_i (e_j e_k) for every k says that the left
+            # multiplications L_i L_j = L_{e_i e_j}: a left action of A on A
+            try:
+                check_action(self, self.module, {i: self.left_mult(i) for i in range(self.rank)})
+            except ValueError as e:
+                raise ValueError(f"associativity fails: {e}") from None
 
     # -- basic structure ------------------------------------------------
     @property
@@ -259,9 +269,6 @@ class GradedAlgebra:
 
     def parity(self, i):
         return self.monomials[i][1] % 2
-
-    def unit_coords(self):
-        return {self.unit_index: self.base.ground.one}
 
     def mul_basis(self, i, j):
         return self.mult.get((i, j), {})
@@ -306,17 +313,6 @@ class GradedAlgebra:
             if self.mul_basis(u, i) != {i: one} or self.mul_basis(i, u) != {i: one}:
                 raise ValueError(f"unit is not two-sided at basis element {i}")
 
-    def _check_associativity(self):
-        n = self.rank
-        for i in range(n):
-            for j in range(n):
-                left = self.mul_basis(i, j)
-                for k in range(n):
-                    lhs = self.mul_coords(left, {k: self.base.ground.one})
-                    rhs = self.mul_coords({i: self.base.ground.one}, self.mul_basis(j, k))
-                    if lhs != rhs:
-                        raise ValueError(f"associativity fails on triple ({i},{j},{k})")
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedAlgebra)
@@ -325,6 +321,42 @@ class GradedAlgebra:
             and self.unit_index == other.unit_index
             and self.mult == other.mult
         )
+
+
+def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"):
+    """Raise ValueError unless e_i |-> maps[i] is a unital action of A on M.
+
+    maps holds HomogeneousMaps on M keyed by monomial index; absent
+    monomials act by zero.  A left action has maps[i] o maps[j] equal to
+    the action of e_i e_j, a right one that of e_j e_i.  Both sides are
+    compared as entry dicts, with maps[i]'s columns read off its column
+    index.  A product may wrap a Laurent period; entries carry only ground
+    scalars, so both sides are read in the degree of the pair.
+    """
+    g = A.base.ground
+    key = A.base.degree_key
+    for i, f in maps.items():
+        if f.source != M or f.target != M or key(f.degree) != key(A.degree(i)):
+            raise ValueError(f"monomial {i} does not act by an endomorphism of its degree")
+    unit = maps.get(A.unit_index)
+    if (unit.entries if unit else {}) != {(k, k): g.one for k in range(M.rank)}:
+        raise ValueError("unit does not act as identity")
+    for i in range(A.rank):
+        columns = maps[i].by_column() if i in maps else {}
+        for j in range(A.rank):
+            lhs = {}
+            if columns and j in maps:
+                for (k, m), c in maps[j].entries.items():
+                    for r, d in columns.get(k, ()):
+                        lhs[(r, m)] = g.add(lhs.get((r, m), g.zero), g.mul(d, c))
+            rhs = {}
+            for k, c in (A.mul_basis(i, j) if side == "left" else A.mul_basis(j, i)).items():
+                if k in maps:
+                    for rm, v in maps[k].entries.items():
+                        rhs[rm] = g.add(rhs.get(rm, g.zero), g.mul(c, v))
+            if ({rm: v for rm, v in lhs.items() if v != 0}
+                    != {rm: v for rm, v in rhs.items() if v != 0}):
+                raise ValueError(f"{side} action fails on pair ({i},{j})")
 
 
 def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:

@@ -53,17 +53,6 @@ class BaseRing:
             return gap % self.period == 0
         return gap == 0
 
-    def exponent(self, src_degree: int, map_degree: int, tgt_degree: int) -> int:
-        """The implied v-power on a compatible entry."""
-        gap = src_degree + map_degree - tgt_degree
-        if self.laurent:
-            if gap % self.period != 0:
-                raise ValueError("incompatible degrees")
-            return gap // self.period
-        if gap != 0:
-            raise ValueError("incompatible degrees")
-        return 0
-
     def __str__(self):
         if self.laurent:
             return f"{self.ground}[{self.laurent.name}^±1; |{self.laurent.name}|={self.laurent.degree}]"
@@ -97,9 +86,6 @@ class GradedFreeModule:
         """Sorted canonical slice keys where this module is nonzero."""
         return sorted({self.base.degree_key(d) for _, d in self.generators})
 
-    def shift(self, k: int) -> "GradedFreeModule":
-        return GradedFreeModule(self.base, tuple((n, d + k) for n, d in self.generators))
-
 
 class HomogeneousMap:
     """A degree-homogeneous map between free graded modules.
@@ -110,8 +96,8 @@ class HomogeneousMap:
 
     The entries are fixed once built (add, scale and compose return new
     maps), so the map keeps a per-source-column index {j: [(i, c), ...]},
-    built once on first use, that apply_coords, compose and slice_matrix
-    read instead of scanning every entry.
+    built once on first use, that apply_coords, compose, slice_matrix and
+    algebra.check_action read instead of scanning every entry.
     """
 
     __slots__ = ("source", "target", "degree", "entries", "_columns")
@@ -137,7 +123,7 @@ class HomogeneousMap:
         self.entries = clean
         self._columns = None
 
-    def _by_column(self) -> dict:
+    def by_column(self) -> dict:
         """{source index j: [(target index i, scalar), ...]}, built once."""
         if self._columns is None:
             cols = {}
@@ -186,7 +172,7 @@ class HomogeneousMap:
             raise ValueError("composition mismatch")
         g = self.source.base.ground
         out = {}
-        columns = self._by_column()
+        columns = self.by_column()
         for (k, j), c in first.entries.items():
             for i, d in columns.get(k, ()):
                 key = (i, j)
@@ -205,7 +191,7 @@ class HomogeneousMap:
     def apply_coords(self, coeffs: dict) -> dict:
         """Apply to a coordinate dict {source index: scalar}."""
         g = self.source.base.ground
-        columns = self._by_column()
+        columns = self.by_column()
         out = {}
         for j, x in coeffs.items():
             if x:
@@ -224,7 +210,7 @@ class HomogeneousMap:
         src = self.source.slice_indices(t)
         tgt = self.target.slice_indices(t + self.degree)
         pos = {i: r for r, i in enumerate(tgt)}
-        by_column = self._by_column()
+        by_column = self.by_column()
         columns = [{pos[i]: c for i, c in by_column.get(j, ())} for j in src]
         return ExactMatrix.from_columns(self.source.base.ground, len(tgt), columns), src, tgt
 

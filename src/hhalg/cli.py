@@ -226,7 +226,7 @@ def cmd_morita(df, built, args, out):
                                      notes=("valid inside the window only",))
 
             table = cachemod.cached_table(args.cache_path, key, compute)
-            ok = completion_matches(table, M, compare=window)
+            ok = completion_matches(table, M.module, compare=window)
             verdict = ("pass" if ok else "fail") + " (corpus-verified)"
             if args.format == "json":
                 doc = {name: {

@@ -2,7 +2,7 @@
 
 Scalars are plain Python objects (int for Z and F_p, Fraction for Q), so
 all arithmetic is exact.  A GroundRing value bundles the normalization,
-unit test and division logic that the linear algebra layer needs.
+unit test and inversion logic that the linear algebra layer needs.
 """
 
 from __future__ import annotations
@@ -117,22 +117,6 @@ class GroundRing:
         if a == 0:
             raise ZeroDivisionError("division by zero in Q")
         return Fraction(1) / a
-
-    def div(self, a, b):
-        """Exact division; raises if b does not divide a."""
-        if self.kind == "Z":
-            if b == 0 or a % b != 0:
-                raise ValueError(f"{b} does not divide {a} in Z")
-            return a // b
-        return self.mul(a, self.inv(b))
-
-    def divides(self, b, a) -> bool:
-        """True when b | a."""
-        if self.kind == "Z":
-            if b == 0:
-                return a == 0
-            return a % b == 0
-        return self.normalize(b) != 0 or self.normalize(a) == 0
 
     def __str__(self):
         if self.kind == "Fp":

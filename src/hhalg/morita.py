@@ -167,11 +167,11 @@ def functor_F(ctx: MoritaContext, X: AModule) -> AModule:
 
 
 def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
-              s_max: int = 8, seed: int = 0, notes=()) -> CompletionResult:
+              s_max: int = 8, notes=()) -> CompletionResult:
     """Derived Hom_A(E, Y) as a bigraded homology table over the window."""
     if Y.side != "left":
         raise ValueError("G takes a left A-module")
-    res = free_resolution(ctx.A, ctx.E_A, s_max=s_max, t_window=window, seed=seed)
+    res = free_resolution(ctx.A, ctx.E_A, s_max=s_max, t_window=window)
     table = ext_with_coefficients(res, Y, window)
     return CompletionResult("G", table, tuple(window), tuple(notes))
 
@@ -206,14 +206,14 @@ def degree_ranks(module: GradedFreeModule, lo=None, hi=None) -> dict:
     return out
 
 
-def completion_matches(table: BigradedTable, M: AModule, compare) -> bool:
+def completion_matches(table: BigradedTable, M: GradedFreeModule, compare) -> bool:
     """Whether a completion table of M has M's collapsed degree ranks.
 
     Compared over the explicit range `compare`; nothing is claimed outside it.
     """
     lo, hi = compare
     got = {d: r for d, r in collapsed_ranks(table).items() if lo <= d <= hi}
-    return got == degree_ranks(M.module, lo, hi)
+    return got == degree_ranks(M, lo, hi)
 
 
 def completion_is_equivalence(ctx: MoritaContext, M: AModule,
@@ -223,7 +223,7 @@ def completion_is_equivalence(ctx: MoritaContext, M: AModule,
     Compared as collapsed degree ranks over the explicit range `compare`;
     nothing is claimed outside it.
     """
-    return completion_matches(completion(ctx, M, window, s_max).table, M, compare)
+    return completion_matches(completion(ctx, M, window, s_max).table, M.module, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +446,11 @@ def torsion_T(ctx: MoritaContext, X: AModule) -> AModule:
 
 
 def torsion_S(ctx: MoritaContext, M: AModule, window=(-16, 16),
-              s_max: int = 8, seed: int = 0) -> CompletionResult:
+              s_max: int = 8) -> CompletionResult:
     """S(M) = derived Hom_R(E, M), as a bigraded table."""
     if M.side != "left":
         raise ValueError("S takes a left R-module")
-    res = free_resolution(ctx.R, ctx.E_R, s_max=s_max, t_window=window, seed=seed)
+    res = free_resolution(ctx.R, ctx.E_R, s_max=s_max, t_window=window)
     table = ext_with_coefficients(res, M, window)
     return CompletionResult("S", table, tuple(window))
 
@@ -459,8 +459,4 @@ def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),
                       s_max: int = 8) -> bool:
     """Whether S(T(A)) recovers A, as collapsed degree ranks over `compare`."""
     TA = torsion_T(ctx, AModule.regular(ctx.A, "right"))
-    S = torsion_S(ctx, TA, window, s_max)
-    lo, hi = compare
-    got = {d: r for d, r in collapsed_ranks(S.table).items() if lo <= d <= hi}
-    want = degree_ranks(ctx.A.module, lo, hi)
-    return got == want
+    return completion_matches(torsion_S(ctx, TA, window, s_max).table, ctx.A.module, compare)

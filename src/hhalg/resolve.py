@@ -1,7 +1,8 @@
 """Modules, free resolutions and bigraded Ext tables over graded algebras.
 
 AModule is the one module class: left or right modules, and through the
-enveloping algebra bimodules (hochschild) and Morita data (morita).
+enveloping algebra bimodules (hochschild) and Morita data (morita).  Its
+axioms are checked by the one action check, algebra.check_action.
 
 Two resolution builders:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, radical
+from .algebra import GradedAlgebra, check_action, radical
 from .base import GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table, slice_keys
 from .linalg import Echelon, SubquotientPresentation, factor, kernel_basis
 from .tables import BigradedTable
@@ -29,6 +30,10 @@ from .tables import BigradedTable
 
 class ResolutionError(ValueError):
     pass
+
+
+# random in-slice combinations tried per slice and round of the greedy choice
+GREEDY_TRIALS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +103,8 @@ class AModule:
 
     action maps monomial indices to HomogeneousMaps on the ground module
     (absent monomials act by zero); unitality and associativity are
-    checked on basis pairs unless check=False.  A bimodule is a left
-    module over tensor(A, opposite(A)) (see hochschild.bimodule).
+    checked by algebra.check_action unless check=False.  A bimodule is a
+    left module over tensor(A, opposite(A)) (see hochschild.bimodule).
     """
 
     def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule, action,
@@ -111,25 +116,7 @@ class AModule:
         self.action = dict(action)  # monomial index -> HomogeneousMap
         self.side = side
         if check:
-            self._check()
-
-    def _check(self):
-        A = self.algebra
-        g = A.base.ground
-        if self.act_map(A.unit_index) != HomogeneousMap.identity(self.module):
-            raise ValueError("unit does not act as identity")
-        for i in range(A.rank):
-            for j in range(A.rank):
-                lhs = self.act_map(i).compose(self.act_map(j))
-                prod = A.mul_basis(i, j) if self.side == "left" else A.mul_basis(j, i)
-                # a product may wrap a Laurent period: read each act_map(k)
-                # in the degree of the pair, which moves only implied powers
-                rhs = {}
-                for k, c in prod.items():
-                    for key, v in self.act_map(k).entries.items():
-                        rhs[key] = g.add(rhs.get(key, g.zero), g.mul(c, v))
-                if lhs != HomogeneousMap(self.module, self.module, lhs.degree, rhs):
-                    raise ValueError(f"{self.side} action fails on pair ({i},{j})")
+            check_action(algebra, module, self.action, side)
 
     def act_map(self, m) -> HomogeneousMap:
         if m in self.action:
@@ -302,7 +289,7 @@ def _minimal_generators(A: GradedAlgebra, F: FreeAModule, kernel, t_window):
 
 
 def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
-                    t_window=(-16, 16), seed: int = 0, trials: int = 6) -> Resolution:
+                    t_window=(-16, 16), seed: int = 0) -> Resolution:
     """Resolution of M by free modules, greedy small stage ranks (seeded)."""
     g = A.base.ground
     if not g.is_field:
@@ -312,7 +299,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     rng = random.Random(seed)
     # stage 0: cover M
     targets = [(M.module.generators[i][1], {i: g.one}) for i in range(M.module.rank)]
-    cover = _greedy_generators(A, M, targets, rng, trials)
+    cover = _greedy_generators(A, M, targets, rng)
     F0 = FreeAModule(A, tuple(d for d, _ in cover))
     stages = [F0]
     maps = []
@@ -330,7 +317,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
         F_s = stages[-1]
         acts = {m: F_s.monomial_action(m) for m in range(A.rank)}
         target = AModule(A, F_s.flatten(), acts, check=False)
-        chosen = _greedy_generators(A, target, kernel, rng, trials)
+        chosen = _greedy_generators(A, target, kernel, rng)
         F_next = FreeAModule(A, tuple(d for d, _ in chosen))
         ent = {}
         for j, (_, vec) in enumerate(chosen):
@@ -344,11 +331,11 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
                       target=M, cover=cover_vecs)
 
 
-def _greedy_generators(A: GradedAlgebra, target, vectors, rng, trials):
+def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
-    Candidates are the vectors themselves plus seeded random in-slice
-    combinations; each round keeps the candidate adding the largest
+    Candidates are the vectors themselves plus GREEDY_TRIALS seeded random
+    combinations per slice; each round keeps the candidate adding the largest
     A-span, which keeps stage ranks near-minimal in practice.
     """
     g = A.base.ground
@@ -381,7 +368,7 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng, trials):
         for vecs in by_deg.values():
             live = [v for v in vecs if span.reduce(v)]
             if len(live) > 1:
-                for _ in range(trials):
+                for _ in range(GREEDY_TRIALS):
                     combo = {}
                     for v in live:
                         c = rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)

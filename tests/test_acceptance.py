@@ -20,6 +20,7 @@ from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenera
 from hhalg.dg import make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
+    check_enveloping_against_bar,
     hochschild_cohomology,
     hochschild_via_enveloping,
     mu_homology_image,
@@ -192,6 +193,7 @@ def test_criterion_9_hochschild_of_matrix_algebras():
             A = matrix_algebra(p)
             bar = hochschild_cohomology(A, n_max=3)
             env = hochschild_via_enveloping(A, n_max=3)
+            check_enveloping_against_bar(A, env, bar, 3)
             for t in (bar, env):
                 assert t.entry(0, 0).free_rank == 1
                 assert all(s == 0 for (s, _) in t.entries)

@@ -10,6 +10,7 @@ from hhalg.algebra import (
     algebra_isomorphic,
     center,
     center_basis,
+    check_action,
     frobenius_nilradical,
     ideal_closure,
     opposite,
@@ -19,8 +20,9 @@ from hhalg.algebra import (
     semisimple_quotient,
     tensor,
 )
-from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
+from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from hhalg.ground import GroundRing, ZZ
+from hhalg.resolve import AModule
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -115,13 +117,66 @@ def test_associativity_checked_at_construction():
     unit_rows = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
                  (0, 2): {2: 1}, (2, 0): {2: 1}}
     # x*x = z, z*x = z, x*z = 0: (xx)x = z but x(xx) = 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="associativity fails"):
         GradedAlgebra(base, (("1", 0), ("x", 0), ("z", 0)), 0,
                       {**unit_rows, (1, 1): {2: 1}, (2, 1): {2: 1}})
     # group algebra of Z/2 as a sanity check that valid tables pass
     GradedAlgebra(base, (("1", 0), ("x", 0)), 0, {
         (0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: 1},
     })
+
+
+# -- the one action check ----------------------------------------------------
+
+def clifford_f3():
+    # the 2x2 matrix algebra over F3: x^2 = y^2 = 1, yx = -xy
+    return realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
+        [(1, ("x", "x"), 0), (-1, (), 0)],
+        [(1, ("y", "y"), 0), (-1, (), 0)],
+        [(1, ("y", "x"), 0), (1, ("x", "y"), 0)],
+    )))
+
+
+def test_check_action_rejects_left_multiplication_declared_right():
+    A = clifford_f3()
+    assert not A.is_commutative()
+    left = {i: A.left_mult(i) for i in range(A.rank)}
+    right = {i: A.right_mult(i) for i in range(A.rank)}
+    check_action(A, A.module, left, "left")
+    check_action(A, A.module, right, "right")
+    with pytest.raises(ValueError, match="right action fails on pair"):
+        check_action(A, A.module, left, "right")
+    with pytest.raises(ValueError, match="left action fails on pair"):
+        check_action(A, A.module, right, "left")
+
+
+def test_check_action_rejects_a_non_associative_table():
+    unit_rows = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1},
+                 (0, 2): {2: 1}, (2, 0): {2: 1}}
+    # the table of test_associativity_checked_at_construction, built unchecked
+    T = GradedAlgebra(BaseRing(F3), (("1", 0), ("x", 0), ("z", 0)), 0,
+                      {**unit_rows, (1, 1): {2: 1}, (2, 1): {2: 1}}, check=False)
+    with pytest.raises(ValueError, match="left action fails on pair"):
+        check_action(T, T.module, {i: T.left_mult(i) for i in range(T.rank)})
+
+
+def test_check_action_accepts_the_zero_module():
+    A = clifford_f3()
+    for side in ("left", "right"):
+        Z = AModule.zero(A, side)
+        assert Z.module.rank == 0 and not Z.action
+        check_action(A, Z.module, Z.action, side)
+
+
+def test_check_action_rejects_a_map_off_the_module_or_degree():
+    A = exterior_tau()
+    t = next(i for i in range(A.rank) if i != A.unit_index)
+    maps = {i: A.left_mult(i) for i in range(A.rank)}
+    check_action(A, A.module, maps)
+    other = GradedFreeModule(A.base, (("a", 0), ("b", 1)))
+    for bad in (HomogeneousMap.zero(other, other, 1), HomogeneousMap.zero(A.module, A.module, 0)):
+        with pytest.raises(ValueError, match="endomorphism of its degree"):
+            check_action(A, A.module, {**maps, t: bad})
 
 
 # -- opposite and tensor ------------------------------------------------------

@@ -263,16 +263,16 @@ def test_morita_torsion_subcommand(capsys, tmp_path):
 
 
 def test_morita_checks_each_module_once(capsys, tmp_path, monkeypatch):
-    from hhalg.resolve import AModule
+    import hhalg.resolve as resolve
 
     checked = []
-    real = AModule._check
+    real = resolve.check_action
 
-    def counting(self):
-        checked.append((self.algebra.monomials, self.module.generators, self.side))
-        return real(self)
+    def counting(algebra, module, maps, side="left"):
+        checked.append((algebra.monomials, module.generators, side))
+        return real(algebra, module, maps, side)
 
-    monkeypatch.setattr(AModule, "_check", counting)
+    monkeypatch.setattr(resolve, "check_action", counting)
     code, _, _ = run(capsys, ["morita", "--file", defpath("etale.def")], tmp_path)
     assert code == 0
     # E_R over R = F3[t]/(t^2 - t) and E_A over the scalars, one check each

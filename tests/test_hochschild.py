@@ -3,13 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import hochschild
-from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, opposite, realize, tensor
+from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, realize
 from hhalg.base import (
     BaseRing,
     GradedFreeModule,
     HomogeneousMap,
     LaurentGenerator,
-    graded_hom_module,
     hom_pair_index,
 )
 from hhalg.dg import ChainMap, make_quotient_dga
@@ -18,6 +17,7 @@ from hhalg.hochschild import (
     BarCochainComplex,
     action_map_mu,
     bimodule,
+    check_enveloping_against_bar,
     hochschild_cohomology,
     hochschild_via_enveloping,
     mu_homology_image,
@@ -165,31 +165,39 @@ def test_bar_table_pins_the_koszul_sign_of_the_right_action():
         k: SubquotientPresentation(r) for k, r in want.items()}
     # the enveloping route has no bar signs; its degree t is the bar's -t
     env = hochschild_via_enveloping(A, n_max=2)
+    check_enveloping_against_bar(A, env, bar, 2)
     assert {(s, -t): p for (s, t), p in env.entries.items() if not p.is_zero} == {
         k: SubquotientPresentation(r) for k, r in want.items()}
 
 
 # -- the enveloping-algebra path --------------------------------------------------
 
+def checked_enveloping(A, n_max):
+    """The enveloping table of A, cross-checked against its bar table."""
+    env = hochschild_via_enveloping(A, n_max=n_max)
+    check_enveloping_against_bar(A, env, hochschild_cohomology(A, n_max=n_max), n_max)
+    return env
+
+
 def test_enveloping_path_matrix_algebra():
-    t = hochschild_via_enveloping(m2_f3(), n_max=2)
+    t = checked_enveloping(m2_f3(), 2)
     assert n_ranks(t, 0) == 1
     assert n_ranks(t, 1) == 0
 
 
 def test_enveloping_path_dual_numbers():
-    t = hochschild_via_enveloping(dual_numbers_f3(), n_max=3)
+    t = checked_enveloping(dual_numbers_f3(), 3)
     assert [n_ranks(t, n) for n in range(4)] == [2, 1, 1, 1]
 
 
 def test_enveloping_path_graded_signs():
-    # odd generator: the cross-check inside compares bar and Ext degrees
-    t = hochschild_via_enveloping(lam_x_f3(), n_max=2)
+    # odd generator: the cross-check compares bar and Ext degrees
+    t = checked_enveloping(lam_x_f3(), 2)
     assert n_ranks(t, 0) == 2
 
 
 def test_enveloping_path_laurent():
-    t = hochschild_via_enveloping(lam_tau(), n_max=2)
+    t = checked_enveloping(lam_tau(), 2)
     assert [n_ranks(t, n) for n in range(3)] == [2, 2, 2]
 
 
@@ -197,8 +205,15 @@ def test_enveloping_path_wraps_a_laurent_period():
     # t^2 = v: products of the enveloping algebra land a Laurent period
     # below their pair degree, and the module check must accept them
     A = realize(AlgebraPresentation(KU2, (("t", 1),), ([(1, ("t", "t"), 0), (1, (), 1)],)))
-    t = hochschild_via_enveloping(A, n_max=2)
+    t = checked_enveloping(A, 2)
     assert [n_ranks(t, n) for n in range(3)] == [2, 2, 2]
+
+
+def test_enveloping_cross_check_rejects_a_foreign_bar_table():
+    A = dual_numbers_f3()
+    env = hochschild_via_enveloping(A, n_max=1)
+    with pytest.raises(AssertionError, match="disagrees with bar complex at n = 0"):
+        check_enveloping_against_bar(A, env, hochschild_cohomology(m2_f3(), n_max=1), 1)
 
 
 # -- the action map ----------------------------------------------------------------
@@ -219,16 +234,20 @@ def test_mu_multiplicative_check_runs():
 
 
 def test_mu_with_one_entry_changed_fails_the_algebra_map_check(monkeypatch):
+    # change one entry of the action of e_i (x) e_j, with neither factor the
+    # unit, so the changed monomial is not a generator of the enveloping algebra
     A = m2_f3()
     g = A.base.ground
-    entries = hochschild._mu_entries(A)
-    key = max(entries)
+    action = hochschild._regular_action(A)
+    idx = max(action)
+    assert A.unit_index not in divmod(idx, A.rank)
+    hm = action[idx]
+    entries = dict(hm.entries)
+    key = min(entries)
     entries[key] = g.add(entries[key], g.one)
-    T = tensor(A, opposite(A))
-    f = HomogeneousMap(T.module, graded_hom_module(A.module, A.module), 0, entries)
-    assert not hochschild._mu_is_multiplicative(A, T, f)
-    monkeypatch.setattr(hochschild, "_mu_entries", lambda _: dict(entries))
-    with pytest.raises(AssertionError, match="algebra-map check"):
+    action[idx] = HomogeneousMap(hm.source, hm.target, hm.degree, entries)
+    monkeypatch.setattr(hochschild, "_regular_action", lambda _: dict(action))
+    with pytest.raises(AssertionError, match="mu failed the algebra-map check: left action"):
         action_map_mu(A)
 
 

@@ -1,12 +1,13 @@
-"""hhalg modules reach each other only through public names, and only linalg
-knows how a matrix is stored."""
+"""hhalg modules reach each other only through public names, only linalg
+knows how a matrix is stored, and every definition in hhalg is used."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "hhalg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hhalg"
 
 
 def private_imports(tree):
@@ -63,3 +64,69 @@ def test_matrix_storage_detector_flags_offenders():
             "f(data, M.transpose)\n")
     assert matrix_storage_uses(ast.parse(code)) == [
         (1, ".data"), (2, ".data"), (2, ".transpose()")]
+
+
+def definitions(tree):
+    """Dotted names of the non-dunder functions and classes a module defines."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    out.append(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def referenced_names(tree):
+    """Every Name, Attribute, import alias and identifier string in a module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            out.add(node.value)
+    return out
+
+
+def unreferenced(defined, used):
+    """The dotted definitions whose last name part is never used."""
+    return [name for name in defined if name.rsplit(".", 1)[-1] not in used]
+
+
+def test_every_definition_is_referenced():
+    readers = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.rglob("*.py"))]
+    used = set().union(*(referenced_names(ast.parse(p.read_text())) for p in readers))
+    defined = [f"{p.stem}.{name}" for p in sorted(SRC.glob("*.py"))
+               for name in definitions(ast.parse(p.read_text()))]
+    assert unreferenced(defined, used) == []
+
+
+def test_dead_definition_detector_flags_offenders():
+    code = ("class Ring:\n"
+            "    def __init__(self): self.used()\n"
+            "    def used(self): pass\n"
+            "    def div(self, a, b):\n"
+            "        def helper(): pass\n"
+            "        return a\n"
+            "def patched(): pass\n"
+            "def dead(): pass\n"
+            "from x import imported\n"
+            "setattr(Ring, 'patched', None)\n"
+            "Ring()\n")
+    tree = ast.parse(code)
+    assert definitions(tree) == ["Ring", "Ring.used", "Ring.div", "Ring.div.helper",
+                                 "patched", "dead"]
+    assert "imported" in referenced_names(tree)
+    assert unreferenced(definitions(tree), referenced_names(tree)) == [
+        "Ring.div", "Ring.div.helper", "dead"]

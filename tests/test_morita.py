@@ -1,6 +1,6 @@
 import pytest
 
-from hhalg.algebra import AlgebraPresentation, realize
+from hhalg.algebra import AlgebraPresentation, check_action, realize
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap
 from hhalg.ground import GroundRing
 from hhalg.morita import (
@@ -102,7 +102,7 @@ def test_regular_modules_both_sides():
     R = etale()
     for side in ("left", "right"):
         X = AModule.regular(R, side)
-        X._check()
+        check_action(R, X.module, X.action, side)
 
 
 def test_context_rejects_noncommuting_actions():
