@@ -243,9 +243,8 @@ class GradedAlgebra:
             if v2:
                 clean[(i, j)] = v2
         self.mult = clean
-        if self.monomials[unit_index][1] % (base.period or 10 ** 9) not in (0,):
-            if self.monomials[unit_index][1] != 0:
-                raise ValueError("unit must sit in degree 0")
+        if base.degree_key(self.degree(unit_index)) != 0:
+            raise ValueError("unit must sit in degree 0")
         if check:
             self._check_unit()
             # (e_i e_j) e_k = e_i (e_j e_k) for every k says that the left

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ground import GroundRing
-from .linalg import ExactMatrix, SubquotientPresentation, kernel_basis, subquotient
+from .linalg import ExactMatrix, SubquotientPresentation, factor, subquotient
 from .tables import BigradedTable
 
 
@@ -97,10 +97,11 @@ class HomogeneousMap:
     The entries are fixed once built (add, scale and compose return new
     maps), so the map keeps a per-source-column index {j: [(i, c), ...]},
     built once on first use, that apply_coords, compose, slice_matrix and
-    algebra.check_action read instead of scanning every entry.
+    algebra.check_action read instead of scanning every entry.  For the
+    same reason it keeps each slice's factorization (`factored`).
     """
 
-    __slots__ = ("source", "target", "degree", "entries", "_columns")
+    __slots__ = ("source", "target", "degree", "entries", "_columns", "_factored")
 
     def __init__(self, source: GradedFreeModule, target: GradedFreeModule, degree: int, entries):
         if source.base != target.base:
@@ -122,6 +123,7 @@ class HomogeneousMap:
             clean[(i, j)] = c
         self.entries = clean
         self._columns = None
+        self._factored = {}
 
     def by_column(self) -> dict:
         """{source index j: [(target index i, scalar), ...]}, built once."""
@@ -214,6 +216,14 @@ class HomogeneousMap:
         columns = [{pos[i]: c for i, c in by_column.get(j, ())} for j in src]
         return ExactMatrix.from_columns(self.source.base.ground, len(tgt), columns), src, tgt
 
+    def factored(self, t: int):
+        """`factor` of the degree-t slice matrix, computed once per slice key."""
+        key = self.source.base.degree_key(t)
+        f = self._factored.get(key)
+        if f is None:
+            f = self._factored[key] = factor(self.slice_matrix(t)[0])
+        return f
+
     def __repr__(self):
         return f"HomogeneousMap(deg={self.degree}, entries={self.entries})"
 
@@ -235,15 +245,15 @@ def cohomology_at(outgoing: HomogeneousMap, incoming: HomogeneousMap | None,
     incoming is read on its slice t - incoming.degree, so a degree -1
     differential and a degree-0 cochain map are handled alike; None means
     there is no incoming map.  Because incoming.target is outgoing.source,
-    both slices index the same generators in the same order.
+    both slices index the same generators in the same order.  Both slices
+    come factored from their maps, so in a complex each slice is factored
+    once: degree n's incoming map is degree n-1's outgoing map.
     """
-    if incoming is not None and incoming.target != outgoing.source:
+    if incoming is None:
+        return subquotient(outgoing.factored(t))
+    if incoming.target != outgoing.source:
         raise ValueError("incoming map does not land in the source of the outgoing map")
-    out_mat, _, _ = outgoing.slice_matrix(t)
-    image = []
-    if incoming is not None:
-        image = incoming.slice_matrix(t - incoming.degree)[0].columns
-    return subquotient(outgoing.source.base.ground, kernel_basis(out_mat), image)
+    return subquotient(outgoing.factored(t), incoming.factored(t - incoming.degree))
 
 
 def cohomology_table(maps, top: int, window) -> BigradedTable:

@@ -8,12 +8,13 @@ inside an explicit window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, graded_hom_module,
                    hom_pair_index)
-from .linalg import ExactMatrix, SubquotientPresentation, factor, kernel_basis, smith_normal_form, solve
+from .linalg import ExactMatrix, SubquotientPresentation, factor, smith_normal_form, solve
 from .tables import BigradedTable
 
 
@@ -207,17 +208,18 @@ def induced_homology_iso(f: ChainMap, window) -> bool:
         if homology_at(C, n) != homology_at(D, n):
             return False
         # surjectivity: f(ker d_C) + im d_D spans ker d_D
-        # the three slices below index D's degree-n generators in one order
-        dn = D.d.slice_matrix(n)[0]
-        kd = kernel_basis(dn)
+        # the three slices below index D's degree-n generators in one order;
+        # homology_at has factored the differentials' slices read here
+        dn = D.d.factored(n)
+        kd = dn.kernel()
         if not kd:
             continue
         fmat = f.f.slice_matrix(n)[0]
-        cols = [fmat.apply(v) for v in kernel_basis(C.d.slice_matrix(n)[0])]
-        cols += D.d.slice_matrix(n + 1)[0].columns
+        cols = [fmat.apply(v) for v in C.d.factored(n).kernel()]
+        cols += D.d.factored(n + 1).matrix.columns
         if not cols:
             return False
-        sf = factor(ExactMatrix.from_columns(g, dn.cols, cols))
+        sf = factor(ExactMatrix.from_columns(g, dn.matrix.cols, cols))
         if any(sf.solve(v) is None for v in kd):
             return False
     return True
@@ -334,8 +336,6 @@ def dg_unit_kernel(A: DGAlgebra):
             return SubquotientPresentation(1, ()), g.one
         return SubquotientPresentation(0, ()), g.zero
     # over Z: the order of the class of e_u in coker(d), via Smith form
-    import math
-
     sf = smith_normal_form(in_mat)
     y = sf.U.apply({upos: 1})
     diag = sf.diagonal()
@@ -346,6 +346,5 @@ def dg_unit_kernel(A: DGAlgebra):
             if yr != 0:
                 return SubquotientPresentation(0, ()), 0  # infinite order: zero kernel
             continue
-        if yr % dr != 0:
-            n = n * (dr // math.gcd(dr, yr)) // math.gcd(n, dr // math.gcd(dr, yr))
+        n = math.lcm(n, dr // math.gcd(dr, yr))
     return SubquotientPresentation(1, ()), n

@@ -16,13 +16,14 @@ absolute value pivoting with alternating row/column sweeps, which keeps
 coefficient growth tame at this scale.
 
 A matrix is factored once: `factor(M)` returns an `EchelonForm` over a
-field and a `SmithForm` over Z, and both answer rank, kernel, cokernel and
-any number of solves against M.  `EchelonForm` adds M's columns to the
-echelon as they are stored.  The module functions `rank`,
-`kernel_basis`, `cokernel` and `solve` are one-shot calls on it, and
-`subquotient` factors its kernel vectors once for all image vectors.
-Callers that solve against one matrix many times keep the factored form
-instead of calling `solve` in a loop.
+field and a `SmithForm` over Z, and both keep M and answer its rank,
+kernel, cokernel and any number of solves against it.  `EchelonForm` adds
+M's columns to the echelon as they are stored.  The module functions
+`rank`, `kernel_basis`, `cokernel` and `solve` are one-shot calls on it.
+`subquotient` presents ker(A)/im(B) from the factorizations of A and B by
+rank arithmetic, factoring nothing itself.  Callers that solve against one
+matrix many times keep the factored form instead of calling `solve` in a
+loop.
 """
 
 from __future__ import annotations
@@ -180,8 +181,8 @@ class EchelonForm:
 
     def __init__(self, M: ExactMatrix):
         g = M.ground
+        self.matrix = M
         n = self.nrows = M.rows
-        self.ncols = M.cols
         self.echelon = Echelon(g)
         for j, col in enumerate(M.columns):
             self.echelon.add({**col, n + j: g.one})
@@ -224,6 +225,7 @@ class SmithForm:
     map onto im(M) and the rest span ker(M).
     """
 
+    matrix: ExactMatrix
     U: ExactMatrix
     D: ExactMatrix
     V: ExactMatrix
@@ -394,8 +396,8 @@ def smith_normal_form(M: ExactMatrix) -> SmithForm:
                 _addmul_col(V, i, i + 1, 1)
                 _smith_integer_block(D, U, V, i)
                 changed = True
-    return SmithForm(*(ExactMatrix.from_columns(g, len(m), _columns_of(m, c))
-                       for m, c in ((U, rows), (D, cols), (V, cols))))
+    return SmithForm(M, *(ExactMatrix.from_columns(g, len(m), _columns_of(m, c))
+                          for m, c in ((U, rows), (D, cols), (V, cols))))
 
 
 def _smith_integer_block(D, U, V, t):
@@ -484,37 +486,22 @@ def determinant(M: ExactMatrix):
     return sign * a[n - 1][n - 1]
 
 
-def subquotient(ground: GroundRing, kernel_vectors, image_vectors) -> SubquotientPresentation:
-    """Present span(kernel_vectors)/span(image_vectors).
+def subquotient(outgoing, incoming=None) -> SubquotientPresentation:
+    """Present ker(A)/im(B) from the factorizations of A and B (`factor`).
 
-    The vectors are sparse {coordinate: scalar} with canonical entries, as
-    kernels and matrix columns are.  Every image vector must lie in the
-    span of the kernel vectors (over Z, in their integer span), which are
-    taken to be independent.  Over a field the presentation is a
-    difference of two echelon ranks.  Over Z the image is rewritten in
-    kernel coordinates and the presentation is the cokernel of that
-    coordinate matrix; the kernel matrix is factored once and every image
-    vector is solved against it.
+    outgoing factors A and incoming factors B, or is None for B = 0; B's
+    rows are A's columns, and A B must be 0.  The kernel of A is a direct
+    summand of its source (over Z, Z^n/ker(A) embeds in Z^m and is free),
+    so ker(A)/im(B) is free of rank nullity(A) - rank(B), plus the torsion
+    of coker(B).
     """
-    if not kernel_vectors:
-        return SubquotientPresentation(0)
-    if not image_vectors:
-        return SubquotientPresentation(len(kernel_vectors))
-    if ground.is_field:
-        spans = Echelon(ground), Echelon(ground)
-        for span, vectors in zip(spans, (kernel_vectors, image_vectors)):
-            for v in vectors:
-                span.add(v)
-        if any(spans[0].reduce(row) for row in spans[1].rows.values()):
-            raise ValueError("image vector outside the kernel span")
-        return SubquotientPresentation(spans[0].rank - spans[1].rank)
-    # coordinates past every vector's support are zero throughout
-    dim = 1 + max(i for v in (*kernel_vectors, *image_vectors) for i in v)
-    sf = smith_normal_form(ExactMatrix.from_columns(ground, dim, kernel_vectors))
-    coords = []
-    for v in image_vectors:
-        x = sf.solve(v)
-        if x is None:
-            raise ValueError("image vector outside the kernel span")
-        coords.append(x)
-    return cokernel(ExactMatrix.from_columns(ground, len(kernel_vectors), coords))
+    A = outgoing.matrix
+    free = A.cols - outgoing.rank
+    if incoming is None:
+        return SubquotientPresentation(free)
+    B = incoming.matrix
+    if B.rows != A.cols:
+        raise ValueError("dimension mismatch")
+    if any(A.apply(col) for col in B.columns):
+        raise ValueError("image vector outside the kernel span")
+    return SubquotientPresentation(free - incoming.rank, incoming.cokernel().torsion)

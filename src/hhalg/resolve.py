@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, check_action, radical
 from .base import GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table, slice_keys
-from .linalg import Echelon, SubquotientPresentation, factor, kernel_basis
+from .linalg import Echelon, SubquotientPresentation
 from .tables import BigradedTable
 
 
@@ -157,13 +157,17 @@ class AModule:
 class Resolution:
     """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
 
-    cover describes F_0 -> target when resolving an explicit module (the
-    flattened coordinates of the images of the stage-0 generators).
+    flat_maps[s] is maps[s].flatten(), built once by the stage loop; it
+    keeps the slice factorizations taken there for the audit and the
+    Yoneda lifts.  cover describes F_0 -> target when resolving an
+    explicit module (the flattened coordinates of the images of the
+    stage-0 generators).
     """
 
     algebra: GradedAlgebra
     stages: list
     maps: list
+    flat_maps: list
     bounds: tuple
     minimal: bool
     target: AModule | None = None
@@ -175,13 +179,12 @@ class Resolution:
 
 def _flat_kernel(fmap: HomogeneousMap, window):
     """Homogeneous kernel vectors of a degree-0 flattened map, with degrees."""
-    base = fmap.source.base
     out = []
     for key in slice_keys(fmap.source, window):
-        mat, src_idx, _ = fmap.slice_matrix(key)
+        src_idx = fmap.source.slice_indices(key)
         if not src_idx:
             continue
-        for v in kernel_basis(mat):
+        for v in fmap.factored(key).kernel():
             vec = {src_idx[a]: c for a, c in v.items()}
             deg = min(fmap.source.generators[i][1] for i in vec)
             out.append((deg, vec))
@@ -235,7 +238,7 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
     lo, hi = t_window
     F0 = FreeAModule(A, (0,))
     stages = [F0]
-    maps = []
+    maps, flats = [], []
     # kernel of the augmentation F0 -> k: the non-unit coordinates
     kernel = []
     for m in range(A.rank):
@@ -255,8 +258,10 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
         d_next = AModuleMap(F_next, F_s, entries)
         stages.append(F_next)
         maps.append(d_next)
-        kernel = _flat_kernel(d_next.flatten(), t_window) if F_next.rank else []
-    res = Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=True)
+        flats.append(d_next.flatten())
+        if s + 1 < s_max:
+            kernel = _flat_kernel(flats[-1], t_window)
+    res = Resolution(A, stages, maps, flats, (s_max, tuple(t_window)), minimal=True)
     _audit(res, t_window)
     return res
 
@@ -302,7 +307,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     cover = _greedy_generators(A, M, targets, rng)
     F0 = FreeAModule(A, tuple(d for d, _ in cover))
     stages = [F0]
-    maps = []
+    maps, flats = [], []
     cover_vecs = [vec for _, vec in cover]
     # flattened map F0 -> M
     entries = {}
@@ -326,8 +331,10 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
         d_next = AModuleMap(F_next, F_s, ent)
         stages.append(F_next)
         maps.append(d_next)
-        kernel = _flat_kernel(d_next.flatten(), t_window) if F_next.rank else []
-    return Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=False,
+        flats.append(d_next.flatten())
+        if s + 1 < s_max:
+            kernel = _flat_kernel(flats[-1], t_window)
+    return Resolution(A, stages, maps, flats, (s_max, tuple(t_window)), minimal=False,
                       target=M, cover=cover_vecs)
 
 
@@ -401,8 +408,8 @@ def _audit(res: Resolution, t_window):
         for (i, j), elem in d.entries.items():
             if u in elem:
                 raise ResolutionError("resolution is not minimal: unit entry in d")
-    flats = [m.flatten() for m in res.maps]
-    for s in range(1, len(res.maps)):
+    flats = res.flat_maps
+    for s in range(1, len(flats)):
         outer = flats[s - 1]  # F_s -> F_{s-1}
         inner = flats[s]      # F_{s+1} -> F_s
         for key in slice_keys(outer.source, t_window):
@@ -538,27 +545,23 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     A = res.algebra
     g = A.base.ground
     F0, F1, F2 = res.stages[0], res.stages[1], res.stages[2]
-    d1, d2 = res.maps[0], res.maps[1]
+    d1f, d2f = res.flat_maps[0], res.flat_maps[1]
     # lift f1: F1 -> F0 with augmentation(f1(g_j)) = cls[j]; internal degree -t
     f1 = AModuleMap(F1, F0, {
         (0, j): {A.unit_index: c} for j, c in cls.items() if c != 0
     }, degree=-t)
     # solve d1 o f2 = f1 o d2 for f2: F2 -> F1 of degree -t, slice by slice
-    rhs = f1.flatten().compose(d2.flatten())
-    d1f = d1.flatten()
+    rhs = f1.flatten().compose(d2f)
     entries = {}
-    F2flat, F1flat = F2.flatten(), F1.flatten()
+    F2flat, F1flat = d2f.source, d1f.source
     for key in slice_keys(F2flat, (res.bounds[1][0] * 2, res.bounds[1][1] * 2)):
-        mat, src_idx, _ = d1f.slice_matrix(key - t)
+        src_idx = F1flat.slice_indices(key - t)
         rmat, rsrc, _ = rhs.slice_matrix(key)
-        sf = None  # factored on the first column that needs a lift
         # both slices index F0's degree key - t generators, in the same order
         for target, j in zip(rmat.columns, rsrc):
             if not target:
                 continue
-            if sf is None:
-                sf = factor(mat)
-            sol = sf.solve(target)
+            sol = d1f.factored(key - t).solve(target)
             if sol is None:
                 raise AssertionError("cocycle lift failed on an exact resolution")
             for r, v in sol.items():

@@ -126,6 +126,15 @@ def test_associativity_checked_at_construction():
     })
 
 
+def test_unit_must_sit_in_degree_zero_up_to_the_laurent_period():
+    # with no structure constants the degree check is the first to see the unit
+    with pytest.raises(ValueError, match="unit must sit in degree 0"):
+        GradedAlgebra(BaseRing(F3), (("1", 2),), 0, {})
+    # over F2[v^±1] with |v| = 2, degree 2 is degree 0 up to a power of v
+    A = GradedAlgebra(KU2, (("1", 2),), 0, {(0, 0): {0: 1}})
+    assert A.mul_basis(0, 0) == {0: 1}
+
+
 # -- the one action check ----------------------------------------------------
 
 def clifford_f3():

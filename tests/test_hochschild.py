@@ -1,8 +1,10 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhalg import hochschild
+from hhalg import base, hochschild
 from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, realize
 from hhalg.base import (
     BaseRing,
@@ -76,6 +78,41 @@ def test_hh_matrix_algebra():
     assert n_ranks(t, 0) == 1
     for n in (1, 2, 3):
         assert n_ranks(t, n) == 0
+
+
+def test_hh_of_m3_f3_through_n3_is_its_center():
+    # HH of an Azumaya algebra is its center, in degree 0: End(F3^3) = M3(F3)
+    A = endomorphism_algebra(GradedFreeModule(BaseRing(F3), (("e0", 0), ("e1", 0), ("e2", 0))))
+    t0 = time.perf_counter()
+    table = hochschild_cohomology(A, n_max=3)
+    dt = time.perf_counter() - t0
+    assert table.entries == {(0, 0): SubquotientPresentation(1)}
+    assert dt < 10, f"bar HH of M3(F3) through n = 3 took {dt:.1f}s"
+
+
+def test_hochschild_cohomology_factors_each_slice_once(monkeypatch):
+    sliced, factored = [], []
+    real_slice, real_factor = HomogeneousMap.slice_matrix, base.factor
+
+    def slicing(self, t):
+        sliced.append((id(self), self.source.base.degree_key(t)))
+        return real_slice(self, t)
+
+    def counting(M):
+        factored.append(M)
+        return real_factor(M)
+
+    monkeypatch.setattr(HomogeneousMap, "slice_matrix", slicing)
+    monkeypatch.setattr(base, "factor", counting)
+    dual_z = realize(AlgebraPresentation(BaseRing(ZZ), (("t", 0),), ([(1, ("t", "t"), 0)],)))
+    for A in (dual_numbers_f3(), dual_z):
+        sliced.clear()
+        factored.clear()
+        t = hochschild_cohomology(A, n_max=4)
+        assert [n_ranks(t, n) for n in range(5)] == [2, 1, 1, 1, 1]
+        # one slice and one factorization per (map, slice key); the bar
+        # maps all live until the table is done, so no id is reused
+        assert factored and len(factored) == len(sliced) == len(set(sliced))
 
 
 def test_hh_dual_numbers_periodic_pattern():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at
 from hhalg.ground import GroundRing, ZZ, QQ
 from hhalg.linalg import (
     Echelon,
@@ -149,43 +150,85 @@ def test_kernel_vectors_annihilate():
 
 
 def test_subquotient():
-    # Z^2 / span{(2,0)} inside kernel basis {(1,0),(0,1)}
-    pres = subquotient(ZZ, [{0: 1}, {1: 1}], [{0: 2}])
+    # ker(Z^2 -> 0) / span{(2, 0)} = Z + Z/2
+    zero = factor(ExactMatrix(ZZ, [], cols=2))
+    pres = subquotient(zero, factor(ExactMatrix(ZZ, [[2], [0]])))
     assert (pres.free_rank, pres.torsion) == (1, (2,))
-    assert subquotient(ZZ, [], []).is_zero
+    assert subquotient(zero) == SubquotientPresentation(2)
+    assert subquotient(factor(ExactMatrix(ZZ, [], cols=0))).is_zero
+    # ker (2 0) = span{(0, 1)}, a direct summand: modulo (0, 3) it is Z/3
+    pres = subquotient(factor(ExactMatrix(ZZ, [[2, 0]])), factor(ExactMatrix(ZZ, [[0], [3]])))
+    assert (pres.free_rank, pres.torsion) == (0, (3,))
 
 
 def test_subquotient_rejects_image_outside_kernel_span():
-    # over F3: (0, 1) is not in span{(1, 0)}
+    # over F3: ker (0 1) = span{(1, 0)} does not hold (0, 1)
     with pytest.raises(ValueError, match="outside the kernel span"):
-        subquotient(F3, [{0: 1}], [{1: 1}])
-    # over Z: (1, 0) is in the Q-span of (2, 0) but not in its Z-span
+        subquotient(factor(ExactMatrix(F3, [[0, 1]])), factor(ExactMatrix(F3, [[0], [1]])))
+    # over Z: (2) sends the image vector 1 to 2, not to 0
     with pytest.raises(ValueError, match="outside the kernel span"):
-        subquotient(ZZ, [{0: 2}], [{0: 1}])
-    assert subquotient(ZZ, [{0: 2}], [{0: 4}]).torsion == (2,)
+        subquotient(factor(ExactMatrix(ZZ, [[2]])), factor(ExactMatrix(ZZ, [[1]])))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        subquotient(factor(ExactMatrix(ZZ, [[2]])), factor(ExactMatrix(ZZ, [[0], [0]])))
 
 
-def test_subquotient_factors_kernel_once(monkeypatch):
-    import hhalg.linalg as linalg
+def kernel_coordinates_oracle(outgoing, incoming, t):
+    """ker(outgoing)/im(incoming) on slice t the long way: a kernel basis,
+    each image vector solved into kernel coordinates, then the cokernel of
+    that coordinate matrix (over Z it carries the torsion)."""
+    g = outgoing.source.base.ground
+    kernel = kernel_basis(outgoing.slice_matrix(t)[0])
+    image = [] if incoming is None else incoming.slice_matrix(t - incoming.degree)[0].columns
+    K = factor(ExactMatrix.from_columns(g, len(outgoing.source.slice_indices(t)), kernel))
+    coords = [K.solve(v) for v in image]
+    assert None not in coords
+    return cokernel(ExactMatrix.from_columns(g, len(kernel), coords))
 
-    factored = []
-    real = linalg.smith_normal_form
 
-    def counting(M):
-        factored.append((M.rows, M.cols))
-        return real(M)
+def random_cochain_pair(g, rng):
+    """C0 -d0-> C1 -d1-> C2, degree-0 maps with d1 d0 = 0 on slices 0 and 1.
 
-    monkeypatch.setattr(linalg, "smith_normal_form", counting)
-    kernel = [{0: 1}, {1: 1}]
-    image = [{0: 2}, {1: 3}, {0: 2, 1: 6}, {0: 4}]
-    pres = subquotient(ZZ, kernel, image)
-    assert (pres.free_rank, pres.torsion) == (0, (6,))
-    # one factorization of the kernel matrix, one of the coordinate matrix;
-    # the kernel matrix has a row for each coordinate the vectors reach
-    assert factored == [(2, 2), (2, 4)]
-    # with no image vectors the kernel vectors present the module unfactored
-    assert subquotient(ZZ, kernel, []) == SubquotientPresentation(2)
-    assert factored == [(2, 2), (2, 4)]
+    d1 is random; d0's columns are random combinations of a kernel basis
+    of d1, with coefficients up to 3, so over Z the image is often not
+    saturated and the cohomology has torsion.
+    """
+    def scalar():
+        return rng.randint(-3, 3) if g.kind != "Fp" else rng.randrange(g.p)
+
+    ranks = {t: [rng.randint(0, 4) for _ in range(3)] for t in (0, 1)}
+    mods = [GradedFreeModule(BaseRing(g), tuple(
+        (f"c{i}.{t}.{a}", t) for t in (0, 1) for a in range(ranks[t][i]))) for i in range(3)]
+    d0, d1 = {}, {}
+    for t in (0, 1):
+        n0, n1, n2 = ranks[t]
+        offsets = [ranks[0][i] if t else 0 for i in range(3)]
+        rows = [[scalar() for _ in range(n1)] for _ in range(n2)]
+        for r, row in enumerate(rows):
+            for c, x in enumerate(row):
+                d1[(offsets[2] + r, offsets[1] + c)] = x
+        kernel = kernel_basis(ExactMatrix(g, rows, cols=n1))
+        for c in range(n0):
+            for v in kernel:
+                w = scalar()
+                for r, x in v.items():
+                    key = (offsets[1] + r, offsets[0] + c)
+                    d0[key] = g.add(d0.get(key, g.zero), g.mul(w, x))
+    return (HomogeneousMap(mods[0], mods[1], 0, d0), HomogeneousMap(mods[1], mods[2], 0, d1))
+
+
+@pytest.mark.parametrize("g", [ZZ, F2, F3, QQ], ids=["Z", "F2", "F3", "Q"])
+def test_cohomology_at_matches_the_kernel_coordinates_oracle(g):
+    rng = random.Random(29)
+    torsion = 0
+    for _ in range(40):
+        d0, d1 = random_cochain_pair(g, rng)
+        assert d1.compose(d0).is_zero()
+        for t in (0, 1):
+            for outgoing, incoming in ((d1, d0), (d1, None), (d0, None)):
+                pres = cohomology_at(outgoing, incoming, t)
+                assert pres == kernel_coordinates_oracle(outgoing, incoming, t)
+                torsion += len(pres.torsion)
+    assert (torsion > 0) == (g == ZZ)
 
 
 def test_factored_solve_against_enumeration_over_f3():

@@ -1,5 +1,6 @@
 import pytest
 
+from hhalg import resolve
 from hhalg.algebra import AlgebraPresentation, realize
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
 from hhalg.ground import GroundRing
@@ -246,3 +247,19 @@ def test_yoneda_square_zero_over_truncated():
 def test_yoneda_square_of_zero_class():
     res = minimal_resolution(lam_tau(), s_max=3)
     assert yoneda_square(res, {}, 1) == {}
+
+
+def test_minimal_resolution_audit_catches_a_dropped_generator(monkeypatch):
+    # drop the one generator of F_2: d_2 = 0 no longer covers ker(d_1)
+    real = resolve._minimal_generators
+    stages = []
+
+    def dropping(A, F, kernel, t_window):
+        chosen = real(A, F, kernel, t_window)
+        stages.append(len(chosen))
+        return chosen[:-1] if len(stages) == 2 else chosen
+
+    monkeypatch.setattr(resolve, "_minimal_generators", dropping)
+    with pytest.raises(ResolutionError, match="exactness fails at stage 1"):
+        minimal_resolution(lam_x(), s_max=4)
+    assert stages[1] == 1
