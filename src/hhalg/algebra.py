@@ -17,17 +17,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .base import BaseRing, GradedFreeModule, HomogeneousMap
+from .base import BaseRing, GradedFreeModule, HomogeneousMap, tensor_module
 from .ground import GroundRing
-from .linalg import Echelon, ExactMatrix, SubquotientPresentation, kernel_basis, rank
+from .linalg import Echelon, ExactMatrix, SubquotientPresentation, kernel_basis
 
 
 class RealizeError(ValueError):
     """Presentation cannot be realized (divergent, non-confluent, bad relation)."""
 
 
-class BudgetExceededError(RuntimeError):
-    """A bounded search ran out of budget before reaching a conclusion."""
+class BudgetExceededError(ValueError):
+    """A budget, cap or window was exceeded before reaching a conclusion."""
+
+
+class DivergenceError(RealizeError, BudgetExceededError):
+    """Rewriting or the monomial basis ran past its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ class _Rewriter:
             w: self.g.neg(self.g.mul(inv, c)) for w, c in poly.items() if w != lead
         }
         if len(self.rules) >= self.MAX_RULES:
-            raise RealizeError("rewriting system diverges (rule cap exceeded)")
+            raise DivergenceError("rewriting system diverges (rule cap exceeded)")
         self.rules[lead] = rhs
         return True
 
@@ -200,7 +204,7 @@ class _Rewriter:
                     nxt.append(cand)
             words.extend(nxt)
             if len(words) > max_rank:
-                raise RealizeError(
+                raise DivergenceError(
                     f"monomial basis diverges past {max_rank}; "
                     "add relations or a truncation bound"
                 )
@@ -436,10 +440,6 @@ def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
         raise ValueError("tensor over different bases")
     g = A.base.ground
     nB = B.rank
-    monomials = []
-    for an, ad in A.monomials:
-        for bn, bd in B.monomials:
-            monomials.append((f"{an}|{bn}", ad + bd))
     mult = {}
     for i1 in range(A.rank):
         for j1 in range(B.rank):
@@ -463,7 +463,8 @@ def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
                     if out:
                         mult[(i1 * nB + j1, i2 * nB + j2)] = out
     return GradedAlgebra(
-        A.base, monomials, A.unit_index * nB + B.unit_index, mult, check=False
+        A.base, tensor_module(A.module, B.module).generators,
+        A.unit_index * nB + B.unit_index, mult, check=False
     )
 
 
@@ -731,12 +732,8 @@ def algebra_isomorphic(A: GradedAlgebra, B: GradedAlgebra, budget: int = 100000)
 
 def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bool:
     g = A.base.ground
-    # bijective: every degree slice block square of full rank
-    keys = {A.base.degree_key(d) for _, d in A.monomials}
-    for key in keys:
-        m, _, _ = f.slice_matrix(key)
-        if m.rows != m.cols or rank(m) != m.rows:
-            return False
+    if not f.is_iso():
+        return False
     images = [f.apply_coords({i: g.one}) for i in range(A.rank)]
     for i, fi in enumerate(images):
         for j, fj in enumerate(images):
@@ -746,36 +743,49 @@ def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bo
     return True
 
 
+def _endomorphism_pairs(M: GradedFreeModule):
+    """The elementary maps (i, j): M_i -> M_j after the identity, in basis order."""
+    return [(i, j) for i in range(M.rank) for j in range(M.rank) if (i, j) != (0, 0)]
+
+
+def endomorphism_action(M: GradedFreeModule) -> dict:
+    """The natural action of endomorphism_algebra(M) on M, by monomial index.
+
+    Monomial 0 is the identity and monomial k the elementary map
+    _endomorphism_pairs(M)[k - 1]: M_i -> M_j.
+    """
+    one = M.base.ground.one
+    action = {0: HomogeneousMap.identity(M)}
+    for k, (i, j) in enumerate(_endomorphism_pairs(M), 1):
+        action[k] = HomogeneousMap(M, M, M.degrees[j] - M.degrees[i], {(j, i): one})
+    return action
+
+
 def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
     """End(M) of a free graded module, with composition as the product.
 
     The identity map must be a basis monomial, so the basis is the identity
     together with the elementary maps e_ij: M_i -> M_j for (i, j) != (0, 0);
-    the missing e_00 is the identity minus the other diagonal maps.
+    the missing e_00 is the identity minus the other diagonal maps.  The
+    product a * b is the composite of the two maps of endomorphism_action
+    (b first), rewritten on that basis.
     """
     if M.rank == 0:
         raise ValueError("endomorphisms of the zero module have no unit monomial")
     g = M.base.ground
-    r = M.rank
-    pairs = [(i, j) for i in range(r) for j in range(r) if (i, j) != (0, 0)]
+    pairs = _endomorphism_pairs(M)
+    action = endomorphism_action(M)
 
-    def raw_of(idx):
-        # coordinates of a basis monomial on the elementary maps e_ij
-        if idx == 0:
-            return {(i, i): g.one for i in range(r)}
-        return {pairs[idx - 1]: g.one}
-
-    def to_basis(raw):
-        out = {}
-        c00 = raw.pop((0, 0), g.zero)
-        if c00 != 0:
-            out[0] = c00
-            for i in range(1, r):
-                raw[(i, i)] = g.sub(raw.get((i, i), g.zero), c00)
-        for k, (i, j) in enumerate(pairs):
-            c = raw.get((i, j), g.zero)
+    def to_basis(entries):
+        # entries[(j, i)] is the coefficient of e_ij; e_00 = id - sum of e_ii
+        c00 = entries.get((0, 0), g.zero)
+        out = {0: c00} if c00 != 0 else {}
+        for k, (i, j) in enumerate(pairs, 1):
+            c = entries.get((j, i), g.zero)
+            if i == j:
+                c = g.sub(c, c00)
             if c != 0:
-                out[k + 1] = c
+                out[k] = c
         return out
 
     names = [n for n, _ in M.generators]
@@ -783,18 +793,9 @@ def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
         (f"[{names[i]}->{names[j]}]", M.degrees[j] - M.degrees[i]) for i, j in pairs
     ]
     mult = {}
-    n = len(monomials)
-    for a in range(n):
-        ra = raw_of(a)
-        for b in range(n):
-            raw = {}
-            for (i, j), c in ra.items():
-                for (k, l), c2 in raw_of(b).items():
-                    # a*b applies b first: e_ij o e_kl = [l == i] e_kj
-                    if l == i:
-                        key = (k, j)
-                        raw[key] = g.add(raw.get(key, g.zero), g.mul(c, c2))
-            vec = to_basis({k: v for k, v in raw.items() if v != 0})
+    for a, fa in action.items():
+        for b, fb in action.items():
+            vec = to_basis(fa.compose(fb).entries)
             if vec:
                 mult[(a, b)] = vec
     return GradedAlgebra(M.base, tuple(monomials), 0, mult)

@@ -3,19 +3,23 @@
 Each check returns an AzumayaReport listing named conditions with their
 verdicts and witnesses; the overall verdict is the conjunction.  The heart
 of every flavor is invertibility of the action map mu from A (x) A^op to
-Hom(A, A) -- exactly, slice by slice, for ungraded/graded algebras, and as
-a quasi-isomorphism over an explicit window in the DG case.
+Hom(A, A) -- exactly, slice by slice (HomogeneousMap.is_iso), for
+ungraded/graded algebras, and as a quasi-isomorphism over an explicit
+window in the DG case.  endo_smash_invariant decides the same two
+questions, an action (algebra.check_action) and a bijective action map,
+for End(E1) (x) End(E2) acting on E1 (x) E2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import GradedAlgebra
-from .base import GradedFreeModule, HomogeneousMap
+from .algebra import (BudgetExceededError, GradedAlgebra, endomorphism_action,
+                      endomorphism_algebra, tensor)
+from .base import GradedFreeModule, HomogeneousMap, tensor_maps, tensor_module
 from .dg import DGAlgebra, dg_unit_kernel, homology_at, is_quasi_iso
 from .hochschild import action_map_mu, mu_is_iso
-from .linalg import ExactMatrix, rank as mat_rank
+from .resolve import AModule
 
 
 @dataclass
@@ -55,7 +59,7 @@ def _check_window(A: DGAlgebra, window):
     lo, hi = window
     period = A.base.period
     if period and hi - lo + 1 < period:
-        raise ValueError(
+        raise BudgetExceededError(
             f"window {window} shorter than the Laurent period {period}"
         )
 
@@ -205,63 +209,18 @@ def check_weak_azumaya(A, window=(-6, 6)) -> AzumayaReport:
 def endo_smash_invariant(E1: GradedFreeModule, E2: GradedFreeModule) -> bool:
     """Whether End(E1) (x) End(E2) -> End(E1 (x) E2) is an algebra isomorphism.
 
-    The canonical map sends f (x) g to x (x) y |-> (-1)^{|g||x|} f(x) (x) g(y);
-    multiplicativity against the Koszul-signed tensor product and bijectivity
-    are both checked on elementary-map coordinates.
+    f (x) g acts on E1 (x) E2 as tensor_maps(f, g), x (x) y |-> (-1)^{|g||x|}
+    f(x) (x) g(y).  The map is multiplicative against the Koszul-signed
+    tensor algebra exactly when these maps are an action (check_action, run
+    by AModule), and it is the module's action map, so bijectivity is
+    action_map().is_iso().
     """
-    if E1.base != E2.base:
-        raise ValueError("modules over different bases")
-    g = E1.base.ground
-    r1, r2 = E1.rank, E2.rank
-    d1, d2 = E1.degrees, E2.degrees
-    n1, n2 = r1 * r1, r2 * r2
-
-    def theta(a, b):
-        # elementary pair ((i->j), (k->l)) in End(E1 (x) E2) coordinates
-        i, j = divmod(a, r1)
-        k, l = divmod(b, r2)
-        sign = -1 if ((d2[l] - d2[k]) % 2 and d1[i] % 2) else 1
-        src = i * r2 + k
-        tgt = j * r2 + l
-        return (src * (r1 * r2) + tgt), g.normalize(sign)
-
-    def compose_pairs(p, q, r):
-        # (e_{i->j} o e_{k->l}) in a rank-r endomorphism coordinate system
-        i, j = divmod(p, r)
-        k, l = divmod(q, r)
-        return (k * r + j) if l == i else None
-
-    # multiplicativity on all basis 4-tuples
-    for a1 in range(n1):
-        for b1 in range(n2):
-            t1, s1 = theta(a1, b1)
-            for a2 in range(n1):
-                aa = compose_pairs(a1, a2, r1)
-                for b2 in range(n2):
-                    t2, s2 = theta(a2, b2)
-                    # Koszul sign of (f1 (x) g1)(f2 (x) g2)
-                    k1, l1 = divmod(b1, r2)
-                    i2, j2 = divmod(a2, r1)
-                    ksign = -1 if ((d2[l1] - d2[k1]) % 2
-                                   and (d1[j2] - d1[i2]) % 2) else 1
-                    bb = compose_pairs(b1, b2, r2)
-                    lhs = {}
-                    if aa is not None and bb is not None:
-                        t, s = theta(aa, bb)
-                        lhs = {t: g.mul(g.normalize(ksign), s)}
-                    tt = compose_pairs(t1, t2, r1 * r2)
-                    rhs = {}
-                    if tt is not None:
-                        rhs = {tt: g.mul(s1, s2)}
-                    lhs = {k: v for k, v in lhs.items() if v != 0}
-                    rhs = {k: v for k, v in rhs.items() if v != 0}
-                    if lhs != rhs:
-                        return False
-    # bijectivity of the full structure matrix
-    n = n1 * n2
-    columns = []
-    for a in range(n1):
-        for b in range(n2):
-            t, s = theta(a, b)
-            columns.append({t: s})
-    return mat_rank(ExactMatrix.from_columns(g, n, columns)) == n
+    act1, act2 = endomorphism_action(E1), endomorphism_action(E2)
+    n2 = len(act2)
+    action = {a * n2 + b: tensor_maps(f, g) for a, f in act1.items() for b, g in act2.items()}
+    T = tensor(endomorphism_algebra(E1), endomorphism_algebra(E2))
+    try:
+        M = AModule(T, tensor_module(E1, E2), action)
+    except ValueError:
+        return False
+    return M.action_map().is_iso()

@@ -224,6 +224,22 @@ class HomogeneousMap:
             f = self._factored[key] = factor(self.slice_matrix(t)[0])
         return f
 
+    def is_iso(self) -> bool:
+        """Whether the map is bijective, slice by slice.
+
+        Every source and target slice key is visited; a slice passes when
+        its factorization has full column rank and a zero cokernel, so over
+        Z its invariant factors must be units.
+        """
+        key = self.source.base.degree_key
+        keys = ({key(d) for d in self.source.degrees}
+                | {key(d - self.degree) for d in self.target.degrees})
+        for t in sorted(keys):
+            f = self.factored(t)
+            if f.rank != f.matrix.cols or not f.cokernel().is_zero:
+                return False
+        return True
+
     def __repr__(self):
         return f"HomogeneousMap(deg={self.degree}, entries={self.entries})"
 
@@ -268,6 +284,33 @@ def cohomology_table(maps, top: int, window) -> BigradedTable:
         for key in slice_keys(maps[n].source, window):
             table.set(n, key, cohomology_at(maps[n], incoming, key))
     return table
+
+
+def tensor_module(M: GradedFreeModule, N: GradedFreeModule) -> GradedFreeModule:
+    """M (x) N: the pair (i, j) is generator i * rank(N) + j, named "m|n"."""
+    if M.base != N.base:
+        raise ValueError("modules over different bases")
+    return GradedFreeModule(M.base, tuple(
+        (f"{mn}|{nn}", md + nd) for mn, md in M.generators for nn, nd in N.generators))
+
+
+def tensor_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
+    """f (x) g, sending x (x) y to (-1)^{|g||x|} f(x) (x) g(y).
+
+    This is the one place the Koszul sign of a tensor of maps is written.
+    """
+    ground = f.source.base.ground
+    source = tensor_module(f.source, g.source)
+    target = tensor_module(f.target, g.target)
+    n_src, n_tgt = g.source.rank, g.target.rank
+    gens, odd = f.source.generators, g.degree % 2
+    entries = {}
+    for (k, i), c in f.entries.items():
+        sign = odd and gens[i][1] % 2
+        for (l, j), d in g.entries.items():
+            cd = ground.mul(c, d)
+            entries[(k * n_tgt + l, i * n_src + j)] = ground.neg(cd) if sign else cd
+    return HomogeneousMap(source, target, f.degree + g.degree, entries)
 
 
 def graded_hom_module(M: GradedFreeModule, N: GradedFreeModule, degree: int = 0) -> GradedFreeModule:

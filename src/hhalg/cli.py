@@ -307,6 +307,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag, value, least in (("--smax", args.smax, 0), ("--nmax", args.nmax, 0),
+                               ("--budget", args.budget, 1)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 1
     args.cache_path = cachemod.resolve_cache_dir(args.cache_dir)
     try:
         with open(args.file) as fh:
@@ -318,16 +323,9 @@ def main(argv=None) -> int:
         df = parse_definition(text)
         built = _build_all(df)
         return COMMANDS[args.command](df, built, args, sys.stdout)
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 2
-    except DefinitionError as e:
+    except (DefinitionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ValueError as e:
-        msg = str(e)
-        print(f"error: {msg}", file=sys.stderr)
-        return 2 if ("window" in msg or "diverges" in msg) else 1
+        return 2 if isinstance(e, BudgetExceededError) else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, graded_hom_module,
-                   hom_pair_index)
+                   hom_pair_index, tensor_maps)
 from .linalg import ExactMatrix, SubquotientPresentation, factor, smith_normal_form, solve
 from .tables import BigradedTable
 
@@ -103,28 +103,10 @@ class ChainMap:
 
 
 def tensor_complex(C: Complex, D: Complex) -> Complex:
-    """C (x) D with d(a(x)b) = da(x)b + (-1)^{|a|} a(x)db."""
-    if C.base != D.base:
-        raise ValueError("base mismatch")
-    g = C.base.ground
-    MC, MD = C.module, D.module
-    nD = MD.rank
-    gens = []
-    for an, ad in MC.generators:
-        for bn, bd in MD.generators:
-            gens.append((f"{an}|{bn}", ad + bd))
-    M = GradedFreeModule(C.base, tuple(gens))
-    entries = {}
-    for (k, i), c in C.d.entries.items():
-        for j in range(nD):
-            entries[(k * nD + j, i * nD + j)] = c
-    for (l, j), c in D.d.entries.items():
-        for i in range(MC.rank):
-            sign = -1 if MC.generators[i][1] % 2 else 1
-            val = c if sign == 1 else g.neg(c)
-            key = (i * nD + l, i * nD + j)
-            entries[key] = g.add(entries.get(key, g.zero), val)
-    return Complex(M, HomogeneousMap(M, M, -1, entries))
+    """C (x) D with d(a(x)b) = da(x)b + (-1)^{|a|} a(x)db, as d(x)1 + 1(x)d."""
+    d = tensor_maps(C.d, HomogeneousMap.identity(D.module)).add(
+        tensor_maps(HomogeneousMap.identity(C.module), D.d))
+    return Complex(d.source, d)
 
 
 def hom_complex(C: Complex, D: Complex) -> Complex:

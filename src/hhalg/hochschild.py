@@ -3,15 +3,16 @@
 A bimodule over A is a left module (resolve.AModule) over the enveloping
 algebra A (x) A^op, with (a (x) b) . x = (-1)^{|b||x|} a . x . b.  This
 module computes HH^n(A, M) for a finite-rank graded algebra A and such a
-bimodule M, the action map mu from A (x) A^op to Hom(A, A) (read off the
-regular bimodule), an independent computation of HH as Ext over the
-enveloping algebra with a cross-check against the bar table, and the
-homology image of the alpha class under mu for the two-term quotient DGA
-family.
+bimodule M, the action map mu from A (x) A^op to Hom(A, A) (the regular
+bimodule's AModule.action_map), an independent computation of HH as Ext
+over the enveloping algebra with a cross-check against the bar table, and
+the homology image of the alpha class under mu for the two-term quotient
+DGA family.
 
 mu is an algebra map exactly when A is a module over A (x) A^op, so its
 algebra-map check is the module check of the regular bimodule, the one
-action check algebra.check_action.
+action check algebra.check_action; whether mu is bijective is
+HomogeneousMap.is_iso.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, opposite, tensor
-from .base import GradedFreeModule, HomogeneousMap, cohomology_table, graded_hom_module, hom_pair_index
+from .algebra import BudgetExceededError, GradedAlgebra, opposite, tensor
+from .base import GradedFreeModule, HomogeneousMap, cohomology_table, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
-from .linalg import ExactMatrix, SubquotientPresentation, determinant, factor, rank as mat_rank
+from .linalg import ExactMatrix, SubquotientPresentation, factor
 from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
@@ -98,7 +99,7 @@ class BarCochainComplex:
             self.terms.append(self._term(n))
         self.completed = len(self.terms) - 2
         if self.completed < 0:
-            raise ValueError("budget too small for any cochain degree")
+            raise BudgetExceededError("budget too small for any cochain degree")
         for n in range(len(self.terms) - 1):
             self.deltas.append(self._delta(n))
         for n in range(len(self.deltas) - 1):
@@ -185,57 +186,30 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
 # the action map
 
 
-def _mu_entries(E: AModule):
-    """Entries of mu: (e_i (x) e_j) |-> (x |-> (-1)^{|e_j||x|} e_i x e_j),
-    read off the regular bimodule E."""
-    M = E.module
-    entries = {}
-    for src, hm in E.action.items():
-        for (k, m), c in hm.entries.items():
-            entries[(hom_pair_index(M, M, m, k), src)] = c
-    return entries
-
-
 def action_map_mu(A):
     """The action map mu for a GradedAlgebra or DGAlgebra.
 
-    Graded case: a degree-0 HomogeneousMap from tensor(A, A^op) to
-    Hom(A, A), read off the regular bimodule.  Building that bimodule
-    checks it as a module over tensor(A, A^op), which is mu being an
-    algebra map for the composition product.
+    Both cases read the action map of the regular bimodule E, a degree-0
+    HomogeneousMap from tensor(A, A^op) to Hom(A, A).  Graded case: that
+    map; building E checks it as a module over tensor(A, A^op), which is
+    mu being an algebra map for the composition product.
     DG case: a ChainMap between the tensor and Hom complexes (the chain
     condition is hard-checked by the ChainMap constructor).
     """
     if isinstance(A, DGAlgebra):
         T = tensor_complex(A.complex(), A.opposite().complex())
         H = hom_complex(A.complex(), A.complex())
-        f = HomogeneousMap(T.module, H.module, 0, _mu_entries(regular_bimodule(A.algebra)))
-        return ChainMap(T, H, f)
+        return ChainMap(T, H, regular_bimodule(A.algebra).action_map())
     try:
         E = regular_bimodule(A, check=True)
     except ValueError as e:
         raise AssertionError(f"mu failed the algebra-map check: {e}") from None
-    H = graded_hom_module(A.module, A.module)
-    return HomogeneousMap(E.algebra.module, H, 0, _mu_entries(E))
+    return E.action_map()
 
 
 def mu_is_iso(A: GradedAlgebra) -> bool:
-    """Whether mu is bijective, slice by slice (unit determinant over Z)."""
-    f = action_map_mu(A)
-    g = A.base.ground
-    keys = {A.base.degree_key(d) for d in f.source.degrees} | {
-        A.base.degree_key(d) for d in f.target.degrees
-    }
-    for key in keys:
-        m, _, _ = f.slice_matrix(key)
-        if m.rows != m.cols:
-            return False
-        if g.is_field:
-            if mat_rank(m) != m.rows:
-                return False
-        elif not g.is_unit(determinant(m)):
-            return False
-    return True
+    """Whether mu is bijective, slice by slice (HomogeneousMap.is_iso)."""
+    return action_map_mu(A).is_iso()
 
 
 # ---------------------------------------------------------------------------

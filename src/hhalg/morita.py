@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
-from .base import GradedFreeModule, HomogeneousMap, graded_hom_module
+from .base import GradedFreeModule, HomogeneousMap, graded_hom_module, tensor_maps
 from .linalg import Echelon, ExactMatrix, kernel_basis, solve
 from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
@@ -133,25 +133,19 @@ class BalancedTensor:
 def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
     """X (x)_S E for a right S-module X, where `over` is E as an S-module.
 
-    The result is a left module over the algebra of `acting`, which acts
-    on the E factor with the Koszul sign (-1)^{|a||x|}.
+    The result is a left module over the algebra of `acting`: a acts as
+    tensor_maps(1, a), with the Koszul sign (-1)^{|a||x|}, on the pairs
+    x (x) e, which are then reduced to the kept basis.
     """
     B = acting.algebra
-    g = B.base.ground
     T = BalancedTensor(X, over.module, over.action)
-    nE = over.module.rank
+    one_X = HomogeneousMap.identity(X.module)
     action = {}
     for a in range(B.rank):
-        fa = acting.act_map(a)
-        apar = B.degree(a) % 2
+        columns = tensor_maps(one_X, acting.act_map(a)).by_column()
         entries = {}
         for pos, p in enumerate(T.kept):
-            i, j = divmod(p, nE)
-            sign = -1 if (apar and X.module.generators[i][1] % 2) else 1
-            img = {}
-            for j2, c in fa.apply_coords({j: g.one}).items():
-                img[i * nE + j2] = g.mul(g.normalize(sign), c)
-            for pos2, c in T.reduce(img).items():
+            for pos2, c in T.reduce(dict(columns.get(p, ()))).items():
                 entries[(pos2, pos)] = c
         hm = HomogeneousMap(T.module, T.module, B.degree(a), entries)
         if not hm.is_zero():

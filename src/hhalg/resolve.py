@@ -23,7 +23,8 @@ import random
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, check_action, radical
-from .base import GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table, slice_keys
+from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
+                   graded_hom_module, hom_pair_index, slice_keys)
 from .linalg import Echelon, SubquotientPresentation
 from .tables import BigradedTable
 
@@ -122,6 +123,15 @@ class AModule:
         if m in self.action:
             return self.action[m]
         return HomogeneousMap.zero(self.module, self.module, self.algebra.degree(m))
+
+    def action_map(self) -> HomogeneousMap:
+        """The degree-0 map algebra -> Hom(M, M) sending e_i to its action."""
+        M = self.module
+        entries = {}
+        for src, hm in self.action.items():
+            for (k, m), c in hm.entries.items():
+                entries[(hom_pair_index(M, M, m, k), src)] = c
+        return HomogeneousMap(self.algebra.module, graded_hom_module(M, M), 0, entries)
 
     def act(self, acoords: dict, vec: dict) -> dict:
         g = self.algebra.base.ground

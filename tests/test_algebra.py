@@ -11,6 +11,8 @@ from hhalg.algebra import (
     center,
     center_basis,
     check_action,
+    endomorphism_action,
+    endomorphism_algebra,
     frobenius_nilradical,
     ideal_closure,
     opposite,
@@ -105,6 +107,13 @@ def test_realize_divergence_detected():
         realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), ()), max_rank=50)
 
 
+def test_divergence_is_a_realize_error_and_a_budget_error():
+    with pytest.raises(RealizeError) as info:
+        realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), ()), max_rank=50)
+    assert isinstance(info.value, BudgetExceededError)
+    assert issubclass(BudgetExceededError, ValueError)
+
+
 def test_realize_truncation():
     # F3[y], |y| = 1, truncated at internal degree 5 -> rank 6
     A = realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), (), truncation=5))
@@ -175,6 +184,16 @@ def test_check_action_accepts_the_zero_module():
         Z = AModule.zero(A, side)
         assert Z.module.rank == 0 and not Z.action
         check_action(A, Z.module, Z.action, side)
+
+
+@pytest.mark.parametrize("base,degs", [(BaseRing(ZZ), (0, 1, -2)), (KUZ, (0, 1, 3)),
+                                       (BaseRing(F3), (0,))], ids=["Z", "KUZ", "F3-rank1"])
+def test_endomorphism_action_is_an_action_with_bijective_action_map(base, degs):
+    M = GradedFreeModule(base, tuple((f"e{i}", d) for i, d in enumerate(degs)))
+    action = endomorphism_action(M)
+    assert len(action) == len(degs) ** 2
+    E = AModule(endomorphism_algebra(M), M, action)  # runs check_action
+    assert E.action_map().is_iso()
 
 
 def test_check_action_rejects_a_map_off_the_module_or_degree():

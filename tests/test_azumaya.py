@@ -1,4 +1,6 @@
 import pytest
+
+from hhalg import azumaya
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,7 @@ from hhalg.azumaya import (
     check_weak_azumaya,
     endo_smash_invariant,
 )
-from hhalg.base import BaseRing, GradedFreeModule, LaurentGenerator
+from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator, tensor_module
 from hhalg.dg import make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import hochschild_cohomology
@@ -184,3 +186,28 @@ def test_endo_smash_signs_odd_characteristic():
     E1 = GradedFreeModule(BaseRing(F5), (("a", 0), ("b", 1)))
     E2 = GradedFreeModule(BaseRing(F5), (("c", 0), ("d", 1)))
     assert endo_smash_invariant(E1, E2)
+
+
+def test_endo_smash_odd_degrees_over_z():
+    E1 = GradedFreeModule(BaseRing(ZZ), (("a", 1), ("b", 0), ("c", -1)))
+    E2 = GradedFreeModule(BaseRing(ZZ), (("d", 3), ("e", 0)))
+    assert endo_smash_invariant(E1, E2)
+
+
+def test_endo_smash_without_the_koszul_sign_is_not_multiplicative(monkeypatch):
+    def unsigned(f, g):
+        # x (x) y |-> f(x) (x) g(y), dropping (-1)^{|g||x|}
+        gr = f.source.base.ground
+        entries = {(k * g.target.rank + l, i * g.source.rank + j): gr.mul(c, d)
+                   for (k, i), c in f.entries.items() for (l, j), d in g.entries.items()}
+        return HomogeneousMap(tensor_module(f.source, g.source),
+                              tensor_module(f.target, g.target), f.degree + g.degree, entries)
+
+    E1 = GradedFreeModule(BaseRing(F5), (("a", 0), ("b", 1)))
+    E2 = GradedFreeModule(BaseRing(F5), (("c", 0), ("d", 1)))
+    assert endo_smash_invariant(E1, E2)
+    monkeypatch.setattr(azumaya, "tensor_maps", unsigned)
+    assert not endo_smash_invariant(E1, E2)
+    # with every degree even the sign is never used
+    even = GradedFreeModule(BaseRing(F5), (("a", 0), ("b", 2)))
+    assert endo_smash_invariant(even, even)

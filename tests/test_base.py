@@ -9,8 +9,10 @@ from hhalg.base import (
     LaurentGenerator,
     cohomology_at,
     graded_hom_module,
+    tensor_maps,
+    tensor_module,
 )
-from hhalg.ground import GroundRing, ZZ
+from hhalg.ground import GroundRing, QQ, ZZ
 from hhalg.linalg import ExactMatrix, SubquotientPresentation, rank
 
 F3 = GroundRing.prime_field(3)
@@ -243,3 +245,64 @@ def test_column_index_matches_naive_scan(base):
             for v in (random_coords(rng, d.source) for _ in range(3)):
                 assert d.apply_coords(v) == naive_apply(d, v)
         assert f.compose(h) == fh
+
+
+# -- bijectivity, slice by slice ------------------------------------------------
+
+def test_is_iso_needs_unit_invariant_factors_over_z():
+    for g, iso in ((ZZ, False), (QQ, True)):
+        M = GradedFreeModule(BaseRing(g), (("e", 0),))
+        assert HomogeneousMap(M, M, 0, {(0, 0): 2}).is_iso() is iso
+    M = GradedFreeModule(BaseRing(ZZ), (("a", 0), ("b", 0)))
+    assert HomogeneousMap(M, M, 0, {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 1}).is_iso()
+
+
+def test_is_iso_rejects_a_non_square_slice():
+    # rank 2 in degree 0 onto rank 1: full row rank, nonzero kernel
+    M = GradedFreeModule(BaseRing(F3), (("a", 0), ("b", 0)))
+    N = GradedFreeModule(BaseRing(F3), (("c", 0),))
+    assert not HomogeneousMap(M, N, 0, {(0, 0): 1, (0, 1): 1}).is_iso()
+    # and a rank-1 slice into rank 2: injective, not onto
+    assert not HomogeneousMap(N, M, 0, {(0, 0): 1}).is_iso()
+
+
+def test_is_iso_visits_a_target_slice_with_no_source_generators():
+    M = GradedFreeModule(BaseRing(F3), (("a", 0),))
+    N = GradedFreeModule(BaseRing(F3), (("c", 0), ("d", 2)))
+    # the degree-0 slice is an isomorphism; nothing maps onto degree 2
+    assert not HomogeneousMap(M, N, 0, {(0, 0): 1}).is_iso()
+    # over a Laurent base, degrees 0 and 2 share a slice key
+    L = GradedFreeModule(KU, (("a", 0), ("b", 2)))
+    assert HomogeneousMap(L, L, 2, {(1, 0): 1, (0, 1): -1}).is_iso()
+    assert not HomogeneousMap(L, L, 2, {(1, 0): 1, (0, 1): 3}).is_iso()
+
+
+# -- tensor products of maps ---------------------------------------------------
+
+def test_tensor_module_names_and_orders_pairs():
+    M = GradedFreeModule(KU, (("a", 0), ("b", 1)))
+    N = GradedFreeModule(KU, (("c", 1), ("d", 2), ("e", 3)))
+    T = tensor_module(M, N)
+    assert T.generators == (("a|c", 1), ("a|d", 2), ("a|e", 3),
+                            ("b|c", 2), ("b|d", 3), ("b|e", 4))
+    with pytest.raises(ValueError, match="different bases"):
+        tensor_module(M, GradedFreeModule(BaseRing(ZZ), (("e", 0),)))
+
+
+def test_tensor_maps_koszul_sign():
+    # x (x) y |-> (-1)^{|g||x|} f(x) (x) g(y), checked on every generator pair
+    M = GradedFreeModule(BaseRing(ZZ), (("a", 0), ("b", 1)))
+    f = HomogeneousMap(M, M, 1, {(1, 0): 2})      # a -> 2b
+    g = HomogeneousMap(M, M, -1, {(0, 1): 3})     # b -> 3a
+    fg = tensor_maps(f, g)
+    assert fg.degree == 0 and fg.source == tensor_module(M, M)
+    # a (x) b -> (+1) 2b (x) 3a; b (x) b is killed by f
+    assert fg.entries == {(1 * 2 + 0, 0 * 2 + 1): 6}
+    gf = tensor_maps(g, f)
+    # b (x) a -> (-1)^{|f||b|} 3a (x) 2b
+    assert gf.entries == {(0 * 2 + 1, 1 * 2 + 0): -6}
+    one = HomogeneousMap.identity(M)
+    assert tensor_maps(one, one) == HomogeneousMap.identity(tensor_module(M, M))
+    # (f (x) 1)(1 (x) g) = f (x) g, while (1 (x) g)(f (x) 1) = (-1)^{|f||g|} f (x) g
+    assert tensor_maps(f, one).compose(tensor_maps(one, g)) == fg
+    assert tensor_maps(one, g).compose(tensor_maps(f, one)) == fg.neg()

@@ -342,6 +342,29 @@ def test_exit_two_on_hochschild_budget(capsys, tmp_path):
     assert "budget" in out
 
 
+def test_exit_two_when_the_budget_fits_no_cochain_degree(capsys, tmp_path):
+    code, out, err = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
+                                  "--budget", "1"], tmp_path)
+    assert (code, out, err) == (2, "", "error: budget too small for any cochain degree\n")
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("ext", "--smax", "-1"),
+    ("hochschild", "--nmax", "-1"),
+    ("hochschild", "--budget", "0"),
+    ("morita", "--smax", "-3"),
+])
+def test_exit_one_on_a_negative_bound(capsys, tmp_path, command, flag, value, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a bound was not checked before computing")
+
+    monkeypatch.setattr("hhalg.cli.parse_definition", refuse)
+    code, out, err = run(capsys, [command, "--file", defpath("exterior1.def"), flag, value],
+                         tmp_path)
+    least = 1 if flag == "--budget" else 0
+    assert (code, out, err) == (1, "", f"error: {flag} must be at least {least}, got {value}\n")
+
+
 def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):
     free = tmp_path / "free.def"
     free.write_text(json.dumps({

@@ -13,6 +13,7 @@ from hhalg.base import (
     LaurentGenerator,
     hom_pair_index,
 )
+from hhalg.azumaya import check_classical_azumaya
 from hhalg.dg import ChainMap, make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
@@ -26,7 +27,7 @@ from hhalg.hochschild import (
     mu_is_iso,
     regular_bimodule,
 )
-from hhalg.linalg import SubquotientPresentation
+from hhalg.linalg import SubquotientPresentation, determinant
 from hhalg.resolve import AModule
 
 F2 = GroundRing.prime_field(2)
@@ -261,6 +262,30 @@ def test_mu_iso_for_matrix_algebra():
 
 def test_mu_not_iso_for_dual_numbers():
     assert not mu_is_iso(dual_numbers_f3())
+
+
+def lipschitz_quaternions(g):
+    # <i, j | i^2 + 1, j^2 + 1, ij + ji>, free of rank 4 on 1, i, j, ij
+    return realize(AlgebraPresentation(BaseRing(g), (("i", 0), ("j", 0)), (
+        [(1, ("i", "i"), 0), (1, (), 0)],
+        [(1, ("j", "j"), 0), (1, (), 0)],
+        [(1, ("i", "j"), 0), (1, ("j", "i"), 0)],
+    )))
+
+
+@pytest.mark.parametrize("g,iso", [(ZZ, False), (GroundRing.rationals(), True),
+                                   (F3, True), (F2, False)], ids=str)
+def test_mu_over_z_needs_unit_invariant_factors(g, iso):
+    A = lipschitz_quaternions(g)
+    assert A.rank == 4
+    assert mu_is_iso(A) is iso
+    assert check_classical_azumaya(A).overall is iso
+    if g is ZZ:
+        # full rank, but det 2^16: the Smith form is not unimodular
+        mu = action_map_mu(A)
+        assert mu.factored(0).rank == 16
+        assert mu.factored(0).cokernel() == SubquotientPresentation(0, (2,) * 8 + (4,) * 4)
+        assert determinant(mu.slice_matrix(0)[0]) == 65536
 
 
 def test_mu_multiplicative_check_runs():
