@@ -15,7 +15,7 @@ of hochschild's action map mu all go through it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, tensor_module
 from .ground import GroundRing

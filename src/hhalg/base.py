@@ -331,3 +331,25 @@ def graded_hom_module(M: GradedFreeModule, N: GradedFreeModule, degree: int = 0)
 def hom_pair_index(M: GradedFreeModule, N: GradedFreeModule, i: int, j: int) -> int:
     """Index of the generator (M_i -> N_j) inside graded_hom_module(M, N)."""
     return i * N.rank + j
+
+
+def hom_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
+    """Hom(f, g), sending phi to (-1)^{|f|(|phi|+|g|)} g o phi o f.
+
+    It maps Hom(f.target, g.source) to Hom(f.source, g.target), both in
+    graded_hom_module coordinates.  This is the one place the Koszul sign
+    of a Hom of maps is written.
+    """
+    ground = f.source.base.ground
+    source = graded_hom_module(f.target, g.source)
+    target = graded_hom_module(f.source, g.target)
+    n_src, n_tgt = g.source.rank, g.target.rank
+    gens, odd = source.generators, f.degree % 2
+    entries = {}
+    for (i, k), c in f.entries.items():
+        for (l, j), d in g.entries.items():
+            phi = i * n_src + j
+            cd = ground.mul(d, c)
+            sign = odd and (gens[phi][1] + g.degree) % 2
+            entries[(k * n_tgt + l, phi)] = ground.neg(cd) if sign else cd
+    return HomogeneousMap(source, target, f.degree + g.degree, entries)

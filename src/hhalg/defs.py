@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .algebra import AlgebraPresentation, GradedAlgebra, realize
+from .algebra import AlgebraPresentation, realize
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from .dg import QuotientDGA, make_quotient_dga
 from .ground import GroundRing

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, opposite
-from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, graded_hom_module,
-                   hom_pair_index, tensor_maps)
+from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
+                   tensor_maps)
 from .linalg import ExactMatrix, SubquotientPresentation, factor, smith_normal_form, solve
 from .tables import BigradedTable
 
@@ -113,28 +113,9 @@ def hom_complex(C: Complex, D: Complex) -> Complex:
     """Hom(C, D) with (df) = d o f - (-1)^{|f|} f o d."""
     if C.base != D.base:
         raise ValueError("base mismatch")
-    g = C.base.ground
-    MC, MD = C.module, D.module
-    H = graded_hom_module(MC, MD)
-    entries = {}
-    for i in range(MC.rank):
-        for j in range(MD.rank):
-            src = hom_pair_index(MC, MD, i, j)
-            fdeg = MD.generators[j][1] - MC.generators[i][1]
-            # post-compose with d_D
-            for (l, j2), c in D.d.entries.items():
-                if j2 == j:
-                    key = (hom_pair_index(MC, MD, i, l), src)
-                    entries[key] = g.add(entries.get(key, g.zero), c)
-            # pre-compose with d_C, signed
-            for (i2, k), c in C.d.entries.items():
-                if i2 == i:
-                    sign = -1 if fdeg % 2 else 1
-                    val = g.neg(c) if sign == 1 else c
-                    # -(+1)*c for even f, -(-1)*c = +c for odd f
-                    key = (hom_pair_index(MC, MD, k, j), src)
-                    entries[key] = g.add(entries.get(key, g.zero), val)
-    return Complex(H, HomogeneousMap(H, H, -1, entries))
+    d = hom_maps(HomogeneousMap.identity(C.module), D.d).add(
+        hom_maps(C.d, HomogeneousMap.identity(D.module)).neg())
+    return Complex(d.source, d)
 
 
 def cone(f: ChainMap) -> Complex:

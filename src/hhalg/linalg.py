@@ -384,48 +384,9 @@ def smith_normal_form(M: ExactMatrix) -> SmithForm:
             _negate_row(D, t)
             _negate_row(U, t)
         t += 1
-    # enforce the divisibility chain (minimal pivoting usually guarantees it,
-    # but keep the invariant explicit and robust)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                _addmul_col(D, i, i + 1, 1)
-                _addmul_col(V, i, i + 1, 1)
-                _smith_integer_block(D, U, V, i)
-                changed = True
+    # no chain repair: every later step acts inside a block d_t already divides
     return SmithForm(M, *(ExactMatrix.from_columns(g, len(m), _columns_of(m, c))
                           for m, c in ((U, rows), (D, cols), (V, cols))))
-
-
-def _smith_integer_block(D, U, V, t):
-    """Clear the cross at position t after a chain-fix column add."""
-    dirty = True
-    while dirty:
-        dirty = False
-        for i in range(len(D)):
-            if i != t and D[i][t] != 0:
-                q = D[i][t] // D[t][t]
-                _addmul_row(D, i, t, -q)
-                _addmul_row(U, i, t, -q)
-                if D[i][t] != 0:  # remainder: smaller pivot found
-                    _swap_rows(D, i, t)
-                    _swap_rows(U, i, t)
-                    dirty = True
-        for j in range(len(D[t])):
-            if j != t and D[t][j] != 0:
-                q = D[t][j] // D[t][t]
-                _addmul_col(D, j, t, -q)
-                _addmul_col(V, j, t, -q)
-                if D[t][j] != 0:
-                    _swap_cols(D, j, t)
-                    _swap_cols(V, j, t)
-                    dirty = True
-    if D[t][t] < 0:
-        _negate_row(D, t)
-        _negate_row(U, t)
 
 
 def factor(M: ExactMatrix):

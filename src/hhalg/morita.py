@@ -8,10 +8,12 @@ A-module Y to the derived Hom_A(E, Y), reported as a bigraded homology
 table over an explicit window; the completion of X is G(F(X)).  T and S
 are the same pair with the roles of R and A swapped.
 
-For semisimple A the derived Hom collapses to the plain one, and the
-adjunction unit/counit are materialized as explicit matrices, so the
-retract and triangle identities are verified exactly rather than at the
-level of ranks.
+For semisimple A the derived Hom collapses to the plain one, and the plain
+kit is the adjunction's maps: the unit eta: X -> G(F X) and the counit
+epsilon: F(G Y) -> Y are HomogeneousMaps, F on maps reduces tensor_maps on
+the balanced pairs, and G on maps reads g o z in the target's hom basis.
+The retract and triangle identities then compare composites with the
+identity, exactly rather than at the level of ranks.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import GradedAlgebra, radical
-from .base import GradedFreeModule, HomogeneousMap, graded_hom_module, tensor_maps
-from .linalg import Echelon, ExactMatrix, kernel_basis, solve
+from .base import (GradedFreeModule, HomogeneousMap, graded_hom_module, hom_maps, hom_pair_index,
+                   tensor_maps)
+from .linalg import Echelon, ExactMatrix, kernel_basis
 from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
@@ -129,6 +132,15 @@ class BalancedTensor:
         r = self.span.reduce(pairvec)
         return {self.position[p]: c for p, c in r.items()}
 
+    def induced(self, f: HomogeneousMap, g: HomogeneousMap,
+                target: "BalancedTensor") -> HomogeneousMap:
+        """f (x) g on the quotients: tensor_maps(f, g) on each kept pair,
+        reduced in `target`."""
+        columns = tensor_maps(f, g).by_column()
+        return HomogeneousMap(self.module, target.module, f.degree + g.degree, {
+            (pos2, pos): c for pos, p in enumerate(self.kept)
+            for pos2, c in target.reduce(dict(columns.get(p, ()))).items()})
+
 
 def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
     """X (x)_S E for a right S-module X, where `over` is E as an S-module.
@@ -142,12 +154,7 @@ def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
     one_X = HomogeneousMap.identity(X.module)
     action = {}
     for a in range(B.rank):
-        columns = tensor_maps(one_X, acting.act_map(a)).by_column()
-        entries = {}
-        for pos, p in enumerate(T.kept):
-            for pos2, c in T.reduce(dict(columns.get(p, ()))).items():
-                entries[(pos2, pos)] = c
-        hm = HomogeneousMap(T.module, T.module, B.degree(a), entries)
+        hm = T.induced(one_X, acting.act_map(a), T)
         if not hm.is_zero():
             action[a] = hm
     out = AModule(B, T.module, action)
@@ -224,108 +231,110 @@ def completion_is_equivalence(ctx: MoritaContext, M: AModule,
 # the plain (underived) kit, for semisimple A
 
 
-def _hom_basis(E: AModule, Y: AModule):
-    """Basis of Hom_A(E, Y) for left A-modules, as (degree, HomogeneousMap)."""
-    if E.side != Y.side:
-        raise ValueError("hom takes modules of the same handedness")
+class HomBasis:
+    """A basis of maps E -> Y, kept as vectors of graded_hom_module(E, Y).
+
+    `module` is free on the basis maps `maps`, each generator in its map's
+    degree, and `pairs` carries a generator to its map's generator-pair
+    vector.  Reading a map in the basis solves against the slice
+    factorizations of `pairs`, each made once per slice key.
+    """
+
+    def __init__(self, E: GradedFreeModule, Y: GradedFreeModule, maps):
+        self.maps = list(maps)
+        self.module = GradedFreeModule(
+            E.base, tuple((f"w{a}", z.degree) for a, z in enumerate(self.maps)))
+        self.pairs = HomogeneousMap(self.module, graded_hom_module(E, Y), 0, {
+            (hom_pair_index(E, Y, i, j), a): c
+            for a, z in enumerate(self.maps) for (j, i), c in z.entries.items()})
+
+    def coords(self, z: HomogeneousMap) -> dict:
+        """{a: c} with z the sum of c * maps[a]; ValueError off the span."""
+        pairs = self.pairs
+        position = {p: r for r, p in enumerate(pairs.target.slice_indices(z.degree))}
+        x = pairs.factored(z.degree).solve({
+            position[hom_pair_index(z.source, z.target, i, j)]: c
+            for (j, i), c in z.entries.items()})
+        if x is None:
+            raise ValueError("map does not lie in the hom module")
+        basis = pairs.source.slice_indices(z.degree)
+        return {basis[r]: c for r, c in x.items()}
+
+    def read(self, source: GradedFreeModule, degree: int, images) -> HomogeneousMap:
+        """The map source -> module whose column i is images[i] in the basis."""
+        return HomogeneousMap(source, self.module, degree, {
+            (a, i): c for i, z in enumerate(images) for a, c in self.coords(z).items()})
+
+
+def _hom_basis(E: AModule, Y: AModule) -> HomBasis:
+    """Hom_A(E, Y) for left A-modules: the kernel, slice by slice, of the
+    maps z |-> lambda_Y(a) o z - (-1)^{|a||z|} z o lambda_E(a), a != 1."""
+    if E.side != "left" or Y.side != "left":
+        raise ValueError("hom takes left modules; got the wrong handedness")
     A = E.algebra
     g = A.base.ground
+    one_E, one_Y = HomogeneousMap.identity(E.module), HomogeneousMap.identity(Y.module)
+    constraints = [hom_maps(one_E, Y.act_map(a)).add(hom_maps(E.act_map(a), one_Y).neg())
+                   for a in range(A.rank) if a != A.unit_index]
     H = graded_hom_module(E.module, Y.module)
     nY = Y.module.rank
-    basis = []
-    for key in sorted(set(H.degree_support())):
+    maps = []
+    for key in H.degree_support():
         idxs = H.slice_indices(key)
-        if not idxs:
-            continue
-        # constraint: z o lambda_E(a) = lambda_Y(a) o z for all monomials a
         columns = [{} for _ in idxs]
         nrows = 0
-        for a in range(A.rank):
-            if a == A.unit_index:
-                continue
-            lamE, lamY = E.act_map(a), Y.act_map(a)
-            diffs = []
-            for idx in idxs:
-                i, j = divmod(idx, nY)
-                z = HomogeneousMap(E.module, Y.module, key, {(j, i): g.one})
-                diffs.append(z.compose(lamE).add(lamY.compose(z).neg()))
-            # stack the entry coordinates of the differences
-            row = {ek: nrows + r for r, ek in
-                   enumerate(sorted({k for d in diffs for k in d.entries}))}
-            for col, d in zip(columns, diffs):
-                for ek, c in d.entries.items():
-                    col[row[ek]] = c
-            nrows += len(row)
+        for h in constraints:
+            m = h.slice_matrix(key)[0]
+            for col, mc in zip(columns, m.columns):
+                col.update((nrows + r, x) for r, x in mc.items())
+            nrows += m.rows
         for v in kernel_basis(ExactMatrix.from_columns(g, nrows, columns)):
-            entries = {}
-            for a, c in v.items():
-                i, j = divmod(idxs[a], nY)
-                entries[(j, i)] = c
-            basis.append((key, HomogeneousMap(E.module, Y.module, key, entries)))
-    return basis
-
-
-def _in_basis(g, basis, target: HomogeneousMap) -> dict:
-    """Coordinates of a map in a compatible-degree subset of the basis."""
-    cands = [(a, z) for a, (d, z) in enumerate(basis)
-             if z.source.base.degree_key(d) == z.source.base.degree_key(target.degree)]
-    keys = sorted({k for _, z in cands for k in z.entries} | set(target.entries))
-    row = {k: r for r, k in enumerate(keys)}
-    mat = ExactMatrix.from_columns(
-        g, len(keys), [{row[k]: c for k, c in z.entries.items()} for _, z in cands])
-    sol = solve(mat, {row[k]: c for k, c in target.entries.items()})
-    if sol is None:
-        raise ValueError("map does not lie in the hom module")
-    return {cands[a][0]: c for a, c in sol.items()}
+            maps.append(HomogeneousMap(E.module, Y.module, key, {
+                (idxs[r] % nY, idxs[r] // nY): c for r, c in v.items()}))
+    return HomBasis(E.module, Y.module, maps)
 
 
 def endo_algebra(E: AModule) -> GradedAlgebra:
     """Hom_R(E, E) under composition, as a graded algebra.
 
     The basis is the commutant of the action, re-based so the identity map
-    is the unit monomial; structure constants come from composing basis
-    maps and solving back.  This is the plain (underived) endomorphism
-    algebra -- for non-projective E the derived one must be supplied
-    separately, as in the adic corpus contexts.
+    is the unit monomial: the identity replaces the last basis map it has a
+    coordinate on.  Structure constants come from composing basis maps and
+    reading the composites back.  This is the plain (underived)
+    endomorphism algebra -- for non-projective E the derived one must be
+    supplied separately, as in the adic corpus contexts.
     """
-    g = E.algebra.base.ground
-    basis = [(0, HomogeneousMap.identity(E.module))]
-    for d, z in _hom_basis(E, E):
-        try:
-            _in_basis(g, basis, z)
-        except ValueError:
-            basis.append((d, z))
-    monomials = [("id", 0)] + [(f"f{a}", d) for a, (d, _) in enumerate(basis[1:])]
+    one = HomogeneousMap.identity(E.module)
+    commutant = _hom_basis(E, E)
+    drop = max(commutant.coords(one), default=None)
+    basis = HomBasis(E.module, E.module, [one] + [
+        z for a, z in enumerate(commutant.maps) if a != drop])
+    monomials = [("id", 0)] + [(f"f{a}", z.degree) for a, z in enumerate(basis.maps[1:])]
     mult = {}
-    for i, (_, zi) in enumerate(basis):
-        for j, (_, zj) in enumerate(basis):
-            vec = _in_basis(g, basis, zi.compose(zj))
+    for i, zi in enumerate(basis.maps):
+        for j, zj in enumerate(basis.maps):
+            vec = basis.coords(zi.compose(zj))
             if vec:
                 mult[(i, j)] = vec
     return GradedAlgebra(E.algebra.base, monomials, 0, mult)
 
 
 def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
-    """Hom_A(E, Y) as a right R-module, for semisimple A (underived case)."""
+    """G(Y) = Hom_A(E, Y) as a right R-module, for semisimple A (underived).
+
+    r acts by plain precomposition, (w . r)(e) = w(r . e); the basis is
+    kept on the module as `hom_basis`.
+    """
     if radical(ctx.A):
         raise ValueError("plain Hom is only honest for semisimple A")
-    g = ctx.R.base.ground
     basis = _hom_basis(ctx.E_A, Y)
-    M = GradedFreeModule(
-        ctx.R.base, tuple((f"w{a}", d) for a, (d, _) in enumerate(basis))
-    )
     action = {}
     for m in range(ctx.R.rank):
         rho = ctx.E_R.act_map(m)
-        entries = {}
-        for a, (_, z) in enumerate(basis):
-            img = z.compose(rho)  # (w . r)(e) = w(r . e)
-            for b, c in _in_basis(g, basis, img).items():
-                entries[(b, a)] = c
-        hm = HomogeneousMap(M, M, ctx.R.degree(m), entries)
+        hm = basis.read(basis.module, ctx.R.degree(m), [z.compose(rho) for z in basis.maps])
         if not hm.is_zero():
             action[m] = hm
-    W = AModule(ctx.R, M, action, "right")
+    W = AModule(ctx.R, basis.module, action, "right")
     W.hom_basis = basis
     return W
 
@@ -341,93 +350,57 @@ def roundtrip_FG(ctx: MoritaContext, Y: AModule,
     return degree_ranks(FW.module, lo, hi) == degree_ranks(Y.module, lo, hi)
 
 
-def retract_identity(ctx: MoritaContext, X: AModule) -> bool:
-    """Exact check that F(X) -> F(completion X) -> F(X) is the identity.
-
-    Builds the adjunction unit under F and the counit as matrices
-    (semisimple A, so the completion is the plain G(F(X))).
-    """
-    g = ctx.R.base.ground
-    FX = functor_F(ctx, X)
+def _unit(FX: AModule, GFX: AModule) -> HomogeneousMap:
+    """eta_X: X -> G(F X), x |-> (e |-> x (x) e), for FX = F(X), GFX = G(FX)."""
     T = FX.tensor
-    nE = ctx.E.rank
-    W = plain_hom_A(ctx, FX)       # Hom_A(E, X (x) E) as right R-module
-    basis = W.hom_basis
-    TW = BalancedTensor(W, ctx.E, ctx.r_action)   # W (x)_R E
-
-    def unit_of(i):
-        # eta(x_i) = (e_j |-> class(x_i (x) e_j)) as coordinates in the W basis
+    nE, one = T.E.rank, T.E.base.ground.one
+    images = []
+    for i, (_, d) in enumerate(T.X.module.generators):
         entries = {}
         for j in range(nE):
-            for pos, c in T.reduce({i * nE + j: g.one}).items():
+            for pos, c in T.reduce({i * nE + j: one}).items():
                 entries[(pos, j)] = c
-        z = HomogeneousMap(ctx.E, FX.module, X.module.generators[i][1], entries)
-        return _in_basis(g, basis, z)
+        images.append(HomogeneousMap(T.E, FX.module, d, entries))
+    return GFX.hom_basis.read(T.X.module, 0, images)
 
-    # composite on each kept basis class of X (x) E
+
+def _counit(FGY: AModule, Y: AModule) -> HomogeneousMap:
+    """epsilon_Y: F(G Y) -> Y, w (x) e |-> w(e), for FGY = F(G(Y))."""
+    T = FGY.tensor
+    maps = T.X.hom_basis.maps
+    entries = {}
     for pos, p in enumerate(T.kept):
-        i, j = divmod(p, nE)
-        # F(eta): class(x_i (x) e_j) |-> class(eta(x_i) (x) e_j)
-        pushed = {}
-        for a, c in unit_of(i).items():
-            for q, c2 in TW.reduce({a * nE + j: c}).items():
-                pushed[q] = g.add(pushed.get(q, g.zero), c2)
-        # counit: class(w_a (x) e_j) |-> w_a(e_j)
-        out = {}
-        for q, c in pushed.items():
-            a, j2 = divmod(TW.kept[q], nE)
-            for pos2, c2 in basis[a][1].apply_coords({j2: g.one}).items():
-                out[pos2] = g.add(out.get(pos2, g.zero), g.mul(c, c2))
-        out = {k: v for k, v in out.items() if v != 0}
-        if out != {pos: g.one}:
-            return False
-    return True
+        a, j = divmod(p, T.E.rank)
+        for y, c in maps[a].by_column().get(j, ()):
+            entries[(y, pos)] = c
+    return HomogeneousMap(FGY.module, Y.module, 0, entries)
+
+
+def retract_identity(ctx: MoritaContext, X: AModule) -> bool:
+    """Triangle 1, exactly (semisimple A): epsilon_{FX} o F(eta_X) = 1 on F(X)."""
+    FX = functor_F(ctx, X)
+    GFX = plain_hom_A(ctx, FX)
+    FGFX = functor_F(ctx, GFX)
+    F_eta = FX.tensor.induced(_unit(FX, GFX), HomogeneousMap.identity(ctx.E), FGFX.tensor)
+    return _counit(FGFX, FX).compose(F_eta) == HomogeneousMap.identity(FX.module)
 
 
 def adjunction_triangles(ctx: MoritaContext, X: AModule,
                          Y: AModule) -> bool:
     """Both triangle identities, exactly, for semisimple A.
 
-    Triangle 1 (on F): the retract identity for X.  Triangle 2 (on G):
-    G(counit_Y) o unit_{G(Y)} is the identity on Hom_A(E, Y).
+    Triangle 1 (on F) is the retract identity for X; triangle 2 (on G) is
+    G(epsilon_Y) o eta_{GY} = 1 on G(Y), where G(epsilon_Y) reads
+    epsilon_Y o z in the hom basis of G(Y).
     """
     if not retract_identity(ctx, X):
         return False
-    g = ctx.R.base.ground
-    W = plain_hom_A(ctx, Y)
-    basis = W.hom_basis
-    TW = BalancedTensor(W, ctx.E, ctx.r_action)   # F(G(Y)) = W (x) E
-    nE = ctx.E.rank
-    # counit eps: class(w_a (x) e_j) |-> w_a(e_j) in Y
-    FGY = functor_F(ctx, W)
-    W2 = plain_hom_A(ctx, FGY)
-    basis2 = W2.hom_basis
-    for a, (da, za) in enumerate(basis):
-        # unit at G(Y): w_a |-> (e_j |-> class(w_a (x) e_j))
-        entries = {}
-        for j in range(nE):
-            for pos, c in TW.reduce({a * nE + j: g.one}).items():
-                entries[(pos, j)] = c
-        zu = HomogeneousMap(ctx.E, FGY.module, da, entries)
-        coords2 = _in_basis(g, basis2, zu)
-        # G(eps): postcompose each basis2 element with the counit
-        total = {}
-        for b, c in coords2.items():
-            # eps o z_b as a map E -> Y
-            comp = {}
-            for (pos, j), c2 in basis2[b][1].entries.items():
-                aa, j2 = divmod(TW.kept[pos], nE)
-                for y, c3 in basis[aa][1].apply_coords({j2: g.one}).items():
-                    comp[(y, j)] = g.add(comp.get((y, j), g.zero), g.mul(c2, c3))
-            comp = {k: v for k, v in comp.items() if v != 0}
-            zc = HomogeneousMap(ctx.E, Y.module, basis2[b][0], comp)
-            for w, c4 in _in_basis(g, basis, zc).items():
-                total[w] = g.add(total.get(w, g.zero), g.mul(c, c4))
-    # identity on the W basis
-        total = {k: v for k, v in total.items() if v != 0}
-        if total != {a: g.one}:
-            return False
-    return True
+    GY = plain_hom_A(ctx, Y)
+    FGY = functor_F(ctx, GY)
+    GFGY = plain_hom_A(ctx, FGY)
+    eps = _counit(FGY, Y)
+    G_eps = GY.hom_basis.read(GFGY.module, 0, [eps.compose(z) for z in GFGY.hom_basis.maps])
+    return G_eps.compose(_unit(FGY, GFGY)) == HomogeneousMap.identity(GY.module)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hhalg.algebra import (
     semisimple_quotient,
     tensor,
 )
+from hhalg.algebra import _Rewriter
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from hhalg.ground import GroundRing, ZZ
 from hhalg.resolve import AModule
@@ -112,6 +113,32 @@ def test_divergence_is_a_realize_error_and_a_budget_error():
         realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), ()), max_rank=50)
     assert isinstance(info.value, BudgetExceededError)
     assert issubclass(BudgetExceededError, ValueError)
+
+
+def test_completion_adds_the_rules_an_overlap_forces():
+    # xy = x and yx = y overlap in xyx and yxy, which force x^2 = x and y^2 = y
+    A = realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
+        [(1, ("x", "y"), 0), (-1, ("x",), 0)],
+        [(1, ("y", "x"), 0), (-1, ("y",), 0)],
+    )))
+    assert [n for n, _ in A.monomials] == ["1", "x", "y"]
+    assert A.mul_basis(1, 1) == {1: 1} and A.mul_basis(2, 2) == {2: 1}
+    rw = _Rewriter(BaseRing(F3), [0, 0], [{(0, 1): 1, (0,): -1}, {(1, 0): 1, (1,): -1}], None)
+    assert rw.rules == {(0, 1): {(0,): 1}, (1, 0): {(1,): 1},
+                        (0, 0): {(0,): 1}, (1, 1): {(1,): 1}}
+
+
+def test_completion_resolves_a_contained_lead():
+    # yx sits inside the lead xyx: x = xyx = xxy = y, so y is rewritten to x
+    A = realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
+        [(1, ("x", "y", "x"), 0), (-1, ("x",), 0)],
+        [(1, ("x", "y"), 0), (-1, ("y", "x"), 0)],
+        [(1, ("x", "x"), 0), (-1, (), 0)],
+    )))
+    assert A.rank == 2 and [n for n, _ in A.monomials] == ["1", "x"]
+    rw = _Rewriter(BaseRing(F3), [0, 0], [{(0, 1, 0): 1, (0,): -1},
+                                          {(0, 1): 1, (1, 0): -1}, {(0, 0): 1, (): -1}], None)
+    assert rw.rules[(1,)] == {(0,): 1}
 
 
 def test_realize_truncation():

@@ -9,6 +9,8 @@ from hhalg.base import (
     LaurentGenerator,
     cohomology_at,
     graded_hom_module,
+    hom_maps,
+    hom_pair_index,
     tensor_maps,
     tensor_module,
 )
@@ -306,3 +308,40 @@ def test_tensor_maps_koszul_sign():
     # (f (x) 1)(1 (x) g) = f (x) g, while (1 (x) g)(f (x) 1) = (-1)^{|f||g|} f (x) g
     assert tensor_maps(f, one).compose(tensor_maps(one, g)) == fg
     assert tensor_maps(one, g).compose(tensor_maps(f, one)) == fg.neg()
+
+
+def _random_module(rng, base):
+    return GradedFreeModule(base, tuple(
+        (f"g{i}", rng.randint(-2, 2)) for i in range(rng.randint(1, 3))))
+
+
+def _random_map(rng, source, target, degree):
+    compatible = source.base.compatible
+    return HomogeneousMap(source, target, degree, {
+        (i, j): rng.randint(-4, 4)
+        for i, (_, dt) in enumerate(target.generators)
+        for j, (_, ds) in enumerate(source.generators) if compatible(ds, degree, dt)})
+
+
+@pytest.mark.parametrize("base", [BaseRing(GroundRing.prime_field(5)), BaseRing(ZZ),
+                                  BaseRing(GroundRing.prime_field(2), LaurentGenerator("v", 2))],
+                         ids=["F5", "Z", "F2[v]"])
+def test_hom_maps_is_the_signed_composite(base):
+    # column phi of Hom(f, g) is (-1)^{|f|(|phi|+|g|)} g o phi o f, for every elementary phi
+    rng = random.Random(11)
+    for _ in range(30):
+        M1, M2, N1, N2 = (_random_module(rng, base) for _ in range(4))
+        f = _random_map(rng, M1, M2, rng.randint(-2, 2))
+        g = _random_map(rng, N1, N2, rng.randint(-2, 2))
+        h = hom_maps(f, g)
+        assert h.source == graded_hom_module(M2, N1) and h.target == graded_hom_module(M1, N2)
+        assert h.degree == f.degree + g.degree
+        columns = h.by_column()
+        for i, (_, di) in enumerate(M2.generators):
+            for j, (_, dj) in enumerate(N1.generators):
+                phi = HomogeneousMap(M2, N1, dj - di, {(j, i): 1})
+                composite = g.compose(phi).compose(f)
+                if f.degree % 2 and (phi.degree + g.degree) % 2:
+                    composite = composite.neg()
+                column = columns.get(hom_pair_index(M2, N1, i, j), ())
+                assert {divmod(p, N2.rank)[::-1]: c for p, c in column} == composite.entries

@@ -1,5 +1,6 @@
 """hhalg modules reach each other only through public names, only linalg
-knows how a matrix is stored, and every definition in hhalg is used."""
+knows how a matrix is stored, and every definition and import in hhalg is
+used."""
 
 import ast
 import pathlib
@@ -130,3 +131,34 @@ def test_dead_definition_detector_flags_offenders():
     assert "imported" in referenced_names(tree)
     assert unreferenced(definitions(tree), referenced_names(tree)) == [
         "Ring.div", "Ring.div.helper", "dead"]
+
+
+def unread_imports(tree):
+    """Sorted (line, name) for each name a module imports but never reads."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    out.append((node.lineno, name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(ast.parse(path.read_text())) == []
+
+
+def test_unread_import_detector_flags_offenders():
+    code = ("from __future__ import annotations\n"
+            "import os, json as j\n"
+            "import os.path\n"
+            "from .base import HomogeneousMap, hom_maps as hm, tensor_maps\n"
+            "def f(x: HomogeneousMap):\n"
+            "    return os.path.join(x)\n"
+            "tensor_maps = None\n")
+    assert unread_imports(ast.parse(code)) == [(2, "j"), (4, "hm"), (4, "tensor_maps")]

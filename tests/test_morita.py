@@ -1,6 +1,8 @@
 import pytest
 
-from hhalg.algebra import AlgebraPresentation, check_action, realize
+from hhalg import morita
+from hhalg.algebra import (AlgebraPresentation, check_action, endomorphism_action,
+                           endomorphism_algebra, realize)
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap
 from hhalg.ground import GroundRing
 from hhalg.morita import (
@@ -239,6 +241,66 @@ def test_adjunction_triangles_on_corpus():
     for Y in (AModule.regular(ctx.A, "left"),
               AModule(ctx.A, ctx.E, ctx.a_action, "left")):
         assert adjunction_triangles(ctx, X, Y)
+
+
+def graded_ctx(p, degrees):
+    # R = F_p acting by scalars, A = End(E) acting through endomorphism_action
+    base = BaseRing(GroundRing.prime_field(p))
+    R = realize(AlgebraPresentation(base, (), ()))
+    E = GradedFreeModule(base, tuple((f"e{i}", d) for i, d in enumerate(degrees)))
+    return MoritaContext(R, endomorphism_algebra(E), E,
+                         {R.unit_index: HomogeneousMap.identity(E)}, endomorphism_action(E))
+
+
+GRADED = [(p, degrees) for p in (3, 5) for degrees in ((0, 1), (0, 2, -1), (1, 0, 3))]
+GRADED_IDS = [f"F{p}-{','.join(map(str, degrees))}" for p, degrees in GRADED]
+
+
+@pytest.mark.parametrize("p, degrees", GRADED, ids=GRADED_IDS)
+def test_identities_hold_on_graded_contexts(p, degrees):
+    ctx = graded_ctx(p, degrees)
+    X = AModule.regular(ctx.R, "right")
+    assert retract_identity(ctx, X)
+    for Y in (AModule.regular(ctx.A, "left"), ctx.E_A):
+        assert adjunction_triangles(ctx, X, Y)
+
+
+@pytest.mark.parametrize("p, degrees", GRADED, ids=GRADED_IDS)
+def test_hom_basis_is_the_koszul_commutant(p, degrees):
+    # lambda_A(a) o z = (-1)^{|a||z|} z o lambda_E(a) for every basis map z
+    ctx = graded_ctx(p, degrees)
+    Y = AModule.regular(ctx.A, "left")
+    basis = _hom_basis(ctx.E_A, Y)
+    assert basis.maps
+    for z in basis.maps:
+        for a in range(ctx.A.rank):
+            right = z.compose(ctx.E_A.act_map(a))
+            if ctx.A.degree(a) % 2 and z.degree % 2:
+                right = right.neg()
+            assert Y.act_map(a).compose(z) == right
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hom_basis_of_a_matrix_algebra(n):
+    # over End(F3^n): Hom_A(E, E) is the scalars and Hom_A(E, A) has rank n
+    M = GradedFreeModule(BASE3, tuple((f"e{i}", 0) for i in range(n)))
+    A = endomorphism_algebra(M)
+    E = AModule(A, M, endomorphism_action(M), "left")
+    assert _hom_basis(E, E).maps == [HomogeneousMap.identity(M)]
+    assert len(_hom_basis(E, AModule.regular(A, "left")).maps) == n
+
+
+@pytest.mark.parametrize("scaled", ["_unit", "_counit"])
+def test_identities_fail_for_a_scaled_unit_or_counit(monkeypatch, scaled):
+    ctx = graded_ctx(3, (0, 1))
+    X, Y = AModule.regular(ctx.R, "right"), AModule.regular(ctx.A, "left")
+    exact = getattr(morita, scaled)
+    monkeypatch.setattr(morita, scaled, lambda *args: exact(*args).scale(2))
+    assert not retract_identity(ctx, X)
+    assert not adjunction_triangles(ctx, X, Y)
+    # triangle 2 fails on its own
+    monkeypatch.setattr(morita, "retract_identity", lambda ctx, X: True)
+    assert not adjunction_triangles(ctx, X, Y)
 
 
 # -- completions ----------------------------------------------------------------------
