@@ -9,7 +9,11 @@ the three monomials involved, exactly as in HomogeneousMap.
 
 check_action is the one action check: associativity of a structure
 table, the module axioms of resolve.AModule and the algebra-map property
-of hochschild's action map mu all go through it.
+of hochschild's action map mu all go through it.  Like the algebra
+isomorphism test and dg's Leibniz check, it compares only the pairs
+(generator, basis element), for the algebra's generating_monomials: a
+set that reaches every monomial by left multiplication from the unit,
+verified when the algebra is built.
 """
 
 from __future__ import annotations
@@ -224,9 +228,15 @@ class GradedAlgebra:
     monomial.  Unitality is asserted at construction, and associativity
     as check_action on the left multiplications, unless check=False (used
     for constructions associative by design).
+
+    generating_monomials are the non-unit monomials that the action checks
+    pair with every basis element; by default all of them.  A declared set
+    is verified whatever check says: a search from the unit, one step
+    s * e_k = c e_m with c a unit, must reach every monomial.
     """
 
-    def __init__(self, base: BaseRing, monomials, unit_index: int, mult, check=True):
+    def __init__(self, base: BaseRing, monomials, unit_index: int, mult, check=True,
+                 generating_monomials=None):
         self.base = base
         self.monomials = tuple((str(n), int(d)) for n, d in monomials)
         self.unit_index = unit_index
@@ -249,6 +259,11 @@ class GradedAlgebra:
         self.mult = clean
         if base.degree_key(self.degree(unit_index)) != 0:
             raise ValueError("unit must sit in degree 0")
+        if generating_monomials is None:
+            self.generating_monomials = tuple(i for i in range(self.rank) if i != unit_index)
+        else:
+            self.generating_monomials = tuple(generating_monomials)
+            self._check_generates()
         if check:
             self._check_unit()
             # (e_i e_j) e_k = e_i (e_j e_k) for every k says that the left
@@ -316,6 +331,28 @@ class GradedAlgebra:
             if self.mul_basis(u, i) != {i: one} or self.mul_basis(i, u) != {i: one}:
                 raise ValueError(f"unit is not two-sided at basis element {i}")
 
+    def _check_generates(self):
+        gens = self.generating_monomials
+        if any(s == self.unit_index or not 0 <= s < self.rank for s in gens):
+            raise ValueError("generating monomials must be non-unit monomial indices")
+        g = self.base.ground
+        reached = {self.unit_index}
+        level = [self.unit_index]
+        while level:
+            nxt = []
+            for k in level:
+                for s in gens:
+                    vec = self.mul_basis(s, k)
+                    if len(vec) == 1:
+                        (m, c), = vec.items()
+                        if m not in reached and g.is_unit(c):
+                            reached.add(m)
+                            nxt.append(m)
+            level = nxt
+        if len(reached) < self.rank:
+            missed = min(set(range(self.rank)) - reached)
+            raise ValueError(f"generating monomials do not reach monomial {missed}")
+
     def __eq__(self, other):
         return (
             isinstance(other, GradedAlgebra)
@@ -330,11 +367,23 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     """Raise ValueError unless e_i |-> maps[i] is a unital action of A on M.
 
     maps holds HomogeneousMaps on M keyed by monomial index; absent
-    monomials act by zero.  A left action has maps[i] o maps[j] equal to
-    the action of e_i e_j, a right one that of e_j e_i.  Both sides are
-    compared as entry dicts, with maps[i]'s columns read off its column
-    index.  A product may wrap a Laurent period; entries carry only ground
-    scalars, so both sides are read in the degree of the pair.
+    monomials act by zero.  Every map's degree and the unit's action are
+    checked, and then only the pairs (s, e_j) with s in
+    A.generating_monomials: a left action rho must have
+    rho(s e_j) = rho(s) o rho(e_j), a right one rho(s e_j) = rho(e_j) o rho(s).
+    Both sides are compared as entry dicts, with a map's columns read off
+    its column index.  A product may wrap a Laurent period; entries carry
+    only ground scalars, so both sides are read in the degree of the pair.
+
+    This is exact for an associative A.  The x with rho(x y) = rho(x) rho(y)
+    for all y form a ground submodule T that holds the unit.  It is closed
+    under x |-> s x for a generator s:
+        rho(s x y) = rho(s) rho(x y) = rho(s) rho(x) rho(y) = rho(s x) rho(y).
+    Left multiplications by generators reach every monomial from the unit
+    (GradedAlgebra verifies this), so T = A; a right action reverses every
+    composite.  On the left multiplications of a table not yet known to be
+    associative, the same argument with T = {x : (x a) b = x (a b)} shows
+    that the check is associativity.
     """
     g = A.base.ground
     key = A.base.degree_key
@@ -344,22 +393,24 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     unit = maps.get(A.unit_index)
     if (unit.entries if unit else {}) != {(k, k): g.one for k in range(M.rank)}:
         raise ValueError("unit does not act as identity")
-    for i in range(A.rank):
-        columns = maps[i].by_column() if i in maps else {}
+    for s in A.generating_monomials:
         for j in range(A.rank):
+            # the pair (i, k) composes maps[i] after maps[k]
+            i, k = (s, j) if side == "left" else (j, s)
             lhs = {}
-            if columns and j in maps:
-                for (k, m), c in maps[j].entries.items():
-                    for r, d in columns.get(k, ()):
+            if i in maps and k in maps:
+                columns = maps[i].by_column()
+                for (t, m), c in maps[k].entries.items():
+                    for r, d in columns.get(t, ()):
                         lhs[(r, m)] = g.add(lhs.get((r, m), g.zero), g.mul(d, c))
             rhs = {}
-            for k, c in (A.mul_basis(i, j) if side == "left" else A.mul_basis(j, i)).items():
-                if k in maps:
-                    for rm, v in maps[k].entries.items():
+            for t, c in A.mul_basis(s, j).items():
+                if t in maps:
+                    for rm, v in maps[t].entries.items():
                         rhs[rm] = g.add(rhs.get(rm, g.zero), g.mul(c, v))
             if ({rm: v for rm, v in lhs.items() if v != 0}
                     != {rm: v for rm, v in rhs.items() if v != 0}):
-                raise ValueError(f"{side} action fails on pair ({i},{j})")
+                raise ValueError(f"{side} action fails on pair ({i},{k})")
 
 
 def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
@@ -367,7 +418,9 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
 
     The monomial basis is the set of irreducible words under the rewriting
     system obtained by orienting the relations length-lexicographically
-    (generator order as listed) and completing critical pairs.
+    (generator order as listed) and completing critical pairs.  The
+    words of length 1 generate: every suffix of an irreducible word is
+    irreducible.
     """
     base = p.base
     period = base.period
@@ -416,7 +469,8 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
                 vec[index[w]] = c
             if vec:
                 mult[(i, j)] = vec
-    return GradedAlgebra(base, monomials, index[()], mult)
+    return GradedAlgebra(base, monomials, index[()], mult,
+                         generating_monomials=[i for i, w in enumerate(words) if len(w) == 1])
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +485,8 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
         sign = -1 if (A.parity(i) and A.parity(j)) else 1
         out = vec if sign == 1 else {k: g.neg(c) for k, c in vec.items()}
         mult[(j, i)] = out
-    return GradedAlgebra(A.base, A.monomials, A.unit_index, mult, check=False)
+    return GradedAlgebra(A.base, A.monomials, A.unit_index, mult, check=False,
+                         generating_monomials=A.generating_monomials)
 
 
 def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
@@ -462,9 +517,11 @@ def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
                     out = {k: c for k, c in out.items() if c != 0}
                     if out:
                         mult[(i1 * nB + j1, i2 * nB + j2)] = out
+    gens = ([s * nB + B.unit_index for s in A.generating_monomials]
+            + [A.unit_index * nB + t for t in B.generating_monomials])
     return GradedAlgebra(
         A.base, tensor_module(A.module, B.module).generators,
-        A.unit_index * nB + B.unit_index, mult, check=False
+        A.unit_index * nB + B.unit_index, mult, check=False, generating_monomials=gens
     )
 
 
@@ -731,16 +788,21 @@ def algebra_isomorphic(A: GradedAlgebra, B: GradedAlgebra, budget: int = 100000)
 
 
 def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bool:
+    """Bijective, f(1) = 1 and f(s e_j) = f(s) f(e_j) for s in A's generating set.
+
+    Exact by check_action's argument with T = {x : f(x y) = f(x) f(y)}.
+    """
     g = A.base.ground
     if not f.is_iso():
         return False
     images = [f.apply_coords({i: g.one}) for i in range(A.rank)]
-    for i, fi in enumerate(images):
-        for j, fj in enumerate(images):
-            lhs = f.apply_coords(A.mul_basis(i, j))
-            if lhs != B.mul_coords(fi, fj):
-                return False
-    return True
+    if images[A.unit_index] != {B.unit_index: g.one}:
+        return False
+    return all(
+        f.apply_coords(A.mul_basis(s, j)) == B.mul_coords(images[s], fj)
+        for s in A.generating_monomials
+        for j, fj in enumerate(images)
+    )
 
 
 def _endomorphism_pairs(M: GradedFreeModule):
@@ -768,7 +830,8 @@ def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
     together with the elementary maps e_ij: M_i -> M_j for (i, j) != (0, 0);
     the missing e_00 is the identity minus the other diagonal maps.  The
     product a * b is the composite of the two maps of endomorphism_action
-    (b first), rewritten on that basis.
+    (b first), rewritten on that basis.  The adjacent maps M_i -> M_{i+1}, M_{i-1}
+    generate: composing them walks from any M_i to any M_j.
     """
     if M.rank == 0:
         raise ValueError("endomorphisms of the zero module have no unit monomial")
@@ -798,4 +861,5 @@ def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
             vec = to_basis(fa.compose(fb).entries)
             if vec:
                 mult[(a, b)] = vec
-    return GradedAlgebra(M.base, tuple(monomials), 0, mult)
+    adjacent = [k for k, (i, j) in enumerate(pairs, 1) if abs(i - j) == 1]
+    return GradedAlgebra(M.base, tuple(monomials), 0, mult, generating_monomials=adjacent)

@@ -13,6 +13,7 @@ is present).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ground import GroundRing
 from .linalg import ExactMatrix, SubquotientPresentation, factor, subquotient
@@ -77,10 +78,20 @@ class GradedFreeModule:
     def degrees(self):
         return [d for _, d in self.generators]
 
+    @cached_property
+    def _slices(self) -> dict:
+        """Generator positions by slice key, ascending, built once.
+
+        Not a field, so equality and hashing ignore it.
+        """
+        by_key = {}
+        for i, (_, d) in enumerate(self.generators):
+            by_key.setdefault(self.base.degree_key(d), []).append(i)
+        return {k: tuple(v) for k, v in by_key.items()}
+
     def slice_indices(self, t: int):
-        """Generator indices contributing to internal degree t."""
-        base = self.base
-        return [i for i, (_, d) in enumerate(self.generators) if base.compatible(d, 0, t)]
+        """Generator indices contributing to internal degree t, ascending."""
+        return self._slices.get(self.base.degree_key(t), ())
 
     def degree_support(self):
         """Sorted canonical slice keys where this module is nonzero."""

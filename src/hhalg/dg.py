@@ -206,14 +206,21 @@ class DGAlgebra:
             self._check_leibniz()
 
     def _check_leibniz(self):
+        """d(1) = 0 and d(s e_j) = d(s) e_j + (-1)^{|s|} s d(e_j) for s generating.
+
+        Exact by algebra.check_action's argument, with T the x for which
+        d(x y) = d(x) y + (-1)^{|x|} x d(y) for all y.
+        """
         A = self.algebra
         g = A.base.ground
         images = [self.d.apply_coords({i: g.one}) for i in range(A.rank)]
-        for i, di in enumerate(images):
+        if images[A.unit_index]:
+            raise ValueError("d(1) != 0")
+        for i in A.generating_monomials:
             sign = g.normalize(-1 if A.parity(i) else 1)
             for j, dj in enumerate(images):
                 lhs = self.d.apply_coords(A.mul_basis(i, j))
-                rhs = A.mul_coords(di, {j: g.one})
+                rhs = A.mul_coords(images[i], {j: g.one})
                 for k, c in A.mul_coords({i: sign}, dj).items():
                     rhs[k] = g.add(rhs.get(k, g.zero), c)
                 rhs = {k: c for k, c in rhs.items() if c != 0}

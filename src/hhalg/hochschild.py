@@ -12,7 +12,8 @@ DGA family.
 mu is an algebra map exactly when A is a module over A (x) A^op, so its
 algebra-map check is the module check of the regular bimodule, the one
 action check algebra.check_action; whether mu is bijective is
-HomogeneousMap.is_iso.
+HomogeneousMap.is_iso.  A (x) A^op is generated by the s (x) 1 and 1 (x) s
+for s generating A, so that check compares 2 |S| r^2 pairs, not r^4.
 """
 
 from __future__ import annotations
