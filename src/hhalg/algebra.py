@@ -38,6 +38,10 @@ class DivergenceError(RealizeError, BudgetExceededError):
     """Rewriting or the monomial basis ran past its cap."""
 
 
+class InvariantError(AssertionError):
+    """An invariant the mathematics guarantees failed: a bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # presentations and rewriting
 

@@ -287,13 +287,19 @@ def cohomology_table(maps, top: int, window) -> BigradedTable:
     """Cohomology of the cochain complex maps[0], maps[1], ... keyed (n, t).
 
     Degree n is ker(maps[n]) / im(maps[n - 1]) for n = 0..top; maps[top]
-    must exist, so the top reported degree has its outgoing map.
+    must exist, so the top reported degree has its outgoing map.  The maps
+    are degree-0 cochain maps built for this table: it runs slice key by
+    slice key, setting every degree, then drops that key's factorizations,
+    so only one key's factorizations are held at a time.
     """
     table = BigradedTable(window=tuple(window))
-    for n in range(top + 1):
-        incoming = maps[n - 1] if n else None
-        for key in slice_keys(maps[n].source, window):
-            table.set(n, key, cohomology_at(maps[n], incoming, key))
+    keys = [set(slice_keys(maps[n].source, window)) for n in range(top + 1)]
+    for key in sorted(set().union(*keys)):
+        for n in range(top + 1):
+            if key in keys[n]:
+                table.set(n, key, cohomology_at(maps[n], maps[n - 1] if n else None, key))
+        for m in maps[:top + 1]:
+            m._factored.pop(key, None)
     return table
 
 

@@ -3,7 +3,7 @@
 Subcommands dispatch definition files to the engine and print deterministic
 tables (TSV or a JSON mirror).  Exit codes: 0 = computed (verdicts, pass or
 fail, live in the output), 1 = input error, 2 = a budget or window was
-exceeded.
+exceeded, 3 = an invariant failed (algebra.InvariantError, a bug).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import cache as cachemod
-from .algebra import BudgetExceededError, GradedAlgebra, radical
+from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, radical
 from .azumaya import (
     check_classical_azumaya,
     check_generalized_azumaya,
@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     except (DefinitionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, BudgetExceededError) else 1
+    except InvariantError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,13 +1,13 @@
-"""Hochschild cohomology via the normalized bar cochain complex.
+"""Hochschild cohomology as Ext over the enveloping algebra A^e = A (x) A^op.
 
-A bimodule over A is a left module (resolve.AModule) over the enveloping
-algebra A (x) A^op, with (a (x) b) . x = (-1)^{|b||x|} a . x . b.  This
-module computes HH^n(A, M) for a finite-rank graded algebra A and such a
-bimodule M, the action map mu from A (x) A^op to Hom(A, A) (the regular
-bimodule's AModule.action_map), an independent computation of HH as Ext
-over the enveloping algebra with a cross-check against the bar table, and
-the homology image of the alpha class under mu for the two-term quotient
-DGA family.
+A bimodule over A is a left module (resolve.AModule) over A^e, with
+(a (x) b) . x = (-1)^{|b||x|} a . x . b, so HH^n(A, M) = Ext^n_{A^e}(A, M).
+This module computes it from the normalized bar resolution, read by the
+one Hom builder resolve.hom_cochains, and independently from a greedy free
+resolution over A^e, with a cross-check of the two tables.  It also holds
+the action map mu from A^e to Hom(A, A) (the regular bimodule's
+AModule.action_map), and the homology image of the alpha class under mu
+for the two-term quotient DGA family.
 
 mu is an algebra map exactly when A is a module over A (x) A^op, so its
 algebra-map check is the module check of the regular bimodule, the one
@@ -22,11 +22,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import BudgetExceededError, GradedAlgebra, opposite, tensor
+from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
 from .linalg import ExactMatrix, SubquotientPresentation, factor
-from .resolve import AModule, ext_with_coefficients, free_resolution
+from .resolve import (AModule, AModuleMap, FreeAModule, Resolution, ext_with_coefficients,
+                      free_resolution, hom_cochains)
 from .tables import BigradedTable
 
 
@@ -67,117 +68,85 @@ def regular_bimodule(A: GradedAlgebra, check=False) -> AModule:
     return AModule(tensor(A, opposite(A)), A.module, _regular_action(A), check=check)
 
 
+def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
+    """The normalized bar resolution B_0 <- ... <- B_top of A over Ae = tensor(A, opposite(A)).
+
+    B_n = A (x) Abar^{(x)n} (x) A is free on the words [a1|...|an] of
+    non-unit monomials (itertools.product order), in degree |a1|+...+|an|:
+
+      d[a1|...|an] = (a1 (x) 1) [a2|...|an] + sum_{i<n} (-1)^i [...|a_i a_{i+1}|...]
+                     + (-1)^{n + |an|(|a1|+...+|a_{n-1}|)} (1 (x) an) [a1|...|a_{n-1}],
+
+    the last face being [a1|...|a_{n-1}] . an written through Ae.
+    """
+    g = A.base.ground
+    r, u = A.rank, A.unit_index
+    reduced = [m for m in range(r) if m != u]
+    minus_one = g.normalize(-1)
+    words, stages, maps = [()], [FreeAModule(Ae, (0,))], []
+    for n in range(1, top + 1):
+        index = {w: i for i, w in enumerate(words)}
+        words = list(itertools.product(reduced, repeat=n))
+        stages.append(FreeAModule(Ae, tuple(sum(map(A.degree, w)) for w in words)))
+        entries = {}
+        for j, w in enumerate(words):
+            odd = (n + A.parity(w[-1]) * sum(map(A.degree, w[:-1]))) % 2
+            faces = [(w[1:], w[0] * r + u, g.one),
+                     (w[:-1], u * r + w[-1], minus_one if odd else g.one)]
+            for i in range(1, n):
+                for k, c in A.mul_basis(w[i - 1], w[i]).items():
+                    if k != u:
+                        faces.append((w[:i - 1] + (k,) + w[i + 1:], u * r + u,
+                                      g.mul(c, minus_one) if i % 2 else c))
+            for face, m, c in faces:
+                elem = entries.setdefault((index[face], j), {})
+                elem[m] = g.add(elem.get(m, g.zero), c)
+        maps.append(AModuleMap(stages[n], stages[n - 1], entries))
+    return Resolution(Ae, stages, maps, (top, None), minimal=False)
+
+
 class BarCochainComplex:
-    """Normalized bar cochains C^n = Hom(Abar^{(x)n}, M), with differentials.
+    """Normalized bar cochains C^n = Hom_{A^e}(B_n, M), with differentials.
 
-    M is a bimodule: an AModule over tensor(A, opposite(A)).
-
-    A cochain generator is (word over non-unit monomials, M-coordinate);
-    its internal degree is deg(value) - deg(inputs).  d^2 = 0 is asserted
-    at construction.
+    M is a bimodule, an AModule over A^e.  B_n = A (x) Abar^{(x)n} (x) A,
+    with the differential and signs of bar_resolution(A, M.algebra, ...),
+    and the cochains are hom_cochains(B_*, M): terms[n] has one generator
+    per (word, M-coordinate), in degree deg(word) - deg(coordinate), the
+    negative of the bar functional's degree.  d^2 = 0 is asserted at
+    construction.
     """
 
     def __init__(self, A: GradedAlgebra, M: AModule, n_max: int = 4,
                  budget: int = 200000):
         if M.algebra.rank != A.rank ** 2:
             raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
-        self.A = A
-        self.M = M
-        u = A.unit_index
-        self.reduced = [m for m in range(A.rank) if m != u]
-        # the nonzero actions a . x at a (x) 1 and (-1)^{|b||x|} x . b at 1 (x) b
-        act, r = M.action, A.rank
-        self.left = {a: act[a * r + u] for a in self.reduced if a * r + u in act}
-        self.right = {b: act[u * r + b] for b in self.reduced if u * r + b in act}
-        self.terms = []
-        self.deltas = []
-        nM = M.module.rank
-        # one extra term so the top reported degree still has an outgoing
-        # differential
-        for n in range(n_max + 2):
-            if len(self.reduced) ** n * nM > budget:
-                break
-            self.terms.append(self._term(n))
-        self.completed = len(self.terms) - 2
+        # one extra term, so the top reported degree has its outgoing differential
+        n_terms = next((n for n in range(n_max + 2)
+                        if (A.rank - 1) ** n * M.module.rank > budget), n_max + 2)
+        self.completed = n_terms - 2
         if self.completed < 0:
             raise BudgetExceededError("budget too small for any cochain degree")
-        for n in range(len(self.terms) - 1):
-            self.deltas.append(self._delta(n))
+        self.terms, self.deltas = hom_cochains(bar_resolution(A, M.algebra, n_terms - 1), M)
         for n in range(len(self.deltas) - 1):
             if not self.deltas[n + 1].compose(self.deltas[n]).is_zero():
-                raise AssertionError(f"bar differential fails d^2 = 0 at n = {n}")
-
-    def words(self, n):
-        return list(itertools.product(self.reduced, repeat=n))
-
-    def _word_index(self, n):
-        return {w: i for i, w in enumerate(self.words(n))}
-
-    def _term(self, n) -> GradedFreeModule:
-        A, M = self.A, self.M
-        gens = []
-        for w in self.words(n):
-            wdeg = sum(A.degree(a) for a in w)
-            for name, d in M.module.generators:
-                gens.append((f"[{','.join(str(a) for a in w)}]->{name}", d - wdeg))
-        return GradedFreeModule(A.base, tuple(gens))
-
-    def _delta(self, n) -> HomogeneousMap:
-        A, M = self.A, self.M
-        g = A.base.ground
-        nM = M.module.rank
-        u = A.unit_index
-        src_words = self.words(n)
-        tgt_index = self._word_index(n + 1)
-        entries = {}
-
-        def put(tword, bvec, sign_scalar):
-            ti = tgt_index[tword]
-            for b2, c in bvec.items():
-                key = (ti * nM + b2, src)
-                entries[key] = g.add(entries.get(key, g.zero), g.mul(sign_scalar, c))
-
-        minus_one = g.normalize(-1)
-        for wi, w in enumerate(src_words):
-            for b in range(nM):
-                src = wi * nM + b
-                bpar = M.module.generators[b][1] % 2
-                fpar = (bpar - sum(A.degree(a) for a in w)) % 2
-                # first face: a1 . f(a2..), Koszul sign (-1)^{|a1||f|}
-                for a1, lam in self.left.items():
-                    val = lam.apply_coords({b: g.one})
-                    if val:
-                        s = minus_one if (fpar and A.parity(a1)) else g.one
-                        put((a1,) + w, val, s)
-                # inner faces: (-1)^i f(..., a_i a_{i+1}, ...)
-                for i in range(n):
-                    for x in self.reduced:
-                        for y in self.reduced:
-                            c = A.mul_basis(x, y).get(w[i])
-                            if c is None:
-                                continue
-                            tword = w[:i] + (x, y) + w[i + 1:]
-                            s = g.mul(c, minus_one if (i + 1) % 2 else g.one)
-                            put(tword, {b: g.one}, s)
-                # last face: (-1)^{n+1} f(a1..an) . a_{n+1}
-                # (the right action undoes the Koszul sign of 1 (x) a_{n+1})
-                slast = minus_one if (n + 1) % 2 else g.one
-                for an, rho in self.right.items():
-                    val = rho.apply_coords({b: g.one})
-                    if val:
-                        s = g.neg(slast) if (bpar and A.parity(an)) else slast
-                        put(w + (an,), val, s)
-        return HomogeneousMap(self.terms[n], self.terms[n + 1], 0, entries)
+                raise InvariantError(f"bar differential fails d^2 = 0 at n = {n}")
 
 
 def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
                           n_max: int = 4, window=(-16, 16),
                           budget: int = 200000) -> BigradedTable:
-    """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A."""
+    """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A.
+
+    The bar cochains sit in degree -t (BarCochainComplex), so their
+    cohomology is read on the window (-hi, -lo) and keyed back by -t.
+    """
     if M is None:
         M = regular_bimodule(A)
     bar = BarCochainComplex(A, M, n_max, budget)
-    table = cohomology_table(bar.deltas, min(bar.completed, n_max), window)
+    lo, hi = window
+    table = BigradedTable(window=tuple(window))
+    for (n, t), p in cohomology_table(bar.deltas, bar.completed, (-hi, -lo)).entries.items():
+        table.set(n, A.base.degree_key(-t), p)
     if bar.completed < n_max:
         table.notes = (f"budget exceeded: completed through n = {bar.completed}",)
     return table
@@ -204,7 +173,7 @@ def action_map_mu(A):
     try:
         E = regular_bimodule(A, check=True)
     except ValueError as e:
-        raise AssertionError(f"mu failed the algebra-map check: {e}") from None
+        raise InvariantError(f"mu failed the algebra-map check: {e}") from None
     return E.action_map()
 
 
@@ -232,25 +201,19 @@ def hochschild_via_enveloping(A: GradedAlgebra, n_max: int = 4,
 
 def check_enveloping_against_bar(A: GradedAlgebra, enveloping: BigradedTable,
                                  bar: BigradedTable, n_max: int):
-    """Raise AssertionError unless the two HH tables of A agree through n_max.
+    """Raise InvariantError unless the two HH tables of A agree through n_max.
 
-    Free ranks are compared per (n, slice key), with t -> -t on the
-    enveloping side.
+    Free rank and torsion are compared per (n, slice key)
+    (BigradedTable.by_slice), with t -> -t on the enveloping side.
     """
+    env = enveloping.by_slice(lambda t: A.base.degree_key(-t), n_max)
+    ours = bar.by_slice(A.base.degree_key, n_max)
     for n in range(n_max + 1):
-        ranks = []
-        for table, sign in ((enveloping, -1), (bar, 1)):
-            by_key = {}
-            for (s, t), p in table.entries.items():
-                if s == n:
-                    k = A.base.degree_key(sign * t)
-                    by_key[k] = by_key.get(k, 0) + p.free_rank
-            ranks.append(by_key)
-        if ranks[0] != ranks[1]:
-            raise AssertionError(
-                f"enveloping path disagrees with bar complex at n = {n}: "
-                f"{ranks[0]} vs {ranks[1]}"
-            )
+        a = {k: v for (s, k), v in env.items() if s == n}
+        b = {k: v for (s, k), v in ours.items() if s == n}
+        if a != b:
+            raise InvariantError(
+                f"enveloping path disagrees with bar complex at n = {n}: {a} vs {b}")
 
 
 # ---------------------------------------------------------------------------

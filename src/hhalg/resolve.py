@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, check_action, radical
+from .algebra import GradedAlgebra, InvariantError, check_action, radical
 from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
                    graded_hom_module, hom_pair_index, slice_keys)
 from .linalg import Echelon, SubquotientPresentation
@@ -84,19 +84,23 @@ class AModuleMap:
         self.target = target
         self.degree = degree
         self.entries = {k: dict(v) for k, v in entries.items() if v}
+        self._flat = None
 
     def flatten(self) -> HomogeneousMap:
-        A = self.source.algebra
-        g = A.base.ground
-        flat = {}
-        src, tgt = self.source, self.target
-        for (i, j), c in self.entries.items():
-            for m in range(A.rank):
-                prod = A.mul_coords({m: g.one}, c)
-                for m2, coeff in prod.items():
-                    key = (tgt.flat_index(i, m2), src.flat_index(j, m))
-                    flat[key] = g.add(flat.get(key, g.zero), coeff)
-        return HomogeneousMap(src.flatten(), tgt.flatten(), self.degree, flat)
+        """The map on flattened modules, built once and kept with its slice factorizations."""
+        if self._flat is None:
+            A = self.source.algebra
+            g = A.base.ground
+            flat = {}
+            src, tgt = self.source, self.target
+            for (i, j), c in self.entries.items():
+                for m in range(A.rank):
+                    prod = A.mul_coords({m: g.one}, c)
+                    for m2, coeff in prod.items():
+                        key = (tgt.flat_index(i, m2), src.flat_index(j, m))
+                        flat[key] = g.add(flat.get(key, g.zero), coeff)
+            self._flat = HomogeneousMap(src.flatten(), tgt.flatten(), self.degree, flat)
+        return self._flat
 
 
 class AModule:
@@ -167,17 +171,15 @@ class AModule:
 class Resolution:
     """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
 
-    flat_maps[s] is maps[s].flatten(), built once by the stage loop; it
-    keeps the slice factorizations taken there for the audit and the
-    Yoneda lifts.  cover describes F_0 -> target when resolving an
-    explicit module (the flattened coordinates of the images of the
-    stage-0 generators).
+    cover describes F_0 -> target when resolving an explicit module (the
+    flattened coordinates of the images of the stage-0 generators).  Any
+    resolution gives Ext through hom_cochains; hochschild's bar
+    resolution is one over the enveloping algebra.
     """
 
     algebra: GradedAlgebra
     stages: list
     maps: list
-    flat_maps: list
     bounds: tuple
     minimal: bool
     target: AModule | None = None
@@ -248,7 +250,7 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
     lo, hi = t_window
     F0 = FreeAModule(A, (0,))
     stages = [F0]
-    maps, flats = [], []
+    maps = []
     # kernel of the augmentation F0 -> k: the non-unit coordinates
     kernel = []
     for m in range(A.rank):
@@ -268,10 +270,9 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
         d_next = AModuleMap(F_next, F_s, entries)
         stages.append(F_next)
         maps.append(d_next)
-        flats.append(d_next.flatten())
         if s + 1 < s_max:
-            kernel = _flat_kernel(flats[-1], t_window)
-    res = Resolution(A, stages, maps, flats, (s_max, tuple(t_window)), minimal=True)
+            kernel = _flat_kernel(d_next.flatten(), t_window)
+    res = Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=True)
     _audit(res, t_window)
     return res
 
@@ -317,7 +318,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     cover = _greedy_generators(A, M, targets, rng)
     F0 = FreeAModule(A, tuple(d for d, _ in cover))
     stages = [F0]
-    maps, flats = [], []
+    maps = []
     cover_vecs = [vec for _, vec in cover]
     # flattened map F0 -> M
     entries = {}
@@ -341,10 +342,9 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
         d_next = AModuleMap(F_next, F_s, ent)
         stages.append(F_next)
         maps.append(d_next)
-        flats.append(d_next.flatten())
         if s + 1 < s_max:
-            kernel = _flat_kernel(flats[-1], t_window)
-    return Resolution(A, stages, maps, flats, (s_max, tuple(t_window)), minimal=False,
+            kernel = _flat_kernel(d_next.flatten(), t_window)
+    return Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=False,
                       target=M, cover=cover_vecs)
 
 
@@ -418,10 +418,8 @@ def _audit(res: Resolution, t_window):
         for (i, j), elem in d.entries.items():
             if u in elem:
                 raise ResolutionError("resolution is not minimal: unit entry in d")
-    flats = res.flat_maps
-    for s in range(1, len(flats)):
-        outer = flats[s - 1]  # F_s -> F_{s-1}
-        inner = flats[s]      # F_{s+1} -> F_s
+    flats = [d.flatten() for d in res.maps]  # flats[s]: F_{s+1} -> F_s
+    for s, (outer, inner) in enumerate(zip(flats, flats[1:]), 1):
         for key in slice_keys(outer.source, t_window):
             if not cohomology_at(outer, inner, key).is_zero:
                 raise ResolutionError(f"exactness fails at stage {s}, slice {key}")
@@ -444,31 +442,23 @@ def ext_table(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> BigradedT
     return table
 
 
-def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> BigradedTable:
-    """Cohomology of Hom_A(F_*, N) per (s, t).
+def hom_cochains(res: Resolution, N: AModule):
+    """Hom_A(F_*, N): its terms, and its differentials d_s^* dual to res.maps.
 
-    Works for any resolution; for non-free coefficient patterns this is
-    the engine behind completion tables and the enveloping-algebra path.
-    N must be a left module.
+    Term s has one generator per (stage generator, N generator); the
+    functional dual to a stage generator of internal degree t, valued on
+    the degree-d generator of N, sits in degree t - d, so trivial
+    coefficients land the class at (s, t).  N must be a left module.
     """
     if N.side != "left":
-        raise ValueError("ext_with_coefficients takes a left module")
-    A = res.algebra
-    g = A.base.ground
-    hom_modules = []
-    hom_maps = []
-    # generator degree convention: the functional dual to stage generator of
-    # internal degree t, valued on the degree-d generator of N, is keyed t - d,
-    # so trivial coefficients land the class at (s, t)
-    for st in res.stages:
-        gens = []
-        for i, t in enumerate(st.gen_degrees):
-            for name, d in N.module.generators:
-                gens.append((f"h{i}.{name}", t - d))
-        hom_modules.append(GradedFreeModule(A.base, tuple(gens)))
+        raise ValueError("hom_cochains takes a left module")
+    base, g = res.algebra.base, res.algebra.base.ground
+    terms = [GradedFreeModule(base, tuple(
+        (f"h{i}.{name}", t - d) for i, t in enumerate(st.gen_degrees)
+        for name, d in N.module.generators)) for st in res.stages]
     nN = N.module.rank
+    maps = []
     for s, dmap in enumerate(res.maps):
-        src_mod, tgt_mod = hom_modules[s], hom_modules[s + 1]
         entries = {}
         for (i, j), elem in dmap.entries.items():
             acc = {}
@@ -478,10 +468,20 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
             for (a, b), v in acc.items():
                 if v != 0:
                     entries[(j * nN + a, i * nN + b)] = v
-        hom_maps.append(HomogeneousMap(src_mod, tgt_mod, 0, entries))
+        maps.append(HomogeneousMap(terms[s], terms[s + 1], 0, entries))
+    return terms, maps
+
+
+def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> BigradedTable:
+    """Cohomology of Hom_A(F_*, N) (hom_cochains) per (s, t).
+
+    Works for any resolution; this is the engine behind completion tables
+    and the enveloping-algebra path.
+    """
+    _, maps = hom_cochains(res, N)
     # the top stage has no outgoing differential, so its kernel would be
     # overcounted; report strictly below it
-    return cohomology_table(hom_maps, len(hom_maps) - 1, window)
+    return cohomology_table(maps, len(maps) - 1, window)
 
 
 # ---------------------------------------------------------------------------
@@ -518,26 +518,12 @@ def ext_base_change(A: GradedAlgebra, S: GradedAlgebra, inclusion: HomogeneousMa
     table = ext_table(Q, s_max, t_window)
     res = free_resolution(Q, AModule.trivial(Q), s_max, t_window, seed=1)
     other = ext_with_coefficients(res, AModule.trivial(Q), t_window)
-    if _reduced(table, Q, s_max) != _reduced(other, Q, s_max):
+    # the non-minimal table stops below its top stage, which has no
+    # outgoing differential
+    key = Q.base.degree_key
+    if table.by_slice(key, s_max - 1) != other.by_slice(key, s_max - 1):
         raise ResolutionError("base change cross-check failed")
     return table
-
-
-def _reduced(table: BigradedTable, A: GradedAlgebra, s_max: int):
-    """Collapse t to its slice key so minimal/non-minimal tables compare.
-
-    The top stage is dropped: a non-minimal dual complex has no outgoing
-    differential there.
-    """
-    period = A.base.period
-    out = {}
-    for (s, t), p in table.entries.items():
-        if s >= s_max:
-            continue
-        key = (s, t % period if period else t)
-        prev = out.get(key, (0, ()))
-        out[key] = (prev[0] + p.free_rank, p.torsion)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +541,7 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     A = res.algebra
     g = A.base.ground
     F0, F1, F2 = res.stages[0], res.stages[1], res.stages[2]
-    d1f, d2f = res.flat_maps[0], res.flat_maps[1]
+    d1f, d2f = res.maps[0].flatten(), res.maps[1].flatten()
     # lift f1: F1 -> F0 with augmentation(f1(g_j)) = cls[j]; internal degree -t
     f1 = AModuleMap(F1, F0, {
         (0, j): {A.unit_index: c} for j, c in cls.items() if c != 0
@@ -573,7 +559,7 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
                 continue
             sol = d1f.factored(key - t).solve(target)
             if sol is None:
-                raise AssertionError("cocycle lift failed on an exact resolution")
+                raise InvariantError("cocycle lift failed on an exact resolution")
             for r, v in sol.items():
                 entries[(src_idx[r], j)] = v
     f2flat = HomogeneousMap(F2flat, F1flat, -t, entries)

@@ -33,6 +33,19 @@ class BigradedTable:
     def is_zero(self) -> bool:
         return not self.entries
 
+    def by_slice(self, key, top: int) -> dict:
+        """{(s, key(t)): (summed free rank, sorted torsion)} for s <= top.
+
+        Entries whose t share a slice key are merged, so tables of two
+        routes compare per slice, free rank and torsion alike.
+        """
+        out = {}
+        for (s, t), p in self.entries.items():
+            if s <= top:
+                rank, torsion = out.get((s, key(t)), (0, ()))
+                out[(s, key(t))] = (rank + p.free_rank, tuple(sorted(torsion + p.torsion)))
+        return out
+
     def rows(self):
         """(s, t, free_rank, torsion) rows in sorted order."""
         out = []

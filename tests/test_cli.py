@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from hhalg import hochschild
 from hhalg.cache import cache_key, deserialize_table, serialize_table
 from hhalg.cli import main
 from hhalg.defs import (
@@ -17,6 +18,7 @@ from hhalg.defs import (
 )
 from hhalg.tables import BigradedTable
 from hhalg.linalg import SubquotientPresentation
+from hhalg.resolve import AModuleMap
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
 REFERENCES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "references.json")
@@ -363,6 +365,57 @@ def test_exit_one_on_a_negative_bound(capsys, tmp_path, command, flag, value, mo
                          tmp_path)
     least = 1 if flag == "--budget" else 0
     assert (code, out, err) == (1, "", f"error: {flag} must be at least {least}, got {value}\n")
+
+
+def test_exit_three_when_the_bar_differential_fails_d_squared(capsys, tmp_path, monkeypatch):
+    # flip the sign of the inner faces, the (1 (x) 1) coefficients of the bar
+    # differential: d^2 then fails on the noncommutative matrix algebras
+    real = hochschild.bar_resolution
+
+    def inner_faces_flipped(A, Ae, top):
+        res = real(A, Ae, top)
+        one, g = Ae.unit_index, A.base.ground
+        res.maps = [AModuleMap(d.source, d.target, {
+            k: {m: g.neg(c) if m == one else c for m, c in elem.items()}
+            for k, elem in d.entries.items()}) for d in res.maps]
+        return res
+
+    monkeypatch.setattr(hochschild, "bar_resolution", inner_faces_flipped)
+    code, out, err = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
+                                  "--nmax", "2"], tmp_path)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: bar differential fails d^2 = 0 at n = ")
+    assert err.count("\n") == 1
+
+
+# recorded from the earlier, independently hand-built bar cochains: an
+# asymmetric window checks that the bar table reads the Hom cochains'
+# degree t at -t
+EXTERIOR_N_WINDOW_ROWS = {
+    "lam_2": [(0, -2, 1), (0, -1, 2), (0, 0, 1), (1, -1, 2), (1, 0, 4), (1, 1, 2),
+              (2, 0, 3), (2, 1, 6)],
+    "lam_3": [(0, -3, 1), (0, -2, 3), (0, -1, 3), (0, 0, 1), (1, -2, 3), (1, -1, 9),
+              (1, 0, 9), (1, 1, 3), (2, -1, 6), (2, 0, 18), (2, 1, 18)],
+}
+
+
+def test_hochschild_on_an_asymmetric_window_tsv(capsys, tmp_path):
+    code, out, err = run(capsys, ["hochschild", "--file", defpath("exterior_n.def"),
+                                  "--nmax", "2", "--window=-3:1"], tmp_path)
+    want = "".join(
+        f"# {name}\ns\tt\tfree_rank\ttorsion\n"
+        + "".join(f"{s}\t{t}\t{r}\t-\n" for s, t, r in rows)
+        for name, rows in EXTERIOR_N_WINDOW_ROWS.items())
+    assert (code, out, err) == (0, want, "")
+
+
+def test_hochschild_on_an_asymmetric_window_json(capsys, tmp_path):
+    code, out, err = run(capsys, ["hochschild", "--file", defpath("exterior_n.def"),
+                                  "--nmax", "2", "--window=-3:1", "--format", "json"],
+                         tmp_path)
+    doc = {name: {"notes": [], "rows": [[s, t, r, "-"] for s, t, r in rows]}
+           for name, rows in EXTERIOR_N_WINDOW_ROWS.items()}
+    assert (code, out, err) == (0, json.dumps(doc, indent=2, sort_keys=True) + "\n", "")
 
 
 def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):

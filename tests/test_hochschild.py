@@ -5,13 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import base, hochschild
-from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, realize
+from hhalg.algebra import (AlgebraPresentation, InvariantError, center, endomorphism_algebra,
+                           realize)
 from hhalg.base import (
     BaseRing,
     GradedFreeModule,
     HomogeneousMap,
     LaurentGenerator,
+    cohomology_at,
     hom_pair_index,
+    slice_keys,
 )
 from hhalg.azumaya import check_classical_azumaya
 from hhalg.dg import ChainMap, make_quotient_dga
@@ -19,6 +22,7 @@ from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
     BarCochainComplex,
     action_map_mu,
+    bar_resolution,
     bimodule,
     check_enveloping_against_bar,
     hochschild_cohomology,
@@ -29,6 +33,7 @@ from hhalg.hochschild import (
 )
 from hhalg.linalg import SubquotientPresentation, determinant
 from hhalg.resolve import AModule
+from hhalg.tables import BigradedTable
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -206,6 +211,46 @@ def test_bar_table_pins_the_koszul_sign_of_the_right_action():
     check_enveloping_against_bar(A, env, bar, 2)
     assert {(s, -t): p for (s, t), p in env.entries.items() if not p.is_zero} == {
         k: SubquotientPresentation(r) for k, r in want.items()}
+
+
+def truncated_z():
+    return realize(AlgebraPresentation(BaseRing(ZZ), (("y", 1),), ([(1, ("y", "y", "y"), 0)],)))
+
+
+@pytest.mark.parametrize("make", [lam_2_f3, truncated_z, lam_tau], ids=lambda f: f.__name__)
+def test_bar_resolution_is_a_resolution(make):
+    # B_* -> A is exact, read on the flattened A^e-maps alone, apart from
+    # any Hom: d o d = 0, no homology at s >= 1, and coker(d_1) = A
+    A = make()
+    res = bar_resolution(A, regular_bimodule(A).algebra, 3)
+    flats = [d.flatten() for d in res.maps]
+    window = (-64, 64)
+    for s in range(1, len(flats)):
+        assert flats[s - 1].compose(flats[s]).is_zero()
+        keys = slice_keys(flats[s - 1].source, window)
+        assert keys and all(cohomology_at(flats[s - 1], flats[s], k).is_zero for k in keys)
+    for key in slice_keys(flats[0].target, window):
+        want = SubquotientPresentation(len(A.module.slice_indices(key)))
+        assert flats[0].factored(key).cokernel() == want
+
+
+def test_route_comparison_sees_one_torsion_factor():
+    # over Z the two tables agree in free rank and differ in one torsion factor
+    A = truncated_z()
+    bar = BigradedTable({(2, 2): SubquotientPresentation(1, (3,))})
+    env = BigradedTable({(2, -2): SubquotientPresentation(1, (3,))})
+    check_enveloping_against_bar(A, env, bar, 2)
+    env = BigradedTable({(2, -2): SubquotientPresentation(1, (9,))})
+    with pytest.raises(InvariantError, match="disagrees with bar complex at n = 2"):
+        check_enveloping_against_bar(A, env, bar, 2)
+
+
+def test_by_slice_merges_the_torsion_of_one_slice_key():
+    # two t of one Laurent residue: ranks add and every torsion factor stays
+    table = BigradedTable({(1, 0): SubquotientPresentation(1, (2,)),
+                           (1, 2): SubquotientPresentation(0, (3,)),
+                           (2, 1): SubquotientPresentation(1)})
+    assert table.by_slice(KU2.degree_key, 1) == {(1, 0): (1, (2, 3))}
 
 
 # -- the enveloping-algebra path --------------------------------------------------
