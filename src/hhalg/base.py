@@ -186,10 +186,15 @@ class HomogeneousMap:
         g = self.source.base.ground
         out = {}
         columns = self.by_column()
-        for (k, j), c in first.entries.items():
-            for i, d in columns.get(k, ()):
-                key = (i, j)
-                out[key] = g.add(out.get(key, g.zero), g.mul(d, c))
+        # one column of the composite at a time, keeping its nonzero sums only
+        for j, col in first.by_column().items():
+            acc = {}
+            for k, c in col:
+                for i, d in columns.get(k, ()):
+                    acc[i] = g.add(acc.get(i, g.zero), g.mul(d, c))
+            for i, x in acc.items():
+                if x != 0:
+                    out[(i, j)] = x
         return HomogeneousMap(first.source, self.target, self.degree + first.degree, out)
 
     def __eq__(self, other):

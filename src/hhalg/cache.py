@@ -1,17 +1,19 @@
 """Content-addressed cache for computed tables.
 
-Keys hash the canonical presentation text, the computation bounds, and an
-engine version string, so format drift invalidates old entries silently.
-Writes go through a temp file and an atomic rename, safe under concurrent
-batch runs.  Payloads are serialized BigradedTables; a cache hit therefore
-re-renders to output byte-identical with recomputation.  Each entry is the
-payload's sha256 on the first line, then the payload.  An entry that is
-unreadable, fails its digest or does not parse as a table is a miss: the
-table is recomputed and the entry overwritten.
+Keys hash the canonical presentation text, the computation bounds, and the
+engine version, a sha256 of the package's .py sources, so an engine change
+invalidates old entries silently.  Writes go through a temp file and an
+atomic rename, safe under concurrent batch runs.  Payloads are serialized
+BigradedTables; a cache hit therefore re-renders to output byte-identical
+with recomputation.  Each entry is the payload's sha256 on the first line,
+then the payload.  An entry that is unreadable, fails its digest or does not
+parse as a table is a miss: the table is recomputed and the entry
+overwritten.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +21,6 @@ import tempfile
 
 from .tables import BigradedTable, SubquotientPresentation
 
-ENGINE_VERSION = "hhalg-0.1.0"
 DEFAULT_DIR = ".hhalg-cache"
 
 
@@ -30,8 +31,29 @@ def resolve_cache_dir(flag=None) -> str:
     return os.environ.get("HHALG_CACHE_DIR") or DEFAULT_DIR
 
 
+def _sources():
+    """(file name, bytes) of every .py file of the package, in name order."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    out = []
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                out.append((name, fh.read()))
+    return out
+
+
+@functools.cache
+def engine_version() -> str:
+    """The sha256 of the package's sources, read once per process on first use."""
+    h = hashlib.sha256()
+    for name, data in _sources():
+        h.update(f"{name}\0{len(data)}\0".encode())
+        h.update(data)
+    return "hhalg-" + h.hexdigest()
+
+
 def cache_key(*parts) -> str:
-    doc = json.dumps([ENGINE_VERSION, *parts], sort_keys=True)
+    doc = json.dumps([engine_version(), *parts], sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()
 
 

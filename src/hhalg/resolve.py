@@ -137,14 +137,6 @@ class AModule:
                 entries[(hom_pair_index(M, M, m, k), src)] = c
         return HomogeneousMap(self.algebra.module, graded_hom_module(M, M), 0, entries)
 
-    def act(self, acoords: dict, vec: dict) -> dict:
-        g = self.algebra.base.ground
-        out = {}
-        for m, a in acoords.items():
-            for i, c in self.act_map(m).apply_coords(vec).items():
-                out[i] = g.add(out.get(i, g.zero), g.mul(a, c))
-        return {i: c for i, c in out.items() if c != 0}
-
     @staticmethod
     def regular(algebra: GradedAlgebra, side: str = "left") -> "AModule":
         mult = algebra.left_mult if side == "left" else algebra.right_mult
@@ -203,14 +195,15 @@ def _flat_kernel(fmap: HomogeneousMap, window):
     return out
 
 
-def _vector_to_entries(F: FreeAModule, vec: dict) -> dict:
-    """Split a flattened vector into per-generator elements of A."""
+def _stage_map(F: FreeAModule, chosen) -> AModuleMap:
+    """d: F_next -> F sending generator j to chosen[j]'s flattened vector."""
     A = F.algebra
-    cols = {}
-    for idx, c in vec.items():
-        i, m = divmod(idx, A.rank)
-        cols.setdefault(i, {})[m] = c
-    return cols
+    entries = {}
+    for j, (_, vec) in enumerate(chosen):
+        for idx, c in vec.items():
+            i, m = divmod(idx, A.rank)
+            entries.setdefault((i, j), {})[m] = c
+    return AModuleMap(FreeAModule(A, tuple(d for d, _ in chosen)), F, entries)
 
 
 def _augmentation_checks(A: GradedAlgebra):
@@ -262,13 +255,8 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
     for s in range(s_max):
         F_s = stages[-1]
         chosen = _minimal_generators(A, F_s, kernel, t_window)
-        F_next = FreeAModule(A, tuple(d for d, _ in chosen))
-        entries = {}
-        for j, (_, vec) in enumerate(chosen):
-            for i, elem in _vector_to_entries(F_s, vec).items():
-                entries[(i, j)] = elem
-        d_next = AModuleMap(F_next, F_s, entries)
-        stages.append(F_next)
+        d_next = _stage_map(F_s, chosen)
+        stages.append(d_next.source)
         maps.append(d_next)
         if s + 1 < s_max:
             kernel = _flat_kernel(d_next.flatten(), t_window)
@@ -324,8 +312,7 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
     entries = {}
     for j, vec in enumerate(cover_vecs):
         for m in range(A.rank):
-            img = M.act({m: g.one}, vec)
-            for i, c in img.items():
+            for i, c in M.act_map(m).apply_coords(vec).items():
                 entries[(i, F0.flat_index(j, m))] = c
     eps = HomogeneousMap(F0.flatten(), M.module, 0, entries)
     kernel = _flat_kernel(eps, t_window)
@@ -334,13 +321,8 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
         acts = {m: F_s.monomial_action(m) for m in range(A.rank)}
         target = AModule(A, F_s.flatten(), acts, check=False)
         chosen = _greedy_generators(A, target, kernel, rng)
-        F_next = FreeAModule(A, tuple(d for d, _ in chosen))
-        ent = {}
-        for j, (_, vec) in enumerate(chosen):
-            for i, elem in _vector_to_entries(F_s, vec).items():
-                ent[(i, j)] = elem
-        d_next = AModuleMap(F_next, F_s, ent)
-        stages.append(F_next)
+        d_next = _stage_map(F_s, chosen)
+        stages.append(d_next.source)
         maps.append(d_next)
         if s + 1 < s_max:
             kernel = _flat_kernel(d_next.flatten(), t_window)
@@ -351,9 +333,22 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
-    Candidates are the vectors themselves plus GREEDY_TRIALS seeded random
-    combinations per slice; each round keeps the candidate adding the largest
-    A-span, which keeps stage ranks near-minimal in practice.
+    Candidates are, per degree, the first vector not yet in the span plus
+    GREEDY_TRIALS seeded random combinations of those not in it; each round
+    keeps the first candidate adding the largest A-span, which keeps stage
+    ranks near-minimal in practice.  The work is done on normal forms modulo
+    the span, each vector reduced once per round.  This is exact:
+
+      (a) a reduced echelon's normal form is the unique vector of v + span
+          zero at every pivot, so reducing last round's residue gives this
+          round's, and reduce only visits the new pivots in its support;
+      (b) the span is a sum of A-orbits, an A-submodule, so the orbit of v
+          modulo it is the orbit of v's residue;
+      (c) the residue of a combination is the same combination of residues:
+          the coefficients are drawn as for the vectors, and the combination
+          of the vectors themselves is built for the winner only;
+      (d) a subspace has one reduced echelon, so adding the winner's orbit
+          residues gives the rows its raw orbit would.
     """
     g = A.base.ground
     total = Echelon(g)
@@ -362,52 +357,53 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     goal = total.rank
     span = Echelon(g)
     chosen = []
-    by_deg = {}
+    by_deg = {}  # degree -> [(vector, residue)] for the vectors not in the span
     for deg, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
-        by_deg.setdefault(deg, []).append(vec)
-
-    def a_span_gain(vec):
-        # the rank of vec's A-orbit modulo the span, in a scratch echelon
-        orbit = [target.act({m: g.one}, vec) for m in range(A.rank)]
-        fresh = Echelon(g)
-        for w in orbit:
-            fresh.add(span.reduce(w))
-        return fresh.rank, orbit
-
+        by_deg.setdefault(deg, []).append((vec, vec))
+    actions = [target.act_map(m) for m in range(A.rank)]
     while span.rank < goal:
-        candidates = []
-        for vecs in by_deg.values():
-            for vec in vecs:
-                if span.reduce(vec):
-                    candidates.append(vec)
-                    break
-        extra = []
-        for vecs in by_deg.values():
-            live = [v for v in vecs if span.reduce(v)]
-            if len(live) > 1:
+        candidates = []  # (residue, live pairs, coefficients or None)
+        for deg, pairs in by_deg.items():
+            pairs = by_deg[deg] = [(v, r) for v, r in
+                                   ((v, span.reduce(r)) for v, r in pairs) if r]
+            if pairs:
+                candidates.append((pairs[0][1], pairs, None))
+        for pairs in by_deg.values():
+            if len(pairs) > 1:
+                residues = [r for _, r in pairs]
                 for _ in range(GREEDY_TRIALS):
-                    combo = {}
-                    for v in live:
-                        c = rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)
-                        if c:
-                            for i, x in v.items():
-                                combo[i] = g.add(combo.get(i, g.zero), g.mul(c, x))
-                    combo = {i: x for i, x in combo.items() if x != 0}
-                    if combo and span.reduce(combo):
-                        extra.append(combo)
+                    cs = [rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)
+                          for _ in pairs]
+                    residue = _combination(g, residues, cs)
+                    if residue:
+                        candidates.append((residue, pairs, cs))
         best = None
-        for vec in candidates + extra:
-            gained, orbit = a_span_gain(vec)
+        for residue, pairs, cs in candidates:
+            # the orbit's residues, and the rank they add to the span
+            orbit = [span.reduce(act.apply_coords(residue)) for act in actions]
+            fresh = Echelon(g)
+            gained = sum(fresh.add(w) for w in orbit)
             if best is None or gained > best[0]:
-                best = (gained, vec, orbit)
+                best = (gained, orbit, pairs, cs)
         if best is None:
             raise ResolutionError("generator selection stalled")
-        _, vec, orbit = best
+        _, orbit, pairs, cs = best
         for w in orbit:
             span.add(w)
+        vec = pairs[0][0] if cs is None else _combination(g, [v for v, _ in pairs], cs)
         gen_deg = min(target.module.generators[i][1] for i in vec)
         chosen.append((gen_deg, vec))
     return chosen
+
+
+def _combination(g, vecs, coeffs) -> dict:
+    """sum c * v over the vectors, its exact sums normalized once at the end."""
+    out = {}
+    for v, c in zip(vecs, coeffs):
+        if c:
+            for i, x in v.items():
+                out[i] = out.get(i, 0) + c * x
+    return {i: x for i, x in ((i, g.normalize(x)) for i, x in out.items()) if x != 0}
 
 
 def _audit(res: Resolution, t_window):

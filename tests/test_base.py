@@ -249,6 +249,39 @@ def test_column_index_matches_naive_scan(base):
         assert f.compose(h) == fh
 
 
+@pytest.mark.parametrize("g, row", [(F3, (1, 2)), (ZZ, (1, -1))], ids=["F3", "Z"])
+def test_composite_that_cancels_is_zero(g, row):
+    # k -> k^2 -> k, 1 |-> (1, 1) |-> row[0] + row[1] = 0
+    base = BaseRing(g)
+    M = GradedFreeModule(base, (("a", 0), ("b", 0)))
+    K = GradedFreeModule(base, (("k", 0),))
+    diagonal = HomogeneousMap(K, M, 0, {(0, 0): 1, (1, 0): 1})
+    f = HomogeneousMap(M, K, 0, {(0, 0): row[0], (0, 1): row[1]})
+    assert f.compose(diagonal).is_zero()
+    # next to a column that does not cancel
+    K2 = GradedFreeModule(base, (("k", 0), ("l", 0)))
+    h = HomogeneousMap(K2, M, 0, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    assert f.compose(h).entries == {(0, 1): g.one}
+
+
+@pytest.mark.parametrize("base", [BaseRing(F3), BaseRing(ZZ)], ids=["F3", "Z"])
+def test_compose_matches_a_triple_loop(base):
+    rng = random.Random(5)
+    g = base.ground
+    for _ in range(30):
+        A, B, C = (random_module(rng, base, n) for n in "abc")
+        f, h = random_map(rng, B, C, 0), random_map(rng, A, B, 0)
+        want = {}
+        for i in range(C.rank):
+            for j in range(A.rank):
+                x = g.zero
+                for k in range(B.rank):
+                    x = g.add(x, g.mul(f.entries.get((i, k), 0), h.entries.get((k, j), 0)))
+                if x != 0:
+                    want[(i, j)] = x
+        assert f.compose(h).entries == want
+
+
 # -- bijectivity, slice by slice ------------------------------------------------
 
 def test_is_iso_needs_unit_invariant_factors_over_z():

@@ -2,10 +2,12 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from hhalg import hochschild
+from hhalg import cache, hochschild
 from hhalg.cache import cache_key, deserialize_table, serialize_table
 from hhalg.cli import main
 from hhalg.defs import (
@@ -133,6 +135,33 @@ def test_table_serialization_roundtrip():
 
 def test_cache_key_depends_on_bounds():
     assert cache_key("ext", "x", 6) != cache_key("ext", "x", 7)
+
+
+def test_cache_key_is_stable_and_follows_the_sources(monkeypatch):
+    key = cache_key("ext", "x", 6)
+    assert cache_key("ext", "x", 6) == key
+    names = [name for name, _ in cache._sources()]
+    assert "cache.py" in names and "resolve.py" in names and names == sorted(names)
+    edited = [(name, data + b"\n# edited\n" if name == "resolve.py" else data)
+              for name, data in cache._sources()]
+    monkeypatch.setattr(cache, "_sources", lambda: edited)
+    cache.engine_version.cache_clear()
+    try:
+        assert cache_key("ext", "x", 6) != key
+    finally:
+        monkeypatch.undo()
+        cache.engine_version.cache_clear()
+    assert cache_key("ext", "x", 6) == key
+
+
+def test_engine_version_is_computed_on_first_use_only():
+    code = ("from hhalg import cache, cli; n = cache.engine_version.cache_info;"
+            " before = n().currsize; cache.cache_key('x'); cache.cache_key('y');"
+            " print(before, n().currsize, n().misses)")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0", "1", "1"]
 
 
 def test_cache_cold_and_warm_outputs_identical(capsys, tmp_path):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhalg import resolve
 from hhalg.algebra import AlgebraPresentation, realize
@@ -263,3 +265,27 @@ def test_minimal_resolution_audit_catches_a_dropped_generator(monkeypatch):
     with pytest.raises(ResolutionError, match="exactness fails at stage 1"):
         minimal_resolution(lam_x(), s_max=4)
     assert stages[1] == 1
+
+
+# -- minimal against greedy, on random small algebras ------------------------------
+
+@st.composite
+def small_algebras(draw):
+    """A random exterior or truncated polynomial algebra over F3 or F5."""
+    base = BaseRing(GroundRing.prime_field(draw(st.sampled_from([3, 5]))))
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3))
+        return exterior(base, tuple((f"x{i}", d) for i, d in enumerate(degrees)))
+    T, deg = draw(st.integers(2, 4)), draw(st.sampled_from([-2, -1, 1, 2]))
+    return realize(AlgebraPresentation(base, (("y", deg),), ([(1, ("y",) * T, 0)],)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(A=small_algebras(), seed=st.integers(0, 7))
+def test_minimal_and_greedy_ext_agree(A, seed):
+    s_max, window = 4, (-16, 16)
+    k = AModule.trivial(A)
+    minimal = ext_table(A, s_max, window)
+    greedy = ext_with_coefficients(free_resolution(A, k, s_max, window, seed), k, window)
+    key = A.base.degree_key
+    assert minimal.by_slice(key, s_max - 1) == greedy.by_slice(key, s_max - 1)
