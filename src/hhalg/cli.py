@@ -126,7 +126,7 @@ def cmd_hochschild(df, built, args, out):
     for name, A in _graded_entries(df, built):
         table = hochschild_cohomology(A, n_max=args.nmax, window=window,
                                       budget=args.budget)
-        budget_hit = budget_hit or any("budget" in n for n in table.notes)
+        budget_hit = budget_hit or table.completed_through is not None
         sections.append((name, table))
     if not sections:
         raise DefinitionError("hochschild needs at least one algebra entry")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
                    tensor_maps)
-from .linalg import ExactMatrix, SubquotientPresentation, factor, smith_normal_form, solve
+from .linalg import ExactMatrix, SubquotientPresentation, factor
 from .tables import BigradedTable
 
 
@@ -296,17 +296,17 @@ def dg_unit_kernel(A: DGAlgebra):
     """
     g = A.base.ground
     u = A.algebra.unit_index
-    in_mat, _, tgt = A.d.slice_matrix(1)
+    tgt = A.d.target.slice_indices(0)  # where the degree-1 slice of d lands
     upos = tgt.index(u) if u in tgt else None
     if upos is None:
         raise ValueError("unit not visible in its own degree slice")
+    sf = A.d.factored(1)
     if g.is_field:
         # c*1 in im(d) for c != 0 iff 1 in im(d)
-        if solve(in_mat, {upos: g.one}) is not None:
+        if sf.solve({upos: g.one}) is not None:
             return SubquotientPresentation(1, ()), g.one
         return SubquotientPresentation(0, ()), g.zero
-    # over Z: the order of the class of e_u in coker(d), via Smith form
-    sf = smith_normal_form(in_mat)
+    # over Z: the order of the class of e_u in coker(d), via the Smith form's U
     y = sf.U.apply({upos: 1})
     diag = sf.diagonal()
     n = 1

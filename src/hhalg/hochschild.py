@@ -148,6 +148,7 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
     for (n, t), p in cohomology_table(bar.deltas, bar.completed, (-hi, -lo)).entries.items():
         table.set(n, A.base.degree_key(-t), p)
     if bar.completed < n_max:
+        table.completed_through = bar.completed
         table.notes = (f"budget exceeded: completed through n = {bar.completed}",)
     return table
 

@@ -7,13 +7,16 @@ solving.  `ExactMatrix` stores a matrix as sparse columns, one dict
 arrive column by column.  This module is the only one that knows how a
 matrix is stored: vectors go in and come out as sparse dicts
 {index: scalar}, and dense rows exist only as the scratch copy that the
-integer Smith form and determinant work on.
+determinant works on.
 
 Over a field there is one elimination: `Echelon`, a span of sparse dict
 vectors in reduced echelon form with least-index pivots.  Over Z the Smith
-normal form stays, because it carries the torsion; it uses minimal
-absolute value pivoting with alternating row/column sweeps, which keeps
-coefficient growth tame at this scale.
+normal form stays, because it carries the torsion.  It eliminates on
+sparse rows: first the ±1 pivots of least Markowitz cost, which is nearly
+all of them on the bar and action slices, then the small core left
+without units, by least-|entry| pivots whose column is cleared before
+their row.  It keeps the invariant factors and the list of steps; U and V
+are built from the steps only for a caller that reads them.
 
 A matrix is factored once: `factor(M)` returns an `EchelonForm` over a
 field and a `SmithForm` over Z, and both keep M and answer its rank,
@@ -28,6 +31,7 @@ loop.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .ground import GroundRing
@@ -69,7 +73,7 @@ class ExactMatrix:
     def data(self):
         """A fresh dense copy of the rows, zeros included.
 
-        The integer Smith form and determinant eliminate on it in place.
+        The determinant eliminates on it in place.
         """
         z = self.ground.zero
         return [[col.get(i, z) for col in self.columns] for i in range(self.rows)]
@@ -215,7 +219,6 @@ def _target(g: GroundRing, b: dict, n: int) -> dict:
     return {i: g.normalize(x) for i, x in b.items()}
 
 
-@dataclass
 class SmithForm:
     """U * M * V = D over Z, with U, V unimodular and D diagonal (d_i | d_{i+1}).
 
@@ -223,19 +226,73 @@ class SmithForm:
     asked for M's rank, kernel, cokernel and solutions of M x = b.  The
     nonzero diagonal entries come first, so the first `rank` columns of V
     map onto im(M) and the rest span ker(M).
+
+    `rank`, `diagonal()` and `cokernel()` read the invariant factors alone.
+    U and V, and with them `kernel()` and `solve()`, are lazy: the first
+    request builds both by replaying the recorded elimination steps on
+    identity matrices, and keeps them; `transforms_built` says whether that
+    has happened.
     """
 
-    matrix: ExactMatrix
-    U: ExactMatrix
-    D: ExactMatrix
-    V: ExactMatrix
-    rank: int = field(init=False)
-
-    def __post_init__(self):
-        self.rank = sum(1 for d in self.diagonal() if d != 0)
+    def __init__(self, matrix: ExactMatrix, invariants, pivots, row_ops, col_ops):
+        self.matrix = matrix
+        self.invariants = tuple(invariants)  # d_1 | d_2 | ..., all positive
+        self.rank = len(self.invariants)
+        self._pivots = pivots    # (row, column, sign) of each d_k, in diagonal order
+        self._row_ops = row_ops  # (dst, src, c): row dst += c * row src, in order
+        self._col_ops = col_ops  # (dst, src, c): column dst += c * column src
+        self._UV = None
 
     def diagonal(self):
-        return [self.D[i, i] for i in range(min(self.D.rows, self.D.cols))]
+        M = self.matrix
+        return list(self.invariants) + [0] * (min(M.rows, M.cols) - self.rank)
+
+    @property
+    def D(self) -> ExactMatrix:
+        M = self.matrix
+        return ExactMatrix.from_columns(M.ground, M.rows, [
+            {j: self.invariants[j]} if j < self.rank else {} for j in range(M.cols)])
+
+    @property
+    def transforms_built(self) -> bool:
+        return self._UV is not None
+
+    @property
+    def U(self) -> ExactMatrix:
+        return self._transforms()[0]
+
+    @property
+    def V(self) -> ExactMatrix:
+        return self._transforms()[1]
+
+    def _transforms(self):
+        """(U, V): the recorded row and column operations applied to identities.
+
+        Pivot k's row of U becomes row k, scaled by the pivot's sign, and its
+        column of V becomes column k; the rows and columns that carried no
+        pivot follow in index order.
+        """
+        if self._UV is None:
+            M = self.matrix
+            U = [{i: 1} for i in range(M.rows)]  # rows of U
+            for dst, src, c in self._row_ops:
+                _addmul(U[dst], U[src], c)
+            V = [{j: 1} for j in range(M.cols)]  # columns of V
+            for dst, src, c in self._col_ops:
+                _addmul(V[dst], V[src], c)
+            prows = {p for p, _, _ in self._pivots}
+            pcols = {q for _, q, _ in self._pivots}
+            urows = ([U[p] if s == 1 else {j: -x for j, x in U[p].items()}
+                      for p, _, s in self._pivots]
+                     + [U[i] for i in range(M.rows) if i not in prows])
+            ucols = [{} for _ in range(M.rows)]
+            for k, row in enumerate(urows):
+                for j, x in row.items():
+                    ucols[j][k] = x
+            vcols = [V[q] for _, q, _ in self._pivots] + [V[j] for j in range(M.cols) if j not in pcols]
+            self._UV = (ExactMatrix.from_columns(M.ground, M.rows, ucols),
+                        ExactMatrix.from_columns(M.ground, M.cols, vcols))
+        return self._UV
 
     def kernel(self):
         """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
@@ -243,17 +300,17 @@ class SmithForm:
 
     def cokernel(self) -> "SubquotientPresentation":
         """Present target/im(M) by free rank and invariant factors."""
-        torsion = [abs(d) for d in self.diagonal()[:self.rank] if abs(d) > 1]
-        return SubquotientPresentation(self.D.rows - self.rank, tuple(torsion))
+        torsion = [d for d in self.invariants if d > 1]
+        return SubquotientPresentation(self.matrix.rows - self.rank, tuple(torsion))
 
     def solve(self, b: dict):
         """Return a sparse x with Mx = b, or None when b is not in im(M) (exactly)."""
-        c = self.U.apply(_target(self.D.ground, b, self.U.cols))
+        c = self.U.apply(_target(self.matrix.ground, b, self.matrix.rows))
         y = {}
         for i, x in c.items():
             if i >= self.rank:
                 return None
-            d = self.D[i, i]
+            d = self.invariants[i]
             if x % d:
                 return None
             y[i] = x // d
@@ -286,107 +343,158 @@ class SubquotientPresentation:
         return " + ".join(parts)
 
 
-# The integer Smith form works on a dense scratch copy of the rows.
+# The integer Smith form eliminates on sparse rows {column: int}, with a
+# column index {column: set of rows} kept alongside.
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _addmul_row(m, dst, src, c):
-    row_d = m[dst]
-    for j, x in enumerate(m[src]):
-        if x:
-            row_d[j] += c * x
+def _addmul(dst: dict, src: dict, c: int):
+    """dst += c * src on sparse integer vectors."""
+    for k, x in src.items():
+        v = dst.get(k, 0) + c * x
+        if v:
+            dst[k] = v
+        else:
+            del dst[k]
 
 
-def _addmul_col(m, dst, src, c):
-    for row in m:
-        if row[src]:
-            row[dst] += c * row[src]
+def _row_op(rows, at, dst, src, c, ops):
+    """Row dst += c * row src, keeping the column index; recorded in ops."""
+    if not c:
+        return
+    row = rows[dst]
+    for j, x in rows[src].items():
+        v = row.get(j, 0) + c * x
+        if v:
+            row[j] = v
+            at[j].add(dst)
+        else:
+            del row[j]
+            at[j].discard(dst)
+    ops.append((dst, src, c))
 
 
-def _eye(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def _col_op(rows, at, dst, src, c, ops):
+    """Column dst += c * column src, keeping the column index; recorded in ops."""
+    if not c:
+        return
+    col = at[dst]
+    for i in at[src]:
+        row = rows[i]
+        v = row.get(dst, 0) + c * row[src]
+        if v:
+            row[dst] = v
+            col.add(i)
+        else:
+            del row[dst]
+            col.discard(i)
+    ops.append((dst, src, c))
 
 
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
+def _unit_phase(rows, at, pivots, row_ops, col_ops):
+    """Eliminate ±1 pivots of least Markowitz cost (r - 1)(c - 1).
+
+    Pivot (p, q) clears its column by row operations on the rows that meet
+    it.  Column q is then zero off row p, so the column operations that
+    clear row p change row p alone: they are recorded, not applied, and
+    row p and column q leave the active matrix.  Candidates wait in a heap
+    under the cost they had when pushed; a popped candidate whose cost has
+    since grown goes back under its current cost, one that is no longer a
+    ±1 entry is dropped, and every ±1 a row operation writes is pushed.
+    """
+    heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
+            for i, row in rows.items() for j, x in row.items() if x == 1 or x == -1]
+    heapq.heapify(heap)
+    while heap:
+        cost, p, q = heapq.heappop(heap)
+        prow = rows.get(p)
+        u = prow.get(q) if prow is not None else None
+        if u != 1 and u != -1:
+            continue
+        now = (len(prow) - 1) * (len(at[q]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, p, q))
+            continue
+        for i in at[q] - {p}:
+            row = rows[i]
+            _row_op(rows, at, i, p, -row[q] * u, row_ops)
+            for j in prow:
+                if row.get(j) in (1, -1):
+                    heapq.heappush(heap, ((len(row) - 1) * (len(at[j]) - 1), i, j))
+        del rows[p], at[q]
+        for j, x in prow.items():
+            if j != q:
+                at[j].discard(p)
+                col_ops.append((j, q, -x * u))
+        pivots.append((p, q, u))
+
+
+def _core_phase(rows, at, pivots, row_ops, col_ops):
+    """Finish the matrix left without ±1 entries; return its invariant factors.
+
+    Each step pivots on an entry of least absolute value.  Its column is
+    cleared first, by row operations that always pivot on the column's
+    least entry, so the column operations that sweep the pivot row then
+    change that row alone.  A nonzero remainder in the row becomes the new
+    pivot and its column is cleared in turn; the pivot shrinks every time.
+    Once the cross is clear, a pivot that fails to divide some remaining
+    entry takes that entry's row into its own and the sweeps go on, so each
+    d_k divides everything left after it and the factors form a
+    divisibility chain.
+    """
+    invariants = []
+    while True:
+        best = min(((abs(x), i, j) for i, row in rows.items() for j, x in row.items()),
+                   default=None)
+        if best is None:
+            return invariants
+        _, p, q = best
+        while True:
+            while len(at[q]) > 1:
+                p = min(at[q], key=lambda i: (abs(rows[i][q]), i))
+                d = rows[p][q]
+                for i in sorted(at[q] - {p}):
+                    _row_op(rows, at, i, p, -(rows[i][q] // d), row_ops)
+            d = rows[p][q]
+            for j in sorted(set(rows[p]) - {q}):
+                _col_op(rows, at, j, q, -(rows[p][j] // d), col_ops)
+            rest = set(rows[p]) - {q}
+            if rest:
+                q = min(rest, key=lambda j: (abs(rows[p][j]), j))
+                continue
+            if abs(d) != 1:
+                bad = next((i for i in sorted(rows)
+                            if i != p and any(x % d for x in rows[i].values())), None)
+                if bad is not None:
+                    _row_op(rows, at, p, bad, 1, row_ops)
+                    continue
+            break
+        rows.pop(p)
+        del at[q]
+        pivots.append((p, q, 1 if d > 0 else -1))
+        invariants.append(abs(d))
 
 
 def smith_normal_form(M: ExactMatrix) -> SmithForm:
-    """Diagonalize M over Z as U*M*V = D with a divisibility chain on the diagonal."""
+    """Diagonalize M over Z as U*M*V = D with a divisibility chain on the diagonal.
+
+    Unit pivots are eliminated first, on sparse rows in Markowitz order, as
+    in Dumas, Saunders and Villard, "On efficient sparse integer matrix
+    Smith normal form computations" (J. Symbolic Comput. 32, 2001); the
+    core left without ±1 entries is finished by least-|entry| pivoting.
+    Only the invariant factors and the list of steps are kept: U and V are
+    built from the steps when first asked for (`SmithForm`).
+    """
     g = M.ground
     if g.is_field:
         raise ValueError("the Smith form is taken over Z; over a field use factor()")
-    rows, cols = M.rows, M.cols
-    D = M.data
-    U, V = _eye(rows), _eye(cols)
-    n = min(rows, cols)
-    t = 0
-    while t < n:
-        # minimal |entry| pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = D[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        i, j = piv
-        if i != t:
-            _swap_rows(D, i, t)
-            _swap_rows(U, i, t)
-        if j != t:
-            _swap_cols(D, j, t)
-            _swap_cols(V, j, t)
-        # alternate row/column reduction until the cross is clear
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                a = D[i][t]
-                if a != 0:
-                    q = a // D[t][t]
-                    _addmul_row(D, i, t, -q)
-                    _addmul_row(U, i, t, -q)
-                    if D[i][t] != 0:
-                        _swap_rows(D, i, t)
-                        _swap_rows(U, i, t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                a = D[t][j]
-                if a != 0:
-                    q = a // D[t][t]
-                    _addmul_col(D, j, t, -q)
-                    _addmul_col(V, j, t, -q)
-                    if D[t][j] != 0:
-                        _swap_cols(D, j, t)
-                        _swap_cols(V, j, t)
-                        dirty = True
-            if not dirty and abs(D[t][t]) != 1:
-                # pivot must divide the whole trailing block (a unit always does)
-                d = D[t][t]
-                for i in range(t + 1, rows):
-                    if any(D[i][j] % d != 0 for j in range(t + 1, cols)):
-                        _addmul_row(D, t, i, 1)
-                        _addmul_row(U, t, i, 1)
-                        dirty = True
-                        break
-        if D[t][t] < 0:
-            _negate_row(D, t)
-            _negate_row(U, t)
-        t += 1
-    # no chain repair: every later step acts inside a block d_t already divides
-    return SmithForm(M, *(ExactMatrix.from_columns(g, len(m), _columns_of(m, c))
-                          for m, c in ((U, rows), (D, cols), (V, cols))))
+    rows = {}
+    at = {j: set(col) for j, col in enumerate(M.columns)}
+    for j, col in enumerate(M.columns):
+        for i, x in col.items():
+            rows.setdefault(i, {})[j] = x
+    pivots, row_ops, col_ops = [], [], []
+    _unit_phase(rows, at, pivots, row_ops, col_ops)
+    core = _core_phase(rows, at, pivots, row_ops, col_ops)
+    return SmithForm(M, [1] * (len(pivots) - len(core)) + core, pivots, row_ops, col_ops)
 
 
 def factor(M: ExactMatrix):

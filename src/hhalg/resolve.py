@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import GradedAlgebra, InvariantError, check_action, radical
 from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
@@ -43,7 +44,12 @@ GREEDY_TRIALS = 6
 
 @dataclass(frozen=True)
 class FreeAModule:
-    """Free left module over a GradedAlgebra with generators in given degrees."""
+    """Free left module over a GradedAlgebra with generators in given degrees.
+
+    The flattened module is built once per module and kept:
+    `cached_property` stores it in the instance dict, past the frozen
+    `__setattr__`, and equality and hashing still read the two fields alone.
+    """
 
     algebra: GradedAlgebra
     gen_degrees: tuple
@@ -54,6 +60,10 @@ class FreeAModule:
 
     def flatten(self) -> GradedFreeModule:
         """Ground-level free module: one generator per (module gen, monomial)."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> GradedFreeModule:
         A = self.algebra
         gens = []
         for i, t in enumerate(self.gen_degrees):

@@ -17,6 +17,8 @@ class BigradedTable:
     entries: dict = field(default_factory=dict)  # (s, t) -> SubquotientPresentation
     window: tuple | None = None  # (lo, hi) in t, if bounded
     notes: tuple = ()
+    # the last degree computed when a budget stopped short of the request
+    completed_through: int | None = None
 
     def set(self, s: int, t: int, pres: SubquotientPresentation):
         if pres.is_zero:

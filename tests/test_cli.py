@@ -373,6 +373,34 @@ def test_exit_two_on_hochschild_budget(capsys, tmp_path):
     assert "budget" in out
 
 
+def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, monkeypatch):
+    argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3"]
+    code, out, _ = run(capsys, argv, tmp_path)
+    assert code == 0 and "budget" not in out
+    code, out, _ = run(capsys, argv + ["--budget", "15"], tmp_path)
+    assert code == 2
+    assert out.count("# note: budget exceeded: completed through n = 0\n") == 2
+    # a note that mentions a budget is text; only completed_through is a verdict
+    real = hochschild.hochschild_cohomology
+
+    def noted(*args, **kwargs):
+        table = real(*args, **kwargs)
+        table.notes = ("budget comfortably met",)
+        return table
+
+    monkeypatch.setattr("hhalg.cli.hochschild_cohomology", noted)
+    code, out, _ = run(capsys, argv, tmp_path)
+    assert code == 0 and "budget comfortably met" in out
+
+    def cut(*args, **kwargs):
+        table = real(*args, **kwargs)
+        table.completed_through = 2
+        return table
+
+    monkeypatch.setattr("hhalg.cli.hochschild_cohomology", cut)
+    assert run(capsys, argv, tmp_path)[0] == 2
+
+
 def test_exit_two_when_the_budget_fits_no_cochain_degree(capsys, tmp_path):
     code, out, err = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
                                   "--budget", "1"], tmp_path)

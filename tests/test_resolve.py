@@ -289,3 +289,23 @@ def test_minimal_and_greedy_ext_agree(A, seed):
     greedy = ext_with_coefficients(free_resolution(A, k, s_max, window, seed), k, window)
     key = A.base.degree_key
     assert minimal.by_slice(key, s_max - 1) == greedy.by_slice(key, s_max - 1)
+
+
+def test_free_resolution_flattens_each_stage_once(monkeypatch):
+    # a stage's flattened module is built on its first flatten() and kept
+    A = exterior(BaseRing(F3), (("x", 1), ("y", 1), ("z", 1)))
+    k = AModule.trivial(A)
+    built = []
+    real = resolve.GradedFreeModule
+
+    def counting(base, generators):
+        built.append(generators)
+        return real(base, generators)
+
+    monkeypatch.setattr(resolve, "GradedFreeModule", counting)
+    res = free_resolution(A, k, s_max=5, seed=1)
+    during = len(built)
+    for F in res.stages:
+        assert F.flatten() is F.flatten()
+        assert F.monomial_action(0).source is F.flatten()
+    assert 0 < during <= len(res.stages) == len(built)
