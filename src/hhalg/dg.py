@@ -292,7 +292,10 @@ def dg_unit_kernel(A: DGAlgebra):
     """Kernel of ground -> H_0(A) in degree 0.
 
     Returns (presentation, generator): the kernel is the ideal (generator)
-    of the ground ring; generator 0 means zero kernel.
+    of the ground ring; generator 0 means zero kernel.  The generator is
+    the order of the class of 1 in coker(d), read off U e_1 and the
+    invariant factors of d's factorization on every ground ring; over a
+    field every invariant is 1, so the order is 1 or infinite.
     """
     g = A.base.ground
     u = A.algebra.unit_index
@@ -301,20 +304,12 @@ def dg_unit_kernel(A: DGAlgebra):
     if upos is None:
         raise ValueError("unit not visible in its own degree slice")
     sf = A.d.factored(1)
-    if g.is_field:
-        # c*1 in im(d) for c != 0 iff 1 in im(d)
-        if sf.solve({upos: g.one}) is not None:
-            return SubquotientPresentation(1, ()), g.one
-        return SubquotientPresentation(0, ()), g.zero
-    # over Z: the order of the class of e_u in coker(d), via the Smith form's U
-    y = sf.U.apply({upos: 1})
     diag = sf.diagonal()
-    n = 1
-    for r, yr in y.items():
+    n = g.one
+    for r, yr in sf.U.apply({upos: g.one}).items():
         dr = diag[r] if r < len(diag) else 0
         if dr == 0:
-            if yr != 0:
-                return SubquotientPresentation(0, ()), 0  # infinite order: zero kernel
-            continue
-        n = math.lcm(n, dr // math.gcd(dr, yr))
+            return SubquotientPresentation(0, ()), g.zero  # infinite order: zero kernel
+        if dr != 1:
+            n = math.lcm(n, dr // math.gcd(dr, yr))
     return SubquotientPresentation(1, ()), n

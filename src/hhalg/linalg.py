@@ -9,24 +9,33 @@ matrix is stored: vectors go in and come out as sparse dicts
 {index: scalar}, and dense rows exist only as the scratch copy that the
 determinant works on.
 
-Over a field there is one elimination: `Echelon`, a span of sparse dict
-vectors in reduced echelon form with least-index pivots.  Over Z the Smith
-normal form stays, because it carries the torsion.  It eliminates on
-sparse rows: first the ±1 pivots of least Markowitz cost, which is nearly
-all of them on the bar and action slices, then the small core left
-without units, by least-|entry| pivots whose column is cleared before
-their row.  It keeps the invariant factors and the list of steps; U and V
-are built from the steps only for a caller that reads them.
+A matrix is factored once, by one elimination on every ground ring: the
+Smith normal form, which over Z carries the torsion and over a field is
+1^rank 0^rest.  It eliminates on sparse rows: first the unit pivots of
+least Markowitz cost, then the small core left without units, by
+least-|entry| pivots whose column is cleared before their row.  Over Z
+the units are ±1, which is nearly every pivot of the bar and action
+slices; over F_p and Q every nonzero entry is a unit, so the first phase
+factors the whole matrix and no core is left.  The factorization keeps
+the invariant factors and the list of steps; U and V are built from the
+steps only for a caller that reads them, so rank-only callers never
+build them.
 
-A matrix is factored once: `factor(M)` returns an `EchelonForm` over a
-field and a `SmithForm` over Z, and both keep M and answer its rank,
-kernel, cokernel and any number of solves against it.  `EchelonForm` adds
-M's columns to the echelon as they are stored.  The module functions
-`rank`, `kernel_basis`, `cokernel` and `solve` are one-shot calls on it.
-`subquotient` presents ker(A)/im(B) from the factorizations of A and B by
-rank arithmetic, factoring nothing itself.  Callers that solve against one
-matrix many times keep the factored form instead of calling `solve` in a
-loop.
+`factor(M)` returns that `SmithForm`, which keeps M and answers its rank,
+kernel, cokernel and any number of solves against it.  The module
+functions `rank`, `kernel_basis`, `cokernel` and `solve` are one-shot
+calls on it.  `subquotient` presents ker(A)/im(B) from the factorizations
+of A and B by rank arithmetic, factoring nothing itself.  Callers that
+solve against one matrix many times keep the factored form instead of
+calling `solve` in a loop.
+
+`Echelon` is the incremental span: a span of sparse dict vectors over a
+field in reduced echelon form with least-index pivots, grown one vector at
+a time by the resolutions, the algebra and Morita code.  A field kernel is
+the reduced echelon basis of ker(M), taken by adding V's kernel columns to
+an `Echelon`: V's columns depend on the pivot order, while the reduced
+basis is unique and sparse, and the resolutions' generator search reduces
+against the kernel vectors it is given.
 """
 
 from __future__ import annotations
@@ -174,44 +183,6 @@ class Echelon:
         return True
 
 
-class EchelonForm:
-    """M over a field, factored once into an Echelon of its tagged columns.
-
-    Column j enters as (M e_j) + e_{rows + j}: every vector of the span is
-    (M x, x), so a row pivoted in the tag block is a kernel vector, and the
-    normal form of (b, 0) is (0, -x) with M x = b exactly when b is in the
-    image.
-    """
-
-    def __init__(self, M: ExactMatrix):
-        g = M.ground
-        self.matrix = M
-        n = self.nrows = M.rows
-        self.echelon = Echelon(g)
-        for j, col in enumerate(M.columns):
-            self.echelon.add({**col, n + j: g.one})
-        self.rank = sum(1 for p in self.echelon.rows if p < n)
-
-    def kernel(self):
-        """A basis of {v : Mv = 0} as sparse vectors, in order of pivot."""
-        n = self.nrows
-        return [{i - n: c for i, c in row.items()}
-                for p, row in sorted(self.echelon.rows.items()) if p >= n]
-
-    def cokernel(self) -> "SubquotientPresentation":
-        return SubquotientPresentation(self.nrows - self.rank)
-
-    def solve(self, b: dict):
-        """Return a sparse x with Mx = b, or None when b is not in im(M)."""
-        g, n = self.echelon.ground, self.nrows
-        x = {}
-        for i, c in self.echelon.reduce(_target(g, b, n)).items():
-            if i < n:
-                return None
-            x[i - n] = g.neg(c)
-        return x
-
-
 def _target(g: GroundRing, b: dict, n: int) -> dict:
     """b with canonical entries, checked to be a vector of length n."""
     if any(not 0 <= i < n for i in b):
@@ -220,32 +191,34 @@ def _target(g: GroundRing, b: dict, n: int) -> dict:
 
 
 class SmithForm:
-    """U * M * V = D over Z, with U, V unimodular and D diagonal (d_i | d_{i+1}).
+    """U * M * V = D with U, V invertible and D diagonal (d_i | d_{i+1}).
 
-    The factorization of M, computed once by `smith_normal_form` and then
-    asked for M's rank, kernel, cokernel and solutions of M x = b.  The
-    nonzero diagonal entries come first, so the first `rank` columns of V
-    map onto im(M) and the rest span ker(M).
+    The factorization of M over Z, F_p or Q, computed once by
+    `smith_normal_form` and then asked for M's rank, kernel, cokernel and
+    solutions of M x = b.  The nonzero diagonal entries come first, so the
+    first `rank` columns of V map onto im(M) and the rest span ker(M).
+    Over a field every invariant factor is 1.
 
     `rank`, `diagonal()` and `cokernel()` read the invariant factors alone.
     U and V, and with them `kernel()` and `solve()`, are lazy: the first
     request builds both by replaying the recorded elimination steps on
     identity matrices, and keeps them; `transforms_built` says whether that
-    has happened.
+    has happened.  Over a field `kernel()` is the reduced echelon basis of
+    ker(M), which does not depend on the pivot order.
     """
 
     def __init__(self, matrix: ExactMatrix, invariants, pivots, row_ops, col_ops):
         self.matrix = matrix
         self.invariants = tuple(invariants)  # d_1 | d_2 | ..., all positive
         self.rank = len(self.invariants)
-        self._pivots = pivots    # (row, column, sign) of each d_k, in diagonal order
+        self._pivots = pivots    # (row, column, scale) of each d_k, in diagonal order
         self._row_ops = row_ops  # (dst, src, c): row dst += c * row src, in order
         self._col_ops = col_ops  # (dst, src, c): column dst += c * column src
         self._UV = None
 
     def diagonal(self):
         M = self.matrix
-        return list(self.invariants) + [0] * (min(M.rows, M.cols) - self.rank)
+        return list(self.invariants) + [M.ground.zero] * (min(M.rows, M.cols) - self.rank)
 
     @property
     def D(self) -> ExactMatrix:
@@ -268,21 +241,23 @@ class SmithForm:
     def _transforms(self):
         """(U, V): the recorded row and column operations applied to identities.
 
-        Pivot k's row of U becomes row k, scaled by the pivot's sign, and its
-        column of V becomes column k; the rows and columns that carried no
-        pivot follow in index order.
+        Pivot k's row of U becomes row k, scaled by the pivot's scale (its
+        sign over Z, its inverse over a field), and its column of V becomes
+        column k; the rows and columns that carried no pivot follow in index
+        order.
         """
         if self._UV is None:
             M = self.matrix
-            U = [{i: 1} for i in range(M.rows)]  # rows of U
+            g = M.ground
+            U = [{i: g.one} for i in range(M.rows)]  # rows of U
             for dst, src, c in self._row_ops:
-                _addmul(U[dst], U[src], c)
-            V = [{j: 1} for j in range(M.cols)]  # columns of V
+                _addmul(U[dst], U[src], c, g.p)
+            V = [{j: g.one} for j in range(M.cols)]  # columns of V
             for dst, src, c in self._col_ops:
-                _addmul(V[dst], V[src], c)
+                _addmul(V[dst], V[src], c, g.p)
             prows = {p for p, _, _ in self._pivots}
             pcols = {q for _, q, _ in self._pivots}
-            urows = ([U[p] if s == 1 else {j: -x for j, x in U[p].items()}
+            urows = ([U[p] if s == 1 else {j: g.mul(s, x) for j, x in U[p].items()}
                       for p, _, s in self._pivots]
                      + [U[i] for i in range(M.rows) if i not in prows])
             ucols = [{} for _ in range(M.rows)]
@@ -290,13 +265,21 @@ class SmithForm:
                 for j, x in row.items():
                     ucols[j][k] = x
             vcols = [V[q] for _, q, _ in self._pivots] + [V[j] for j in range(M.cols) if j not in pcols]
-            self._UV = (ExactMatrix.from_columns(M.ground, M.rows, ucols),
-                        ExactMatrix.from_columns(M.ground, M.cols, vcols))
+            self._UV = (ExactMatrix.from_columns(g, M.rows, ucols),
+                        ExactMatrix.from_columns(g, M.cols, vcols))
         return self._UV
 
     def kernel(self):
-        """An independent generating set of {v : Mv = 0} (a lattice basis over Z)."""
-        return [dict(col) for col in self.V.columns[self.rank:]]
+        """A basis of {v : Mv = 0} as sparse vectors: a lattice basis over Z,
+        the reduced echelon basis in order of pivot over a field."""
+        g = self.matrix.ground
+        columns = self.V.columns[self.rank:]
+        if not g.is_field:
+            return [dict(col) for col in columns]
+        span = Echelon(g)
+        for col in columns:
+            span.add(col)
+        return [row for _, row in sorted(span.rows.items())]
 
     def cokernel(self) -> "SubquotientPresentation":
         """Present target/im(M) by free rank and invariant factors."""
@@ -311,9 +294,11 @@ class SmithForm:
             if i >= self.rank:
                 return None
             d = self.invariants[i]
-            if x % d:
-                return None
-            y[i] = x // d
+            if d != 1:  # over Q, x % 1 is the fractional part of x
+                if x % d:
+                    return None
+                x //= d
+            y[i] = x
         return self.V.apply(y)
 
 
@@ -343,26 +328,31 @@ class SubquotientPresentation:
         return " + ".join(parts)
 
 
-# The integer Smith form eliminates on sparse rows {column: int}, with a
-# column index {column: set of rows} kept alongside.
+# The Smith form eliminates on sparse rows {column: scalar}, with a column
+# index {column: set of rows} kept alongside.  mod is p over F_p and None
+# over Z and Q, whose sums are exact as they stand.
 
-def _addmul(dst: dict, src: dict, c: int):
-    """dst += c * src on sparse integer vectors."""
+def _addmul(dst: dict, src: dict, c, mod=None):
+    """dst += c * src on sparse vectors, reduced mod `mod` when it is set."""
     for k, x in src.items():
         v = dst.get(k, 0) + c * x
+        if mod:
+            v %= mod
         if v:
             dst[k] = v
         else:
             del dst[k]
 
 
-def _row_op(rows, at, dst, src, c, ops):
+def _row_op(rows, at, dst, src, c, ops, mod=None):
     """Row dst += c * row src, keeping the column index; recorded in ops."""
     if not c:
         return
     row = rows[dst]
     for j, x in rows[src].items():
         v = row.get(j, 0) + c * x
+        if mod:
+            v %= mod
         if v:
             row[j] = v
             at[j].add(dst)
@@ -389,42 +379,48 @@ def _col_op(rows, at, dst, src, c, ops):
     ops.append((dst, src, c))
 
 
-def _unit_phase(rows, at, pivots, row_ops, col_ops):
-    """Eliminate ±1 pivots of least Markowitz cost (r - 1)(c - 1).
+def _unit_phase(rows, at, g, pivots, row_ops, col_ops):
+    """Eliminate unit pivots of least Markowitz cost (r - 1)(c - 1).
 
-    Pivot (p, q) clears its column by row operations on the rows that meet
-    it.  Column q is then zero off row p, so the column operations that
-    clear row p change row p alone: they are recorded, not applied, and
-    row p and column q leave the active matrix.  Candidates wait in a heap
-    under the cost they had when pushed; a popped candidate whose cost has
-    since grown goes back under its current cost, one that is no longer a
-    ±1 entry is dropped, and every ±1 a row operation writes is pushed.
+    The units are ±1 over Z and every stored entry over F_p and Q, so over
+    a field this phase factors the whole matrix.  Pivot (p, q) with entry u
+    clears its column by row operations with multiples of u⁻¹ on the rows
+    that meet it.  Column q is then zero off row p, so the column
+    operations that clear row p change row p alone: they are recorded, not
+    applied, and row p and column q leave the active matrix.  Candidates
+    wait in a heap under the cost they had when pushed; a popped candidate
+    whose cost has since grown goes back under its current cost, one that
+    is no longer a unit is dropped, and every unit a row operation writes
+    is pushed.
     """
+    field, mod = g.is_field, g.p
     heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
-            for i, row in rows.items() for j, x in row.items() if x == 1 or x == -1]
+            for i, row in rows.items() for j, x in row.items() if field or x == 1 or x == -1]
     heapq.heapify(heap)
     while heap:
         cost, p, q = heapq.heappop(heap)
         prow = rows.get(p)
         u = prow.get(q) if prow is not None else None
-        if u != 1 and u != -1:
+        if u is None or not (field or u == 1 or u == -1):
             continue
         now = (len(prow) - 1) * (len(at[q]) - 1)
         if now > cost:
             heapq.heappush(heap, (now, p, q))
             continue
+        w = g.inv(u) if field else u  # u⁻¹
         for i in at[q] - {p}:
             row = rows[i]
-            _row_op(rows, at, i, p, -row[q] * u, row_ops)
+            _row_op(rows, at, i, p, -row[q] * w, row_ops, mod)
             for j in prow:
-                if row.get(j) in (1, -1):
+                x = row.get(j)
+                if x is not None and (field or x == 1 or x == -1):
                     heapq.heappush(heap, ((len(row) - 1) * (len(at[j]) - 1), i, j))
         del rows[p], at[q]
         for j, x in prow.items():
             if j != q:
                 at[j].discard(p)
-                col_ops.append((j, q, -x * u))
-        pivots.append((p, q, u))
+                col_ops.append((j, q, -x * w))
+        pivots.append((p, q, w))
 
 
 def _core_phase(rows, at, pivots, row_ops, col_ops):
@@ -474,33 +470,35 @@ def _core_phase(rows, at, pivots, row_ops, col_ops):
 
 
 def smith_normal_form(M: ExactMatrix) -> SmithForm:
-    """Diagonalize M over Z as U*M*V = D with a divisibility chain on the diagonal.
+    """Diagonalize M over Z, F_p or Q as U*M*V = D with a divisibility chain
+    on the diagonal.
 
     Unit pivots are eliminated first, on sparse rows in Markowitz order, as
     in Dumas, Saunders and Villard, "On efficient sparse integer matrix
-    Smith normal form computations" (J. Symbolic Comput. 32, 2001); the
-    core left without ±1 entries is finished by least-|entry| pivoting.
-    Only the invariant factors and the list of steps are kept: U and V are
-    built from the steps when first asked for (`SmithForm`).
+    Smith normal form computations" (J. Symbolic Comput. 32, 2001); over Z
+    the core left without ±1 entries is finished by least-|entry| pivoting,
+    and over a field no core is left.  Only the invariant factors and the
+    list of steps are kept: U and V are built from the steps when first
+    asked for (`SmithForm`).
     """
     g = M.ground
-    if g.is_field:
-        raise ValueError("the Smith form is taken over Z; over a field use factor()")
     rows = {}
     at = {j: set(col) for j, col in enumerate(M.columns)}
     for j, col in enumerate(M.columns):
         for i, x in col.items():
             rows.setdefault(i, {})[j] = x
     pivots, row_ops, col_ops = [], [], []
-    _unit_phase(rows, at, pivots, row_ops, col_ops)
+    _unit_phase(rows, at, g, pivots, row_ops, col_ops)
     core = _core_phase(rows, at, pivots, row_ops, col_ops)
-    return SmithForm(M, [1] * (len(pivots) - len(core)) + core, pivots, row_ops, col_ops)
+    return SmithForm(M, [g.one] * (len(pivots) - len(core)) + core, pivots, row_ops, col_ops)
 
 
-def factor(M: ExactMatrix):
-    """Factor M once: an `EchelonForm` over a field, a `SmithForm` over Z."""
-    if M.ground.is_field:
-        return EchelonForm(M)
+def factor(M: ExactMatrix) -> SmithForm:
+    """Factor M once, on every ground ring: its `SmithForm`.
+
+    Rank, cokernel and subquotients read the invariant factors alone;
+    kernels and solves build U and V on first request.
+    """
     return smith_normal_form(M)
 
 

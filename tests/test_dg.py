@@ -19,7 +19,8 @@ from hhalg.dg import (
     make_quotient_dga,
     tensor_complex,
 )
-from hhalg.ground import GroundRing, ZZ
+from hhalg.ground import QQ, GroundRing, ZZ
+from hhalg.linalg import SubquotientPresentation
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -262,3 +263,30 @@ def test_dg_unit_kernel_zero_when_unit_survives():
     d = HomogeneousMap.zero(A.module, A.module, -1)
     pres, gen = dg_unit_kernel(DGAlgebra(A, d))
     assert gen == 0 and pres.is_zero
+
+
+def field_unit_kernel_oracle(A):
+    """The unit kernel over a field: c*1 lies in im(d) for some c != 0 exactly
+    when 1 does, so the kernel is the whole field or zero."""
+    g = A.base.ground
+    upos = A.d.target.slice_indices(0).index(A.algebra.unit_index)
+    if A.d.factored(1).solve({upos: g.one}) is not None:
+        return SubquotientPresentation(1, ()), g.one
+    return SubquotientPresentation(0, ()), g.zero
+
+
+@pytest.mark.parametrize("g", [F2, F3, F5, QQ], ids=str)
+def test_dg_unit_kernel_over_fields_matches_the_solve_oracle(g):
+    # quotient DGAs kill the unit (x is a unit), the zero differential keeps it
+    dgas = [make_quotient_dga(BaseRing(g), x, 0).dga for x in (1, 2, 3, 4)
+            if g.normalize(x) != 0]
+    dgas.append(make_quotient_dga(BaseRing(g, LaurentGenerator("v", 2)), 1, 1).dga)
+    A = realize(AlgebraPresentation(BaseRing(g), (("e", 1),), ([(1, ("e", "e"), 0)],)))
+    dgas.append(DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1)))
+    verdicts = []
+    for dga in dgas:
+        pres, gen = dg_unit_kernel(dga)
+        assert (pres, gen) == field_unit_kernel_oracle(dga)
+        assert type(gen) is type(g.one)
+        verdicts.append(gen)
+    assert verdicts == [g.one] * (len(dgas) - 1) + [g.zero]

@@ -162,3 +162,45 @@ def test_unread_import_detector_flags_offenders():
             "    return os.path.join(x)\n"
             "tensor_maps = None\n")
     assert unread_imports(ast.parse(code)) == [(2, "j"), (4, "hm"), (4, "tensor_maps")]
+
+
+FACTORIZATION_INTERNALS = ("smith_normal_form", "SmithForm")
+
+
+def factorization_internals_used(tree):
+    """Sorted (line, name) for each reference to the Smith form by name.
+
+    Outside linalg a factorization comes from `factor`,
+    `HomogeneousMap.factored` or the one-shot helpers (`rank`,
+    `kernel_basis`, `cokernel`, `solve`), never from the routine or the
+    class behind them.
+    """
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in FACTORIZATION_INTERNALS:
+            out.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in FACTORIZATION_INTERNALS:
+            out.add((node.lineno, node.attr))
+        elif isinstance(node, ast.alias) and node.name.rsplit(".", 1)[-1] in FACTORIZATION_INTERNALS:
+            out.add((node.lineno, node.name.rsplit(".", 1)[-1]))
+        elif isinstance(node, ast.Constant) and node.value in FACTORIZATION_INTERNALS:
+            out.add((node.lineno, node.value))  # a quoted annotation
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_factorizations_come_from_factor_outside_linalg(path):
+    assert factorization_internals_used(ast.parse(path.read_text())) == []
+
+
+def test_factorization_internals_detector_flags_offenders():
+    code = ("from .linalg import factor, smith_normal_form\n"
+            "from . import linalg\n"
+            "sf = linalg.smith_normal_form(M)\n"
+            "def f(x: SmithForm) -> int:\n"
+            "    return factor(x.matrix).rank\n"
+            "def g(M) -> 'SmithForm':\n"
+            "    return factor(M)\n")
+    assert factorization_internals_used(ast.parse(code)) == [
+        (1, "smith_normal_form"), (3, "smith_normal_form"), (4, "SmithForm"), (6, "SmithForm")]

@@ -62,8 +62,10 @@ def test_snf_field_zero_one():
     assert rank(M) == 2 and kernel_basis(M) == []
     M = ExactMatrix(F2, [[1, 1], [1, 1]])
     assert rank(M) == 1 and kernel_basis(M) == [{0: 1, 1: 1}]
-    with pytest.raises(ValueError, match="over Z"):
-        smith_normal_form(M)
+    sf = check_smith(M)
+    assert sf.diagonal() == [1, 0] and sf.cokernel() == SubquotientPresentation(1)
+    sf = check_smith(ExactMatrix(QQ, [[2, 4], [1, 2]]))
+    assert sf.diagonal() == [1, 0] and sf.kernel() == [{0: 1, 1: Fraction(-1, 2)}]
     with pytest.raises(ValueError, match="over Z"):
         determinant(M)
 
@@ -340,6 +342,54 @@ def test_echelon_form_self_consistency(g):
                 assert fm.solve(b) is None
             else:
                 assert M.apply(fm.solve(b)) == b
+
+
+def echelon_form_oracle(M):
+    """(rank, kernel, solve) of M over a field from one tagged echelon.
+
+    Column j enters an `Echelon` as (M e_j) + e_{rows + j}: every vector of
+    the span is (M x, x), so a row pivoted in the tag block is a kernel
+    vector, and the normal form of (b, 0) is (0, -x) with M x = b exactly
+    when b is in the image.  The kernel is the reduced echelon basis of
+    ker(M) in order of pivot.
+    """
+    g, n = M.ground, M.rows
+    span = Echelon(g)
+    for j, col in enumerate(M.columns):
+        span.add({**col, n + j: g.one})
+    kernel = [{i - n: c for i, c in row.items()}
+              for p, row in sorted(span.rows.items()) if p >= n]
+
+    def solve(b):
+        x = {}
+        for i, c in span.reduce({i: g.normalize(v) for i, v in b.items()}).items():
+            if i < n:
+                return None
+            x[i - n] = g.neg(c)
+        return x
+
+    return sum(1 for p in span.rows if p < n), kernel, solve
+
+
+@pytest.mark.parametrize("g", [F2, F3, F5, QQ], ids=str)
+def test_field_smith_forms_match_the_echelon_oracle(g):
+    # rank and kernel exactly; solvability of images and of random targets
+    rng = random.Random(53)
+    for density in (0.1, 0.9):
+        for _ in range(8):
+            r, c = rng.randint(1, 40), rng.randint(1, 40)
+            M = ExactMatrix(g, random_field_rows(rng, g, r, c, density))
+            rank_, kernel, oracle_solve = echelon_form_oracle(M)
+            sf = factor(M)
+            assert (sf.rank, sf.kernel()) == (rank_, kernel)
+            targets = [M.apply({j: g.normalize(rng.randint(-3, 3)) for j in range(c)})]
+            targets += [{i: x for i in range(r) if (x := g.normalize(rng.randint(-3, 3))) != 0}
+                        for _ in range(3)]
+            for b in targets:
+                x = sf.solve(b)
+                assert (x is None) == (oracle_solve(b) is None)
+                assert x is None or M.apply(x) == b
+            assert sf.solve(targets[0]) is not None
 
 
 def test_echelon_reduce_is_the_full_normal_form():

@@ -1,5 +1,5 @@
-"""The sparse integer Smith form against the dense oracle, at sizes up to 20x20,
-and its transforms built only where a caller reads them."""
+"""The sparse Smith form against the dense oracle over Z, at sizes up to 20x20,
+and its transforms built only where a caller reads them, over Z and over F3."""
 
 import random
 import time
@@ -14,8 +14,9 @@ from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import hochschild_cohomology, mu_homology_image, mu_is_iso
 from hhalg.linalg import ExactMatrix, determinant, rank, smith_normal_form
 from hhalg.morita import endo_algebra
-from hhalg.resolve import AModule
+from hhalg.resolve import AModule, free_resolution, minimal_resolution
 from test_linalg import check_smith
+from test_resolve import exterior, trunc_poly
 
 KUZ = BaseRing(ZZ, LaurentGenerator("v", 2))
 
@@ -246,3 +247,24 @@ def test_morita_solves_over_z_build_transforms(smith_forms):
     # End_T(T) is T^op = T: the identity and right multiplications by y and y^2
     assert B.rank == 3 and sorted(d for _, d in B.monomials) == [0, 1, 2]
     assert smith_forms and all(sf.transforms_built for sf in smith_forms)
+
+
+F3 = GroundRing.prime_field(3)
+
+
+def test_bar_hochschild_over_f3_builds_no_transforms(smith_forms):
+    M2 = endomorphism_algebra(GradedFreeModule(BaseRing(F3), (("e0", 0), ("e1", 0))))
+    hochschild_cohomology(M2, n_max=3)
+    assert smith_forms and not any(sf.transforms_built for sf in smith_forms)
+    smith_forms.clear()
+    hochschild_cohomology(trunc_poly(4, 1), n_max=4)
+    assert smith_forms and not any(sf.transforms_built for sf in smith_forms)
+
+
+def test_resolutions_over_f3_build_transforms(smith_forms):
+    assert minimal_resolution(trunc_poly(3, 2), s_max=4).stage_ranks() == [1, 1, 1, 1, 1]
+    assert any(sf.transforms_built for sf in smith_forms)
+    smith_forms.clear()
+    L = exterior(BaseRing(F3), (("x", 1), ("y", 1)))
+    assert free_resolution(L, AModule.trivial(L), s_max=3).stage_ranks() == [1, 2, 3, 4]
+    assert any(sf.transforms_built for sf in smith_forms)
