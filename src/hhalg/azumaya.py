@@ -74,8 +74,7 @@ def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
     """
     if isinstance(A, GradedAlgebra):
         if A.base.laurent or any(d != 0 for d in A.module.degrees):
-            zero_d = HomogeneousMap.zero(A.module, A.module, -1)
-            return check_generalized_azumaya(DGAlgebra(A, zero_d), window)
+            return check_generalized_azumaya(A, window)
         report = AzumayaReport(_describe(A), "classical")
         report.conditions.append(
             Condition("finite free rank", True, f"rank {A.rank}")
@@ -104,14 +103,17 @@ def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
     return report
 
 
-def check_generalized_azumaya(A: DGAlgebra, window=(-6, 6)) -> AzumayaReport:
+def check_generalized_azumaya(A, window=(-6, 6)) -> AzumayaReport:
     """DG flavor: perfectness, the locality shadow, and mu a quasi-iso.
 
-    The full locality condition is not decidable here; the report verifies
-    the checkable consequence I * H_0(A) = 0 (I the unit-kernel ideal) and
+    A GradedAlgebra is checked as a DGAlgebra with zero differential.  The
+    full locality condition is not decidable here; the report verifies the
+    checkable consequence I * H_0(A) = 0 (I the unit-kernel ideal) and
     records whether I itself vanishes in the witness, without folding that
     open question into the verdict.
     """
+    if isinstance(A, GradedAlgebra):
+        A = DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1))
     _check_window(A, window)
     report = AzumayaReport(_describe(A), "generalized_dg")
     report.conditions.append(

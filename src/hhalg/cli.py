@@ -19,7 +19,6 @@ from .azumaya import (
     check_generalized_azumaya,
     check_weak_azumaya,
 )
-from .base import HomogeneousMap
 from .defs import (
     DefinitionError,
     DefinitionFile,
@@ -27,7 +26,7 @@ from .defs import (
     build_module,
     parse_definition,
 )
-from .dg import DGAlgebra, QuotientDGA, homology
+from .dg import QuotientDGA, homology
 from .hochschild import hochschild_cohomology, mu_homology_image
 from .morita import (
     MoritaContext,
@@ -170,9 +169,6 @@ def cmd_azumaya(df, built, args, out):
         if args.flavor == "classical":
             report = check_classical_azumaya(A, window)
         elif args.flavor == "generalized":
-            if isinstance(A, GradedAlgebra):
-                zero_d = HomogeneousMap.zero(A.module, A.module, -1)
-                A = DGAlgebra(A, zero_d)
             report = check_generalized_azumaya(A, window)
         else:
             report = check_weak_azumaya(A, window)

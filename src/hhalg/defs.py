@@ -339,6 +339,9 @@ def parse_definition(text: str) -> DefinitionFile:
         raise DefinitionError(f"unknown top-level keys {sorted(extra)}")
     if "base" not in doc or "algebras" not in doc:
         raise DefinitionError("definition needs 'base' and 'algebras'")
+    for key in ("algebras", "modules"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise DefinitionError(f"'{key}' must be a JSON object")
     base = _parse_base(doc["base"], "base")
 
     algebras = []
@@ -394,7 +397,7 @@ def parse_definition(text: str) -> DefinitionFile:
 
     alg_names = {n for n, _ in algebras}
     modules = []
-    for name, m in (doc.get("modules") or {}).items():
+    for name, m in doc.get("modules", {}).items():
         where = f"module {name!r}"
         if not isinstance(m, dict) or "over" not in m:
             raise DefinitionError(f"{where}: needs an 'over' key")
@@ -495,6 +498,10 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
         if gname not in alg_degs:
             raise DefinitionError(
                 f"module {name!r}: unknown algebra monomial {gname!r}")
+        for row in rows:
+            if not all(0 <= i < M.rank for i in row[:2]):
+                raise DefinitionError(f"module {name!r}: action entry {list(row)} of "
+                                      f"{gname!r} indexes outside 0..{M.rank - 1}")
         entries = {(i, j): g.normalize(c) for i, j, c in rows}
         gen_maps[gname] = HomogeneousMap(M, M, alg_degs[gname], entries)
     action = {}

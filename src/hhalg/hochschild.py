@@ -102,7 +102,7 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
                 elem = entries.setdefault((index[face], j), {})
                 elem[m] = g.add(elem.get(m, g.zero), c)
         maps.append(AModuleMap(stages[n], stages[n - 1], entries))
-    return Resolution(Ae, stages, maps, (top, None), minimal=False)
+    return Resolution(Ae, stages, maps, None)
 
 
 class BarCochainComplex:

@@ -4,14 +4,15 @@ AModule is the one module class: left or right modules, and through the
 enveloping algebra bimodules (hochschild) and Morita data (morita).  Its
 axioms are checked by the one action check, algebra.check_action.
 
-Two resolution builders:
+One resolution loop, _resolve, covers a module and then each stage kernel;
+the two builders differ only in how they choose each cover's generators:
 
-  * minimal_resolution: for an augmented algebra whose augmentation ideal
-    is nilpotent, resolves the trivial module with minimal stages, so the
-    dual complex has zero differentials and Ext reads off generator counts.
-  * free_resolution: resolves an arbitrary finite module, choosing stage
-    generators greedily (seeded) to keep ranks small; Ext/completion data
-    is then the cohomology of the dualized complex.
+  * minimal_resolution: the trivial module of an augmented algebra with
+    nilpotent augmentation ideal, by _minimal_generators (a complement of
+    I*K in each kernel K), so Ext reads off generator counts.
+  * free_resolution: any finite left module, by the seeded
+    _greedy_generators, which keep stage ranks small; Ext and completion
+    data are then the cohomology of the dualized complex.
 
 Bidegree convention: the Ext class dual to a stage-s generator of internal
 degree t is recorded at (s, t).
@@ -46,9 +47,10 @@ GREEDY_TRIALS = 6
 class FreeAModule:
     """Free left module over a GradedAlgebra with generators in given degrees.
 
-    The flattened module is built once per module and kept:
-    `cached_property` stores it in the instance dict, past the frozen
-    `__setattr__`, and equality and hashing still read the two fields alone.
+    Like an AModule it has `module` (here the flattened module) and
+    `act_map(m)`, so a generator chooser takes either.  `cached_property`
+    builds the flattened module once and keeps it in the instance dict, past
+    the frozen `__setattr__`; equality and hashing read the two fields alone.
     """
 
     algebra: GradedAlgebra
@@ -58,12 +60,9 @@ class FreeAModule:
     def rank(self):
         return len(self.gen_degrees)
 
-    def flatten(self) -> GradedFreeModule:
-        """Ground-level free module: one generator per (module gen, monomial)."""
-        return self._flat
-
     @cached_property
-    def _flat(self) -> GradedFreeModule:
+    def module(self) -> GradedFreeModule:
+        """Ground-level free module: one generator per (module gen, monomial)."""
         A = self.algebra
         gens = []
         for i, t in enumerate(self.gen_degrees):
@@ -74,16 +73,15 @@ class FreeAModule:
     def flat_index(self, i, m):
         return i * self.algebra.rank + m
 
-    def monomial_action(self, m) -> HomogeneousMap:
+    def act_map(self, m) -> HomogeneousMap:
         """Left multiplication by basis monomial m on the flattened module."""
         A = self.algebra
-        F = self.flatten()
         entries = {}
         for i in range(self.rank):
             for m2 in range(A.rank):
                 for k, c in A.mul_basis(m, m2).items():
                     entries[(self.flat_index(i, k), self.flat_index(i, m2))] = c
-        return HomogeneousMap(F, F, A.degree(m), entries)
+        return HomogeneousMap(self.module, self.module, A.degree(m), entries)
 
 
 class AModuleMap:
@@ -109,7 +107,7 @@ class AModuleMap:
                     for m2, coeff in prod.items():
                         key = (tgt.flat_index(i, m2), src.flat_index(j, m))
                         flat[key] = g.add(flat.get(key, g.zero), coeff)
-            self._flat = HomogeneousMap(src.flatten(), tgt.flatten(), self.degree, flat)
+            self._flat = HomogeneousMap(src.module, tgt.module, self.degree, flat)
         return self._flat
 
 
@@ -173,19 +171,15 @@ class AModule:
 class Resolution:
     """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
 
-    cover describes F_0 -> target when resolving an explicit module (the
-    flattened coordinates of the images of the stage-0 generators).  Any
-    resolution gives Ext through hom_cochains; hochschild's bar
-    resolution is one over the enveloping algebra.
+    t_window is the internal-degree window the stages were resolved in, None
+    for hochschild's bar resolution over the enveloping algebra.  Any
+    resolution gives Ext through hom_cochains.
     """
 
     algebra: GradedAlgebra
     stages: list
     maps: list
-    bounds: tuple
-    minimal: bool
-    target: AModule | None = None
-    cover: list | None = None
+    t_window: tuple | None
 
     def stage_ranks(self):
         return [st.rank for st in self.stages]
@@ -214,6 +208,30 @@ def _stage_map(F: FreeAModule, chosen) -> AModuleMap:
             i, m = divmod(idx, A.rank)
             entries.setdefault((i, j), {})[m] = c
     return AModuleMap(FreeAModule(A, tuple(d for d, _ in chosen)), F, entries)
+
+
+def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolution:
+    """The one stage loop: cover M, then the kernel of each stage map.
+
+    choose(target, vectors) picks generators (degree, vector) of the
+    A-submodule of target (M or a stage) spanned by the homogeneous vectors:
+    M's generators, then each stage kernel.  No kernel follows the last stage.
+    """
+    g = A.base.ground
+    cover = choose(M, [(d, {i: g.one}) for i, (_, d) in enumerate(M.module.generators)])
+    F0 = FreeAModule(A, tuple(d for d, _ in cover))
+    acts = [M.act_map(m) for m in range(A.rank)]
+    eps = HomogeneousMap(F0.module, M.module, 0, {
+        (i, F0.flat_index(j, m)): c
+        for j, (_, vec) in enumerate(cover) for m, act in enumerate(acts)
+        for i, c in act.apply_coords(vec).items()})
+    stages, maps = [F0], []
+    for _ in range(s_max):
+        outgoing = maps[-1].flatten() if maps else eps
+        d = _stage_map(stages[-1], choose(stages[-1], _flat_kernel(outgoing, t_window)))
+        stages.append(d.source)
+        maps.append(d)
+    return Resolution(A, stages, maps, tuple(t_window))
 
 
 def _augmentation_checks(A: GradedAlgebra):
@@ -245,99 +263,43 @@ def _augmentation_checks(A: GradedAlgebra):
 
 def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> Resolution:
     """Minimal resolution of the trivial module over an augmented algebra."""
-    g = A.base.ground
-    if not g.is_field:
+    if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
     _augmentation_checks(A)
-    u = A.unit_index
-    lo, hi = t_window
-    F0 = FreeAModule(A, (0,))
-    stages = [F0]
-    maps = []
-    # kernel of the augmentation F0 -> k: the non-unit coordinates
-    kernel = []
-    for m in range(A.rank):
-        if m == u:
-            continue
-        d = A.degree(m)
-        if A.base.laurent or lo <= d <= hi:
-            kernel.append((d, {m: g.one}))
-    for s in range(s_max):
-        F_s = stages[-1]
-        chosen = _minimal_generators(A, F_s, kernel, t_window)
-        d_next = _stage_map(F_s, chosen)
-        stages.append(d_next.source)
-        maps.append(d_next)
-        if s + 1 < s_max:
-            kernel = _flat_kernel(d_next.flatten(), t_window)
-    res = Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=True)
-    _audit(res, t_window)
+    res = _resolve(A, AModule.trivial(A), s_max, t_window, _minimal_generators)
+    _audit(res)
     return res
 
 
-def _minimal_generators(A: GradedAlgebra, F: FreeAModule, kernel, t_window):
-    """Complement of I*K inside K: the minimal generators of the kernel."""
-    g = A.base.ground
-    lo, hi = t_window
-    u = A.unit_index
-    span = Echelon(g)
-    actions = None
-    for deg, vec in kernel:
-        if actions is None:
-            actions = {
-                m: F.monomial_action(m) for m in range(A.rank) if m != u
-            }
-        for m, act in actions.items():
-            w = act.apply_coords(vec)
-            d = deg + A.degree(m)
-            if w and (A.base.laurent or lo <= d <= hi):
-                span.add(w)
-    flat_gens = F.flatten().generators
+def _minimal_generators(target, vectors):
+    """Complement of I*K inside K: the minimal generators of the span K."""
+    A = target.algebra
+    span = Echelon(A.base.ground)
+    for m in range(A.rank):
+        if vectors and m != A.unit_index:
+            act = target.act_map(m)
+            for _, vec in vectors:
+                span.add(act.apply_coords(vec))
+    gens = target.module.generators
     chosen = []
-    for deg, vec in sorted(kernel, key=lambda t: (t[0], sorted(t[1]))):
+    for _, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
         r = span.reduce(vec)
         if r:
             span.add(r)
-            chosen.append((min(flat_gens[i][1] for i in r), r))
+            chosen.append((min(gens[i][1] for i in r), r))
     return chosen
 
 
 def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
                     t_window=(-16, 16), seed: int = 0) -> Resolution:
     """Resolution of M by free modules, greedy small stage ranks (seeded)."""
-    g = A.base.ground
-    if not g.is_field:
+    if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
     if M.side != "left":
         raise ValueError("free_resolution takes a left module")
     rng = random.Random(seed)
-    # stage 0: cover M
-    targets = [(M.module.generators[i][1], {i: g.one}) for i in range(M.module.rank)]
-    cover = _greedy_generators(A, M, targets, rng)
-    F0 = FreeAModule(A, tuple(d for d, _ in cover))
-    stages = [F0]
-    maps = []
-    cover_vecs = [vec for _, vec in cover]
-    # flattened map F0 -> M
-    entries = {}
-    for j, vec in enumerate(cover_vecs):
-        for m in range(A.rank):
-            for i, c in M.act_map(m).apply_coords(vec).items():
-                entries[(i, F0.flat_index(j, m))] = c
-    eps = HomogeneousMap(F0.flatten(), M.module, 0, entries)
-    kernel = _flat_kernel(eps, t_window)
-    for s in range(s_max):
-        F_s = stages[-1]
-        acts = {m: F_s.monomial_action(m) for m in range(A.rank)}
-        target = AModule(A, F_s.flatten(), acts, check=False)
-        chosen = _greedy_generators(A, target, kernel, rng)
-        d_next = _stage_map(F_s, chosen)
-        stages.append(d_next.source)
-        maps.append(d_next)
-        if s + 1 < s_max:
-            kernel = _flat_kernel(d_next.flatten(), t_window)
-    return Resolution(A, stages, maps, (s_max, tuple(t_window)), minimal=False,
-                      target=M, cover=cover_vecs)
+    return _resolve(A, M, s_max, t_window,
+                    lambda target, vectors: _greedy_generators(A, target, vectors, rng))
 
 
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
@@ -416,7 +378,7 @@ def _combination(g, vecs, coeffs) -> dict:
     return {i: x for i, x in ((i, g.normalize(x)) for i, x in out.items()) if x != 0}
 
 
-def _audit(res: Resolution, t_window):
+def _audit(res: Resolution):
     """Hard exactness and minimality checks on a minimal resolution."""
     A = res.algebra
     u = A.unit_index
@@ -426,7 +388,7 @@ def _audit(res: Resolution, t_window):
                 raise ResolutionError("resolution is not minimal: unit entry in d")
     flats = [d.flatten() for d in res.maps]  # flats[s]: F_{s+1} -> F_s
     for s, (outer, inner) in enumerate(zip(flats, flats[1:]), 1):
-        for key in slice_keys(outer.source, t_window):
+        for key in slice_keys(outer.source, res.t_window):
             if not cohomology_at(outer, inner, key).is_zero:
                 raise ResolutionError(f"exactness fails at stage {s}, slice {key}")
 
@@ -556,7 +518,8 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     rhs = f1.flatten().compose(d2f)
     entries = {}
     F2flat, F1flat = d2f.source, d1f.source
-    for key in slice_keys(F2flat, (res.bounds[1][0] * 2, res.bounds[1][1] * 2)):
+    lo, hi = res.t_window
+    for key in slice_keys(F2flat, (2 * lo, 2 * hi)):
         src_idx = F1flat.slice_indices(key - t)
         rmat, rsrc, _ = rhs.slice_matrix(key)
         # both slices index F0's degree key - t generators, in the same order

@@ -346,6 +346,43 @@ def test_morita_module_failing_its_axioms(capsys, tmp_path):
     assert (code, err) == (1, "error: E_R and E_A must be modules over R and A\n")
 
 
+@pytest.mark.parametrize("key", ["algebras", "modules"])
+def test_exit_one_when_algebras_or_modules_is_not_an_object(capsys, tmp_path, key):
+    doc = {"base": {"ground": "F3"}, "algebras": {}, key: []}
+    bad = tmp_path / "bad.def"
+    bad.write_text(json.dumps(doc))
+    for command in ("ext", "hochschild", "azumaya", "morita", "homology", "mu-image"):
+        code, out, err = run(capsys, [command, "--file", str(bad)], tmp_path)
+        assert (code, out, err) == (1, "", f"error: '{key}' must be a JSON object\n")
+
+
+def test_exit_one_on_an_action_index_past_the_module_rank(capsys, tmp_path):
+    with open(defpath("etale.def")) as fh:
+        doc = json.load(fh)
+    doc["modules"]["E_R"]["action"]["t"] = [[5, 0, 1]]
+    bad = tmp_path / "bad.def"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["morita", "--file", str(bad)], tmp_path)
+    assert (code, out, err) == (
+        1, "", "error: module 'E_R': action entry [5, 0, 1] of 't' indexes outside 0..0\n")
+
+
+def test_build_module_rejects_a_negative_action_index():
+    # on a rank-2 module Python would read -1 as 1, the index of b
+    doc = {"base": {"ground": "F3"},
+           "algebras": {"lam_x": {"generators": [["x", -1]], "relations": ["x^2"]}},
+           "modules": {"M": {"over": "lam_x", "generators": [["a", 0], ["b", -1]],
+                             "action": {"x": [[1, 0, 1]]}}}}
+    df = parse_definition(json.dumps(doc))
+    built = {"lam_x": build_algebra(df, "lam_x")}
+    assert build_module(df, "M", built).module.rank == 2
+    doc["modules"]["M"]["action"]["x"] = [[-1, 0, 1]]
+    df = parse_definition(json.dumps(doc))
+    with pytest.raises(DefinitionError,
+                       match=r"module 'M': action entry \[-1, 0, 1\] of 'x' indexes outside 0..1"):
+        build_module(df, "M", built)
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["ext", "--file", "no-such.def"], tmp_path)
     assert code == 1 and "error" in err

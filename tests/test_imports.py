@@ -204,3 +204,48 @@ def test_factorization_internals_detector_flags_offenders():
             "    return factor(M)\n")
     assert factorization_internals_used(ast.parse(code)) == [
         (1, "smith_normal_form"), (3, "smith_normal_form"), (4, "SmithForm"), (6, "SmithForm")]
+
+
+STAGE_HELPERS = ("_stage_map", "_flat_kernel")
+
+
+def stage_helper_uses(tree):
+    """Sorted (line, enclosing function, name) for each reference to a stage
+    helper outside `_resolve`, the one resolution loop.
+
+    A resolution builder differs from another only in its generator chooser;
+    a stage map or stage kernel built anywhere else is a second loop.
+    """
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in STAGE_HELPERS and func != "_resolve":
+                out.append((child.lineno, func, name))
+            visit(child, func)
+
+    visit(tree, "<module>")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_stage_helpers_are_called_only_from_the_loop(path):
+    assert stage_helper_uses(ast.parse(path.read_text())) == []
+
+
+def test_stage_helper_detector_flags_offenders():
+    code = ("def _resolve(A):\n"
+            "    choose = lambda F, f: _flat_kernel(f, w)\n"
+            "    return _stage_map(F, choose(F, f))\n"
+            "def minimal_resolution(A):\n"
+            "    kernel = _flat_kernel(f, w)\n"
+            "    return resolve._stage_map(F, kernel)\n"
+            "step = _stage_map\n")
+    assert stage_helper_uses(ast.parse(code)) == [
+        (5, "minimal_resolution", "_flat_kernel"), (6, "minimal_resolution", "_stage_map"),
+        (7, "<module>", "_stage_map")]

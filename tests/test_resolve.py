@@ -4,10 +4,13 @@ from hypothesis import strategies as st
 
 from hhalg import resolve
 from hhalg.algebra import AlgebraPresentation, realize
-from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
+from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, slice_keys
 from hhalg.ground import GroundRing
+from hhalg.linalg import Echelon
 from hhalg.resolve import (
     AModule,
+    AModuleMap,
+    FreeAModule,
     ResolutionError,
     ext_base_change,
     ext_table,
@@ -256,15 +259,93 @@ def test_minimal_resolution_audit_catches_a_dropped_generator(monkeypatch):
     real = resolve._minimal_generators
     stages = []
 
-    def dropping(A, F, kernel, t_window):
-        chosen = real(A, F, kernel, t_window)
+    def dropping(target, vectors):
+        chosen = real(target, vectors)
         stages.append(len(chosen))
-        return chosen[:-1] if len(stages) == 2 else chosen
+        return chosen[:-1] if len(stages) == 3 else chosen
 
+    # the first call covers the trivial module, so F_2 is the third
     monkeypatch.setattr(resolve, "_minimal_generators", dropping)
     with pytest.raises(ResolutionError, match="exactness fails at stage 1"):
         minimal_resolution(lam_x(), s_max=4)
-    assert stages[1] == 1
+    assert stages[2] == 1
+
+
+# -- the one loop against the former hand-written minimal loop ---------------------
+
+def _oracle_flat_kernel(fmap, window):
+    out = []
+    for key in slice_keys(fmap.source, window):
+        src_idx = fmap.source.slice_indices(key)
+        for v in (fmap.factored(key).kernel() if src_idx else ()):
+            vec = {src_idx[a]: c for a, c in v.items()}
+            out.append((min(fmap.source.generators[i][1] for i in vec), vec))
+    return out
+
+
+def _oracle_stage_map(F, chosen):
+    entries = {}
+    for j, (_, vec) in enumerate(chosen):
+        for idx, c in vec.items():
+            i, m = divmod(idx, F.algebra.rank)
+            entries.setdefault((i, j), {})[m] = c
+    return AModuleMap(FreeAModule(F.algebra, tuple(d for d, _ in chosen)), F, entries)
+
+
+def _oracle_minimal_generators(A, F, kernel, t_window):
+    g = A.base.ground
+    lo, hi = t_window
+    span = Echelon(g)
+    actions = {m: F.act_map(m) for m in range(A.rank) if m != A.unit_index}
+    for deg, vec in kernel:
+        for m, act in actions.items():
+            w = act.apply_coords(vec)
+            d = deg + A.degree(m)
+            if w and (A.base.laurent or lo <= d <= hi):
+                span.add(w)
+    flat_gens = F.module.generators
+    chosen = []
+    for deg, vec in sorted(kernel, key=lambda t: (t[0], sorted(t[1]))):
+        r = span.reduce(vec)
+        if r:
+            span.add(r)
+            chosen.append((min(flat_gens[i][1] for i in r), r))
+    return chosen
+
+
+def minimal_resolution_oracle(A, s_max, t_window):
+    """The former minimal loop: F_0 = A by hand, and the augmentation kernel
+    read off as the non-unit monomials inside the window."""
+    g, lo, hi = A.base.ground, t_window[0], t_window[1]
+    stages, maps = [FreeAModule(A, (0,))], []
+    kernel = [(A.degree(m), {m: g.one}) for m in range(A.rank) if m != A.unit_index
+              and (A.base.laurent or lo <= A.degree(m) <= hi)]
+    for s in range(s_max):
+        chosen = _oracle_minimal_generators(A, stages[-1], kernel, t_window)
+        d_next = _oracle_stage_map(stages[-1], chosen)
+        stages.append(d_next.source)
+        maps.append(d_next)
+        if s + 1 < s_max:
+            kernel = _oracle_flat_kernel(d_next.flatten(), t_window)
+    return stages, maps
+
+
+@pytest.mark.parametrize("make, s_max, window", [
+    pytest.param(lambda: exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3))), 6,
+                 (-16, 16), id="lam3/F3"),
+    pytest.param(lambda: exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(4))), 4,
+                 (-16, 16), id="lam4/F3"),
+    pytest.param(lambda: trunc_poly(3, 2), 5, (0, 40), id="F3[y]/y^3"),
+    pytest.param(lam_tau, 5, (-16, 16), id="lam(t)/F2[v^±1]"),
+    pytest.param(lambda: realize(AlgebraPresentation(BaseRing(F3), (), ())), 3, (-16, 16),
+                 id="rank 1"),
+])
+def test_minimal_resolution_matches_the_former_loop(make, s_max, window):
+    A = make()
+    stages, maps = minimal_resolution_oracle(A, s_max, window)
+    res = minimal_resolution(A, s_max, window)
+    assert [F.gen_degrees for F in res.stages] == [F.gen_degrees for F in stages]
+    assert [d.entries for d in res.maps] == [d.entries for d in maps]
 
 
 # -- minimal against greedy, on random small algebras ------------------------------
@@ -292,7 +373,7 @@ def test_minimal_and_greedy_ext_agree(A, seed):
 
 
 def test_free_resolution_flattens_each_stage_once(monkeypatch):
-    # a stage's flattened module is built on its first flatten() and kept
+    # a stage's flattened module is built on its first use and kept
     A = exterior(BaseRing(F3), (("x", 1), ("y", 1), ("z", 1)))
     k = AModule.trivial(A)
     built = []
@@ -306,6 +387,6 @@ def test_free_resolution_flattens_each_stage_once(monkeypatch):
     res = free_resolution(A, k, s_max=5, seed=1)
     during = len(built)
     for F in res.stages:
-        assert F.flatten() is F.flatten()
-        assert F.monomial_action(0).source is F.flatten()
+        assert F.module is F.module
+        assert F.act_map(0).source is F.module
     assert 0 < during <= len(res.stages) == len(built)
