@@ -1,18 +1,20 @@
 """Azumaya certification: classical, generalized (DG), and weak flavors.
 
-Each check returns an AzumayaReport listing named conditions with their
-verdicts and witnesses; the overall verdict is the conjunction.  The heart
-of every flavor is invertibility of the action map mu from A (x) A^op to
-Hom(A, A) -- exactly, slice by slice (HomogeneousMap.is_iso), for
+Each check returns an AzumayaReport whose conditions are one list with
+their verdicts and witnesses; the overall verdict is the conjunction.  The
+heart of every flavor is invertibility of the action map mu from A (x) A^op
+to Hom(A, A), and every flavor takes that condition from one helper,
+_mu_condition: exactly, slice by slice (hochschild.mu_is_iso), for
 ungraded/graded algebras, and as a quasi-isomorphism over an explicit
-window in the DG case.  endo_smash_invariant decides the same two
+window in the DG case, where the window must cover the Laurent period
+(BudgetExceededError otherwise).  endo_smash_invariant decides the same two
 questions, an action (algebra.check_action) and a bijective action map,
 for End(E1) (x) End(E2) acting on E1 (x) E2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (BudgetExceededError, GradedAlgebra, endomorphism_action,
                       endomorphism_algebra, tensor)
@@ -33,7 +35,7 @@ class Condition:
 class AzumayaReport:
     subject: str
     flavor: str
-    conditions: list = field(default_factory=list)
+    conditions: list
 
     @property
     def overall(self) -> bool:
@@ -49,10 +51,13 @@ class AzumayaReport:
         return "\n".join(lines)
 
 
+def _rank(A) -> int:
+    return A.algebra.rank if isinstance(A, DGAlgebra) else A.rank
+
+
 def _describe(A) -> str:
-    if isinstance(A, DGAlgebra):
-        return f"dg-algebra(rank={A.algebra.rank}, base={A.base})"
-    return f"algebra(rank={A.rank}, base={A.base})"
+    kind = "dg-algebra" if isinstance(A, DGAlgebra) else "algebra"
+    return f"{kind}(rank={_rank(A)}, base={A.base})"
 
 
 def _check_window(A: DGAlgebra, window):
@@ -62,6 +67,23 @@ def _check_window(A: DGAlgebra, window):
         raise BudgetExceededError(
             f"window {window} shorter than the Laurent period {period}"
         )
+
+
+def _mu_condition(name, A, window, failures=False) -> Condition:
+    """The mu condition of every flavor: exact per degree slice on a
+    GradedAlgebra, a quasi-isomorphism over the window on a DGAlgebra.
+
+    The window must cover the Laurent period; `failures` appends the
+    failing degrees to a DG witness.
+    """
+    if isinstance(A, GradedAlgebra):
+        return Condition(name, mu_is_iso(A), "checked per degree slice")
+    _check_window(A, window)
+    v = is_quasi_iso(action_map_mu(A), window)
+    witness = f"window {v.window}"
+    if failures and v.failures:
+        witness += f", failures at {v.failures}"
+    return Condition(name, v.is_quasi_iso, witness)
 
 
 def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
@@ -75,32 +97,15 @@ def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
     if isinstance(A, GradedAlgebra):
         if A.base.laurent or any(d != 0 for d in A.module.degrees):
             return check_generalized_azumaya(A, window)
-        report = AzumayaReport(_describe(A), "classical")
-        report.conditions.append(
-            Condition("finite free rank", True, f"rank {A.rank}")
-        )
-        report.conditions.append(
-            Condition("unit kernel zero", True, "free algebra over the base")
-        )
-        report.conditions.append(
-            Condition("mu invertible", mu_is_iso(A), "checked per degree slice")
-        )
-        return report
-    # DG presentation of a classical quotient
-    report = AzumayaReport(_describe(A), "classical")
-    report.conditions.append(
-        Condition("finite free rank", True, f"rank {A.algebra.rank}")
-    )
-    _, gen = dg_unit_kernel(A)
-    report.conditions.append(
-        Condition("unit kernel zero", gen == 0, f"kernel ideal ({gen})")
-    )
-    mu = action_map_mu(A)
-    v = is_quasi_iso(mu, window)
-    report.conditions.append(
-        Condition("mu invertible", v.is_quasi_iso, f"window {v.window}")
-    )
-    return report
+        unit = Condition("unit kernel zero", True, "free algebra over the base")
+    else:
+        _, gen = dg_unit_kernel(A)
+        unit = Condition("unit kernel zero", gen == 0, f"kernel ideal ({gen})")
+    return AzumayaReport(_describe(A), "classical", [
+        Condition("finite free rank", True, f"rank {_rank(A)}"),
+        unit,
+        _mu_condition("mu invertible", A, window),
+    ])
 
 
 def check_generalized_azumaya(A, window=(-6, 6)) -> AzumayaReport:
@@ -114,31 +119,17 @@ def check_generalized_azumaya(A, window=(-6, 6)) -> AzumayaReport:
     """
     if isinstance(A, GradedAlgebra):
         A = DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1))
-    _check_window(A, window)
-    report = AzumayaReport(_describe(A), "generalized_dg")
-    report.conditions.append(
-        Condition("perfect complex", True, f"finite free rank {A.algebra.rank}")
-    )
     _, gen = dg_unit_kernel(A)
     h0 = homology_at(A.complex(), 0)
-    annihilates = _ideal_annihilates(A.base.ground, gen, h0)
-    report.conditions.append(
+    return AzumayaReport(_describe(A), "generalized_dg", [
+        Condition("perfect complex", True, f"finite free rank {_rank(A)}"),
         Condition(
             "locality shadow: I * H0(A) = 0",
-            annihilates,
+            _ideal_annihilates(A.base.ground, gen, h0),
             f"I = ({gen}); I = 0: {'true' if gen == 0 else 'false (left open)'}",
-        )
-    )
-    mu = action_map_mu(A)
-    v = is_quasi_iso(mu, window)
-    report.conditions.append(
-        Condition(
-            "mu quasi-isomorphism",
-            v.is_quasi_iso,
-            f"window {v.window}" + (f", failures at {v.failures}" if v.failures else ""),
-        )
-    )
-    return report
+        ),
+        _mu_condition("mu quasi-isomorphism", A, window, failures=True),
+    ])
 
 
 def _ideal_annihilates(g, gen, pres) -> bool:
@@ -173,35 +164,18 @@ def _quotient_shadow_defect(A: GradedAlgebra):
 
 def check_weak_azumaya(A, window=(-6, 6)) -> AzumayaReport:
     """Weak flavor: dualizability plus mu a (quasi-)isomorphism."""
-    report = AzumayaReport(_describe(A), "weak")
-    if isinstance(A, DGAlgebra):
-        _check_window(A, window)
-        report.conditions.append(
-            Condition("dualizable", True, f"finite free rank {A.algebra.rank}")
-        )
-        v = is_quasi_iso(action_map_mu(A), window)
-        report.conditions.append(
-            Condition("mu weak equivalence", v.is_quasi_iso, f"window {v.window}")
-        )
-        return report
-    report.conditions.append(
-        Condition("dualizable", True, f"finite free rank {A.rank}")
-    )
-    c = _quotient_shadow_defect(A)
+    c = _quotient_shadow_defect(A) if isinstance(A, GradedAlgebra) else None
     if c is not None:
-        g = A.base.ground
-        report.conditions.append(
-            Condition(
-                "mu weak equivalence",
-                g.is_unit(c),
-                f"quotient shadow: mu maps the alpha class to ({c}) * beta-dual",
-            )
-        )
+        mu = Condition("mu weak equivalence", A.base.ground.is_unit(c),
+                       f"quotient shadow: mu maps the alpha class to ({c}) * beta-dual")
+    elif isinstance(A, DGAlgebra):
+        mu = _mu_condition("mu weak equivalence", A, window)
     else:
-        report.conditions.append(
-            Condition("mu invertible", mu_is_iso(A), "checked per degree slice")
-        )
-    return report
+        mu = _mu_condition("mu invertible", A, window)
+    return AzumayaReport(_describe(A), "weak", [
+        Condition("dualizable", True, f"finite free rank {_rank(A)}"),
+        mu,
+    ])
 
 
 # ---------------------------------------------------------------------------

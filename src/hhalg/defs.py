@@ -279,7 +279,7 @@ def _parse_base(doc, where):
     if not isinstance(doc, dict) or "ground" not in doc:
         raise DefinitionError(f"{where}: base needs a 'ground' key")
     ground = doc["ground"]
-    if ground not in ("Z", "Q") and not (
+    if not isinstance(ground, str) or ground not in ("Z", "Q") and not (
         ground.startswith("F") and ground[1:].isdigit()
     ):
         raise DefinitionError(f"{where}: unknown ground ring {ground!r}")
@@ -300,6 +300,8 @@ def _parse_base(doc, where):
 
 
 def _parse_generators(doc, where):
+    if not isinstance(doc, list):
+        raise DefinitionError(f"{where}: generators are [name, degree] pairs")
     gens = []
     for gd in doc:
         if (not isinstance(gd, (list, tuple)) or len(gd) != 2
@@ -342,6 +344,8 @@ def parse_definition(text: str) -> DefinitionFile:
     for key in ("algebras", "modules"):
         if not isinstance(doc.get(key, {}), dict):
             raise DefinitionError(f"'{key}' must be a JSON object")
+    if not isinstance(doc.get("tasks", []), (list, type(None))):
+        raise DefinitionError("'tasks' must be a JSON array")
     base = _parse_base(doc["base"], "base")
 
     algebras = []
@@ -362,6 +366,8 @@ def parse_definition(text: str) -> DefinitionFile:
                     or not {"x", "w"} <= set(dg)
                     or set(dg) - {"x", "w", "x_degree"}):
                 raise DefinitionError(f"{where}: dg needs keys x, w [, x_degree]")
+            if not all(isinstance(v, int) for v in dg.values()):
+                raise DefinitionError(f"{where}: dg x, w and x_degree are integers")
             spec["dg"] = {"x": dg["x"], "w": dg["w"],
                           "x_degree": dg.get("x_degree", 0)}
         else:
@@ -371,6 +377,8 @@ def parse_definition(text: str) -> DefinitionFile:
             gens = _parse_generators(a.get("generators", []), where)
             degs = dict(gens)
             laurent = abase[1]
+            if not isinstance(a.get("relations", []), list):
+                raise DefinitionError(f"{where}: relations are a list of strings")
             rels = []
             for i, r in enumerate(a.get("relations", [])):
                 rwhere = f"{where}, relation {i}"
@@ -401,7 +409,7 @@ def parse_definition(text: str) -> DefinitionFile:
         where = f"module {name!r}"
         if not isinstance(m, dict) or "over" not in m:
             raise DefinitionError(f"{where}: needs an 'over' key")
-        if m["over"] not in alg_names:
+        if not isinstance(m["over"], str) or m["over"] not in alg_names:
             raise DefinitionError(f"{where}: unknown algebra {m['over']!r}")
         extra = set(m) - {"over", "side", "generators", "action"}
         if extra:
@@ -410,17 +418,15 @@ def parse_definition(text: str) -> DefinitionFile:
         if side not in ("left", "right"):
             raise DefinitionError(f"{where}: side must be 'left' or 'right'")
         gens = _parse_generators(m.get("generators", []), where)
+        if not isinstance(m.get("action") or {}, dict):
+            raise DefinitionError(f"{where}: action maps generator names to entry lists")
         action = []
         for gname, entries in sorted((m.get("action") or {}).items()):
-            rows = []
-            for e in entries:
-                if (not isinstance(e, (list, tuple)) or len(e) != 3
-                        or not all(isinstance(x, int) for x in e)):
-                    raise DefinitionError(
-                        f"{where}: action entries are [target, source, coeff]"
-                    )
-                rows.append(tuple(e))
-            action.append((str(gname), tuple(sorted(rows))))
+            if not isinstance(entries, list) or not all(
+                    isinstance(e, list) and len(e) == 3 and all(isinstance(x, int) for x in e)
+                    for e in entries):
+                raise DefinitionError(f"{where}: action entries are [target, source, coeff]")
+            action.append((str(gname), tuple(sorted(map(tuple, entries)))))
         modules.append((name, {"over": m["over"], "side": side,
                                "generators": gens, "action": tuple(action)}))
 
@@ -433,7 +439,7 @@ def parse_definition(text: str) -> DefinitionFile:
                                             "module"):
                 pool = alg_names if key in ("R", "A", "algebra") else {
                     n for n, _ in modules}
-                if val not in pool:
+                if not isinstance(val, str) or val not in pool:
                     raise DefinitionError(f"task {i}: unknown name {val!r}")
         tasks.append(tuple(sorted(t.items())))
 

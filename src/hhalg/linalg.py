@@ -68,9 +68,13 @@ class ExactMatrix:
 
     @staticmethod
     def from_columns(ground: GroundRing, rows: int, columns) -> "ExactMatrix":
-        """Wrap sparse columns {row: scalar} whose entries are canonical and nonzero."""
-        m = object.__new__(ExactMatrix)
-        m.ground, m.rows, m.columns = ground, rows, list(columns)
+        """Wrap sparse columns {row: scalar} whose entries are canonical and nonzero.
+
+        The empty matrix is filled in place: the columns are taken as they
+        are, without the dense constructor's normalization.
+        """
+        m = ExactMatrix(ground, ())
+        m.rows, m.columns = rows, list(columns)
         m.cols = len(m.columns)
         return m
 

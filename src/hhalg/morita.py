@@ -1,12 +1,15 @@
 """Finite-window Morita machinery: F, G, completion, and round-trips.
 
-The setting is a triple (R, A, E): E is simultaneously a left R-module and
-a left A-module with commuting actions (the bimodule of the Morita pair).
-Every module here, E included, is a resolve.AModule tagged left or right.
-F sends a right R-module X to the left A-module X (x)_R E; G sends a left
-A-module Y to the derived Hom_A(E, Y), reported as a bigraded homology
-table over an explicit window; the completion of X is G(F(X)).  T and S
-are the same pair with the roles of R and A swapped.
+The setting is a MoritaContext (R, A, E), built from E_R and E_A: E as a
+left R-module and as a left A-module on the same generators, with
+commuting actions (the bimodule of the Morita pair).  Every module here,
+E included, is a resolve.AModule tagged left or right.  F sends a right
+R-module X to the left A-module X (x)_R E; G sends a left A-module Y to
+the derived Hom_A(E, Y); the completion of X is G(F(X)).  T and S are the
+same pair with the roles of R and A swapped: F and T share one balanced
+tensor, _tensor_E, and G and S share one derived Hom, _derived_hom.  G, S
+and the completion are plain BigradedTables of homology over an explicit
+window, with the window and any notes on the table.
 
 For semisimple A the derived Hom collapses to the plain one, and the plain
 kit is the adjunction's maps: the unit eta: X -> G(F X) and the counit
@@ -18,8 +21,6 @@ identity, exactly rather than at the level of ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import GradedAlgebra, radical
 from .base import (GradedFreeModule, HomogeneousMap, graded_hom_module, hom_maps, hom_pair_index,
                    tensor_maps)
@@ -28,49 +29,24 @@ from .resolve import AModule, ext_with_coefficients, free_resolution
 from .tables import BigradedTable
 
 
-@dataclass
 class MoritaContext:
-    """The bimodule datum: E a left R-module and left A-module, commuting.
+    """The bimodule datum: E a left R-module and a left A-module, commuting.
 
-    E_R and E_A are E with the R-action and with the A-action, built (and
-    checked) at construction, or taken as already checked by `of_modules`.
+    Built from the two checked left modules E_R and E_A on the same
+    generators; R, A and E are read off them.
     """
 
-    R: GradedAlgebra
-    A: GradedAlgebra
-    E: GradedFreeModule
-    r_action: dict
-    a_action: dict
-
-    def __post_init__(self):
-        self._adopt(AModule(self.R, self.E, self.r_action),
-                    AModule(self.A, self.E, self.a_action))
-
-    @classmethod
-    def of_modules(cls, E_R: AModule, E_A: AModule) -> "MoritaContext":
-        """The context on two left modules over one E, whose axioms hold."""
+    def __init__(self, E_R: AModule, E_A: AModule):
+        if E_R.module.generators != E_A.module.generators:
+            raise ValueError("E_R and E_A must present the same underlying module")
         if E_R.side != "left" or E_A.side != "left":
             raise ValueError("a Morita context takes E as a left R- and A-module")
-        ctx = object.__new__(cls)
-        ctx.R, ctx.A, ctx.E = E_R.algebra, E_A.algebra, E_R.module
-        ctx.r_action, ctx.a_action = E_R.action, E_A.action
-        ctx._adopt(E_R, E_A)
-        return ctx
-
-    def _adopt(self, E_R: AModule, E_A: AModule):
-        self.E_R, self.E_A = E_R, E_A
         for r, fr in E_R.action.items():
             for a, fa in E_A.action.items():
                 if fr.compose(fa) != fa.compose(fr):
                     raise ValueError(f"R and A actions fail to commute on ({r},{a})")
-
-
-@dataclass
-class CompletionResult:
-    subject: str
-    table: BigradedTable
-    window: tuple
-    notes: tuple = ()
+        self.E_R, self.E_A = E_R, E_A
+        self.R, self.A, self.E = E_R.algebra, E_A.algebra, E_R.module
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +143,31 @@ def functor_F(ctx: MoritaContext, X: AModule) -> AModule:
     return _tensor_E(X, ctx.E_R, ctx.E_A)
 
 
-def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
-              s_max: int = 8, notes=()) -> CompletionResult:
-    """Derived Hom_A(E, Y) as a bigraded homology table over the window."""
+def _derived_hom(E: AModule, Y: AModule, window, s_max: int) -> BigradedTable:
+    """Derived Hom(E, Y) over E's algebra, for left modules, as the
+    bigraded cohomology table of Hom(F_*, Y) over the window, F_* a free
+    resolution of E through stage s_max."""
     if Y.side != "left":
-        raise ValueError("G takes a left A-module")
-    res = free_resolution(ctx.A, ctx.E_A, s_max=s_max, t_window=window)
-    table = ext_with_coefficients(res, Y, window)
-    return CompletionResult("G", table, tuple(window), tuple(notes))
+        raise ValueError("derived Hom takes left modules")
+    res = free_resolution(E.algebra, E, s_max=s_max, t_window=window)
+    return ext_with_coefficients(res, Y, window)
+
+
+def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
+              s_max: int = 8) -> BigradedTable:
+    """G(Y) = derived Hom_A(E, Y) for a left A-module Y."""
+    return _derived_hom(ctx.E_A, Y, window, s_max)
 
 
 def completion(ctx: MoritaContext, M: AModule, window=(-16, 16),
-               s_max: int = 8, notes=()) -> CompletionResult:
-    """The completion G(F(M)) of a right R-module M."""
+               s_max: int = 8, notes=()) -> BigradedTable:
+    """The completion G(F(M)) of a right R-module M, carrying `notes`."""
     if M.module.rank == 0:
-        return CompletionResult("completion", BigradedTable(window=tuple(window)),
-                                tuple(window), tuple(notes))
-    out = functor_G(ctx, functor_F(ctx, M), window, s_max, notes=notes)
-    return CompletionResult("completion", out.table, out.window, tuple(notes))
+        table = BigradedTable(window=tuple(window))
+    else:
+        table = functor_G(ctx, functor_F(ctx, M), window, s_max)
+    table.notes = tuple(notes)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +207,7 @@ def completion_is_equivalence(ctx: MoritaContext, M: AModule,
     Compared as collapsed degree ranks over the explicit range `compare`;
     nothing is claimed outside it.
     """
-    return completion_matches(completion(ctx, M, window, s_max).table, M.module, compare)
+    return completion_matches(completion(ctx, M, window, s_max), M.module, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +325,7 @@ def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
 def roundtrip_FG(ctx: MoritaContext, Y: AModule,
                  compare=(-16, 16)) -> bool:
     """Whether F(G(Y)) has the same degree ranks as Y (semisimple A)."""
-    if Y.module.rank == 0:
-        return functor_F(ctx, plain_hom_A(ctx, Y)).module.rank == 0
-    W = plain_hom_A(ctx, Y)
-    FW = functor_F(ctx, W)
+    FW = functor_F(ctx, plain_hom_A(ctx, Y))
     lo, hi = compare
     return degree_ranks(FW.module, lo, hi) == degree_ranks(Y.module, lo, hi)
 
@@ -413,17 +393,13 @@ def torsion_T(ctx: MoritaContext, X: AModule) -> AModule:
 
 
 def torsion_S(ctx: MoritaContext, M: AModule, window=(-16, 16),
-              s_max: int = 8) -> CompletionResult:
-    """S(M) = derived Hom_R(E, M), as a bigraded table."""
-    if M.side != "left":
-        raise ValueError("S takes a left R-module")
-    res = free_resolution(ctx.R, ctx.E_R, s_max=s_max, t_window=window)
-    table = ext_with_coefficients(res, M, window)
-    return CompletionResult("S", table, tuple(window))
+              s_max: int = 8) -> BigradedTable:
+    """S(M) = derived Hom_R(E, M) for a left R-module M."""
+    return _derived_hom(ctx.E_R, M, window, s_max)
 
 
 def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),
                       s_max: int = 8) -> bool:
     """Whether S(T(A)) recovers A, as collapsed degree ranks over `compare`."""
     TA = torsion_T(ctx, AModule.regular(ctx.A, "right"))
-    return completion_matches(torsion_S(ctx, TA, window, s_max).table, ctx.A.module, compare)
+    return completion_matches(torsion_S(ctx, TA, window, s_max), ctx.A.module, compare)

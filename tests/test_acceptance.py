@@ -86,7 +86,8 @@ def lam_tau():
 def local_ctx(R, A):
     E = GradedFreeModule(BaseRing(F3), (("e", 0),))
     ident = HomogeneousMap.identity(E)
-    return MoritaContext(R, A, E, {R.unit_index: ident}, {A.unit_index: ident})
+    return MoritaContext(AModule(R, E, {R.unit_index: ident}),
+                         AModule(A, E, {A.unit_index: ident}))
 
 
 def test_criterion_1_exterior_ext_is_power_series():
@@ -211,13 +212,12 @@ def test_criterion_10_morita_roundtrips():
         E = GradedFreeModule(BaseRing(F3), (("e", 0),))
         ident = HomogeneousMap.identity(E)
         tmon = [i for i in range(R.rank) if i != R.unit_index][0]
-        ctx = MoritaContext(R, A, E, {R.unit_index: ident, tmon: ident},
-                            {A.unit_index: ident})
-        for Y in (AModule.regular(A, "left"),
-                  AModule(A, E, ctx.a_action, "left")):
+        ctx = MoritaContext(AModule(R, E, {R.unit_index: ident, tmon: ident}),
+                            AModule(A, E, {A.unit_index: ident}))
+        for Y in (AModule.regular(A, "left"), ctx.E_A):
             assert roundtrip_FG(ctx, Y)
         for X in (AModule.regular(R, "right"),
-                  AModule(R, E, ctx.r_action, "right")):
+                  AModule(R, E, ctx.E_R.action, "right")):
             assert retract_identity(ctx, X)
         # adic shadows: truncated polynomial and exterior lines
         trunc = lambda T: realize(AlgebraPresentation(
@@ -230,15 +230,15 @@ def test_criterion_10_morita_roundtrips():
         # idempotence in-window: ex:2 materializes to itself; ex:1's
         # completed pattern, realized by a deeper truncation, re-completes
         # to the same table
-        c1 = completion(ctx1, reg(ctx1), window=(-12, 12), s_max=8).table
+        c1 = completion(ctx1, reg(ctx1), window=(-12, 12), s_max=8)
         deep = local_ctx(trunc(24), lam)
-        c1b = completion(deep, reg(deep), window=(-12, 12), s_max=8).table
+        c1b = completion(deep, reg(deep), window=(-12, 12), s_max=8)
         take = lambda t: {d: r for d, r in collapsed_ranks(t).items()
                           if 0 <= d <= 6}
         assert take(c1) == take(c1b)
         assert all(take(c1).get(d) == 1 for d in range(7))
-        c2 = completion(ctx2, reg(ctx2), window=(-12, 12), s_max=8).table
-        c2b = completion(ctx2, reg(ctx2), window=(-12, 12), s_max=8).table
+        c2 = completion(ctx2, reg(ctx2), window=(-12, 12), s_max=8)
+        c2b = completion(ctx2, reg(ctx2), window=(-12, 12), s_max=8)
         assert c2 == c2b
     _run(10, "split-corpus round trips, retract identity, adic completions",
          30, body)

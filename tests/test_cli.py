@@ -383,6 +383,33 @@ def test_build_module_rejects_a_negative_action_index():
         build_module(df, "M", built)
 
 
+@pytest.mark.parametrize("name, path, value", [
+    ("etale.def", ("tasks",), 5),
+    ("etale.def", ("algebras", "R", "generators"), 5),
+    ("etale.def", ("algebras", "R", "relations"), 5),
+    ("etale.def", ("modules", "E_R", "action"), [1]),
+    ("etale.def", ("modules", "E_R", "action"), {"t": 5}),
+    ("etale.def", ("base",), {"ground": 5}),
+    ("azumaya_dg.def", ("algebras", "A3v", "dg", "x_degree"), "z"),
+    ("etale.def", ("tasks", 0, "R"), ["a"]),
+], ids=["tasks", "generators", "relations", "action-list", "action-entries", "ground",
+        "dg-x_degree", "task-name"])
+def test_exit_one_on_a_malformed_definition_shape(capsys, tmp_path, name, path, value):
+    with open(defpath(name)) as fh:
+        doc = json.load(fh)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.def"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(DefinitionError):
+        parse_definition(bad.read_text())
+    code, out, err = run(capsys, ["ext", "--file", str(bad)], tmp_path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_exit_one_on_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["ext", "--file", "no-such.def"], tmp_path)
     assert code == 1 and "error" in err
@@ -397,10 +424,13 @@ def test_exit_one_on_bad_definition(capsys, tmp_path):
 
 
 def test_exit_two_on_window_too_small(capsys, tmp_path):
-    code, _, err = run(capsys, ["azumaya", "--file", defpath("azumaya_dg.def"),
-                                "--flavor", "generalized", "--window=0:0"],
-                       tmp_path)
-    assert code == 2 and "window" in err
+    # every flavor, classical included, runs the one mu condition: a DG window
+    # short of the Laurent period is refused, not judged on one degree
+    for flavor in ("classical", "generalized", "weak"):
+        code, out, err = run(capsys, ["azumaya", "--file", defpath("azumaya_dg.def"),
+                                      "--flavor", flavor, "--window=0:0"], tmp_path)
+        assert (code, out, err) == (
+            2, "", "error: window (0, 0) shorter than the Laurent period 2\n")
 
 
 def test_exit_two_on_hochschild_budget(capsys, tmp_path):
@@ -529,9 +559,28 @@ with open(REFERENCES) as fh:
     CLI_CORPUS = json.load(fh)["cli_corpus"]
 
 
-@pytest.mark.parametrize("command", sorted(CLI_CORPUS))
-def test_corpus_command_matches_recorded_output(capsys, tmp_path, command):
+def corpus_argv(command):
     argv = command.split()
     i = argv.index("--file") + 1
     argv[i] = defpath(argv[i])
-    assert list(run(capsys, argv, tmp_path)) == CLI_CORPUS[command]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CORPUS))
+def test_corpus_command_matches_recorded_output(capsys, tmp_path, command):
+    assert list(run(capsys, corpus_argv(command), tmp_path)) == CLI_CORPUS[command]
+
+
+# recorded before the verdict layer was rebuilt around one mu condition, one
+# Morita context and one derived Hom: every azumaya flavor in TSV and JSON, and
+# each morita check cold, then warm from the same cache
+with open(os.path.join(os.path.dirname(__file__), "golden_verdicts.json")) as fh:
+    GOLDEN_VERDICTS = json.load(fh)
+
+
+@pytest.mark.parametrize("command", sorted({key.split(" [")[0] for key in GOLDEN_VERDICTS}))
+def test_verdict_command_matches_golden_output(capsys, tmp_path, command):
+    phases = [f"{command} [{phase}]" for phase in ("cold", "warm")]
+    keys = phases if phases[0] in GOLDEN_VERDICTS else [command]
+    got = {key: list(run(capsys, corpus_argv(command), tmp_path)) for key in keys}
+    assert got == {key: GOLDEN_VERDICTS[key] for key in keys}

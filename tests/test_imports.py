@@ -206,16 +206,9 @@ def test_factorization_internals_detector_flags_offenders():
         (1, "smith_normal_form"), (3, "smith_normal_form"), (4, "SmithForm"), (6, "SmithForm")]
 
 
-STAGE_HELPERS = ("_stage_map", "_flat_kernel")
-
-
-def stage_helper_uses(tree):
-    """Sorted (line, enclosing function, name) for each reference to a stage
-    helper outside `_resolve`, the one resolution loop.
-
-    A resolution builder differs from another only in its generator chooser;
-    a stage map or stage kernel built anywhere else is a second loop.
-    """
+def uses_outside(tree, names, home):
+    """Sorted (line, enclosing function, name) for each reference to one of
+    `names` outside the function `home`."""
     out = []
 
     def visit(node, func):
@@ -225,7 +218,7 @@ def stage_helper_uses(tree):
                 continue
             name = (child.id if isinstance(child, ast.Name)
                     else child.attr if isinstance(child, ast.Attribute) else None)
-            if name in STAGE_HELPERS and func != "_resolve":
+            if name in names and func != home:
                 out.append((child.lineno, func, name))
             visit(child, func)
 
@@ -233,9 +226,15 @@ def stage_helper_uses(tree):
     return sorted(out)
 
 
+# A resolution builder differs from another only in its generator chooser; a
+# stage map or stage kernel built anywhere but `_resolve`, the one resolution
+# loop, is a second loop.
+STAGE_HELPERS = ("_stage_map", "_flat_kernel")
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_stage_helpers_are_called_only_from_the_loop(path):
-    assert stage_helper_uses(ast.parse(path.read_text())) == []
+    assert uses_outside(ast.parse(path.read_text()), STAGE_HELPERS, "_resolve") == []
 
 
 def test_stage_helper_detector_flags_offenders():
@@ -246,6 +245,50 @@ def test_stage_helper_detector_flags_offenders():
             "    kernel = _flat_kernel(f, w)\n"
             "    return resolve._stage_map(F, kernel)\n"
             "step = _stage_map\n")
-    assert stage_helper_uses(ast.parse(code)) == [
+    assert uses_outside(ast.parse(code), STAGE_HELPERS, "_resolve") == [
         (5, "minimal_resolution", "_flat_kernel"), (6, "minimal_resolution", "_stage_map"),
         (7, "<module>", "_stage_map")]
+
+
+# Every Azumaya flavor takes its mu condition from `_mu_condition`; a mu test
+# anywhere else in azumaya is a second path to the same verdict.
+MU_TESTS = ("mu_is_iso", "is_quasi_iso")
+
+
+def test_mu_is_tested_only_in_the_mu_condition():
+    tree = ast.parse((SRC / "azumaya.py").read_text())
+    assert uses_outside(tree, MU_TESTS, "_mu_condition") == []
+
+
+def test_mu_test_detector_flags_offenders():
+    code = ("from .hochschild import mu_is_iso\n"
+            "def _mu_condition(name, A, window):\n"
+            "    return mu_is_iso(A) or dg.is_quasi_iso(action_map_mu(A), window)\n"
+            "def check_weak_azumaya(A, window):\n"
+            "    return Condition('mu', mu_is_iso(A))\n"
+            "iso = dg.is_quasi_iso\n")
+    assert uses_outside(ast.parse(code), MU_TESTS, "_mu_condition") == [
+        (5, "check_weak_azumaya", "mu_is_iso"), (6, "<module>", "is_quasi_iso")]
+
+
+def object_new_uses(tree):
+    """Sorted lines of each `object.__new__` reference, which builds an
+    instance without running its class's checks."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                  and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_instance_bypasses_its_constructor(path):
+    assert object_new_uses(ast.parse(path.read_text())) == []
+
+
+def test_object_new_detector_flags_offenders():
+    code = ("ctx = object.__new__(MoritaContext)\n"
+            "class Ring:\n"
+            "    def __new__(cls):\n"
+            "        return super().__new__(cls)\n"
+            "new = object.__new__\n"
+            "other.__new__(Ring)\n")
+    assert object_new_uses(ast.parse(code)) == [1, 5]

@@ -7,7 +7,6 @@ from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap
 from hhalg.ground import GroundRing
 from hhalg.morita import (
     BalancedTensor,
-    CompletionResult,
     MoritaContext,
     _hom_basis,
     adjunction_triangles,
@@ -49,9 +48,8 @@ def etale_ctx():
     E = GradedFreeModule(BASE3, (("e", 0),))
     ident = HomogeneousMap.identity(E)
     t = [i for i in range(R.rank) if i != R.unit_index][0]
-    r_action = {R.unit_index: ident, t: ident}
-    a_action = {A.unit_index: ident}
-    return MoritaContext(R, A, E, r_action, a_action)
+    return MoritaContext(AModule(R, E, {R.unit_index: ident, t: ident}),
+                         AModule(A, E, {A.unit_index: ident}))
 
 
 def second_factor(ctx):
@@ -75,7 +73,8 @@ def local_ctx(R, A):
     # E = k with both algebras acting through their augmentations
     E = GradedFreeModule(BASE3, (("e", 0),))
     ident = HomogeneousMap.identity(E)
-    return MoritaContext(R, A, E, {R.unit_index: ident}, {A.unit_index: ident})
+    return MoritaContext(AModule(R, E, {R.unit_index: ident}),
+                         AModule(A, E, {A.unit_index: ident}))
 
 
 def ctx_ex1():
@@ -118,16 +117,20 @@ def test_context_rejects_noncommuting_actions():
         [(1, ("s", "s"), 0), (-1, (), 0)],
     )))
     s = [i for i in range(A2.rank) if i != A2.unit_index][0]
-    with pytest.raises(ValueError):
-        MoritaContext(R, A2, E, {R.unit_index: ident, t: proj},
-                      {A2.unit_index: ident, s: swap})
+    E_R = AModule(R, E, {R.unit_index: ident, t: proj})
+    E_A = AModule(A2, E, {A2.unit_index: ident, s: swap})
+    with pytest.raises(ValueError, match="fail to commute"):
+        MoritaContext(E_R, E_A)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda ctx: AModule(ctx.R, ctx.E, ctx.r_action, "middle"), "side must be"),
-    (lambda ctx: functor_G(ctx, AModule.regular(ctx.A, "right")), "left A-module"),
-    (lambda ctx: torsion_S(ctx, AModule.regular(ctx.R, "right")), "left R-module"),
-    (lambda ctx: BalancedTensor(AModule.regular(ctx.R), ctx.E, ctx.r_action),
+    (lambda ctx: AModule(ctx.R, ctx.E, ctx.E_R.action, "middle"), "side must be"),
+    (lambda ctx: MoritaContext(AModule.regular(ctx.R, "right"), ctx.E_A), "same underlying"),
+    (lambda ctx: MoritaContext(AModule(ctx.R, ctx.E, ctx.E_R.action, "right"), ctx.E_A),
+     "left R- and A-module"),
+    (lambda ctx: functor_G(ctx, AModule.regular(ctx.A, "right")), "derived Hom takes left"),
+    (lambda ctx: torsion_S(ctx, AModule.regular(ctx.R, "right")), "derived Hom takes left"),
+    (lambda ctx: BalancedTensor(AModule.regular(ctx.R), ctx.E, ctx.E_R.action),
      "right module"),
     (lambda ctx: _hom_basis(ctx.E_A, AModule.regular(ctx.A, "right")), "handedness"),
     (lambda ctx: free_resolution(ctx.R, AModule.regular(ctx.R, "right"), s_max=1),
@@ -135,7 +138,7 @@ def test_context_rejects_noncommuting_actions():
     (lambda ctx: ext_with_coefficients(free_resolution(ctx.R, ctx.E_R, s_max=1),
                                        AModule.regular(ctx.R, "right")),
      "left module"),
-], ids=["bad-side", "functor_G", "torsion_S", "BalancedTensor", "_hom_basis",
+], ids=["bad-side", "context-generators", "context-side", "functor_G", "torsion_S", "BalancedTensor", "_hom_basis",
         "free_resolution", "ext_with_coefficients"])
 def test_wrong_side_is_rejected(call, message):
     with pytest.raises(ValueError, match=message):
@@ -146,8 +149,7 @@ def test_wrong_side_is_rejected(call, message):
 
 def test_endo_algebra_of_idempotent_factor():
     ctx = etale_ctx()
-    E = AModule(ctx.R, ctx.E, ctx.r_action, "left")
-    A = endo_algebra(E)
+    A = endo_algebra(ctx.E_R)
     assert A.rank == 1 and A.monomials[A.unit_index] == ("id", 0)
 
 
@@ -173,7 +175,7 @@ def test_endo_algebra_of_free_rank_two():
 def test_tensor_regular_gives_e():
     ctx = etale_ctx()
     X = AModule.regular(ctx.R, "right")
-    T = BalancedTensor(X, ctx.E, ctx.r_action)
+    T = BalancedTensor(X, ctx.E, ctx.E_R.action)
     assert T.module.rank == 1
 
 
@@ -199,7 +201,7 @@ def test_f_is_additive_on_the_regular_module():
     # R = E (+) E', so F(R) = F(E) since F(E') = 0
     ctx = etale_ctx()
     FR = functor_F(ctx, AModule.regular(ctx.R, "right"))
-    FE = functor_F(ctx, AModule(ctx.R, ctx.E, ctx.r_action, "right"))
+    FE = functor_F(ctx, AModule(ctx.R, ctx.E, ctx.E_R.action, "right"))
     assert degree_ranks(FR.module) == degree_ranks(FE.module)
 
 
@@ -215,7 +217,7 @@ def test_plain_hom_recovers_scalars():
 def test_roundtrip_fg_on_corpus():
     ctx = etale_ctx()
     for Y in (AModule.regular(ctx.A, "left"),
-              AModule(ctx.A, ctx.E, ctx.a_action, "left"),
+              ctx.E_A,
               AModule.zero(ctx.A, "left")):
         assert roundtrip_FG(ctx, Y)
 
@@ -231,15 +233,14 @@ def test_plain_hom_requires_semisimple():
 def test_retract_identity_on_corpus():
     ctx = etale_ctx()
     for X in (AModule.regular(ctx.R, "right"),
-              AModule(ctx.R, ctx.E, ctx.r_action, "right")):
+              AModule(ctx.R, ctx.E, ctx.E_R.action, "right")):
         assert retract_identity(ctx, X)
 
 
 def test_adjunction_triangles_on_corpus():
     ctx = etale_ctx()
     X = AModule.regular(ctx.R, "right")
-    for Y in (AModule.regular(ctx.A, "left"),
-              AModule(ctx.A, ctx.E, ctx.a_action, "left")):
+    for Y in (AModule.regular(ctx.A, "left"), ctx.E_A):
         assert adjunction_triangles(ctx, X, Y)
 
 
@@ -248,8 +249,8 @@ def graded_ctx(p, degrees):
     base = BaseRing(GroundRing.prime_field(p))
     R = realize(AlgebraPresentation(base, (), ()))
     E = GradedFreeModule(base, tuple((f"e{i}", d) for i, d in enumerate(degrees)))
-    return MoritaContext(R, endomorphism_algebra(E), E,
-                         {R.unit_index: HomogeneousMap.identity(E)}, endomorphism_action(E))
+    return MoritaContext(AModule(R, E, {R.unit_index: HomogeneousMap.identity(E)}),
+                         AModule(endomorphism_algebra(E), E, endomorphism_action(E)))
 
 
 GRADED = [(p, degrees) for p in (3, 5) for degrees in ((0, 1), (0, 2, -1), (1, 0, 3))]
@@ -312,9 +313,8 @@ def test_completion_power_series_pattern():
     R = AModule.regular(ctx.R, "right")
     comp = completion(ctx, R, window=(-16, 16), s_max=8,
                       notes=("truncated model: valid inside the window only",))
-    assert isinstance(comp, CompletionResult)
-    assert comp.notes and "window" in comp.notes[0]
-    ranks = collapsed_ranks(comp.table)
+    assert comp.notes and "window" in comp.notes[0] and comp.window == (-16, 16)
+    ranks = collapsed_ranks(comp)
     assert all(ranks.get(d) == 1 for d in range(7))
 
 
@@ -337,8 +337,8 @@ def test_completion_idempotent_in_window():
     # re-completing the in-window materialization reproduces the same table
     ctx = ctx_ex2()
     R = AModule.regular(ctx.R, "right")
-    t1 = completion(ctx, R, window=(-12, 12), s_max=6).table
-    t2 = completion(ctx, R, window=(-12, 12), s_max=6).table
+    t1 = completion(ctx, R, window=(-12, 12), s_max=6)
+    t2 = completion(ctx, R, window=(-12, 12), s_max=6)
     assert t1 == t2
     # ex:1 shadow: completion of the completed pattern (rank 1 per degree,
     # realized by a deeper truncation) matches the original in the window
@@ -346,9 +346,9 @@ def test_completion_idempotent_in_window():
     shallow = local_ctx(truncated_poly(20), exterior())
     deep = local_ctx(truncated_poly(24), exterior())
     c1 = completion(ctx1, AModule.regular(ctx1.R, "right"),
-                    window=(-12, 12), s_max=6).table
+                    window=(-12, 12), s_max=6)
     c2 = completion(deep, AModule.regular(deep.R, "right"),
-                    window=(-12, 12), s_max=6).table
+                    window=(-12, 12), s_max=6)
     assert {k: v for k, v in collapsed_ranks(c1).items() if 0 <= k <= 6} == \
            {k: v for k, v in collapsed_ranks(c2).items() if 0 <= k <= 6}
     assert shallow.R.rank == ctx1.R.rank
@@ -357,7 +357,7 @@ def test_completion_idempotent_in_window():
 def test_completion_of_zero_module():
     ctx = ctx_ex1()
     comp = completion(ctx, AModule.zero(ctx.R, "right"))
-    assert comp.table.is_zero()
+    assert comp.is_zero() and comp.window == (-16, 16)
 
 
 def test_g_table_matches_f_then_g():
@@ -366,7 +366,7 @@ def test_g_table_matches_f_then_g():
     Y = functor_F(ctx, R)
     g1 = functor_G(ctx, Y, window=(-12, 12), s_max=6)
     c1 = completion(ctx, R, window=(-12, 12), s_max=6)
-    assert g1.table == c1.table
+    assert g1 == c1
 
 
 # -- the torsion side -----------------------------------------------------------------
@@ -384,6 +384,6 @@ def test_torsion_side_shapes():
     T = torsion_T(ctx, X)
     S = torsion_S(ctx, M, window=(-12, 12), s_max=6)
     assert T.module.rank == 1 and T.side == "left"
-    assert S.subject == "S"
+    assert S.window == (-12, 12)
     # derived Hom_R(k, R) over the exterior line: the socle in each stage
-    assert S.table.entry(0, 1).free_rank == 1
+    assert S.entry(0, 1).free_rank == 1
