@@ -160,7 +160,7 @@ class _Rewriter:
             for l1, l2 in itertools.product(leads, leads):
                 if l1 not in self.rules or l2 not in self.rules:
                     continue
-                for sup, p1, p2 in self._superpositions(l1, l2):
+                for p1, p2 in self._superpositions(l1, l2):
                     r1 = self.reduce(p1)
                     r2 = self.reduce(p2)
                     if r1 == r2:
@@ -173,23 +173,22 @@ class _Rewriter:
                         changed = True
 
     def _superpositions(self, l1, l2):
-        """Superposition words with their two one-step reductions."""
+        """The two one-step reductions of each superposition word of l1 and l2."""
         out = []
         r1, r2 = self.rules[l1], self.rules[l2]
         # proper overlap: suffix of l1 = prefix of l2
         for k in range(1, min(len(l1), len(l2))):
             if l1[-k:] == l2[:k]:
-                sup = l1 + l2[k:]
                 p1 = {w + l2[k:]: c for w, c in r1.items()}
                 p2 = {l1[:-k] + w: c for w, c in r2.items()}
-                out.append((sup, p1, p2))
+                out.append((p1, p2))
         # containment: l2 strictly inside l1
         if l1 != l2:
             for s in range(len(l1) - len(l2) + 1):
                 if l1[s:s + len(l2)] == l2:
                     p1 = dict(r1)
                     p2 = {l1[:s] + w + l1[s + len(l2):]: c for w, c in r2.items()}
-                    out.append((l1, p1, p2))
+                    out.append((p1, p2))
         return out
 
     def irreducible_words(self, n_gens, max_rank):
@@ -494,33 +493,27 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
 
 
 def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
-    """Graded tensor product: (a@b)(a'@b') = (-1)^{|b||a'|} aa' @ bb'."""
+    """Graded tensor product: (a@b)(a'@b') = (-1)^{|b||a'|} aa' @ bb'.
+
+    Only pairs of stored (nonzero) products of A and B are multiplied."""
     if A.base != B.base:
         raise ValueError("tensor over different bases")
     g = A.base.ground
     nB = B.rank
     mult = {}
-    for i1 in range(A.rank):
-        for j1 in range(B.rank):
-            for i2 in range(A.rank):
-                avec = A.mul_basis(i1, i2)
-                if not avec:
-                    continue
-                for j2 in range(B.rank):
-                    bvec = B.mul_basis(j1, j2)
-                    if not bvec:
-                        continue
-                    sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
-                    out = {}
-                    for ka, ca in avec.items():
-                        for kb, cb in bvec.items():
-                            c = g.mul(ca, cb)
-                            if sign == -1:
-                                c = g.neg(c)
-                            out[ka * nB + kb] = c
-                    out = {k: c for k, c in out.items() if c != 0}
-                    if out:
-                        mult[(i1 * nB + j1, i2 * nB + j2)] = out
+    for (i1, i2), avec in A.mult.items():
+        for (j1, j2), bvec in B.mult.items():
+            sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
+            out = {}
+            for ka, ca in avec.items():
+                for kb, cb in bvec.items():
+                    c = g.mul(ca, cb)
+                    if sign == -1:
+                        c = g.neg(c)
+                    out[ka * nB + kb] = c
+            out = {k: c for k, c in out.items() if c != 0}
+            if out:
+                mult[(i1 * nB + j1, i2 * nB + j2)] = out
     gens = ([s * nB + B.unit_index for s in A.generating_monomials]
             + [A.unit_index * nB + t for t in B.generating_monomials])
     return GradedAlgebra(

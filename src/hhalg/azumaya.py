@@ -1,9 +1,10 @@
 """Azumaya certification: classical, generalized (DG), and weak flavors.
 
-Each check returns an AzumayaReport whose conditions are one list with
-their verdicts and witnesses; the overall verdict is the conjunction.  The
-heart of every flavor is invertibility of the action map mu from A (x) A^op
-to Hom(A, A), and every flavor takes that condition from one helper,
+Each check returns an AzumayaReport: its flavor and one list of conditions
+with their verdicts and witnesses, which callers render themselves; the
+overall verdict is the conjunction.  The heart of every flavor is
+invertibility of the action map mu from A (x) A^op to Hom(A, A), and
+every flavor takes that condition from one helper,
 _mu_condition: exactly, slice by slice (hochschild.mu_is_iso), for
 ungraded/graded algebras, and as a quasi-isomorphism over an explicit
 window in the DG case, where the window must cover the Laurent period
@@ -33,7 +34,6 @@ class Condition:
 
 @dataclass
 class AzumayaReport:
-    subject: str
     flavor: str
     conditions: list
 
@@ -41,23 +41,9 @@ class AzumayaReport:
     def overall(self) -> bool:
         return all(c.verdict for c in self.conditions)
 
-    def __str__(self):
-        lines = [f"{self.subject} [{self.flavor}]"]
-        for c in self.conditions:
-            mark = "pass" if c.verdict else "FAIL"
-            tail = f"  ({c.witness})" if c.witness else ""
-            lines.append(f"  {mark}  {c.name}{tail}")
-        lines.append(f"  overall: {'pass' if self.overall else 'FAIL'}")
-        return "\n".join(lines)
-
 
 def _rank(A) -> int:
     return A.algebra.rank if isinstance(A, DGAlgebra) else A.rank
-
-
-def _describe(A) -> str:
-    kind = "dg-algebra" if isinstance(A, DGAlgebra) else "algebra"
-    return f"{kind}(rank={_rank(A)}, base={A.base})"
 
 
 def _check_window(A: DGAlgebra, window):
@@ -101,7 +87,7 @@ def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
     else:
         _, gen = dg_unit_kernel(A)
         unit = Condition("unit kernel zero", gen == 0, f"kernel ideal ({gen})")
-    return AzumayaReport(_describe(A), "classical", [
+    return AzumayaReport("classical", [
         Condition("finite free rank", True, f"rank {_rank(A)}"),
         unit,
         _mu_condition("mu invertible", A, window),
@@ -121,7 +107,7 @@ def check_generalized_azumaya(A, window=(-6, 6)) -> AzumayaReport:
         A = DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1))
     _, gen = dg_unit_kernel(A)
     h0 = homology_at(A.complex(), 0)
-    return AzumayaReport(_describe(A), "generalized_dg", [
+    return AzumayaReport("generalized_dg", [
         Condition("perfect complex", True, f"finite free rank {_rank(A)}"),
         Condition(
             "locality shadow: I * H0(A) = 0",
@@ -172,7 +158,7 @@ def check_weak_azumaya(A, window=(-6, 6)) -> AzumayaReport:
         mu = _mu_condition("mu weak equivalence", A, window)
     else:
         mu = _mu_condition("mu invertible", A, window)
-    return AzumayaReport(_describe(A), "weak", [
+    return AzumayaReport("weak", [
         Condition("dualizable", True, f"finite free rank {_rank(A)}"),
         mu,
     ])

@@ -1,14 +1,14 @@
 """Content-addressed cache for computed tables.
 
-Keys hash the canonical presentation text, the computation bounds, and the
-engine version, a sha256 of the package's .py sources, so an engine change
-invalidates old entries silently.  Writes go through a temp file and an
-atomic rename, safe under concurrent batch runs.  Payloads are serialized
-BigradedTables; a cache hit therefore re-renders to output byte-identical
-with recomputation.  Each entry is the payload's sha256 on the first line,
-then the payload.  An entry that is unreadable, fails its digest or does not
-parse as a table is a miss: the table is recomputed and the entry
-overwritten.
+Keys hash the parsed definition (defs.DefinitionFile, canonical by
+construction), the computation bounds, and the engine version, a sha256 of
+the package's .py sources, so an engine change invalidates old entries
+silently.  Writes go through a temp file and an atomic rename, safe under
+concurrent batch runs.  Payloads are serialized BigradedTables; a cache hit
+therefore re-renders to output byte-identical with recomputation.  Each
+entry is the payload's sha256 on the first line, then the payload.  An
+entry that is unreadable, fails its digest or does not parse as a table is
+a miss: the table is recomputed and the entry overwritten.
 """
 
 from __future__ import annotations

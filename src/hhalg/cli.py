@@ -9,6 +9,7 @@ exceeded, 3 = an invariant failed (algebra.InvariantError, a bug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -89,11 +90,11 @@ def _emit_records(out, sections, args):
             out.write(f"{key}\t{value}\n")
 
 
-def _graded_entries(df, built):
+def _graded_entries(built):
     return [(n, a) for n, a in built.items() if isinstance(a, GradedAlgebra)]
 
 
-def _dg_entries(df, built):
+def _dg_entries(built):
     return [(n, q) for n, q in built.items() if isinstance(q, QuotientDGA)]
 
 
@@ -103,9 +104,10 @@ def _build_all(df: DefinitionFile) -> dict:
 
 def cmd_ext(df, built, args, out):
     window = _parse_window(args.window)
+    definition = dataclasses.astuple(df)
     sections = []
-    for name, A in _graded_entries(df, built):
-        key = cachemod.cache_key("ext", df.emit(), name, args.smax, window)
+    for name, A in _graded_entries(built):
+        key = cachemod.cache_key("ext", definition, name, args.smax, window)
         table = cachemod.cached_table(
             args.cache_path, key,
             lambda A=A: ext_table(A, s_max=args.smax, t_window=window),
@@ -121,7 +123,7 @@ def cmd_hochschild(df, built, args, out):
     window = _parse_window(args.window)
     sections = []
     budget_hit = False
-    for name, A in _graded_entries(df, built):
+    for name, A in _graded_entries(built):
         table = hochschild_cohomology(A, n_max=args.nmax, window=window,
                                       budget=args.budget)
         budget_hit = budget_hit or table.completed_through is not None
@@ -134,7 +136,7 @@ def cmd_hochschild(df, built, args, out):
 
 def cmd_homology(df, built, args, out):
     window = _parse_window(args.window)
-    dgs = _dg_entries(df, built)
+    dgs = _dg_entries(built)
     if not dgs:
         raise DefinitionError("homology needs a dg algebra entry")
     sections = [(name, homology(q.dga.complex(), window)) for name, q in dgs]
@@ -143,7 +145,7 @@ def cmd_homology(df, built, args, out):
 
 
 def cmd_mu_image(df, built, args, out):
-    dgs = _dg_entries(df, built)
+    dgs = _dg_entries(built)
     if not dgs:
         raise DefinitionError("mu-image needs a dg algebra entry")
     sections = []
@@ -211,10 +213,11 @@ def _verified(ok) -> str:
 
 def cmd_morita(df, built, args, out):
     window = _parse_window(args.window)
+    definition = dataclasses.astuple(df)
     for name, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
-            key = cachemod.cache_key("completion", df.emit(), name,
+            key = cachemod.cache_key("completion", definition, name,
                                      args.smax, window)
             table = cachemod.cached_table(args.cache_path, key, lambda: completion(
                 ctx, M, window, args.smax, notes=("valid inside the window only",)))

@@ -10,9 +10,7 @@ A definition document has top-level keys `base`, `algebras`, `modules`,
 
 Identifiers are generator names or the Laurent generator; negative powers
 are allowed on the Laurent generator only.  Every relation must be
-homogeneous; violations report both offending degrees.  parse/emit are
-mutually inverse on the canonical form, so emit(parse(text)) re-parses to
-an equal definition.
+homogeneous; violations report both offending degrees.
 """
 
 from __future__ import annotations
@@ -195,84 +193,20 @@ def parse_relation(text, gen_names, laurent=None):
     ))
 
 
-def render_relation(terms, laurent=None) -> str:
-    """The canonical string form; parse_relation inverts it."""
-    if not terms:
-        return "0"
-    parts = []
-    for c, word, vexp in terms:
-        pieces = []
-        if abs(c) != 1 or (not word and not vexp):
-            pieces.append(str(abs(c)))
-        if vexp:
-            pieces.append(laurent if vexp == 1 else f"{laurent}^{vexp}")
-        pieces.extend(word)
-        body = "*".join(pieces)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # definition documents
 
 
 @dataclass
 class DefinitionFile:
+    """A parsed definition in canonical form: names, relation terms, action
+    entries and task items are sorted, so files that differ only in spacing
+    or order parse to equal values, and the CLI's cache keys hash astuple(df)."""
+
     base: tuple
-    algebras: tuple  # of (name, spec) pairs, specs as canonical tuples
+    algebras: tuple  # of (name, spec) pairs, specs as dicts of canonical tuples
     modules: tuple
     tasks: tuple
-
-    def emit(self) -> str:
-        """Canonical JSON text; parse_definition(emit()) equals self."""
-        doc = {"base": _base_doc(self.base), "algebras": {}, "modules": {},
-               "tasks": [dict(t) for t in self.tasks]}
-        for name, spec in self.algebras:
-            s = dict(spec)
-            a = {}
-            if "dg" in s:
-                a["dg"] = dict(s["dg"])
-            else:
-                a["generators"] = [list(gd) for gd in s["generators"]]
-                laurent = _spec_laurent(s.get("base", self.base))
-                a["relations"] = [render_relation(r, laurent)
-                                  for r in s["relations"]]
-                if s.get("truncation") is not None:
-                    a["truncation"] = s["truncation"]
-            if "base" in s:
-                a["base"] = _base_doc(s["base"])
-            doc["algebras"][name] = a
-        for name, spec in self.modules:
-            s = dict(spec)
-            doc["modules"][name] = {
-                "over": s["over"],
-                "side": s["side"],
-                "generators": [list(gd) for gd in s["generators"]],
-                "action": {
-                    gen: [list(e) for e in entries]
-                    for gen, entries in s["action"]
-                },
-            }
-        if not doc["modules"]:
-            del doc["modules"]
-        if not doc["tasks"]:
-            del doc["tasks"]
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _base_doc(base_spec):
-    ground, laurent = base_spec
-    doc = {"ground": ground}
-    if laurent:
-        doc["laurent"] = {"name": laurent[0], "degree": laurent[1]}
-    return doc
-
-
-def _spec_laurent(base_spec):
-    return base_spec[1][0] if base_spec[1] else None
 
 
 def _parse_base(doc, where):
@@ -443,7 +377,7 @@ def parse_definition(text: str) -> DefinitionFile:
                     raise DefinitionError(f"task {i}: unknown name {val!r}")
         tasks.append(tuple(sorted(t.items())))
 
-    # canonical order, so parse and emit are mutually inverse
+    # canonical order, so equal definitions parse to equal values
     algebras.sort(key=lambda kv: kv[0])
     modules.sort(key=lambda kv: kv[0])
     return DefinitionFile(base, tuple(algebras), tuple(modules), tuple(tasks))

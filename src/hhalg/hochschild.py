@@ -165,10 +165,11 @@ def action_map_mu(A):
     map; building E checks it as a module over tensor(A, A^op), which is
     mu being an algebra map for the composition product.
     DG case: a ChainMap between the tensor and Hom complexes (the chain
-    condition is hard-checked by the ChainMap constructor).
+    condition is hard-checked by the ChainMap constructor); A^op has A's
+    module and differential, so its complex is A.complex().
     """
     if isinstance(A, DGAlgebra):
-        T = tensor_complex(A.complex(), A.opposite().complex())
+        T = tensor_complex(A.complex(), A.complex())
         H = hom_complex(A.complex(), A.complex())
         return ChainMap(T, H, regular_bimodule(A.algebra).action_map())
     try:

@@ -1,3 +1,6 @@
+import os
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,7 +26,8 @@ from hhalg.algebra import (
     tensor,
 )
 from hhalg.algebra import _Rewriter
-from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
+from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator, tensor_module
+from hhalg.defs import build_algebra, parse_definition
 from hhalg.ground import GroundRing, ZZ
 from hhalg.resolve import AModule
 
@@ -31,6 +35,7 @@ F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
 KU2 = BaseRing(F2, LaurentGenerator("v", 2))
 KUZ = BaseRing(ZZ, LaurentGenerator("v", 2))
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
 
 
 def exterior_tau():
@@ -52,6 +57,11 @@ def trunc_poly(p, n, deg=2):
     return realize(AlgebraPresentation(base, (("y", deg),), (
         [(1, ("y",) * n, 0)],
     )))
+
+
+def truncated_z():
+    # Z[y]/y^4, |y| = 2
+    return realize(AlgebraPresentation(BaseRing(ZZ), (("y", 2),), ([(1, ("y",) * 4, 0)],)))
 
 
 def m2_f3():
@@ -286,6 +296,84 @@ def test_tensor_op_swap_isomorphism():
     f = HomogeneousMap(L.module, R.module, 0, entries)
     from hhalg.algebra import _is_algebra_iso
     assert _is_algebra_iso(L, R, f)
+
+
+def tensor_oracle(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
+    """The all-slots tensor product: every (r_A r_B)^2 basis pair through mul_basis."""
+    if A.base != B.base:
+        raise ValueError("tensor over different bases")
+    g = A.base.ground
+    nB = B.rank
+    mult = {}
+    for i1 in range(A.rank):
+        for j1 in range(B.rank):
+            for i2 in range(A.rank):
+                avec = A.mul_basis(i1, i2)
+                if not avec:
+                    continue
+                for j2 in range(B.rank):
+                    bvec = B.mul_basis(j1, j2)
+                    if not bvec:
+                        continue
+                    sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
+                    out = {}
+                    for ka, ca in avec.items():
+                        for kb, cb in bvec.items():
+                            c = g.mul(ca, cb)
+                            if sign == -1:
+                                c = g.neg(c)
+                            out[ka * nB + kb] = c
+                    out = {k: c for k, c in out.items() if c != 0}
+                    if out:
+                        mult[(i1 * nB + j1, i2 * nB + j2)] = out
+    gens = ([s * nB + B.unit_index for s in A.generating_monomials]
+            + [A.unit_index * nB + t for t in B.generating_monomials])
+    return GradedAlgebra(
+        A.base, tensor_module(A.module, B.module).generators,
+        A.unit_index * nB + B.unit_index, mult, check=False, generating_monomials=gens
+    )
+
+
+def exterior3_f3():
+    # Lambda(a, b, c) over F3, |a| = |b| = |c| = 1: odd generators carry the sign
+    gens = ("a", "b", "c")
+    rels = [[(1, (x, x), 0)] for x in gens]
+    rels += [[(1, (y, x), 0), (1, (x, y), 0)] for i, x in enumerate(gens) for y in gens[i + 1:]]
+    return realize(AlgebraPresentation(BaseRing(F3), tuple((x, 1) for x in gens), tuple(rels)))
+
+
+def seeded_end(base, seed):
+    rng = random.Random(seed)
+    degs = [rng.randint(-3, 3) for _ in range(rng.randint(2, 3))]
+    return endomorphism_algebra(GradedFreeModule(base, tuple((f"e{i}", d) for i, d in enumerate(degs))))
+
+
+def ku2_def(name):
+    with open(os.path.join(DATA, "ku2.def")) as fh:
+        return build_algebra(parse_definition(fh.read()), name)
+
+
+TENSOR_CASES = {
+    "Lambda3-F3 (x) M2-F3": lambda: (exterior3_f3(), m2_f3()),
+    "M2-F3 (x) Lambda3-F3": lambda: (m2_f3(), exterior3_f3()),
+    "End-F5 (x) End-F5": lambda: (seeded_end(BaseRing(GroundRing.prime_field(5)), 1),
+                                  seeded_end(BaseRing(GroundRing.prime_field(5)), 2)),
+    "End-KU2 (x) B2": lambda: (seeded_end(ku2_def("B2").base, 3), ku2_def("B2")),
+    "Z[y]/y^4 (x) Z[y]/y^4": lambda: (truncated_z(), truncated_z()),
+    "B2 (x) lam_tau": lambda: (ku2_def("B2"), ku2_def("lam_tau")),
+    "lam_tau (x) B2": lambda: (ku2_def("lam_tau"), ku2_def("B2")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_CASES))
+def test_tensor_matches_the_all_slots_oracle(case):
+    A, B = TENSOR_CASES[case]()
+    for L, R in ((A, B), (A, opposite(A)), (B, opposite(B))):
+        T, oracle = tensor(L, R), tensor_oracle(L, R)
+        assert T.mult == oracle.mult
+        assert T.monomials == oracle.monomials
+        assert T.unit_index == oracle.unit_index
+        assert T.generating_monomials == oracle.generating_monomials
 
 
 def test_bijective_but_not_multiplicative_is_no_algebra_iso():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -16,7 +17,6 @@ from hhalg.defs import (
     build_module,
     parse_definition,
     parse_relation,
-    render_relation,
 )
 from hhalg.tables import BigradedTable
 from hhalg.linalg import SubquotientPresentation
@@ -68,21 +68,7 @@ def test_negative_power_of_generator_rejected():
         parse_relation("x^-1", {"x": 0}, None)
 
 
-def test_render_parse_roundtrip():
-    for text in ("t0^2 - v", "2*(x + y)*x - 3", "x*y + y*x", "-x + v^-1*y"):
-        gens = {"x": 2, "y": 2, "t0": 1}
-        terms = parse_relation(text, gens, "v")
-        assert parse_relation(render_relation(terms, "v"), gens, "v") == terms
-
-
 # -- definition documents -------------------------------------------------------------
-
-def test_parse_emit_roundtrip_on_bundled_corpus():
-    for name in os.listdir(DATA):
-        with open(defpath(name)) as fh:
-            df = parse_definition(fh.read())
-        assert parse_definition(df.emit()) == df
-
 
 def test_homogeneity_error_names_both_degrees():
     doc = {"base": {"ground": "F3"},
@@ -209,6 +195,41 @@ def test_cache_malformed_entry_with_valid_digest_is_a_miss(capsys, tmp_path):
     entry = hashlib.sha256(payload.encode()).hexdigest() + "\n" + payload
     fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda _: entry)
     assert out == fresh
+
+
+CANONICAL_DEFS = (
+    # two spellings of one definition: whitespace, key order, algebra order
+    # and relation term order differ
+    {"base": {"ground": "F3"},
+     "algebras": {"ext2": {"generators": [["x", 1], ["y", 1]],
+                           "relations": ["x^2", "y^2", "x*y + y*x"]},
+                  "dual": {"generators": [["e", 0]], "relations": ["e^2"]}}},
+    {"algebras": {"dual": {"relations": ["e ^ 2"], "generators": [["e", 0]]},
+                  "ext2": {"relations": ["x^2", "y^2", "y*x + x*y"],
+                           "generators": [["x", 1], ["y", 1]]}},
+     "base": {"ground": "F3"}},
+)
+
+
+def test_cache_key_hashes_the_parsed_definition(capsys, tmp_path):
+    paths = []
+    for i, (doc, indent) in enumerate(zip(CANONICAL_DEFS, (None, 4))):
+        paths.append(tmp_path / f"spelling{i}.def")
+        paths[-1].write_text(json.dumps(doc, indent=indent))
+    cache_dir = tmp_path / "cache"
+    outs = []
+    for path in paths:
+        code, out, _ = run(capsys, ["ext", "--file", str(path), "--smax", "3"], cache_dir)
+        assert code == 0
+        outs.append(out)
+        assert len(os.listdir(cache_dir)) == 2  # one entry per algebra
+    assert outs[0] == outs[1]
+    changed = copy.deepcopy(CANONICAL_DEFS[0])
+    changed["algebras"]["ext2"]["relations"][2] = "x*y - y*x"
+    paths[0].write_text(json.dumps(changed))
+    before = set(os.listdir(cache_dir))
+    assert run(capsys, ["ext", "--file", str(paths[0]), "--smax", "3"], cache_dir)[0] == 0
+    assert set(os.listdir(cache_dir)) > before
 
 
 def test_determinism_across_runs(capsys, tmp_path):

@@ -17,7 +17,7 @@ from hhalg.base import (
     slice_keys,
 )
 from hhalg.azumaya import check_classical_azumaya
-from hhalg.dg import ChainMap, make_quotient_dga
+from hhalg.dg import ChainMap, DGAlgebra, hom_complex, make_quotient_dga, tensor_complex
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
     BarCochainComplex,
@@ -368,6 +368,24 @@ def test_mu_dg_chain_map():
     M = A.algebra.module
     out = mu.f.apply_coords({names.index("y|1"): 1})
     assert out == {hom_pair_index(M, M, 0, 1): 1, hom_pair_index(M, M, 1, 0): 1}
+
+
+@pytest.mark.parametrize("x,w", [(x, w) for x in (2, 3, 5) for w in (0, 1)])
+def test_dg_mu_builds_no_opposite_dga(monkeypatch, x, w):
+    # A^op has A's module and differential, so mu's source is C (x) C for
+    # C = A.complex(): the same chain map as through the opposite DGA
+    A = make_quotient_dga(KUZ, x, w).dga
+    C = A.complex()
+    source = tensor_complex(C, A.opposite().complex())
+    target = hom_complex(C, C)
+    f = regular_bimodule(A.algebra).action_map()
+
+    def refuse(self):
+        raise AssertionError("action_map_mu built an opposite DGA")
+
+    monkeypatch.setattr(DGAlgebra, "opposite", refuse)
+    mu = action_map_mu(A)
+    assert mu.source == source and mu.target == target and mu.f == f
 
 
 @settings(max_examples=8, deadline=None)

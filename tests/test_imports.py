@@ -1,6 +1,6 @@
 """hhalg modules reach each other only through public names, only linalg
-knows how a matrix is stored, and every definition and import in hhalg is
-used."""
+knows how a matrix is stored, every definition and import in hhalg is used,
+and only the output and cache writers serialize JSON."""
 
 import ast
 import pathlib
@@ -292,3 +292,37 @@ def test_object_new_detector_flags_offenders():
             "new = object.__new__\n"
             "other.__new__(Ring)\n")
     assert object_new_uses(ast.parse(code)) == [1, 5]
+
+
+def json_dumps_uses(tree):
+    """Sorted lines that reference json.dumps, as an attribute or an import."""
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "dumps"
+                and isinstance(node.value, ast.Name) and node.value.id == "json"):
+            out.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "json"
+              and any(alias.name == "dumps" for alias in node.names)):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+# Only the modules that write output and cache payloads serialize JSON; a
+# dumps anywhere else renders text that nothing reads.
+JSON_WRITERS = ("cli.py", "cache.py")
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name not in JSON_WRITERS],
+                         ids=lambda p: p.name)
+def test_only_the_writers_serialize_json(path):
+    assert json_dumps_uses(ast.parse(path.read_text())) == []
+
+
+def test_json_dumps_detector_flags_offenders():
+    code = ("import json\n"
+            "from json import dumps, loads\n"
+            "text = json.dumps(doc, sort_keys=True)\n"
+            "doc = json.loads(text)\n"
+            "other.dumps(doc)\n"
+            "render = json.dumps\n")
+    assert json_dumps_uses(ast.parse(code)) == [2, 3, 6]
