@@ -319,13 +319,6 @@ class GradedAlgebra:
                 entries[(k, i)] = c
         return HomogeneousMap(M, M, self.degree(j), entries)
 
-    def is_commutative(self) -> bool:
-        return all(
-            self.mul_basis(i, j) == self.mul_basis(j, i)
-            for i in range(self.rank)
-            for j in range(i)
-        )
-
     # -- construction checks ---------------------------------------------
     def _check_unit(self):
         u = self.unit_index
@@ -645,33 +638,6 @@ def radical(A: GradedAlgebra) -> list:
     return basis
 
 
-def frobenius_nilradical(A: GradedAlgebra) -> list:
-    """Nilradical of a commutative F_p algebra: kernel of iterated Frobenius.
-
-    Independent cross-check for radical() on commutative inputs.
-    """
-    g = A.base.ground
-    if g.kind != "Fp":
-        raise ValueError("requires a finite prime field ground")
-    if not A.is_commutative():
-        raise ValueError("Frobenius oracle requires a commutative algebra")
-    p, n = g.p, A.rank
-    cols = []
-    for j in range(n):
-        x = {j: g.one}
-        acc = x
-        for _ in range(p - 1):
-            acc = A.mul_coords(acc, x)
-        cols.append(acc)
-    F = ExactMatrix.from_columns(g, n, cols)
-    M = F
-    m = 1
-    while p ** m < n:
-        M = M.mul(F)
-        m += 1
-    return kernel_basis(M)
-
-
 # ---------------------------------------------------------------------------
 # ideals and quotients (field grounds)
 
@@ -732,7 +698,6 @@ def semisimple_quotient(A: GradedAlgebra) -> GradedAlgebra:
 @dataclass
 class IsoResult:
     isomorphic: bool
-    exhaustive: bool
     witness: HomogeneousMap | None = None
 
 
@@ -743,12 +708,10 @@ def algebra_isomorphic(A: GradedAlgebra, B: GradedAlgebra, budget: int = 100000)
     field (the Laurent powers on entries are implied by degrees, so the
     scalar assignment determines the map).  Raises BudgetExceededError if
     the candidate space is larger than the budget and no witness is found
-    within it; a completed scan returns exhaustive=True.
+    within it, so a negative result always comes from a completed scan.
     """
-    if A.base != B.base:
-        return IsoResult(False, True)
-    if A.rank != B.rank:
-        return IsoResult(False, True)
+    if A.base != B.base or A.rank != B.rank:
+        return IsoResult(False)
     g = A.base.ground
     if g.kind != "Fp":
         raise ValueError("isomorphism search requires a finite prime field ground")
@@ -776,12 +739,12 @@ def algebra_isomorphic(A: GradedAlgebra, B: GradedAlgebra, budget: int = 100000)
                 entries[(j, i)] = c
         f = HomogeneousMap(MA, MB, 0, entries)
         if _is_algebra_iso(A, B, f):
-            return IsoResult(True, True, f)
+            return IsoResult(True, f)
     if tried < total:
         raise BudgetExceededError(
             f"isomorphism search budget {budget} exhausted ({total} candidates total)"
         )
-    return IsoResult(False, True)
+    return IsoResult(False)
 
 
 def _is_algebra_iso(A: GradedAlgebra, B: GradedAlgebra, f: HomogeneousMap) -> bool:

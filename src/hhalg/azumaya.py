@@ -1,11 +1,12 @@
 """Azumaya certification: classical, generalized (DG), and weak flavors.
 
-Each check returns an AzumayaReport: its flavor and one list of conditions
-with their verdicts and witnesses, which callers render themselves; the
-overall verdict is the conjunction.  The heart of every flavor is
-invertibility of the action map mu from A (x) A^op to Hom(A, A), and
-every flavor takes that condition from one helper,
-_mu_condition: exactly, slice by slice (hochschild.mu_is_iso), for
+Each check returns an AzumayaReport: one list of conditions with their
+verdicts and witnesses, which callers render themselves; the overall
+verdict is the conjunction.  The condition names say which flavor ran: a
+classical check routed to the generalized one reports its conditions.
+The heart of every flavor is invertibility of the action map mu from
+A (x) A^op to Hom(A, A), and every flavor takes that condition from one
+helper, _mu_condition: exactly, slice by slice (hochschild.mu_is_iso), for
 ungraded/graded algebras, and as a quasi-isomorphism over an explicit
 window in the DG case, where the window must cover the Laurent period
 (BudgetExceededError otherwise).  endo_smash_invariant decides the same two
@@ -34,7 +35,6 @@ class Condition:
 
 @dataclass
 class AzumayaReport:
-    flavor: str
     conditions: list
 
     @property
@@ -66,7 +66,7 @@ def _mu_condition(name, A, window, failures=False) -> Condition:
         return Condition(name, mu_is_iso(A), "checked per degree slice")
     _check_window(A, window)
     v = is_quasi_iso(action_map_mu(A), window)
-    witness = f"window {v.window}"
+    witness = f"window {tuple(window)}"
     if failures and v.failures:
         witness += f", failures at {v.failures}"
     return Condition(name, v.is_quasi_iso, witness)
@@ -85,9 +85,9 @@ def check_classical_azumaya(A, window=(-4, 4)) -> AzumayaReport:
             return check_generalized_azumaya(A, window)
         unit = Condition("unit kernel zero", True, "free algebra over the base")
     else:
-        _, gen = dg_unit_kernel(A)
+        gen = dg_unit_kernel(A)
         unit = Condition("unit kernel zero", gen == 0, f"kernel ideal ({gen})")
-    return AzumayaReport("classical", [
+    return AzumayaReport([
         Condition("finite free rank", True, f"rank {_rank(A)}"),
         unit,
         _mu_condition("mu invertible", A, window),
@@ -105,9 +105,9 @@ def check_generalized_azumaya(A, window=(-6, 6)) -> AzumayaReport:
     """
     if isinstance(A, GradedAlgebra):
         A = DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1))
-    _, gen = dg_unit_kernel(A)
+    gen = dg_unit_kernel(A)
     h0 = homology_at(A.complex(), 0)
-    return AzumayaReport("generalized_dg", [
+    return AzumayaReport([
         Condition("perfect complex", True, f"finite free rank {_rank(A)}"),
         Condition(
             "locality shadow: I * H0(A) = 0",
@@ -158,7 +158,7 @@ def check_weak_azumaya(A, window=(-6, 6)) -> AzumayaReport:
         mu = _mu_condition("mu weak equivalence", A, window)
     else:
         mu = _mu_condition("mu invertible", A, window)
-    return AzumayaReport("weak", [
+    return AzumayaReport([
         Condition("dualizable", True, f"finite free rank {_rank(A)}"),
         mu,
     ])

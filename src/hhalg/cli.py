@@ -214,6 +214,7 @@ def _verified(ok) -> str:
 def cmd_morita(df, built, args, out):
     window = _parse_window(args.window)
     definition = dataclasses.astuple(df)
+    sections = []  # (name, completion table or None, records), one per context
     for name, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
@@ -222,13 +223,7 @@ def cmd_morita(df, built, args, out):
             table = cachemod.cached_table(args.cache_path, key, lambda: completion(
                 ctx, M, window, args.smax, notes=("valid inside the window only",)))
             verdict = _verified(completion_matches(table, M.module, compare=window))
-            if args.format == "json":
-                doc = {name: {**_table_doc(table), "in-window equivalence": verdict}}
-                out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-            else:
-                _emit_tables(out, [(name, table)], args)
-                _emit_records(out, [(name, [("in-window equivalence",
-                                             verdict)])], args)
+            sections.append((name, table, [("in-window equivalence", verdict)]))
         elif args.check == "roundtrip":
             if radical(ctx.A):
                 raise DefinitionError(
@@ -237,12 +232,20 @@ def cmd_morita(df, built, args, out):
                 ("roundtrip F.G on the regular module", AModule.regular(ctx.A)),
                 ("roundtrip F.G on E", ctx.E_A))]
             rec.append(("retract identity on E(x)M", _verified(retract_identity(ctx, M))))
-            _emit_records(out, [(name, rec)], args)
+            sections.append((name, None, rec))
         else:
             ok = torsion_roundtrip(ctx, compare=(0, min(window[1], args.smax)),
                                    window=window, s_max=args.smax)
-            _emit_records(out, [(name, [("torsion roundtrip S(T(A)) ~ A", _verified(ok))])],
-                          args)
+            sections.append((name, None, [("torsion roundtrip S(T(A)) ~ A", _verified(ok))]))
+    if args.format == "json":
+        doc = {name: {**(_table_doc(table) if table is not None else {}), **dict(rec)}
+               for name, table, rec in sections}
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return 0
+    for name, table, rec in sections:
+        if table is not None:
+            _emit_tables(out, [(name, table)], args)
+        _emit_records(out, [(name, rec)], args)
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .algebra import GradedAlgebra, opposite
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
                    tensor_maps)
-from .linalg import ExactMatrix, SubquotientPresentation, factor
+from .linalg import SubquotientPresentation
 from .tables import BigradedTable
 
 
@@ -58,13 +58,6 @@ def homology(C: Complex, window) -> BigradedTable:
     for n in range(lo, hi + 1):
         table.set(0, n, homology_at(C, n))
     return table
-
-
-def euler_characteristic(C: Complex) -> int:
-    """Alternating generator count; only meaningful without a Laurent base."""
-    if C.base.laurent:
-        raise ValueError("Euler characteristic undefined over a Laurent base")
-    return sum(1 if d % 2 == 0 else -1 for d in C.module.degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,6 @@ def cone(f: ChainMap) -> Complex:
 @dataclass
 class QuasiIsoVerdict:
     is_quasi_iso: bool
-    window: tuple
     failures: tuple = ()
 
     def __bool__(self):
@@ -156,36 +148,7 @@ def is_quasi_iso(f: ChainMap, window) -> QuasiIsoVerdict:
     """
     table = homology(cone(f), window)
     failures = tuple(t for (_, t) in table.keys())
-    return QuasiIsoVerdict(not failures, tuple(window), failures)
-
-
-def induced_homology_iso(f: ChainMap, window) -> bool:
-    """Independent quasi-iso oracle: H_n(f) is an isomorphism in the window.
-
-    For finitely generated modules this holds iff H_n(C) and H_n(D) have
-    equal presentations and the induced map is surjective.
-    """
-    C, D = f.source, f.target
-    g = C.base.ground
-    for n in range(window[0], window[1] + 1):
-        if homology_at(C, n) != homology_at(D, n):
-            return False
-        # surjectivity: f(ker d_C) + im d_D spans ker d_D
-        # the three slices below index D's degree-n generators in one order;
-        # homology_at has factored the differentials' slices read here
-        dn = D.d.factored(n)
-        kd = dn.kernel()
-        if not kd:
-            continue
-        fmat = f.f.slice_matrix(n)[0]
-        cols = [fmat.apply(v) for v in C.d.factored(n).kernel()]
-        cols += D.d.factored(n + 1).matrix.columns
-        if not cols:
-            return False
-        sf = factor(ExactMatrix.from_columns(g, dn.matrix.cols, cols))
-        if any(sf.solve(v) is None for v in kd):
-            return False
-    return True
+    return QuasiIsoVerdict(not failures, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +252,12 @@ def make_quotient_dga(base: BaseRing, x, w, x_degree: int = 0) -> QuotientDGA:
 
 
 def dg_unit_kernel(A: DGAlgebra):
-    """Kernel of ground -> H_0(A) in degree 0.
+    """Kernel of ground -> H_0(A) in degree 0: the generator of that ideal
+    of the ground ring, 0 for the zero kernel.
 
-    Returns (presentation, generator): the kernel is the ideal (generator)
-    of the ground ring; generator 0 means zero kernel.  The generator is
-    the order of the class of 1 in coker(d), read off U e_1 and the
-    invariant factors of d's factorization on every ground ring; over a
-    field every invariant is 1, so the order is 1 or infinite.
+    The generator is the order of the class of 1 in coker(d), read off
+    U e_1 and the invariant factors of d's factorization on every ground
+    ring; over a field every invariant is 1, so the order is 1 or infinite.
     """
     g = A.base.ground
     u = A.algebra.unit_index
@@ -309,7 +271,7 @@ def dg_unit_kernel(A: DGAlgebra):
     for r, yr in sf.U.apply({upos: g.one}).items():
         dr = diag[r] if r < len(diag) else 0
         if dr == 0:
-            return SubquotientPresentation(0, ()), g.zero  # infinite order: zero kernel
+            return g.zero  # infinite order: zero kernel
         if dr != 1:
             n = math.lcm(n, dr // math.gcd(dr, yr))
-    return SubquotientPresentation(1, ()), n
+    return n

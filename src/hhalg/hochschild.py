@@ -3,8 +3,10 @@
 A bimodule over A is a left module (resolve.AModule) over A^e, with
 (a (x) b) . x = (-1)^{|b||x|} a . x . b, so HH^n(A, M) = Ext^n_{A^e}(A, M).
 This module computes it from the normalized bar resolution, read by the
-one Hom builder resolve.hom_cochains, and independently from a greedy free
-resolution over A^e, with a cross-check of the two tables.  It also holds
+one Hom builder resolve.hom_cochains, and independently as
+resolve.derived_hom(A, A) over A^e, the seeded greedy free resolution that
+the Morita functors G and S also read; check_enveloping_against_bar
+compares the two tables.  It also holds
 the action map mu from A^e to Hom(A, A) (the regular bimodule's
 AModule.action_map), and the homology image of the alpha class under mu
 for the two-term quotient DGA family.
@@ -26,8 +28,7 @@ from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, opposit
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
 from .linalg import ExactMatrix, SubquotientPresentation, factor
-from .resolve import (AModule, AModuleMap, FreeAModule, Resolution, ext_with_coefficients,
-                      free_resolution, hom_cochains)
+from .resolve import AModule, AModuleMap, FreeAModule, Resolution, derived_hom, hom_cochains
 from .tables import BigradedTable
 
 
@@ -190,15 +191,15 @@ def mu_is_iso(A: GradedAlgebra) -> bool:
 
 def hochschild_via_enveloping(A: GradedAlgebra, n_max: int = 4,
                               window=(-16, 16), seed: int = 0) -> BigradedTable:
-    """Ext_{A (x) A^op}(A, A) from a seeded greedy free resolution.
+    """Ext_{A (x) A^op}(A, A) through n_max, as resolve.derived_hom(A, A)
+    resolved through stage n_max + 1 with the given seed.
 
     A stage generator of internal degree t is dual to a bar functional of
     degree -t, so this table's (n, t) is the bar table's (n, -t);
     check_enveloping_against_bar compares the two.
     """
     M = regular_bimodule(A, check=True)
-    res = free_resolution(M.algebra, M, s_max=n_max + 1, t_window=window, seed=seed)
-    return ext_with_coefficients(res, M, window)
+    return derived_hom(M, M, window, n_max + 1, seed)
 
 
 def check_enveloping_against_bar(A: GradedAlgebra, enveloping: BigradedTable,

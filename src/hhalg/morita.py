@@ -7,9 +7,11 @@ E included, is a resolve.AModule tagged left or right.  F sends a right
 R-module X to the left A-module X (x)_R E; G sends a left A-module Y to
 the derived Hom_A(E, Y); the completion of X is G(F(X)).  T and S are the
 same pair with the roles of R and A swapped: F and T share one balanced
-tensor, _tensor_E, and G and S share one derived Hom, _derived_hom.  G, S
-and the completion are plain BigradedTables of homology over an explicit
-window, with the window and any notes on the table.
+tensor, _tensor_E, and G and S are resolve.derived_hom, the one derived
+Hom, which raises BudgetExceededError when s_max < 1.  G, S and the
+completion are plain BigradedTables of homology over an explicit window,
+with the window and any notes on the table; completion_matches compares a
+completion with the module it completes over an explicit range.
 
 For semisimple A the derived Hom collapses to the plain one, and the plain
 kit is the adjunction's maps: the unit eta: X -> G(F X) and the counit
@@ -25,7 +27,7 @@ from .algebra import GradedAlgebra, radical
 from .base import (GradedFreeModule, HomogeneousMap, graded_hom_module, hom_maps, hom_pair_index,
                    tensor_maps)
 from .linalg import Echelon, ExactMatrix, kernel_basis
-from .resolve import AModule, ext_with_coefficients, free_resolution
+from .resolve import AModule, derived_hom
 from .tables import BigradedTable
 
 
@@ -143,29 +145,16 @@ def functor_F(ctx: MoritaContext, X: AModule) -> AModule:
     return _tensor_E(X, ctx.E_R, ctx.E_A)
 
 
-def _derived_hom(E: AModule, Y: AModule, window, s_max: int) -> BigradedTable:
-    """Derived Hom(E, Y) over E's algebra, for left modules, as the
-    bigraded cohomology table of Hom(F_*, Y) over the window, F_* a free
-    resolution of E through stage s_max."""
-    if Y.side != "left":
-        raise ValueError("derived Hom takes left modules")
-    res = free_resolution(E.algebra, E, s_max=s_max, t_window=window)
-    return ext_with_coefficients(res, Y, window)
-
-
 def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
               s_max: int = 8) -> BigradedTable:
     """G(Y) = derived Hom_A(E, Y) for a left A-module Y."""
-    return _derived_hom(ctx.E_A, Y, window, s_max)
+    return derived_hom(ctx.E_A, Y, window, s_max)
 
 
 def completion(ctx: MoritaContext, M: AModule, window=(-16, 16),
                s_max: int = 8, notes=()) -> BigradedTable:
     """The completion G(F(M)) of a right R-module M, carrying `notes`."""
-    if M.module.rank == 0:
-        table = BigradedTable(window=tuple(window))
-    else:
-        table = functor_G(ctx, functor_F(ctx, M), window, s_max)
+    table = functor_G(ctx, functor_F(ctx, M), window, s_max)
     table.notes = tuple(notes)
     return table
 
@@ -191,23 +180,14 @@ def degree_ranks(module: GradedFreeModule, lo=None, hi=None) -> dict:
 
 
 def completion_matches(table: BigradedTable, M: GradedFreeModule, compare) -> bool:
-    """Whether a completion table of M has M's collapsed degree ranks.
+    """Whether a completion table of M has M's collapsed degree ranks: the
+    in-window test that the canonical map M -> G(F(M)) is an equivalence.
 
     Compared over the explicit range `compare`; nothing is claimed outside it.
     """
     lo, hi = compare
     got = {d: r for d, r in collapsed_ranks(table).items() if lo <= d <= hi}
     return got == degree_ranks(M, lo, hi)
-
-
-def completion_is_equivalence(ctx: MoritaContext, M: AModule,
-                              compare, window=(-16, 16), s_max: int = 8) -> bool:
-    """Whether the canonical map M -> completion(M) is a homology iso.
-
-    Compared as collapsed degree ranks over the explicit range `compare`;
-    nothing is claimed outside it.
-    """
-    return completion_matches(completion(ctx, M, window, s_max), M.module, compare)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +375,7 @@ def torsion_T(ctx: MoritaContext, X: AModule) -> AModule:
 def torsion_S(ctx: MoritaContext, M: AModule, window=(-16, 16),
               s_max: int = 8) -> BigradedTable:
     """S(M) = derived Hom_R(E, M) for a left R-module M."""
-    return _derived_hom(ctx.E_R, M, window, s_max)
+    return derived_hom(ctx.E_R, M, window, s_max)
 
 
 def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),

@@ -1,8 +1,11 @@
 """Modules, free resolutions and bigraded Ext tables over graded algebras.
 
-AModule is the one module class: left or right modules, and through the
-enveloping algebra bimodules (hochschild) and Morita data (morita).  Its
-axioms are checked by the one action check, algebra.check_action.
+AModule is the one class of finite modules: left or right modules, and
+through the enveloping algebra bimodules (hochschild) and Morita data
+(morita).  Its axioms are checked by the one action check,
+algebra.check_action.  FreeAModule is a free module given by its generator
+degrees, the stages of a resolution; it answers `module` and `act_map` like
+an AModule, so a generator chooser takes either.
 
 One resolution loop, _resolve, covers a module and then each stage kernel;
 the two builders differ only in how they choose each cover's generators:
@@ -24,7 +27,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import GradedAlgebra, InvariantError, check_action, radical
+from .algebra import (BudgetExceededError, GradedAlgebra, InvariantError, check_action,
+                      ideal_closure, quotient_by_ideal, radical)
 from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
                    graded_hom_module, hom_pair_index, slice_keys)
 from .linalg import Echelon, SubquotientPresentation
@@ -180,9 +184,6 @@ class Resolution:
     stages: list
     maps: list
     t_window: tuple | None
-
-    def stage_ranks(self):
-        return [st.rank for st in self.stages]
 
 
 def _flat_kernel(fmap: HomogeneousMap, window):
@@ -443,13 +444,30 @@ def hom_cochains(res: Resolution, N: AModule):
 def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> BigradedTable:
     """Cohomology of Hom_A(F_*, N) (hom_cochains) per (s, t).
 
-    Works for any resolution; this is the engine behind completion tables
-    and the enveloping-algebra path.
+    Works for any resolution; derived_hom, behind the completion tables
+    and the enveloping-algebra path, reads its free resolutions with it.
     """
     _, maps = hom_cochains(res, N)
     # the top stage has no outgoing differential, so its kernel would be
     # overcounted; report strictly below it
     return cohomology_table(maps, len(maps) - 1, window)
+
+
+def derived_hom(E: AModule, Y: AModule, window, s_max: int, seed: int = 0) -> BigradedTable:
+    """Derived Hom(E, Y) over E's algebra, for left modules: the seeded
+    free_resolution of E through stage s_max, read by ext_with_coefficients
+    over the window.
+
+    The table stops below the top stage, so it covers degrees 0..s_max - 1;
+    s_max < 1 would report no degree at all, an empty table that reads as
+    zero, and raises BudgetExceededError instead.
+    """
+    if Y.side != "left":
+        raise ValueError("derived Hom takes left modules")
+    if s_max < 1:
+        raise BudgetExceededError(f"derived Hom needs s_max >= 1 to report degree 0, got {s_max}")
+    res = free_resolution(E.algebra, E, s_max=s_max, t_window=window, seed=seed)
+    return ext_with_coefficients(res, Y, window)
 
 
 # ---------------------------------------------------------------------------
@@ -463,29 +481,21 @@ def ext_base_change(A: GradedAlgebra, S: GradedAlgebra, inclusion: HomogeneousMa
     S must be semisimple and A free over S (verified by dimension count).
     The quotient of A by the two-sided ideal of S's augmentation ideal is
     built explicitly; its Ext table is computed via the minimal resolution
-    and cross-checked against the cohomology of a non-minimal resolution.
+    and cross-checked against derived_hom(k, k) with seed 1, the cohomology
+    of a non-minimal resolution.
     """
-    from .algebra import ideal_closure, quotient_by_ideal
     g = A.base.ground
     if radical(S):
         raise ResolutionError("base change requires a semisimple subalgebra")
-    gens = []
-    for m in range(S.rank):
-        if m == S.unit_index:
-            continue
-        gens.append(inclusion.apply_coords({m: g.one}))
-    if gens:
-        ideal = ideal_closure(A, gens)
-    else:
-        ideal = []
-    Q = quotient_by_ideal(A, ideal)
+    Q = quotient_by_ideal(A, ideal_closure(A, [
+        inclusion.apply_coords({m: g.one}) for m in range(S.rank) if m != S.unit_index]))
     if Q.rank * S.rank != A.rank:
         raise ResolutionError(
             f"A is not free over S: {A.rank} != {S.rank} * {Q.rank}"
         )
     table = ext_table(Q, s_max, t_window)
-    res = free_resolution(Q, AModule.trivial(Q), s_max, t_window, seed=1)
-    other = ext_with_coefficients(res, AModule.trivial(Q), t_window)
+    k = AModule.trivial(Q)
+    other = derived_hom(k, k, t_window, s_max, seed=1)
     # the non-minimal table stops below its top stage, which has no
     # outgoing differential
     key = Q.base.degree_key

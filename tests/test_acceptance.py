@@ -30,7 +30,7 @@ from hhalg.morita import (
     MoritaContext,
     collapsed_ranks,
     completion,
-    completion_is_equivalence,
+    completion_matches,
     retract_identity,
     roundtrip_FG,
 )
@@ -184,7 +184,9 @@ def test_criterion_7_weak_azumaya_corpus():
 def test_criterion_8_non_isomorphism():
     def body():
         r = algebra_isomorphic(lam_tau(), b2())
-        assert not r.isomorphic and r.exhaustive
+        # a negative verdict comes only from a completed scan: a budget
+        # short of it raises BudgetExceededError
+        assert not r.isomorphic
     _run(8, "exhaustive non-isomorphism of the two rank-2 shadows", 10, body)
 
 
@@ -226,7 +228,8 @@ def test_criterion_10_morita_roundtrips():
         ctx1, ctx2 = local_ctx(trunc(20), lam), local_ctx(lam, trunc(20))
         reg = lambda c: AModule.regular(c.R, "right")
         # the exterior line is already complete: in-window equivalence
-        assert completion_is_equivalence(ctx2, reg(ctx2), compare=(-10, 10))
+        X2 = reg(ctx2)
+        assert completion_matches(completion(ctx2, X2), X2.module, compare=(-10, 10))
         # idempotence in-window: ex:2 materializes to itself; ex:1's
         # completed pattern, realized by a deeper truncation, re-completes
         # to the same table

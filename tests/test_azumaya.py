@@ -61,7 +61,9 @@ def condition(report, name):
 
 def test_classical_matrix_algebra_passes():
     r = check_classical_azumaya(m2(3))
-    assert r.overall and r.flavor == "classical"
+    assert r.overall
+    assert [c.name for c in r.conditions] == [
+        "finite free rank", "unit kernel zero", "mu invertible"]
 
 
 def test_classical_etale_fails_mu():
@@ -81,7 +83,9 @@ def test_classical_z6_fails_unit_kernel():
 
 def test_classical_routes_graded_input():
     r = check_classical_azumaya(b2())
-    assert r.flavor == "generalized_dg"
+    assert [c.name for c in r.conditions] == [
+        "perfect complex", "locality shadow: I * H0(A) = 0", "mu quasi-isomorphism"]
+    assert r.conditions == check_generalized_azumaya(b2(), (-4, 4)).conditions
 
 
 def test_classical_pass_gives_trivial_hochschild():
@@ -110,7 +114,8 @@ def test_generalized_prime_two_fails_mu():
     Q = make_quotient_dga(KUZ, 2, 1)
     r = check_generalized_azumaya(Q.dga, window=(-6, 6))
     assert not r.overall
-    assert not condition(r, "mu quasi-isomorphism").verdict
+    mu = condition(r, "mu quasi-isomorphism")
+    assert not mu.verdict and mu.witness.startswith("window (-6, 6), failures at ")
     assert condition(r, "locality").verdict
 
 
@@ -132,6 +137,7 @@ def test_generalized_window_must_cover_period():
 def test_weak_b2_passes():
     r = check_weak_azumaya(b2())
     assert r.overall
+    assert [c.name for c in r.conditions] == ["dualizable", "mu weak equivalence"]
     assert "alpha" in condition(r, "mu").witness
 
 

@@ -314,6 +314,39 @@ def test_morita_torsion_subcommand(capsys, tmp_path):
     assert code == 0 and "pass (corpus-verified)" in out
 
 
+@pytest.mark.parametrize("check", ["completion", "roundtrip", "torsion"])
+def test_morita_emits_one_document_for_two_tasks(capsys, tmp_path, check):
+    # a second task on a copy of E_R: JSON is one document holding both
+    # contexts, and TSV is the two contexts' single-task outputs in task order
+    with open(defpath("etale.def")) as fh:
+        doc = json.load(fh)
+    doc["modules"]["E_R2"] = doc["modules"]["E_R"]
+    doc["tasks"].append({**doc["tasks"][0], "E_R": "E_R2"})
+    two = tmp_path / "two.def"
+    two.write_text(json.dumps(doc))
+    argv = ["morita", "--file", str(two), "--check", check]
+    code, out, err = run(capsys, argv + ["--format", "json"], tmp_path / "a")
+    _, single, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check,
+                                "--format", "json"], tmp_path / "b")
+    one = json.loads(single)["R|A|E_R"]
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"R|A|E_R": one, "R|A|E_R2": one}
+    code, out, _ = run(capsys, argv, tmp_path / "c")
+    _, single, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check],
+                       tmp_path / "d")
+    assert code == 0 and out == single + single.replace("R|A|E_R", "R|A|E_R2")
+
+
+@pytest.mark.parametrize("check", ["completion", "torsion"])
+def test_morita_derived_checks_exit_two_without_a_resolution_stage(capsys, tmp_path, check):
+    # with --smax 0 the derived Hom would report no degree at all, an empty
+    # table that reads as G(F(M)) = 0
+    code, out, err = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check,
+                                  "--smax", "0"], tmp_path)
+    assert (code, out) == (2, "")
+    assert err == "error: derived Hom needs s_max >= 1 to report degree 0, got 0\n"
+
+
 def test_morita_checks_each_module_once(capsys, tmp_path, monkeypatch):
     import hhalg.resolve as resolve
 

@@ -10,17 +10,15 @@ from hhalg.dg import (
     DGAlgebra,
     cone,
     dg_unit_kernel,
-    euler_characteristic,
     hom_complex,
     homology,
     homology_at,
-    induced_homology_iso,
     is_quasi_iso,
     make_quotient_dga,
     tensor_complex,
 )
 from hhalg.ground import QQ, GroundRing, ZZ
-from hhalg.linalg import SubquotientPresentation
+from hhalg.linalg import ExactMatrix, factor
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -93,6 +91,12 @@ def test_tensor_signs_square_zero_three_term():
     assert H.module.rank == 16
 
 
+def euler_characteristic(C):
+    """Alternating generator count of a complex over a base without a Laurent generator."""
+    assert not C.base.laurent
+    return sum(1 if d % 2 == 0 else -1 for d in C.module.degrees)
+
+
 def test_euler_characteristic_multiplicative():
     rng = random.Random(4)
     base = BaseRing(F3)
@@ -154,8 +158,7 @@ def _random_chain_map(rng, base):
 def test_identity_is_quasi_iso():
     C = two_term(BaseRing(ZZ), 4)
     v = is_quasi_iso(ChainMap.identity(C), (-2, 3))
-    assert v.is_quasi_iso
-    assert v.window == (-2, 3)
+    assert v.is_quasi_iso and v.failures == ()
 
 
 def test_zero_map_not_quasi_iso():
@@ -163,6 +166,36 @@ def test_zero_map_not_quasi_iso():
     v = is_quasi_iso(ChainMap.zero(C, C), (-2, 3))
     assert not v.is_quasi_iso
     assert 0 in v.failures
+
+
+def induced_homology_iso(f, window):
+    """Quasi-iso oracle independent of the cone: H_n(f) is an isomorphism
+    for every n in the window.
+
+    For finitely generated modules this holds iff H_n(C) and H_n(D) have
+    equal presentations and the induced map is surjective.
+    """
+    C, D = f.source, f.target
+    g = C.base.ground
+    for n in range(window[0], window[1] + 1):
+        if homology_at(C, n) != homology_at(D, n):
+            return False
+        # surjectivity: f(ker d_C) + im d_D spans ker d_D
+        # the three slices below index D's degree-n generators in one order;
+        # homology_at has factored the differentials' slices read here
+        dn = D.d.factored(n)
+        kd = dn.kernel()
+        if not kd:
+            continue
+        fmat = f.f.slice_matrix(n)[0]
+        cols = [fmat.apply(v) for v in C.d.factored(n).kernel()]
+        cols += D.d.factored(n + 1).matrix.columns
+        if not cols:
+            return False
+        sf = factor(ExactMatrix.from_columns(g, dn.matrix.cols, cols))
+        if any(sf.solve(v) is None for v in kd):
+            return False
+    return True
 
 
 def test_quasi_iso_two_oracle_agreement():
@@ -244,16 +277,13 @@ def test_leibniz_checked():
 
 def test_dg_unit_kernel_z6():
     A = make_quotient_dga(BaseRing(ZZ), 6, 0).dga
-    pres, gen = dg_unit_kernel(A)
-    assert gen == 6
-    assert pres.free_rank == 1
+    assert dg_unit_kernel(A) == 6
 
 
 def test_dg_unit_kernel_laurent_p():
     for p in (2, 3, 5):
         A = make_quotient_dga(KUZ, p, 1).dga
-        pres, gen = dg_unit_kernel(A)
-        assert gen == p
+        assert dg_unit_kernel(A) == p
 
 
 def test_dg_unit_kernel_zero_when_unit_survives():
@@ -261,8 +291,7 @@ def test_dg_unit_kernel_zero_when_unit_survives():
     base = BaseRing(ZZ)
     A = realize(AlgebraPresentation(base, (("e", 1),), ([(1, ("e", "e"), 0)],)))
     d = HomogeneousMap.zero(A.module, A.module, -1)
-    pres, gen = dg_unit_kernel(DGAlgebra(A, d))
-    assert gen == 0 and pres.is_zero
+    assert dg_unit_kernel(DGAlgebra(A, d)) == 0
 
 
 def field_unit_kernel_oracle(A):
@@ -270,9 +299,7 @@ def field_unit_kernel_oracle(A):
     when 1 does, so the kernel is the whole field or zero."""
     g = A.base.ground
     upos = A.d.target.slice_indices(0).index(A.algebra.unit_index)
-    if A.d.factored(1).solve({upos: g.one}) is not None:
-        return SubquotientPresentation(1, ()), g.one
-    return SubquotientPresentation(0, ()), g.zero
+    return g.one if A.d.factored(1).solve({upos: g.one}) is not None else g.zero
 
 
 @pytest.mark.parametrize("g", [F2, F3, F5, QQ], ids=str)
@@ -285,8 +312,8 @@ def test_dg_unit_kernel_over_fields_matches_the_solve_oracle(g):
     dgas.append(DGAlgebra(A, HomogeneousMap.zero(A.module, A.module, -1)))
     verdicts = []
     for dga in dgas:
-        pres, gen = dg_unit_kernel(dga)
-        assert (pres, gen) == field_unit_kernel_oracle(dga)
+        gen = dg_unit_kernel(dga)
+        assert gen == field_unit_kernel_oracle(dga)
         assert type(gen) is type(g.one)
         verdicts.append(gen)
     assert verdicts == [g.one] * (len(dgas) - 1) + [g.zero]

@@ -1,9 +1,11 @@
 """hhalg modules reach each other only through public names, only linalg
 knows how a matrix is stored, every definition and import in hhalg is used,
-and only the output and cache writers serialize JSON."""
+every definition is reached from the command line or the benchmark or is a
+named cross-check, and only the output and cache writers serialize JSON."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -67,15 +69,21 @@ def test_matrix_storage_detector_flags_offenders():
         (1, ".data"), (2, ".data"), (2, ".transpose()")]
 
 
-def definitions(tree):
-    """Dotted names of the non-dunder functions and classes a module defines."""
-    out = []
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def definition_nodes(tree):
+    """{dotted name: node} for every function and class a module defines."""
+    out = {}
 
     def visit(node, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (child.name.startswith("__") and child.name.endswith("__")):
-                    out.append(prefix + child.name)
+            if isinstance(child, DEFINITIONS):
+                out[prefix + child.name] = child
                 visit(child, prefix + child.name + ".")
             else:
                 visit(child, prefix)
@@ -84,20 +92,28 @@ def definitions(tree):
     return out
 
 
+def definitions(tree):
+    """Dotted names of the non-dunder functions and classes a module defines."""
+    return [name for name in definition_nodes(tree) if not is_dunder(name.rsplit(".", 1)[-1])]
+
+
+def name_of(node):
+    """The name a Name, Attribute, import alias or identifier string refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node.value.isidentifier()):
+        return node.value
+    return None
+
+
 def referenced_names(tree):
     """Every Name, Attribute, import alias and identifier string in a module."""
-    out = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and node.value.isidentifier()):
-            out.add(node.value)
-    return out
+    return {name for name in map(name_of, ast.walk(tree)) if name is not None}
 
 
 def unreferenced(defined, used):
@@ -131,6 +147,121 @@ def test_dead_definition_detector_flags_offenders():
     assert "imported" in referenced_names(tree)
     assert unreferenced(definitions(tree), referenced_names(tree)) == [
         "Ring.div", "Ring.div.helper", "dead"]
+
+
+def own_names(node):
+    """The names a module's or a definition's own code references.
+
+    A nested function or class is a definition of its own: only its
+    decorators, bases and default values run with the enclosing code.  An
+    import references nothing by itself (every import is read, above).
+    """
+    out = set()
+
+    def visit(parent):
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(child, DEFINITIONS):
+                heads = list(child.decorator_list) + list(getattr(child, "bases", ()))
+                if not isinstance(child, ast.ClassDef):
+                    heads += child.args.defaults + [d for d in child.args.kw_defaults if d]
+                for head in heads:
+                    out.update(referenced_names(head))
+                continue
+            name = name_of(child)
+            if name is not None:
+                out.add(name)
+            visit(child)
+
+    visit(node)
+    return out
+
+
+def unreached(modules, roots, used):
+    """Dotted definitions of `modules` ({name: tree}) that nothing reaches.
+
+    Reaching goes by name, so it over-approximates what runs.  Module-level
+    code and the names in `used`, read from outside the package, reach every
+    definition of a name they reference; the dotted `roots` are reached; a
+    reached definition reaches the names its own code references, and a
+    reached class its dunder methods, which Python calls implicitly.
+    """
+    nodes = {f"{stem}.{name}": node for stem, tree in modules.items()
+             for name, node in definition_nodes(tree).items()}
+    names = set(used).union(*map(own_names, modules.values()))
+    reached = set()
+    grew = True
+    while grew:
+        grew = False
+        for dotted, node in nodes.items():
+            owner, name = dotted.rsplit(".", 1)
+            if dotted not in reached and (dotted in roots or name in names
+                                          or (is_dunder(name) and owner in reached)):
+                reached.add(dotted)
+                names |= own_names(node)
+                grew = True
+    return [dotted for dotted in nodes if dotted not in reached]
+
+
+# What `hhalg` does not reach from cli.main, and the benchmark does not name,
+# stays only as a cross-check that a test or an acceptance criterion runs.
+CROSS_CHECKS = {
+    "algebra.algebra_isomorphic",  # acceptance criterion 8; test_algebra.py test_iso_*
+    "resolve.ext_base_change",  # acceptance criterion 4; test_resolve.py test_ext_base_change_*
+    "resolve.yoneda_square",  # acceptance criterion 3; test_resolve.py
+    "hochschild.check_enveloping_against_bar",  # criterion 9; test_hochschild.py test_enveloping_*
+    "azumaya.endo_smash_invariant",  # test_azumaya.py test_endo_smash_*
+    "morita.adjunction_triangles",  # test_morita.py test_adjunction_triangles_on_corpus
+    "morita.endo_algebra",  # test_morita.py test_endo_algebra_*, test_smith.py
+    "algebra.center",  # test_algebra.py test_center_*, test_hochschild.py HH^0 = center
+    "algebra.semisimple_quotient",  # test_algebra.py test_semisimplification_idempotent
+    "hochschild.bimodule",  # test_hochschild.py test_hh_trivial_coefficients and its rejection
+    "linalg.SmithForm.transforms_built",  # test_smith.py test_*_transforms
+}
+
+
+def benchmark_names():
+    """Every name the perfbench harness or BENCHMARK.json uses."""
+    bench = [referenced_names(ast.parse(p.read_text()))
+             for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return set(re.findall(r"[A-Za-z_]\w*", (ROOT / "BENCHMARK.json").read_text())).union(*bench)
+
+
+def test_every_definition_is_reached_from_the_cli_or_the_benchmark():
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(CROSS_CHECKS) <= 12
+    assert unreached(modules, {"cli.main"} | CROSS_CHECKS, benchmark_names()) == []
+    # every cross-check earns its entry: nothing else reaches it
+    assert CROSS_CHECKS <= set(unreached(modules, {"cli.main"}, benchmark_names()))
+
+
+def test_unreached_definition_detector_flags_offenders():
+    cli = ("from .lib import gone\n"
+           "def main():\n"
+           "    return run(helper)\n"
+           "def run(f): return f()\n"
+           "def helper(): pass\n"
+           "def dead(): pass\n")
+    lib = ("TABLE = {'k': tabled}\n"
+           "class Report:\n"
+           "    def __init__(self): pass\n"
+           "    def __bool__(self): return True\n"
+           "    def read(self): pass\n"
+           "    def unread(self): pass\n"
+           "def tabled(): return Report().read()\n"
+           "def oracle(): return oracle_helper()\n"
+           "def oracle_helper(): pass\n"
+           "def timed(): pass\n"
+           "def gone():\n"
+           "    def inner(): pass\n"
+           "    return inner\n")
+    modules = {"cli": ast.parse(cli), "lib": ast.parse(lib)}
+    assert unreached(modules, {"cli.main", "lib.oracle"}, {"timed"}) == [
+        "cli.dead", "lib.Report.unread", "lib.gone", "lib.gone.inner"]
+    assert unreached(modules, {"cli.main"}, set()) == [
+        "cli.dead", "lib.Report.unread", "lib.oracle", "lib.oracle_helper", "lib.timed",
+        "lib.gone", "lib.gone.inner"]
 
 
 def unread_imports(tree):
@@ -235,6 +366,17 @@ STAGE_HELPERS = ("_stage_map", "_flat_kernel")
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_stage_helpers_are_called_only_from_the_loop(path):
     assert uses_outside(ast.parse(path.read_text()), STAGE_HELPERS, "_resolve") == []
+
+
+# The one derived Hom: a free resolution is read by ext_with_coefficients
+# only inside resolve.derived_hom, which G, S, the completion, the enveloping
+# route and the base-change cross-check all call.
+DERIVED_HOM_PARTS = ("free_resolution", "ext_with_coefficients")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_free_resolutions_are_read_only_in_derived_hom(path):
+    assert uses_outside(ast.parse(path.read_text()), DERIVED_HOM_PARTS, "derived_hom") == []
 
 
 def test_stage_helper_detector_flags_offenders():

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import resolve
-from hhalg.algebra import AlgebraPresentation, realize
+from hhalg.algebra import AlgebraPresentation, BudgetExceededError, realize
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, slice_keys
 from hhalg.ground import GroundRing
 from hhalg.linalg import Echelon
@@ -12,6 +12,7 @@ from hhalg.resolve import (
     AModuleMap,
     FreeAModule,
     ResolutionError,
+    derived_hom,
     ext_base_change,
     ext_table,
     ext_with_coefficients,
@@ -71,7 +72,7 @@ def sigma1():
 
 def test_resolution_exterior_negative_degree():
     res = minimal_resolution(lam_x(), s_max=6)
-    assert res.stage_ranks() == [1] * 7
+    assert [st.rank for st in res.stages] == [1] * 7
     # stage-s generator sits in internal degree -s
     for s, st in enumerate(res.stages):
         assert st.gen_degrees == (-s,)
@@ -80,7 +81,7 @@ def test_resolution_exterior_negative_degree():
 def test_resolution_truncated_polynomial_koszul():
     T, deg = 3, 2
     res = minimal_resolution(trunc_poly(T, deg), s_max=4, t_window=(0, 40))
-    assert res.stage_ranks() == [1] * 5
+    assert [st.rank for st in res.stages] == [1] * 5
     # alternating shifts: deg, (T-1)*deg, deg, ...
     degs = [st.gen_degrees[0] for st in res.stages]
     diffs = [b - a for a, b in zip(degs, degs[1:])]
@@ -90,7 +91,7 @@ def test_resolution_truncated_polynomial_koszul():
 def test_resolution_of_base_algebra():
     one = realize(AlgebraPresentation(BaseRing(F3), (), ()))
     res = minimal_resolution(one, s_max=3)
-    assert res.stage_ranks() == [1, 0, 0, 0]
+    assert [st.rank for st in res.stages] == [1, 0, 0, 0]
 
 
 def test_resolution_rejects_non_augmented():
@@ -177,7 +178,7 @@ def test_hilbert_euler_consistency():
 def test_free_resolution_of_regular_module():
     A = lam_tau()
     res = free_resolution(A, AModule.regular(A), s_max=3)
-    assert res.stage_ranks() == [1, 0, 0, 0]
+    assert [st.rank for st in res.stages] == [1, 0, 0, 0]
 
 
 def test_free_resolution_ext_matches_minimal():
@@ -204,7 +205,7 @@ def test_free_resolution_seed_determinism():
     A = trunc_poly(3, 2)
     r1 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
     r2 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
-    assert r1.stage_ranks() == r2.stage_ranks()
+    assert [st.rank for st in r1.stages] == [st.rank for st in r2.stages]
     assert [m.entries for m in r1.maps] == [m.entries for m in r2.maps]
 
 
@@ -367,9 +368,20 @@ def test_minimal_and_greedy_ext_agree(A, seed):
     s_max, window = 4, (-16, 16)
     k = AModule.trivial(A)
     minimal = ext_table(A, s_max, window)
-    greedy = ext_with_coefficients(free_resolution(A, k, s_max, window, seed), k, window)
+    greedy = derived_hom(k, k, window, s_max, seed)
     key = A.base.degree_key
     assert minimal.by_slice(key, s_max - 1) == greedy.by_slice(key, s_max - 1)
+
+
+def test_derived_hom_refuses_a_resolution_without_a_stage_past_degree_zero():
+    # through stage 0 the table would report no degree: empty, as if Hom were 0
+    A = lam_x()
+    k = AModule.trivial(A)
+    assert ext_with_coefficients(free_resolution(A, k, s_max=0), k).is_zero()
+    for s_max in (0, -1):
+        with pytest.raises(BudgetExceededError, match="s_max >= 1"):
+            derived_hom(k, k, (-16, 16), s_max)
+    assert derived_hom(k, k, (-16, 16), 1).entry(0, 0).free_rank == 1
 
 
 def test_free_resolution_flattens_each_stage_once(monkeypatch):

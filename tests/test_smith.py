@@ -231,8 +231,7 @@ def test_mu_is_iso_on_end_z3_builds_no_transforms(smith_forms):
 
 
 def test_unit_kernel_and_mu_image_build_transforms(smith_forms):
-    pres, gen = dg_unit_kernel(make_quotient_dga(BaseRing(ZZ), 6, 0).dga)
-    assert (pres.free_rank, gen) == (1, 6)
+    assert dg_unit_kernel(make_quotient_dga(BaseRing(ZZ), 6, 0).dga) == 6
     assert any(sf.transforms_built for sf in smith_forms)
     smith_forms.clear()
     r = mu_homology_image(make_quotient_dga(KUZ, 3, 1))
@@ -262,9 +261,11 @@ def test_bar_hochschild_over_f3_builds_no_transforms(smith_forms):
 
 
 def test_resolutions_over_f3_build_transforms(smith_forms):
-    assert minimal_resolution(trunc_poly(3, 2), s_max=4).stage_ranks() == [1, 1, 1, 1, 1]
+    res = minimal_resolution(trunc_poly(3, 2), s_max=4)
+    assert [st.rank for st in res.stages] == [1, 1, 1, 1, 1]
     assert any(sf.transforms_built for sf in smith_forms)
     smith_forms.clear()
     L = exterior(BaseRing(F3), (("x", 1), ("y", 1)))
-    assert free_resolution(L, AModule.trivial(L), s_max=3).stage_ranks() == [1, 2, 3, 4]
+    res = free_resolution(L, AModule.trivial(L), s_max=3)
+    assert [st.rank for st in res.stages] == [1, 2, 3, 4]
     assert any(sf.transforms_built for sf in smith_forms)
