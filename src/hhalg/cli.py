@@ -1,9 +1,11 @@
 """Command-line frontend.
 
-Subcommands dispatch definition files to the engine and print deterministic
-tables (TSV or a JSON mirror).  Exit codes: 0 = computed (verdicts, pass or
-fail, live in the output), 1 = input error, 2 = a budget or window was
-exceeded, 3 = an invariant failed (algebra.InvariantError, a bug).
+Each subcommand parses only the flags it reads and returns its sections,
+(name, table or None, records), one per definition entry or Morita task;
+`_emit` writes them all as TSV or as a JSON mirror.  Exit codes: 0 =
+computed (verdicts, pass or fail, live in the output), 1 = input error, 2 =
+a budget or window was exceeded, or a table stopped short of the request,
+3 = an invariant failed (algebra.InvariantError, a bug).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .azumaya import (
 )
 from .defs import (
     DefinitionError,
-    DefinitionFile,
     build_algebra,
     build_module,
     parse_definition,
@@ -57,109 +58,78 @@ def _table_rows(table: BigradedTable):
             for s, t, fr, tors in table.rows()]
 
 
-def _table_doc(table: BigradedTable) -> dict:
-    return {"rows": [list(r) for r in _table_rows(table)], "notes": list(table.notes)}
+def _emit(out, sections, args):
+    """sections: list of (name, BigradedTable or None, list of (key, value)).
 
-
-def _emit_tables(out, sections, args):
-    """sections: list of (name, BigradedTable)."""
+    JSON merges a section's table, {rows, notes}, with its records; TSV
+    writes the table block, then the records block, each under `# name`.
+    """
     if args.format == "json":
-        doc = {name: _table_doc(table) for name, table in sections}
+        doc = {name: {**({"rows": _table_rows(table), "notes": list(table.notes)}
+                         if table is not None else {}), **dict(rec)}
+               for name, table, rec in sections}
         out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return
-    for name, table in sections:
-        if not args.quiet:
-            out.write(f"# {name}\n")
-            out.write("s\tt\tfree_rank\ttorsion\n")
-            for note in table.notes:
-                out.write(f"# note: {note}\n")
-        for s, t, fr, tors in _table_rows(table):
-            out.write(f"{s}\t{t}\t{fr}\t{tors}\n")
+    for name, table, rec in sections:
+        if table is not None:
+            if not args.quiet:
+                out.write(f"# {name}\ns\tt\tfree_rank\ttorsion\n")
+                for note in table.notes:
+                    out.write(f"# note: {note}\n")
+            for s, t, fr, tors in _table_rows(table):
+                out.write(f"{s}\t{t}\t{fr}\t{tors}\n")
+        if rec:
+            if not args.quiet:
+                out.write(f"# {name}\n")
+            for key, value in rec:
+                out.write(f"{key}\t{value}\n")
 
 
-def _emit_records(out, sections, args):
-    """sections: list of (name, list of (key, value))."""
-    if args.format == "json":
-        doc = {name: dict(rec) for name, rec in sections}
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return
-    for name, rec in sections:
-        if not args.quiet:
-            out.write(f"# {name}\n")
-        for key, value in rec:
-            out.write(f"{key}\t{value}\n")
+def _entries(built, kind, command):
+    """The built entries of type `kind`; a DefinitionError if there are none."""
+    found = [(n, e) for n, e in built.items() if isinstance(e, kind)]
+    if not found:
+        need = "a dg algebra" if kind is QuotientDGA else "at least one algebra"
+        raise DefinitionError(f"{command} needs {need} entry")
+    return found
 
 
-def _graded_entries(built):
-    return [(n, a) for n, a in built.items() if isinstance(a, GradedAlgebra)]
-
-
-def _dg_entries(built):
-    return [(n, q) for n, q in built.items() if isinstance(q, QuotientDGA)]
-
-
-def _build_all(df: DefinitionFile) -> dict:
-    return {name: build_algebra(df, name) for name, _ in df.algebras}
-
-
-def cmd_ext(df, built, args, out):
-    window = _parse_window(args.window)
+def cmd_ext(df, built, args):
     definition = dataclasses.astuple(df)
     sections = []
-    for name, A in _graded_entries(built):
-        key = cachemod.cache_key("ext", definition, name, args.smax, window)
+    for name, A in _entries(built, GradedAlgebra, "ext"):
+        key = cachemod.cache_key("ext", definition, name, args.smax, args.window)
         table = cachemod.cached_table(
             args.cache_path, key,
-            lambda A=A: ext_table(A, s_max=args.smax, t_window=window),
+            lambda A=A: ext_table(A, s_max=args.smax, t_window=args.window),
         )
-        sections.append((name, table))
-    if not sections:
-        raise DefinitionError("ext needs at least one algebra entry")
-    _emit_tables(out, sections, args)
-    return 0
+        sections.append((name, table, []))
+    return sections
 
 
-def cmd_hochschild(df, built, args, out):
-    window = _parse_window(args.window)
+def cmd_hochschild(df, built, args):
+    return [(name, hochschild_cohomology(A, n_max=args.nmax, window=args.window,
+                                         budget=args.budget), [])
+            for name, A in _entries(built, GradedAlgebra, "hochschild")]
+
+
+def cmd_homology(df, built, args):
+    return [(name, homology(q.dga.complex(), args.window), [])
+            for name, q in _entries(built, QuotientDGA, "homology")]
+
+
+def cmd_mu_image(df, built, args):
     sections = []
-    budget_hit = False
-    for name, A in _graded_entries(built):
-        table = hochschild_cohomology(A, n_max=args.nmax, window=window,
-                                      budget=args.budget)
-        budget_hit = budget_hit or table.completed_through is not None
-        sections.append((name, table))
-    if not sections:
-        raise DefinitionError("hochschild needs at least one algebra entry")
-    _emit_tables(out, sections, args)
-    return 2 if budget_hit else 0
-
-
-def cmd_homology(df, built, args, out):
-    window = _parse_window(args.window)
-    dgs = _dg_entries(built)
-    if not dgs:
-        raise DefinitionError("homology needs a dg algebra entry")
-    sections = [(name, homology(q.dga.complex(), window)) for name, q in dgs]
-    _emit_tables(out, sections, args)
-    return 0
-
-
-def cmd_mu_image(df, built, args, out):
-    dgs = _dg_entries(built)
-    if not dgs:
-        raise DefinitionError("mu-image needs a dg algebra entry")
-    sections = []
-    for name, q in dgs:
+    for name, q in _entries(built, QuotientDGA, "mu-image"):
         r = mu_homology_image(q)
-        sections.append((name, [
+        sections.append((name, None, [
             ("coefficient", r.coefficient),
             ("modeled_defect", r.modeled_defect),
             ("is_unit", "true" if r.is_unit else "false"),
             ("alpha_choice", r.alpha_choice),
             ("note", r.note),
         ]))
-    _emit_records(out, sections, args)
-    return 0
+    return sections
 
 
 AZUMAYA_FLAVORS = {
@@ -169,33 +139,34 @@ AZUMAYA_FLAVORS = {
 }
 
 
-def cmd_azumaya(df, built, args, out):
-    window = _parse_window(args.window)
+def cmd_azumaya(df, built, args):
     check = AZUMAYA_FLAVORS[args.flavor]
     sections = []
-    for name, entry in built.items():
-        report = check(entry.dga if isinstance(entry, QuotientDGA) else entry, window)
+    for name, entry in _entries(built, (GradedAlgebra, QuotientDGA), "azumaya"):
+        report = check(entry.dga if isinstance(entry, QuotientDGA) else entry, args.window)
         rec = [(f"condition: {c.name}",
                 ("pass" if c.verdict else "fail")
                 + (f" ({c.witness})" if c.witness and not args.quiet else ""))
                for c in report.conditions]
         rec.append(("overall", "pass" if report.overall else "fail"))
-        sections.append((name, rec))
-    if not sections:
-        raise DefinitionError("azumaya needs at least one algebra entry")
-    _emit_records(out, sections, args)
-    return 0
+        sections.append((name, None, rec))
+    return sections
 
 
 def _morita_contexts(df, built):
+    """(section name, (R, A, E_R, E_A), context) per morita task.
+
+    A section is named R|A|E_R, and R|A|E_R|E_A when tasks share R|A|E_R.
+    """
     specs = [dict(t) for t in df.tasks if dict(t).get("command") == "morita"]
     if not specs:
         raise DefinitionError(
             "morita needs a task entry {'command': 'morita', 'R': .., 'A': .., "
             "'E_R': .., 'E_A': ..}"
         )
+    heads = [tuple(spec.get(key) for key in ("R", "A", "E_R")) for spec in specs]
     out = []
-    for spec in specs:
+    for spec, head in zip(specs, heads):
         for key in ("R", "A", "E_R", "E_A"):
             if key not in spec:
                 raise DefinitionError(f"morita task missing {key!r}")
@@ -203,7 +174,9 @@ def _morita_contexts(df, built):
         E_A = build_module(df, spec["E_A"], built)
         if E_R.algebra is not built[spec["R"]] or E_A.algebra is not built[spec["A"]]:
             raise DefinitionError("E_R and E_A must be modules over R and A")
-        out.append((f"{spec['R']}|{spec['A']}|{spec['E_R']}", MoritaContext(E_R, E_A)))
+        names = head + (spec["E_A"],)
+        name = "|".join(names if heads.count(head) > 1 else head)
+        out.append((name, names, MoritaContext(E_R, E_A)))
     return out
 
 
@@ -211,17 +184,15 @@ def _verified(ok) -> str:
     return ("pass" if ok else "fail") + " (corpus-verified)"
 
 
-def cmd_morita(df, built, args, out):
-    window = _parse_window(args.window)
-    definition = dataclasses.astuple(df)
-    sections = []  # (name, completion table or None, records), one per context
-    for name, ctx in _morita_contexts(df, built):
+def cmd_morita(df, built, args):
+    window, definition = args.window, dataclasses.astuple(df)
+    sections = []
+    for name, names, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
-            key = cachemod.cache_key("completion", definition, name,
-                                     args.smax, window)
-            table = cachemod.cached_table(args.cache_path, key, lambda: completion(
-                ctx, M, window, args.smax, notes=("valid inside the window only",)))
+            key = cachemod.cache_key("completion", definition, names, args.smax, window)
+            table = cachemod.cached_table(args.cache_path, key, lambda: dataclasses.replace(
+                completion(ctx, M, window, args.smax), notes=("valid inside the window only",)))
             verdict = _verified(completion_matches(table, M.module, compare=window))
             sections.append((name, table, [("in-window equivalence", verdict)]))
         elif args.check == "roundtrip":
@@ -237,16 +208,7 @@ def cmd_morita(df, built, args, out):
             ok = torsion_roundtrip(ctx, compare=(0, min(window[1], args.smax)),
                                    window=window, s_max=args.smax)
             sections.append((name, None, [("torsion roundtrip S(T(A)) ~ A", _verified(ok))]))
-    if args.format == "json":
-        doc = {name: {**(_table_doc(table) if table is not None else {}), **dict(rec)}
-               for name, table, rec in sections}
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return 0
-    for name, table, rec in sections:
-        if table is not None:
-            _emit_tables(out, [(name, table)], args)
-        _emit_records(out, [(name, rec)], args)
-    return 0
+    return sections
 
 
 COMMANDS = {
@@ -258,17 +220,19 @@ COMMANDS = {
     "mu-image": cmd_mu_image,
 }
 
+# the flags each subcommand reads besides --file, --format, --cache-dir and --quiet
+FLAGS = {"ext": ("--smax", "--window"), "hochschild": ("--nmax", "--window", "--budget"),
+         "homology": ("--window",), "mu-image": (), "azumaya": ("--window", "--flavor"),
+         "morita": ("--smax", "--window", "--check")}
 
-def _common_flags(p):
-    p.add_argument("--file", required=True, help="definition file (JSON)")
-    p.add_argument("--smax", type=int, default=8)
-    p.add_argument("--nmax", type=int, default=4)
-    p.add_argument("--window", default="-16:16", help="LO:HI internal degrees")
-    p.add_argument("--budget", type=int, default=200000,
-                   help="generator budget for bar-complex stages")
-    p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--cache-dir", default=None)
-    p.add_argument("--quiet", action="store_true")
+OPTIONS = {
+    "--smax": dict(type=int, default=8),
+    "--nmax": dict(type=int, default=4),
+    "--window": dict(default="-16:16", help="LO:HI internal degrees"),
+    "--budget": dict(type=int, default=200000, help="generator budget for bar-complex stages"),
+    "--flavor": dict(choices=tuple(AZUMAYA_FLAVORS), default="classical"),
+    "--check": dict(choices=("completion", "roundtrip", "torsion"), default="completion"),
+}
 
 
 def build_parser():
@@ -277,24 +241,23 @@ def build_parser():
         description="exact homological algebra over graded bases",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ext", "hochschild", "homology", "mu-image"):
-        _common_flags(sub.add_parser(name))
-    p = sub.add_parser("azumaya")
-    _common_flags(p)
-    p.add_argument("--flavor", choices=tuple(AZUMAYA_FLAVORS), default="classical")
-    p = sub.add_parser("morita")
-    _common_flags(p)
-    p.add_argument("--check", choices=("completion", "roundtrip", "torsion"),
-                   default="completion")
+    for name, flags in FLAGS.items():
+        p = sub.add_parser(name)
+        p.add_argument("--file", required=True, help="definition file (JSON)")
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
+        p.add_argument("--cache-dir", default=None)
+        p.add_argument("--quiet", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, value, least in (("--smax", args.smax, 0), ("--nmax", args.nmax, 0),
-                               ("--budget", args.budget, 1)):
+    for dest, least in (("smax", 0), ("nmax", 0), ("budget", 1)):
+        value = getattr(args, dest, least)
         if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            print(f"error: --{dest} must be at least {least}, got {value}", file=sys.stderr)
             return 1
     args.cache_path = cachemod.resolve_cache_dir(args.cache_dir)
     try:
@@ -305,14 +268,20 @@ def main(argv=None) -> int:
         return 1
     try:
         df = parse_definition(text)
-        built = _build_all(df)
-        return COMMANDS[args.command](df, built, args, sys.stdout)
+        built = {name: build_algebra(df, name) for name, _ in df.algebras}
+        if "window" in args:
+            args.window = _parse_window(args.window)
+        sections = COMMANDS[args.command](df, built, args)
+        _emit(sys.stdout, sections, args)
     except (DefinitionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, BudgetExceededError) else 1
     except InvariantError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    stopped_short = any(table is not None and table.completed_through is not None
+                        for _, table, _ in sections)
+    return 2 if stopped_short else 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ same pair with the roles of R and A swapped: F and T share one balanced
 tensor, _tensor_E, and G and S are resolve.derived_hom, the one derived
 Hom, which raises BudgetExceededError when s_max < 1.  G, S and the
 completion are plain BigradedTables of homology over an explicit window,
-with the window and any notes on the table; completion_matches compares a
+with the window on the table; completion_matches compares a
 completion with the module it completes over an explicit range.
 
 For semisimple A the derived Hom collapses to the plain one, and the plain
@@ -152,11 +152,9 @@ def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
 
 
 def completion(ctx: MoritaContext, M: AModule, window=(-16, 16),
-               s_max: int = 8, notes=()) -> BigradedTable:
-    """The completion G(F(M)) of a right R-module M, carrying `notes`."""
-    table = functor_G(ctx, functor_F(ctx, M), window, s_max)
-    table.notes = tuple(notes)
-    return table
+               s_max: int = 8) -> BigradedTable:
+    """The completion G(F(M)) of a right R-module M."""
+    return functor_G(ctx, functor_F(ctx, M), window, s_max)
 
 
 # ---------------------------------------------------------------------------

@@ -446,7 +446,12 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
 
     Works for any resolution; derived_hom, behind the completion tables
     and the enveloping-algebra path, reads its free resolutions with it.
+    A resolution with no map would report no degree, an empty table that
+    reads as zero, and raises BudgetExceededError instead.
     """
+    if not res.maps:
+        raise BudgetExceededError("derived Hom needs s_max >= 1 to report degree 0, "
+                                  f"got {len(res.stages) - 1}")
     _, maps = hom_cochains(res, N)
     # the top stage has no outgoing differential, so its kernel would be
     # overcounted; report strictly below it
@@ -456,16 +461,10 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
 def derived_hom(E: AModule, Y: AModule, window, s_max: int, seed: int = 0) -> BigradedTable:
     """Derived Hom(E, Y) over E's algebra, for left modules: the seeded
     free_resolution of E through stage s_max, read by ext_with_coefficients
-    over the window.
-
-    The table stops below the top stage, so it covers degrees 0..s_max - 1;
-    s_max < 1 would report no degree at all, an empty table that reads as
-    zero, and raises BudgetExceededError instead.
+    over the window in degrees 0..s_max - 1, so s_max >= 1.
     """
     if Y.side != "left":
         raise ValueError("derived Hom takes left modules")
-    if s_max < 1:
-        raise BudgetExceededError(f"derived Hom needs s_max >= 1 to report degree 0, got {s_max}")
     res = free_resolution(E.algebra, E, s_max=s_max, t_window=window, seed=seed)
     return ext_with_coefficients(res, Y, window)
 

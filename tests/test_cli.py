@@ -10,7 +10,7 @@ import pytest
 
 from hhalg import cache, hochschild
 from hhalg.cache import cache_key, deserialize_table, serialize_table
-from hhalg.cli import main
+from hhalg.cli import build_parser, main
 from hhalg.defs import (
     DefinitionError,
     build_algebra,
@@ -337,6 +337,37 @@ def test_morita_emits_one_document_for_two_tasks(capsys, tmp_path, check):
     assert code == 0 and out == single + single.replace("R|A|E_R", "R|A|E_R2")
 
 
+def test_morita_tasks_differing_only_in_E_A_are_two_contexts(capsys, tmp_path, monkeypatch):
+    # two tasks sharing R, A and E_R: each context is named and cached with
+    # its E_A, so neither is served the other's completion table
+    import hhalg.morita as morita
+
+    with open(defpath("etale.def")) as fh:
+        doc = json.load(fh)
+    doc["modules"]["E_A2"] = doc["modules"]["E_A"]
+    doc["tasks"].append({**doc["tasks"][0], "E_A": "E_A2"})
+    two = tmp_path / "two.def"
+    two.write_text(json.dumps(doc))
+    calls = []
+    real = morita.functor_G
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(morita, "functor_G", counting)
+    argv = ["morita", "--file", str(two), "--format", "json"]
+    cold = run(capsys, argv, tmp_path / "c")
+    assert cold[0] == 0 and len(calls) == 2
+    _, single, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--format", "json"],
+                       tmp_path / "d")
+    one = json.loads(single)["R|A|E_R"]
+    assert json.loads(cold[1]) == {"R|A|E_R|E_A": one, "R|A|E_R|E_A2": one}
+    assert run(capsys, argv, tmp_path / "c") == cold
+    code, out, _ = run(capsys, argv[:-2], tmp_path / "c")
+    assert code == 0 and out.count("# R|A|E_R|E_A\n") == out.count("# R|A|E_R|E_A2\n") == 2
+
+
 @pytest.mark.parametrize("check", ["completion", "torsion"])
 def test_morita_derived_checks_exit_two_without_a_resolution_stage(capsys, tmp_path, check):
     # with --smax 0 the derived Hom would report no degree at all, an empty
@@ -605,6 +636,24 @@ def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):
     }))
     code, _, err = run(capsys, ["ext", "--file", str(free)], tmp_path)
     assert code == 2 and "diverges" in err
+
+
+# a flag each subcommand does not read
+IGNORED_FLAGS = {"ext": ["--nmax", "3"], "hochschild": ["--smax", "3"],
+                 "homology": ["--budget", "9"], "mu-image": ["--window=0:0"],
+                 "azumaya": ["--check", "torsion"], "morita": ["--flavor", "weak"]}
+
+
+@pytest.mark.parametrize("command", sorted(IGNORED_FLAGS))
+def test_each_subcommand_parses_only_the_flags_it_reads(capsys, command):
+    argv = [command, "--file", defpath("etale.def")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + IGNORED_FLAGS[command])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "unrecognized arguments: " + " ".join(IGNORED_FLAGS[command]) in out.err
+    # the benchmark appends --cache-dir to every corpus command
+    assert build_parser().parse_args(argv + ["--cache-dir", "d"]).cache_dir == "d"
 
 
 # -- the bundled corpus against its recorded output -------------------------------------

@@ -1,7 +1,8 @@
 """hhalg modules reach each other only through public names, only linalg
 knows how a matrix is stored, every definition and import in hhalg is used,
 every definition is reached from the command line or the benchmark or is a
-named cross-check, and only the output and cache writers serialize JSON."""
+named cross-check, and only the output and cache writers serialize JSON
+and write."""
 
 import ast
 import pathlib
@@ -434,6 +435,39 @@ def test_object_new_detector_flags_offenders():
             "new = object.__new__\n"
             "other.__new__(Ring)\n")
     assert object_new_uses(ast.parse(code)) == [1, 5]
+
+
+# Output leaves hhalg in two places: stdout through cli._emit, with errors
+# printed by cli.main, and cache entries through cache.store.
+WRITERS = {"cli.py": {"write": "_emit", "print": "main"}, "cache.py": {"write": "store"}}
+
+
+def writes_outside(tree, homes):
+    """Sorted (line, enclosing function, name) for each `write` or `print`
+    reference outside the function that `homes` names for it."""
+    return sorted(use for name in ("write", "print")
+                  for use in uses_outside(tree, (name,), homes.get(name)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_writers_write_output(path):
+    assert writes_outside(ast.parse(path.read_text()), WRITERS.get(path.name, {})) == []
+
+
+def test_writer_detector_flags_offenders():
+    code = ("def _emit(out, doc):\n"
+            "    out.write(doc)\n"
+            "def main():\n"
+            "    print('error', file=sys.stderr)\n"
+            "def cmd(out):\n"
+            "    out.write('# name')\n"
+            "    print(out)\n"
+            "say = sys.stdout.write\n")
+    assert writes_outside(ast.parse(code), WRITERS["cli.py"]) == [
+        (6, "cmd", "write"), (7, "cmd", "print"), (8, "<module>", "write")]
+    assert writes_outside(ast.parse(code), {}) == [
+        (2, "_emit", "write"), (4, "main", "print"), (6, "cmd", "write"), (7, "cmd", "print"),
+        (8, "<module>", "write")]
 
 
 def json_dumps_uses(tree):
