@@ -103,7 +103,7 @@ class _Rewriter:
 
     def reduce(self, poly):
         """Fully reduce a {word: scalar} polynomial."""
-        g = self.g
+        norm = self.g.normalize
         out = {}
         work = [(w, c) for w, c in poly.items()]
         while work:
@@ -122,14 +122,16 @@ class _Rewriter:
                 if hit:
                     break
             if hit is None:
-                out[word] = g.add(out.get(word, g.zero), coeff)
-                if out[word] == 0:
+                x = norm(out.get(word, 0) + coeff)
+                if x:
+                    out[word] = x
+                else:
                     del out[word]
                 continue
             s, lead = hit
             pre, post = word[:s], word[s + len(lead):]
             for w2, c2 in self.rules[lead].items():
-                work.append((pre + w2 + post, g.mul(coeff, c2)))
+                work.append((pre + w2 + post, norm(coeff * c2)))
         return out
 
     def _add_relation(self, poly) -> bool:
@@ -143,9 +145,7 @@ class _Rewriter:
                 f"relation leading coefficient {lc} is not a unit; cannot orient"
             )
         inv = self.g.inv(lc)
-        rhs = {
-            w: self.g.neg(self.g.mul(inv, c)) for w, c in poly.items() if w != lead
-        }
+        rhs = {w: self.g.normalize(-inv * c) for w, c in poly.items() if w != lead}
         if len(self.rules) >= self.MAX_RULES:
             raise DivergenceError("rewriting system diverges (rule cap exceeded)")
         self.rules[lead] = rhs
@@ -165,10 +165,9 @@ class _Rewriter:
                     r2 = self.reduce(p2)
                     if r1 == r2:
                         continue
-                    g = self.g
                     diff = dict(r1)
                     for w, c in r2.items():
-                        diff[w] = g.sub(diff.get(w, g.zero), c)
+                        diff[w] = diff.get(w, 0) - c
                     if self._add_relation(diff):
                         changed = True
 
@@ -227,10 +226,13 @@ class GradedAlgebra:
     """A finite-rank graded algebra given by structure constants.
 
     mult[(i, j)] is the coordinate dict of e_i * e_j over the monomial
-    basis; scalars carry implied Laurent powers.  The unit is a basis
-    monomial.  Unitality is asserted at construction, and associativity
-    as check_action on the left multiplications, unless check=False (used
-    for constructions associative by design).
+    basis; scalars carry implied Laurent powers.  The constructor is the
+    store point: it normalizes every structure constant and drops the
+    zeros and the empty products, so the constructions below hand it plain
+    sums and products.  The unit is a basis monomial.  Unitality is
+    asserted at construction, and associativity as check_action on the
+    left multiplications, unless check=False (used for constructions
+    associative by design).
 
     generating_monomials are the non-unit monomials that the action checks
     pair with every basis element; by default all of them.  A declared set
@@ -295,13 +297,13 @@ class GradedAlgebra:
         return self.mult.get((i, j), {})
 
     def mul_coords(self, x: dict, y: dict) -> dict:
-        g = self.base.ground
         out = {}
         for i, a in x.items():
             for j, b in y.items():
+                ab = a * b
                 for k, c in self.mul_basis(i, j).items():
-                    out[k] = g.add(out.get(k, g.zero), g.mul(g.mul(a, b), c))
-        return {k: v for k, v in out.items() if v != 0}
+                    out[k] = out.get(k, 0) + ab * c
+        return self.base.ground.canonical(out)
 
     def left_mult(self, i) -> HomogeneousMap:
         M = self.module
@@ -398,14 +400,13 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
                 columns = maps[i].by_column()
                 for (t, m), c in maps[k].entries.items():
                     for r, d in columns.get(t, ()):
-                        lhs[(r, m)] = g.add(lhs.get((r, m), g.zero), g.mul(d, c))
+                        lhs[(r, m)] = lhs.get((r, m), 0) + d * c
             rhs = {}
             for t, c in A.mul_basis(s, j).items():
                 if t in maps:
                     for rm, v in maps[t].entries.items():
-                        rhs[rm] = g.add(rhs.get(rm, g.zero), g.mul(c, v))
-            if ({rm: v for rm, v in lhs.items() if v != 0}
-                    != {rm: v for rm, v in rhs.items() if v != 0}):
+                        rhs[rm] = rhs.get(rm, 0) + c * v
+            if g.canonical(lhs) != g.canonical(rhs):
                 raise ValueError(f"{side} action fails on pair ({i},{k})")
 
 
@@ -430,7 +431,6 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
     for rel in p.relations:
         poly = {}
         rel_deg = None
-        g = base.ground
         for coeff, words, vexp in rel:
             word = tuple(name_to_idx[w] for w in words)
             d = _word_degree(word, degs) + (vexp * period if period else 0)
@@ -442,8 +442,8 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
                 raise RealizeError(
                     f"relation not homogeneous: term of degree {d} vs {rel_deg}"
                 )
-            poly[word] = g.add(poly.get(word, g.zero), g.normalize(coeff))
-        polys.append({w: c for w, c in poly.items() if c != 0})
+            poly[word] = poly.get(word, 0) + coeff
+        polys.append(base.ground.canonical(poly))
 
     rw = _Rewriter(base, degs, polys, p.truncation)
     words = rw.irreducible_words(len(names), max_rank)
@@ -475,12 +475,10 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
 
 def opposite(A: GradedAlgebra) -> GradedAlgebra:
     """The Koszul-signed opposite: a o b = (-1)^{|a||b|} b a."""
-    g = A.base.ground
     mult = {}
     for (i, j), vec in A.mult.items():
-        sign = -1 if (A.parity(i) and A.parity(j)) else 1
-        out = vec if sign == 1 else {k: g.neg(c) for k, c in vec.items()}
-        mult[(j, i)] = out
+        odd = A.parity(i) and A.parity(j)
+        mult[(j, i)] = {k: -c for k, c in vec.items()} if odd else vec
     return GradedAlgebra(A.base, A.monomials, A.unit_index, mult, check=False,
                          generating_monomials=A.generating_monomials)
 
@@ -491,22 +489,13 @@ def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     Only pairs of stored (nonzero) products of A and B are multiplied."""
     if A.base != B.base:
         raise ValueError("tensor over different bases")
-    g = A.base.ground
     nB = B.rank
     mult = {}
     for (i1, i2), avec in A.mult.items():
         for (j1, j2), bvec in B.mult.items():
             sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
-            out = {}
-            for ka, ca in avec.items():
-                for kb, cb in bvec.items():
-                    c = g.mul(ca, cb)
-                    if sign == -1:
-                        c = g.neg(c)
-                    out[ka * nB + kb] = c
-            out = {k: c for k, c in out.items() if c != 0}
-            if out:
-                mult[(i1 * nB + j1, i2 * nB + j2)] = out
+            mult[(i1 * nB + j1, i2 * nB + j2)] = {
+                ka * nB + kb: sign * ca * cb for ka, ca in avec.items() for kb, cb in bvec.items()}
     gens = ([s * nB + B.unit_index for s in A.generating_monomials]
             + [A.unit_index * nB + t for t in B.generating_monomials])
     return GradedAlgebra(
@@ -542,11 +531,9 @@ def center_basis(A: GradedAlgebra) -> dict:
                 sign = -1 if (zpar and A.parity(j)) else 1
                 diff = dict(A.mul_basis(m, j))
                 for k, v in A.mul_basis(j, m).items():
-                    w = g.mul(v, g.normalize(sign))
-                    diff[k] = g.sub(diff.get(k, g.zero), w)
-                for k, v in diff.items():
-                    if v != 0:
-                        col[row_map.setdefault((j, k), len(row_map))] = v
+                    diff[k] = diff.get(k, 0) - sign * v
+                for k, v in g.canonical(diff).items():
+                    col[row_map.setdefault((j, k), len(row_map))] = v
             columns.append(col)
         vecs = kernel_basis(ExactMatrix.from_columns(g, len(row_map), columns))
         out[key] = [{idxs[c]: v for c, v in vec.items()} for vec in vecs]
@@ -575,10 +562,7 @@ def _mat_pow_trace(M: ExactMatrix, e: int):
             R = R.mul(B)
         B = B.mul(B)
         e >>= 1
-    t = g.zero
-    for i in range(M.rows):
-        t = g.add(t, R[i, i])
-    return t
+    return sum(R[i, i] for i in range(M.rows))
 
 
 def radical(A: GradedAlgebra) -> list:
@@ -604,7 +588,7 @@ def radical(A: GradedAlgebra) -> list:
             for i, a in coords.items():
                 for k2, c in A.mul_basis(i, j).items():
                     col[k2] = col.get(k2, 0) + (a % p) * (c % p)
-            columns.append({k2: x for k2, x in col.items() if x})
+            columns.append(lift.canonical(col))
         return ExactMatrix.from_columns(lift, n, columns)
 
     basis = [{i: g.one} for i in range(n)]
@@ -630,8 +614,8 @@ def radical(A: GradedAlgebra) -> list:
             vec = {}
             for a, c in combo.items():
                 for m, v in basis[a].items():
-                    vec[m] = g.add(vec.get(m, g.zero), g.mul(c, v))
-            vec = {m: v for m, v in vec.items() if v != 0}
+                    vec[m] = vec.get(m, 0) + c * v
+            vec = g.canonical(vec)
             if vec:
                 new_basis.append(vec)
         basis = new_basis
@@ -795,18 +779,17 @@ def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
     """
     if M.rank == 0:
         raise ValueError("endomorphisms of the zero module have no unit monomial")
-    g = M.base.ground
     pairs = _endomorphism_pairs(M)
     action = endomorphism_action(M)
 
     def to_basis(entries):
-        # entries[(j, i)] is the coefficient of e_ij; e_00 = id - sum of e_ii
-        c00 = entries.get((0, 0), g.zero)
+        # entries[(j, i)] is the coefficient of e_ij; e_00 = id - sum of e_ii.
+        # The entries are canonical, and a difference of two canonical
+        # scalars is zero only when they are equal, so the zero test is exact.
+        c00 = entries.get((0, 0), 0)
         out = {0: c00} if c00 != 0 else {}
         for k, (i, j) in enumerate(pairs, 1):
-            c = entries.get((j, i), g.zero)
-            if i == j:
-                c = g.sub(c, c00)
+            c = entries.get((j, i), 0) - (c00 if i == j else 0)
             if c != 0:
                 out[k] = c
         return out
@@ -815,11 +798,7 @@ def endomorphism_algebra(M: GradedFreeModule) -> GradedAlgebra:
     monomials = [("id", 0)] + [
         (f"[{names[i]}->{names[j]}]", M.degrees[j] - M.degrees[i]) for i, j in pairs
     ]
-    mult = {}
-    for a, fa in action.items():
-        for b, fb in action.items():
-            vec = to_basis(fa.compose(fb).entries)
-            if vec:
-                mult[(a, b)] = vec
+    mult = {(a, b): to_basis(fa.compose(fb).entries)
+            for a, fa in action.items() for b, fb in action.items()}
     adjacent = [k for k, (i, j) in enumerate(pairs, 1) if abs(i - j) == 1]
     return GradedAlgebra(M.base, tuple(monomials), 0, mult, generating_monomials=adjacent)

@@ -105,6 +105,9 @@ class HomogeneousMap:
     target generator i, weighted by the implied power of the Laurent
     generator.  Entries are present only for degree-compatible pairs.
 
+    The constructor is the store point: it normalizes every entry and drops
+    the zeros, so add, scale, compose and the tensor and Hom of maps hand
+    it plain sums and products.
     The entries are fixed once built (add, scale and compose return new
     maps), so the map keeps a per-source-column index {j: [(i, c), ...]},
     built once on first use, that apply_coords, compose, slice_matrix and
@@ -163,38 +166,32 @@ class HomogeneousMap:
     def add(self, other: "HomogeneousMap") -> "HomogeneousMap":
         if (self.source, self.target, self.degree) != (other.source, other.target, other.degree):
             raise ValueError("map shape mismatch")
-        g = self.source.base.ground
         out = dict(self.entries)
         for k, c in other.entries.items():
-            out[k] = g.add(out.get(k, g.zero), c)
+            out[k] = out.get(k, 0) + c
         return HomogeneousMap(self.source, self.target, self.degree, out)
 
     def scale(self, c) -> "HomogeneousMap":
-        g = self.source.base.ground
-        return HomogeneousMap(
-            self.source, self.target, self.degree,
-            {k: g.mul(c, v) for k, v in self.entries.items()},
-        )
+        return HomogeneousMap(self.source, self.target, self.degree,
+                              {k: c * v for k, v in self.entries.items()})
 
     def neg(self) -> "HomogeneousMap":
-        return self.scale(self.source.base.ground.neg(self.source.base.ground.one))
+        return self.scale(-1)
 
     def compose(self, first: "HomogeneousMap") -> "HomogeneousMap":
         """self o first (apply `first`, then self)."""
         if first.target != self.source:
             raise ValueError("composition mismatch")
-        g = self.source.base.ground
         out = {}
         columns = self.by_column()
-        # one column of the composite at a time, keeping its nonzero sums only
+        # one column of the composite at a time
         for j, col in first.by_column().items():
             acc = {}
             for k, c in col:
                 for i, d in columns.get(k, ()):
-                    acc[i] = g.add(acc.get(i, g.zero), g.mul(d, c))
+                    acc[i] = acc.get(i, 0) + d * c
             for i, x in acc.items():
-                if x != 0:
-                    out[(i, j)] = x
+                out[(i, j)] = x
         return HomogeneousMap(first.source, self.target, self.degree + first.degree, out)
 
     def __eq__(self, other):
@@ -208,14 +205,12 @@ class HomogeneousMap:
 
     def apply_coords(self, coeffs: dict) -> dict:
         """Apply to a coordinate dict {source index: scalar}."""
-        g = self.source.base.ground
         columns = self.by_column()
         out = {}
         for j, x in coeffs.items():
-            if x:
-                for i, c in columns.get(j, ()):
-                    out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
-        return {i: v for i, v in out.items() if v != 0}
+            for i, c in columns.get(j, ()):
+                out[i] = out.get(i, 0) + c * x
+        return self.source.base.ground.canonical(out)
 
     # -- slicing ------------------------------------------------------
     def slice_matrix(self, t: int):
@@ -321,7 +316,6 @@ def tensor_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
 
     This is the one place the Koszul sign of a tensor of maps is written.
     """
-    ground = f.source.base.ground
     source = tensor_module(f.source, g.source)
     target = tensor_module(f.target, g.target)
     n_src, n_tgt = g.source.rank, g.target.rank
@@ -330,8 +324,7 @@ def tensor_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     for (k, i), c in f.entries.items():
         sign = odd and gens[i][1] % 2
         for (l, j), d in g.entries.items():
-            cd = ground.mul(c, d)
-            entries[(k * n_tgt + l, i * n_src + j)] = ground.neg(cd) if sign else cd
+            entries[(k * n_tgt + l, i * n_src + j)] = -c * d if sign else c * d
     return HomogeneousMap(source, target, f.degree + g.degree, entries)
 
 
@@ -362,7 +355,6 @@ def hom_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     graded_hom_module coordinates.  This is the one place the Koszul sign
     of a Hom of maps is written.
     """
-    ground = f.source.base.ground
     source = graded_hom_module(f.target, g.source)
     target = graded_hom_module(f.source, g.target)
     n_src, n_tgt = g.source.rank, g.target.rank
@@ -371,7 +363,6 @@ def hom_maps(f: HomogeneousMap, g: HomogeneousMap) -> HomogeneousMap:
     for (i, k), c in f.entries.items():
         for (l, j), d in g.entries.items():
             phi = i * n_src + j
-            cd = ground.mul(d, c)
             sign = odd and (gens[phi][1] + g.degree) % 2
-            entries[(k * n_tgt + l, phi)] = ground.neg(cd) if sign else cd
+            entries[(k * n_tgt + l, phi)] = -d * c if sign else d * c
     return HomogeneousMap(source, target, f.degree + g.degree, entries)

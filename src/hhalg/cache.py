@@ -6,9 +6,11 @@ the package's .py sources, so an engine change invalidates old entries
 silently.  Writes go through a temp file and an atomic rename, safe under
 concurrent batch runs.  Payloads are serialized BigradedTables; a cache hit
 therefore re-renders to output byte-identical with recomputation.  Each
-entry is the payload's sha256 on the first line, then the payload.  An
-entry that is unreadable, fails its digest or does not parse as a table is
-a miss: the table is recomputed and the entry overwritten.
+entry is the sha256 of its key and payload together on the first line,
+then the payload, so an entry copied or renamed onto another key's path
+fails its digest.  An entry that is unreadable, fails its digest or does
+not parse as a table is a miss: the table is recomputed and the entry
+overwritten.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def deserialize_table(text: str) -> BigradedTable:
     return table
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+def _digest(key, text: str) -> str:
+    return hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
 
 
 def load(cache_dir, key):
@@ -91,7 +93,7 @@ def load(cache_dir, key):
             digest, sep, text = fh.read().partition("\n")
     except (OSError, UnicodeDecodeError):
         return None
-    if not sep or digest != _digest(text):
+    if not sep or digest != _digest(key, text):
         return None
     return text
 
@@ -101,7 +103,7 @@ def store(cache_dir, key, text: str):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(_digest(text) + "\n" + text)
+            fh.write(_digest(key, text) + "\n" + text)
         os.replace(tmp, _path(cache_dir, key))
     except BaseException:
         if os.path.exists(tmp):

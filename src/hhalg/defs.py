@@ -430,9 +430,7 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
         raise DefinitionError(f"module {name!r}: modules over dg entries "
                               "are not supported")
     M = GradedFreeModule(A.base, spec["generators"])
-    g = A.base.ground
     gen_maps = {}
-    degs = dict(spec["generators"])
     alg_degs = {n: d for n, d in A.monomials}
     for gname, rows in spec["action"]:
         if gname not in alg_degs:
@@ -442,8 +440,7 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
             if not all(0 <= i < M.rank for i in row[:2]):
                 raise DefinitionError(f"module {name!r}: action entry {list(row)} of "
                                       f"{gname!r} indexes outside 0..{M.rank - 1}")
-        entries = {(i, j): g.normalize(c) for i, j, c in rows}
-        gen_maps[gname] = HomogeneousMap(M, M, alg_degs[gname], entries)
+        gen_maps[gname] = HomogeneousMap(M, M, alg_degs[gname], {(i, j): c for i, j, c in rows})
     action = {}
     for idx, (mname, mdeg) in enumerate(A.monomials):
         if mname == "1":

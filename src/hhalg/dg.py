@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, opposite
+from .algebra import GradedAlgebra
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
                    tensor_maps)
 from .linalg import SubquotientPresentation
@@ -39,11 +39,6 @@ class Complex:
             and self.module == other.module
             and self.d == other.d
         )
-
-    @staticmethod
-    def unit(base: BaseRing) -> "Complex":
-        M = GradedFreeModule(base, (("1", 0),))
-        return Complex(M, HomogeneousMap.zero(M, M, -1))
 
 
 def homology_at(C: Complex, n: int) -> SubquotientPresentation:
@@ -82,14 +77,6 @@ class ChainMap:
             if lhs != rhs:
                 raise ValueError("not a chain map: fails to commute with d")
 
-    @staticmethod
-    def identity(C: Complex) -> "ChainMap":
-        return ChainMap(C, C, HomogeneousMap.identity(C.module), check=False)
-
-    @staticmethod
-    def zero(C: Complex, D: Complex, degree=0) -> "ChainMap":
-        return ChainMap(C, D, HomogeneousMap.zero(C.module, D.module, degree), check=False)
-
 
 # ---------------------------------------------------------------------------
 # tensor and hom complexes
@@ -116,14 +103,13 @@ def cone(f: ChainMap) -> Complex:
     if f.degree != 0:
         raise ValueError("cone requires a degree-0 chain map")
     C, D = f.source, f.target
-    g = C.base.ground
     gens = [(f"c.{n}", d + 1) for n, d in C.module.generators]
     off = len(gens)
     gens += [(f"d.{n}", d) for n, d in D.module.generators]
     M = GradedFreeModule(C.base, tuple(gens))
     entries = {}
     for (k, i), c in C.d.entries.items():
-        entries[(k, i)] = g.neg(c)
+        entries[(k, i)] = -c
     for (j, i), c in f.f.entries.items():
         entries[(off + j, i)] = c
     for (l, j), c in D.d.entries.items():
@@ -180,14 +166,13 @@ class DGAlgebra:
         if images[A.unit_index]:
             raise ValueError("d(1) != 0")
         for i in A.generating_monomials:
-            sign = g.normalize(-1 if A.parity(i) else 1)
+            sign = -1 if A.parity(i) else 1
             for j, dj in enumerate(images):
                 lhs = self.d.apply_coords(A.mul_basis(i, j))
                 rhs = A.mul_coords(images[i], {j: g.one})
                 for k, c in A.mul_coords({i: sign}, dj).items():
-                    rhs[k] = g.add(rhs.get(k, g.zero), c)
-                rhs = {k: c for k, c in rhs.items() if c != 0}
-                if lhs != rhs:
+                    rhs[k] = rhs.get(k, 0) + c
+                if lhs != g.canonical(rhs):
                     raise ValueError(f"Leibniz rule fails on basis pair ({i},{j})")
 
     @property
@@ -196,9 +181,6 @@ class DGAlgebra:
 
     def complex(self) -> Complex:
         return Complex(self.algebra.module, self.d, check=False)
-
-    def opposite(self) -> "DGAlgebra":
-        return DGAlgebra(opposite(self.algebra), self.d, check=True)
 
 
 @dataclass
@@ -218,8 +200,7 @@ class QuotientDGA:
 
     @property
     def defect(self):
-        g = self.dga.base.ground
-        return g.add(self.w, self.w)
+        return self.dga.base.ground.normalize(2 * self.w)
 
 
 def make_quotient_dga(base: BaseRing, x, w, x_degree: int = 0) -> QuotientDGA:

@@ -3,6 +3,17 @@
 Scalars are plain Python objects (int for Z and F_p, Fraction for Q), so
 all arithmetic is exact.  A GroundRing value bundles the normalization,
 unit test and inversion logic that the linear algebra layer needs.
+
+One scalar policy holds everywhere: sums and products are plain int and
+Fraction arithmetic (`out.get(k, 0) + c * x`), and a scalar is reduced
+only where it is stored or tested for zero.  A vector {index: scalar} is
+reduced once by `canonical`, which normalizes each entry and drops the
+zeros; the constructors of base.HomogeneousMap, algebra.GradedAlgebra and
+resolve.AModuleMap store their entries through the same step; a loop that
+tests each step's result for zero (linalg.Echelon, which takes canonical
+vectors, and the rewriting system) writes `normalize(a - f * c)`; and the
+Smith form reduces its row operations by its own `mod`.  Over Z and Q normalizing changes nothing
+but the type; over F_p it takes the residue mod p.
 """
 
 from __future__ import annotations
@@ -84,20 +95,10 @@ class GroundRing:
             return int(x) % self.p
         return Fraction(x)
 
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "Fp" else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c % self.p if self.kind == "Fp" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "Fp" else c
+    def canonical(self, vec: dict) -> dict:
+        """vec {index: scalar} with every entry normalized and the zeros dropped."""
+        norm = self.normalize
+        return {k: y for k, x in vec.items() if (y := norm(x))}
 
     def is_unit(self, a) -> bool:
         if self.kind == "Z":

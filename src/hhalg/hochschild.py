@@ -34,14 +34,13 @@ from .tables import BigradedTable
 
 def _bimodule_action(A: GradedAlgebra, M: GradedFreeModule, left, right) -> dict:
     """{i * rank(A) + j: x |-> (-1)^{|e_j||x|} e_i . x . e_j} on M."""
-    g = A.base.ground
     action = {}
     for i, li in left.items():
         for j, rj in right.items():
             hm = li.compose(rj)
             if A.parity(j):
                 hm = HomogeneousMap(M, M, hm.degree, {
-                    (k, m): g.neg(c) if M.generators[m][1] % 2 else c
+                    (k, m): -c if M.generators[m][1] % 2 else c
                     for (k, m), c in hm.entries.items()
                 })
             if not hm.is_zero():
@@ -80,10 +79,8 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
 
     the last face being [a1|...|a_{n-1}] . an written through Ae.
     """
-    g = A.base.ground
     r, u = A.rank, A.unit_index
     reduced = [m for m in range(r) if m != u]
-    minus_one = g.normalize(-1)
     words, stages, maps = [()], [FreeAModule(Ae, (0,))], []
     for n in range(1, top + 1):
         index = {w: i for i, w in enumerate(words)}
@@ -92,16 +89,15 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
         entries = {}
         for j, w in enumerate(words):
             odd = (n + A.parity(w[-1]) * sum(map(A.degree, w[:-1]))) % 2
-            faces = [(w[1:], w[0] * r + u, g.one),
-                     (w[:-1], u * r + w[-1], minus_one if odd else g.one)]
+            faces = [(w[1:], w[0] * r + u, 1), (w[:-1], u * r + w[-1], -1 if odd else 1)]
             for i in range(1, n):
                 for k, c in A.mul_basis(w[i - 1], w[i]).items():
                     if k != u:
                         faces.append((w[:i - 1] + (k,) + w[i + 1:], u * r + u,
-                                      g.mul(c, minus_one) if i % 2 else c))
+                                      -c if i % 2 else c))
             for face, m, c in faces:
                 elem = entries.setdefault((index[face], j), {})
-                elem[m] = g.add(elem.get(m, g.zero), c)
+                elem[m] = elem.get(m, 0) + c
         maps.append(AModuleMap(stages[n], stages[n - 1], entries))
     return Resolution(Ae, stages, maps, None)
 
@@ -252,9 +248,8 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
     if pres.free_rank + len(pres.torsion) != 1:
         raise ValueError(f"alpha class is not rank 1: {pres}")
 
-    minus = g.normalize(-1)
     candidates = [
-        ("y|1 - 1|y", {iy1: g.one, i1y: minus}),
+        ("y|1 - 1|y", {iy1: g.one, i1y: -1}),
         ("y|1 + 1|y", {iy1: g.one, i1y: g.one}),
     ]
     # betabar: the functional y -> 1 in Hom(A, A) pair coordinates

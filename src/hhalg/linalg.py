@@ -36,6 +36,13 @@ the reduced echelon basis of ker(M), taken by adding V's kernel columns to
 an `Echelon`: V's columns depend on the pivot order, while the reduced
 basis is unique and sparse, and the resolutions' generator search reduces
 against the kernel vectors it is given.
+
+Scalars follow the ground module's one policy: sums are plain arithmetic,
+reduced only where a value is stored or tested for zero.
+`ExactMatrix.apply` reduces its result once with `GroundRing.canonical`;
+`Echelon` takes canonical vectors and tests each step for zero, so it
+normalizes `a - f * c` as it goes; the Smith form's row operations reduce
+by `mod` (p over F_p; over Z and Q the sums are exact as they stand).
 """
 
 from __future__ import annotations
@@ -64,7 +71,8 @@ class ExactMatrix:
         self.cols = len(data[0]) if data else (cols or 0)
         if any(len(row) != self.cols for row in data):
             raise ValueError("ragged matrix")
-        self.columns = _columns_of([[ground.normalize(x) for x in row] for row in data], self.cols)
+        self.columns = [ground.canonical({i: row[j] for i, row in enumerate(data)})
+                        for j in range(self.cols)]
 
     @staticmethod
     def from_columns(ground: GroundRing, rows: int, columns) -> "ExactMatrix":
@@ -104,14 +112,13 @@ class ExactMatrix:
 
     def apply(self, vec: dict) -> dict:
         """M times a sparse column vector {j: scalar}, as a sparse vector."""
-        g = self.ground
         out = {}
         for j, x in vec.items():
             if not 0 <= j < self.cols:
                 raise ValueError("dimension mismatch")
             for i, c in self.columns[j].items():
-                out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
-        return {i: v for i, v in out.items() if v != 0}
+                out[i] = out.get(i, 0) + c * x
+        return self.ground.canonical(out)
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -123,17 +130,14 @@ class ExactMatrix:
         return f"ExactMatrix({self.ground}, {self.data})"
 
 
-def _columns_of(data, cols: int) -> list:
-    """The sparse columns of dense rows with canonical entries."""
-    return [{i: row[j] for i, row in enumerate(data) if row[j] != 0} for j in range(cols)]
-
-
 class Echelon:
     """A span of sparse vectors over a field, in reduced echelon form.
 
-    Vectors are dicts {coordinate: scalar}; zero entries are dropped.
-    `rows` maps each pivot to its row: the pivot is the row's least
-    coordinate and carries 1, and no row is nonzero at another row's pivot.
+    Vectors are dicts {coordinate: scalar} with canonical entries, as
+    GroundRing.canonical returns them; zero entries are dropped, and every
+    entry a pivot row touches is normalized.  `rows` maps each pivot to its
+    row: the pivot is the row's least coordinate and carries 1, and no row
+    is nonzero at another row's pivot.
     """
 
     __slots__ = ("ground", "rows")
@@ -148,18 +152,18 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """The normal form of vec modulo the span: zero at every pivot."""
-        g = self.ground
+        norm = self.ground.normalize
         rows = self.rows
         out = {i: x for i, x in vec.items() if x != 0}
         # a row is zero at the other pivots, so one pass clears them all
         for p in [i for i in out if i in rows]:
             f = out[p]
             for i, c in rows[p].items():
-                x = g.sub(out.get(i, 0), g.mul(f, c))
-                if x == 0:
-                    del out[i]
-                else:
+                x = norm(out.get(i, 0) - f * c)
+                if x:
                     out[i] = x
+                else:
+                    del out[i]
         return out
 
     def add(self, vec: dict) -> bool:
@@ -171,17 +175,17 @@ class Echelon:
         p = min(r)
         if r[p] != 1:
             inv = g.inv(r[p])
-            r = {i: g.mul(inv, c) for i, c in r.items()}
+            r = {i: g.normalize(inv * c) for i, c in r.items()}
         for q, row in self.rows.items():
             f = row.get(p)
             if f is not None:
                 new = dict(row)
                 for i, c in r.items():
-                    x = g.sub(new.get(i, 0), g.mul(f, c))
-                    if x == 0:
-                        del new[i]
-                    else:
+                    x = g.normalize(new.get(i, 0) - f * c)
+                    if x:
                         new[i] = x
+                    else:
+                        del new[i]
                 self.rows[q] = new
         self.rows[p] = r
         return True
@@ -191,7 +195,7 @@ def _target(g: GroundRing, b: dict, n: int) -> dict:
     """b with canonical entries, checked to be a vector of length n."""
     if any(not 0 <= i < n for i in b):
         raise ValueError("dimension mismatch")
-    return {i: g.normalize(x) for i, x in b.items()}
+    return g.canonical(b)
 
 
 class SmithForm:
@@ -261,7 +265,7 @@ class SmithForm:
                 _addmul(V[dst], V[src], c, g.p)
             prows = {p for p, _, _ in self._pivots}
             pcols = {q for _, q, _ in self._pivots}
-            urows = ([U[p] if s == 1 else {j: g.mul(s, x) for j, x in U[p].items()}
+            urows = ([U[p] if s == 1 else {j: g.normalize(s * x) for j, x in U[p].items()}
                       for p, _, s in self._pivots]
                      + [U[i] for i in range(M.rows) if i not in prows])
             ucols = [{} for _ in range(M.rows)]

@@ -81,16 +81,11 @@ class BalancedTensor:
             lam = s_action_on_E.get(m)
             for i in range(X.module.rank):
                 for j in range(nE):
-                    rel = {}
-                    for i2, c in rho.apply_coords({i: g.one}).items():
-                        rel[i2 * nE + j] = c
+                    rel = {i2 * nE + j: c for i2, c in rho.apply_coords({i: g.one}).items()}
                     if lam is not None:
                         for j2, c in lam.apply_coords({j: g.one}).items():
-                            rel[i * nE + j2] = g.sub(rel.get(i * nE + j2, g.zero), c)
-                            if rel[i * nE + j2] == 0:
-                                del rel[i * nE + j2]
-                    if rel:
-                        span.add(rel)
+                            rel[i * nE + j2] = rel.get(i * nE + j2, 0) - c
+                    span.add(g.canonical(rel))
         self.span = span
         self.kept = [
             p for p in range(X.module.rank * nE) if p not in span.rows

@@ -89,28 +89,32 @@ class FreeAModule:
 
 
 class AModuleMap:
-    """A-linear map between free A-modules; entries are elements of A."""
+    """A-linear map between free A-modules; entries are elements of A.
+
+    The constructor stores each element through GroundRing.canonical and
+    drops the zero ones, so an entry holds only normalized nonzero scalars.
+    """
 
     def __init__(self, source: FreeAModule, target: FreeAModule, entries, degree=0):
         self.source = source
         self.target = target
         self.degree = degree
-        self.entries = {k: dict(v) for k, v in entries.items() if v}
+        canonical = source.algebra.base.ground.canonical
+        self.entries = {k: elem for k, v in entries.items() if (elem := canonical(v))}
         self._flat = None
 
     def flatten(self) -> HomogeneousMap:
         """The map on flattened modules, built once and kept with its slice factorizations."""
         if self._flat is None:
             A = self.source.algebra
-            g = A.base.ground
+            one = A.base.ground.one
             flat = {}
             src, tgt = self.source, self.target
             for (i, j), c in self.entries.items():
                 for m in range(A.rank):
-                    prod = A.mul_coords({m: g.one}, c)
-                    for m2, coeff in prod.items():
+                    for m2, coeff in A.mul_coords({m: one}, c).items():
                         key = (tgt.flat_index(i, m2), src.flat_index(j, m))
-                        flat[key] = g.add(flat.get(key, g.zero), coeff)
+                        flat[key] = flat.get(key, 0) + coeff
             self._flat = HomogeneousMap(src.module, tgt.module, self.degree, flat)
         return self._flat
 
@@ -161,10 +165,6 @@ class AModule:
         M = GradedFreeModule(algebra.base, (("k", 0),))
         act = {algebra.unit_index: HomogeneousMap.identity(M)}
         return AModule(algebra, M, act, side, check=False)
-
-    @staticmethod
-    def zero(algebra: GradedAlgebra, side: str = "left") -> "AModule":
-        return AModule(algebra, GradedFreeModule(algebra.base, ()), {}, side, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +370,13 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
 
 
 def _combination(g, vecs, coeffs) -> dict:
-    """sum c * v over the vectors, its exact sums normalized once at the end."""
+    """sum c * v over the vectors, reduced once at the end."""
     out = {}
     for v, c in zip(vecs, coeffs):
         if c:
             for i, x in v.items():
                 out[i] = out.get(i, 0) + c * x
-    return {i: x for i, x in ((i, g.normalize(x)) for i, x in out.items()) if x != 0}
+    return g.canonical(out)
 
 
 def _audit(res: Resolution):
@@ -421,7 +421,7 @@ def hom_cochains(res: Resolution, N: AModule):
     """
     if N.side != "left":
         raise ValueError("hom_cochains takes a left module")
-    base, g = res.algebra.base, res.algebra.base.ground
+    base = res.algebra.base
     terms = [GradedFreeModule(base, tuple(
         (f"h{i}.{name}", t - d) for i, t in enumerate(st.gen_degrees)
         for name, d in N.module.generators)) for st in res.stages]
@@ -430,13 +430,10 @@ def hom_cochains(res: Resolution, N: AModule):
     for s, dmap in enumerate(res.maps):
         entries = {}
         for (i, j), elem in dmap.entries.items():
-            acc = {}
             for m, c in elem.items():
                 for (a, b), v in N.act_map(m).entries.items():
-                    acc[(a, b)] = g.add(acc.get((a, b), g.zero), g.mul(c, v))
-            for (a, b), v in acc.items():
-                if v != 0:
-                    entries[(j * nN + a, i * nN + b)] = v
+                    key = (j * nN + a, i * nN + b)
+                    entries[key] = entries.get(key, 0) + c * v
         maps.append(HomogeneousMap(terms[s], terms[s + 1], 0, entries))
     return terms, maps
 
@@ -520,9 +517,7 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     F0, F1, F2 = res.stages[0], res.stages[1], res.stages[2]
     d1f, d2f = res.maps[0].flatten(), res.maps[1].flatten()
     # lift f1: F1 -> F0 with augmentation(f1(g_j)) = cls[j]; internal degree -t
-    f1 = AModuleMap(F1, F0, {
-        (0, j): {A.unit_index: c} for j, c in cls.items() if c != 0
-    }, degree=-t)
+    f1 = AModuleMap(F1, F0, {(0, j): {A.unit_index: c} for j, c in cls.items()}, degree=-t)
     # solve d1 o f2 = f1 o d2 for f2: F2 -> F1 of degree -t, slice by slice
     rhs = f1.flatten().compose(d2f)
     entries = {}
@@ -543,13 +538,10 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     f2flat = HomogeneousMap(F2flat, F1flat, -t, entries)
     # compose with the original cocycle: read off unit coordinates
     out = {}
-    for jj, tdeg in enumerate(F2.gen_degrees):
+    for jj in range(F2.rank):
         col = f2flat.apply_coords({F2.flat_index(jj, A.unit_index): g.one})
-        val = g.zero
         for idx, v in col.items():
             i, m = divmod(idx, A.rank)
             if m == A.unit_index and i in cls:
-                val = g.add(val, g.mul(cls[i], v))
-        if val != 0:
-            out[jj] = val
-    return out
+                out[jj] = out.get(jj, 0) + cls[i] * v
+    return g.canonical(out)

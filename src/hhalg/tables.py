@@ -26,9 +26,6 @@ class BigradedTable:
         else:
             self.entries[(s, t)] = pres
 
-    def entry(self, s: int, t: int) -> SubquotientPresentation:
-        return self.entries.get((s, t), SubquotientPresentation(0, ()))
-
     def keys(self):
         return sorted(self.entries)
 

@@ -116,7 +116,7 @@ def test_criterion_3_binomial_pattern_and_yoneda_squares():
             A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(n)))
             t = ext_table(A, s_max=6)
             for s in range(7):
-                assert t.entry(s, -s).free_rank == comb(s + n - 1, n - 1)
+                assert t.entries[(s, -s)].free_rank == comb(s + n - 1, n - 1)
             res = minimal_resolution(A, s_max=2)
             for j in range(len(res.stages[1].gen_degrees)):
                 assert yoneda_square(res, {j: 1}, -1) != {}
@@ -198,7 +198,7 @@ def test_criterion_9_hochschild_of_matrix_algebras():
             env = hochschild_via_enveloping(A, n_max=3)
             check_enveloping_against_bar(A, env, bar, 3)
             for t in (bar, env):
-                assert t.entry(0, 0).free_rank == 1
+                assert t.entries[(0, 0)].free_rank == 1
                 assert all(s == 0 for (s, _) in t.entries)
             assert {k: v.free_rank for k, v in bar.entries.items()} == \
                    {k: v.free_rank for k, v in env.entries.items()}

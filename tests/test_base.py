@@ -184,7 +184,7 @@ def naive_apply(f, coeffs):
     for (i, j), c in f.entries.items():
         x = coeffs.get(j)
         if x:
-            out[i] = g.add(out.get(i, g.zero), g.mul(c, x))
+            out[i] = g.normalize(out.get(i, g.zero) + c * x)
     return {i: v for i, v in out.items() if v != 0}
 
 
@@ -195,7 +195,7 @@ def naive_compose(f, h):
     for (i, k), c in f.entries.items():
         for (k2, j), d in h.entries.items():
             if k == k2:
-                out[(i, j)] = g.add(out.get((i, j), g.zero), g.mul(c, d))
+                out[(i, j)] = g.normalize(out.get((i, j), g.zero) + c * d)
     return HomogeneousMap(h.source, f.target, f.degree + h.degree, out)
 
 
@@ -276,7 +276,7 @@ def test_compose_matches_a_triple_loop(base):
             for j in range(A.rank):
                 x = g.zero
                 for k in range(B.rank):
-                    x = g.add(x, g.mul(f.entries.get((i, k), 0), h.entries.get((k, j), 0)))
+                    x = g.normalize(x + f.entries.get((i, k), 0) * h.entries.get((k, j), 0))
                 if x != 0:
                     want[(i, j)] = x
         assert f.compose(h).entries == want

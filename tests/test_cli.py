@@ -160,14 +160,15 @@ def test_cache_cold_and_warm_outputs_identical(capsys, tmp_path):
 
 
 def _corrupt_and_rerun(capsys, tmp_path, corrupt):
-    """Cache one ext table, corrupt its entry, rerun; return (fresh, rerun, entry)."""
+    """Cache one ext table, replace its entry by corrupt(entry, key), rerun;
+    return (fresh, rerun)."""
     argv = ["ext", "--file", defpath("exterior1.def"), "--smax", "6"]
     _, fresh, _ = run(capsys, argv, tmp_path / "fresh")
     run(capsys, argv, tmp_path / "c")
     (name,) = os.listdir(tmp_path / "c")
     entry = tmp_path / "c" / name
     good = entry.read_text()
-    entry.write_text(corrupt(good))
+    entry.write_text(corrupt(good, name.removesuffix(".json")))
     code, out, err = run(capsys, argv, tmp_path / "c")
     assert code == 0 and err == ""
     assert entry.read_text() == good  # the entry was overwritten
@@ -175,12 +176,12 @@ def _corrupt_and_rerun(capsys, tmp_path, corrupt):
 
 
 def test_cache_truncated_entry_is_a_miss(capsys, tmp_path):
-    fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda text: text[: len(text) // 2])
+    fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda text, _: text[: len(text) // 2])
     assert out == fresh
 
 
 def test_cache_edited_entry_is_a_miss(capsys, tmp_path):
-    def edit(text):
+    def edit(text, _):
         # the first row's free rank becomes 7; the rest of the entry is kept
         edited = re.sub(r'("rows": \[\[-?\d+, -?\d+, )\d+', r"\g<1>7", text, count=1)
         assert edited != text
@@ -192,9 +193,30 @@ def test_cache_edited_entry_is_a_miss(capsys, tmp_path):
 
 def test_cache_malformed_entry_with_valid_digest_is_a_miss(capsys, tmp_path):
     payload = json.dumps({"rows": 1})
-    entry = hashlib.sha256(payload.encode()).hexdigest() + "\n" + payload
-    fresh, out = _corrupt_and_rerun(capsys, tmp_path, lambda _: entry)
+
+    def malformed(_, key):
+        # the digest line is the sha256 of the key and the payload together
+        return hashlib.sha256(f"{key}\n{payload}".encode()).hexdigest() + "\n" + payload
+
+    fresh, out = _corrupt_and_rerun(capsys, tmp_path, malformed)
     assert out == fresh
+
+
+def test_cache_entry_moved_onto_another_key_is_a_miss(capsys, tmp_path):
+    # an entry copied onto another key's path keeps a digest that matches
+    # its payload, but not the key it now sits under
+    cache_dir = tmp_path / "c"
+    ext = ["ext", "--smax", "3", "--file"]
+    run(capsys, ext + [defpath("exterior1.def")], cache_dir)
+    (lam_name,) = os.listdir(cache_dir)
+    code, fresh, _ = run(capsys, ext + [defpath("polytrunc.def")], cache_dir)
+    assert code == 0
+    (poly_name,) = set(os.listdir(cache_dir)) - {lam_name}
+    poly_entry = (cache_dir / poly_name).read_text()
+    (cache_dir / poly_name).write_text((cache_dir / lam_name).read_text())
+    code, out, err = run(capsys, ext + [defpath("polytrunc.def")], cache_dir)
+    assert (code, out, err) == (0, fresh, "")
+    assert (cache_dir / poly_name).read_text() == poly_entry  # recomputed and overwritten
 
 
 CANONICAL_DEFS = (
@@ -585,7 +607,7 @@ def test_exit_three_when_the_bar_differential_fails_d_squared(capsys, tmp_path, 
         res = real(A, Ae, top)
         one, g = Ae.unit_index, A.base.ground
         res.maps = [AModuleMap(d.source, d.target, {
-            k: {m: g.neg(c) if m == one else c for m, c in elem.items()}
+            k: {m: g.normalize(-c) if m == one else c for m, c in elem.items()}
             for k, elem in d.entries.items()}) for d in res.maps]
         return res
 

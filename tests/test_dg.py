@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hhalg.algebra import AlgebraPresentation, realize
+from hhalg.algebra import AlgebraPresentation, opposite, realize
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from hhalg.dg import (
     ChainMap,
@@ -32,29 +32,43 @@ def two_term(base, scalar, lo=0):
     return Complex(M, HomogeneousMap(M, M, -1, {(0, 1): scalar}))
 
 
+def unit_complex(base):
+    """The base ring as a complex: one generator in degree 0, d = 0."""
+    M = GradedFreeModule(base, (("1", 0),))
+    return Complex(M, HomogeneousMap.zero(M, M, -1))
+
+
+def identity_map(C):
+    return ChainMap(C, C, HomogeneousMap.identity(C.module), check=False)
+
+
+def zero_map(C, D):
+    return ChainMap(C, D, HomogeneousMap.zero(C.module, D.module, 0), check=False)
+
+
 # -- homology -----------------------------------------------------------------
 
 def test_homology_mult_by_two():
     C = two_term(BaseRing(ZZ), 2)
     t = homology(C, (0, 1))
-    assert t.entry(0, 0).torsion == (2,)
-    assert t.entry(0, 1).is_zero
+    assert t.entries[(0, 0)].torsion == (2,)
+    assert (0, 1) not in t.entries
 
 
 def test_homology_quotient_dga_p3():
     A = make_quotient_dga(KUZ, 3, 1).dga  # x = 3, w = v
     t = homology(A.complex(), (-4, 4))
     for n in range(-4, 5):
-        e = t.entry(0, n)
         if n % 2 == 0:
+            e = t.entries[(0, n)]
             assert (e.free_rank, e.torsion) == (0, (3,))
         else:
-            assert e.is_zero
+            assert (0, n) not in t.entries
 
 
 def test_homology_of_acyclic_cone_vanishes():
     C = two_term(BaseRing(F3), 2)
-    t = homology(cone(ChainMap.identity(C)), (-2, 3))
+    t = homology(cone(identity_map(C)), (-2, 3))
     assert t.is_zero()
 
 
@@ -68,7 +82,7 @@ def test_d_squared_checked():
 
 def test_tensor_with_unit_complex():
     C = two_term(BaseRing(F3), 2)
-    T = tensor_complex(C, Complex.unit(C.base))
+    T = tensor_complex(C, unit_complex(C.base))
     assert T.module.degrees == C.module.degrees
     assert {k: v for k, v in T.d.entries.items()} == C.d.entries
 
@@ -83,8 +97,8 @@ def test_hom_complex_rank():
 def test_tensor_signs_square_zero_three_term():
     # cones guarantee d^2 = 0; tensoring two of them exercises the signs
     base = BaseRing(ZZ)
-    C = cone(ChainMap.zero(two_term(base, 2), two_term(base, 3, lo=1)))
-    D = cone(ChainMap.zero(two_term(base, 5), two_term(base, 7, lo=1)))
+    C = cone(zero_map(two_term(base, 2), two_term(base, 3, lo=1)))
+    D = cone(zero_map(two_term(base, 5), two_term(base, 7, lo=1)))
     T = tensor_complex(C, D)  # constructor asserts d^2 = 0
     assert T.module.rank == 16
     H = hom_complex(C, D)
@@ -129,7 +143,7 @@ def test_universal_coefficients_duality_f5():
     for _ in range(12):
         f = _random_chain_map(rng, base)
         C = cone(f)
-        dual = hom_complex(C, Complex.unit(base))
+        dual = hom_complex(C, unit_complex(base))
         for n in range(-4, 5):
             assert homology_at(dual, n) == homology_at(C, -n)
 
@@ -150,20 +164,20 @@ def _random_chain_map(rng, base):
             if t:
                 entries[(1, 1)] = t
             return ChainMap(C, D, HomogeneousMap(C.module, D.module, 0, entries))
-    return ChainMap.zero(C, D)
+    return zero_map(C, D)
 
 
 # -- cones and quasi-isos -------------------------------------------------------
 
 def test_identity_is_quasi_iso():
     C = two_term(BaseRing(ZZ), 4)
-    v = is_quasi_iso(ChainMap.identity(C), (-2, 3))
+    v = is_quasi_iso(identity_map(C), (-2, 3))
     assert v.is_quasi_iso and v.failures == ()
 
 
 def test_zero_map_not_quasi_iso():
     C = two_term(BaseRing(ZZ), 4)
-    v = is_quasi_iso(ChainMap.zero(C, C), (-2, 3))
+    v = is_quasi_iso(zero_map(C, C), (-2, 3))
     assert not v.is_quasi_iso
     assert 0 in v.failures
 
@@ -246,12 +260,12 @@ def test_make_quotient_dga_accepts_p2():
 
 def test_quotient_dga_opposite_sign():
     Q = make_quotient_dga(KUZ, 3, 1)
-    op = Q.dga.opposite()
+    op = DGAlgebra(opposite(Q.dga.algebra), Q.dga.d)
     assert op.algebra.mul_basis(1, 1) == {0: -1}  # y o y = -w
     # over an F2 ground the algebra equals its own opposite
     KU2 = BaseRing(F2, LaurentGenerator("v", 2))
     Q2 = make_quotient_dga(KU2, 1, 1)
-    assert Q2.dga.opposite().algebra == Q2.dga.algebra
+    assert DGAlgebra(opposite(Q2.dga.algebra), Q2.dga.d).algebra == Q2.dga.algebra
 
 
 def test_leibniz_checked():

@@ -33,7 +33,7 @@ def _act(module, acoords: dict, vec: dict) -> dict:
     out = {}
     for m, a in acoords.items():
         for i, c in module.act_map(m).apply_coords(vec).items():
-            out[i] = g.add(out.get(i, g.zero), g.mul(a, c))
+            out[i] = g.normalize(out.get(i, g.zero) + a * c)
     return {i: c for i, c in out.items() if c != 0}
 
 
@@ -80,7 +80,7 @@ def greedy_generators_oracle(A, target, vectors, rng):
                         c = rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)
                         if c:
                             for i, x in v.items():
-                                combo[i] = g.add(combo.get(i, g.zero), g.mul(c, x))
+                                combo[i] = g.normalize(combo.get(i, g.zero) + c * x)
                     combo = {i: x for i, x in combo.items() if x != 0}
                     if combo and span.reduce(combo):
                         extra.append(combo)

@@ -214,7 +214,7 @@ def random_cochain_pair(g, rng):
                 w = scalar()
                 for r, x in v.items():
                     key = (offsets[1] + r, offsets[0] + c)
-                    d0[key] = g.add(d0.get(key, g.zero), g.mul(w, x))
+                    d0[key] = g.normalize(d0.get(key, g.zero) + w * x)
     return (HomogeneousMap(mods[0], mods[1], 0, d0), HomogeneousMap(mods[1], mods[2], 0, d1))
 
 
@@ -365,7 +365,7 @@ def echelon_form_oracle(M):
         for i, c in span.reduce({i: g.normalize(v) for i, v in b.items()}).items():
             if i < n:
                 return None
-            x[i - n] = g.neg(c)
+            x[i - n] = g.normalize(-c)
         return x
 
     return sum(1 for p in span.rows if p < n), kernel, solve

@@ -218,7 +218,7 @@ def test_roundtrip_fg_on_corpus():
     ctx = etale_ctx()
     for Y in (AModule.regular(ctx.A, "left"),
               ctx.E_A,
-              AModule.zero(ctx.A, "left")):
+              AModule(ctx.A, GradedFreeModule(ctx.A.base, ()), {}, "left", check=False)):
         assert roundtrip_FG(ctx, Y)
 
 
@@ -355,7 +355,8 @@ def test_completion_idempotent_in_window():
 
 def test_completion_of_zero_module():
     ctx = ctx_ex1()
-    comp = completion(ctx, AModule.zero(ctx.R, "right"))
+    comp = completion(ctx, AModule(ctx.R, GradedFreeModule(ctx.R.base, ()), {}, "right",
+                                   check=False))
     assert comp.is_zero() and comp.window == (-16, 16)
 
 
@@ -385,4 +386,4 @@ def test_torsion_side_shapes():
     assert T.module.rank == 1 and T.side == "left"
     assert S.window == (-12, 12)
     # derived Hom_R(k, R) over the exterior line: the socle in each stage
-    assert S.entry(0, 1).free_rank == 1
+    assert S.entries[(0, 1)].free_rank == 1

@@ -119,7 +119,7 @@ def test_ext_two_exterior_generators_polynomial_pattern():
     A = exterior(BaseRing(F3), (("x1", -1), ("x2", -1)))
     t = ext_table(A, s_max=5)
     for s in range(6):
-        assert t.entry(s, -s).free_rank == s + 1
+        assert t.entries[(s, -s)].free_rank == s + 1
 
 
 def test_ext_binomial_pattern_up_to_three_generators():
@@ -128,7 +128,7 @@ def test_ext_binomial_pattern_up_to_three_generators():
         A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(n)))
         t = ext_table(A, s_max=6)
         for s in range(7):
-            assert t.entry(s, -s).free_rank == comb(s + n - 1, n - 1)
+            assert t.entries[(s, -s)].free_rank == comb(s + n - 1, n - 1)
 
 
 def test_ext_truncated_window_cut_is_exterior():
@@ -382,7 +382,7 @@ def test_derived_hom_refuses_a_resolution_without_a_stage_past_degree_zero():
     for s_max in (0, -1):
         with pytest.raises(BudgetExceededError, match="s_max >= 1"):
             derived_hom(k, k, (-16, 16), s_max)
-    assert derived_hom(k, k, (-16, 16), 1).entry(0, 0).free_rank == 1
+    assert derived_hom(k, k, (-16, 16), 1).entries[(0, 0)].free_rank == 1
 
 
 def test_free_resolution_flattens_each_stage_once(monkeypatch):
