@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, tensor_module
 from .ground import GroundRing
@@ -227,12 +228,13 @@ class GradedAlgebra:
 
     mult[(i, j)] is the coordinate dict of e_i * e_j over the monomial
     basis; scalars carry implied Laurent powers.  The constructor is the
-    store point: it normalizes every structure constant and drops the
-    zeros and the empty products, so the constructions below hand it plain
-    sums and products.  The unit is a basis monomial.  Unitality is
-    asserted at construction, and associativity as check_action on the
-    left multiplications, unless check=False (used for constructions
-    associative by design).
+    store point: `_product` normalizes every structure constant, drops the
+    zeros and checks degree additivity, and empty products are dropped, so
+    the constructions below hand it plain sums and products; `tensor`'s
+    products take the same step as they are computed.  The unit is a basis
+    monomial.  Unitality is asserted at construction, and associativity as
+    check_action on the left multiplications, unless check=False (used for
+    constructions associative by design).
 
     generating_monomials are the non-unit monomials that the action checks
     pair with every basis element; by default all of them.  A declared set
@@ -245,30 +247,11 @@ class GradedAlgebra:
         self.base = base
         self.monomials = tuple((str(n), int(d)) for n, d in monomials)
         self.unit_index = unit_index
-        g = base.ground
-        clean = {}
+        self.mult = {}
         for (i, j), vec in mult.items():
-            di, dj = self.monomials[i][1], self.monomials[j][1]
-            v2 = {}
-            for k, c in vec.items():
-                c = g.normalize(c)
-                if c == 0:
-                    continue
-                if not base.compatible(di + dj, 0, self.monomials[k][1]):
-                    raise ValueError(
-                        f"structure constant ({i},{j})->{k} violates degree additivity"
-                    )
-                v2[k] = c
-            if v2:
-                clean[(i, j)] = v2
-        self.mult = clean
-        if base.degree_key(self.degree(unit_index)) != 0:
-            raise ValueError("unit must sit in degree 0")
-        if generating_monomials is None:
-            self.generating_monomials = tuple(i for i in range(self.rank) if i != unit_index)
-        else:
-            self.generating_monomials = tuple(generating_monomials)
-            self._check_generates()
+            if product := self._product(i, j, vec):
+                self.mult[(i, j)] = product
+        self._declare(generating_monomials)
         if check:
             self._check_unit()
             # (e_i e_j) e_k = e_i (e_j e_k) for every k says that the left
@@ -322,6 +305,26 @@ class GradedAlgebra:
         return HomogeneousMap(M, M, self.degree(j), entries)
 
     # -- construction checks ---------------------------------------------
+    def _product(self, i, j, vec) -> dict:
+        """vec as the stored product e_i e_j: canonical, and degree-additive."""
+        out = self.base.ground.canonical(vec)
+        d = self.monomials[i][1] + self.monomials[j][1]
+        for k in out:
+            if not self.base.compatible(d, 0, self.monomials[k][1]):
+                raise ValueError(f"structure constant ({i},{j})->{k} violates degree additivity")
+        return out
+
+    def _declare(self, generating_monomials):
+        """Check the unit's degree and set the generating monomials, verifying a declared set."""
+        if self.base.degree_key(self.degree(self.unit_index)) != 0:
+            raise ValueError("unit must sit in degree 0")
+        if generating_monomials is None:
+            self.generating_monomials = tuple(
+                i for i in range(self.rank) if i != self.unit_index)
+        else:
+            self.generating_monomials = tuple(generating_monomials)
+            self._check_generates()
+
     def _check_unit(self):
         u = self.unit_index
         one = self.base.ground.one
@@ -352,7 +355,7 @@ class GradedAlgebra:
             raise ValueError(f"generating monomials do not reach monomial {missed}")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, GradedAlgebra)
             and self.base == other.base
             and self.monomials == other.monomials
@@ -483,25 +486,58 @@ def opposite(A: GradedAlgebra) -> GradedAlgebra:
                          generating_monomials=A.generating_monomials)
 
 
+class _TensorAlgebra(GradedAlgebra):
+    """A (x) B with each product computed in mul_basis on first read, then kept.
+
+    The full table `mult` is built only when something reads it (equality,
+    opposite, a tensor of this algebra), from the factors' stored pairs.
+    """
+
+    def __init__(self, A: GradedAlgebra, B: GradedAlgebra):
+        nB = B.rank
+        self.base = A.base
+        self.monomials = tensor_module(A.module, B.module).generators
+        self.unit_index = A.unit_index * nB + B.unit_index
+        self._factors = (A, B)
+        self._slots = {}
+        self._declare([s * nB + B.unit_index for s in A.generating_monomials]
+                      + [A.unit_index * nB + t for t in B.generating_monomials])
+
+    def mul_basis(self, i, j):
+        """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', the one place this sign is written."""
+        vec = self._slots.get((i, j))
+        if vec is None:
+            A, B = self._factors
+            nB = B.rank
+            (i1, j1), (i2, j2) = divmod(i, nB), divmod(j, nB)
+            avec = A.mul_basis(i1, i2)
+            bvec = B.mul_basis(j1, j2) if avec else {}
+            sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
+            vec = self._slots[(i, j)] = self._product(i, j, {
+                ka * nB + kb: sign * ca * cb for ka, ca in avec.items() for kb, cb in bvec.items()})
+        return vec
+
+    @cached_property
+    def mult(self):
+        """The full table: the slot of each pair of the factors' stored products."""
+        A, B = self._factors
+        nB = B.rank
+        table = {}
+        for i1, i2 in A.mult:
+            for j1, j2 in B.mult:
+                ij = (i1 * nB + j1, i2 * nB + j2)
+                if vec := self.mul_basis(*ij):
+                    table[ij] = vec
+        return table
+
+
 def tensor(A: GradedAlgebra, B: GradedAlgebra) -> GradedAlgebra:
     """Graded tensor product: (a@b)(a'@b') = (-1)^{|b||a'|} aa' @ bb'.
 
-    Only pairs of stored (nonzero) products of A and B are multiplied."""
+    Products are computed as they are read (see _TensorAlgebra)."""
     if A.base != B.base:
         raise ValueError("tensor over different bases")
-    nB = B.rank
-    mult = {}
-    for (i1, i2), avec in A.mult.items():
-        for (j1, j2), bvec in B.mult.items():
-            sign = -1 if (B.parity(j1) and A.parity(i2)) else 1
-            mult[(i1 * nB + j1, i2 * nB + j2)] = {
-                ka * nB + kb: sign * ca * cb for ka, ca in avec.items() for kb, cb in bvec.items()}
-    gens = ([s * nB + B.unit_index for s in A.generating_monomials]
-            + [A.unit_index * nB + t for t in B.generating_monomials])
-    return GradedAlgebra(
-        A.base, tensor_module(A.module, B.module).generators,
-        A.unit_index * nB + B.unit_index, mult, check=False, generating_monomials=gens
-    )
+    return _TensorAlgebra(A, B)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ Each subcommand parses only the flags it reads and returns its sections,
 computed (verdicts, pass or fail, live in the output), 1 = input error, 2 =
 a budget or window was exceeded, or a table stopped short of the request,
 3 = an invariant failed (algebra.InvariantError, a bug).
+
+Each subcommand imports the engine modules that only it uses (cache,
+hochschild, azumaya, morita) when it runs, so `import hhalg.cli` does not
+load them.
 """
 
 from __future__ import annotations
@@ -15,13 +19,7 @@ import dataclasses
 import json
 import sys
 
-from . import cache as cachemod
 from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, radical
-from .azumaya import (
-    check_classical_azumaya,
-    check_generalized_azumaya,
-    check_weak_azumaya,
-)
 from .defs import (
     DefinitionError,
     build_algebra,
@@ -29,15 +27,6 @@ from .defs import (
     parse_definition,
 )
 from .dg import QuotientDGA, homology
-from .hochschild import hochschild_cohomology, mu_homology_image
-from .morita import (
-    MoritaContext,
-    completion,
-    completion_matches,
-    retract_identity,
-    roundtrip_FG,
-    torsion_roundtrip,
-)
 from .resolve import AModule, ext_table
 from .tables import BigradedTable
 
@@ -95,12 +84,14 @@ def _entries(built, kind, command):
 
 
 def cmd_ext(df, built, args):
-    definition = dataclasses.astuple(df)
+    from .cache import cache_key, cached_table, resolve_cache_dir
+
+    definition, cache_path = dataclasses.astuple(df), resolve_cache_dir(args.cache_dir)
     sections = []
     for name, A in _entries(built, GradedAlgebra, "ext"):
-        key = cachemod.cache_key("ext", definition, name, args.smax, args.window)
-        table = cachemod.cached_table(
-            args.cache_path, key,
+        key = cache_key("ext", definition, name, args.smax, args.window)
+        table = cached_table(
+            cache_path, key,
             lambda A=A: ext_table(A, s_max=args.smax, t_window=args.window),
         )
         sections.append((name, table, []))
@@ -108,6 +99,8 @@ def cmd_ext(df, built, args):
 
 
 def cmd_hochschild(df, built, args):
+    from .hochschild import hochschild_cohomology
+
     return [(name, hochschild_cohomology(A, n_max=args.nmax, window=args.window,
                                          budget=args.budget), [])
             for name, A in _entries(built, GradedAlgebra, "hochschild")]
@@ -119,6 +112,8 @@ def cmd_homology(df, built, args):
 
 
 def cmd_mu_image(df, built, args):
+    from .hochschild import mu_homology_image
+
     sections = []
     for name, q in _entries(built, QuotientDGA, "mu-image"):
         r = mu_homology_image(q)
@@ -132,15 +127,11 @@ def cmd_mu_image(df, built, args):
     return sections
 
 
-AZUMAYA_FLAVORS = {
-    "classical": check_classical_azumaya,
-    "generalized": check_generalized_azumaya,
-    "weak": check_weak_azumaya,
-}
-
-
 def cmd_azumaya(df, built, args):
-    check = AZUMAYA_FLAVORS[args.flavor]
+    from .azumaya import check_classical_azumaya, check_generalized_azumaya, check_weak_azumaya
+
+    check = {"classical": check_classical_azumaya, "generalized": check_generalized_azumaya,
+             "weak": check_weak_azumaya}[args.flavor]
     sections = []
     for name, entry in _entries(built, (GradedAlgebra, QuotientDGA), "azumaya"):
         report = check(entry.dga if isinstance(entry, QuotientDGA) else entry, args.window)
@@ -158,6 +149,8 @@ def _morita_contexts(df, built):
 
     A section is named R|A|E_R, and R|A|E_R|E_A when tasks share R|A|E_R.
     """
+    from .morita import MoritaContext
+
     specs = [dict(t) for t in df.tasks if dict(t).get("command") == "morita"]
     if not specs:
         raise DefinitionError(
@@ -185,13 +178,18 @@ def _verified(ok) -> str:
 
 
 def cmd_morita(df, built, args):
+    from .cache import cache_key, cached_table, resolve_cache_dir
+    from .morita import (completion, completion_matches, retract_identity, roundtrip_FG,
+                         torsion_roundtrip)
+
     window, definition = args.window, dataclasses.astuple(df)
+    cache_path = resolve_cache_dir(args.cache_dir)
     sections = []
     for name, names, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
-            key = cachemod.cache_key("completion", definition, names, args.smax, window)
-            table = cachemod.cached_table(args.cache_path, key, lambda: dataclasses.replace(
+            key = cache_key("completion", definition, names, args.smax, window)
+            table = cached_table(cache_path, key, lambda: dataclasses.replace(
                 completion(ctx, M, window, args.smax), notes=("valid inside the window only",)))
             verdict = _verified(completion_matches(table, M.module, compare=window))
             sections.append((name, table, [("in-window equivalence", verdict)]))
@@ -230,7 +228,7 @@ OPTIONS = {
     "--nmax": dict(type=int, default=4),
     "--window": dict(default="-16:16", help="LO:HI internal degrees"),
     "--budget": dict(type=int, default=200000, help="generator budget for bar-complex stages"),
-    "--flavor": dict(choices=tuple(AZUMAYA_FLAVORS), default="classical"),
+    "--flavor": dict(choices=("classical", "generalized", "weak"), default="classical"),
     "--check": dict(choices=("completion", "roundtrip", "torsion"), default="completion"),
 }
 
@@ -259,7 +257,6 @@ def main(argv=None) -> int:
         if value < least:
             print(f"error: --{dest} must be at least {least}, got {value}", file=sys.stderr)
             return 1
-    args.cache_path = cachemod.resolve_cache_dir(args.cache_dir)
     try:
         with open(args.file) as fh:
             text = fh.read()

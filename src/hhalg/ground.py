@@ -83,17 +83,18 @@ class GroundRing:
             if self.kind == "Fp":
                 return x % self.p
             return Fraction(x)
+        if self.kind == "Q":
+            # a Fraction is already canonical, so it is returned, not rebuilt
+            return x if type(x) is Fraction else Fraction(x)
         if self.kind == "Z":
             if isinstance(x, Fraction):
                 if x.denominator != 1:
                     raise ValueError(f"{x} is not an integer")
                 x = x.numerator
             return int(x)
-        if self.kind == "Fp":
-            if isinstance(x, Fraction):
-                return self.normalize(x.numerator) * self.inv(self.normalize(x.denominator)) % self.p
-            return int(x) % self.p
-        return Fraction(x)
+        if isinstance(x, Fraction):
+            return self.normalize(x.numerator) * self.inv(self.normalize(x.denominator)) % self.p
+        return int(x) % self.p
 
     def canonical(self, vec: dict) -> dict:
         """vec {index: scalar} with every entry normalized and the zeros dropped."""

@@ -367,10 +367,28 @@ def test_tensor_matches_the_all_slots_oracle(case):
     A, B = TENSOR_CASES[case]()
     for L, R in ((A, B), (A, opposite(A)), (B, opposite(B))):
         T, oracle = tensor(L, R), tensor_oracle(L, R)
-        assert T.mult == oracle.mult
         assert T.monomials == oracle.monomials
         assert T.unit_index == oracle.unit_index
         assert T.generating_monomials == oracle.generating_monomials
+        # slot by slot before the full table exists, then the table itself
+        assert all(T.mul_basis(i, j) == oracle.mul_basis(i, j)
+                   for i in range(T.rank) for j in range(T.rank))
+        assert T.mult == oracle.mult
+        assert T == oracle and oracle == T
+        assert opposite(T) == opposite(oracle)
+    # a tensor of a tensor builds the inner table from its stored pairs
+    assert tensor(tensor(A, B), B).mult == tensor_oracle(tensor_oracle(A, B), B).mult
+
+
+def test_tensor_products_are_computed_once_and_checked():
+    A = exterior3_f3()
+    T = tensor(A, opposite(A))
+    assert T.mul_basis(9, 18) is T.mul_basis(9, 18)
+    # a factor table off degree additivity (a * a = a) is refused when the
+    # slot (a (x) 1)(a (x) 1) is read
+    A.mult[(1, 1)] = {1: 1}
+    with pytest.raises(ValueError, match=r"\(4,4\)->4 violates degree additivity"):
+        tensor(A, m2_f3()).mul_basis(4, 4)
 
 
 def test_bijective_but_not_multiplicative_is_no_algebra_iso():

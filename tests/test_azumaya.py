@@ -1,6 +1,6 @@
 import pytest
 
-from hhalg import azumaya
+from hhalg import algebra, azumaya
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +14,7 @@ from hhalg.azumaya import (
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator, tensor_module
 from hhalg.dg import make_quotient_dga
 from hhalg.ground import GroundRing, ZZ
-from hhalg.hochschild import hochschild_cohomology
+from hhalg.hochschild import hochschild_cohomology, mu_homology_image
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -217,3 +217,16 @@ def test_endo_smash_without_the_koszul_sign_is_not_multiplicative(monkeypatch):
     # with every degree even the sign is never used
     even = GradedFreeModule(BaseRing(F5), (("a", 0), ("b", 2)))
     assert endo_smash_invariant(even, even)
+
+
+def test_mu_checks_read_enveloping_products_without_the_full_table(monkeypatch):
+    def refuse(T):
+        raise AssertionError("the full table of A (x) A^op was built")
+
+    monkeypatch.setattr(algebra._TensorAlgebra, "mult", property(refuse))
+    end_f5 = endomorphism_algebra(GradedFreeModule(BaseRing(F5), tuple(
+        (f"e{i}", d) for i, d in enumerate((0, 1, 1, 2)))))
+    assert check_weak_azumaya(end_f5).overall
+    end_z = endomorphism_algebra(GradedFreeModule(BaseRing(ZZ), (("a", 0), ("b", 1), ("c", 3))))
+    assert check_classical_azumaya(end_z).overall
+    assert mu_homology_image(make_quotient_dga(KUZ, 3, 1)).coefficient is not None

@@ -150,6 +150,15 @@ def test_engine_version_is_computed_on_first_use_only():
     assert out.split() == ["0", "1", "1"]
 
 
+def test_importing_the_cli_loads_no_engine_module_a_command_imports_itself():
+    code = ("import sys, hhalg.cli; print(sorted(m for m in ('cache', 'hochschild', 'azumaya',"
+            " 'morita') if 'hhalg.' + m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_cache_cold_and_warm_outputs_identical(capsys, tmp_path):
     argv = ["ext", "--file", defpath("exterior1.def"), "--smax", "6"]
     code1, cold, _ = run(capsys, argv, tmp_path)
@@ -562,7 +571,7 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
         table.notes = ("budget comfortably met",)
         return table
 
-    monkeypatch.setattr("hhalg.cli.hochschild_cohomology", noted)
+    monkeypatch.setattr("hhalg.hochschild.hochschild_cohomology", noted)
     code, out, _ = run(capsys, argv, tmp_path)
     assert code == 0 and "budget comfortably met" in out
 
@@ -571,7 +580,7 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
         table.completed_through = 2
         return table
 
-    monkeypatch.setattr("hhalg.cli.hochschild_cohomology", cut)
+    monkeypatch.setattr("hhalg.hochschild.hochschild_cohomology", cut)
     assert run(capsys, argv, tmp_path)[0] == 2
 
 

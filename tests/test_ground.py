@@ -92,3 +92,13 @@ def test_echelon_reduce_drops_cancelling_sums(name):
     span.add({0: 1, 1: 1, 2: 2})
     out = span.reduce({0: 2, 1: 1, 2: g.normalize(4)})
     assert out == {1: g.normalize(-1)} and is_canonical(g, out)
+
+
+def test_normalize_keeps_a_rational_as_it_is():
+    # a Fraction is canonical over Q: normalize returns the same object
+    for x in (Fraction(3, 7), Fraction(-2), Fraction(0)):
+        assert QQ.normalize(x) is x
+    assert QQ.normalize(5) == Fraction(5) and type(QQ.normalize(5)) is Fraction
+    assert GroundRing.prime_field(5).normalize(Fraction(1, 2)) == 3
+    with pytest.raises(ValueError, match="not an integer"):
+        ZZ.normalize(Fraction(1, 2))
