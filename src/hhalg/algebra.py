@@ -145,6 +145,8 @@ class _Rewriter:
             raise RealizeError(
                 f"relation leading coefficient {lc} is not a unit; cannot orient"
             )
+        if not lead:
+            raise RealizeError("relations force 1 = 0")
         inv = self.g.inv(lc)
         rhs = {w: self.g.normalize(-inv * c) for w, c in poly.items() if w != lead}
         if len(self.rules) >= self.MAX_RULES:

@@ -9,8 +9,9 @@ A definition document has top-level keys `base`, `algebras`, `modules`,
     atom    = integer | identifier | "(" expr ")" ;
 
 Identifiers are generator names or the Laurent generator; negative powers
-are allowed on the Laurent generator only.  Every relation must be
-homogeneous; violations report both offending degrees.
+are allowed on the Laurent generator only, and a positive exponent may not
+exceed `MAX_EXPONENT`.  Every relation must be homogeneous; violations
+report both offending degrees.
 """
 
 from __future__ import annotations
@@ -146,6 +147,11 @@ class _RelParser:
         raise DefinitionError(f"expected a term, found {k!r}", col=c)
 
 
+# A power is multiplied out factor by factor, so its exponent is capped, at
+# realize's monomial cap: past it, x^e alone leaves too many monomials of x
+MAX_EXPONENT = 4096
+
+
 def _padd(p, q):
     out = dict(p)
     for k, c in q.items():
@@ -171,6 +177,8 @@ def _pmul(p, q):
 
 
 def _ppow(p, e, col):
+    if e > MAX_EXPONENT:
+        raise DefinitionError(f"exponent {e} exceeds {MAX_EXPONENT}", col=col)
     if e >= 0:
         out = {((), 0): 1}
         for _ in range(e):

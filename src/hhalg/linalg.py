@@ -11,15 +11,14 @@ determinant works on.
 
 A matrix is factored once, by one elimination on every ground ring: the
 Smith normal form, which over Z carries the torsion and over a field is
-1^rank 0^rest.  It eliminates on sparse rows: first the unit pivots of
-least Markowitz cost, then the small core left without units, by
-least-|entry| pivots whose column is cleared before their row.  Over Z
-the units are ±1, which is nearly every pivot of the bar and action
-slices; over F_p and Q every nonzero entry is a unit, so the first phase
-factors the whole matrix and no core is left.  The factorization keeps
-the invariant factors and the list of steps; U and V are built from the
-steps only for a caller that reads them, so rank-only callers never
-build them.
+1^rank 0^rest.  It eliminates on sparse rows: first unit pivots from the
+sparsest columns, then the small core left without units, by least-|entry|
+pivots whose column is cleared before their row.  Over Z the units are ±1,
+which is nearly every pivot of the bar and action slices; over F_p and Q
+every nonzero entry is a unit, so the first phase factors the whole matrix
+and no core is left.  The factorization keeps the invariant factors and the
+list of steps; U and V are built from the steps only for a caller that
+reads them, so rank-only callers never build them.
 
 `factor(M)` returns that `SmithForm`, which keeps M and answers its rank,
 kernel, cokernel and any number of solves against it.  The module
@@ -47,7 +46,6 @@ by `mod` (p over F_p; over Z and Q the sums are exact as they stand).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 from .ground import GroundRing
@@ -388,41 +386,32 @@ def _col_op(rows, at, dst, src, c, ops):
 
 
 def _unit_phase(rows, at, g, pivots, row_ops, col_ops):
-    """Eliminate unit pivots of least Markowitz cost (r - 1)(c - 1).
+    """Eliminate unit pivots, each from the sparsest column that holds one.
 
-    The units are ±1 over Z and every stored entry over F_p and Q, so over
-    a field this phase factors the whole matrix.  Pivot (p, q) with entry u
-    clears its column by row operations with multiples of u⁻¹ on the rows
-    that meet it.  Column q is then zero off row p, so the column
-    operations that clear row p change row p alone: they are recorded, not
-    applied, and row p and column q leave the active matrix.  Candidates
-    wait in a heap under the cost they had when pushed; a popped candidate
-    whose cost has since grown goes back under its current cost, one that
-    is no longer a unit is dropped, and every unit a row operation writes
-    is pushed.
+    Units are ±1 over Z and every stored entry over F_p and Q, where this
+    phase factors the whole matrix.  Each step scans the active columns in
+    index order, stopping at one with a single entry, and pivots in its
+    sparsest unit row, the lower on ties (Duff, Erisman and Reid, "Direct
+    Methods for Sparse Matrices").  Pivot (p, q) with entry u clears column
+    q by row operations with multiples of u⁻¹; the column operations that
+    clear row p then change row p alone, so they are recorded, not applied.
     """
     field, mod = g.is_field, g.p
-    heap = [((len(row) - 1) * (len(at[j]) - 1), i, j)
-            for i, row in rows.items() for j, x in row.items() if field or x == 1 or x == -1]
-    heapq.heapify(heap)
-    while heap:
-        cost, p, q = heapq.heappop(heap)
-        prow = rows.get(p)
-        u = prow.get(q) if prow is not None else None
-        if u is None or not (field or u == 1 or u == -1):
-            continue
-        now = (len(prow) - 1) * (len(at[q]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, p, q))
-            continue
-        w = g.inv(u) if field else u  # u⁻¹
+    while True:
+        q = None
+        for j, col in at.items():
+            if col and (q is None or len(col) < len(at[q])) and (
+                    field or any(rows[i][j] in (1, -1) for i in col)):
+                q = j
+                if len(col) == 1:
+                    break
+        if q is None:
+            return
+        p = min((i for i in at[q] if field or rows[i][q] in (1, -1)), key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        w = g.inv(prow[q]) if field else prow[q]  # u⁻¹
         for i in at[q] - {p}:
-            row = rows[i]
-            _row_op(rows, at, i, p, -row[q] * w, row_ops, mod)
-            for j in prow:
-                x = row.get(j)
-                if x is not None and (field or x == 1 or x == -1):
-                    heapq.heappush(heap, ((len(row) - 1) * (len(at[j]) - 1), i, j))
+            _row_op(rows, at, i, p, -rows[i][q] * w, row_ops, mod)
         del rows[p], at[q]
         for j, x in prow.items():
             if j != q:
@@ -479,15 +468,11 @@ def _core_phase(rows, at, pivots, row_ops, col_ops):
 
 def smith_normal_form(M: ExactMatrix) -> SmithForm:
     """Diagonalize M over Z, F_p or Q as U*M*V = D with a divisibility chain
-    on the diagonal.
-
-    Unit pivots are eliminated first, on sparse rows in Markowitz order, as
-    in Dumas, Saunders and Villard, "On efficient sparse integer matrix
-    Smith normal form computations" (J. Symbolic Comput. 32, 2001); over Z
-    the core left without ±1 entries is finished by least-|entry| pivoting,
-    and over a field no core is left.  Only the invariant factors and the
-    list of steps are kept: U and V are built from the steps when first
-    asked for (`SmithForm`).
+    on the diagonal: unit pivots first (`_unit_phase`), as in Dumas,
+    Saunders and Villard, "On efficient sparse integer matrix Smith normal
+    form computations" (J. Symbolic Comput. 32, 2001), then over Z the core
+    left without ±1 entries (`_core_phase`).  U and V are built from the
+    recorded steps when first asked for (`SmithForm`).
     """
     g = M.ground
     rows = {}

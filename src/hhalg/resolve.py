@@ -306,6 +306,11 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
+    The vectors must be linearly independent, so their span has rank
+    len(vectors): `_resolve` passes a module's generators or `_flat_kernel`'s
+    per-slice kernel bases, which lie on disjoint slices.  A dependent input
+    never reaches that rank and ends in "generator selection stalled".
+
     Candidates are, per degree, the first vector not yet in the span plus
     GREEDY_TRIALS seeded random combinations of those not in it; each round
     keeps the first candidate adding the largest A-span, which keeps stage
@@ -324,10 +329,7 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
           residues gives the rows its raw orbit would.
     """
     g = A.base.ground
-    total = Echelon(g)
-    for _, vec in vectors:
-        total.add(vec)
-    goal = total.rank
+    goal = len(vectors)
     span = Echelon(g)
     chosen = []
     by_deg = {}  # degree -> [(vector, residue)] for the vectors not in the span

@@ -118,6 +118,24 @@ def test_realize_divergence_detected():
         realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), ()), max_rank=50)
 
 
+# each reduces to a unit scalar: 2 over F3; x = 1 and x = 0 in degree 0;
+# 1 with no generators; -1 over Z
+@pytest.mark.parametrize("ground, generators, relations", [
+    (F3, (("x", 1),), ([(2, (), 0)],)),
+    (F3, (("x", 0),), ([(1, ("x",), 0), (-1, (), 0)], [(1, ("x",), 0)])),
+    (F3, (), ([(1, (), 0)],)),
+    (ZZ, (("x", 1),), ([(-1, (), 0)],)),
+], ids=["2 over F3", "x - 1 and x", "1", "-1 over Z"])
+def test_realize_refuses_relations_that_force_one_to_be_zero(ground, generators, relations):
+    with pytest.raises(RealizeError, match="^relations force 1 = 0$"):
+        realize(AlgebraPresentation(BaseRing(ground), generators, relations))
+
+
+def test_a_scalar_relation_that_is_no_unit_over_z_keeps_its_message():
+    with pytest.raises(RealizeError, match="leading coefficient 2 is not a unit"):
+        realize(AlgebraPresentation(BaseRing(ZZ), (("x", 1),), ([(2, (), 0)],)))
+
+
 def test_divergence_is_a_realize_error_and_a_budget_error():
     with pytest.raises(RealizeError) as info:
         realize(AlgebraPresentation(BaseRing(F3), (("y", 1),), ()), max_rank=50)

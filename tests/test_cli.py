@@ -68,6 +68,12 @@ def test_negative_power_of_generator_rejected():
         parse_relation("x^-1", {"x": 0}, None)
 
 
+def test_an_exponent_past_the_monomial_cap_is_refused_at_its_column():
+    assert parse_relation("x^4096", {"x": 1}, None) == ((1, ("x",) * 4096, 0),)
+    with pytest.raises(DefinitionError, match="^column 8: exponent 4097 exceeds 4096$"):
+        parse_relation("y*x^2*x^4097", {"x": 1, "y": 1}, None)
+
+
 # -- definition documents -------------------------------------------------------------
 
 def test_homogeneity_error_names_both_degrees():
@@ -667,6 +673,29 @@ def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):
     }))
     code, _, err = run(capsys, ["ext", "--file", str(free)], tmp_path)
     assert code == 2 and "diverges" in err
+
+
+@pytest.mark.parametrize("ground, generators, relations", [
+    ("F3", [["x", 1]], ["2"]),
+    ("F3", [["x", 0]], ["x - 1", "x"]),
+    ("F3", [], ["1"]),
+])
+def test_exit_one_on_relations_that_force_one_to_be_zero(capsys, tmp_path, ground, generators,
+                                                          relations):
+    path = tmp_path / "zero.def"
+    path.write_text(json.dumps({"base": {"ground": ground}, "algebras": {
+        "a": {"generators": generators, "relations": relations}}}))
+    code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
+    assert (code, out, err) == (1, "", "error: relations force 1 = 0\n")
+
+
+def test_exit_one_on_an_exponent_past_the_monomial_cap(capsys, tmp_path):
+    path = tmp_path / "power.def"
+    path.write_text(json.dumps({"base": {"ground": "F3"}, "algebras": {
+        "a": {"generators": [["x", 1]], "relations": ["x^4097"]}}}))
+    code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
+    assert (code, out) == (1, "")
+    assert err == "error: algebra 'a', relation 0: column 2: exponent 4097 exceeds 4096\n"
 
 
 # a flag each subcommand does not read
