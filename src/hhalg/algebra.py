@@ -19,11 +19,10 @@ verified when the algebra is built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, tensor_module
-from .ground import GroundRing
+from .ground import GroundRing, Record, Value
 from .linalg import Echelon, ExactMatrix, SubquotientPresentation, kernel_basis
 
 
@@ -47,8 +46,7 @@ class InvariantError(AssertionError):
 # presentations and rewriting
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(Value):
     """Generators, homogeneous relations, optional internal-degree truncation.
 
     Each relation is a list of terms (coeff, names, vexp) standing for
@@ -56,10 +54,10 @@ class AlgebraPresentation:
     Without a Laurent generator all vexp must be 0.
     """
 
-    base: BaseRing
-    generators: tuple  # of (name, degree)
-    relations: tuple = ()
-    truncation: int | None = None
+    _fields = ("base", "generators", "relations", "truncation")
+
+    def __init__(self, base: BaseRing, generators, relations=(), truncation: int | None = None):
+        self._init(base, generators, relations, truncation)
 
 
 def _word_degree(word, degs):
@@ -717,10 +715,11 @@ def semisimple_quotient(A: GradedAlgebra) -> GradedAlgebra:
 # isomorphism search
 
 
-@dataclass
-class IsoResult:
-    isomorphic: bool
-    witness: HomogeneousMap | None = None
+class IsoResult(Record):
+    _fields = ("isomorphic", "witness")
+
+    def __init__(self, isomorphic: bool, witness: HomogeneousMap | None = None):
+        self.isomorphic, self.witness = isomorphic, witness
 
 
 def algebra_isomorphic(A: GradedAlgebra, B: GradedAlgebra, budget: int = 100000) -> IsoResult:

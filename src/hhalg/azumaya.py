@@ -16,26 +16,27 @@ for End(E1) (x) End(E2) acting on E1 (x) E2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import (BudgetExceededError, GradedAlgebra, endomorphism_action,
                       endomorphism_algebra, tensor)
 from .base import GradedFreeModule, HomogeneousMap, tensor_maps, tensor_module
 from .dg import DGAlgebra, dg_unit_kernel, homology_at, is_quasi_iso
+from .ground import Record
 from .hochschild import action_map_mu, mu_is_iso
 from .resolve import AModule
 
 
-@dataclass
-class Condition:
-    name: str
-    verdict: bool
-    witness: str = ""
+class Condition(Record):
+    _fields = ("name", "verdict", "witness")
+
+    def __init__(self, name: str, verdict: bool, witness: str = ""):
+        self.name, self.verdict, self.witness = name, verdict, witness
 
 
-@dataclass
-class AzumayaReport:
-    conditions: list
+class AzumayaReport(Record):
+    _fields = ("conditions",)
+
+    def __init__(self, conditions: list):
+        self.conditions = conditions
 
     @property
     def overall(self) -> bool:

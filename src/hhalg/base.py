@@ -12,32 +12,31 @@ is present).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .ground import GroundRing
+from .ground import GroundRing, Value
 from .linalg import ExactMatrix, SubquotientPresentation, factor, subquotient
 from .tables import BigradedTable
 
 
-@dataclass(frozen=True)
-class LaurentGenerator:
-    name: str
-    degree: int
+class LaurentGenerator(Value):
+    _fields = ("name", "degree")
 
-    def __post_init__(self):
+    def __init__(self, name: str, degree: int):
+        self._init(name, degree)
         if self.degree <= 0 or self.degree % 2 != 0:
             raise ValueError(
                 f"Laurent generator degree must be positive and even, got {self.degree}"
             )
 
 
-@dataclass(frozen=True)
-class BaseRing:
+class BaseRing(Value):
     """A ground ring, optionally with one invertible even-degree generator."""
 
-    ground: GroundRing
-    laurent: LaurentGenerator | None = None
+    _fields = ("ground", "laurent")
+
+    def __init__(self, ground: GroundRing, laurent: LaurentGenerator | None = None):
+        self._init(ground, laurent)
 
     @property
     def period(self) -> int | None:
@@ -60,15 +59,13 @@ class BaseRing:
         return str(self.ground)
 
 
-@dataclass(frozen=True)
-class GradedFreeModule:
+class GradedFreeModule(Value):
     """A finite-rank free graded module with named generators."""
 
-    base: BaseRing
-    generators: tuple  # of (name, degree)
+    _fields = ("base", "generators")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple((str(n), int(d)) for n, d in self.generators))
+    def __init__(self, base: BaseRing, generators):  # generators: (name, degree) pairs
+        self._init(base, tuple((str(n), int(d)) for n, d in generators))
 
     @property
     def rank(self) -> int:

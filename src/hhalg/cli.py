@@ -8,14 +8,13 @@ a budget or window was exceeded, or a table stopped short of the request,
 3 = an invariant failed (algebra.InvariantError, a bug).
 
 Each subcommand imports the engine modules that only it uses (cache,
-hochschild, azumaya, morita) when it runs, so `import hhalg.cli` does not
-load them.
+hochschild, azumaya, morita) when it runs, not on `import hhalg.cli`.  Cache
+keys hash the definition's field tuple, `DefinitionFile.astuple()`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -86,7 +85,7 @@ def _entries(built, kind, command):
 def cmd_ext(df, built, args):
     from .cache import cache_key, cached_table, resolve_cache_dir
 
-    definition, cache_path = dataclasses.astuple(df), resolve_cache_dir(args.cache_dir)
+    definition, cache_path = df.astuple(), resolve_cache_dir(args.cache_dir)
     sections = []
     for name, A in _entries(built, GradedAlgebra, "ext"):
         key = cache_key("ext", definition, name, args.smax, args.window)
@@ -182,15 +181,18 @@ def cmd_morita(df, built, args):
     from .morita import (completion, completion_matches, retract_identity, roundtrip_FG,
                          torsion_roundtrip)
 
-    window, definition = args.window, dataclasses.astuple(df)
+    window, definition = args.window, df.astuple()
     cache_path = resolve_cache_dir(args.cache_dir)
     sections = []
     for name, names, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
             key = cache_key("completion", definition, names, args.smax, window)
-            table = cached_table(cache_path, key, lambda: dataclasses.replace(
-                completion(ctx, M, window, args.smax), notes=("valid inside the window only",)))
+            def compute():
+                table = completion(ctx, M, window, args.smax)
+                table.notes = ("valid inside the window only",)
+                return table
+            table = cached_table(cache_path, key, compute)
             verdict = _verified(completion_matches(table, M.module, compare=window))
             sections.append((name, table, [("in-window equivalence", verdict)]))
         elif args.check == "roundtrip":

@@ -17,12 +17,11 @@ report both offending degrees.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .algebra import AlgebraPresentation, realize
+from .algebra import AlgebraPresentation, RealizeError, realize
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from .dg import QuotientDGA, make_quotient_dga
-from .ground import GroundRing
+from .ground import GroundRing, Record
 from .resolve import AModule
 
 
@@ -205,16 +204,19 @@ def parse_relation(text, gen_names, laurent=None):
 # definition documents
 
 
-@dataclass
-class DefinitionFile:
+class DefinitionFile(Record):
     """A parsed definition in canonical form: names, relation terms, action
     entries and task items are sorted, so files that differ only in spacing
-    or order parse to equal values, and the CLI's cache keys hash astuple(df)."""
+    or order parse to equal values, and the CLI's cache keys hash astuple().
+    algebras holds (name, spec) pairs, specs as dicts of canonical tuples."""
 
-    base: tuple
-    algebras: tuple  # of (name, spec) pairs, specs as dicts of canonical tuples
-    modules: tuple
-    tasks: tuple
+    _fields = ("base", "algebras", "modules", "tasks")
+
+    def __init__(self, base: tuple, algebras: tuple, modules: tuple, tasks: tuple):
+        self.base, self.algebras, self.modules, self.tasks = base, algebras, modules, tasks
+
+    def astuple(self) -> tuple:
+        return self._values(self)
 
 
 def _parse_base(doc, where):
@@ -423,7 +425,10 @@ def build_algebra(df: DefinitionFile, name: str):
         return make_quotient_dga(base, dg["x"], dg["w"], dg["x_degree"])
     pres = AlgebraPresentation(base, spec["generators"], spec["relations"],
                                spec["truncation"])
-    return realize(pres)
+    try:
+        return realize(pres)
+    except RealizeError as e:  # named, of the same type, so a DivergenceError still exits 2
+        raise type(e)(f"algebra {name!r}: {e}") from None
 
 
 def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:

@@ -9,11 +9,10 @@ inside an explicit window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .algebra import GradedAlgebra
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
                    tensor_maps)
+from .ground import Record
 from .linalg import SubquotientPresentation
 from .tables import BigradedTable
 
@@ -117,10 +116,11 @@ def cone(f: ChainMap) -> Complex:
     return Complex(M, HomogeneousMap(M, M, -1, entries))
 
 
-@dataclass
-class QuasiIsoVerdict:
-    is_quasi_iso: bool
-    failures: tuple = ()
+class QuasiIsoVerdict(Record):
+    _fields = ("is_quasi_iso", "failures")
+
+    def __init__(self, is_quasi_iso: bool, failures: tuple = ()):
+        self.is_quasi_iso, self.failures = is_quasi_iso, failures
 
     def __bool__(self):
         return self.is_quasi_iso
@@ -183,8 +183,7 @@ class DGAlgebra:
         return Complex(self.algebra.module, self.d, check=False)
 
 
-@dataclass
-class QuotientDGA:
+class QuotientDGA(Record):
     """The two-term family: basis {1, y}, |y| = d+1, dy = x, y^2 = w.
 
     x has even degree d, w degree 2d+2 (degrees realized through implied
@@ -193,10 +192,10 @@ class QuotientDGA:
     its own opposite.
     """
 
-    dga: DGAlgebra
-    x: object
-    w: object
-    x_degree: int
+    _fields = ("dga", "x", "w", "x_degree")
+
+    def __init__(self, dga: DGAlgebra, x, w, x_degree: int):
+        self.dga, self.x, self.w, self.x_degree = dga, x, w, x_degree
 
     @property
     def defect(self):

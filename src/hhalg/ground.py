@@ -18,8 +18,8 @@ but the type; over F_p it takes the residue mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 def _is_prime(n: int) -> bool:
@@ -33,14 +33,51 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GroundRing:
+class Record:
+    """A mutable record of the fields named in `_fields`, which `__init__` sets:
+    equal to a record of its own class with an equal field tuple (another class
+    gives NotImplemented), unhashable, and shown as `Class(field=value, ...)`."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        if cls._fields:  # the field tuple, built in C by attrgetter
+            get = attrgetter(*cls._fields)
+            cls._values = staticmethod(get if len(cls._fields) > 1 else lambda r: (get(r),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Value(Record):
+    """A frozen Record, hashed as its field tuple; `__init__` sets the fields with `_init`."""
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete frozen field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _init(self, *values):  # setting through __dict__ would slow every later read
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+
+class GroundRing(Value):
     """One of Z, F_p (p prime) or Q."""
 
-    kind: str  # "Z", "Fp", "Q"
-    p: int | None = None
+    _fields = ("kind", "p")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, p: int | None = None):  # kind is "Z", "Fp" or "Q"
+        self._init(kind, p)
         if self.kind not in ("Z", "Fp", "Q"):
             raise ValueError(f"unknown ground ring kind {self.kind!r}")
         if self.kind == "Fp":

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
+from .ground import Record
 from .linalg import ExactMatrix, SubquotientPresentation, factor
 from .resolve import AModule, AModuleMap, FreeAModule, Resolution, derived_hom, hom_cochains
 from .tables import BigradedTable
@@ -219,13 +219,15 @@ def check_enveloping_against_bar(A: GradedAlgebra, enveloping: BigradedTable,
 # homology image of alpha under mu
 
 
-@dataclass
-class MuImageResult:
-    coefficient: object       # scalar c with mu_*(alpha) = c * betabar (implied powers)
-    modeled_defect: object    # 2w, the commutator defect of the family
-    is_unit: bool
-    alpha_choice: str
-    note: str = "sign of alpha (hence of c) is a normalization choice"
+class MuImageResult(Record):
+    """c with mu_*(alpha) = c * betabar (implied powers), and the family's commutator defect 2w."""
+
+    _fields = ("coefficient", "modeled_defect", "is_unit", "alpha_choice", "note")
+
+    def __init__(self, coefficient, modeled_defect, is_unit: bool, alpha_choice: str,
+                 note: str = "sign of alpha (hence of c) is a normalization choice"):
+        self.coefficient, self.modeled_defect, self.is_unit = coefficient, modeled_defect, is_unit
+        self.alpha_choice, self.note = alpha_choice, note
 
 
 def mu_homology_image(Q: QuotientDGA) -> MuImageResult:

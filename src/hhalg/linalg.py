@@ -46,9 +46,7 @@ by `mod` (p over F_p; over Z and Q the sums are exact as they stand).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .ground import GroundRing
+from .ground import GroundRing, Value
 
 
 class ExactMatrix:
@@ -308,14 +306,13 @@ class SmithForm:
         return self.V.apply(y)
 
 
-@dataclass(frozen=True)
-class SubquotientPresentation:
+class SubquotientPresentation(Value):
     """A finitely generated module: free part plus invariant-factor torsion."""
 
-    free_rank: int
-    torsion: tuple = field(default_factory=tuple)
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        self._init(free_rank, torsion)
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")

@@ -24,13 +24,13 @@ degree t is recorded at (s, t).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (BudgetExceededError, GradedAlgebra, InvariantError, check_action,
                       ideal_closure, quotient_by_ideal, radical)
 from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
                    graded_hom_module, hom_pair_index, slice_keys)
+from .ground import Record, Value
 from .linalg import Echelon, SubquotientPresentation
 from .tables import BigradedTable
 
@@ -47,8 +47,7 @@ GREEDY_TRIALS = 6
 # free modules over an algebra
 
 
-@dataclass(frozen=True)
-class FreeAModule:
+class FreeAModule(Value):
     """Free left module over a GradedAlgebra with generators in given degrees.
 
     Like an AModule it has `module` (here the flattened module) and
@@ -57,8 +56,10 @@ class FreeAModule:
     the frozen `__setattr__`; equality and hashing read the two fields alone.
     """
 
-    algebra: GradedAlgebra
-    gen_degrees: tuple
+    _fields = ("algebra", "gen_degrees")
+
+    def __init__(self, algebra: GradedAlgebra, gen_degrees: tuple):
+        self._init(algebra, gen_degrees)
 
     @property
     def rank(self):
@@ -171,8 +172,7 @@ class AModule:
 # resolutions
 
 
-@dataclass
-class Resolution:
+class Resolution(Record):
     """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
 
     t_window is the internal-degree window the stages were resolved in, None
@@ -180,10 +180,10 @@ class Resolution:
     resolution gives Ext through hom_cochains.
     """
 
-    algebra: GradedAlgebra
-    stages: list
-    maps: list
-    t_window: tuple | None
+    _fields = ("algebra", "stages", "maps", "t_window")
+
+    def __init__(self, algebra: GradedAlgebra, stages: list, maps: list, t_window: tuple | None):
+        self.algebra, self.stages, self.maps, self.t_window = algebra, stages, maps, t_window
 
 
 def _flat_kernel(fmap: HomogeneousMap, window):

@@ -7,18 +7,19 @@ window the computation is valid in.  Zero entries are omitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .ground import Record
 from .linalg import SubquotientPresentation
 
 
-@dataclass
-class BigradedTable:
-    entries: dict = field(default_factory=dict)  # (s, t) -> SubquotientPresentation
-    window: tuple | None = None  # (lo, hi) in t, if bounded
-    notes: tuple = ()
-    # the last degree computed when a budget stopped short of the request
-    completed_through: int | None = None
+class BigradedTable(Record):
+    """entries {(s, t): SubquotientPresentation}, the window (lo, hi) in t if bounded,
+    and completed_through, the last degree computed when a budget stopped short."""
+
+    _fields = ("entries", "window", "notes", "completed_through")
+
+    def __init__(self, entries=None, window=None, notes: tuple = (), completed_through=None):
+        self.entries = {} if entries is None else entries
+        self.window, self.notes, self.completed_through = window, notes, completed_through
 
     def set(self, s: int, t: int, pres: SubquotientPresentation):
         if pres.is_zero:

@@ -671,8 +671,10 @@ def test_exit_two_on_diverging_monomial_basis(capsys, tmp_path):
         "algebras": {"big": {"generators": [["a", 1], ["b", 1]],
                              "relations": [], "truncation": 40}},
     }))
-    code, _, err = run(capsys, ["ext", "--file", str(free)], tmp_path)
-    assert code == 2 and "diverges" in err
+    code, out, err = run(capsys, ["ext", "--file", str(free)], tmp_path)
+    assert (code, out) == (2, "")
+    assert err == ("error: algebra 'big': monomial basis diverges past 4096; "
+                   "add relations or a truncation bound\n")
 
 
 @pytest.mark.parametrize("ground, generators, relations", [
@@ -686,7 +688,18 @@ def test_exit_one_on_relations_that_force_one_to_be_zero(capsys, tmp_path, groun
     path.write_text(json.dumps({"base": {"ground": ground}, "algebras": {
         "a": {"generators": generators, "relations": relations}}}))
     code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
-    assert (code, out, err) == (1, "", "error: relations force 1 = 0\n")
+    assert (code, out, err) == (1, "", "error: algebra 'a': relations force 1 = 0\n")
+
+
+def test_a_realize_error_names_its_algebra_among_several(capsys, tmp_path):
+    path = tmp_path / "two.def"
+    path.write_text(json.dumps({"base": {"ground": "Z"}, "algebras": {
+        "fine": {"generators": [["x", 2]], "relations": ["x^2"]},
+        "bad": {"generators": [["x", 2]], "relations": ["2*x"]}}}))
+    code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
+    assert (code, out) == (1, "")
+    assert err == ("error: algebra 'bad': relation leading coefficient 2 is not a unit; "
+                   "cannot orient\n")
 
 
 def test_exit_one_on_an_exponent_past_the_monomial_cap(capsys, tmp_path):

@@ -1,12 +1,15 @@
 """hhalg modules reach each other only through public names, only linalg
 knows how a matrix is stored, every definition and import in hhalg is used,
 every definition is reached from the command line or the benchmark or is a
-named cross-check, and only the output and cache writers serialize JSON
-and write."""
+named cross-check, only the output and cache writers serialize JSON
+and write, and no module imports dataclasses."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -502,3 +505,40 @@ def test_json_dumps_detector_flags_offenders():
             "other.dumps(doc)\n"
             "render = json.dumps\n")
     assert json_dumps_uses(ast.parse(code)) == [2, 3, 6]
+
+
+def module_imports(tree, module):
+    """Sorted lines that import `module` or a name from it."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Import) and any(
+                      alias.name.split(".")[0] == module for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == module)
+
+
+# Values and records derive from ground.Record; the dataclasses module costs
+# every CLI child its import and the exec of each generated method.
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    assert module_imports(ast.parse(path.read_text()), "dataclasses") == []
+
+
+def test_module_import_detector_flags_offenders():
+    code = ("import dataclasses\n"
+            "from dataclasses import dataclass, field\n"
+            "import os, dataclasses as dc\n"
+            "from .dataclasses import x\n"
+            "def f():\n"
+            "    import dataclasses.x\n"
+            "dataclass = None\n")
+    assert module_imports(ast.parse(code), "dataclasses") == [1, 2, 3, 6]
+
+
+def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys; before = set(sys.modules)\n"
+            "import hhalg.cli, hhalg.hochschild, hhalg.azumaya, hhalg.morita, hhalg.cache\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
