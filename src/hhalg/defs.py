@@ -420,14 +420,18 @@ def build_algebra(df: DefinitionFile, name: str):
     """
     spec = dict(df.algebras)[name]
     base = build_base(spec.get("base", df.base))
+    # errors are named, of the same type, so a DivergenceError still exits 2
     if "dg" in spec:
         dg = spec["dg"]
-        return make_quotient_dga(base, dg["x"], dg["w"], dg["x_degree"])
+        try:
+            return make_quotient_dga(base, dg["x"], dg["w"], dg["x_degree"])
+        except ValueError as e:
+            raise type(e)(f"algebra {name!r}: {e}") from None
     pres = AlgebraPresentation(base, spec["generators"], spec["relations"],
                                spec["truncation"])
     try:
         return realize(pres)
-    except RealizeError as e:  # named, of the same type, so a DivergenceError still exits 2
+    except RealizeError as e:
         raise type(e)(f"algebra {name!r}: {e}") from None
 
 

@@ -24,6 +24,7 @@ degree t is recorded at (s, t).
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import cached_property
 
 from .algebra import (BudgetExceededError, GradedAlgebra, InvariantError, check_action,
@@ -306,10 +307,13 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
-    The vectors must be linearly independent, so their span has rank
-    len(vectors): `_resolve` passes a module's generators or `_flat_kernel`'s
-    per-slice kernel bases, which lie on disjoint slices.  A dependent input
-    never reaches that rank and ends in "generator selection stalled".
+    The vectors must be linearly independent and span K, the part of an
+    A-submodule in the slices they lie on: `_resolve` passes a module's
+    generators or `_flat_kernel`'s per-slice kernel bases over the window.
+    An orbit's parts in other slices (the kernel outside the window) are
+    dropped, and the span is counted slice by slice: the loop ends when
+    every slice holds as many span rows as input vectors.  A dependent
+    input never fills its slice and ends in "generator selection stalled".
 
     Candidates are, per degree, the first vector not yet in the span plus
     GREEDY_TRIALS seeded random combinations of those not in it; each round
@@ -320,51 +324,71 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
       (a) a reduced echelon's normal form is the unique vector of v + span
           zero at every pivot, so reducing last round's residue gives this
           round's, and reduce only visits the new pivots in its support;
-      (b) the span is a sum of A-orbits, an A-submodule, so the orbit of v
-          modulo it is the orbit of v's residue;
+      (b) the span is the in-slice part of a sum of A-orbits, a graded
+          A-submodule, so on those slices the orbit of v modulo it is the
+          orbit of v's residue;
       (c) the residue of a combination is the same combination of residues:
           the coefficients are drawn as for the vectors, and the combination
-          of the vectors themselves is built for the winner only;
+          of the vectors themselves is built for the winner only (a zero
+          combination adds nothing, and the first candidate adds at least
+          its own residue, so it cannot win);
       (d) a subspace has one reduced echelon, so adding the winner's orbit
-          residues gives the rows its raw orbit would.
+          residues gives the rows its raw orbit would;
+      (e) a degree-d residue's orbit lies in the slices t = key(d + |m|),
+          inside K_t, so it adds at most sum_t min(#{m landing in t},
+          dim K_t - span rows in t); a candidate whose bound is at most the
+          best gain so far cannot be the first with the largest gain, and
+          is skipped (its coefficients are drawn all the same, so the rng
+          ends where it would).  Orbit parts in full slices are zero and
+          are not computed.
     """
     g = A.base.ground
-    goal = len(vectors)
-    span = Echelon(g)
-    chosen = []
+    key = A.base.degree_key
+    room = {}  # slice key -> input vectors there minus span rows there
     by_deg = {}  # degree -> [(vector, residue)] for the vectors not in the span
     for deg, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
         by_deg.setdefault(deg, []).append((vec, vec))
+        room[key(deg)] = room.get(key(deg), 0) + 1
     actions = [target.act_map(m) for m in range(A.rank)]
-    while span.rank < goal:
-        candidates = []  # (residue, live pairs, coefficients or None)
+    # per degree, the orbit's (slice, action) pairs that land on input
+    # slices, and how many land on each
+    lands = {deg: [(t, act) for m, act in enumerate(actions)
+                   if (t := key(deg + A.degree(m))) in room] for deg in by_deg}
+    landing = {deg: Counter(t for t, _ in pairs) for deg, pairs in lands.items()}
+    span = Echelon(g)
+    chosen = []
+    while any(room.values()):
+        candidates = []  # (degree, live pairs, coefficients or None)
+        bound = {}  # degree -> the most rank a residue of that degree adds, (e)
         for deg, pairs in by_deg.items():
             pairs = by_deg[deg] = [(v, r) for v, r in
                                    ((v, span.reduce(r)) for v, r in pairs) if r]
             if pairs:
-                candidates.append((pairs[0][1], pairs, None))
-        for pairs in by_deg.values():
+                candidates.append((deg, pairs, None))
+                bound[deg] = sum(min(n, room[t]) for t, n in landing[deg].items())
+        for deg, pairs in by_deg.items():
             if len(pairs) > 1:
-                residues = [r for _, r in pairs]
                 for _ in range(GREEDY_TRIALS):
                     cs = [rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)
                           for _ in pairs]
-                    residue = _combination(g, residues, cs)
-                    if residue:
-                        candidates.append((residue, pairs, cs))
+                    candidates.append((deg, pairs, cs))
         best = None
-        for residue, pairs, cs in candidates:
-            # the orbit's residues, and the rank they add to the span
-            orbit = [span.reduce(act.apply_coords(residue)) for act in actions]
+        for deg, pairs, cs in candidates:
+            if best is not None and bound[deg] <= best[0]:
+                continue
+            residue = pairs[0][1] if cs is None else _combination(g, [r for _, r in pairs], cs)
+            # the orbit's residues on slices not yet full, and the rank they add
+            orbit = [(t, span.reduce(act.apply_coords(residue)))
+                     for t, act in lands[deg] if room[t]]
             fresh = Echelon(g)
-            gained = sum(fresh.add(w) for w in orbit)
+            gained = sum(fresh.add(w) for _, w in orbit)
             if best is None or gained > best[0]:
                 best = (gained, orbit, pairs, cs)
         if best is None:
             raise ResolutionError("generator selection stalled")
         _, orbit, pairs, cs = best
-        for w in orbit:
-            span.add(w)
+        for t, w in orbit:
+            room[t] -= span.add(w)
         vec = pairs[0][0] if cs is None else _combination(g, [v for v, _ in pairs], cs)
         gen_deg = min(target.module.generators[i][1] for i in vec)
         chosen.append((gen_deg, vec))

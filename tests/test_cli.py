@@ -702,6 +702,15 @@ def test_a_realize_error_names_its_algebra_among_several(capsys, tmp_path):
                    "cannot orient\n")
 
 
+def test_a_dg_entry_error_names_its_entry(capsys, tmp_path):
+    path = tmp_path / "dg.def"
+    path.write_text(json.dumps({"base": {"ground": "Z"}, "algebras": {
+        "fine": {"dg": {"x": 3, "w": 0}},
+        "q": {"dg": {"x": 0, "w": 0}}}}))
+    code, out, err = run(capsys, ["homology", "--file", str(path)], tmp_path)
+    assert (code, out, err) == (1, "", "error: algebra 'q': x is a zero divisor\n")
+
+
 def test_exit_one_on_an_exponent_past_the_monomial_cap(capsys, tmp_path):
     path = tmp_path / "power.def"
     path.write_text(json.dumps({"base": {"ground": "F3"}, "algebras": {

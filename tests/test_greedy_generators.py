@@ -3,13 +3,19 @@
 resolve._greedy_generators works on normal forms modulo the span it has
 built: each vector's residue is kept across rounds, orbits are taken of
 residues, and a random combination's raw vector is built for the winner
-only.  greedy_generators_oracle below is the previous implementation, which
-reduces every vector against the whole span in every round and takes every
-orbit of a raw vector.  On every call that free_resolution makes (the cover
-and each kernel stage) both must choose the same generators and leave the
-seeded rng in the same state.
+only.  It skips a candidate whose bound on the gain (monomials landing in
+each slice, capped by the room left there) cannot beat the best gain so
+far, and it keeps only the orbit parts on slices that hold input vectors.
+greedy_generators_oracle below is the implementation before all of this:
+it reduces every vector against the whole span in every round, takes every
+orbit of a raw vector whole and stops when the span's rank reaches the
+input's.  The two agree only where no orbit leaves the input slices (in a
+clipped window the oracle counts rows below it and stops early), which
+test_the_oracle_cases_keep_every_orbit_on_input_slices asserts for the
+cases here.  On every call that free_resolution makes (the cover and each
+kernel stage) both must choose the same generators and leave the seeded
+rng in the same state.
 """
-
 import random
 
 import pytest
@@ -169,3 +175,40 @@ def test_greedy_generators_match_the_oracle(case, seed, monkeypatch):
     # the cover and at least two kernel stages
     assert len(calls) >= 3 and calls[0]
     assert any(draws) != (case in SINGLE)
+
+
+def _orbits_stay_on_input_slices(A, target, vectors):
+    key = A.base.degree_key
+    slices = {key(d) for d, _ in vectors}
+    gens = target.module.generators
+    return all(key(gens[i][1]) in slices
+               for m in range(A.rank) for _, vec in vectors
+               for i in target.act_map(m).apply_coords(vec))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_oracle_cases_keep_every_orbit_on_input_slices(case, seed, monkeypatch):
+    # every candidate is a combination of input vectors, so its orbit stays
+    # where theirs do
+    real = resolve._greedy_generators
+    calls = []
+
+    def checked(A, target, vectors, rng):
+        assert _orbits_stay_on_input_slices(A, target, vectors)
+        calls.append(vectors)
+        return real(A, target, vectors, rng)
+
+    monkeypatch.setattr(resolve, "_greedy_generators", checked)
+    CASES[case](seed)
+    assert len(calls) >= 3
+
+
+def test_the_premise_fails_in_a_clipped_window():
+    # the check above can fail: Lambda3 kernels in (-4, 4) have orbits below -4
+    A = exterior(BaseRing(F3), 3)
+    k = AModule.trivial(A)
+    res = free_resolution(A, k, 3, (-4, 4))
+    kernel = resolve._flat_kernel(res.maps[-1].flatten(), (-4, 4))
+    assert kernel
+    assert not _orbits_stay_on_input_slices(A, res.stages[-1], kernel)
