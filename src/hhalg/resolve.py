@@ -330,8 +330,8 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
       (c) the residue of a combination is the same combination of residues:
           the coefficients are drawn as for the vectors, and the combination
           of the vectors themselves is built for the winner only (a zero
-          combination adds nothing, and the first candidate adds at least
-          its own residue, so it cannot win);
+          combination adds nothing, while the first candidate adds at
+          least its own residue, so a zero combination cannot win);
       (d) a subspace has one reduced echelon, so adding the winner's orbit
           residues gives the rows its raw orbit would;
       (e) a degree-d residue's orbit lies in the slices t = key(d + |m|),

@@ -16,6 +16,7 @@ cases here.  On every call that free_resolution makes (the cover and each
 kernel stage) both must choose the same generators and leave the seeded
 rng in the same state.
 """
+
 import random
 
 import pytest
