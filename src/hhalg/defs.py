@@ -321,6 +321,16 @@ def parse_definition(text: str) -> DefinitionFile:
             gens = _parse_generators(a.get("generators", []), where)
             degs = dict(gens)
             laurent = abase[1]
+            for gname, _ in gens:
+                # a relation spells a generator as one identifier, and
+                # build_module splits a monomial's name on '*'
+                try:
+                    spelled = _tokenize(gname)[:-1] == [("ident", gname, 0)]
+                except DefinitionError:
+                    spelled = False
+                if not spelled or gname == (laurent and laurent[0]):
+                    why = "is the Laurent generator's" if spelled else "is not an identifier"
+                    raise DefinitionError(f"{where}: generator name {gname!r} {why}")
             if not isinstance(a.get("relations", []), list):
                 raise DefinitionError(f"{where}: relations are a list of strings")
             rels = []

@@ -9,7 +9,7 @@ Fraction arithmetic (`out.get(k, 0) + c * x`), and a scalar is reduced
 only where it is stored or tested for zero.  A vector {index: scalar} is
 reduced once by `canonical`, which normalizes each entry and drops the
 zeros; the constructors of base.HomogeneousMap, algebra.GradedAlgebra and
-resolve.AModuleMap store their entries through the same step; a loop that
+resolve.AModuleMap store their values through the same step; a loop that
 tests each step's result for zero (linalg.Echelon, which takes canonical
 vectors, and the rewriting system) writes `normalize(a - f * c)`; and the
 Smith form reduces its row operations by its own `mod`.  Over Z and Q normalizing changes nothing

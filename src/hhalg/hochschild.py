@@ -86,8 +86,8 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
         index = {w: i for i, w in enumerate(words)}
         words = list(itertools.product(reduced, repeat=n))
         stages.append(FreeAModule(Ae, tuple(sum(map(A.degree, w)) for w in words)))
-        entries = {}
-        for j, w in enumerate(words):
+        images = []
+        for w in words:
             odd = (n + A.parity(w[-1]) * sum(map(A.degree, w[:-1]))) % 2
             faces = [(w[1:], w[0] * r + u, 1), (w[:-1], u * r + w[-1], -1 if odd else 1)]
             for i in range(1, n):
@@ -95,10 +95,12 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
                     if k != u:
                         faces.append((w[:i - 1] + (k,) + w[i + 1:], u * r + u,
                                       -c if i % 2 else c))
+            image = {}  # coordinates on B_{n-1}: (face word, Ae monomial)
             for face, m, c in faces:
-                elem = entries.setdefault((index[face], j), {})
-                elem[m] = elem.get(m, 0) + c
-        maps.append(AModuleMap(stages[n], stages[n - 1], entries))
+                idx = stages[n - 1].flat_index(index[face], m)
+                image[idx] = image.get(idx, 0) + c
+            images.append(image)
+        maps.append(AModuleMap(stages[n], stages[n - 1], images))
     return Resolution(Ae, stages, maps, None)
 
 
@@ -278,15 +280,12 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
 
 
 def _normalize_class(g, c, pres: SubquotientPresentation):
-    """Reduce a class coefficient and decide unit-ness in its cyclic module."""
+    """Reduce a class coefficient and decide unit-ness in its cyclic module
+    (torsion arises over Z alone: over a field every invariant factor is 1)."""
     if pres.free_rank + len(pres.torsion) != 1:
         return c, False
     if pres.torsion:
         n = pres.torsion[0]
-        if g.kind == "Z":
-            c = c % n
-            return c, math.gcd(c, n) == 1
-        return c, c != 0
-    if g.kind == "Z":
-        return c, c in (1, -1)
-    return c, c != 0
+        c = c % n
+        return c, math.gcd(c, n) == 1
+    return c, g.is_unit(c)

@@ -5,7 +5,8 @@ through the enveloping algebra bimodules (hochschild) and Morita data
 (morita).  Its axioms are checked by the one action check,
 algebra.check_action.  FreeAModule is a free module given by its generator
 degrees, the stages of a resolution; it answers `module` and `act_map` like
-an AModule, so a generator chooser takes either.
+an AModule, so a generator chooser takes either.  An AModuleMap out of it
+is stored as its generator images; `flatten` is the one A-linear extension.
 
 One resolution loop, _resolve, covers a module and then each stage kernel;
 the two builders differ only in how they choose each cover's generators:
@@ -53,8 +54,8 @@ class FreeAModule(Value):
 
     Like an AModule it has `module` (here the flattened module) and
     `act_map(m)`, so a generator chooser takes either.  `cached_property`
-    builds the flattened module once and keeps it in the instance dict, past
-    the frozen `__setattr__`; equality and hashing read the two fields alone.
+    builds both once and keeps them in the instance dict, past the frozen
+    `__setattr__`; equality and hashing read the two fields alone.
     """
 
     _fields = ("algebra", "gen_degrees")
@@ -79,44 +80,45 @@ class FreeAModule(Value):
     def flat_index(self, i, m):
         return i * self.algebra.rank + m
 
+    @cached_property
+    def _acts(self) -> list:
+        A = self.algebra
+        return [HomogeneousMap(self.module, self.module, A.degree(m), {
+            (self.flat_index(i, k), self.flat_index(i, m2)): c
+            for i in range(self.rank) for m2 in range(A.rank)
+            for k, c in A.mul_basis(m, m2).items()}) for m in range(A.rank)]
+
     def act_map(self, m) -> HomogeneousMap:
         """Left multiplication by basis monomial m on the flattened module."""
-        A = self.algebra
-        entries = {}
-        for i in range(self.rank):
-            for m2 in range(A.rank):
-                for k, c in A.mul_basis(m, m2).items():
-                    entries[(self.flat_index(i, k), self.flat_index(i, m2))] = c
-        return HomogeneousMap(self.module, self.module, A.degree(m), entries)
+        return self._acts[m]
 
 
 class AModuleMap:
-    """A-linear map between free A-modules; entries are elements of A.
+    """A-linear map from a free A-module, stored as its generator images.
 
-    The constructor stores each element through GroundRing.canonical and
-    drops the zero ones, so an entry holds only normalized nonzero scalars.
+    images[j] is generator j's image on target.module (a FreeAModule's, or an
+    AModule's for a module's cover), stored through GroundRing.canonical.
+    `flatten`, the one A-linear extension, maps m . g_j to act_map(m) images[j].
     """
 
-    def __init__(self, source: FreeAModule, target: FreeAModule, entries, degree=0):
+    def __init__(self, source: FreeAModule, target: FreeAModule | AModule, images, degree=0):
         self.source = source
         self.target = target
         self.degree = degree
         canonical = source.algebra.base.ground.canonical
-        self.entries = {k: elem for k, v in entries.items() if (elem := canonical(v))}
+        self.images = [canonical(v) for v in images]
         self._flat = None
 
     def flatten(self) -> HomogeneousMap:
         """The map on flattened modules, built once and kept with its slice factorizations."""
         if self._flat is None:
-            A = self.source.algebra
-            one = A.base.ground.one
-            flat = {}
             src, tgt = self.source, self.target
-            for (i, j), c in self.entries.items():
-                for m in range(A.rank):
-                    for m2, coeff in A.mul_coords({m: one}, c).items():
-                        key = (tgt.flat_index(i, m2), src.flat_index(j, m))
-                        flat[key] = flat.get(key, 0) + coeff
+            flat = {}
+            for m in range(src.algebra.rank):
+                act = tgt.act_map(m)
+                for j, image in enumerate(self.images):
+                    for i, c in act.apply_coords(image).items():
+                        flat[(i, src.flat_index(j, m))] = c
             self._flat = HomogeneousMap(src.module, tgt.module, self.degree, flat)
         return self._flat
 
@@ -201,17 +203,6 @@ def _flat_kernel(fmap: HomogeneousMap, window):
     return out
 
 
-def _stage_map(F: FreeAModule, chosen) -> AModuleMap:
-    """d: F_next -> F sending generator j to chosen[j]'s flattened vector."""
-    A = F.algebra
-    entries = {}
-    for j, (_, vec) in enumerate(chosen):
-        for idx, c in vec.items():
-            i, m = divmod(idx, A.rank)
-            entries.setdefault((i, j), {})[m] = c
-    return AModuleMap(FreeAModule(A, tuple(d for d, _ in chosen)), F, entries)
-
-
 def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolution:
     """The one stage loop: cover M, then the kernel of each stage map.
 
@@ -219,21 +210,17 @@ def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolutio
     A-submodule of target (M or a stage) spanned by the homogeneous vectors:
     M's generators, then each stage kernel.  No kernel follows the last stage.
     """
+
+    def cover(target, vectors) -> AModuleMap:
+        chosen = choose(target, vectors)
+        return AModuleMap(FreeAModule(A, tuple(d for d, _ in chosen)), target,
+                          [vec for _, vec in chosen])
+
     g = A.base.ground
-    cover = choose(M, [(d, {i: g.one}) for i, (_, d) in enumerate(M.module.generators)])
-    F0 = FreeAModule(A, tuple(d for d, _ in cover))
-    acts = [M.act_map(m) for m in range(A.rank)]
-    eps = HomogeneousMap(F0.module, M.module, 0, {
-        (i, F0.flat_index(j, m)): c
-        for j, (_, vec) in enumerate(cover) for m, act in enumerate(acts)
-        for i, c in act.apply_coords(vec).items()})
-    stages, maps = [F0], []
+    covers = [cover(M, [(d, {i: g.one}) for i, (_, d) in enumerate(M.module.generators)])]
     for _ in range(s_max):
-        outgoing = maps[-1].flatten() if maps else eps
-        d = _stage_map(stages[-1], choose(stages[-1], _flat_kernel(outgoing, t_window)))
-        stages.append(d.source)
-        maps.append(d)
-    return Resolution(A, stages, maps, tuple(t_window))
+        covers.append(cover(covers[-1].source, _flat_kernel(covers[-1].flatten(), t_window)))
+    return Resolution(A, [d.source for d in covers], covers[1:], tuple(t_window))
 
 
 def _augmentation_checks(A: GradedAlgebra):
@@ -410,9 +397,8 @@ def _audit(res: Resolution):
     A = res.algebra
     u = A.unit_index
     for d in res.maps:
-        for (i, j), elem in d.entries.items():
-            if u in elem:
-                raise ResolutionError("resolution is not minimal: unit entry in d")
+        if any(idx % A.rank == u for image in d.images for idx in image):
+            raise ResolutionError("resolution is not minimal: unit entry in d")
     flats = [d.flatten() for d in res.maps]  # flats[s]: F_{s+1} -> F_s
     for s, (outer, inner) in enumerate(zip(flats, flats[1:]), 1):
         for key in slice_keys(outer.source, res.t_window):
@@ -451,13 +437,15 @@ def hom_cochains(res: Resolution, N: AModule):
     terms = [GradedFreeModule(base, tuple(
         (f"h{i}.{name}", t - d) for i, t in enumerate(st.gen_degrees)
         for name, d in N.module.generators)) for st in res.stages]
-    nN = N.module.rank
+    nN, r = N.module.rank, res.algebra.rank
+    acts = [N.act_map(m).entries for m in range(r)]
     maps = []
     for s, dmap in enumerate(res.maps):
         entries = {}
-        for (i, j), elem in dmap.entries.items():
-            for m, c in elem.items():
-                for (a, b), v in N.act_map(m).entries.items():
+        for j, image in enumerate(dmap.images):
+            for idx, c in image.items():
+                i, m = divmod(idx, r)
+                for (a, b), v in acts[m].items():
                     key = (j * nN + a, i * nN + b)
                     entries[key] = entries.get(key, 0) + c * v
         maps.append(HomogeneousMap(terms[s], terms[s + 1], 0, entries))
@@ -534,40 +522,28 @@ def yoneda_square(res: Resolution, cls: dict, t: int) -> dict:
     """Square of an Ext^1 class in the table basis.
 
     cls maps stage-1 generator indices (of internal degree t) to scalars;
-    the result maps stage-2 generator indices (degree 2t) to scalars.
+    the result maps stage-2 generator indices (degree 2t) to scalars.  It
+    reads the lift f2 (d1 f2 = f1 d2) on the stage-2 generators alone.
     """
     if len(res.stages) < 3:
         raise ValueError("need s_max >= 2 stages for a Yoneda square")
     A = res.algebra
-    g = A.base.ground
-    F0, F1, F2 = res.stages[0], res.stages[1], res.stages[2]
-    d1f, d2f = res.maps[0].flatten(), res.maps[1].flatten()
-    # lift f1: F1 -> F0 with augmentation(f1(g_j)) = cls[j]; internal degree -t
-    f1 = AModuleMap(F1, F0, {(0, j): {A.unit_index: c} for j, c in cls.items()}, degree=-t)
-    # solve d1 o f2 = f1 o d2 for f2: F2 -> F1 of degree -t, slice by slice
-    rhs = f1.flatten().compose(d2f)
-    entries = {}
-    F2flat, F1flat = d2f.source, d1f.source
-    lo, hi = res.t_window
-    for key in slice_keys(F2flat, (2 * lo, 2 * hi)):
-        src_idx = F1flat.slice_indices(key - t)
-        rmat, rsrc, _ = rhs.slice_matrix(key)
-        # both slices index F0's degree key - t generators, in the same order
-        for target, j in zip(rmat.columns, rsrc):
-            if not target:
-                continue
-            sol = d1f.factored(key - t).solve(target)
-            if sol is None:
-                raise InvariantError("cocycle lift failed on an exact resolution")
-            for r, v in sol.items():
-                entries[(src_idx[r], j)] = v
-    f2flat = HomogeneousMap(F2flat, F1flat, -t, entries)
-    # compose with the original cocycle: read off unit coordinates
+    g, u = A.base.ground, A.unit_index
+    F0, F1 = res.stages[0], res.stages[1]
+    d1f = res.maps[0].flatten()
+    # f1 with augmentation(f1(g_j)) = cls[j]; internal degree -t
+    f1 = AModuleMap(F1, F0, [{F0.flat_index(0, u): cls[j]} if j in cls else {}
+                             for j in range(F1.rank)], degree=-t).flatten()
     out = {}
-    for jj in range(F2.rank):
-        col = f2flat.apply_coords({F2.flat_index(jj, A.unit_index): g.one})
-        for idx, v in col.items():
-            i, m = divmod(idx, A.rank)
-            if m == A.unit_index and i in cls:
+    for jj, (image, deg) in enumerate(zip(res.maps[1].images, res.stages[2].gen_degrees)):
+        # solve d1 x = f1(d2(g_jj)) in the degree deg - t slices
+        pos = {i: r for r, i in enumerate(d1f.target.slice_indices(deg - t))}
+        x = d1f.factored(deg - t).solve({pos[i]: c for i, c in f1.apply_coords(image).items()})
+        if x is None:
+            raise InvariantError("cocycle lift failed on an exact resolution")
+        src_idx = d1f.source.slice_indices(deg - t)
+        for r, v in x.items():
+            i, m = divmod(src_idx[r], A.rank)
+            if m == u and i in cls:
                 out[jj] = out.get(jj, 0) + cls[i] * v
     return g.canonical(out)

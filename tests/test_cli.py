@@ -621,9 +621,9 @@ def test_exit_three_when_the_bar_differential_fails_d_squared(capsys, tmp_path, 
     def inner_faces_flipped(A, Ae, top):
         res = real(A, Ae, top)
         one, g = Ae.unit_index, A.base.ground
-        res.maps = [AModuleMap(d.source, d.target, {
-            k: {m: g.normalize(-c) if m == one else c for m, c in elem.items()}
-            for k, elem in d.entries.items()}) for d in res.maps]
+        res.maps = [AModuleMap(d.source, d.target, [
+            {k: g.normalize(-c) if k % Ae.rank == one else c for k, c in image.items()}
+            for image in d.images]) for d in res.maps]
         return res
 
     monkeypatch.setattr(hochschild, "bar_resolution", inner_faces_flipped)
@@ -689,6 +689,36 @@ def test_exit_one_on_relations_that_force_one_to_be_zero(capsys, tmp_path, groun
         "a": {"generators": generators, "relations": relations}}}))
     code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
     assert (code, out, err) == (1, "", "error: algebra 'a': relations force 1 = 0\n")
+
+
+@pytest.mark.parametrize("name, laurent, why", [
+    ("a*b", None, "is not an identifier"),
+    ("1", None, "is not an identifier"),
+    ("v", {"name": "v", "degree": 2}, "is the Laurent generator's"),
+])
+def test_exit_one_on_a_generator_name_the_relations_cannot_spell(capsys, tmp_path, name,
+                                                                  laurent, why):
+    # build_module splits a monomial's name on '*', so 'a*b' would act by 0;
+    # a generator named v would read as the Laurent unit in "v^2"
+    base = {"ground": "F2"} if laurent is None else {"ground": "F2", "laurent": laurent}
+    path = tmp_path / "names.def"
+    path.write_text(json.dumps({"base": base, "algebras": {
+        "fine": {"generators": [["x", 2]], "relations": ["x^2"]},
+        "a": {"generators": [[name, 2]], "truncation": 3}}}))
+    code, out, err = run(capsys, ["hochschild", "--file", str(path), "--nmax", "1"], tmp_path)
+    assert (code, out, err) == (1, "", f"error: algebra 'a': generator name {name!r} {why}\n")
+
+
+def test_a_generator_named_like_a_product_keeps_its_module_action():
+    doc = {"base": {"ground": "F3"},
+           "algebras": {"lam": {"generators": [["ab", -1]], "relations": ["ab^2"]}},
+           "modules": {"M": {"over": "lam", "generators": [["a", 0], ["b", -1]],
+                             "action": {"ab": [[1, 0, 1]]}}}}
+    df = parse_definition(json.dumps(doc))
+    built = {"lam": build_algebra(df, "lam")}
+    M = build_module(df, "M", built)
+    ab = [n for n, _ in built["lam"].monomials].index("ab")
+    assert M.act_map(ab).entries == {(1, 0): 1}
 
 
 def test_a_realize_error_names_its_algebra_among_several(capsys, tmp_path):

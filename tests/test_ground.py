@@ -44,12 +44,14 @@ def test_canonical_normalizes_and_drops_zeros(name):
 
 
 @pytest.mark.parametrize("name", GROUNDS)
-def test_amodule_map_stores_canonical_elements(name):
+def test_amodule_map_stores_canonical_images(name):
+    # generator 0 goes to -t g0 + 0 g0, generator 1 to 0 g1
     g = GROUNDS[name]
     F = FreeAModule(truncated(g, 2), (0, 0))
-    f = AModuleMap(F, F, {(0, 0): {1: -1, 0: 0}, (1, 1): {0: 0}})
-    assert f.entries == {(0, 0): {1: g.normalize(-1)}}
-    assert is_canonical(g, f.entries[(0, 0)])
+    f = AModuleMap(F, F, [{F.flat_index(0, 1): -1, F.flat_index(0, 0): 0},
+                          {F.flat_index(1, 0): 0}])
+    assert f.images == [{1: g.normalize(-1)}, {}]
+    assert is_canonical(g, f.images[0])
 
 
 @pytest.mark.parametrize("name", GROUNDS)

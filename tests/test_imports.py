@@ -362,9 +362,9 @@ def uses_outside(tree, names, home):
 
 
 # A resolution builder differs from another only in its generator chooser; a
-# stage map or stage kernel built anywhere but `_resolve`, the one resolution
-# loop, is a second loop.
-STAGE_HELPERS = ("_stage_map", "_flat_kernel")
+# stage kernel built anywhere but `_resolve`, the one resolution loop, is a
+# second loop.
+STAGE_HELPERS = ("_flat_kernel",)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -386,14 +386,14 @@ def test_free_resolutions_are_read_only_in_derived_hom(path):
 def test_stage_helper_detector_flags_offenders():
     code = ("def _resolve(A):\n"
             "    choose = lambda F, f: _flat_kernel(f, w)\n"
-            "    return _stage_map(F, choose(F, f))\n"
+            "    return choose(F, f)\n"
             "def minimal_resolution(A):\n"
             "    kernel = _flat_kernel(f, w)\n"
-            "    return resolve._stage_map(F, kernel)\n"
-            "step = _stage_map\n")
+            "    return resolve._flat_kernel(F, kernel)\n"
+            "step = _flat_kernel\n")
     assert uses_outside(ast.parse(code), STAGE_HELPERS, "_resolve") == [
-        (5, "minimal_resolution", "_flat_kernel"), (6, "minimal_resolution", "_stage_map"),
-        (7, "<module>", "_stage_map")]
+        (5, "minimal_resolution", "_flat_kernel"), (6, "minimal_resolution", "_flat_kernel"),
+        (7, "<module>", "_flat_kernel")]
 
 
 # Every Azumaya flavor takes its mu condition from `_mu_condition`; a mu test

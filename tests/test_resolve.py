@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -8,7 +9,7 @@ from hhalg import resolve
 from hhalg.algebra import AlgebraPresentation, BudgetExceededError, realize
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
 from hhalg.ground import GroundRing
-from hhalg.linalg import Echelon
+from hhalg.linalg import Echelon, SmithForm
 from hhalg.resolve import (
     AModule,
     AModuleMap,
@@ -208,7 +209,7 @@ def test_free_resolution_seed_determinism():
     r1 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
     r2 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
     assert [st.rank for st in r1.stages] == [st.rank for st in r2.stages]
-    assert [m.entries for m in r1.maps] == [m.entries for m in r2.maps]
+    assert [m.images for m in r1.maps] == [m.images for m in r2.maps]
 
 
 # -- base change -----------------------------------------------------------------
@@ -257,6 +258,93 @@ def test_yoneda_square_of_zero_class():
     assert yoneda_square(res, {}, 1) == {}
 
 
+def yoneda_square_oracle(res, cls, t):
+    """The former lift: compose f1 with all of d2, solve every nonzero column
+    of every F2 slice for f2, then read f2 on the stage-2 generators."""
+    A = res.algebra
+    g = A.base.ground
+    F0, F1, F2 = res.stages[0], res.stages[1], res.stages[2]
+    d1f, d2f = res.maps[0].flatten(), res.maps[1].flatten()
+    f1 = AModuleMap(F1, F0, [{A.unit_index: cls[j]} if j in cls else {}
+                             for j in range(F1.rank)], degree=-t)
+    rhs = f1.flatten().compose(d2f)
+    entries = {}
+    F2flat, F1flat = d2f.source, d1f.source
+    lo, hi = res.t_window
+    for key in slice_keys(F2flat, (2 * lo, 2 * hi)):
+        src_idx = F1flat.slice_indices(key - t)
+        rmat, rsrc, _ = rhs.slice_matrix(key)
+        for target, j in zip(rmat.columns, rsrc):
+            if target:
+                sol = d1f.factored(key - t).solve(target)
+                for r, v in sol.items():
+                    entries[(src_idx[r], j)] = v
+    f2flat = HomogeneousMap(F2flat, F1flat, -t, entries)
+    out = {}
+    for jj in range(F2.rank):
+        col = f2flat.apply_coords({F2.flat_index(jj, A.unit_index): g.one})
+        for idx, v in col.items():
+            i, m = divmod(idx, A.rank)
+            if m == A.unit_index and i in cls:
+                out[jj] = out.get(jj, 0) + cls[i] * v
+    return g.canonical(out)
+
+
+YONEDA_CASES = {
+    "lam2/F2": (lambda: exterior(BaseRing(F2), (("x", -1), ("y", -1))), (-16, 16)),
+    "lam3/F3": (lambda: exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3))),
+                (-16, 16)),
+    "F3[y]/y^3": (lambda: trunc_poly(3, 2), (0, 40)),
+    "F5[y]/y^4": (lambda: trunc_poly(4, 2, p=5), (0, 40)),
+    "lam(t)/F2[v^±1]": (lam_tau, (-16, 16)),
+    "degrees -1, -2": (lambda: exterior(BaseRing(F3), (("x", -1), ("y", -2))), (-16, 16)),
+}
+
+
+def seeded_classes(res, seed):
+    """Per degree t of the stage-1 generators: each basis class and two
+    seeded random combinations, as (class, t) pairs."""
+    rng = random.Random(seed)
+    p = res.algebra.base.ground.p
+    by_degree = {}
+    for j, t in enumerate(res.stages[1].gen_degrees):
+        by_degree.setdefault(t, []).append(j)
+    out = []
+    for t, js in sorted(by_degree.items()):
+        out += [({j: 1}, t) for j in js]
+        out += [({j: rng.randrange(p) for j in js}, t) for _ in range(2)]
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(YONEDA_CASES))
+def test_yoneda_square_matches_the_former_lift(case):
+    make, window = YONEDA_CASES[case]
+    res = minimal_resolution(make(), s_max=3, t_window=window)
+    classes = seeded_classes(res, seed=sorted(YONEDA_CASES).index(case))
+    assert classes
+    for cls, t in classes:
+        assert yoneda_square(res, cls, t) == yoneda_square_oracle(res, cls, t), (cls, t)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_yoneda_square_solves_once_per_stage_two_generator(n, monkeypatch):
+    # the former lift solved every nonzero column of every F2 slice: 36
+    # solves for the three squares on lam3/F3 and 128 for the four on lam4/F3
+    calls = []
+    real = SmithForm.solve
+
+    def counting(self, b):
+        calls.append(b)
+        return real(self, b)
+
+    res = minimal_resolution(exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(n))),
+                             s_max=3)
+    monkeypatch.setattr(SmithForm, "solve", counting)
+    squares = [yoneda_square(res, {j: 1}, -1) for j in range(res.stages[1].rank)]
+    assert all(squares)
+    assert len(calls) == n * res.stages[2].rank
+
+
 def test_minimal_resolution_audit_catches_a_dropped_generator(monkeypatch):
     # drop the one generator of F_2: d_2 = 0 no longer covers ker(d_1)
     real = resolve._minimal_generators
@@ -287,12 +375,21 @@ def _oracle_flat_kernel(fmap, window):
 
 
 def _oracle_stage_map(F, chosen):
+    """d: F_next -> F sending generator j to chosen[j], flattened the former
+    way: as A-element entries {(i, j): {m: c}} multiplied out by mul_coords."""
+    A = F.algebra
+    F_next = FreeAModule(A, tuple(d for d, _ in chosen))
     entries = {}
     for j, (_, vec) in enumerate(chosen):
         for idx, c in vec.items():
-            i, m = divmod(idx, F.algebra.rank)
+            i, m = divmod(idx, A.rank)
             entries.setdefault((i, j), {})[m] = c
-    return AModuleMap(FreeAModule(F.algebra, tuple(d for d, _ in chosen)), F, entries)
+    flat = {}
+    for (i, j), elem in entries.items():
+        for m in range(A.rank):
+            for m2, c in A.mul_coords({m: A.base.ground.one}, elem).items():
+                flat[(F.flat_index(i, m2), F_next.flat_index(j, m))] = c
+    return F_next, HomogeneousMap(F_next.module, F.module, 0, flat)
 
 
 def _oracle_minimal_generators(A, F, kernel, t_window):
@@ -320,17 +417,18 @@ def minimal_resolution_oracle(A, s_max, t_window):
     """The former minimal loop: F_0 = A by hand, and the augmentation kernel
     read off as the non-unit monomials inside the window."""
     g, lo, hi = A.base.ground, t_window[0], t_window[1]
-    stages, maps = [FreeAModule(A, (0,))], []
+    stages, images, flats = [FreeAModule(A, (0,))], [], []
     kernel = [(A.degree(m), {m: g.one}) for m in range(A.rank) if m != A.unit_index
               and (A.base.laurent or lo <= A.degree(m) <= hi)]
     for s in range(s_max):
         chosen = _oracle_minimal_generators(A, stages[-1], kernel, t_window)
-        d_next = _oracle_stage_map(stages[-1], chosen)
-        stages.append(d_next.source)
-        maps.append(d_next)
+        F_next, flat = _oracle_stage_map(stages[-1], chosen)
+        stages.append(F_next)
+        images.append([vec for _, vec in chosen])
+        flats.append(flat)
         if s + 1 < s_max:
-            kernel = _oracle_flat_kernel(d_next.flatten(), t_window)
-    return stages, maps
+            kernel = _oracle_flat_kernel(flat, t_window)
+    return stages, images, flats
 
 
 @pytest.mark.parametrize("make, s_max, window", [
@@ -345,10 +443,11 @@ def minimal_resolution_oracle(A, s_max, t_window):
 ])
 def test_minimal_resolution_matches_the_former_loop(make, s_max, window):
     A = make()
-    stages, maps = minimal_resolution_oracle(A, s_max, window)
+    stages, images, flats = minimal_resolution_oracle(A, s_max, window)
     res = minimal_resolution(A, s_max, window)
     assert [F.gen_degrees for F in res.stages] == [F.gen_degrees for F in stages]
-    assert [d.entries for d in res.maps] == [d.entries for d in maps]
+    assert [d.images for d in res.maps] == images
+    assert [d.flatten() for d in res.maps] == flats
 
 
 # -- minimal against greedy, on random small algebras ------------------------------
