@@ -159,8 +159,6 @@ class _Rewriter:
             changed = False
             leads = list(self.rules)
             for l1, l2 in itertools.product(leads, leads):
-                if l1 not in self.rules or l2 not in self.rules:
-                    continue
                 for p1, p2 in self._superpositions(l1, l2):
                     r1 = self.reduce(p1)
                     r2 = self.reduce(p2)
@@ -323,7 +321,7 @@ class GradedAlgebra:
                 i for i in range(self.rank) if i != self.unit_index)
         else:
             self.generating_monomials = tuple(generating_monomials)
-            self._check_generates()
+            self.generation_steps()
 
     def _check_unit(self):
         u = self.unit_index
@@ -332,12 +330,15 @@ class GradedAlgebra:
             if self.mul_basis(u, i) != {i: one} or self.mul_basis(i, u) != {i: one}:
                 raise ValueError(f"unit is not two-sided at basis element {i}")
 
-    def _check_generates(self):
+    def generation_steps(self):
+        """Steps (m, s, k, c), s * e_k = c e_m with c a unit, of a search from the
+        unit that reaches each other monomial m once, from a k reached before
+        it; ValueError if a monomial is missed."""
         gens = self.generating_monomials
         if any(s == self.unit_index or not 0 <= s < self.rank for s in gens):
             raise ValueError("generating monomials must be non-unit monomial indices")
         g = self.base.ground
-        reached = {self.unit_index}
+        reached, steps = {self.unit_index}, []
         level = [self.unit_index]
         while level:
             nxt = []
@@ -349,10 +350,12 @@ class GradedAlgebra:
                         if m not in reached and g.is_unit(c):
                             reached.add(m)
                             nxt.append(m)
+                            steps.append((m, s, k, c))
             level = nxt
         if len(reached) < self.rank:
             missed = min(set(range(self.rank)) - reached)
             raise ValueError(f"generating monomials do not reach monomial {missed}")
+        return steps
 
     def __eq__(self, other):
         return self is other or (

@@ -289,7 +289,7 @@ def cohomology_table(maps, top: int, window) -> BigradedTable:
     slice key, setting every degree, then drops that key's factorizations,
     so only one key's factorizations are held at a time.
     """
-    table = BigradedTable(window=tuple(window))
+    table = BigradedTable()
     keys = [set(slice_keys(maps[n].source, window)) for n in range(top + 1)]
     for key in sorted(set().union(*keys)):
         for n in range(top + 1):

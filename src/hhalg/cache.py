@@ -66,17 +66,13 @@ def _path(cache_dir, key):
 def serialize_table(table: BigradedTable) -> str:
     return json.dumps({
         "rows": [[s, t, fr, list(tors)] for s, t, fr, tors in table.rows()],
-        "window": list(table.window) if table.window else None,
         "notes": list(table.notes),
     }, sort_keys=True)
 
 
 def deserialize_table(text: str) -> BigradedTable:
     doc = json.loads(text)
-    table = BigradedTable(
-        window=tuple(doc["window"]) if doc["window"] else None,
-        notes=tuple(doc["notes"]),
-    )
+    table = BigradedTable(notes=tuple(doc["notes"]))
     for s, t, fr, tors in doc["rows"]:
         table.set(s, t, SubquotientPresentation(fr, tuple(tors)))
     return table

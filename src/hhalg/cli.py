@@ -1,7 +1,9 @@
 """Command-line frontend.
 
-Each subcommand parses only the flags it reads and returns its sections,
-(name, table or None, records), one per definition entry or Morita task;
+Each subcommand parses only the flags it reads, and --file, --format,
+--quiet and --cache-dir (read by ext and morita; perfbench/run.py passes
+it to every command).  Each builds what `parse_definition` checked and
+returns its sections, (name, table or None, records), one per entry or task;
 `_emit` writes them all as TSV or as a JSON mirror.  Exit codes: 0 =
 computed (verdicts, pass or fail, live in the output), 1 = input error, 2 =
 a budget or window was exceeded, or a table stopped short of the request,
@@ -150,25 +152,20 @@ def _morita_contexts(df, built):
     """
     from .morita import MoritaContext
 
-    specs = [dict(t) for t in df.tasks if dict(t).get("command") == "morita"]
+    specs = [dict(t) for t in df.tasks]
     if not specs:
         raise DefinitionError(
             "morita needs a task entry {'command': 'morita', 'R': .., 'A': .., "
             "'E_R': .., 'E_A': ..}"
         )
-    heads = [tuple(spec.get(key) for key in ("R", "A", "E_R")) for spec in specs]
+    heads = [(spec["R"], spec["A"], spec["E_R"]) for spec in specs]
     out = []
     for spec, head in zip(specs, heads):
-        for key in ("R", "A", "E_R", "E_A"):
-            if key not in spec:
-                raise DefinitionError(f"morita task missing {key!r}")
-        E_R = build_module(df, spec["E_R"], built)
-        E_A = build_module(df, spec["E_A"], built)
-        if E_R.algebra is not built[spec["R"]] or E_A.algebra is not built[spec["A"]]:
-            raise DefinitionError("E_R and E_A must be modules over R and A")
         names = head + (spec["E_A"],)
         name = "|".join(names if heads.count(head) > 1 else head)
-        out.append((name, names, MoritaContext(E_R, E_A)))
+        ctx = MoritaContext(build_module(df, spec["E_R"], built),
+                            build_module(df, spec["E_A"], built))
+        out.append((name, names, ctx))
     return out
 
 

@@ -1,7 +1,10 @@
 """Definition files: a strict JSON format for bases, algebras, and modules.
 
 A definition document has top-level keys `base`, `algebras`, `modules`,
-`tasks`.  Relation strings use a small noncommutative-polynomial grammar:
+`tasks`.  `parse_definition` alone checks a document: a module acts by
+its generators' entries on generators of a graded `over` entry, and a task
+is a morita task with exactly the keys command, R, A, E_R and E_A; the
+`build_*` functions only build.  Relations use a noncommutative grammar:
 
     expr    = [ "-" ] term { ("+" | "-") term } ;
     term    = factor { "*" factor } ;
@@ -20,7 +23,7 @@ import json
 
 from .algebra import AlgebraPresentation, RealizeError, realize
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
-from .dg import QuotientDGA, make_quotient_dga
+from .dg import make_quotient_dga
 from .ground import GroundRing, Record
 from .resolve import AModule
 
@@ -322,8 +325,7 @@ def parse_definition(text: str) -> DefinitionFile:
             degs = dict(gens)
             laurent = abase[1]
             for gname, _ in gens:
-                # a relation spells a generator as one identifier, and
-                # build_module splits a monomial's name on '*'
+                # a relation spells a generator as one identifier
                 try:
                     spelled = _tokenize(gname)[:-1] == [("ident", gname, 0)]
                 except DefinitionError:
@@ -357,13 +359,13 @@ def parse_definition(text: str) -> DefinitionFile:
     if len({n for n, _ in algebras}) != len(algebras):
         raise DefinitionError("duplicate algebra names")
 
-    alg_names = {n for n, _ in algebras}
+    alg_specs = dict(algebras)
     modules = []
     for name, m in doc.get("modules", {}).items():
         where = f"module {name!r}"
         if not isinstance(m, dict) or "over" not in m:
             raise DefinitionError(f"{where}: needs an 'over' key")
-        if not isinstance(m["over"], str) or m["over"] not in alg_names:
+        if not isinstance(m["over"], str) or m["over"] not in alg_specs:
             raise DefinitionError(f"{where}: unknown algebra {m['over']!r}")
         extra = set(m) - {"over", "side", "generators", "action"}
         if extra:
@@ -381,20 +383,39 @@ def parse_definition(text: str) -> DefinitionFile:
                     for e in entries):
                 raise DefinitionError(f"{where}: action entries are [target, source, coeff]")
             action.append((str(gname), tuple(sorted(map(tuple, entries)))))
+        over = alg_specs[m["over"]]
+        if "dg" in over:
+            raise DefinitionError(f"{where}: modules over dg entries are not supported")
+        for gname, rows in action:
+            if gname not in dict(over["generators"]):
+                raise DefinitionError(
+                    f"{where}: action key {gname!r} is not a generator of {m['over']!r}")
+            for row in rows:
+                if not all(0 <= i < len(gens) for i in row[:2]):
+                    raise DefinitionError(f"{where}: action entry {list(row)} of "
+                                          f"{gname!r} indexes outside 0..{len(gens) - 1}")
         modules.append((name, {"over": m["over"], "side": side,
                                "generators": gens, "action": tuple(action)}))
 
+    module_over = {n: spec["over"] for n, spec in modules}
     tasks = []
     for i, t in enumerate(doc.get("tasks") or []):
         if not isinstance(t, dict) or "command" not in t:
             raise DefinitionError(f"task {i}: needs a 'command' key")
+        if t["command"] != "morita":
+            raise DefinitionError(f"task {i}: unknown command {t['command']!r}")
+        extra = set(t) - {"command", "R", "A", "E_R", "E_A"}
+        if extra:
+            raise DefinitionError(f"task {i}: unknown keys {sorted(extra)}")
         for key, val in t.items():
-            if key != "command" and key in ("R", "A", "E_R", "E_A", "algebra",
-                                            "module"):
-                pool = alg_names if key in ("R", "A", "algebra") else {
-                    n for n, _ in modules}
-                if not isinstance(val, str) or val not in pool:
-                    raise DefinitionError(f"task {i}: unknown name {val!r}")
+            pool = alg_specs if key in ("R", "A") else module_over
+            if key != "command" and (not isinstance(val, str) or val not in pool):
+                raise DefinitionError(f"task {i}: unknown name {val!r}")
+        for key in ("R", "A", "E_R", "E_A"):
+            if key not in t:
+                raise DefinitionError(f"morita task missing {key!r}")
+        if (module_over[t["E_R"]], module_over[t["E_A"]]) != (t["R"], t["A"]):
+            raise DefinitionError("E_R and E_A must be modules over R and A")
         tasks.append(tuple(sorted(t.items())))
 
     # canonical order, so equal definitions parse to equal values
@@ -446,44 +467,30 @@ def build_algebra(df: DefinitionFile, name: str):
 
 
 def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
-    """Realize a module entry over an already-built algebra.
+    """Build a module entry that parse_definition accepted; AModule checks it.
 
-    The action is given on generators; actions of longer monomials are
-    composed along their words (left to right for left modules).
+    Generator actions, found by realize's labels of the generating monomials,
+    extend along A.generation_steps(): s e_k = c e_m gives rho(e_m) =
+    c^-1 rho(s) o rho(e_k) on the left and c^-1 rho(e_k) o rho(s) on the right.
     """
     spec = dict(df.modules)[name]
     A = built[spec["over"]]
-    if isinstance(A, QuotientDGA):
-        raise DefinitionError(f"module {name!r}: modules over dg entries "
-                              "are not supported")
     M = GradedFreeModule(A.base, spec["generators"])
+    generator = {A.monomials[s][0]: s for s in A.generating_monomials}
     gen_maps = {}
-    alg_degs = {n: d for n, d in A.monomials}
     for gname, rows in spec["action"]:
-        if gname not in alg_degs:
-            raise DefinitionError(
-                f"module {name!r}: unknown algebra monomial {gname!r}")
-        for row in rows:
-            if not all(0 <= i < M.rank for i in row[:2]):
-                raise DefinitionError(f"module {name!r}: action entry {list(row)} of "
-                                      f"{gname!r} indexes outside 0..{M.rank - 1}")
-        gen_maps[gname] = HomogeneousMap(M, M, alg_degs[gname], {(i, j): c for i, j, c in rows})
-    action = {}
-    for idx, (mname, mdeg) in enumerate(A.monomials):
-        if mname == "1":
-            action[idx] = HomogeneousMap.identity(M)
-            continue
-        word = mname.split("*")
-        hm = HomogeneousMap.identity(M)
-        seq = word if spec["side"] == "right" else reversed(word)
-        for w in seq:
-            if w not in gen_maps:
-                hm = None
-                break
-            hm = gen_maps[w].compose(hm)
-        if hm is None or hm.is_zero():
-            continue
-        if hm.degree != mdeg:
-            hm = HomogeneousMap(M, M, mdeg, hm.entries)
-        action[idx] = hm
+        if gname not in generator:
+            raise ValueError(f"module {name!r}: the relations of {spec['over']!r} rewrite "
+                             f"generator {gname!r}; act on the generators that remain")
+        s = generator[gname]
+        gen_maps[s] = HomogeneousMap(M, M, A.degree(s), {(i, j): c for i, j, c in rows})
+    action = {A.unit_index: HomogeneousMap.identity(M)}
+    for m, s, k, c in A.generation_steps():
+        if s in gen_maps and k in action:
+            hm = (action[k].compose(gen_maps[s]) if spec["side"] == "right"
+                  else gen_maps[s].compose(action[k]))
+            if not hm.is_zero():
+                inv = A.base.ground.inv(c)
+                action[m] = HomogeneousMap(M, M, A.degree(m),
+                                           {ij: inv * x for ij, x in hm.entries.items()})
     return AModule(A, M, action, spec["side"])

@@ -48,7 +48,7 @@ def homology_at(C: Complex, n: int) -> SubquotientPresentation:
 def homology(C: Complex, window) -> BigradedTable:
     """Homology table over the window, keyed (0, n)."""
     lo, hi = window
-    table = BigradedTable(window=(lo, hi))
+    table = BigradedTable()
     for n in range(lo, hi + 1):
         table.set(0, n, homology_at(C, n))
     return table

@@ -143,7 +143,7 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
         M = regular_bimodule(A)
     bar = BarCochainComplex(A, M, n_max, budget)
     lo, hi = window
-    table = BigradedTable(window=tuple(window))
+    table = BigradedTable()
     for (n, t), p in cohomology_table(bar.deltas, bar.completed, (-hi, -lo)).entries.items():
         table.set(n, A.base.degree_key(-t), p)
     if bar.completed < n_max:
@@ -246,8 +246,9 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
     mu = action_map_mu(A)
     T, H = mu.source, mu.target
 
-    names = [n for n, _ in T.module.generators]
-    iy1, i1y = names.index("y|1"), names.index("1|y")
+    # A has basis {1, y}; the pair (i, j) of A (x) A^op is generator i * 2 + j
+    u, y = A.algebra.unit_index, 1 - A.algebra.unit_index
+    iy1, i1y = y * 2 + u, u * 2 + y
     pres = homology_at(T, d1)
     if pres.free_rank + len(pres.torsion) != 1:
         raise ValueError(f"alpha class is not rank 1: {pres}")
@@ -257,7 +258,7 @@ def mu_homology_image(Q: QuotientDGA) -> MuImageResult:
         ("y|1 + 1|y", {iy1: g.one, i1y: g.one}),
     ]
     # betabar: the functional y -> 1 in Hom(A, A) pair coordinates
-    beta_idx = hom_pair_index(A.algebra.module, A.algebra.module, 1, 0)
+    beta_idx = hom_pair_index(A.algebra.module, A.algebra.module, y, u)
     hin, _, hd1_idx = H.d.slice_matrix(d1 + 1)
     pos = {idx: r for r, idx in enumerate(hd1_idx)}
     # column 0 is betabar (zero when it lies outside degree d1), the rest

@@ -22,8 +22,7 @@ reads them, so rank-only callers never build them.
 
 `factor(M)` returns that `SmithForm`, which keeps M and answers its rank,
 kernel, cokernel and any number of solves against it.  The module
-functions `rank`, `kernel_basis`, `cokernel` and `solve` are one-shot
-calls on it.  `subquotient` presents ker(A)/im(B) from the factorizations
+functions `rank`, `kernel_basis` and `solve` are one-shot calls on it.  `subquotient` presents ker(A)/im(B) from the factorizations
 of A and B by rank arithmetic, factoring nothing itself.  Callers that
 solve against one matrix many times keep the factored form instead of
 calling `solve` in a loop.
@@ -499,11 +498,6 @@ def rank(M: ExactMatrix) -> int:
 def kernel_basis(M: ExactMatrix):
     """A basis of {v : Mv = 0} as sparse vectors (a lattice basis over Z)."""
     return factor(M).kernel()
-
-
-def cokernel(M: ExactMatrix) -> SubquotientPresentation:
-    """Present target/im(M) by free rank and invariant factors."""
-    return factor(M).cokernel()
 
 
 def solve(M: ExactMatrix, b: dict):

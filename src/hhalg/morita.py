@@ -2,16 +2,16 @@
 
 The setting is a MoritaContext (R, A, E), built from E_R and E_A: E as a
 left R-module and as a left A-module on the same generators, with
-commuting actions (the bimodule of the Morita pair).  Every module here,
+commuting actions (the bimodule of the Morita pair), as a definition's
+morita task names them (defs.parse_definition checks the task).  Every module here,
 E included, is a resolve.AModule tagged left or right.  F sends a right
 R-module X to the left A-module X (x)_R E; G sends a left A-module Y to
 the derived Hom_A(E, Y); the completion of X is G(F(X)).  T and S are the
 same pair with the roles of R and A swapped: F and T share one balanced
 tensor, _tensor_E, and G and S are resolve.derived_hom, the one derived
 Hom, which raises BudgetExceededError when s_max < 1.  G, S and the
-completion are plain BigradedTables of homology over an explicit window,
-with the window on the table; completion_matches compares a
-completion with the module it completes over an explicit range.
+completion are plain BigradedTables of homology over an explicit window;
+completion_matches compares one with its module over an explicit range.
 
 For semisimple A the derived Hom collapses to the plain one, and the plain
 kit is the adjunction's maps: the unit eta: X -> G(F X) and the counit

@@ -413,7 +413,7 @@ def _audit(res: Resolution):
 def ext_table(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> BigradedTable:
     """Ext_A(k, k) as generator counts of the minimal resolution."""
     res = minimal_resolution(A, s_max, t_window)
-    table = BigradedTable(window=tuple(t_window))
+    table = BigradedTable()
     for s, st in enumerate(res.stages):
         counts = {}
         for t in st.gen_degrees:

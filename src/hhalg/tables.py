@@ -1,8 +1,8 @@
 """Bigraded tables of subquotient presentations.
 
 The common output shape for homology, Ext and Hochschild computations:
-entries indexed by (s, t), each a SubquotientPresentation, plus the
-window the computation is valid in.  Zero entries are omitted.
+entries indexed by (s, t), each a SubquotientPresentation, with notes.
+Zero entries are omitted.
 """
 
 from __future__ import annotations
@@ -12,14 +12,14 @@ from .linalg import SubquotientPresentation
 
 
 class BigradedTable(Record):
-    """entries {(s, t): SubquotientPresentation}, the window (lo, hi) in t if bounded,
-    and completed_through, the last degree computed when a budget stopped short."""
+    """entries {(s, t): SubquotientPresentation}, notes, and completed_through,
+    the last degree computed when a budget stopped short."""
 
-    _fields = ("entries", "window", "notes", "completed_through")
+    _fields = ("entries", "notes", "completed_through")
 
-    def __init__(self, entries=None, window=None, notes: tuple = (), completed_through=None):
+    def __init__(self, entries=None, notes: tuple = (), completed_through=None):
         self.entries = {} if entries is None else entries
-        self.window, self.notes, self.completed_through = window, notes, completed_through
+        self.notes, self.completed_through = notes, completed_through
 
     def set(self, s: int, t: int, pres: SubquotientPresentation):
         if pres.is_zero:

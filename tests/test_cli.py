@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 from hhalg import cache, hochschild
 from hhalg.cache import cache_key, deserialize_table, serialize_table
-from hhalg.cli import build_parser, main
+from hhalg.cli import COMMANDS, build_parser, main
 from hhalg.defs import (
     DefinitionError,
     build_algebra,
@@ -18,9 +19,10 @@ from hhalg.defs import (
     parse_definition,
     parse_relation,
 )
+from hhalg.base import GradedFreeModule, HomogeneousMap
 from hhalg.tables import BigradedTable
 from hhalg.linalg import SubquotientPresentation
-from hhalg.resolve import AModuleMap
+from hhalg.resolve import AModule, AModuleMap
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
 REFERENCES = os.path.join(os.path.dirname(__file__), "..", "perfbench", "references.json")
@@ -108,6 +110,142 @@ def test_build_module_composes_generator_actions():
     assert E.module.rank == 1 and E.side == "left"
 
 
+def build_module_by_names_oracle(df, name, built):
+    """The former build_module, kept as a cross-check: it reads realize's
+    monomial names ("1", "x1*x2") and composes each monomial's action along
+    its word, right to left on a left module and left to right on a right one."""
+    spec = dict(df.modules)[name]
+    A = built[spec["over"]]
+    M = GradedFreeModule(A.base, spec["generators"])
+    degree = dict(A.monomials)
+    gen_maps = {g: HomogeneousMap(M, M, degree[g], {(i, j): c for i, j, c in rows})
+                for g, rows in spec["action"]}
+    action = {}
+    for idx, (mname, mdeg) in enumerate(A.monomials):
+        word = [] if mname == "1" else mname.split("*")
+        if any(w not in gen_maps for w in word):
+            continue
+        hm = HomogeneousMap.identity(M)
+        for w in (word if spec["side"] == "right" else reversed(word)):
+            hm = gen_maps[w].compose(hm)
+        if not hm.is_zero():
+            action[idx] = HomogeneousMap(M, M, mdeg, hm.entries)
+    return AModule(A, M, action, spec["side"], check=False)
+
+
+def regular_module_doc(file, algebra, side):
+    """file's definition with one module, M: the regular `side` module of
+    `algebra`, given by the multiplications by its generators."""
+    with open(defpath(file)) as fh:
+        doc = json.load(fh)
+    A = build_algebra(parse_definition(json.dumps(doc)), algebra)
+    mult = A.left_mult if side == "left" else A.right_mult
+    action = {A.monomials[s][0]: [[i, j, c] for (i, j), c in sorted(mult(s).entries.items())]
+              for s in A.generating_monomials}
+    doc.pop("tasks", None)
+    doc["modules"] = {"M": {"over": algebra, "side": side, "action": action,
+                            "generators": [list(g) for g in A.monomials]}}
+    return doc
+
+
+LAM_X_MODULE = {"base": {"ground": "F3"},
+                "algebras": {"lam_x": {"generators": [["x", -1]], "relations": ["x^2"]}},
+                "modules": {"M": {"over": "lam_x", "generators": [["a", 0], ["b", -1]],
+                                  "action": {"x": [[1, 0, 1]]}}}}
+AB_MODULE = {"base": {"ground": "F3"},
+             "algebras": {"lam": {"generators": [["ab", -1]], "relations": ["ab^2"]}},
+             "modules": {"M": {"over": "lam", "generators": [["a", 0], ["b", -1]],
+                               "action": {"ab": [[1, 0, 1]]}}}}
+# every graded algebra of the corpus, its regular module on either side
+REGULAR_MODULES = [(file, algebra, side)
+                   for file, algebras in (
+                       ("etale.def", ("R", "A")), ("exterior1.def", ("lam_x",)),
+                       ("exterior_n.def", ("lam_2", "lam_3")),
+                       ("k1k1_trunc.def", ("sigma_1", "k1k1op_1", "sigma_2", "k1k1op_2")),
+                       ("ku2.def", ("B2", "lam_tau")), ("matrix.def", ("M2_F3", "M2_F5")),
+                       ("polytrunc.def", ("poly20",)))
+                   for algebra in algebras for side in ("left", "right")]
+
+
+def corpus_doc(file):
+    with open(defpath(file)) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: corpus_doc("etale.def"), lambda: LAM_X_MODULE, lambda: AB_MODULE,
+    *[lambda case=case: regular_module_doc(*case) for case in REGULAR_MODULES],
+], ids=["etale", "lam_x", "ab"] + ["-".join(case[1:]) for case in REGULAR_MODULES])
+def test_build_module_matches_the_name_walk_oracle(make):
+    df = parse_definition(json.dumps(make()))
+    built = {n: build_algebra(df, n) for n, _ in df.algebras}
+    for name, _ in df.modules:
+        E, want = build_module(df, name, built), build_module_by_names_oracle(df, name, built)
+        ranks = range(E.algebra.rank)
+        assert [E.act_map(m) for m in ranks] == [want.act_map(m) for m in ranks]
+
+
+def test_generation_steps_reach_a_product_with_a_sign():
+    # x2 x1 = -x1 x2 in the exterior algebra on x1, x2: the search reaches
+    # x1*x2 from x1 by x2, with c = -1, so the action of x1*x2 is -rho(x2) rho(x1)
+    A = build_algebra(parse_definition(json.dumps(corpus_doc("exterior_n.def"))), "lam_2")
+    index = {n: i for i, (n, _) in enumerate(A.monomials)}
+    assert (index["x1*x2"], index["x2"], index["x1"], 2) in A.generation_steps()
+    assert all(c == 1 for m, s, k, c in A.generation_steps() if m != index["x1*x2"])
+
+
+def test_build_module_raises_nothing_of_its_own(monkeypatch):
+    # what parse_definition accepted, build_module builds; an action that is
+    # not one fails in AModule's check, nowhere else
+    import hhalg.resolve as resolve
+
+    doc = corpus_doc("etale.def")
+    doc["modules"]["E_R"]["action"]["t"] = [[0, 0, 2]]  # t^2 = t fails: 4 != 2
+    df = parse_definition(json.dumps(doc))
+    built = {n: build_algebra(df, n) for n, _ in df.algebras}
+    with pytest.raises(ValueError, match=r"^left action fails on pair \(1,1\)$"):
+        build_module(df, "E_R", built)
+
+    def refused(*_):
+        raise LookupError("the action check")
+
+    monkeypatch.setattr(resolve, "check_action", refused)
+    with pytest.raises(LookupError, match="the action check"):
+        build_module(df, "E_R", built)
+    source = inspect.getsource(build_module)
+    assert "DefinitionError" not in source and source.count("raise ") == 1
+
+
+def test_an_action_that_is_not_one_fails_on_the_first_pair_off_the_search(capsys, tmp_path):
+    # x1 and x2 commute on M instead of anticommuting; x1*x2 acts by
+    # -rho(x2) rho(x1), as the search reaches it, so the check fails at
+    # (x1, x2), where the name walk's rho(x1) rho(x2) failed later, at (x2, x1)
+    doc = corpus_doc("exterior_n.def")
+    doc["modules"] = {
+        "M": {"over": "lam_2", "generators": [["a", 0], ["b", -1], ["c", -1], ["d", -2]],
+              "action": {"x1": [[1, 0, 1], [3, 2, 1]], "x2": [[2, 0, 1], [3, 1, 1]]}},
+        "N": {"over": "lam_3", "generators": [["a", 0], ["b", -1], ["c", -1], ["d", -2]]}}
+    doc["tasks"] = [{"command": "morita", "R": "lam_2", "A": "lam_3", "E_R": "M", "E_A": "N"}]
+    path = tmp_path / "commuting.def"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["morita", "--file", str(path)], tmp_path)
+    assert (code, out, err) == (1, "", "error: left action fails on pair (1,2)\n")
+
+
+def test_build_module_refuses_a_generator_the_relations_rewrite(capsys, tmp_path):
+    # y = x in B leaves no monomial for y, so an action of y could not be checked
+    path = tmp_path / "rewrite.def"
+    path.write_text(json.dumps({
+        "base": {"ground": "F3"},
+        "algebras": {"B": {"generators": [["x", 0], ["y", 0]], "relations": ["y - x", "x^2 - x"]}},
+        "modules": {"M": {"over": "B", "generators": [["a", 0]],
+                          "action": {"x": [[0, 0, 1]], "y": [[0, 0, 2]]}}},
+        "tasks": [{"command": "morita", "R": "B", "A": "B", "E_R": "M", "E_A": "M"}]}))
+    code, out, err = run(capsys, ["morita", "--file", str(path)], tmp_path)
+    assert (code, out, err) == (1, "", "error: module 'M': the relations of 'B' rewrite "
+                                       "generator 'y'; act on the generators that remain\n")
+
+
 def test_unknown_reference_rejected():
     doc = {"base": {"ground": "F3"}, "algebras": {},
            "modules": {"M": {"over": "nope", "generators": []}}}
@@ -118,7 +256,7 @@ def test_unknown_reference_rejected():
 # -- cache -----------------------------------------------------------------------------
 
 def test_table_serialization_roundtrip():
-    t = BigradedTable(window=(-4, 4), notes=("note",))
+    t = BigradedTable(notes=("note",))
     t.set(0, 0, SubquotientPresentation(2, (3,)))
     t.set(1, -1, SubquotientPresentation(0, (2, 4)))
     assert deserialize_table(serialize_table(t)) == t
@@ -473,36 +611,69 @@ def test_exit_one_when_algebras_or_modules_is_not_an_object(capsys, tmp_path, ke
     doc = {"base": {"ground": "F3"}, "algebras": {}, key: []}
     bad = tmp_path / "bad.def"
     bad.write_text(json.dumps(doc))
-    for command in ("ext", "hochschild", "azumaya", "morita", "homology", "mu-image"):
+    for command in COMMANDS:
         code, out, err = run(capsys, [command, "--file", str(bad)], tmp_path)
         assert (code, out, err) == (1, "", f"error: '{key}' must be a JSON object\n")
 
 
-def test_exit_one_on_an_action_index_past_the_module_rank(capsys, tmp_path):
-    with open(defpath("etale.def")) as fh:
-        doc = json.load(fh)
-    doc["modules"]["E_R"]["action"]["t"] = [[5, 0, 1]]
+# parse_definition checks every module entry and task, so each subcommand
+# refuses these, not only morita, which builds the modules
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["modules"]["E_R"]["action"].update(t=[[5, 0, 1]]),
+     "module 'E_R': action entry [5, 0, 1] of 't' indexes outside 0..0"),
+    (lambda doc: doc["modules"]["E_R"]["action"].update(z=[[0, 0, 1]]),
+     "module 'E_R': action key 'z' is not a generator of 'R'"),
+    (lambda doc: doc["algebras"].update(R={"dg": {"x": 3, "w": 0}}),
+     "module 'E_R': modules over dg entries are not supported"),
+    (lambda doc: doc["tasks"][0].pop("E_A"), "morita task missing 'E_A'"),
+    (lambda doc: doc["tasks"][0].update(R="A"), "E_R and E_A must be modules over R and A"),
+    (lambda doc: doc["tasks"].append({"command": "ext", "algebra": "R"}),
+     "task 1: unknown command 'ext'"),
+    (lambda doc: doc["tasks"][0].update(algebra="R"), "task 0: unknown keys ['algebra']"),
+    (lambda doc: doc["tasks"][0].update(module="E_R"), "task 0: unknown keys ['module']"),
+    (lambda doc: doc["tasks"][0].update(smax=3), "task 0: unknown keys ['smax']"),
+], ids=["index", "unknown-key", "over-dg", "missing-E_A", "over-R-and-A", "ext-task",
+        "algebra-key", "module-key", "smax-key"])
+def test_every_subcommand_refuses_a_bad_module_or_task(capsys, tmp_path, edit, message):
+    doc = corpus_doc("etale.def")
+    edit(doc)
     bad = tmp_path / "bad.def"
     bad.write_text(json.dumps(doc))
-    code, out, err = run(capsys, ["morita", "--file", str(bad)], tmp_path)
-    assert (code, out, err) == (
-        1, "", "error: module 'E_R': action entry [5, 0, 1] of 't' indexes outside 0..0\n")
+    for command in COMMANDS:
+        code, out, err = run(capsys, [command, "--file", str(bad)], tmp_path)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_build_module_rejects_a_negative_action_index():
-    # on a rank-2 module Python would read -1 as 1, the index of b
+def test_exit_one_on_an_action_of_a_product_monomial(capsys, tmp_path):
+    # over the exterior algebra on x, y an action given on x*y used to be
+    # dropped: 1 and 2 built the same module, and morita ran on it
     doc = {"base": {"ground": "F3"},
-           "algebras": {"lam_x": {"generators": [["x", -1]], "relations": ["x^2"]}},
-           "modules": {"M": {"over": "lam_x", "generators": [["a", 0], ["b", -1]],
-                             "action": {"x": [[1, 0, 1]]}}}}
+           "algebras": {"lam": {"generators": [["x", -1], ["y", -1]],
+                                "relations": ["x^2", "y^2", "x*y + y*x"]}},
+           "modules": {"M": {"over": "lam", "generators": [["a", 0], ["b", -1],
+                                                           ["c", -1], ["d", -2]],
+                             "action": {"x*y": [[3, 0, 1]]}}}}
+    bad = tmp_path / "bad.def"
+    for coeff in (1, 2):
+        doc["modules"]["M"]["action"]["x*y"] = [[3, 0, coeff]]
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(DefinitionError, match="action key 'x\\*y' is not a generator"):
+            parse_definition(bad.read_text())
+        code, out, err = run(capsys, ["ext", "--file", str(bad)], tmp_path)
+        assert (code, out, err) == (
+            1, "", "error: module 'M': action key 'x*y' is not a generator of 'lam'\n")
+
+
+def test_parse_definition_rejects_a_negative_action_index():
+    # on a rank-2 module Python would read -1 as 1, the index of b
+    doc = copy.deepcopy(LAM_X_MODULE)
     df = parse_definition(json.dumps(doc))
     built = {"lam_x": build_algebra(df, "lam_x")}
     assert build_module(df, "M", built).module.rank == 2
     doc["modules"]["M"]["action"]["x"] = [[-1, 0, 1]]
-    df = parse_definition(json.dumps(doc))
     with pytest.raises(DefinitionError,
                        match=r"module 'M': action entry \[-1, 0, 1\] of 'x' indexes outside 0..1"):
-        build_module(df, "M", built)
+        parse_definition(json.dumps(doc))
 
 
 @pytest.mark.parametrize("name, path, value", [
@@ -698,7 +869,8 @@ def test_exit_one_on_relations_that_force_one_to_be_zero(capsys, tmp_path, groun
 ])
 def test_exit_one_on_a_generator_name_the_relations_cannot_spell(capsys, tmp_path, name,
                                                                   laurent, why):
-    # build_module splits a monomial's name on '*', so 'a*b' would act by 0;
+    # a relation spells a generator as one identifier, and realize labels a
+    # product 'a*b', so a generator named 'a*b' would read as a product;
     # a generator named v would read as the Laurent unit in "v^2"
     base = {"ground": "F2"} if laurent is None else {"ground": "F2", "laurent": laurent}
     path = tmp_path / "names.def"
@@ -710,11 +882,7 @@ def test_exit_one_on_a_generator_name_the_relations_cannot_spell(capsys, tmp_pat
 
 
 def test_a_generator_named_like_a_product_keeps_its_module_action():
-    doc = {"base": {"ground": "F3"},
-           "algebras": {"lam": {"generators": [["ab", -1]], "relations": ["ab^2"]}},
-           "modules": {"M": {"over": "lam", "generators": [["a", 0], ["b", -1]],
-                             "action": {"ab": [[1, 0, 1]]}}}}
-    df = parse_definition(json.dumps(doc))
+    df = parse_definition(json.dumps(AB_MODULE))
     built = {"lam": build_algebra(df, "lam")}
     M = build_module(df, "M", built)
     ab = [n for n, _ in built["lam"].monomials].index("ab")

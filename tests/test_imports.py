@@ -307,7 +307,7 @@ def factorization_internals_used(tree):
 
     Outside linalg a factorization comes from `factor`,
     `HomogeneousMap.factored` or the one-shot helpers (`rank`,
-    `kernel_basis`, `cokernel`, `solve`), never from the routine or the
+    `kernel_basis`, `solve`), never from the routine or the
     class behind them.
     """
     out = set()

@@ -10,7 +10,6 @@ from hhalg.linalg import (
     Echelon,
     ExactMatrix,
     SubquotientPresentation,
-    cokernel,
     determinant,
     factor,
     kernel_basis,
@@ -84,11 +83,11 @@ def test_kernel_mult_by_two_injective():
 
 
 def test_cokernel_examples():
-    assert cokernel(ExactMatrix(ZZ, [[2]])).torsion == (2,)
-    assert cokernel(ExactMatrix(ZZ, [[2]])).free_rank == 0
-    c = cokernel(ExactMatrix(F3, [[0]]))
+    assert factor(ExactMatrix(ZZ, [[2]])).cokernel().torsion == (2,)
+    assert factor(ExactMatrix(ZZ, [[2]])).cokernel().free_rank == 0
+    c = factor(ExactMatrix(F3, [[0]])).cokernel()
     assert (c.free_rank, c.torsion) == (1, ())
-    c = cokernel(ExactMatrix(ZZ, [[1, 0], [0, 6]]))
+    c = factor(ExactMatrix(ZZ, [[1, 0], [0, 6]])).cokernel()
     assert (c.free_rank, c.torsion) == (0, (6,))
 
 
@@ -118,7 +117,7 @@ def test_cokernel_pivot_independence():
         rows = [[rng.randint(-5, 5) for _ in range(c)] for _ in range(r)]
         M = ExactMatrix(ZZ, rows)
         P = ExactMatrix(ZZ, list(reversed([list(reversed(row)) for row in rows])))
-        assert cokernel(M) == cokernel(P)
+        assert factor(M).cokernel() == factor(P).cokernel()
 
 
 def enumeration_cokernel_size(M, p):
@@ -138,7 +137,7 @@ def test_random_integer_matrices_vs_enumeration():
         M = ExactMatrix(ZZ, rows)
         check_smith(M)
         Mp = ExactMatrix(GroundRing.prime_field(p), rows)
-        coker = cokernel(Mp)
+        coker = factor(Mp).cokernel()
         assert p ** coker.free_rank == enumeration_cokernel_size(Mp, p)
 
 
@@ -184,7 +183,7 @@ def kernel_coordinates_oracle(outgoing, incoming, t):
     K = factor(ExactMatrix.from_columns(g, len(outgoing.source.slice_indices(t)), kernel))
     coords = [K.solve(v) for v in image]
     assert None not in coords
-    return cokernel(ExactMatrix.from_columns(g, len(kernel), coords))
+    return factor(ExactMatrix.from_columns(g, len(kernel), coords)).cokernel()
 
 
 def random_cochain_pair(g, rng):
@@ -269,7 +268,7 @@ def test_smith_form_answers_rank_kernel_cokernel():
     assert sf.rank == rank(M) == 2
     (v,) = sf.kernel()
     assert sf.kernel() == kernel_basis(M) and M.apply(v) == {}
-    assert sf.cokernel() == cokernel(M)
+    assert sf.cokernel() == factor(M).cokernel()
     assert (sf.cokernel().free_rank, sf.cokernel().torsion) == (1, (2, 6))
 
 

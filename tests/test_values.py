@@ -115,15 +115,15 @@ def test_defaults():
     assert Condition("mu", False).witness == ""
     assert MuImageResult(1, 0, True, "y|1").note == (
         "sign of alpha (hence of c) is a normalization choice")
-    t, u = BigradedTable(), BigradedTable(window=(0, 2), notes=("n",))
-    assert (t.entries, t.window, t.notes, t.completed_through) == ({}, None, (), None)
-    assert (u.window, u.notes) == ((0, 2), ("n",))
+    t, u = BigradedTable(), BigradedTable(notes=("n",))
+    assert (t.entries, t.notes, t.completed_through) == ({}, (), None)
+    assert u.notes == ("n",)
     t.set(0, 0, SubquotientPresentation(1))
     assert t.entries is not u.entries and u.is_zero()
 
 
 def test_a_bigraded_table_compares_its_entries_alone():
-    a = BigradedTable({(0, 0): SubquotientPresentation(1)}, window=(0, 2))
+    a = BigradedTable({(0, 0): SubquotientPresentation(1)})
     b = BigradedTable({(0, 0): SubquotientPresentation(1)}, notes=("n",), completed_through=1)
     assert a == b and a != BigradedTable()
     with pytest.raises(TypeError, match="unhashable"):
