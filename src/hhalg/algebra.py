@@ -238,11 +238,16 @@ class GradedAlgebra:
     pair with every basis element; by default all of them.  A declared set
     is verified whatever check says: a search from the unit, one step
     s * e_k = c e_m with c a unit, must reach every monomial.
+
+    rewritten maps each presentation generator that the relations rewrite
+    away to its normal form {monomial: scalar}; realize fills it, and every
+    other construction leaves it empty.
     """
 
     def __init__(self, base: BaseRing, monomials, unit_index: int, mult, check=True,
-                 generating_monomials=None):
+                 generating_monomials=None, rewritten=None):
         self.base = base
+        self.rewritten = dict(rewritten or {})
         self.monomials = tuple((str(n), int(d)) for n, d in monomials)
         self.unit_index = unit_index
         self.mult = {}
@@ -316,6 +321,7 @@ class GradedAlgebra:
         """Check the unit's degree and set the generating monomials, verifying a declared set."""
         if self.base.degree_key(self.degree(self.unit_index)) != 0:
             raise ValueError("unit must sit in degree 0")
+        self._steps = None
         if generating_monomials is None:
             self.generating_monomials = tuple(
                 i for i in range(self.rank) if i != self.unit_index)
@@ -330,10 +336,12 @@ class GradedAlgebra:
             if self.mul_basis(u, i) != {i: one} or self.mul_basis(i, u) != {i: one}:
                 raise ValueError(f"unit is not two-sided at basis element {i}")
 
-    def generation_steps(self):
+    def generation_steps(self) -> tuple:
         """Steps (m, s, k, c), s * e_k = c e_m with c a unit, of a search from the
         unit that reaches each other monomial m once, from a k reached before
-        it; ValueError if a monomial is missed."""
+        it; ValueError if a monomial is missed.  Searched once, then kept."""
+        if self._steps is not None:
+            return self._steps
         gens = self.generating_monomials
         if any(s == self.unit_index or not 0 <= s < self.rank for s in gens):
             raise ValueError("generating monomials must be non-unit monomial indices")
@@ -355,7 +363,8 @@ class GradedAlgebra:
         if len(reached) < self.rank:
             missed = min(set(range(self.rank)) - reached)
             raise ValueError(f"generating monomials do not reach monomial {missed}")
-        return steps
+        self._steps = tuple(steps)
+        return self._steps
 
     def __eq__(self, other):
         return self is other or (
@@ -423,7 +432,8 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
     system obtained by orienting the relations length-lexicographically
     (generator order as listed) and completing critical pairs.  The
     words of length 1 generate: every suffix of an irreducible word is
-    irreducible.
+    irreducible.  A generator whose one-letter word is not irreducible is
+    recorded in `rewritten` with its normal form (empty when it vanishes).
     """
     base = p.base
     period = base.period
@@ -459,20 +469,24 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
     def word_name(w):
         return "1" if not w else "*".join(names[g] for g in w)
 
+    def normal_form(word):
+        vec = {}
+        for w, c in rw.reduce({word: base.ground.one}).items():
+            if w not in index:
+                raise RealizeError("reduction produced a non-basis word")
+            vec[index[w]] = c
+        return vec
+
     monomials = [(word_name(w), _word_degree(w, degs)) for w in words]
     mult = {}
     for i, wi in enumerate(words):
         for j, wj in enumerate(words):
-            prod = rw.reduce({wi + wj: base.ground.one})
-            vec = {}
-            for w, c in prod.items():
-                if w not in index:
-                    raise RealizeError("reduction produced a non-basis word")
-                vec[index[w]] = c
-            if vec:
+            if vec := normal_form(wi + wj):
                 mult[(i, j)] = vec
     return GradedAlgebra(base, monomials, index[()], mult,
-                         generating_monomials=[i for i, w in enumerate(words) if len(w) == 1])
+                         generating_monomials=[i for i, w in enumerate(words) if len(w) == 1],
+                         rewritten={n: normal_form((g,)) for g, n in enumerate(names)
+                                    if (g,) not in index})
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +515,7 @@ class _TensorAlgebra(GradedAlgebra):
         self.base = A.base
         self.monomials = tensor_module(A.module, B.module).generators
         self.unit_index = A.unit_index * nB + B.unit_index
+        self.rewritten = {}
         self._factors = (A, B)
         self._slots = {}
         self._declare([s * nB + B.unit_index for s in A.generating_monomials]

@@ -472,6 +472,10 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
     Generator actions, found by realize's labels of the generating monomials,
     extend along A.generation_steps(): s e_k = c e_m gives rho(e_m) =
     c^-1 rho(s) o rho(e_k) on the left and c^-1 rho(e_k) o rho(s) on the right.
+    A generator that the relations rewrite away has no monomial of its own:
+    in any module it acts as its normal form (A.rewritten) does, so its
+    action is accepted exactly when it equals that one, once the module is
+    checked.
     """
     spec = dict(df.modules)[name]
     A = built[spec["over"]]
@@ -479,11 +483,9 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
     generator = {A.monomials[s][0]: s for s in A.generating_monomials}
     gen_maps = {}
     for gname, rows in spec["action"]:
-        if gname not in generator:
-            raise ValueError(f"module {name!r}: the relations of {spec['over']!r} rewrite "
-                             f"generator {gname!r}; act on the generators that remain")
-        s = generator[gname]
-        gen_maps[s] = HomogeneousMap(M, M, A.degree(s), {(i, j): c for i, j, c in rows})
+        if gname in generator:
+            s = generator[gname]
+            gen_maps[s] = HomogeneousMap(M, M, A.degree(s), {(i, j): c for i, j, c in rows})
     action = {A.unit_index: HomogeneousMap.identity(M)}
     for m, s, k, c in A.generation_steps():
         if s in gen_maps and k in action:
@@ -493,4 +495,16 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
                 inv = A.base.ground.inv(c)
                 action[m] = HomogeneousMap(M, M, A.degree(m),
                                            {ij: inv * x for ij, x in hm.entries.items()})
-    return AModule(A, M, action, spec["side"])
+    module = AModule(A, M, action, spec["side"])
+    degree = dict(dict(df.algebras)[spec["over"]]["generators"])
+    for gname, rows in spec["action"]:
+        if gname in A.rewritten:
+            form = {}
+            for m, c in A.rewritten[gname].items():
+                for ij, x in module.act_map(m).entries.items():
+                    form[ij] = form.get(ij, 0) + c * x
+            if (HomogeneousMap(M, M, degree[gname], {(i, j): c for i, j, c in rows})
+                    != HomogeneousMap(M, M, degree[gname], form)):
+                raise ValueError(f"module {name!r}: the action of {gname!r} differs from that "
+                                 f"of what the relations of {spec['over']!r} rewrite it to")
+    return module

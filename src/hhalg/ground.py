@@ -10,9 +10,10 @@ only where it is stored or tested for zero.  A vector {index: scalar} is
 reduced once by `canonical`, which normalizes each entry and drops the
 zeros; the constructors of base.HomogeneousMap, algebra.GradedAlgebra and
 resolve.AModuleMap store their values through the same step; a loop that
-tests each step's result for zero (linalg.Echelon, which takes canonical
-vectors, and the rewriting system) writes `normalize(a - f * c)`; and the
-Smith form reduces its row operations by its own `mod`.  Over Z and Q normalizing changes nothing
+tests each step's result for zero writes `normalize(a - f * c)` (the
+rewriting system) or, over F_p, the same `(a - f * c) % p` inline
+(linalg.Echelon); and the Smith form reduces its row operations by its
+own `mod`.  Over Z and Q normalizing changes nothing
 but the type; over F_p it takes the residue mod p.
 """
 

@@ -38,9 +38,12 @@ against the kernel vectors it is given.
 Scalars follow the ground module's one policy: sums are plain arithmetic,
 reduced only where a value is stored or tested for zero.
 `ExactMatrix.apply` reduces its result once with `GroundRing.canonical`;
-`Echelon` takes canonical vectors and tests each step for zero, so it
-normalizes `a - f * c` as it goes; the Smith form's row operations reduce
-by `mod` (p over F_p; over Z and Q the sums are exact as they stand).
+`Echelon` tests each step for zero, so it reduces its input and
+`a - f * c` as it goes: over F_p by an inline `% p`, which is what
+`GroundRing.normalize` does to an int there, without a call per entry, and
+over Q (and Z) by `normalize`, which also turns an int into a Fraction.
+The Smith form's row operations reduce by `mod` (p over F_p; over Z and Q
+the sums are exact as they stand).
 """
 
 from __future__ import annotations
@@ -128,11 +131,13 @@ class ExactMatrix:
 class Echelon:
     """A span of sparse vectors over a field, in reduced echelon form.
 
-    Vectors are dicts {coordinate: scalar} with canonical entries, as
-    GroundRing.canonical returns them; zero entries are dropped, and every
-    entry a pivot row touches is normalized.  `rows` maps each pivot to its
-    row: the pivot is the row's least coordinate and carries 1, and no row
-    is nonzero at another row's pivot.
+    Vectors are dicts {coordinate: scalar}; `reduce` takes them to
+    canonical form as it reads them (`% p` over F_p, `GroundRing.canonical`
+    over Q), so every row and every normal form holds canonical nonzero
+    scalars, whatever int or Fraction entries came in.  `rows` maps each
+    pivot to its row: the pivot is the row's least coordinate and carries 1,
+    and no row is nonzero at another row's pivot.  A subspace has one such
+    basis, whatever order its vectors are added in.
     """
 
     __slots__ = ("ground", "rows")
@@ -147,14 +152,16 @@ class Echelon:
 
     def reduce(self, vec: dict) -> dict:
         """The normal form of vec modulo the span: zero at every pivot."""
-        norm = self.ground.normalize
+        g = self.ground
+        mod, norm = g.p, g.normalize
         rows = self.rows
-        out = {i: x for i, x in vec.items() if x != 0}
+        out = {i: y for i, x in vec.items() if (y := x % mod)} if mod else g.canonical(vec)
         # a row is zero at the other pivots, so one pass clears them all
         for p in [i for i in out if i in rows]:
             f = out[p]
             for i, c in rows[p].items():
-                x = norm(out.get(i, 0) - f * c)
+                x = out.get(i, 0) - f * c
+                x = x % mod if mod else norm(x)
                 if x:
                     out[i] = x
                 else:
@@ -164,19 +171,21 @@ class Echelon:
     def add(self, vec: dict) -> bool:
         """Extend the span by vec; False when vec already lies in it."""
         g = self.ground
+        mod, norm = g.p, g.normalize
         r = self.reduce(vec)
         if not r:
             return False
         p = min(r)
         if r[p] != 1:
             inv = g.inv(r[p])
-            r = {i: g.normalize(inv * c) for i, c in r.items()}
+            r = {i: inv * c % mod if mod else norm(inv * c) for i, c in r.items()}
         for q, row in self.rows.items():
             f = row.get(p)
             if f is not None:
                 new = dict(row)
                 for i, c in r.items():
-                    x = g.normalize(new.get(i, 0) - f * c)
+                    x = new.get(i, 0) - f * c
+                    x = x % mod if mod else norm(x)
                     if x:
                         new[i] = x
                     else:

@@ -8,6 +8,17 @@ degrees, the stages of a resolution; it answers `module` and `act_map` like
 an AModule, so a generator chooser takes either.  An AModuleMap out of it
 is stored as its generator images; `flatten` is the one A-linear extension.
 
+A minimal resolution acts through the algebra's generating monomials
+alone.  Every monomial is e_m = c^-1 s e_k for a generator s and a monomial
+k reached before it (GradedAlgebra.generation_steps), so in any left module
+e_m . v = c^-1 s . (e_k . v): `flatten` builds the column of e_m . g_j from
+that of e_k . g_j this way, and `_minimal_generators` spans I*K by the s . K,
+which is exact whenever the window cannot cut e_k . v away (generator
+degrees of one sign, or a Laurent base); otherwise every monomial acts.
+A FreeAModule therefore builds an act map only when asked for it: the
+generators' in a minimal resolution, every monomial's in the greedy one,
+which spans whole orbits.
+
 One resolution loop, _resolve, covers a module and then each stage kernel;
 the two builders differ only in how they choose each cover's generators:
 
@@ -53,9 +64,12 @@ class FreeAModule(Value):
     """Free left module over a GradedAlgebra with generators in given degrees.
 
     Like an AModule it has `module` (here the flattened module) and
-    `act_map(m)`, so a generator chooser takes either.  `cached_property`
-    builds both once and keeps them in the instance dict, past the frozen
-    `__setattr__`; equality and hashing read the two fields alone.
+    `act_map(m)`, so a generator chooser takes either.  The module is built
+    once, and each act map on its first request, and both are kept in the
+    instance dict, past the frozen `__setattr__`; equality and hashing read
+    the two fields alone.  Building act maps on request is what lets a
+    minimal resolution, which reads the generators' only (see the module
+    docstring), skip the other rank(A) - |generators| maps per stage.
     """
 
     _fields = ("algebra", "gen_degrees")
@@ -81,16 +95,19 @@ class FreeAModule(Value):
         return i * self.algebra.rank + m
 
     @cached_property
-    def _acts(self) -> list:
-        A = self.algebra
-        return [HomogeneousMap(self.module, self.module, A.degree(m), {
-            (self.flat_index(i, k), self.flat_index(i, m2)): c
-            for i in range(self.rank) for m2 in range(A.rank)
-            for k, c in A.mul_basis(m, m2).items()}) for m in range(A.rank)]
+    def _acts(self) -> dict:
+        return {}  # monomial -> its act map, filled by act_map
 
     def act_map(self, m) -> HomogeneousMap:
         """Left multiplication by basis monomial m on the flattened module."""
-        return self._acts[m]
+        act = self._acts.get(m)
+        if act is None:
+            A = self.algebra
+            act = self._acts[m] = HomogeneousMap(self.module, self.module, A.degree(m), {
+                (self.flat_index(i, k), self.flat_index(i, m2)): c
+                for i in range(self.rank) for m2 in range(A.rank)
+                for k, c in A.mul_basis(m, m2).items()})
+        return act
 
 
 class AModuleMap:
@@ -98,7 +115,7 @@ class AModuleMap:
 
     images[j] is generator j's image on target.module (a FreeAModule's, or an
     AModule's for a module's cover), stored through GroundRing.canonical.
-    `flatten`, the one A-linear extension, maps m . g_j to act_map(m) images[j].
+    `flatten` is the one A-linear extension, m . g_j |-> m . images[j].
     """
 
     def __init__(self, source: FreeAModule, target: FreeAModule | AModule, images, degree=0):
@@ -110,16 +127,29 @@ class AModuleMap:
         self._flat = None
 
     def flatten(self) -> HomogeneousMap:
-        """The map on flattened modules, built once and kept with its slice factorizations."""
+        """The map on flattened modules, built once and kept with its slice factorizations.
+
+        Column (j, unit) is images[j], and each step (m, s, k, c) of
+        A.generation_steps() gives column (j, m) as c^-1 act_map(s) applied
+        to column (j, k), so only the generators' act maps are read.  This
+        is exact: s e_k = c e_m, so e_m . v = c^-1 s . (e_k . v) in any left
+        module, and the steps reach every monomial from one reached before.
+        """
         if self._flat is None:
             src, tgt = self.source, self.target
-            flat = {}
-            for m in range(src.algebra.rank):
-                act = tgt.act_map(m)
-                for j, image in enumerate(self.images):
-                    for i, c in act.apply_coords(image).items():
-                        flat[(i, src.flat_index(j, m))] = c
-            self._flat = HomogeneousMap(src.module, tgt.module, self.degree, flat)
+            A = src.algebra
+            g = A.base.ground
+            columns = {A.unit_index: self.images}  # monomial m -> the columns (j, m)
+            for m, s, k, c in A.generation_steps():
+                act, inv = tgt.act_map(s), g.inv(c)
+                columns[m] = cols = []
+                for col in columns[k]:
+                    if col and inv != 1:
+                        col = {i: inv * x for i, x in col.items()}
+                    cols.append(act.apply_coords(col) if col else {})
+            self._flat = HomogeneousMap(src.module, tgt.module, self.degree, {
+                (i, src.flat_index(j, m)): x for m, cols in columns.items()
+                for j, col in enumerate(cols) for i, x in col.items()})
         return self._flat
 
 
@@ -261,11 +291,26 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
 
 
 def _minimal_generators(target, vectors):
-    """Complement of I*K inside K: the minimal generators of the span K."""
+    """Complement of I*K inside K: the minimal generators of the span K.
+
+    K is the part of an A-submodule in the slices the vectors lie on (the
+    window), and I*K is spanned by s . K for s in A.generating_monomials:
+    each monomial is e_m = c^-1 s e_k, so e_m . v = c^-1 s . (e_k . v), and
+    e_k . v lies in K when its degree is in the window.  It is when e_m . v
+    is: with generator degrees of one sign, deg(e_k . v) lies between
+    deg(v) and deg(e_m . v), and over a Laurent base no window clips.  With
+    generators of both signs e_k . v may leave the window while e_m . v
+    comes back into it, so every non-unit monomial acts instead.
+    """
     A = target.algebra
+    degrees = [A.degree(s) for s in A.generating_monomials]
+    if A.base.laurent or all(d >= 0 for d in degrees) or all(d <= 0 for d in degrees):
+        acting = A.generating_monomials
+    else:
+        acting = [m for m in range(A.rank) if m != A.unit_index]
     span = Echelon(A.base.ground)
-    for m in range(A.rank):
-        if vectors and m != A.unit_index:
+    if vectors:
+        for m in acting:
             act = target.act_map(m)
             for _, vec in vectors:
                 span.add(act.apply_coords(vec))

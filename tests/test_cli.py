@@ -232,18 +232,47 @@ def test_an_action_that_is_not_one_fails_on_the_first_pair_off_the_search(capsys
     assert (code, out, err) == (1, "", "error: left action fails on pair (1,2)\n")
 
 
-def test_build_module_refuses_a_generator_the_relations_rewrite(capsys, tmp_path):
-    # y = x in B leaves no monomial for y, so an action of y could not be checked
+def rewritten_generator_doc(y_rows):
+    """y = x and x^2 = x in B, so y keeps no monomial; x acts by 1 on M."""
+    action = {"x": [[0, 0, 1]]}
+    if y_rows is not None:
+        action["y"] = y_rows
+    return {"base": {"ground": "F3"},
+            "algebras": {"B": {"generators": [["x", 0], ["y", 0]],
+                               "relations": ["y - x", "x^2 - x"]}},
+            "modules": {"M": {"over": "B", "generators": [["a", 0]], "action": action}},
+            "tasks": [{"command": "morita", "R": "B", "A": "B", "E_R": "M", "E_A": "M"}]}
+
+
+def test_realize_records_the_normal_form_of_a_rewritten_generator():
+    B = build_algebra(parse_definition(json.dumps(rewritten_generator_doc(None))), "B")
+    assert [n for n, _ in B.monomials] == ["1", "x"]
+    assert B.rewritten == {"y": {1: 1}}
+
+
+def test_an_action_on_a_rewritten_generator_is_kept_when_it_is_its_normal_form(capsys,
+                                                                                tmp_path):
+    # y acts as x does: the same module as with y left out, and morita runs on it
     path = tmp_path / "rewrite.def"
-    path.write_text(json.dumps({
-        "base": {"ground": "F3"},
-        "algebras": {"B": {"generators": [["x", 0], ["y", 0]], "relations": ["y - x", "x^2 - x"]}},
-        "modules": {"M": {"over": "B", "generators": [["a", 0]],
-                          "action": {"x": [[0, 0, 1]], "y": [[0, 0, 2]]}}},
-        "tasks": [{"command": "morita", "R": "B", "A": "B", "E_R": "M", "E_A": "M"}]}))
+    outputs = []
+    for y_rows in ([[0, 0, 1]], None):
+        path.write_text(json.dumps(rewritten_generator_doc(y_rows)))
+        outputs.append(run(capsys, ["morita", "--file", str(path), "--check", "roundtrip"],
+                           tmp_path))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][2] == ""
+    df = parse_definition(json.dumps(rewritten_generator_doc([[0, 0, 1]])))
+    E = build_module(df, "M", {"B": build_algebra(df, "B")})
+    assert E.act_map(1).entries == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("y_rows", [[[0, 0, 2]], []], ids=["other-matrix", "zero"])
+def test_an_action_on_a_rewritten_generator_other_than_its_normal_form_exits_one(
+        capsys, tmp_path, y_rows):
+    path = tmp_path / "rewrite.def"
+    path.write_text(json.dumps(rewritten_generator_doc(y_rows)))
     code, out, err = run(capsys, ["morita", "--file", str(path)], tmp_path)
-    assert (code, out, err) == (1, "", "error: module 'M': the relations of 'B' rewrite "
-                                       "generator 'y'; act on the generators that remain\n")
+    assert (code, out, err) == (1, "", "error: module 'M': the action of 'y' differs from that "
+                                       "of what the relations of 'B' rewrite it to\n")
 
 
 def test_unknown_reference_rejected():

@@ -402,6 +402,86 @@ def test_echelon_reduce_is_the_full_normal_form():
     assert span.rank == 2
 
 
+def gauss_jordan_oracle(g, vectors, n):
+    """{pivot: row} of the reduced row echelon basis of the vectors' span,
+    by dense Gauss-Jordan elimination on n columns, pivots least first."""
+    def canon(x):
+        return x % g.p if g.p else Fraction(x)
+
+    def inv(x):
+        return pow(x, g.p - 2, g.p) if g.p else 1 / x
+
+    rows = [[canon(v.get(j, 0)) for j in range(n)] for v in vectors]
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        f = inv(rows[r][col])
+        rows[r] = [canon(x * f) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                rows[i] = [canon(a - c * b) for a, b in zip(row, rows[r])]
+        r += 1
+    return {next(j for j, x in enumerate(row) if x): {j: x for j, x in enumerate(row) if x}
+            for row in rows[:r]}
+
+
+def assert_canonical_echelon(g, span):
+    pivots = set(span.rows)
+    for p, row in span.rows.items():
+        assert min(row) == p and row[p] == 1 and not (pivots - {p}) & set(row)
+        assert all(x and type(x) is type(g.one) and g.normalize(x) == x for x in row.values())
+
+
+@pytest.mark.parametrize("g, ints", [(F2, True), (F3, True), (F5, True), (QQ, False),
+                                     (QQ, True)], ids=["F2", "F3", "F5", "Q", "Q-int-input"])
+def test_echelon_matches_a_dense_gauss_jordan_oracle(g, ints):
+    # add and reduce against the oracle on seeded sparse vectors, given as
+    # they come: over F_p ints, the combinations below out of range, and
+    # over Q Fractions, or ints that the echelon must take to Fractions
+    rng = random.Random(67)
+
+    def scalar():
+        if g.p:
+            return rng.randint(1, g.p - 1)
+        return rng.randint(-4, 4) if ints else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    for trial in range(40):
+        n, k = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.15, 0.4, 0.9))
+        vectors = [{j: x for j in range(n) if rng.random() < density and (x := scalar())}
+                   for _ in range(k)]
+        # dependent vectors: combinations of earlier ones
+        vectors += [{j: sum(rng.randint(-2, 2) * v.get(j, 0) for v in vectors[:3])
+                     for j in range(n)} for _ in range(2)]
+        vectors = [g.canonical(v) if not ints else {j: x for j, x in v.items() if x}
+                   for v in vectors]
+        ranks = [len(gauss_jordan_oracle(g, vectors[:i], n)) for i in range(len(vectors) + 1)]
+        span = Echelon(g)
+        for i, v in enumerate(vectors):
+            assert span.add(v) == (ranks[i + 1] > ranks[i])
+        want = gauss_jordan_oracle(g, vectors, n)
+        assert span.rows == want and span.rank == len(want)
+        assert_canonical_echelon(g, span)
+        # one reduced basis: any order of the same vectors gives the same rows
+        shuffled = Echelon(g)
+        for v in rng.sample(vectors, len(vectors)):
+            shuffled.add(v)
+        assert shuffled.rows == span.rows
+        # reduce is v minus v's pivot entries times the pivot rows: zero at every pivot
+        for _ in range(4):
+            v = {j: x for j in range(n) if rng.random() < 0.5 and (x := scalar())}
+            nf = {j: (g.normalize(v.get(j, 0)) - sum(g.normalize(v.get(p, 0)) * row.get(j, 0)
+                                                     for p, row in want.items()))
+                  for j in range(n)}
+            out = span.reduce(v)
+            assert out == g.canonical(nf) and not set(out) & set(want)
+            assert all(type(x) is type(g.one) and g.normalize(x) == x for x in out.values())
+
+
 # -- the two constructors --------------------------------------------------------------
 
 @pytest.mark.parametrize("g", [F2, F3, F5, QQ, ZZ], ids=str)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hhalg import resolve
 from hhalg.algebra import AlgebraPresentation, BudgetExceededError, realize
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
-from hhalg.ground import GroundRing
+from hhalg.ground import QQ, GroundRing
+from hhalg.hochschild import regular_bimodule
 from hhalg.linalg import Echelon, SmithForm
 from hhalg.resolve import (
     AModule,
@@ -415,20 +416,21 @@ def _oracle_minimal_generators(A, F, kernel, t_window):
 
 def minimal_resolution_oracle(A, s_max, t_window):
     """The former minimal loop: F_0 = A by hand, and the augmentation kernel
-    read off as the non-unit monomials inside the window."""
+    read off as the non-unit monomials inside the window.  kernels[s] is
+    the kernel whose generators stage s + 1 covers."""
     g, lo, hi = A.base.ground, t_window[0], t_window[1]
     stages, images, flats = [FreeAModule(A, (0,))], [], []
-    kernel = [(A.degree(m), {m: g.one}) for m in range(A.rank) if m != A.unit_index
-              and (A.base.laurent or lo <= A.degree(m) <= hi)]
+    kernels = [[(A.degree(m), {m: g.one}) for m in range(A.rank) if m != A.unit_index
+                and (A.base.laurent or lo <= A.degree(m) <= hi)]]
     for s in range(s_max):
-        chosen = _oracle_minimal_generators(A, stages[-1], kernel, t_window)
+        chosen = _oracle_minimal_generators(A, stages[-1], kernels[-1], t_window)
         F_next, flat = _oracle_stage_map(stages[-1], chosen)
         stages.append(F_next)
         images.append([vec for _, vec in chosen])
         flats.append(flat)
         if s + 1 < s_max:
-            kernel = _oracle_flat_kernel(flat, t_window)
-    return stages, images, flats
+            kernels.append(_oracle_flat_kernel(flat, t_window))
+    return stages, images, flats, kernels
 
 
 @pytest.mark.parametrize("make, s_max, window", [
@@ -443,11 +445,182 @@ def minimal_resolution_oracle(A, s_max, t_window):
 ])
 def test_minimal_resolution_matches_the_former_loop(make, s_max, window):
     A = make()
-    stages, images, flats = minimal_resolution_oracle(A, s_max, window)
+    stages, images, flats, _ = minimal_resolution_oracle(A, s_max, window)
     res = minimal_resolution(A, s_max, window)
     assert [F.gen_degrees for F in res.stages] == [F.gen_degrees for F in stages]
     assert [d.images for d in res.maps] == images
     assert [d.flatten() for d in res.maps] == flats
+
+
+# -- the generators span I*K ---------------------------------------------------------
+
+def two_generator_quotient(base, dx, dy, px=3, py=2):
+    """k<x, y>/(x^px, y^py, xy) with |x| = dx, |y| = dy."""
+    return realize(AlgebraPresentation(base, (("x", dx), ("y", dy)), (
+        [(1, ("x",) * px, 0)], [(1, ("y",) * py, 0)], [(1, ("x", "y"), 0)])))
+
+
+def seeded_span_cases(seed, count):
+    """pytest params (algebra, window): exterior, truncated and two-generator
+    algebras over F3 and F5 and exterior algebras over F2[v^±1], whose
+    generator degrees have one sign or both, in clipped and wide windows."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        p = rng.choice((3, 5))
+        kind = rng.choice(("exterior", "truncated", "x, y", "laurent"))
+        signs = rng.choice(((1,), (-1,), (1, -1)))
+        if kind == "truncated":
+            degrees = [rng.choice((1, 2)) * rng.choice(signs)]
+            A = trunc_poly(rng.randint(2, 4), degrees[0], p)
+        elif kind == "x, y":
+            degrees = [rng.choice((1, 2)), rng.choice((1, 2)) * rng.choice(signs)]
+            A = two_generator_quotient(BaseRing(GroundRing.prime_field(p)), *degrees,
+                                       px=rng.randint(2, 3))
+        else:
+            degrees = [rng.choice((1, 2)) * rng.choice(signs) for _ in range(rng.randint(1, 3))]
+            base = KU2 if kind == "laurent" else BaseRing(GroundRing.prime_field(p))
+            A = exterior(base, tuple((f"x{i}", d) for i, d in enumerate(degrees)))
+        lo, hi = rng.randint(-6, -1), rng.randint(1, 6)
+        window = rng.choice(((lo, hi), (-16, 16)))
+        out.append(pytest.param(A, window, id=f"{n}: {kind} {degrees} {window}"))
+    return out
+
+
+# x in degree 1, y in degree -2: a degree-(-1) element yx reached through
+# y alone can leave a clipped window on its way, so all monomials must act
+MIXED_SIGN = lambda: two_generator_quotient(BaseRing(F3), 1, -2)
+MIXED_SIGN_WINDOWS = [(-2, 2), (-3, 1), (-1, 3), (-4, 4), (-6, 2)]
+
+
+@pytest.mark.parametrize("A, window", [
+    *[pytest.param(MIXED_SIGN(), w, id=f"x(1), y(-2) {w}") for w in MIXED_SIGN_WINDOWS],
+    pytest.param(lam_tau(), (-2, 2), id="lam(t)/F2[v^±1]"),
+    pytest.param(exterior(KU2, (("x", 1), ("y", -1))), (-3, 3), id="lam(x(1), y(-1))/F2[v^±1]"),
+    *seeded_span_cases(61, 24),
+])
+def test_minimal_generators_match_the_span_of_every_monomial(A, window):
+    # every stage of the former loop: the chosen generators are the same
+    # whether I*K is spanned by the generators or by every non-unit monomial
+    stages, _, _, kernels = minimal_resolution_oracle(A, 4, window)
+    for s, (F, kernel) in enumerate(zip(stages, kernels)):
+        assert (resolve._minimal_generators(F, kernel)
+                == _oracle_minimal_generators(A, F, kernel, window)), s
+
+
+# recorded with the span of every non-unit monomial: (s, t, rank) triples
+MIXED_SIGN_EXT = {
+    (-2, 2): [(0, 0, 1), (1, -2, 1), (1, 1, 1), (2, -1, 1), (2, 1, 1), (3, -1, 1), (3, 1, 1),
+              (3, 2, 1), (4, 0, 1), (4, 2, 2)],
+    (-3, 1): [(0, 0, 1), (1, -2, 1), (1, 1, 1), (2, -1, 1), (2, 1, 1), (3, -1, 1), (3, 0, 1),
+              (3, 1, 2), (4, -3, 1), (4, -2, 1), (4, -1, 1), (4, 0, 3), (4, 1, 3)],
+    (-1, 3): [(0, 0, 1), (1, 1, 1), (2, 3, 1), (3, 2, 1), (3, 3, 1), (4, 0, 1), (4, 1, 1),
+              (4, 2, 1), (4, 3, 2)],
+    (-4, 4): [(0, 0, 1), (1, -2, 1), (1, 1, 1), (2, -4, 1), (2, -1, 1), (2, 3, 1), (3, -3, 1),
+              (3, 1, 1), (3, 4, 1), (4, -1, 1), (4, 2, 1), (4, 4, 1)],
+    (-6, 2): [(0, 0, 1), (1, -2, 1), (1, 1, 1), (2, -4, 1), (2, -1, 1), (2, 1, 1), (3, -6, 1),
+              (3, -3, 1), (3, -1, 1), (3, 1, 1), (3, 2, 1), (4, -5, 1), (4, -3, 1), (4, -1, 1),
+              (4, 0, 1), (4, 2, 2)],
+    (-16, 16): [(0, 0, 1), (1, -2, 1), (1, 1, 1), (2, -4, 1), (2, -1, 1), (2, 3, 1),
+                (3, -6, 1), (3, -3, 1), (3, 1, 1), (3, 4, 1), (4, -8, 1), (4, -5, 1),
+                (4, -1, 1), (4, 2, 1), (4, 6, 1)],
+}
+
+
+@pytest.mark.parametrize("window", sorted(MIXED_SIGN_EXT), ids=str)
+def test_mixed_sign_ext_tables_in_clipped_windows(window):
+    table = ext_table(MIXED_SIGN(), 4, window)
+    assert sorted((s, t, p.free_rank) for (s, t), p in table.entries.items()) \
+        == MIXED_SIGN_EXT[window]
+
+
+# -- flatten along the generation steps -----------------------------------------------
+
+def former_flatten(d):
+    """The former flatten: column (j, m) is act_map(m) applied to images[j],
+    for every monomial m."""
+    src, tgt = d.source, d.target
+    flat = {}
+    for m in range(src.algebra.rank):
+        act = tgt.act_map(m)
+        for j, image in enumerate(d.images):
+            for i, c in act.apply_coords(image).items():
+                flat[(i, src.flat_index(j, m))] = c
+    return HomogeneousMap(src.module, tgt.module, d.degree, flat)
+
+
+def m2_f3_bimodule():
+    """M2(F3), by its Clifford presentation, as a bimodule over its enveloping algebra."""
+    A = realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
+        [(1, ("x", "x"), 0), (-1, (), 0)], [(1, ("y", "y"), 0), (-1, (), 0)],
+        [(1, ("y", "x"), 0), (1, ("x", "y"), 0)])))
+    return regular_bimodule(A, check=True)
+
+
+FLATTEN_CASES = {
+    "lam3/F3": lambda: minimal_resolution(
+        exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3))), 4),
+    "lam3/Q": lambda: minimal_resolution(
+        exterior(BaseRing(QQ), tuple((f"x{i}", -1) for i in range(3))), 4),
+    "F3[y]/y^3": lambda: minimal_resolution(trunc_poly(3, 2), 4, (0, 40)),
+    "lam(t)/F2[v^±1]": lambda: minimal_resolution(lam_tau(), 4),
+    "M2(F3) over A^e": lambda: (lambda M: free_resolution(M.algebra, M, 3, seed=5))(
+        m2_f3_bimodule()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLATTEN_CASES))
+def test_flatten_matches_the_former_stage_map(case):
+    res = FLATTEN_CASES[case]()
+    assert res.maps
+    for d in res.maps:
+        F_next, want = _oracle_stage_map(d.target, list(zip(d.source.gen_degrees, d.images)))
+        assert F_next == d.source
+        assert d.flatten() == want == former_flatten(d)
+    # a map of nonzero degree: each stage-1 generator to the unit of F_0
+    F0, F1 = res.stages[0], res.stages[1]
+    u = res.algebra.unit_index
+    t = F1.gen_degrees[0]
+    f1 = AModuleMap(F1, F0, [{F0.flat_index(0, u): 1} if d == t else {}
+                             for d in F1.gen_degrees], degree=-t)
+    assert f1.flatten() == former_flatten(f1)
+
+
+def test_flatten_of_a_bimodule_cover_matches_the_former_flatten():
+    # the cover's target is an AModule, the regular bimodule of M2(F3)
+    M = m2_f3_bimodule()
+    vectors = [(d, {i: 1}) for i, (_, d) in enumerate(M.module.generators)]
+    chosen = resolve._greedy_generators(M.algebra, M, vectors, random.Random(5))
+    cover = AModuleMap(FreeAModule(M.algebra, tuple(d for d, _ in chosen)), M,
+                       [vec for _, vec in chosen])
+    assert cover.flatten() == former_flatten(cover)
+    assert len(cover.flatten().entries) > len(chosen)
+
+
+def test_ext_table_applies_the_generators_only(monkeypatch):
+    # 6,895 calls when every non-unit monomial spanned I*K and flatten
+    # applied every monomial's act map
+    calls = []
+    real = HomogeneousMap.apply_coords
+
+    def counting(self, coeffs):
+        calls.append(coeffs)
+        return real(self, coeffs)
+
+    A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(4)))
+    monkeypatch.setattr(HomogeneousMap, "apply_coords", counting)
+    table = ext_table(A, s_max=4)
+    assert [table.entries[(s, -s)].free_rank for s in range(5)] == [comb(s + 3, 3)
+                                                                    for s in range(5)]
+    assert len(calls) <= 3000
+
+
+def test_minimal_resolution_builds_the_generators_act_maps_only():
+    A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(4)))
+    res = minimal_resolution(A, s_max=4)
+    built = [set(F._acts) for F in res.stages]
+    assert set().union(*built) == set(A.generating_monomials)
+    assert all(b <= set(A.generating_monomials) for b in built)
 
 
 # -- minimal against greedy, on random small algebras ------------------------------
