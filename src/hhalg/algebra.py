@@ -13,7 +13,8 @@ of hochschild's action map mu all go through it.  Like the algebra
 isomorphism test and dg's Leibniz check, it compares only the pairs
 (generator, basis element), for the algebra's generating_monomials: a
 set that reaches every monomial by left multiplication from the unit,
-verified when the algebra is built.
+verified when the algebra is built.  A tensor product reads its pairs and
+steps off its factors (_TensorAlgebra).
 """
 
 from __future__ import annotations
@@ -244,6 +245,8 @@ class GradedAlgebra:
     other construction leaves it empty.
     """
 
+    _steps = None  # generation_steps(), once found
+
     def __init__(self, base: BaseRing, monomials, unit_index: int, mult, check=True,
                  generating_monomials=None, rewritten=None):
         self.base = base
@@ -254,7 +257,13 @@ class GradedAlgebra:
         for (i, j), vec in mult.items():
             if product := self._product(i, j, vec):
                 self.mult[(i, j)] = product
-        self._declare(generating_monomials)
+        if self.base.degree_key(self.degree(self.unit_index)) != 0:
+            raise ValueError("unit must sit in degree 0")
+        if generating_monomials is None:
+            self.generating_monomials = tuple(i for i in range(self.rank) if i != unit_index)
+        else:
+            self.generating_monomials = tuple(generating_monomials)
+            self.generation_steps()
         if check:
             self._check_unit()
             # (e_i e_j) e_k = e_i (e_j e_k) for every k says that the left
@@ -317,24 +326,17 @@ class GradedAlgebra:
                 raise ValueError(f"structure constant ({i},{j})->{k} violates degree additivity")
         return out
 
-    def _declare(self, generating_monomials):
-        """Check the unit's degree and set the generating monomials, verifying a declared set."""
-        if self.base.degree_key(self.degree(self.unit_index)) != 0:
-            raise ValueError("unit must sit in degree 0")
-        self._steps = None
-        if generating_monomials is None:
-            self.generating_monomials = tuple(
-                i for i in range(self.rank) if i != self.unit_index)
-        else:
-            self.generating_monomials = tuple(generating_monomials)
-            self.generation_steps()
-
     def _check_unit(self):
         u = self.unit_index
         one = self.base.ground.one
         for i in range(self.rank):
             if self.mul_basis(u, i) != {i: one} or self.mul_basis(i, u) != {i: one}:
                 raise ValueError(f"unit is not two-sided at basis element {i}")
+
+    def action_pairs(self):
+        """The pairs (x, y) of monomials whose products check_action compares:
+        (s, e_j) for s in generating_monomials and every basis element e_j."""
+        return ((s, j) for s in self.generating_monomials for j in range(self.rank))
 
     def generation_steps(self) -> tuple:
         """Steps (m, s, k, c), s * e_k = c e_m with c a unit, of a search from the
@@ -381,22 +383,23 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
 
     maps holds HomogeneousMaps on M keyed by monomial index; absent
     monomials act by zero.  Every map's degree and the unit's action are
-    checked, and then only the pairs (s, e_j) with s in
-    A.generating_monomials: a left action rho must have
-    rho(s e_j) = rho(s) o rho(e_j), a right one rho(s e_j) = rho(e_j) o rho(s).
-    Both sides are compared as entry dicts, with a map's columns read off
-    its column index.  A product may wrap a Laurent period; entries carry
-    only ground scalars, so both sides are read in the degree of the pair.
+    checked, and then only the pairs (x, y) of A.action_pairs(): a left
+    action rho must have rho(x y) = rho(x) o rho(y), a right one
+    rho(x y) = rho(y) o rho(x).  Both sides are compared as entry dicts,
+    with a map's columns read off its column index.  A product may wrap a
+    Laurent period; entries carry only ground scalars, so both sides are
+    read in the degree of the pair.
 
-    This is exact for an associative A.  The x with rho(x y) = rho(x) rho(y)
+    This is exact for an associative A.  A GradedAlgebra's pairs are (s, y)
+    for s in A.generating_monomials.  The x with rho(x y) = rho(x) rho(y)
     for all y form a ground submodule T that holds the unit.  It is closed
     under x |-> s x for a generator s:
         rho(s x y) = rho(s) rho(x y) = rho(s) rho(x) rho(y) = rho(s x) rho(y).
-    Left multiplications by generators reach every monomial from the unit
-    (GradedAlgebra verifies this), so T = A; a right action reverses every
-    composite.  On the left multiplications of a table not yet known to be
-    associative, the same argument with T = {x : (x a) b = x (a b)} shows
-    that the check is associativity.
+    The steps of A.generation_steps() reach every monomial from the unit,
+    so T = A; a right action reverses every composite.  On the left
+    multiplications of a table not yet known to be associative, the same
+    argument with T = {x : (x a) b = x (a b)} shows that the check is
+    associativity.  A tensor product's pairs are proved in its action_pairs.
     """
     g = A.base.ground
     key = A.base.degree_key
@@ -406,23 +409,22 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     unit = maps.get(A.unit_index)
     if (unit.entries if unit else {}) != {(k, k): g.one for k in range(M.rank)}:
         raise ValueError("unit does not act as identity")
-    for s in A.generating_monomials:
-        for j in range(A.rank):
-            # the pair (i, k) composes maps[i] after maps[k]
-            i, k = (s, j) if side == "left" else (j, s)
-            lhs = {}
-            if i in maps and k in maps:
-                columns = maps[i].by_column()
-                for (t, m), c in maps[k].entries.items():
-                    for r, d in columns.get(t, ()):
-                        lhs[(r, m)] = lhs.get((r, m), 0) + d * c
-            rhs = {}
-            for t, c in A.mul_basis(s, j).items():
-                if t in maps:
-                    for rm, v in maps[t].entries.items():
-                        rhs[rm] = rhs.get(rm, 0) + c * v
-            if g.canonical(lhs) != g.canonical(rhs):
-                raise ValueError(f"{side} action fails on pair ({i},{k})")
+    for x, y in A.action_pairs():
+        # the pair (i, k) composes maps[i] after maps[k]
+        i, k = (x, y) if side == "left" else (y, x)
+        lhs = {}
+        if i in maps and k in maps:
+            columns = maps[i].by_column()
+            for (t, m), c in maps[k].entries.items():
+                for r, d in columns.get(t, ()):
+                    lhs[(r, m)] = lhs.get((r, m), 0) + d * c
+        rhs = {}
+        for t, c in A.mul_basis(x, y).items():
+            if t in maps:
+                for rm, v in maps[t].entries.items():
+                    rhs[rm] = rhs.get(rm, 0) + c * v
+        if g.canonical(lhs) != g.canonical(rhs):
+            raise ValueError(f"{side} action fails on pair ({i},{k})")
 
 
 def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
@@ -508,6 +510,7 @@ class _TensorAlgebra(GradedAlgebra):
 
     The full table `mult` is built only when something reads it (equality,
     opposite, a tensor of this algebra), from the factors' stored pairs.
+    Construction computes no product; steps and action pairs come from the factors.
     """
 
     def __init__(self, A: GradedAlgebra, B: GradedAlgebra):
@@ -518,8 +521,53 @@ class _TensorAlgebra(GradedAlgebra):
         self.rewritten = {}
         self._factors = (A, B)
         self._slots = {}
-        self._declare([s * nB + B.unit_index for s in A.generating_monomials]
-                      + [A.unit_index * nB + t for t in B.generating_monomials])
+        self.generating_monomials = tuple(
+            [s * nB + B.unit_index for s in A.generating_monomials]
+            + [A.unit_index * nB + t for t in B.generating_monomials])
+
+    def generation_steps(self) -> tuple:
+        """A's steps lifted to (s (x) 1)(k (x) 1) = c m (x) 1, then for each monomial
+        a of A, B's to (1 (x) t)(a (x) k) = (-1)^{|t||a|} c a (x) m; each is checked
+        on the one product it names, rank(A) rank(B) products in all."""
+        if self._steps is None:
+            A, B = self._factors
+            nB, uA, uB, norm = B.rank, A.unit_index, B.unit_index, self.base.ground.normalize
+            steps = [(m * nB + uB, s * nB + uB, k * nB + uB, c)
+                     for m, s, k, c in A.generation_steps()]
+            steps += [(a * nB + m, uA * nB + t, a * nB + k,
+                       norm(-c) if A.parity(a) and B.parity(t) else c)
+                      for a in range(A.rank) for m, t, k, c in B.generation_steps()]
+            for m, s, k, c in steps:
+                if self.mul_basis(s, k) != {m: c}:
+                    raise ValueError(f"generating monomials do not reach monomial {m}")
+            self._steps = tuple(steps)
+        return self._steps
+
+    def action_pairs(self):
+        """(a (x) 1, 1 (x) b) for non-unit a, b; (s (x) 1, a (x) 1); (1 (x) t, 1 (x) b);
+        (1 (x) t, s (x) 1); for s and t generating A and B.  These suffice.
+
+        Write alpha(a) = rho(a (x) 1) and beta(b) = rho(1 (x) b) for a left
+        action rho.  The first family gives rho(a (x) b) = alpha(a) beta(b).
+        The second and third make alpha and beta actions, by check_action's
+        argument.  With the first, the fourth gives beta(t) alpha(s) =
+        (-1)^{|s||t|} alpha(s) beta(t), which extends along A's steps,
+          beta(t) alpha(s a) = +- alpha(s) beta(t) alpha(a) = +- alpha(s a) beta(t),
+        then along B's to all a and b (the period is even: parities add).  So
+        rho(a (x) b) rho(a' (x) b') = (-1)^{|b||a'|} alpha(a a') beta(b b'),
+        which is rho((a (x) b)(a' (x) b')).  For a right action every composite
+        reverses and the same lines prove it.  Each pair is compared through
+        this algebra's own mul_basis, so a wrong composite or sign still fails.
+        """
+        A, B = self._factors
+        nB, u = B.rank, self.unit_index
+        left = [a * nB + B.unit_index for a in range(A.rank)]  # a (x) 1
+        right = [A.unit_index * nB + b for b in range(B.rank)]  # 1 (x) b
+        S = [left[s] for s in A.generating_monomials]
+        T = [right[t] for t in B.generating_monomials]
+        return itertools.chain(
+            ((x, y) for x in left if x != u for y in right if y != u),
+            itertools.product(S, left), itertools.product(T, right), itertools.product(T, S))
 
     def mul_basis(self, i, j):
         """(a (x) b)(a' (x) b') = (-1)^{|b||a'|} aa' (x) bb', the one place this sign is written."""

@@ -14,8 +14,9 @@ for the two-term quotient DGA family.
 mu is an algebra map exactly when A is a module over A (x) A^op, so its
 algebra-map check is the module check of the regular bimodule, the one
 action check algebra.check_action; whether mu is bijective is
-HomogeneousMap.is_iso.  A (x) A^op is generated by the s (x) 1 and 1 (x) s
-for s generating A, so that check compares 2 |S| r^2 pairs, not r^4.
+HomogeneousMap.is_iso.  For A of rank r generated by S, that check reads
+the pairs of the factors of A (x) A^op (algebra._TensorAlgebra.action_pairs),
+(r - 1)^2 + 2 |S| r + |S|^2 of them, not its 2 |S| r^2 generator pairs.
 """
 
 from __future__ import annotations
@@ -30,6 +31,12 @@ from .ground import Record
 from .linalg import ExactMatrix, SubquotientPresentation, factor
 from .resolve import AModule, AModuleMap, FreeAModule, Resolution, derived_hom, hom_cochains
 from .tables import BigradedTable
+
+
+def _graded_only(A, function, route="HH of a DGAlgebra is not computed; pass A.algebra"):
+    """Raise a TypeError naming the function and the supported route if A is a DGAlgebra."""
+    if isinstance(A, DGAlgebra):
+        raise TypeError(f"{function} takes a GradedAlgebra, not a DGAlgebra: {route}")
 
 
 def _bimodule_action(A: GradedAlgebra, M: GradedFreeModule, left, right) -> dict:
@@ -139,6 +146,7 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
     The bar cochains sit in degree -t (BarCochainComplex), so their
     cohomology is read on the window (-hi, -lo) and keyed back by -t.
     """
+    _graded_only(A, "hochschild_cohomology")
     if M is None:
         M = regular_bimodule(A)
     bar = BarCochainComplex(A, M, n_max, budget)
@@ -180,6 +188,7 @@ def action_map_mu(A):
 
 def mu_is_iso(A: GradedAlgebra) -> bool:
     """Whether mu is bijective, slice by slice (HomogeneousMap.is_iso)."""
+    _graded_only(A, "mu_is_iso", "use dg.is_quasi_iso(action_map_mu(A), window)")
     return action_map_mu(A).is_iso()
 
 
@@ -196,6 +205,7 @@ def hochschild_via_enveloping(A: GradedAlgebra, n_max: int = 4,
     degree -t, so this table's (n, t) is the bar table's (n, -t);
     check_enveloping_against_bar compares the two.
     """
+    _graded_only(A, "hochschild_via_enveloping")
     M = regular_bimodule(A, check=True)
     return derived_hom(M, M, window, n_max + 1, seed)
 

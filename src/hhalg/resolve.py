@@ -254,12 +254,17 @@ def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolutio
 
 
 def _augmentation_checks(A: GradedAlgebra):
+    """ResolutionError unless I, the span of the non-unit monomials, is a nilpotent
+    ideal.  Both tests multiply by the generating monomials s alone: along
+    A.generation_steps(), e_m . I = c^-1 s . (e_k . I) lies in I when every s . I
+    does, from e_unit . I = I on; and I^{k+1} = I . I^k is the sum of the s . I^k,
+    as e_m x = c^-1 s (e_k x) with e_k x in I^k."""
     g = A.base.ground
     u = A.unit_index
     nonunit = [m for m in range(A.rank) if m != u]
-    for i in nonunit:
+    for s in A.generating_monomials:
         for j in nonunit:
-            if u in A.mul_basis(i, j):
+            if u in A.mul_basis(s, j):
                 raise ResolutionError(
                     "algebra is not augmented: product of ideal elements hits the unit"
                 )
@@ -271,8 +276,8 @@ def _augmentation_checks(A: GradedAlgebra):
         nxt = []
         step = Echelon(g)
         for x in current:
-            for m in nonunit:
-                y = A.mul_coords({m: g.one}, x)
+            for s in A.generating_monomials:
+                y = A.mul_coords({s: g.one}, x)
                 if y and step.add(y):
                     nxt.append(y)
         current = nxt

@@ -24,12 +24,13 @@ from hhalg.algebra import (
     semisimple_quotient,
     tensor,
 )
+from hhalg import hochschild
 from hhalg.algebra import _Rewriter
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator, tensor_module
 from hhalg.defs import build_algebra, parse_definition
 from hhalg.ground import GroundRing, ZZ
 from hhalg.linalg import ExactMatrix, kernel_basis, solve
-from hhalg.resolve import AModule
+from hhalg.resolve import AModule, AModuleMap, FreeAModule
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -396,6 +397,90 @@ def test_tensor_matches_the_all_slots_oracle(case):
         assert opposite(T) == opposite(oracle)
     # a tensor of a tensor builds the inner table from its stored pairs
     assert tensor(tensor(A, B), B).mult == tensor_oracle(tensor_oracle(A, B), B).mult
+
+
+def accepts(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return False
+    return True
+
+
+def first_entry_moved(f: HomogeneousMap) -> HomogeneousMap:
+    g = f.source.base.ground
+    entries = dict(f.entries)
+    key = min(entries)
+    entries[key] = g.normalize(entries[key] + g.one)
+    return HomogeneousMap(f.source, f.target, f.degree, entries)
+
+
+def factor_actions(L, R, oracle):
+    """An action of L (x) R with the Koszul sign (-1)^{|b||x|} of a (x) b on the
+    element x: L's regular bimodule when R is L^op, else the left regular
+    module of L (x) R.  Returns the module, the maps and each column's |x|."""
+    if R == opposite(L):
+        return L.module, hochschild._regular_action(L), L.parity
+    maps = {i: oracle.left_mult(i) for i in range(oracle.rank)}
+    return oracle.module, maps, lambda col: L.parity(col // R.rank)
+
+
+@pytest.mark.parametrize("case", sorted(TENSOR_CASES))
+def test_tensor_action_pairs_and_steps_match_the_generator_pair_oracle(case):
+    A, B = TENSOR_CASES[case]()
+    rejected = set()
+    for L, R in ((A, B), (A, opposite(A)), (B, opposite(B))):
+        T, oracle = tensor(L, R), tensor_oracle(L, R)
+        M, maps, col_parity = factor_actions(L, R, oracle)
+        nR, u = R.rank, T.unit_index
+        unsigned = {i: HomogeneousMap(f.source, f.target, f.degree, {
+            (r, col): -c if R.parity(i % nR) and col_parity(col) else c
+            for (r, col), c in f.entries.items()}) for i, f in maps.items()}
+        variants = {"valid": maps, "unsigned": unsigned}
+        # the last a (x) b with neither factor the unit that acts by a nonzero map
+        for i, f in sorted(maps.items(), reverse=True):
+            if f.entries and L.unit_index != i // nR and R.unit_index != i % nR:
+                variants[f"composite {i}"] = {**maps, i: first_entry_moved(f)}
+                break
+        for s in (T.generating_monomials[0], T.generating_monomials[-1]):
+            variants[f"generator {s}"] = {**maps, s: first_entry_moved(maps[s])}
+        for name, variant in variants.items():
+            verdict = accepts(lambda: check_action(oracle, M, variant))
+            assert accepts(lambda: check_action(T, M, variant)) == verdict, name
+            if name in ("valid", "unsigned"):
+                # the unsigned maps act only where the sign is +1 throughout
+                assert verdict == (variant == maps), name
+            elif not verdict:
+                rejected.add(name.split()[0])
+        # every derived step is a product of the oracle, from the unit or a monomial reached before
+        reached = {u}
+        for m, s, k, c in T.generation_steps():
+            assert s in T.generating_monomials and k in reached and m not in reached
+            assert oracle.mul_basis(s, k) == {m: c}
+            reached.add(m)
+        assert reached == set(range(T.rank))
+        # flatten over the tensor's steps equals flatten over the oracle's search
+        g = T.base.ground
+        rng = random.Random(5)
+        even = [m for m in range(T.rank) if T.base.compatible(0, 0, T.degree(m))]
+        images = [{m: g.normalize(rng.randint(1, 4)) for m in rng.sample(even, min(3, len(even)))}
+                  for _ in range(2)]
+        assert (AModuleMap(FreeAModule(T, (0, 0)), FreeAModule(T, (0,)), images).flatten()
+                == AModuleMap(FreeAModule(oracle, (0, 0)), FreeAModule(oracle, (0,)),
+                              images).flatten())
+    assert rejected == {"composite", "generator"}
+
+
+def test_a_tensor_product_computes_no_product_until_one_is_read():
+    # the generating set, steps and action pairs come from the factors:
+    # M2 has rank 4 and 2 generators, Lambda3 rank 8 and 3 generators, so
+    # (4 - 1)(8 - 1) + 2 * 4 + 3 * 8 + 3 * 2 pairs
+    T = tensor(m2_f3(), opposite(exterior3_f3()))
+    assert T._slots == {} and len(T.generating_monomials) == 5
+    pairs = list(T.action_pairs())
+    assert len(pairs) == len(set(pairs)) == 3 * 7 + 2 * 4 + 3 * 8 + 3 * 2
+    assert T._slots == {}
+    assert len(T.generation_steps()) == T.rank - 1 == len(T._slots)
 
 
 def test_tensor_products_are_computed_once_and_checked():

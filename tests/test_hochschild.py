@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhalg import base, hochschild
+from hhalg import algebra, base, hochschild
 from hhalg.algebra import (AlgebraPresentation, InvariantError, center, endomorphism_algebra,
                            opposite, realize)
 from hhalg.base import (
@@ -382,6 +382,30 @@ def test_mu_with_one_entry_changed_fails_the_algebra_map_check(monkeypatch):
     monkeypatch.setattr(hochschild, "_regular_action", lambda _: dict(action))
     with pytest.raises(AssertionError, match="mu failed the algebra-map check: left action"):
         action_map_mu(A)
+
+
+def test_mu_reads_the_enveloping_algebra_through_its_factors(monkeypatch):
+    # End(F5^4) has rank 16 and 6 generators: the generator pairs of its
+    # enveloping algebra made 2 * 6 * 16^2 = 3,072 products
+    computed = []
+    product = algebra._TensorAlgebra._product
+    monkeypatch.setattr(algebra._TensorAlgebra, "_product",
+                        lambda self, i, j, vec: computed.append((i, j)) or product(self, i, j, vec))
+    E = endomorphism_algebra(GradedFreeModule(BaseRing(F5), tuple((f"e{i}", 0) for i in range(4))))
+    assert mu_is_iso(E)
+    assert len(set(computed)) == len(computed) <= 642
+
+
+@pytest.mark.parametrize("route, supported", [
+    (hochschild_cohomology, "pass A.algebra"),
+    (hochschild_via_enveloping, "pass A.algebra"),
+    (mu_is_iso, r"use dg.is_quasi_iso\(action_map_mu\(A\), window\)"),
+], ids=["hochschild_cohomology", "hochschild_via_enveloping", "mu_is_iso"])
+def test_a_dg_algebra_gets_a_type_error_naming_the_supported_route(route, supported):
+    D = make_quotient_dga(KUZ, 3, 1).dga
+    with pytest.raises(TypeError, match=rf"^{route.__name__} takes a GradedAlgebra, "
+                                        rf"not a DGAlgebra: .*{supported}"):
+        route(D)
 
 
 def test_mu_dg_chain_map():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import resolve
-from hhalg.algebra import AlgebraPresentation, BudgetExceededError, realize
+from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgebra, opposite,
+                           realize, tensor)
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
 from hhalg.ground import QQ, GroundRing
 from hhalg.hochschild import regular_bimodule
@@ -109,6 +110,29 @@ def test_resolution_rejects_non_augmented():
 def test_resolution_rejects_non_nilpotent_ideal():
     with pytest.raises(ResolutionError):
         minimal_resolution(sigma1())
+
+
+def b2():
+    # F2[v^±1][t]/(t^2 - v): t t hits the unit
+    return realize(AlgebraPresentation(KU2, (("t", 1),), ([(1, ("t", "t"), 0), (-1, (), 1)],)))
+
+
+def test_augmentation_checks_multiply_by_the_generators_alone(monkeypatch):
+    # F3[y]/y^20 (x) its opposite, rank 400: every non-unit monomial acting
+    # made 3,032,400 mul_coords calls; the two generators make
+    # 2 * sum(dim I^k) = 2 * sum over (i, j) of i + j = 15,200
+    A = trunc_poly(20, 1)
+    Ae = tensor(A, opposite(A))
+    calls = []
+    mul_coords = GradedAlgebra.mul_coords
+    monkeypatch.setattr(GradedAlgebra, "mul_coords",
+                        lambda self, x, y: calls.append(1) or mul_coords(self, x, y))
+    resolve._augmentation_checks(Ae)
+    assert len(calls) <= 15200
+    # the verdicts hold on the enveloping algebras of refused algebras too
+    for refused, message in ((sigma1(), "not nilpotent"), (b2(), "not augmented")):
+        with pytest.raises(ResolutionError, match=message):
+            resolve._augmentation_checks(tensor(refused, opposite(refused)))
 
 
 # -- ext tables ---------------------------------------------------------------
