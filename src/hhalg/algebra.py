@@ -278,8 +278,9 @@ class GradedAlgebra:
     def rank(self):
         return len(self.monomials)
 
-    @property
+    @cached_property
     def module(self) -> GradedFreeModule:
+        """The underlying free module, built once; not a field, so equality ignores it."""
         return GradedFreeModule(self.base, self.monomials)
 
     def degree(self, i):
@@ -385,10 +386,11 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     monomials act by zero.  Every map's degree and the unit's action are
     checked, and then only the pairs (x, y) of A.action_pairs(): a left
     action rho must have rho(x y) = rho(x) o rho(y), a right one
-    rho(x y) = rho(y) o rho(x).  Both sides are compared as entry dicts,
-    with a map's columns read off its column index.  A product may wrap a
-    Laurent period; entries carry only ground scalars, so both sides are
-    read in the degree of the pair.
+    rho(x y) = rho(y) o rho(x).  The action of the product is subtracted
+    from the composite, built off the first map's column index, in one
+    entry dict, and the pair fails unless that difference is canonically
+    zero.  A product may wrap a Laurent period; entries carry only ground
+    scalars, so both sides are read in the degree of the pair.
 
     This is exact for an associative A.  A GradedAlgebra's pairs are (s, y)
     for s in A.generating_monomials.  The x with rho(x y) = rho(x) rho(y)
@@ -412,18 +414,17 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     for x, y in A.action_pairs():
         # the pair (i, k) composes maps[i] after maps[k]
         i, k = (x, y) if side == "left" else (y, x)
-        lhs = {}
+        diff = {}  # the composite minus the action of the product
         if i in maps and k in maps:
             columns = maps[i].by_column()
             for (t, m), c in maps[k].entries.items():
                 for r, d in columns.get(t, ()):
-                    lhs[(r, m)] = lhs.get((r, m), 0) + d * c
-        rhs = {}
+                    diff[(r, m)] = diff.get((r, m), 0) + d * c
         for t, c in A.mul_basis(x, y).items():
             if t in maps:
                 for rm, v in maps[t].entries.items():
-                    rhs[rm] = rhs.get(rm, 0) + c * v
-        if g.canonical(lhs) != g.canonical(rhs):
+                    diff[rm] = diff.get(rm, 0) - c * v
+        if g.canonical(diff):
             raise ValueError(f"{side} action fails on pair ({i},{k})")
 
 

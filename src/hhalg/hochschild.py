@@ -11,12 +11,18 @@ the action map mu from A^e to Hom(A, A) (the regular bimodule's
 AModule.action_map), and the homology image of the alpha class under mu
 for the two-term quotient DGA family.
 
+The regular bimodule reads each action off A's structure table:
+e_a (x) e_b sends e_x to (-1)^{|b||x|} (e_a e_x) e_b, two mul_basis reads
+per term and no composite of maps (bimodule composes them, the oracle).
+
 mu is an algebra map exactly when A is a module over A (x) A^op, so its
 algebra-map check is the module check of the regular bimodule, the one
 action check algebra.check_action; whether mu is bijective is
 HomogeneousMap.is_iso.  For A of rank r generated by S, that check reads
 the pairs of the factors of A (x) A^op (algebra._TensorAlgebra.action_pairs),
 (r - 1)^2 + 2 |S| r + |S|^2 of them, not its 2 |S| r^2 generator pairs.
+Its first family, (a (x) 1, 1 (x) b), compares L_a o R_b with the table's
+(e_a x) e_b, which is associativity on every triple (a, x, b).
 """
 
 from __future__ import annotations
@@ -39,8 +45,38 @@ def _graded_only(A, function, route="HH of a DGAlgebra is not computed; pass A.a
         raise TypeError(f"{function} takes a GradedAlgebra, not a DGAlgebra: {route}")
 
 
-def _bimodule_action(A: GradedAlgebra, M: GradedFreeModule, left, right) -> dict:
-    """{i * rank(A) + j: x |-> (-1)^{|e_j||x|} e_i . x . e_j} on M."""
+def _regular_action(A: GradedAlgebra) -> dict:
+    """{a * rank(A) + b: e_x |-> (-1)^{|b||x|} (e_a e_x) e_b} on A, read off A's table."""
+    M, r = A.module, A.rank
+    odd = [A.parity(x) for x in range(r)]
+    right = [[A.mul_basis(y, b) for y in range(r)] for b in range(r)]  # right[b][y] = e_y e_b
+    action = {}
+    for a in range(r):
+        left = [A.mul_basis(a, x) for x in range(r)]
+        for b, yb in enumerate(right):
+            entries = {}
+            for x, ax in enumerate(left):
+                sign = -1 if odd[b] and odd[x] else 1
+                for y, c in ax.items():
+                    for z, d in yb[y].items():
+                        entries[(z, x)] = entries.get((z, x), 0) + sign * c * d
+            if entries:
+                hm = HomogeneousMap(M, M, A.degree(a) + A.degree(b), entries)
+                if not hm.is_zero():
+                    action[a * r + b] = hm
+    return action
+
+
+def bimodule(A: GradedAlgebra, M: GradedFreeModule, left, right) -> AModule:
+    """The bimodule with the given left and right monomial actions on M:
+    e_i (x) e_j acts by x |-> (-1)^{|e_j||x|} left[i](right[j](x)).
+
+    The module check (algebra.check_action) rejects actions that are not
+    unital and associative, and left and right actions that do not commute.
+    With A's left and right multiplications on A.module it gives the action
+    of regular_bimodule(A) by composing maps, the oracle the table-read
+    action is tested against.
+    """
     action = {}
     for i, li in left.items():
         for j, rj in right.items():
@@ -52,26 +88,11 @@ def _bimodule_action(A: GradedAlgebra, M: GradedFreeModule, left, right) -> dict
                 })
             if not hm.is_zero():
                 action[i * A.rank + j] = hm
-    return action
-
-
-def _regular_action(A: GradedAlgebra) -> dict:
-    left = {m: A.left_mult(m) for m in range(A.rank)}
-    right = {m: A.right_mult(m) for m in range(A.rank)}
-    return _bimodule_action(A, A.module, left, right)
-
-
-def bimodule(A: GradedAlgebra, M: GradedFreeModule, left, right) -> AModule:
-    """The bimodule with the given left and right monomial actions on M.
-
-    The module check (algebra.check_action) rejects actions that are not
-    unital and associative, and left and right actions that do not commute.
-    """
-    return AModule(tensor(A, opposite(A)), M, _bimodule_action(A, M, left, right))
+    return AModule(tensor(A, opposite(A)), M, action)
 
 
 def regular_bimodule(A: GradedAlgebra, check=False) -> AModule:
-    """A as a bimodule over itself."""
+    """A as a bimodule over itself, its action read off A's structure table."""
     return AModule(tensor(A, opposite(A)), A.module, _regular_action(A), check=check)
 
 

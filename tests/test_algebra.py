@@ -252,6 +252,51 @@ def test_endomorphism_action_is_an_action_with_bijective_action_map(base, degs):
     assert E.action_map().is_iso()
 
 
+def first_failing_pair(A, maps, side):
+    """The first pair of A.action_pairs() whose composite, built by compose,
+    differs from the action of the product, as check_action names it."""
+    g = A.base.ground
+    for x, y in A.action_pairs():
+        i, k = (x, y) if side == "left" else (y, x)
+        lhs = maps[i].compose(maps[k]).entries if i in maps and k in maps else {}
+        rhs = {}
+        for t, c in A.mul_basis(x, y).items():
+            for rm, v in (maps[t].entries if t in maps else {}).items():
+                rhs[rm] = rhs.get(rm, 0) + c * v
+        if lhs != g.canonical(rhs):
+            return i, k
+    return None
+
+
+@pytest.mark.parametrize("case", ["exterior left", "exterior right", "bimodule"])
+def test_check_action_names_the_first_failing_pair(case):
+    # one entry changed in the action of a monomial that no generator is
+    if case == "bimodule":
+        L = m2_f3()
+        A, M, maps, side = tensor(L, opposite(L)), L.module, hochschild._regular_action(L), "left"
+    else:
+        A, side = exterior3_f3(), case.split()[1]
+        M, mult = A.module, A.left_mult if side == "left" else A.right_mult
+        maps = {i: mult(i) for i in range(A.rank)}
+    m = max(i for i, f in maps.items() if f.entries and i not in A.generating_monomials
+            and i != A.unit_index)
+    maps[m] = first_entry_moved(maps[m])
+    pair = first_failing_pair(A, maps, side)
+    assert pair is not None
+    with pytest.raises(ValueError) as err:
+        check_action(A, M, maps, side)
+    assert str(err.value) == f"{side} action fails on pair ({pair[0]},{pair[1]})"
+
+
+def test_an_algebra_builds_its_module_once():
+    A, B = exterior3_f3(), exterior3_f3()
+    for X in (A, tensor(A, opposite(A))):
+        assert X.module is X.module
+    # equal algebras have equal, equally hashed modules
+    assert A == B and A.module is not B.module
+    assert A.module == B.module and hash(A.module) == hash(B.module)
+
+
 def test_check_action_rejects_a_map_off_the_module_or_degree():
     A = exterior_tau()
     t = next(i for i in range(A.rank) if i != A.unit_index)

@@ -1,3 +1,4 @@
+import os
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from hhalg.base import (
     slice_keys,
 )
 from hhalg.azumaya import check_classical_azumaya
+from hhalg.defs import build_algebra, parse_definition
 from hhalg.dg import ChainMap, DGAlgebra, hom_complex, make_quotient_dga, tensor_complex
 from hhalg.ground import GroundRing, ZZ
 from hhalg.hochschild import (
@@ -34,6 +36,7 @@ from hhalg.hochschild import (
 from hhalg.linalg import SubquotientPresentation, determinant
 from hhalg.resolve import AModule
 from hhalg.tables import BigradedTable
+from test_algebra import TENSOR_CASES
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
@@ -394,6 +397,58 @@ def test_mu_reads_the_enveloping_algebra_through_its_factors(monkeypatch):
     E = endomorphism_algebra(GradedFreeModule(BaseRing(F5), tuple((f"e{i}", 0) for i in range(4))))
     assert mu_is_iso(E)
     assert len(set(computed)) == len(computed) <= 642
+
+
+def test_mu_is_iso_composes_no_maps(monkeypatch):
+    # each action of the regular bimodule is read off the structure table:
+    # 256 composites L_a o R_b for End(F5^4) when it was composed
+    E = endomorphism_algebra(GradedFreeModule(BaseRing(F5), tuple((f"e{i}", 0) for i in range(4))))
+    composed = []
+    compose = HomogeneousMap.compose
+    monkeypatch.setattr(HomogeneousMap, "compose",
+                        lambda self, first: composed.append(1) or compose(self, first))
+    assert mu_is_iso(E)
+    assert composed == []
+
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
+
+
+def corpus_algebras():
+    """(file, name) of every algebra entry of the bundled corpus."""
+    out = []
+    for file in sorted(f for f in os.listdir(DATA) if f.endswith(".def")):
+        with open(os.path.join(DATA, file)) as fh:
+            out += [(file, name) for name, _ in parse_definition(fh.read()).algebras]
+    return out
+
+
+def corpus_algebra(file, name):
+    """The graded algebra of a corpus entry; a dg entry's underlying algebra."""
+    with open(os.path.join(DATA, file)) as fh:
+        A = build_algebra(parse_definition(fh.read()), name)
+    return A.dga.algebra if hasattr(A, "dga") else A
+
+
+@pytest.mark.parametrize("make", [
+    *[pytest.param(lambda f=f, n=n: corpus_algebra(f, n), id=f"{f}:{n}")
+      for f, n in corpus_algebras()],
+    *[pytest.param(lambda c=c, i=i: TENSOR_CASES[c]()[i], id=f"{c} factor {i}")
+      for c in sorted(TENSOR_CASES) for i in (0, 1)],
+    pytest.param(lambda: endomorphism_algebra(GradedFreeModule(
+        BaseRing(ZZ), (("e0", 0), ("e1", 1), ("e2", -2)))), id="End(Z^3)"),
+    pytest.param(lam_tau, id="lam(t)/F2[v^±1]"),
+])
+def test_regular_bimodule_matches_the_composed_bimodule(make):
+    # read off the table, e_a (x) e_b acts by x |-> +-(e_a x) e_b; the oracle
+    # composes left_mult(a) after right_mult(b) and checks the module axioms
+    A = make()
+    oracle = bimodule(A, A.module, {m: A.left_mult(m) for m in range(A.rank)},
+                      {m: A.right_mult(m) for m in range(A.rank)})
+    action = regular_bimodule(A).action
+    assert action.keys() == oracle.action.keys()
+    for i, f in oracle.action.items():
+        assert (action[i].degree, action[i].entries) == (f.degree, f.entries), i
 
 
 @pytest.mark.parametrize("route, supported", [
