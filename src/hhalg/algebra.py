@@ -23,24 +23,17 @@ import itertools
 from functools import cached_property
 
 from .base import BaseRing, GradedFreeModule, HomogeneousMap, tensor_module
-from .ground import GroundRing, Record, Value
-from .linalg import Echelon, ExactMatrix, SubquotientPresentation, kernel_basis
+from .ground import BudgetExceededError, GroundRing, Record, Value
+from .linalg import Echelon, ExactMatrix, kernel_basis
+from .tables import SubquotientPresentation
 
 
 class RealizeError(ValueError):
     """Presentation cannot be realized (divergent, non-confluent, bad relation)."""
 
 
-class BudgetExceededError(ValueError):
-    """A budget, cap or window was exceeded before reaching a conclusion."""
-
-
 class DivergenceError(RealizeError, BudgetExceededError):
     """Rewriting or the monomial basis ran past its cap."""
-
-
-class InvariantError(AssertionError):
-    """An invariant the mathematics guarantees failed: a bug, not bad input."""
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +270,12 @@ class GradedAlgebra:
     @property
     def rank(self):
         return len(self.monomials)
+
+    @property
+    def factors(self) -> tuple:
+        """The algebras this one is the graded tensor product of, in order;
+        (self,) when it is no tensor product."""
+        return (self,)
 
     @cached_property
     def module(self) -> GradedFreeModule:
@@ -525,6 +524,11 @@ class _TensorAlgebra(GradedAlgebra):
         self.generating_monomials = tuple(
             [s * nB + B.unit_index for s in A.generating_monomials]
             + [A.unit_index * nB + t for t in B.generating_monomials])
+
+    @property
+    def factors(self) -> tuple:
+        A, B = self._factors
+        return A.factors + B.factors
 
     def generation_steps(self) -> tuple:
         """A's steps lifted to (s (x) 1)(k (x) 1) = c m (x) 1, then for each monomial

@@ -16,11 +16,10 @@ for End(E1) (x) End(E2) acting on E1 (x) E2.
 
 from __future__ import annotations
 
-from .algebra import (BudgetExceededError, GradedAlgebra, endomorphism_action,
-                      endomorphism_algebra, tensor)
+from .algebra import GradedAlgebra, endomorphism_action, endomorphism_algebra, tensor
 from .base import GradedFreeModule, HomogeneousMap, tensor_maps, tensor_module
 from .dg import DGAlgebra, dg_unit_kernel, homology_at, is_quasi_iso
-from .ground import Record
+from .ground import BudgetExceededError, Record
 from .hochschild import action_map_mu, mu_is_iso
 from .resolve import AModule
 

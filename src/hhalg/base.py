@@ -15,8 +15,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .ground import GroundRing, Value
-from .linalg import ExactMatrix, SubquotientPresentation, factor, subquotient
-from .tables import BigradedTable
+from .linalg import ExactMatrix, factor, subquotient
+from .tables import BigradedTable, SubquotientPresentation
 
 
 class LaurentGenerator(Value):

@@ -1,27 +1,37 @@
-"""Content-addressed cache for computed tables.
+"""Content-addressed cache of CLI runs.
 
-Keys hash the parsed definition (defs.DefinitionFile, canonical by
-construction), the computation bounds, and the engine version, a sha256 of
-the package's .py sources, so an engine change invalidates old entries
-silently.  Writes go through a temp file and an atomic rename, safe under
-concurrent batch runs.  Payloads are serialized BigradedTables; a cache hit
-therefore re-renders to output byte-identical with recomputation.  Each
-entry is the sha256 of its key and payload together on the first line,
-then the payload, so an entry copied or renamed onto another key's path
-fails its digest.  An entry that is unreadable, fails its digest or does
-not parse as a table is a miss: the table is recomputed and the entry
-overwritten.
+One entry per run: the CLI keys it by the engine version, the subcommand,
+the parsed definition (defs.DefinitionFile, canonical by construction), the
+value of every flag the subcommand reads and --quiet, and stores the run's
+sections, (name, table or None, records).  A table keeps its rows, notes and
+completed_through, so a hit re-renders byte-identical with recomputation,
+exit code included.  The engine version is a sha256 of the package's .py
+sources, so an engine change invalidates old entries silently.
+
+Writes go through a temp file and an atomic rename, safe under concurrent
+batch runs.  Each entry is the sha256 of its key and payload together on
+the first line, then the payload, so an entry copied or renamed onto
+another key's path fails its digest.  An entry that is unreadable, fails
+its digest or does not parse as sections is a miss: the run computes and
+overwrites it.
+
+sha256 comes from the builtin `_sha256` where the interpreter has it, as in
+`random`: `hashlib` would load OpenSSL into every run that reads the cache.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import tempfile
 
 from .tables import BigradedTable, SubquotientPresentation
+
+try:
+    from _sha256 import sha256
+except ImportError:  # an interpreter without the builtin module
+    from hashlib import sha256
 
 DEFAULT_DIR = ".hhalg-cache"
 
@@ -47,7 +57,7 @@ def _sources():
 @functools.cache
 def engine_version() -> str:
     """The sha256 of the package's sources, read once per process on first use."""
-    h = hashlib.sha256()
+    h = sha256()
     for name, data in _sources():
         h.update(f"{name}\0{len(data)}\0".encode())
         h.update(data)
@@ -56,30 +66,38 @@ def engine_version() -> str:
 
 def cache_key(*parts) -> str:
     doc = json.dumps([engine_version(), *parts], sort_keys=True)
-    return hashlib.sha256(doc.encode()).hexdigest()
+    return sha256(doc.encode()).hexdigest()
 
 
 def _path(cache_dir, key):
     return os.path.join(cache_dir, key + ".json")
 
 
-def serialize_table(table: BigradedTable) -> str:
-    return json.dumps({
-        "rows": [[s, t, fr, list(tors)] for s, t, fr, tors in table.rows()],
-        "notes": list(table.notes),
-    }, sort_keys=True)
+def serialize_table(table: BigradedTable) -> dict:
+    """The JSON document of a table: rows, notes and completed_through."""
+    return {"rows": [[s, t, fr, list(tors)] for s, t, fr, tors in table.rows()],
+            "notes": list(table.notes), "completed_through": table.completed_through}
 
 
-def deserialize_table(text: str) -> BigradedTable:
-    doc = json.loads(text)
-    table = BigradedTable(notes=tuple(doc["notes"]))
+def deserialize_table(doc: dict) -> BigradedTable:
+    table = BigradedTable(notes=tuple(doc["notes"]), completed_through=doc["completed_through"])
     for s, t, fr, tors in doc["rows"]:
         table.set(s, t, SubquotientPresentation(fr, tuple(tors)))
     return table
 
 
+def serialize_sections(sections) -> str:
+    return json.dumps([[name, None if table is None else serialize_table(table), rec]
+                       for name, table, rec in sections], sort_keys=True)
+
+
+def deserialize_sections(text: str) -> list:
+    return [(name, None if table is None else deserialize_table(table),
+             [(key, value) for key, value in rec]) for name, table, rec in json.loads(text)]
+
+
 def _digest(key, text: str) -> str:
-    return hashlib.sha256(f"{key}\n{text}".encode()).hexdigest()
+    return sha256(f"{key}\n{text}".encode()).hexdigest()
 
 
 def load(cache_dir, key):
@@ -107,14 +125,12 @@ def store(cache_dir, key, text: str):
         raise
 
 
-def cached_table(cache_dir, key, compute) -> BigradedTable:
-    """Look up a table; on a miss or a malformed entry, compute, store, and return it."""
-    hit = load(cache_dir, key)
-    if hit is not None:
+def cached_sections(cache_dir, key):
+    """The sections stored under key, or None on a miss or a malformed entry."""
+    text = load(cache_dir, key)
+    if text is not None:
         try:
-            return deserialize_table(hit)
+            return deserialize_sections(text)
         except (ValueError, KeyError, TypeError):
             pass
-    table = compute()
-    store(cache_dir, key, serialize_table(table))
-    return table
+    return None

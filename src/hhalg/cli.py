@@ -1,17 +1,22 @@
 """Command-line frontend.
 
 Each subcommand parses only the flags it reads, and --file, --format,
---quiet and --cache-dir (read by ext and morita; perfbench/run.py passes
-it to every command).  Each builds what `parse_definition` checked and
+--quiet and --cache-dir.  Each builds what `parse_definition` checked and
 returns its sections, (name, table or None, records), one per entry or task;
 `_emit` writes them all as TSV or as a JSON mirror.  Exit codes: 0 =
 computed (verdicts, pass or fail, live in the output), 1 = input error, 2 =
 a budget or window was exceeded, or a table stopped short of the request,
-3 = an invariant failed (algebra.InvariantError, a bug).
+3 = an invariant failed (ground.InvariantError, a bug).
 
-Each subcommand imports the engine modules that only it uses (cache,
-hochschild, azumaya, morita) when it runs, not on `import hhalg.cli`.  Cache
-keys hash the definition's field tuple, `DefinitionFile.astuple()`.
+The cache is the front door of `main`: after parsing the definition it
+keys the run by the subcommand, `DefinitionFile.astuple()`, the value of
+each flag in FLAGS and --quiet (azumaya leaves witnesses out under it), and
+a hit emits the stored sections without building an algebra or importing
+an engine module.  A miss runs the subcommand, stores its sections and
+emits them; a run that raises stores nothing.  --format is not in the key:
+TSV and JSON render the same sections.  Importing this module loads only
+defs' parser, ground and tables; `main` loads cache, and each subcommand
+imports the engine modules it reads when it runs.
 """
 
 from __future__ import annotations
@@ -20,15 +25,13 @@ import argparse
 import json
 import sys
 
-from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, radical
 from .defs import (
     DefinitionError,
     build_algebra,
     build_module,
     parse_definition,
 )
-from .dg import QuotientDGA, homology
-from .resolve import AModule, ext_table
+from .ground import BudgetExceededError, InvariantError
 from .tables import BigradedTable
 
 
@@ -77,6 +80,8 @@ def _emit(out, sections, args):
 
 def _entries(built, kind, command):
     """The built entries of type `kind`; a DefinitionError if there are none."""
+    from .dg import QuotientDGA
+
     found = [(n, e) for n, e in built.items() if isinstance(e, kind)]
     if not found:
         need = "a dg algebra" if kind is QuotientDGA else "at least one algebra"
@@ -85,21 +90,15 @@ def _entries(built, kind, command):
 
 
 def cmd_ext(df, built, args):
-    from .cache import cache_key, cached_table, resolve_cache_dir
+    from .algebra import GradedAlgebra
+    from .resolve import ext_table
 
-    definition, cache_path = df.astuple(), resolve_cache_dir(args.cache_dir)
-    sections = []
-    for name, A in _entries(built, GradedAlgebra, "ext"):
-        key = cache_key("ext", definition, name, args.smax, args.window)
-        table = cached_table(
-            cache_path, key,
-            lambda A=A: ext_table(A, s_max=args.smax, t_window=args.window),
-        )
-        sections.append((name, table, []))
-    return sections
+    return [(name, ext_table(A, s_max=args.smax, t_window=args.window), [])
+            for name, A in _entries(built, GradedAlgebra, "ext")]
 
 
 def cmd_hochschild(df, built, args):
+    from .algebra import GradedAlgebra
     from .hochschild import hochschild_cohomology
 
     return [(name, hochschild_cohomology(A, n_max=args.nmax, window=args.window,
@@ -108,11 +107,14 @@ def cmd_hochschild(df, built, args):
 
 
 def cmd_homology(df, built, args):
+    from .dg import QuotientDGA, homology
+
     return [(name, homology(q.dga.complex(), args.window), [])
             for name, q in _entries(built, QuotientDGA, "homology")]
 
 
 def cmd_mu_image(df, built, args):
+    from .dg import QuotientDGA
     from .hochschild import mu_homology_image
 
     sections = []
@@ -129,7 +131,9 @@ def cmd_mu_image(df, built, args):
 
 
 def cmd_azumaya(df, built, args):
+    from .algebra import GradedAlgebra
     from .azumaya import check_classical_azumaya, check_generalized_azumaya, check_weak_azumaya
+    from .dg import QuotientDGA
 
     check = {"classical": check_classical_azumaya, "generalized": check_generalized_azumaya,
              "weak": check_weak_azumaya}[args.flavor]
@@ -146,7 +150,7 @@ def cmd_azumaya(df, built, args):
 
 
 def _morita_contexts(df, built):
-    """(section name, (R, A, E_R, E_A), context) per morita task.
+    """(section name, context) per morita task.
 
     A section is named R|A|E_R, and R|A|E_R|E_A when tasks share R|A|E_R.
     """
@@ -161,11 +165,10 @@ def _morita_contexts(df, built):
     heads = [(spec["R"], spec["A"], spec["E_R"]) for spec in specs]
     out = []
     for spec, head in zip(specs, heads):
-        names = head + (spec["E_A"],)
-        name = "|".join(names if heads.count(head) > 1 else head)
+        name = "|".join(head + (spec["E_A"],) if heads.count(head) > 1 else head)
         ctx = MoritaContext(build_module(df, spec["E_R"], built),
                             build_module(df, spec["E_A"], built))
-        out.append((name, names, ctx))
+        out.append((name, ctx))
     return out
 
 
@@ -174,22 +177,18 @@ def _verified(ok) -> str:
 
 
 def cmd_morita(df, built, args):
-    from .cache import cache_key, cached_table, resolve_cache_dir
+    from .algebra import radical
     from .morita import (completion, completion_matches, retract_identity, roundtrip_FG,
                          torsion_roundtrip)
+    from .resolve import AModule
 
-    window, definition = args.window, df.astuple()
-    cache_path = resolve_cache_dir(args.cache_dir)
+    window = args.window
     sections = []
-    for name, names, ctx in _morita_contexts(df, built):
+    for name, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
-            key = cache_key("completion", definition, names, args.smax, window)
-            def compute():
-                table = completion(ctx, M, window, args.smax)
-                table.notes = ("valid inside the window only",)
-                return table
-            table = cached_table(cache_path, key, compute)
+            table = completion(ctx, M, window, args.smax)
+            table.notes = ("valid inside the window only",)
             verdict = _verified(completion_matches(table, M.module, compare=window))
             sections.append((name, table, [("in-window equivalence", verdict)]))
         elif args.check == "roundtrip":
@@ -232,6 +231,31 @@ OPTIONS = {
 }
 
 
+def _cached_run(df, args):
+    """The run's sections: stored under its key, or computed and then stored.
+
+    The key holds each flag's value as given, so a hit replays a run whose
+    window parsed; an unwritable cache directory costs the next run a
+    recomputation, not this one its output.
+    """
+    from .cache import cache_key, cached_sections, resolve_cache_dir, serialize_sections, store
+
+    cache_dir = resolve_cache_dir(args.cache_dir)
+    key = cache_key(args.command, df.astuple(),
+                    [getattr(args, flag[2:]) for flag in FLAGS[args.command]], args.quiet)
+    sections = cached_sections(cache_dir, key)
+    if sections is None:
+        built = {name: build_algebra(df, name) for name, _ in df.algebras}
+        if "window" in args:
+            args.window = _parse_window(args.window)
+        sections = COMMANDS[args.command](df, built, args)
+        try:
+            store(cache_dir, key, serialize_sections(sections))
+        except OSError:
+            pass
+    return sections
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hhalg",
@@ -264,10 +288,7 @@ def main(argv=None) -> int:
         return 1
     try:
         df = parse_definition(text)
-        built = {name: build_algebra(df, name) for name, _ in df.algebras}
-        if "window" in args:
-            args.window = _parse_window(args.window)
-        sections = COMMANDS[args.command](df, built, args)
+        sections = _cached_run(df, args)
         _emit(sys.stdout, sections, args)
     except (DefinitionError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -4,7 +4,10 @@ A definition document has top-level keys `base`, `algebras`, `modules`,
 `tasks`.  `parse_definition` alone checks a document: a module acts by
 its generators' entries on generators of a graded `over` entry, and a task
 is a morita task with exactly the keys command, R, A, E_R and E_A; the
-`build_*` functions only build.  Relations use a noncommutative grammar:
+`build_*` functions only build, and they alone import the engine (algebra,
+base, dg, resolve), so parsing a document loads none of it: the CLI parses
+and keys its cache before it builds anything.  Relations use a
+noncommutative grammar:
 
     expr    = [ "-" ] term { ("+" | "-") term } ;
     term    = factor { "*" factor } ;
@@ -21,11 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .algebra import AlgebraPresentation, RealizeError, realize
-from .base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
-from .dg import make_quotient_dga
 from .ground import GroundRing, Record
-from .resolve import AModule
 
 
 class DefinitionError(Exception):
@@ -429,6 +428,8 @@ def parse_definition(text: str) -> DefinitionFile:
 
 
 def build_base(base_spec) -> BaseRing:
+    from .base import BaseRing, LaurentGenerator
+
     ground, laurent = base_spec
     try:
         if ground == "Z":
@@ -449,6 +450,9 @@ def build_algebra(df: DefinitionFile, name: str):
     An entry with generators but no relations is the free algebra truncated
     at the mandatory `truncation` bound (internal degrees past it vanish).
     """
+    from .algebra import AlgebraPresentation, RealizeError, realize
+    from .dg import make_quotient_dga
+
     spec = dict(df.algebras)[name]
     base = build_base(spec.get("base", df.base))
     # errors are named, of the same type, so a DivergenceError still exits 2
@@ -477,6 +481,9 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
     action is accepted exactly when it equals that one, once the module is
     checked.
     """
+    from .base import GradedFreeModule, HomogeneousMap
+    from .resolve import AModule
+
     spec = dict(df.modules)[name]
     A = built[spec["over"]]
     M = GradedFreeModule(A.base, spec["generators"])

@@ -13,8 +13,7 @@ from .algebra import GradedAlgebra
 from .base import (BaseRing, GradedFreeModule, HomogeneousMap, cohomology_at, hom_maps,
                    tensor_maps)
 from .ground import Record
-from .linalg import SubquotientPresentation
-from .tables import BigradedTable
+from .tables import BigradedTable, SubquotientPresentation
 
 
 class Complex:

@@ -2,7 +2,10 @@
 
 Scalars are plain Python objects (int for Z and F_p, Fraction for Q), so
 all arithmetic is exact.  A GroundRing value bundles the normalization,
-unit test and inversion logic that the linear algebra layer needs.
+unit test and inversion logic that the linear algebra layer needs.  The
+module also holds the base classes Record and Value and the two errors
+that the command line sorts into exit codes, BudgetExceededError and
+InvariantError, so that the CLI catches them without loading the engine.
 
 One scalar policy holds everywhere: sums and products are plain int and
 Fraction arithmetic (`out.get(k, 0) + c * x`), and a scalar is reduced
@@ -21,6 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import attrgetter
+
+
+class BudgetExceededError(ValueError):
+    """A budget, cap or window was exceeded before reaching a conclusion."""
+
+
+class InvariantError(AssertionError):
+    """An invariant the mathematics guarantees failed: a bug, not bad input."""
 
 
 def _is_prime(n: int) -> bool:

@@ -30,13 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import BudgetExceededError, GradedAlgebra, InvariantError, opposite, tensor
+from .algebra import GradedAlgebra, opposite, tensor
 from .base import GradedFreeModule, HomogeneousMap, cohomology_table, hom_pair_index
 from .dg import ChainMap, DGAlgebra, QuotientDGA, hom_complex, homology_at, tensor_complex
-from .ground import Record
-from .linalg import ExactMatrix, SubquotientPresentation, factor
+from .ground import BudgetExceededError, InvariantError, Record
+from .linalg import ExactMatrix, factor
 from .resolve import AModule, AModuleMap, FreeAModule, Resolution, derived_hom, hom_cochains
-from .tables import BigradedTable
+from .tables import BigradedTable, SubquotientPresentation
 
 
 def _graded_only(A, function, route="HH of a DGAlgebra is not computed; pass A.algebra"):

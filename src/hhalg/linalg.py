@@ -48,7 +48,8 @@ the sums are exact as they stand).
 
 from __future__ import annotations
 
-from .ground import GroundRing, Value
+from .ground import GroundRing
+from .tables import SubquotientPresentation
 
 
 class ExactMatrix:
@@ -312,31 +313,6 @@ class SmithForm:
                 x //= d
             y[i] = x
         return self.V.apply(y)
-
-
-class SubquotientPresentation(Value):
-    """A finitely generated module: free part plus invariant-factor torsion."""
-
-    _fields = ("free_rank", "torsion")
-
-    def __init__(self, free_rank: int, torsion: tuple = ()):
-        self._init(free_rank, torsion)
-        for a, b in zip(self.torsion, self.torsion[1:]):
-            if b % a != 0:
-                raise ValueError("torsion factors must form a divisibility chain")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        if self.free_rank:
-            parts.append(f"free^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts)
 
 
 # The Smith form eliminates on sparse rows {column: scalar}, with a column

@@ -2,13 +2,39 @@
 
 The common output shape for homology, Ext and Hochschild computations:
 entries indexed by (s, t), each a SubquotientPresentation, with notes.
-Zero entries are omitted.
+Zero entries are omitted.  linalg computes the presentations; they live
+here, with nothing but ground beneath them, so the cache rebuilds a
+stored table without loading linalg.
 """
 
 from __future__ import annotations
 
-from .ground import Record
-from .linalg import SubquotientPresentation
+from .ground import Record, Value
+
+
+class SubquotientPresentation(Value):
+    """A finitely generated module: free part plus invariant-factor torsion."""
+
+    _fields = ("free_rank", "torsion")
+
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        self._init(free_rank, torsion)
+        for a, b in zip(self.torsion, self.torsion[1:]):
+            if b % a != 0:
+                raise ValueError("torsion factors must form a divisibility chain")
+
+    @property
+    def is_zero(self) -> bool:
+        return self.free_rank == 0 and not self.torsion
+
+    def __str__(self):
+        if self.is_zero:
+            return "0"
+        parts = []
+        if self.free_rank:
+            parts.append(f"free^{self.free_rank}")
+        parts.extend(f"Z/{t}" for t in self.torsion)
+        return " + ".join(parts)
 
 
 class BigradedTable(Record):

@@ -20,6 +20,7 @@ from hhalg.defs import (
     parse_relation,
 )
 from hhalg.base import GradedFreeModule, HomogeneousMap
+from hhalg.ground import InvariantError
 from hhalg.tables import BigradedTable
 from hhalg.linalg import SubquotientPresentation
 from hhalg.resolve import AModule, AModuleMap
@@ -290,6 +291,9 @@ def test_table_serialization_roundtrip():
     t.set(1, -1, SubquotientPresentation(0, (2, 4)))
     assert deserialize_table(serialize_table(t)) == t
     assert deserialize_table(serialize_table(t)).notes == ("note",)
+    assert deserialize_table(serialize_table(t)).completed_through is None
+    t.completed_through = 2
+    assert deserialize_table(serialize_table(t)).completed_through == 2
 
 
 def test_cache_key_depends_on_bounds():
@@ -426,7 +430,7 @@ def test_cache_key_hashes_the_parsed_definition(capsys, tmp_path):
         code, out, _ = run(capsys, ["ext", "--file", str(path), "--smax", "3"], cache_dir)
         assert code == 0
         outs.append(out)
-        assert len(os.listdir(cache_dir)) == 2  # one entry per algebra
+        assert len(os.listdir(cache_dir)) == 1  # one entry per run
     assert outs[0] == outs[1]
     changed = copy.deepcopy(CANONICAL_DEFS[0])
     changed["algebras"]["ext2"]["relations"][2] = "x*y - y*x"
@@ -434,6 +438,105 @@ def test_cache_key_hashes_the_parsed_definition(capsys, tmp_path):
     before = set(os.listdir(cache_dir))
     assert run(capsys, ["ext", "--file", str(paths[0]), "--smax", "3"], cache_dir)[0] == 0
     assert set(os.listdir(cache_dir)) > before
+
+
+# the engine modules a warm run must not import, and OpenSSL's hash module
+ENGINE_MODULES = ("algebra", "base", "linalg", "resolve", "dg", "hochschild", "azumaya", "morita")
+
+# one cheap run of each subcommand
+SUBCOMMAND_RUNS = (
+    ["ext", "--file", defpath("exterior1.def"), "--smax", "3"],
+    ["hochschild", "--file", defpath("exterior1.def"), "--nmax", "1"],
+    ["homology", "--file", defpath("azumaya_dg.def")],
+    ["mu-image", "--file", defpath("azumaya_dg.def")],
+    ["azumaya", "--file", defpath("matrix.def")],
+    ["morita", "--file", defpath("etale.def"), "--check", "roundtrip"],
+)
+
+
+def test_a_warm_run_imports_no_engine_module_and_no_openssl(capsys, tmp_path):
+    assert sorted(argv[0] for argv in SUBCOMMAND_RUNS) == sorted(COMMANDS)
+    cold = [run(capsys, argv, tmp_path) for argv in SUBCOMMAND_RUNS]
+    assert all(code == 0 for code, _, _ in cold)
+    assert len(os.listdir(tmp_path)) == len(SUBCOMMAND_RUNS)
+    code = ("import contextlib, io, json, sys\n"
+            "from hhalg.cli import main\n"
+            "runs = json.loads(sys.argv[1])\n"
+            "outs = []\n"
+            "for argv in runs:\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        outs.append([main(argv), out.getvalue(), err.getvalue()])\n"
+            "names = ['hhalg.' + m for m in %r] + ['hashlib', '_hashlib']\n"
+            "print(json.dumps([outs, sorted(m for m in names if m in sys.modules)]))\n"
+            % (ENGINE_MODULES,))
+    runs = [argv + ["--cache-dir", str(tmp_path)] for argv in SUBCOMMAND_RUNS]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+                          text=True, env=env, check=True)
+    warm, loaded = json.loads(proc.stdout)
+    assert warm == [list(c) for c in cold]
+    assert loaded == []
+
+
+def test_a_budget_stop_replays_its_note_and_exit_code(capsys, tmp_path):
+    argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3", "--budget", "15"]
+    cold = run(capsys, argv, tmp_path)
+    assert cold[0] == 2
+    assert cold[1].count("# note: budget exceeded: completed through n = 0\n") == 2
+    assert run(capsys, argv, tmp_path) == cold
+    assert len(os.listdir(tmp_path)) == 1
+
+
+def test_quiet_is_in_the_key(capsys, tmp_path):
+    # azumaya leaves its witnesses out under --quiet, so each spelling has its own entry
+    argv = ["azumaya", "--file", defpath("ku2.def"), "--flavor", "weak"]
+    fresh = [run(capsys, argv + quiet, tmp_path / f"fresh{len(quiet)}")
+             for quiet in ([], ["--quiet"])]
+    assert fresh[0] != fresh[1]
+    for _ in range(2):
+        for quiet, want in zip(([], ["--quiet"]), fresh):
+            assert run(capsys, argv + quiet, tmp_path / "shared") == want
+    assert len(os.listdir(tmp_path / "shared")) == 2
+
+
+def test_format_is_not_in_the_key(capsys, tmp_path):
+    argv = ["ext", "--file", defpath("exterior_n.def"), "--smax", "3"]
+    outs = [run(capsys, argv + ["--format", fmt], tmp_path / fmt) for fmt in ("tsv", "json")]
+    for fmt, want in zip(("tsv", "json"), outs):
+        assert run(capsys, argv + ["--format", fmt], tmp_path / "shared") == want
+    assert len(os.listdir(tmp_path / "shared")) == 1
+
+
+def test_a_run_that_fails_stores_nothing(capsys, tmp_path, monkeypatch):
+    # exit 1 on a definition error and on a refused algebra, 2 on a raised
+    # budget error, 3 on a failed invariant: none of them leaves an entry
+    failing = [
+        (1, ["ext", "--file", defpath("ku2.def")]),
+        (1, ["morita", "--file", defpath("etale.def"), "--check", "roundtrip",
+             "--window=2:1"]),
+        (2, ["hochschild", "--file", defpath("matrix.def"), "--budget", "1"]),
+        (2, ["azumaya", "--file", defpath("azumaya_dg.def"), "--window=0:0"]),
+    ]
+    for want, argv in failing:
+        assert run(capsys, argv, tmp_path / "c")[0] == want
+    assert not os.path.exists(tmp_path / "c") or os.listdir(tmp_path / "c") == []
+
+    def broken(*args, **kwargs):
+        raise InvariantError("broken on purpose")
+
+    monkeypatch.setattr(hochschild, "hochschild_cohomology", broken)
+    argv = ["hochschild", "--file", defpath("exterior1.def"), "--nmax", "1"]
+    assert run(capsys, argv, tmp_path / "c") == (3, "", "error: broken on purpose\n")
+    assert not os.path.exists(tmp_path / "c") or os.listdir(tmp_path / "c") == []
+
+
+def test_an_unwritable_cache_directory_costs_no_output(capsys, tmp_path):
+    argv = ["ext", "--file", defpath("exterior1.def"), "--smax", "3"]
+    want = run(capsys, argv, tmp_path / "c")
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(capsys, argv, blocker / "cache") == want
 
 
 def test_determinism_across_runs(capsys, tmp_path):
@@ -763,10 +866,12 @@ def test_exit_two_on_hochschild_budget(capsys, tmp_path):
 
 
 def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, monkeypatch):
+    # each run gets its own cache directory: a patched engine keeps the
+    # engine version, so a shared one would replay the first run
     argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3"]
-    code, out, _ = run(capsys, argv, tmp_path)
+    code, out, _ = run(capsys, argv, tmp_path / "plain")
     assert code == 0 and "budget" not in out
-    code, out, _ = run(capsys, argv + ["--budget", "15"], tmp_path)
+    code, out, _ = run(capsys, argv + ["--budget", "15"], tmp_path / "budget")
     assert code == 2
     assert out.count("# note: budget exceeded: completed through n = 0\n") == 2
     # a note that mentions a budget is text; only completed_through is a verdict
@@ -778,7 +883,7 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
         return table
 
     monkeypatch.setattr("hhalg.hochschild.hochschild_cohomology", noted)
-    code, out, _ = run(capsys, argv, tmp_path)
+    code, out, _ = run(capsys, argv, tmp_path / "noted")
     assert code == 0 and "budget comfortably met" in out
 
     def cut(*args, **kwargs):
@@ -787,7 +892,7 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
         return table
 
     monkeypatch.setattr("hhalg.hochschild.hochschild_cohomology", cut)
-    assert run(capsys, argv, tmp_path)[0] == 2
+    assert run(capsys, argv, tmp_path / "cut")[0] == 2
 
 
 def test_exit_two_when_the_budget_fits_no_cochain_degree(capsys, tmp_path):
@@ -981,6 +1086,12 @@ def corpus_argv(command):
 @pytest.mark.parametrize("command", sorted(CLI_CORPUS))
 def test_corpus_command_matches_recorded_output(capsys, tmp_path, command):
     assert list(run(capsys, corpus_argv(command), tmp_path)) == CLI_CORPUS[command]
+
+
+@pytest.mark.parametrize("command", sorted(CLI_CORPUS))
+def test_corpus_command_replays_its_recorded_output_warm(capsys, tmp_path, command):
+    runs = [list(run(capsys, corpus_argv(command), tmp_path)) for _ in ("cold", "warm")]
+    assert runs == [CLI_CORPUS[command]] * 2
 
 
 # recorded before the verdict layer was rebuilt around one mu condition, one

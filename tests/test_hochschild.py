@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import algebra, base, hochschild
-from hhalg.algebra import (AlgebraPresentation, InvariantError, center, endomorphism_algebra,
-                           opposite, realize)
+from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, opposite, realize
 from hhalg.base import (
     BaseRing,
     GradedFreeModule,
@@ -20,7 +19,7 @@ from hhalg.base import (
 from hhalg.azumaya import check_classical_azumaya
 from hhalg.defs import build_algebra, parse_definition
 from hhalg.dg import ChainMap, DGAlgebra, hom_complex, make_quotient_dga, tensor_complex
-from hhalg.ground import GroundRing, ZZ
+from hhalg.ground import GroundRing, InvariantError, ZZ
 from hhalg.hochschild import (
     BarCochainComplex,
     action_map_mu,

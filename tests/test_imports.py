@@ -534,6 +534,70 @@ def test_module_import_detector_flags_offenders():
     assert module_imports(ast.parse(code), "dataclasses") == [1, 2, 3, 6]
 
 
+def load_time_imports(tree):
+    """Sorted (line, module) for each import that runs when the module loads:
+    outside function bodies and outside `except` handlers, which import a
+    fallback only when the import before them failed."""
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                  ast.ExceptHandler)):
+                continue
+            if isinstance(child, ast.Import):
+                out.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                out.append((child.lineno, "." * child.level + child.module))
+            elif isinstance(child, ast.ImportFrom):  # from . import name
+                out.extend((child.lineno, "." * child.level + alias.name)
+                           for alias in child.names)
+            visit(child)
+
+    visit(tree)
+    return sorted(out)
+
+
+# A warm cache hit loads only these modules of hhalg; an engine module or
+# hashlib (which loads OpenSSL) imported when one of them loads would put
+# that cost back on every hit.
+HIT_PATH = ("cli.py", "cache.py", "tables.py", "defs.py")
+NOT_ON_THE_HIT_PATH = ("algebra", "base", "linalg", "resolve", "dg", "hochschild", "azumaya",
+                       "morita", "hashlib")
+
+
+def hit_path_offenders(tree):
+    """The load-time imports of a module or package named in NOT_ON_THE_HIT_PATH,
+    relative or as hhalg.<name>."""
+    return [(line, module) for line, module in load_time_imports(tree)
+            if module.lstrip(".").removeprefix("hhalg.").split(".")[0] in NOT_ON_THE_HIT_PATH]
+
+
+@pytest.mark.parametrize("name", HIT_PATH)
+def test_the_hit_path_loads_no_engine_module(name):
+    assert hit_path_offenders(ast.parse((SRC / name).read_text())) == []
+
+
+def test_hit_path_detector_flags_offenders():
+    code = ("import json, hashlib\n"
+            "from .algebra import GradedAlgebra\n"
+            "from hhalg.resolve import AModule\n"
+            "from .ground import Record\n"
+            "try:\n"
+            "    from . import dg\n"
+            "except ImportError:\n"
+            "    from hashlib import sha256\n"
+            "if True:\n"
+            "    import hhalg.morita\n"
+            "class Lazy:\n"
+            "    from .linalg import factor\n"
+            "    def build(self):\n"
+            "        from .algebra import realize\n")
+    assert hit_path_offenders(ast.parse(code)) == [
+        (1, "hashlib"), (2, ".algebra"), (3, "hhalg.resolve"), (6, ".dg"), (10, "hhalg.morita"),
+        (12, ".linalg")]
+
+
 def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
     code = ("import sys; before = set(sys.modules)\n"
             "import hhalg.cli, hhalg.hochschild, hhalg.azumaya, hhalg.morita, hhalg.cache\n"
