@@ -15,7 +15,7 @@ a hit emits the stored sections without building an algebra or importing
 an engine module.  A miss runs the subcommand, stores its sections and
 emits them; a run that raises stores nothing.  --format is not in the key:
 TSV and JSON render the same sections.  Importing this module loads only
-defs' parser, ground and tables; `main` loads cache, and each subcommand
+defs, ground and tables of hhalg; `main` loads cache, and each subcommand
 imports the engine modules it reads when it runs.
 """
 

@@ -440,7 +440,7 @@ def test_cache_key_hashes_the_parsed_definition(capsys, tmp_path):
     assert set(os.listdir(cache_dir)) > before
 
 
-# the engine modules a warm run must not import, and OpenSSL's hash module
+# the engine modules a warm run must not import
 ENGINE_MODULES = ("algebra", "base", "linalg", "resolve", "dg", "hochschild", "azumaya", "morita")
 
 # one cheap run of each subcommand
