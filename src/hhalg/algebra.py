@@ -271,12 +271,6 @@ class GradedAlgebra:
     def rank(self):
         return len(self.monomials)
 
-    @property
-    def factors(self) -> tuple:
-        """The algebras this one is the graded tensor product of, in order;
-        (self,) when it is no tensor product."""
-        return (self,)
-
     @cached_property
     def module(self) -> GradedFreeModule:
         """The underlying free module, built once; not a field, so equality ignores it."""
@@ -524,11 +518,6 @@ class _TensorAlgebra(GradedAlgebra):
         self.generating_monomials = tuple(
             [s * nB + B.unit_index for s in A.generating_monomials]
             + [A.unit_index * nB + t for t in B.generating_monomials])
-
-    @property
-    def factors(self) -> tuple:
-        A, B = self._factors
-        return A.factors + B.factors
 
     def generation_steps(self) -> tuple:
         """A's steps lifted to (s (x) 1)(k (x) 1) = c m (x) 1, then for each monomial

@@ -15,8 +15,10 @@ another key's path fails its digest.  An entry that is unreadable, fails
 its digest or does not parse as sections is a miss: the run computes and
 overwrites it.
 
-sha256 comes from the builtin `_sha256` where the interpreter has it, as in
-`random`: `hashlib` would load OpenSSL into every run that reads the cache.
+sha256 comes from the builtin module, `_sha2` (Python 3.12 on) or `_sha256`
+(up to 3.11), as `random` takes sha512 from the same modules; only an
+interpreter built without them falls back to `hashlib`, which would load
+OpenSSL into every run that reads the cache.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ import tempfile
 from .tables import BigradedTable, SubquotientPresentation
 
 try:
-    from _sha256 import sha256
-except ImportError:  # an interpreter without the builtin module
-    from hashlib import sha256
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter without the builtin modules
+        from hashlib import sha256
 
 DEFAULT_DIR = ".hhalg-cache"
 

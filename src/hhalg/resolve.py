@@ -257,39 +257,31 @@ def _augmentation_checks(A: GradedAlgebra):
     ideal.  Both tests multiply by the generating monomials s alone: along
     A.generation_steps(), e_m . I = c^-1 s . (e_k . I) lies in I when every s . I
     does, from e_unit . I = I on; and I^{k+1} = I . I^k is the sum of the s . I^k,
-    as e_m x = c^-1 s (e_k x) with e_k x in I^k.
-
-    A tensor product is decided by its factors.  As (a (x) b)(a' (x) b') =
-    +-aa' (x) bb', its I = I_A (x) B + A (x) I_B is an ideal missing the unit
-    exactly when I_A and I_B are, and then I^{m+n-1} = 0 when I_A^m = 0 and
-    I_B^n = 0, while I^k holds I_A^k (x) 1.  Every factor's augmentation test
-    runs before any nilpotency test, so the message is the whole algebra's."""
-    parts = A.factors
-    for P in parts:
-        u = P.unit_index
-        for s in P.generating_monomials:
-            for j in range(P.rank):
-                if j != u and u in P.mul_basis(s, j):
-                    raise ResolutionError(
-                        "algebra is not augmented: product of ideal elements hits the unit"
-                    )
+    as e_m x = c^-1 s (e_k x) with e_k x in I^k."""
+    g = A.base.ground
+    u = A.unit_index
+    nonunit = [m for m in range(A.rank) if m != u]
+    for s in A.generating_monomials:
+        for j in nonunit:
+            if u in A.mul_basis(s, j):
+                raise ResolutionError(
+                    "algebra is not augmented: product of ideal elements hits the unit"
+                )
     # nilpotency of the augmentation ideal
-    for P in parts:
-        g = P.base.ground
-        current = [{m: g.one} for m in range(P.rank) if m != P.unit_index]
-        for _ in range(P.rank + 1):
-            if not current:
-                break
-            nxt = []
-            step = Echelon(g)
-            for x in current:
-                for s in P.generating_monomials:
-                    y = P.mul_coords({s: g.one}, x)
-                    if y and step.add(y):
-                        nxt.append(y)
-            current = nxt
-        if current:
-            raise ResolutionError("augmentation ideal is not nilpotent")
+    current = [{m: g.one} for m in nonunit]
+    for _ in range(A.rank + 1):
+        if not current:
+            return
+        nxt = []
+        step = Echelon(g)
+        for x in current:
+            for s in A.generating_monomials:
+                y = A.mul_coords({s: g.one}, x)
+                if y and step.add(y):
+                    nxt.append(y)
+        current = nxt
+    if current:
+        raise ResolutionError("augmentation ideal is not nilpotent")
 
 
 def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> Resolution:

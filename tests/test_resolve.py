@@ -1,6 +1,4 @@
-import os
 import random
-import time
 from math import comb
 
 import pytest
@@ -11,7 +9,6 @@ from hhalg import resolve
 from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgebra, opposite,
                            realize, tensor)
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
-from hhalg.defs import build_algebra, parse_definition
 from hhalg.ground import QQ, GroundRing
 from hhalg.hochschild import regular_bimodule
 from hhalg.linalg import Echelon, SmithForm
@@ -136,62 +133,6 @@ def test_augmentation_checks_multiply_by_the_generators_alone(monkeypatch):
     for refused, message in ((sigma1(), "not nilpotent"), (b2(), "not augmented")):
         with pytest.raises(ResolutionError, match=message):
             resolve._augmentation_checks(tensor(refused, opposite(refused)))
-
-
-def augmentation_verdict(X):
-    """The message _augmentation_checks refuses X with, or None."""
-    try:
-        resolve._augmentation_checks(X)
-    except ResolutionError as e:
-        return str(e)
-    return None
-
-
-def as_whole(X):
-    """X rebuilt as a plain GradedAlgebra from its table, so the check reads no factors."""
-    return GradedAlgebra(X.base, X.monomials, X.unit_index, X.mult, check=False,
-                         generating_monomials=X.generating_monomials)
-
-
-def corpus_algebras():
-    data = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
-    out = {}
-    for name in sorted(os.listdir(data)):
-        with open(os.path.join(data, name)) as fh:
-            df = parse_definition(fh.read())
-        out.update({entry: build_algebra(df, entry) for entry, spec in df.algebras
-                    if "dg" not in spec})
-    return out
-
-
-def test_a_tensor_product_is_decided_by_its_factors_as_the_whole_algebra_is():
-    # every corpus algebra's A^e, and two products whose factors fail
-    # different tests: the augmentation test speaks first, as on the whole
-    algebras = corpus_algebras()
-    assert len(algebras) == 14
-    pairs = [(A, opposite(A)) for A in algebras.values()]
-    pairs += [(algebras["R"], algebras["M2_F3"]), (algebras["M2_F3"], algebras["R"])]
-    verdicts = set()
-    for A, B in pairs:
-        AB = tensor(A, B)
-        assert AB.factors == (A, B)
-        verdicts.add(augmentation_verdict(AB))
-        assert augmentation_verdict(AB) == augmentation_verdict(as_whole(AB))
-    assert verdicts == {None, "augmentation ideal is not nilpotent",
-                        "algebra is not augmented: product of ideal elements hits the unit"}
-    assert augmentation_verdict(tensor(algebras["R"], algebras["M2_F3"])).startswith(
-        "algebra is not augmented")
-
-
-def test_augmentation_checks_refuse_a_rank_256_enveloping_algebra_quickly():
-    # k1k1op_2's A^e: its factors decide it in milliseconds, the whole table in seconds
-    A = corpus_algebras()["k1k1op_2"]
-    Ae = tensor(A, opposite(A))
-    assert Ae.rank == 256
-    start = time.perf_counter()
-    with pytest.raises(ResolutionError, match="^augmentation ideal is not nilpotent$"):
-        resolve._augmentation_checks(Ae)
-    assert time.perf_counter() - start < 0.1
 
 
 # -- ext tables ---------------------------------------------------------------
