@@ -224,7 +224,7 @@ FLAGS = {"ext": ("--smax", "--window"), "hochschild": ("--nmax", "--window", "--
 OPTIONS = {
     "--smax": dict(type=int, default=8),
     "--nmax": dict(type=int, default=4),
-    "--window": dict(default="-16:16", help="LO:HI internal degrees"),
+    "--window": dict(default="-16:16", help="LO:HI internal degrees reported and checked"),
     "--budget": dict(type=int, default=200000, help="generator budget for bar-complex stages"),
     "--flavor": dict(choices=("classical", "generalized", "weak"), default="classical"),
     "--check": dict(choices=("completion", "roundtrip", "torsion"), default="completion"),

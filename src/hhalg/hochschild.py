@@ -129,7 +129,7 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
                 image[idx] = image.get(idx, 0) + c
             images.append(image)
         maps.append(AModuleMap(stages[n], stages[n - 1], images))
-    return Resolution(Ae, stages, maps, None)
+    return Resolution(Ae, stages, maps)
 
 
 class BarCochainComplex:

@@ -13,9 +13,9 @@ alone.  Every monomial is e_m = c^-1 s e_k for a generator s and a monomial
 k reached before it (GradedAlgebra.generation_steps), so in any left module
 e_m . v = c^-1 s . (e_k . v): `flatten` builds the column of e_m . g_j from
 that of e_k . g_j this way, and `_minimal_generators` spans I*K by the s . K,
-which is exact whenever the window cannot cut e_k . v away (generator
-degrees of one sign, or a Laurent base); otherwise every monomial acts.
-A FreeAModule therefore builds an act map only when asked for it: the
+which is exact because each stage kernel K is taken on every slice the
+stage reaches, a whole A-submodule, so e_k . v never leaves K.  A
+FreeAModule therefore builds an act map only when asked for it: the
 generators' in a minimal resolution, every monomial's in the greedy one,
 which spans whole orbits.
 
@@ -29,6 +29,11 @@ the two builders differ only in how they choose each cover's generators:
     _greedy_generators, which keep stage ranks small; Ext and completion
     data are then the cohomology of the dualized complex.
 
+A window is not a parameter of a resolution: a stage is a finite free
+module over a finite-dimensional algebra, so it has finitely many slices,
+and the tables (ext_table, ext_with_coefficients) only choose which of
+them they report.
+
 Bidegree convention: the Ext class dual to a stage-s generator of internal
 degree t is recorded at (s, t).
 """
@@ -41,7 +46,7 @@ from functools import cached_property
 
 from .algebra import GradedAlgebra, check_action, ideal_closure, quotient_by_ideal, radical
 from .base import (GradedFreeModule, HomogeneousMap, cohomology_at, cohomology_table,
-                   graded_hom_module, hom_pair_index, slice_keys)
+                   graded_hom_module, hom_pair_index)
 from .ground import BudgetExceededError, InvariantError, Record, Value
 from .linalg import Echelon
 from .tables import BigradedTable, SubquotientPresentation
@@ -207,24 +212,21 @@ class AModule:
 class Resolution(Record):
     """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
 
-    t_window is the internal-degree window the stages were resolved in, None
-    for hochschild's bar resolution over the enveloping algebra.  Any
-    resolution gives Ext through hom_cochains.
+    Any resolution gives Ext through hom_cochains.
     """
 
-    _fields = ("algebra", "stages", "maps", "t_window")
+    _fields = ("algebra", "stages", "maps")
 
-    def __init__(self, algebra: GradedAlgebra, stages: list, maps: list, t_window: tuple | None):
-        self.algebra, self.stages, self.maps, self.t_window = algebra, stages, maps, t_window
+    def __init__(self, algebra: GradedAlgebra, stages: list, maps: list):
+        self.algebra, self.stages, self.maps = algebra, stages, maps
 
 
-def _flat_kernel(fmap: HomogeneousMap, window):
-    """Homogeneous kernel vectors of a degree-0 flattened map, with degrees."""
+def _flat_kernel(fmap: HomogeneousMap):
+    """Homogeneous kernel vectors of a degree-0 flattened map, with degrees,
+    on every slice of its source."""
     out = []
-    for key in slice_keys(fmap.source, window):
+    for key in fmap.source.degree_support():
         src_idx = fmap.source.slice_indices(key)
-        if not src_idx:
-            continue
         for v in fmap.factored(key).kernel():
             vec = {src_idx[a]: c for a, c in v.items()}
             deg = min(fmap.source.generators[i][1] for i in vec)
@@ -232,12 +234,13 @@ def _flat_kernel(fmap: HomogeneousMap, window):
     return out
 
 
-def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolution:
+def _resolve(A: GradedAlgebra, M: AModule, s_max, choose) -> Resolution:
     """The one stage loop: cover M, then the kernel of each stage map.
 
     choose(target, vectors) picks generators (degree, vector) of the
     A-submodule of target (M or a stage) spanned by the homogeneous vectors:
-    M's generators, then each stage kernel.  No kernel follows the last stage.
+    M's generators, then each stage kernel, whole.  No kernel follows the
+    last stage.
     """
 
     def cover(target, vectors) -> AModuleMap:
@@ -248,8 +251,8 @@ def _resolve(A: GradedAlgebra, M: AModule, s_max, t_window, choose) -> Resolutio
     g = A.base.ground
     covers = [cover(M, [(d, {i: g.one}) for i, (_, d) in enumerate(M.module.generators)])]
     for _ in range(s_max):
-        covers.append(cover(covers[-1].source, _flat_kernel(covers[-1].flatten(), t_window)))
-    return Resolution(A, [d.source for d in covers], covers[1:], tuple(t_window))
+        covers.append(cover(covers[-1].source, _flat_kernel(covers[-1].flatten())))
+    return Resolution(A, [d.source for d in covers], covers[1:])
 
 
 def _augmentation_checks(A: GradedAlgebra):
@@ -284,12 +287,12 @@ def _augmentation_checks(A: GradedAlgebra):
         raise ResolutionError("augmentation ideal is not nilpotent")
 
 
-def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> Resolution:
+def minimal_resolution(A: GradedAlgebra, s_max: int = 8) -> Resolution:
     """Minimal resolution of the trivial module over an augmented algebra."""
     if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
     _augmentation_checks(A)
-    res = _resolve(A, AModule.trivial(A), s_max, t_window, _minimal_generators)
+    res = _resolve(A, AModule.trivial(A), s_max, _minimal_generators)
     _audit(res)
     return res
 
@@ -297,25 +300,15 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> 
 def _minimal_generators(target, vectors):
     """Complement of I*K inside K: the minimal generators of the span K.
 
-    K is the part of an A-submodule in the slices the vectors lie on (the
-    window), and I*K is spanned by s . K for s in A.generating_monomials:
-    each monomial is e_m = c^-1 s e_k, so e_m . v = c^-1 s . (e_k . v), and
-    e_k . v lies in K when its degree is in the window.  It is when e_m . v
-    is: with generator degrees of one sign, deg(e_k . v) lies between
-    deg(v) and deg(e_m . v), and over a Laurent base no window clips.  With
-    generators of both signs e_k . v may leave the window while e_m . v
-    comes back into it, so every non-unit monomial acts instead.
+    K is a whole A-submodule (the vectors span it on every slice), and I*K
+    is spanned by s . K for s in A.generating_monomials: each monomial is
+    e_m = c^-1 s e_k, so e_m . v = c^-1 s . (e_k . v) with e_k . v in K.
     """
     A = target.algebra
-    degrees = [A.degree(s) for s in A.generating_monomials]
-    if A.base.laurent or all(d >= 0 for d in degrees) or all(d <= 0 for d in degrees):
-        acting = A.generating_monomials
-    else:
-        acting = [m for m in range(A.rank) if m != A.unit_index]
     span = Echelon(A.base.ground)
     if vectors:
-        for m in acting:
-            act = target.act_map(m)
+        for s in A.generating_monomials:
+            act = target.act_map(s)
             for _, vec in vectors:
                 span.add(act.apply_coords(vec))
     gens = target.module.generators
@@ -328,26 +321,25 @@ def _minimal_generators(target, vectors):
     return chosen
 
 
-def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8,
-                    t_window=(-16, 16), seed: int = 0) -> Resolution:
+def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8, seed: int = 0) -> Resolution:
     """Resolution of M by free modules, greedy small stage ranks (seeded)."""
     if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
     if M.side != "left":
         raise ValueError("free_resolution takes a left module")
     rng = random.Random(seed)
-    return _resolve(A, M, s_max, t_window,
+    return _resolve(A, M, s_max,
                     lambda target, vectors: _greedy_generators(A, target, vectors, rng))
 
 
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
-    The vectors must be linearly independent and span K, the part of an
-    A-submodule in the slices they lie on: `_resolve` passes a module's
-    generators or `_flat_kernel`'s per-slice kernel bases over the window.
-    An orbit's parts in other slices (the kernel outside the window) are
-    dropped, and the span is counted slice by slice: the loop ends when
+    The vectors must be linearly independent and span K, an A-submodule:
+    `_resolve` passes a module's generators or `_flat_kernel`'s per-slice
+    kernel bases on every slice of a stage.  An orbit's parts in slices
+    holding no input vector lie in K there, so they are zero and are not
+    computed, and the span is counted slice by slice: the loop ends when
     every slice holds as many span rows as input vectors.  A dependent
     input never fills its slice and ends in "generator selection stalled".
 
@@ -360,9 +352,8 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
       (a) a reduced echelon's normal form is the unique vector of v + span
           zero at every pivot, so reducing last round's residue gives this
           round's, and reduce only visits the new pivots in its support;
-      (b) the span is the in-slice part of a sum of A-orbits, a graded
-          A-submodule, so on those slices the orbit of v modulo it is the
-          orbit of v's residue;
+      (b) the span is a sum of A-orbits, a graded A-submodule, so the
+          orbit of v modulo it is the orbit of v's residue;
       (c) the residue of a combination is the same combination of residues:
           the coefficients are drawn as for the vectors, and the combination
           of the vectors themselves is built for the winner only (a zero
@@ -442,15 +433,19 @@ def _combination(g, vecs, coeffs) -> dict:
 
 
 def _audit(res: Resolution):
-    """Hard exactness and minimality checks on a minimal resolution."""
+    """Hard exactness and minimality checks on a minimal resolution: exact
+    at every stage on every slice, F_0 (ker of the augmentation) included."""
     A = res.algebra
     u = A.unit_index
     for d in res.maps:
         if any(idx % A.rank == u for image in d.images for idx in image):
             raise ResolutionError("resolution is not minimal: unit entry in d")
-    flats = [d.flatten() for d in res.maps]  # flats[s]: F_{s+1} -> F_s
-    for s, (outer, inner) in enumerate(zip(flats, flats[1:]), 1):
-        for key in slice_keys(outer.source, res.t_window):
+    # the augmentation F_0 -> k, then flats[s + 1]: F_{s+1} -> F_s
+    F0, k = res.stages[0], AModule.trivial(A).module
+    flats = [HomogeneousMap(F0.module, k, 0, {(0, F0.flat_index(0, u)): A.base.ground.one})]
+    flats += [d.flatten() for d in res.maps]
+    for s, (outer, inner) in enumerate(zip(flats, flats[1:])):
+        for key in outer.source.degree_support():
             if not cohomology_at(outer, inner, key).is_zero:
                 raise ResolutionError(f"exactness fails at stage {s}, slice {key}")
 
@@ -460,13 +455,14 @@ def _audit(res: Resolution):
 
 
 def ext_table(A: GradedAlgebra, s_max: int = 8, t_window=(-16, 16)) -> BigradedTable:
-    """Ext_A(k, k) as generator counts of the minimal resolution."""
-    res = minimal_resolution(A, s_max, t_window)
+    """Ext_A(k, k) as generator counts of the minimal resolution, reported
+    in the internal degrees lo <= t <= hi of the window (all over a Laurent
+    base)."""
+    res = minimal_resolution(A, s_max)
+    lo, hi = t_window
     table = BigradedTable()
     for s, st in enumerate(res.stages):
-        counts = {}
-        for t in st.gen_degrees:
-            counts[t] = counts.get(t, 0) + 1
+        counts = Counter(t for t in st.gen_degrees if A.base.laurent or lo <= t <= hi)
         for t, n in counts.items():
             table.set(s, t, SubquotientPresentation(n, ()))
     return table
@@ -525,7 +521,7 @@ def derived_hom(E: AModule, Y: AModule, window, s_max: int, seed: int = 0) -> Bi
     """
     if Y.side != "left":
         raise ValueError("derived Hom takes left modules")
-    res = free_resolution(E.algebra, E, s_max=s_max, t_window=window, seed=seed)
+    res = free_resolution(E.algebra, E, s_max=s_max, seed=seed)
     return ext_with_coefficients(res, Y, window)
 
 

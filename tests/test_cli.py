@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -570,6 +571,37 @@ def test_ext_json_mirror(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert [r[:3] for r in doc["poly20"]["rows"]] == [[0, 0, 1], [1, 1, 1]]
+
+
+def ext_tsv(sections):
+    """The default ext output of (algebra name, [(s, t, free rank)]) sections."""
+    return "".join(f"# {name}\ns\tt\tfree_rank\ttorsion\n"
+                   + "".join(f"{s}\t{t}\t{n}\t-\n" for s, t, n in rows)
+                   for name, rows in sections)
+
+
+def exterior_ext(n, window):
+    """Ext^{s,-s} of an exterior algebra on n degree-(-1) generators is
+    C(n + s - 1, s), for s <= 8 (the default --smax), inside the window."""
+    lo, hi = window
+    return [(s, -s, comb(n + s - 1, s)) for s in range(9) if lo <= -s <= hi]
+
+
+# a window only selects rows of the whole resolution; poly20's stages sit in
+# degrees 0, 1, 20, 21, 40, ..., so (2, 9) and (-16, -2) hold none of them
+@pytest.mark.parametrize("file, window, sections", [
+    ("exterior_n.def", "-16:-2", [("lam_2", exterior_ext(2, (-16, -2))),
+                                  ("lam_3", exterior_ext(3, (-16, -2)))]),
+    ("exterior1.def", "-16:-2", [("lam_x", exterior_ext(1, (-16, -2)))]),
+    ("polytrunc.def", "2:9", [("poly20", [])]),
+    ("polytrunc.def", "-16:-2", [("poly20", [])]),
+    ("exterior1.def", "2:9", [("lam_x", [])]),
+    ("exterior_n.def", "2:9", [("lam_2", []), ("lam_3", [])]),
+])
+def test_ext_in_a_window_reports_the_rows_of_the_whole_resolution(capsys, tmp_path, file,
+                                                                  window, sections):
+    assert run(capsys, ["ext", "--file", defpath(file), f"--window={window}"], tmp_path) \
+        == (0, ext_tsv(sections), "")
 
 
 def test_azumaya_weak_verdicts(capsys, tmp_path):

@@ -45,8 +45,7 @@ MUTABLE = [
     (IsoResult, (True, None), IsoResult(isomorphic=True, witness=None)),
     (QuasiIsoVerdict, (False, (1, 3)), QuasiIsoVerdict(is_quasi_iso=False, failures=(1, 3))),
     (QuotientDGA, ("dga", 1, 0, 2), QuotientDGA(dga="dga", x=1, w=0, x_degree=2)),
-    (Resolution, (DUAL, [], [], (0, 4)), Resolution(algebra=DUAL, stages=[], maps=[],
-                                                     t_window=(0, 4))),
+    (Resolution, (DUAL, [], []), Resolution(algebra=DUAL, stages=[], maps=[])),
     (DefinitionFile, (("F3", None), (), (), ()),
      DefinitionFile(base=("F3", None), algebras=(), modules=(), tasks=())),
     (Condition, ("mu", True, "w"), Condition(name="mu", verdict=True, witness="w")),
