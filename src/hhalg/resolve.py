@@ -434,7 +434,8 @@ def _combination(g, vecs, coeffs) -> dict:
 
 def _audit(res: Resolution):
     """Hard exactness and minimality checks on a minimal resolution: exact
-    at every stage on every slice, F_0 (ker of the augmentation) included."""
+    at every stage on every slice, at F_0 too (ker of the augmentation is
+    im d_1)."""
     A = res.algebra
     u = A.unit_index
     for d in res.maps:

@@ -175,7 +175,7 @@ def test_ext_permutation_independence():
 
 
 def test_hilbert_euler_consistency():
-    # sum_s (-1)^s q^{t_g} * H_A(q) = 1 in all degrees visible in the window
+    # sum_s (-1)^s q^{t_g} * H_A(q) = 1 in all degrees the stages determine
     for A, s_max in ((lam_x(), 6), (trunc_poly(3, 2), 5), (trunc_poly(4, 1), 5)):
         res = minimal_resolution(A, s_max=s_max)
         E = {}
@@ -503,8 +503,11 @@ def draw_algebra(choice, randint):
 def seeded_span_cases(seed, count):
     """pytest params: count algebras drawn by draw_algebra from a seeded rng."""
     rng = random.Random(seed)
-    return [pytest.param(A, id=f"{n}: {label}") for n in range(count)
-            for A, label in [draw_algebra(rng.choice, rng.randint)]]
+    out = []
+    for n in range(count):
+        A, label = draw_algebra(rng.choice, rng.randint)
+        out.append(pytest.param(A, id=f"{n}: {label}"))
+    return out
 
 
 # x in degree 1, y in degree -2: generators of both signs, so the stage
