@@ -1,18 +1,18 @@
 """Content-addressed cache of CLI runs.
 
-One entry per run: the CLI keys it by the engine version, the subcommand,
-the parsed definition (defs.DefinitionFile, canonical by construction), the
-value of every flag the subcommand reads and --quiet, and stores the run's
-sections, (name, table or None, records).  A table keeps its rows, notes and
-completed_through, so a hit re-renders byte-identical with recomputation,
-exit code included.  The engine version is a sha256 of the package's .py
-sources, so an engine change invalidates old entries silently.
+One entry per run: the CLI keys it by the engine version, the argv as
+given and the bytes of the definition file, and stores what the run
+printed and returned, (exit code, stdout, stderr), so a hit replays the
+run byte for byte without parsing anything.  The engine version is a
+sha256 of the package's .py sources and of the interpreter's version,
+which words some of the error messages stored, so an engine change
+invalidates old entries silently.
 
 Writes go through a temp file and an atomic rename, safe under concurrent
 batch runs.  Each entry is the sha256 of its key and payload together on
 the first line, then the payload, so an entry copied or renamed onto
 another key's path fails its digest.  An entry that is unreadable, fails
-its digest or does not parse as sections is a miss: the run computes and
+its digest or does not parse as a run is a miss: the run computes and
 overwrites it.
 
 sha256 comes from the builtin module, `_sha2` (Python 3.12 on) or `_sha256`
@@ -21,14 +21,9 @@ interpreter built without them falls back to `hashlib`, which would load
 OpenSSL into every run that reads the cache.
 """
 
-from __future__ import annotations
-
 import functools
-import json
 import os
-import tempfile
-
-from .tables import BigradedTable, SubquotientPresentation
+import sys
 
 try:
     from _sha2 import sha256
@@ -39,6 +34,9 @@ except ImportError:
         from hashlib import sha256
 
 DEFAULT_DIR = ".hhalg-cache"
+
+# computed, input error, budget; an invariant failure (3) is not stored
+STORED_CODES = (0, 1, 2)
 
 
 def resolve_cache_dir(flag=None) -> str:
@@ -61,8 +59,9 @@ def _sources():
 
 @functools.cache
 def engine_version() -> str:
-    """The sha256 of the package's sources, read once per process on first use."""
-    h = sha256()
+    """The sha256 of the interpreter's version and the package's sources,
+    read once per process on first use."""
+    h = sha256(sys.version.encode())
     for name, data in _sources():
         h.update(f"{name}\0{len(data)}\0".encode())
         h.update(data)
@@ -70,35 +69,13 @@ def engine_version() -> str:
 
 
 def cache_key(*parts) -> str:
-    doc = json.dumps([engine_version(), *parts], sort_keys=True)
-    return sha256(doc.encode()).hexdigest()
+    """The key of the engine version and `parts`: strings, bytes, ints and
+    lists of them, whose repr is canonical."""
+    return sha256(repr((engine_version(), *parts)).encode()).hexdigest()
 
 
 def _path(cache_dir, key):
-    return os.path.join(cache_dir, key + ".json")
-
-
-def serialize_table(table: BigradedTable) -> dict:
-    """The JSON document of a table: rows, notes and completed_through."""
-    return {"rows": [[s, t, fr, list(tors)] for s, t, fr, tors in table.rows()],
-            "notes": list(table.notes), "completed_through": table.completed_through}
-
-
-def deserialize_table(doc: dict) -> BigradedTable:
-    table = BigradedTable(notes=tuple(doc["notes"]), completed_through=doc["completed_through"])
-    for s, t, fr, tors in doc["rows"]:
-        table.set(s, t, SubquotientPresentation(fr, tuple(tors)))
-    return table
-
-
-def serialize_sections(sections) -> str:
-    return json.dumps([[name, None if table is None else serialize_table(table), rec]
-                       for name, table, rec in sections], sort_keys=True)
-
-
-def deserialize_sections(text: str) -> list:
-    return [(name, None if table is None else deserialize_table(table),
-             [(key, value) for key, value in rec]) for name, table, rec in json.loads(text)]
+    return os.path.join(cache_dir, key + ".run")
 
 
 def _digest(key, text: str) -> str:
@@ -108,7 +85,7 @@ def _digest(key, text: str) -> str:
 def load(cache_dir, key):
     """The payload stored under key, or None if absent or its digest fails."""
     try:
-        with open(_path(cache_dir, key)) as fh:
+        with open(_path(cache_dir, key), encoding="utf-8", newline="") as fh:
             digest, sep, text = fh.read().partition("\n")
     except (OSError, UnicodeDecodeError):
         return None
@@ -118,10 +95,12 @@ def load(cache_dir, key):
 
 
 def store(cache_dir, key, text: str):
+    import tempfile
+
     os.makedirs(cache_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(_digest(key, text) + "\n" + text)
         os.replace(tmp, _path(cache_dir, key))
     except BaseException:
@@ -130,12 +109,26 @@ def store(cache_dir, key, text: str):
         raise
 
 
-def cached_sections(cache_dir, key):
-    """The sections stored under key, or None on a miss or a malformed entry."""
-    text = load(cache_dir, key)
-    if text is not None:
-        try:
-            return deserialize_sections(text)
-        except (ValueError, KeyError, TypeError):
-            pass
-    return None
+def replay(cache_dir, key):
+    """The run (code, stdout, stderr) stored under key, or None on a miss or
+    a malformed entry.  The payload is the code and the length of stdout,
+    each on its own line, then stdout and stderr."""
+    try:
+        code, size, rest = (load(cache_dir, key) or "").split("\n", 2)
+        code, size = int(code), int(size)
+    except ValueError:
+        return None
+    if code not in STORED_CODES or not 0 <= size <= len(rest):
+        return None
+    return code, rest[:size], rest[size:]
+
+
+def record(cache_dir, key, code, out, err):
+    """Store a run that exited with one of STORED_CODES; a cache that cannot
+    be written costs the next run a recomputation, not this one its output."""
+    if code not in STORED_CODES:
+        return
+    try:
+        store(cache_dir, key, f"{code}\n{len(out)}\n{out}{err}")
+    except OSError:
+        pass

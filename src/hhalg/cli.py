@@ -3,36 +3,23 @@
 Each subcommand parses only the flags it reads, and --file, --format,
 --quiet and --cache-dir.  Each builds what `parse_definition` checked and
 returns its sections, (name, table or None, records), one per entry or task;
-`_emit` writes them all as TSV or as a JSON mirror.  Exit codes: 0 =
+`_emit` renders them all as TSV or as a JSON mirror.  Exit codes: 0 =
 computed (verdicts, pass or fail, live in the output), 1 = input error, 2 =
 a budget or window was exceeded, or a table stopped short of the request,
 3 = an invariant failed (ground.InvariantError, a bug).
 
-The cache is the front door of `main`: after parsing the definition it
-keys the run by the subcommand, `DefinitionFile.astuple()`, the value of
-each flag in FLAGS and --quiet (azumaya leaves witnesses out under it), and
-a hit emits the stored sections without building an algebra or importing
-an engine module.  A miss runs the subcommand, stores its sections and
-emits them; a run that raises stores nothing.  --format is not in the key:
-TSV and JSON render the same sections.  Importing this module loads only
-defs, ground and tables of hhalg; `main` loads cache, and each subcommand
-imports the engine modules it reads when it runs.
+The cache is the front door of `main`: it keys a run by the engine
+version, the argv as given and the bytes of the file that `_scan` reads off
+argv, and a hit prints the stored stdout and stderr and returns the stored
+code.  A miss runs `_execute` (argparse, `parse_definition` on those bytes,
+the subcommand) into strings; `main` prints them and stores them when the
+run exited 0, 1 or 2 and argparse read the --file and --cache-dir the scan
+found, so a spelling the scan misses (--fi) runs uncached.  Importing this
+module loads no other hhalg module, nor argparse or json.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
+import io
 import sys
-
-from .defs import (
-    DefinitionError,
-    build_algebra,
-    build_module,
-    parse_definition,
-)
-from .ground import BudgetExceededError, InvariantError
-from .tables import BigradedTable
 
 
 def _parse_window(text):
@@ -40,13 +27,13 @@ def _parse_window(text):
         lo, hi = text.split(":")
         lo, hi = int(lo), int(hi)
     except ValueError:
-        raise DefinitionError(f"window must be LO:HI, got {text!r}") from None
+        raise ValueError(f"window must be LO:HI, got {text!r}") from None
     if lo > hi:
-        raise DefinitionError(f"empty window {text!r}")
+        raise ValueError(f"empty window {text!r}")
     return (lo, hi)
 
 
-def _table_rows(table: BigradedTable):
+def _table_rows(table):
     return [(s, t, fr, ",".join(str(n) for n in tors) or "-")
             for s, t, fr, tors in table.rows()]
 
@@ -58,6 +45,8 @@ def _emit(out, sections, args):
     writes the table block, then the records block, each under `# name`.
     """
     if args.format == "json":
+        import json
+
         doc = {name: {**({"rows": _table_rows(table), "notes": list(table.notes)}
                          if table is not None else {}), **dict(rec)}
                for name, table, rec in sections}
@@ -80,6 +69,7 @@ def _emit(out, sections, args):
 
 def _entries(built, kind, command):
     """The built entries of type `kind`; a DefinitionError if there are none."""
+    from .defs import DefinitionError
     from .dg import QuotientDGA
 
     found = [(n, e) for n, e in built.items() if isinstance(e, kind)]
@@ -154,6 +144,7 @@ def _morita_contexts(df, built):
 
     A section is named R|A|E_R, and R|A|E_R|E_A when tasks share R|A|E_R.
     """
+    from .defs import DefinitionError, build_module
     from .morita import MoritaContext
 
     specs = [dict(t) for t in df.tasks]
@@ -178,6 +169,7 @@ def _verified(ok) -> str:
 
 def cmd_morita(df, built, args):
     from .algebra import radical
+    from .defs import DefinitionError
     from .morita import (completion, completion_matches, retract_identity, roundtrip_FG,
                          torsion_roundtrip)
     from .resolve import AModule
@@ -231,32 +223,9 @@ OPTIONS = {
 }
 
 
-def _cached_run(df, args):
-    """The run's sections: stored under its key, or computed and then stored.
-
-    The key holds each flag's value as given, so a hit replays a run whose
-    window parsed; an unwritable cache directory costs the next run a
-    recomputation, not this one its output.
-    """
-    from .cache import cache_key, cached_sections, resolve_cache_dir, serialize_sections, store
-
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    key = cache_key(args.command, df.astuple(),
-                    [getattr(args, flag[2:]) for flag in FLAGS[args.command]], args.quiet)
-    sections = cached_sections(cache_dir, key)
-    if sections is None:
-        built = {name: build_algebra(df, name) for name, _ in df.algebras}
-        if "window" in args:
-            args.window = _parse_window(args.window)
-        sections = COMMANDS[args.command](df, built, args)
-        try:
-            store(cache_dir, key, serialize_sections(sections))
-        except OSError:
-            pass
-    return sections
-
-
 def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hhalg",
         description="exact homological algebra over graded bases",
@@ -273,32 +242,76 @@ def build_parser():
     return parser
 
 
-def main(argv=None) -> int:
+def _scan(argv):
+    """The last --file and --cache-dir values in argv, as X or =X, or None;
+    `main` stores a run only where argparse read the same."""
+    found = {}
+    for i, arg in enumerate(argv):
+        name, eq, value = arg.partition("=")
+        if name in ("--file", "--cache-dir") and (eq or i + 1 < len(argv)):
+            found[name] = value if eq else argv[i + 1]
+    return found.get("--file"), found.get("--cache-dir")
+
+
+def _execute(argv, path, data):
+    """(args, (code, stdout, stderr)) of a run the cache did not answer, where
+    `data` holds the bytes of `path` or None; argparse's SystemExit propagates."""
+    from .defs import DefinitionError, build_algebra, parse_definition
+    from .ground import BudgetExceededError, InvariantError
+
     args = build_parser().parse_args(argv)
     for dest, least in (("smax", 0), ("nmax", 0), ("budget", 1)):
         value = getattr(args, dest, least)
         if value < least:
-            print(f"error: --{dest} must be at least {least}, got {value}", file=sys.stderr)
-            return 1
+            return args, (1, "", f"error: --{dest} must be at least {least}, got {value}\n")
+    if args.file != path or data is None:
+        try:
+            with open(args.file, "rb") as fh:
+                data = fh.read()
+        except OSError as e:
+            return args, (1, "", f"error: {e}\n")
     try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
-        df = parse_definition(text)
-        sections = _cached_run(df, args)
-        _emit(sys.stdout, sections, args)
+        # decoded as open() decodes text; an undecodable file is an input error
+        df = parse_definition(io.TextIOWrapper(io.BytesIO(data)).read())
+        built = {name: build_algebra(df, name) for name, _ in df.algebras}
+        if "window" in args:
+            args.window = _parse_window(args.window)
+        sections = COMMANDS[args.command](df, built, args)
     except (DefinitionError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2 if isinstance(e, BudgetExceededError) else 1
+        return args, (2 if isinstance(e, BudgetExceededError) else 1, "", f"error: {e}\n")
     except InvariantError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return args, (3, "", f"error: {e}\n")
+    out = io.StringIO()
+    _emit(out, sections, args)
     stopped_short = any(table is not None and table.completed_through is not None
                         for _, table, _ in sections)
-    return 2 if stopped_short else 0
+    return args, (2 if stopped_short else 0, out.getvalue(), "")
+
+
+def main(argv=None) -> int:
+    from . import cache
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    path, flag_dir = _scan(argv)
+    cache_dir = cache.resolve_cache_dir(flag_dir)
+    data = key = run = None
+    if path is not None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError:
+            pass
+        else:
+            key = cache.cache_key(argv, data)
+            run = cache.replay(cache_dir, key)
+    if run is None:
+        args, run = _execute(argv, path, data)
+        if key is not None and (args.file, args.cache_dir) == (path, flag_dir):
+            cache.record(cache_dir, key, *run)
+    code, out, err = run
+    print(out, end="")
+    print(err, end="", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

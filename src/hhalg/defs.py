@@ -5,9 +5,8 @@ A definition document has top-level keys `base`, `algebras`, `modules`,
 its generators' entries on generators of a graded `over` entry, and a task
 is a morita task with exactly the keys command, R, A, E_R and E_A; the
 `build_*` functions only build, and they alone import the engine (algebra,
-base, dg, resolve), so parsing a document loads none of it: the CLI parses
-and keys its cache before it builds anything.  Relations use a
-noncommutative grammar:
+base, dg, resolve), so parsing a document loads none of it.  Relations use
+a noncommutative grammar:
 
     expr    = [ "-" ] term { ("+" | "-") term } ;
     term    = factor { "*" factor } ;
@@ -209,16 +208,12 @@ def parse_relation(text, gen_names, laurent=None):
 class DefinitionFile(Record):
     """A parsed definition in canonical form: names, relation terms, action
     entries and task items are sorted, so files that differ only in spacing
-    or order parse to equal values, and the CLI's cache keys hash astuple().
-    algebras holds (name, spec) pairs, specs as dicts of canonical tuples."""
+    or order parse to equal values; algebras holds (name, spec) pairs, specs as dicts of canonical tuples."""
 
     _fields = ("base", "algebras", "modules", "tasks")
 
     def __init__(self, base: tuple, algebras: tuple, modules: tuple, tasks: tuple):
         self.base, self.algebras, self.modules, self.tasks = base, algebras, modules, tasks
-
-    def astuple(self) -> tuple:
-        return self._values(self)
 
 
 def _parse_base(doc, where):

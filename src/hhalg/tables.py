@@ -3,8 +3,7 @@
 The common output shape for homology, Ext and Hochschild computations:
 entries indexed by (s, t), each a SubquotientPresentation, with notes.
 Zero entries are omitted.  linalg computes the presentations; they live
-here, with nothing but ground beneath them, so the cache rebuilds a
-stored table without loading linalg.
+here, with nothing but ground beneath them.
 """
 
 from __future__ import annotations

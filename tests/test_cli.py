@@ -1,3 +1,4 @@
+import ast
 import copy
 import hashlib
 import inspect
@@ -11,7 +12,7 @@ from math import comb
 import pytest
 
 from hhalg import cache, hochschild
-from hhalg.cache import cache_key, deserialize_table, serialize_table
+from hhalg.cache import cache_key
 from hhalg.cli import COMMANDS, build_parser, main
 from hhalg.defs import (
     DefinitionError,
@@ -22,8 +23,6 @@ from hhalg.defs import (
 )
 from hhalg.base import GradedFreeModule, HomogeneousMap
 from hhalg.ground import InvariantError
-from hhalg.tables import BigradedTable
-from hhalg.linalg import SubquotientPresentation
 from hhalg.resolve import AModule, AModuleMap
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "src", "hhalg", "data")
@@ -286,17 +285,6 @@ def test_unknown_reference_rejected():
 
 # -- cache -----------------------------------------------------------------------------
 
-def test_table_serialization_roundtrip():
-    t = BigradedTable(notes=("note",))
-    t.set(0, 0, SubquotientPresentation(2, (3,)))
-    t.set(1, -1, SubquotientPresentation(0, (2, 4)))
-    assert deserialize_table(serialize_table(t)) == t
-    assert deserialize_table(serialize_table(t)).notes == ("note",)
-    assert deserialize_table(serialize_table(t)).completed_through is None
-    t.completed_through = 2
-    assert deserialize_table(serialize_table(t)).completed_through == 2
-
-
 def test_cache_key_depends_on_bounds():
     assert cache_key("ext", "x", 6) != cache_key("ext", "x", 7)
 
@@ -355,7 +343,7 @@ def _corrupt_and_rerun(capsys, tmp_path, corrupt):
     (name,) = os.listdir(tmp_path / "c")
     entry = tmp_path / "c" / name
     good = entry.read_text()
-    entry.write_text(corrupt(good, name.removesuffix(".json")))
+    entry.write_text(corrupt(good, name.removesuffix(".run")))
     code, out, err = run(capsys, argv, tmp_path / "c")
     assert code == 0 and err == ""
     assert entry.read_text() == good  # the entry was overwritten
@@ -370,7 +358,7 @@ def test_cache_truncated_entry_is_a_miss(capsys, tmp_path):
 def test_cache_edited_entry_is_a_miss(capsys, tmp_path):
     def edit(text, _):
         # the first row's free rank becomes 7; the rest of the entry is kept
-        edited = re.sub(r'("rows": \[\[-?\d+, -?\d+, )\d+', r"\g<1>7", text, count=1)
+        edited = re.sub(r"^(-?\d+\t-?\d+\t)\d+", r"\g<1>7", text, count=1, flags=re.M)
         assert edited != text
         return edited
 
@@ -420,29 +408,62 @@ CANONICAL_DEFS = (
 )
 
 
-def test_cache_key_hashes_the_parsed_definition(capsys, tmp_path):
+def test_cache_key_hashes_the_file_bytes(capsys, tmp_path):
+    # two spellings of one definition print the same, each from its own entry
     paths = []
     for i, (doc, indent) in enumerate(zip(CANONICAL_DEFS, (None, 4))):
         paths.append(tmp_path / f"spelling{i}.def")
         paths[-1].write_text(json.dumps(doc, indent=indent))
     cache_dir = tmp_path / "cache"
     outs = []
-    for path in paths:
+    for n, path in enumerate(paths, 1):
         code, out, _ = run(capsys, ["ext", "--file", str(path), "--smax", "3"], cache_dir)
         assert code == 0
         outs.append(out)
-        assert len(os.listdir(cache_dir)) == 1  # one entry per run
+        assert len(os.listdir(cache_dir)) == n  # one entry per run
     assert outs[0] == outs[1]
+    # a file edited between the cold and the warm run is recomputed
     changed = copy.deepcopy(CANONICAL_DEFS[0])
-    changed["algebras"]["ext2"]["relations"][2] = "x*y - y*x"
+    changed["algebras"]["dual"]["generators"] = [["e", 2]]
     paths[0].write_text(json.dumps(changed))
-    before = set(os.listdir(cache_dir))
-    assert run(capsys, ["ext", "--file", str(paths[0]), "--smax", "3"], cache_dir)[0] == 0
-    assert set(os.listdir(cache_dir)) > before
+    argv = ["ext", "--file", str(paths[0]), "--smax", "3"]
+    fresh = run(capsys, argv, tmp_path / "fresh")
+    assert fresh[1] != outs[0]
+    assert run(capsys, argv, cache_dir) == fresh
+    assert len(os.listdir(cache_dir)) == 3
 
 
-# the engine modules a warm run must not import
-ENGINE_MODULES = ("algebra", "base", "linalg", "resolve", "dg", "hochschild", "azumaya", "morita")
+def test_a_spelling_the_scan_misreads_runs_uncached(capsys, tmp_path):
+    # argparse takes the last --file and --cache-dir, and abbreviations of
+    # both; the scan reads only the full names, so where the two disagree
+    # the run prints what a fresh run prints and leaves no entry
+    lam, poly = defpath("exterior1.def"), defpath("polytrunc.def")
+    fresh = {path: run(capsys, ["ext", "--smax", "3", "--file", path], tmp_path / "fresh")
+             for path in (lam, poly)}
+    d = tmp_path / "d"
+    spellings = [  # (argv tail, cache directories, entries left in each)
+        (["--file=" + lam, "--cache-dir", str(d / "eq")], [d / "eq"], [1]),
+        (["--file", poly, "--file", lam, "--cache-dir", str(d / "repeated")],
+         [d / "repeated"], [1]),
+        (["--file", lam, "--cache-dir=" + str(d / "cd_eq")], [d / "cd_eq"], [1]),
+        (["--fi", lam, "--cache-dir", str(d / "fi")], [d / "fi"], [0]),
+        (["--file", poly, "--fi", lam, "--cache-dir", str(d / "last")], [d / "last"], [0]),
+        (["--file", lam, "--cache-dir", str(d / "one"), "--cache", str(d / "two")],
+         [d / "one", d / "two"], [0, 0]),
+    ]
+    for tail, dirs, entries in spellings:
+        for _ in ("cold", "warm"):
+            code = main(["ext", "--smax", "3"] + tail)
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == fresh[lam], tail
+        assert [len(os.listdir(x)) if x.exists() else 0 for x in dirs] == entries, tail
+
+
+# the modules a warm run must not import: the engine, the definition format
+# beneath it, OpenSSL, and what only parsing argv or a definition needs
+OFF_THE_HIT_PATH = tuple("hhalg." + m for m in (
+    "algebra", "base", "linalg", "resolve", "dg", "hochschild", "azumaya", "morita", "defs",
+    "ground", "tables")) + ("hashlib", "_hashlib", "argparse", "json", "fractions")
 
 # one cheap run of each subcommand
 SUBCOMMAND_RUNS = (
@@ -460,22 +481,22 @@ def test_a_warm_run_imports_no_engine_module_and_no_openssl(capsys, tmp_path):
     cold = [run(capsys, argv, tmp_path) for argv in SUBCOMMAND_RUNS]
     assert all(code == 0 for code, _, _ in cold)
     assert len(os.listdir(tmp_path)) == len(SUBCOMMAND_RUNS)
-    code = ("import contextlib, io, json, sys\n"
+    # argv travels as a repr, and the result comes back as one: the child
+    # itself loads no json
+    code = ("import ast, contextlib, io, sys\n"
             "from hhalg.cli import main\n"
-            "runs = json.loads(sys.argv[1])\n"
             "outs = []\n"
-            "for argv in runs:\n"
+            "for argv in ast.literal_eval(sys.argv[1]):\n"
             "    out, err = io.StringIO(), io.StringIO()\n"
             "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
             "        outs.append([main(argv), out.getvalue(), err.getvalue()])\n"
-            "names = ['hhalg.' + m for m in %r] + ['hashlib', '_hashlib']\n"
-            "print(json.dumps([outs, sorted(m for m in names if m in sys.modules)]))\n"
-            % (ENGINE_MODULES,))
+            "print(repr([outs, sorted(m for m in %r if m in sys.modules)]))\n"
+            % (OFF_THE_HIT_PATH,))
     runs = [argv + ["--cache-dir", str(tmp_path)] for argv in SUBCOMMAND_RUNS]
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, repr(runs)], capture_output=True,
                           text=True, env=env, check=True)
-    warm, loaded = json.loads(proc.stdout)
+    warm, loaded = ast.literal_eval(proc.stdout)
     assert warm == [list(c) for c in cold]
     assert loaded == []
 
@@ -501,35 +522,93 @@ def test_quiet_is_in_the_key(capsys, tmp_path):
     assert len(os.listdir(tmp_path / "shared")) == 2
 
 
-def test_format_is_not_in_the_key(capsys, tmp_path):
+def test_format_is_in_the_key(capsys, tmp_path):
+    # the key holds the argv as given, so TSV and JSON are two entries
     argv = ["ext", "--file", defpath("exterior_n.def"), "--smax", "3"]
     outs = [run(capsys, argv + ["--format", fmt], tmp_path / fmt) for fmt in ("tsv", "json")]
-    for fmt, want in zip(("tsv", "json"), outs):
-        assert run(capsys, argv + ["--format", fmt], tmp_path / "shared") == want
-    assert len(os.listdir(tmp_path / "shared")) == 1
+    for _ in ("cold", "warm"):
+        for fmt, want in zip(("tsv", "json"), outs):
+            assert run(capsys, argv + ["--format", fmt], tmp_path / "shared") == want
+    assert len(os.listdir(tmp_path / "shared")) == 2
 
 
-def test_a_run_that_fails_stores_nothing(capsys, tmp_path, monkeypatch):
-    # exit 1 on a definition error and on a refused algebra, 2 on a raised
-    # budget error, 3 on a failed invariant: none of them leaves an entry
-    failing = [
-        (1, ["ext", "--file", defpath("ku2.def")]),
-        (1, ["morita", "--file", defpath("etale.def"), "--check", "roundtrip",
-             "--window=2:1"]),
-        (2, ["hochschild", "--file", defpath("matrix.def"), "--budget", "1"]),
-        (2, ["azumaya", "--file", defpath("azumaya_dg.def"), "--window=0:0"]),
-    ]
-    for want, argv in failing:
-        assert run(capsys, argv, tmp_path / "c")[0] == want
-    assert not os.path.exists(tmp_path / "c") or os.listdir(tmp_path / "c") == []
+# exit 1 on a definition error and on a refused window, 2 on a raised budget error
+FAILING_RUNS = [
+    (1, ["ext", "--file", defpath("ku2.def")]),
+    (1, ["morita", "--file", defpath("etale.def"), "--check", "roundtrip", "--window=2:1"]),
+    (2, ["hochschild", "--file", defpath("matrix.def"), "--budget", "1"]),
+    (2, ["azumaya", "--file", defpath("azumaya_dg.def"), "--window=0:0"]),
+]
+
+
+@pytest.mark.parametrize("want,argv", FAILING_RUNS, ids=lambda x: x if isinstance(x, int)
+                         else " ".join(os.path.basename(a) for a in x))
+def test_a_failed_run_replays_its_stderr_and_exit_code(capsys, tmp_path, monkeypatch, want,
+                                                       argv):
+    cold = run(capsys, argv, tmp_path)
+    assert cold[:2] == (want, "") and cold[2].startswith("error: ")
+    assert len(os.listdir(tmp_path)) == 1
+
+    def refuse(*_):
+        raise AssertionError("a warm run computed")
+
+    monkeypatch.setattr("hhalg.cli._execute", refuse)
+    assert run(capsys, argv, tmp_path) == cold
+
+
+def test_an_invariant_failure_or_a_usage_error_stores_nothing(capsys, tmp_path, monkeypatch):
+    cache_dir = tmp_path / "c"
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, ["ext", "--file", defpath("exterior1.def"), "--smax", "x"], cache_dir)
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
 
     def broken(*args, **kwargs):
         raise InvariantError("broken on purpose")
 
     monkeypatch.setattr(hochschild, "hochschild_cohomology", broken)
     argv = ["hochschild", "--file", defpath("exterior1.def"), "--nmax", "1"]
-    assert run(capsys, argv, tmp_path / "c") == (3, "", "error: broken on purpose\n")
-    assert not os.path.exists(tmp_path / "c") or os.listdir(tmp_path / "c") == []
+    for _ in ("cold", "warm"):
+        assert run(capsys, argv, cache_dir) == (3, "", "error: broken on purpose\n")
+    assert not os.path.exists(cache_dir)
+
+
+# a child that runs the CLI as __main__ with hochschild_cohomology broken
+BROKEN_INVARIANT = ("import runpy, sys\n"
+                    "import hhalg.hochschild\n"
+                    "from hhalg.ground import InvariantError\n"
+                    "def broken(*args, **kwargs):\n"
+                    "    raise InvariantError('broken on purpose')\n"
+                    "hhalg.hochschild.hochschild_cohomology = broken\n"
+                    "runpy.run_module('hhalg.cli', run_name='__main__')\n")
+
+# (exit code, entries stored, argv): a run of each exit class
+EXIT_CLASSES = [
+    (0, 1, ["ext", "--file", defpath("exterior1.def"), "--smax", "3"]),
+    (1, 1, ["ext", "--file", defpath("ku2.def")]),
+    (2, 1, ["hochschild", "--file", defpath("matrix.def"), "--budget", "1"]),
+    (2, 1, ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3", "--budget", "15"]),
+    (2, 0, ["ext", "--file", defpath("exterior1.def"), "--smax", "x"]),
+    (3, 0, ["hochschild", "--file", defpath("exterior1.def"), "--nmax", "1"]),
+]
+
+
+@pytest.mark.parametrize("want,stored,argv", EXIT_CLASSES,
+                         ids=["computed", "input error", "budget error", "budget stop",
+                              "usage error", "invariant"])
+def test_each_exit_class_cold_and_warm_in_a_child(tmp_path, want, stored, argv):
+    # the hit path runs as __main__ here; a warm run that hit rewrites no entry
+    head = ["-c", BROKEN_INVARIANT] if want == 3 else ["-m", "hhalg.cli"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    runs, entries = [], []
+    for _ in ("cold", "warm"):
+        proc = subprocess.run([sys.executable, *head, *argv, "--cache-dir", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        runs.append((proc.returncode, proc.stdout, proc.stderr))
+        entries.append([(e.name, e.stat().st_ino, e.stat().st_mtime_ns)
+                        for e in os.scandir(tmp_path)])
+    assert runs[0][0] == want and runs[1] == runs[0]
+    assert "Traceback" not in runs[0][2]
+    assert len(entries[0]) == stored and entries[1] == entries[0]
 
 
 def test_an_unwritable_cache_directory_costs_no_output(capsys, tmp_path):
@@ -872,6 +951,16 @@ def test_exit_one_on_missing_file(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+def test_exit_one_on_a_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.def"
+    bad.write_bytes(b"\xff\xfe{")
+    for _ in ("cold", "warm"):
+        code, out, err = run(capsys, ["ext", "--file", str(bad)], tmp_path / "c")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "can't decode byte 0xff" in err
+        assert err.count("\n") == 1
+
+
 def test_exit_one_on_bad_definition(capsys, tmp_path):
     bad = tmp_path / "bad.def"
     bad.write_text('{"base": {"ground": "F3"}, "algebras": '
@@ -943,7 +1032,7 @@ def test_exit_one_on_a_negative_bound(capsys, tmp_path, command, flag, value, mo
     def refuse(*_):
         raise AssertionError("a bound was not checked before computing")
 
-    monkeypatch.setattr("hhalg.cli.parse_definition", refuse)
+    monkeypatch.setattr("hhalg.defs.parse_definition", refuse)
     code, out, err = run(capsys, [command, "--file", defpath("exterior1.def"), flag, value],
                          tmp_path)
     least = 1 if flag == "--budget" else 0
