@@ -217,7 +217,7 @@ OPTIONS = {
     "--smax": dict(type=int, default=8),
     "--nmax": dict(type=int, default=4),
     "--window": dict(default="-16:16", help="LO:HI internal degrees reported and checked"),
-    "--budget": dict(type=int, default=200000, help="generator budget for bar-complex stages"),
+    "--budget": dict(type=int, default=200000, help="cochain generator budget per degree"),
     "--flavor": dict(choices=("classical", "generalized", "weak"), default="classical"),
     "--check": dict(choices=("completion", "roundtrip", "torsion"), default="completion"),
 }

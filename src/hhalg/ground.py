@@ -22,8 +22,12 @@ but the type; over F_p it takes the residue mod p.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
+
+# fractions.Fraction, bound when a ring over Q is built: importing fractions
+# loads decimal too, which a run over Z or F_p never needs, so this module
+# builds no ring over Q itself
+Fraction = None
 
 
 class BudgetExceededError(ValueError):
@@ -97,6 +101,9 @@ class GroundRing(Value):
                 raise ValueError(f"characteristic must be prime, got {self.p!r}")
         elif self.p is not None:
             raise ValueError("characteristic only makes sense for Fp")
+        if self.kind == "Q":
+            global Fraction
+            from fractions import Fraction
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -135,13 +142,12 @@ class GroundRing(Value):
         if self.kind == "Q":
             # a Fraction is already canonical, so it is returned, not rebuilt
             return x if type(x) is Fraction else Fraction(x)
+        # a rational x (a Fraction, loaded or not by this module) has a denominator
         if self.kind == "Z":
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"{x} is not an integer")
-                x = x.numerator
+            if getattr(x, "denominator", 1) != 1:
+                raise ValueError(f"{x} is not an integer")
             return int(x)
-        if isinstance(x, Fraction):
+        if hasattr(x, "denominator"):
             return self.normalize(x.numerator) * self.inv(self.normalize(x.denominator)) % self.p
         return int(x) % self.p
 
@@ -176,4 +182,3 @@ class GroundRing(Value):
 
 
 ZZ = GroundRing.integers()
-QQ = GroundRing.rationals()

@@ -2,8 +2,13 @@
 
 A bimodule over A is a left module (resolve.AModule) over A^e, with
 (a (x) b) . x = (-1)^{|b||x|} a . x . b, so HH^n(A, M) = Ext^n_{A^e}(A, M).
-This module computes it from the normalized bar resolution, read by the
-one Hom builder resolve.hom_cochains, and independently as
+hochschild_cohomology reads it off a resolution by the one Hom builder
+resolve.hom_cochains.  A monomial algebra (monomial_words) is resolved by
+Bardzell's resolution (J. Algebra 188, 1997), free on the chains of Anick
+(Trans. AMS 296, 1986): one generator per chain, against the bar's
+(rank A - 1)^n words, so Z[y]/y^N has one in every degree.  Every other
+algebra takes the normalized bar resolution, which the tests also hold
+the monomial route against.  HH is computed independently as
 resolve.derived_hom(A, A) over A^e, the seeded greedy free resolution that
 the Morita functors G and S also read; check_enveloping_against_bar
 compares the two tables.  It also holds
@@ -132,6 +137,24 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
     return Resolution(Ae, stages, maps)
 
 
+def _set_cochains(cx, A: GradedAlgebra, M: AModule, n_terms: int, resolution, name: str):
+    """Set cx.completed = n_terms - 2 and cx.terms, cx.deltas = hom_cochains(resolution(), M).
+
+    M must be a bimodule.  The resolution has n_terms terms, one past the
+    top reported degree so that degree has its outgoing differential;
+    d^2 = 0 is asserted.
+    """
+    if M.algebra.rank != A.rank ** 2:
+        raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
+    cx.completed = n_terms - 2
+    if cx.completed < 0:
+        raise BudgetExceededError("budget too small for any cochain degree")
+    cx.terms, cx.deltas = hom_cochains(resolution(), M)
+    for n in range(len(cx.deltas) - 1):
+        if not cx.deltas[n + 1].compose(cx.deltas[n]).is_zero():
+            raise InvariantError(f"{name} differential fails d^2 = 0 at n = {n}")
+
+
 class BarCochainComplex:
     """Normalized bar cochains C^n = Hom_{A^e}(B_n, M), with differentials.
 
@@ -140,23 +163,141 @@ class BarCochainComplex:
     and the cochains are hom_cochains(B_*, M): terms[n] has one generator
     per (word, M-coordinate), in degree deg(word) - deg(coordinate), the
     negative of the bar functional's degree.  d^2 = 0 is asserted at
-    construction.
+    construction.  The budget bounds the generators of a term,
+    (rank A - 1)^n rank M.  This is the route for every algebra that is
+    not monomial, and the cross-check of BardzellCochainComplex.
     """
 
     def __init__(self, A: GradedAlgebra, M: AModule, n_max: int = 4,
                  budget: int = 200000):
-        if M.algebra.rank != A.rank ** 2:
-            raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
-        # one extra term, so the top reported degree has its outgoing differential
         n_terms = next((n for n in range(n_max + 2)
                         if (A.rank - 1) ** n * M.module.rank > budget), n_max + 2)
-        self.completed = n_terms - 2
-        if self.completed < 0:
-            raise BudgetExceededError("budget too small for any cochain degree")
-        self.terms, self.deltas = hom_cochains(bar_resolution(A, M.algebra, n_terms - 1), M)
-        for n in range(len(self.deltas) - 1):
-            if not self.deltas[n + 1].compose(self.deltas[n]).is_zero():
-                raise InvariantError(f"bar differential fails d^2 = 0 at n = {n}")
+        _set_cochains(self, A, M, n_terms, lambda: bar_resolution(A, M.algebra, n_terms - 1),
+                      "bar")
+
+
+# ---------------------------------------------------------------------------
+# monomial algebras: Bardzell's resolution on Anick's chains
+
+
+def monomial_words(A: GradedAlgebra) -> dict | None:
+    """{word: monomial index} when A is a monomial algebra, None otherwise.
+
+    A word is a tuple of generating monomials, its letters.  Each monomial's
+    word is read off A.generation_steps(), s * e_k = c e_m giving
+    word(m) = (s,) + word(k), so every c must be 1.  A is monomial when the
+    product of two basis words is their concatenation if that is a basis
+    word, and 0 otherwise: a check of the coefficients alone would pass
+    t0 * t0 = v * 1.  Associativity then closes the basis words under
+    subwords, so A = k<letters>/(tips), the tips being the minimal words
+    outside the basis (anick_chains).
+    """
+    one = A.base.ground.one
+    words = [()] * A.rank
+    for m, s, k, c in A.generation_steps():
+        if c != one:
+            return None
+        words[m] = (s,) + words[k]
+    index = {w: m for m, w in enumerate(words)}
+    for i, wi in enumerate(words):
+        for j, wj in enumerate(words):
+            m = index.get(wi + wj)
+            if A.mul_basis(i, j) != ({} if m is None else {m: one}):
+                return None
+    return index
+
+
+def anick_chains(words: dict, letters):
+    """Anick's chains AP_0, AP_1, AP_2, ... of the monomial algebra whose basis
+    words are `words`, one level per step of the iteration.
+
+    AP_0 holds the empty word, AP_1 the letters and AP_2 the tips, the words
+    x u outside the basis with u and x u[:-1] in it.  An (n+1)-chain extends
+    an n-chain p by a tip t that starts inside p's last piece u and ends past
+    it, t = u[-k:] v, with no other tip in u v: as tips are minimal, that is
+    u v[:-1] being a basis word.  The new last piece is v.
+    """
+    tips = [(x,) + u for u in words for x in letters
+            if (x,) + u[:-1] in words and (x,) + u not in words]
+    yield [()]
+    level = [((x,), 1) for x in letters]  # (chain, length of its last piece)
+    while True:
+        yield [p for p, _ in level]
+        nxt = []
+        for p, last in level:
+            u = p[-last:]
+            for t in tips:
+                for k in range(1, min(last, len(t) - 1) + 1):
+                    if t[:k] == u[-k:] and u + t[k:-1] in words:
+                        nxt.append((p + t[k:], len(t) - k))
+        level = nxt
+
+
+def bardzell_resolution(A: GradedAlgebra, Ae: GradedAlgebra, words: dict,
+                        chains: list) -> Resolution:
+    """Bardzell's resolution P_0 <- ... <- P_top of a monomial algebra A over
+    Ae = tensor(A, opposite(A)), top = len(chains) - 1.
+
+    P_n = A (x) k.AP_n (x) A is free on the n-chains chains[n]
+    (anick_chains), each in the degree of its word.  For p = L q R with q
+    an (n-1)-chain,
+
+      odd n:  d p = L q - q' R, q the (n-1)-chain ending p, q' the one starting it
+      even n: d p = sum of L q R over every occurrence of an (n-1)-chain q in p,
+
+    with L q R = (-1)^{|R||q|} (L (x) R) q written through Ae, as
+    bar_resolution writes its last face; a term whose L or R is not a
+    basis word is zero.  Both differentials have degree 0, so no other
+    sign enters.
+    """
+    r = A.rank
+
+    def degree(w):
+        return sum(map(A.degree, w))
+
+    stages = [FreeAModule(Ae, tuple(map(degree, level))) for level in chains]
+    maps = []
+    for n in range(1, len(chains)):
+        index = {q: i for i, q in enumerate(chains[n - 1])}
+        lengths = sorted({len(q) for q in index})
+        images = []
+        for p in chains[n]:
+            image = {}  # coordinates on P_{n-1}: (chain q, Ae monomial L (x) R)
+            for i in range(len(p) + 1):
+                for length in lengths:
+                    L, q, R = p[:i], p[i:i + length], p[i + length:]
+                    if (i + length > len(p) or q not in index or L not in words
+                            or R not in words or n % 2 and L and R):
+                        continue
+                    c = -1 if n % 2 and not L else 1
+                    if A.parity(words[R]) and degree(q) % 2:
+                        c = -c
+                    idx = stages[n - 1].flat_index(index[q], words[L] * r + words[R])
+                    image[idx] = image.get(idx, 0) + c
+            images.append(image)
+        maps.append(AModuleMap(stages[n], stages[n - 1], images))
+    return Resolution(Ae, stages, maps)
+
+
+class BardzellCochainComplex:
+    """Hom_{A^e}(P_n, M) over Bardzell's resolution of a monomial algebra A,
+    whose basis words `words` are monomial_words(A).
+
+    Terms, degrees, the d^2 = 0 check and the contract are
+    BarCochainComplex's, with P_n free on the n-chains (bardzell_resolution)
+    in place of the bar words.  The chains are built one level at a time,
+    and the budget bounds the generators of a term, |AP_n| rank M.
+    """
+
+    def __init__(self, A: GradedAlgebra, M: AModule, words: dict, n_max: int = 4,
+                 budget: int = 200000):
+        chains = []
+        for level in itertools.islice(anick_chains(words, A.generating_monomials), n_max + 2):
+            if len(level) * M.module.rank > budget:
+                break
+            chains.append(level)
+        _set_cochains(self, A, M, len(chains),
+                      lambda: bardzell_resolution(A, M.algebra, words, chains), "Bardzell")
 
 
 def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
@@ -164,20 +305,27 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
                           budget: int = 200000) -> BigradedTable:
     """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A.
 
-    The bar cochains sit in degree -t (BarCochainComplex), so their
-    cohomology is read on the window (-hi, -lo) and keyed back by -t.
+    A monomial algebra (monomial_words) is resolved by Bardzell's
+    resolution, one generator per Anick chain (BardzellCochainComplex);
+    any other algebra by the bar (BarCochainComplex).  The budget bounds
+    the cochain generators of each term.  The cochains sit in degree -t,
+    so their cohomology is read on the window (-hi, -lo) and keyed back
+    by -t.
     """
     _graded_only(A, "hochschild_cohomology")
     if M is None:
         M = regular_bimodule(A)
-    bar = BarCochainComplex(A, M, n_max, budget)
+    words = monomial_words(A)
+    cochains = (BarCochainComplex(A, M, n_max, budget) if words is None
+                else BardzellCochainComplex(A, M, words, n_max, budget))
     lo, hi = window
     table = BigradedTable()
-    for (n, t), p in cohomology_table(bar.deltas, bar.completed, (-hi, -lo)).entries.items():
+    for (n, t), p in cohomology_table(cochains.deltas, cochains.completed,
+                                      (-hi, -lo)).entries.items():
         table.set(n, A.base.degree_key(-t), p)
-    if bar.completed < n_max:
-        table.completed_through = bar.completed
-        table.notes = (f"budget exceeded: completed through n = {bar.completed}",)
+    if cochains.completed < n_max:
+        table.completed_through = cochains.completed
+        table.notes = (f"budget exceeded: completed through n = {cochains.completed}",)
     return table
 
 

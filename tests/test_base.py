@@ -14,8 +14,10 @@ from hhalg.base import (
     tensor_maps,
     tensor_module,
 )
-from hhalg.ground import GroundRing, QQ, ZZ
+from hhalg.ground import GroundRing, ZZ
 from hhalg.linalg import ExactMatrix, SubquotientPresentation, rank
+
+QQ = GroundRing.rationals()
 
 F3 = GroundRing.prime_field(3)
 KU = BaseRing(ZZ, LaurentGenerator("v", 2))

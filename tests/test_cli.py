@@ -1016,6 +1016,28 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
     assert run(capsys, argv, tmp_path / "cut")[0] == 2
 
 
+def test_polytrunc_runs_past_n2_on_anick_chains(capsys, tmp_path):
+    # F3[y]/y^20 is monomial: one chain per degree, where the bar had 19^n
+    # words and stopped on the default budget after n = 2 (exit 2 at --nmax 3)
+    argv = ["hochschild", "--file", defpath("polytrunc.def")]
+    _, two, _ = run(capsys, argv + ["--nmax", "2"], tmp_path)
+    code, three, err = run(capsys, argv + ["--nmax", "3"], tmp_path)
+    assert (code, err) == (0, "") and "note" not in three
+    rows = [line.split("\t") for line in three.splitlines()[2:]]
+    assert {row[0] for row in rows} == {"0", "1", "2", "3"}
+    assert [r for r in rows if r[0] != "3"] == [line.split("\t") for line in two.splitlines()[2:]]
+    code, eight, err = run(capsys, argv + ["--nmax", "8"], tmp_path)
+    assert (code, err) == (0, "") and "note" not in eight
+    assert eight.startswith(three)
+
+
+def test_the_budget_help_counts_cochain_generators(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["hochschild", "--help"])
+    assert "cochain generator budget per degree" in capsys.readouterr().out
+
+
 def test_exit_two_when_the_budget_fits_no_cochain_degree(capsys, tmp_path):
     code, out, err = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
                                   "--budget", "1"], tmp_path)

@@ -17,8 +17,10 @@ from hhalg.dg import (
     make_quotient_dga,
     tensor_complex,
 )
-from hhalg.ground import QQ, GroundRing, ZZ
+from hhalg.ground import GroundRing, ZZ
 from hhalg.linalg import ExactMatrix, factor
+
+QQ = GroundRing.rationals()
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)

@@ -24,9 +24,11 @@ import pytest
 from hhalg import hochschild, resolve
 from hhalg.algebra import AlgebraPresentation, realize
 from hhalg.base import BaseRing, LaurentGenerator
-from hhalg.ground import QQ, GroundRing
+from hhalg.ground import GroundRing
 from hhalg.linalg import Echelon
 from hhalg.resolve import GREEDY_TRIALS, AModule, ResolutionError, free_resolution
+
+QQ = GroundRing.rationals()
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)

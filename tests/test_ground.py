@@ -7,9 +7,11 @@ import pytest
 
 from hhalg.algebra import AlgebraPresentation, realize
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap
-from hhalg.ground import QQ, GroundRing, ZZ
+from hhalg.ground import GroundRing, ZZ
 from hhalg.linalg import Echelon, ExactMatrix
 from hhalg.resolve import AModuleMap, FreeAModule
+
+QQ = GroundRing.rationals()
 
 GROUNDS = {"Z": ZZ, "F3": GroundRing.prime_field(3), "Q": QQ}
 # nonzero scalars that sum to zero in the ground; over F3 only mod 3

@@ -2,9 +2,11 @@
 knows how a matrix is stored, every definition and import in hhalg is used,
 every definition is reached from the command line or the benchmark or is a
 named cross-check, only the output and cache writers write, only the output
-writer serializes JSON, and no module imports dataclasses."""
+writer serializes JSON, no module imports dataclasses, and a run that never
+touches Q loads no fractions."""
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -606,3 +608,29 @@ def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+# fractions loads decimal; only a ring over Q imports it
+FRACTIONS_PROBE = ("import sys\n"
+                   "from hhalg.cli import main\n"
+                   "main(['ext', '--file', sys.argv[1], '--cache-dir', sys.argv[2]])\n"
+                   "print(sorted(m for m in ('decimal', 'fractions') if m in sys.modules))")
+
+
+def loaded_number_modules(tmp_path, definition):
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", FRACTIONS_PROBE, str(definition),
+                          str(tmp_path / "cache")], capture_output=True, text=True, env=env,
+                         check=True).stdout
+    return out.strip().splitlines()[-1]
+
+
+def test_a_cold_run_over_f3_loads_no_fractions(tmp_path):
+    assert loaded_number_modules(tmp_path, SRC / "data" / "exterior1.def") == "[]"
+
+
+def test_the_fractions_probe_sees_a_run_over_q(tmp_path):
+    over_q = tmp_path / "lam_q.def"
+    over_q.write_text(json.dumps({"base": {"ground": "Q"}, "algebras": {
+        "lam": {"generators": [["x", -1]], "relations": ["x^2"]}}}))
+    assert loaded_number_modules(tmp_path, over_q) == "['decimal', 'fractions']"

@@ -9,7 +9,7 @@ from hhalg import resolve
 from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgebra, opposite,
                            realize, tensor)
 from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
-from hhalg.ground import QQ, GroundRing
+from hhalg.ground import GroundRing
 from hhalg.hochschild import regular_bimodule
 from hhalg.linalg import Echelon, SmithForm
 from hhalg.resolve import (
@@ -25,6 +25,8 @@ from hhalg.resolve import (
     minimal_resolution,
     yoneda_square,
 )
+
+QQ = GroundRing.rationals()
 
 F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
