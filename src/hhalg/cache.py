@@ -95,10 +95,12 @@ def load(cache_dir, key):
 
 
 def store(cache_dir, key, text: str):
-    import tempfile
-
+    """Write the entry through a temp file of a fresh random name, opened
+    exclusively as tempfile.mkstemp opens one; tempfile itself would load
+    random and weakref into every run that stores."""
     os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = os.path.join(cache_dir, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(_digest(key, text) + "\n" + text)

@@ -3,12 +3,20 @@
 A bimodule over A is a left module (resolve.AModule) over A^e, with
 (a (x) b) . x = (-1)^{|b||x|} a . x . b, so HH^n(A, M) = Ext^n_{A^e}(A, M).
 hochschild_cohomology reads it off a resolution by the one Hom builder
-resolve.hom_cochains.  A monomial algebra (monomial_words) is resolved by
-Bardzell's resolution (J. Algebra 188, 1997), free on the chains of Anick
-(Trans. AMS 296, 1986): one generator per chain, against the bar's
-(rank A - 1)^n words, so Z[y]/y^N has one in every degree.  Every other
-algebra takes the normalized bar resolution, which the tests also hold
-the monomial route against.  HH is computed independently as
+resolve.hom_cochains, trying three routes in order:
+
+  * a monomial algebra (monomial_words) is resolved by Bardzell's
+    resolution (J. Algebra 188, 1997), free on the chains of Anick (Trans.
+    AMS 296, 1986): one generator per chain, against the bar's
+    (rank A - 1)^n words, so Z[y]/y^N has one in every degree;
+  * a separable algebra, one with a separability witness e in A^e
+    (separability_witness, verified by multiplication), is projective over
+    A^e, so HH^n(A, M) = 0 for n >= 1 (Auslander-Goldman, Trans. AMS 97,
+    1960) and HH^0 is read off the bar cut at n = 0;
+  * every other algebra takes the normalized bar resolution through n_max,
+    which the tests also hold the other two routes against.
+
+HH is computed independently as
 resolve.derived_hom(A, A) over A^e, the seeded greedy free resolution that
 the Morita functors G and S also read; check_enveloping_against_bar
 compares the two tables.  It also holds
@@ -165,7 +173,8 @@ class BarCochainComplex:
     negative of the bar functional's degree.  d^2 = 0 is asserted at
     construction.  The budget bounds the generators of a term,
     (rank A - 1)^n rank M.  This is the route for every algebra that is
-    not monomial, and the cross-check of BardzellCochainComplex.
+    neither monomial nor separable, with n_max = 0 the HH^0 of a separable
+    one, and the cross-check of the other two routes.
     """
 
     def __init__(self, A: GradedAlgebra, M: AModule, n_max: int = 4,
@@ -300,30 +309,105 @@ class BardzellCochainComplex:
                       lambda: bardzell_resolution(A, M.algebra, words, chains), "Bardzell")
 
 
+# ---------------------------------------------------------------------------
+# separable algebras: one witness for every n
+
+
+def _kernel_generators(A: GradedAlgebra) -> list:
+    """s (x) 1 - 1 (x) s for each generating monomial s, as Ae coordinates.
+
+    They generate ker mu as a left ideal of Ae: for a step s e_k = c e_m,
+    (s e_k) (x) 1 - 1 (x) (s e_k) = (s (x) 1)(e_k (x) 1 - 1 (x) e_k)
+    + (-1)^{|s||k|} (1 (x) e_k)(s (x) 1 - 1 (x) s), and
+    a (x) b = (a (x) 1)(1 (x) b) is ab (x) 1 modulo the ideal.
+    """
+    one, r, u = A.base.ground.one, A.rank, A.unit_index
+    return [{s * r + u: one, u * r + s: -one} for s in A.generating_monomials]
+
+
+def separability_witness(A: GradedAlgebra, R: AModule) -> dict | None:
+    """A verified separability witness of A, or None when the solve finds none.
+
+    R is regular_bimodule(A), over Ae = tensor(A, opposite(A)).  A witness
+    is an e on Ae's degree-0 slice with mu(e) = e . 1_A = 1 and x e = 0 for
+    each x of _kernel_generators(A).  Right multiplication by e then splits
+    mu: Ae -> A, so A is a projective Ae-module and HH^n(A, M) = 0 for every
+    n >= 1 and every bimodule M (Auslander-Goldman, Trans. AMS 97, 1960).
+
+    The system is one factor(...).solve on columns read off mul_basis, one
+    per unknown monomial; over Z the solve is integral, so an algebra whose
+    witnesses all have fractions (the quaternion presentation of M_2) has
+    none here.  A solution counts only after is_separability_witness
+    multiplies it out.
+    """
+    Ae, g = R.algebra, A.base.ground
+    r, u, size = A.rank, A.unit_index, R.algebra.rank
+    unknowns = [m for m in range(size) if A.base.degree_key(Ae.degree(m)) == 0]
+    kills = _kernel_generators(A)
+    columns = []
+    for m in unknowns:
+        col = dict(A.mul_basis(*divmod(m, r)))  # rows 0..r-1: mu(e_a (x) e_b) = e_a e_b
+        for i, x in enumerate(kills):  # then one block of Ae coordinates per x
+            for left, c in x.items():
+                for k, d in Ae.mul_basis(left, m).items():
+                    col[r + i * size + k] = col.get(r + i * size + k, 0) + c * d
+        columns.append(g.canonical(col))
+    solution = factor(ExactMatrix.from_columns(g, r + len(kills) * size, columns)).solve(
+        {u: g.one})
+    if solution is None:
+        return None
+    e = {unknowns[j]: c for j, c in solution.items()}
+    return e if is_separability_witness(A, R, e) else None
+
+
+def is_separability_witness(A: GradedAlgebra, R: AModule, e: dict) -> bool:
+    """Whether e is a separability witness of A, by multiplication alone:
+    e sits on Ae's degree-0 slice, e acting on 1_A through the regular
+    bimodule R gives 1_A, and Ae.mul_coords(x, e) = 0 for each kernel
+    generator x (_kernel_generators)."""
+    Ae, g, u = R.algebra, A.base.ground, A.unit_index
+    if any(A.base.degree_key(Ae.degree(m)) != 0 for m in e):
+        return False
+    one = {u: g.one}
+    mu = {}
+    for m, c in e.items():
+        for k, x in R.act_map(m).apply_coords(one).items():
+            mu[k] = mu.get(k, 0) + c * x
+    return g.canonical(mu) == one and not any(Ae.mul_coords(x, e) for x in _kernel_generators(A))
+
+
 def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
                           n_max: int = 4, window=(-16, 16),
                           budget: int = 200000) -> BigradedTable:
     """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A.
 
-    A monomial algebra (monomial_words) is resolved by Bardzell's
-    resolution, one generator per Anick chain (BardzellCochainComplex);
-    any other algebra by the bar (BarCochainComplex).  The budget bounds
-    the cochain generators of each term.  The cochains sit in degree -t,
-    so their cohomology is read on the window (-hi, -lo) and keyed back
-    by -t.
+    The routes are tried in order.  A monomial algebra (monomial_words) is
+    resolved by Bardzell's resolution, one generator per Anick chain
+    (BardzellCochainComplex).  A separable algebra, one with a verified
+    separability_witness, has HH^n = 0 for every n >= 1, so the table is
+    complete through n_max with HH^0 from the bar cut at n = 0.  Any other
+    algebra takes the bar through n_max (BarCochainComplex).  The budget
+    bounds the cochain generators of each term.  The cochains sit in
+    degree -t, so their cohomology is read on the window (-hi, -lo) and
+    keyed back by -t.
     """
     _graded_only(A, "hochschild_cohomology")
+    R = regular_bimodule(A)
     if M is None:
-        M = regular_bimodule(A)
-    words = monomial_words(A)
-    cochains = (BarCochainComplex(A, M, n_max, budget) if words is None
-                else BardzellCochainComplex(A, M, words, n_max, budget))
+        M = R
+    words, top = monomial_words(A), n_max
+    if words is not None:
+        cochains = BardzellCochainComplex(A, M, words, n_max, budget)
+    elif separability_witness(A, R) is not None:
+        cochains, top = BarCochainComplex(A, M, 0, budget), 0
+    else:
+        cochains = BarCochainComplex(A, M, n_max, budget)
     lo, hi = window
     table = BigradedTable()
     for (n, t), p in cohomology_table(cochains.deltas, cochains.completed,
                                       (-hi, -lo)).entries.items():
         table.set(n, A.base.degree_key(-t), p)
-    if cochains.completed < n_max:
+    if cochains.completed < top:
         table.completed_through = cochains.completed
         table.notes = (f"budget exceeded: completed through n = {cochains.completed}",)
     return table
@@ -383,7 +467,9 @@ def check_enveloping_against_bar(A: GradedAlgebra, enveloping: BigradedTable,
                                  bar: BigradedTable, n_max: int):
     """Raise InvariantError unless the two HH tables of A agree through n_max.
 
-    Free rank and torsion are compared per (n, slice key)
+    `bar` is hochschild_cohomology's table, so on a separable A it is the
+    witness route's (HH^0 alone) and on a monomial A the chains'.  Free
+    rank and torsion are compared per (n, slice key)
     (BigradedTable.by_slice), with t -> -t on the enveloping side.
     """
     env = enveloping.by_slice(lambda t: A.base.degree_key(-t), n_max)

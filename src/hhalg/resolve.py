@@ -40,7 +40,6 @@ degree t is recorded at (s, t).
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from functools import cached_property
 
@@ -327,6 +326,8 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8, seed: int = 0)
         raise ResolutionError("resolutions require a field ground")
     if M.side != "left":
         raise ValueError("free_resolution takes a left module")
+    import random  # only the greedy chooser draws, so other runs never load it
+
     rng = random.Random(seed)
     return _resolve(A, M, s_max,
                     lambda target, vectors: _greedy_generators(A, target, vectors, rng))
@@ -382,6 +383,11 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     lands = {deg: [(t, act) for m, act in enumerate(actions)
                    if (t := key(deg + A.degree(m))) in room] for deg in by_deg}
     landing = {deg: Counter(t for t, _ in pairs) for deg, pairs in lands.items()}
+    # coefficients are drawn below n as randrange(n) draws them, by
+    # getrandbits(n.bit_length()) until one falls below n: the same stream,
+    # without randrange's calls per draw (randint(0, 1) is randrange(2))
+    n = g.p if g.kind == "Fp" else 2
+    bits, draw = n.bit_length(), rng.getrandbits
     span = Echelon(g)
     chosen = []
     while any(room.values()):
@@ -396,8 +402,12 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
         for deg, pairs in by_deg.items():
             if len(pairs) > 1:
                 for _ in range(GREEDY_TRIALS):
-                    cs = [rng.randrange(g.p) if g.kind == "Fp" else rng.randint(0, 1)
-                          for _ in pairs]
+                    cs = []
+                    for _ in pairs:
+                        c = draw(bits)
+                        while c >= n:
+                            c = draw(bits)
+                        cs.append(c)
                     candidates.append((deg, pairs, cs))
         best = None
         for deg, pairs, cs in candidates:

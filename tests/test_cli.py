@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from math import comb
 
 import pytest
@@ -501,12 +502,21 @@ def test_a_warm_run_imports_no_engine_module_and_no_openssl(capsys, tmp_path):
     assert loaded == []
 
 
+# the exterior algebras on two and three letters are neither monomial nor
+# separable, so the bar runs and a budget of 60 stops it after n = 1 and n = 0
+BUDGET_STOP = ["hochschild", "--file", defpath("exterior_n.def"), "--nmax", "3",
+               "--budget", "60"]
+BUDGET_NOTES = ("# lam_2\ns\tt\tfree_rank\ttorsion\n"
+                "# note: budget exceeded: completed through n = 1\n",
+                "# lam_3\ns\tt\tfree_rank\ttorsion\n"
+                "# note: budget exceeded: completed through n = 0\n")
+
+
 def test_a_budget_stop_replays_its_note_and_exit_code(capsys, tmp_path):
-    argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3", "--budget", "15"]
-    cold = run(capsys, argv, tmp_path)
+    cold = run(capsys, BUDGET_STOP, tmp_path)
     assert cold[0] == 2
-    assert cold[1].count("# note: budget exceeded: completed through n = 0\n") == 2
-    assert run(capsys, argv, tmp_path) == cold
+    assert all(cold[1].count(note) == 1 for note in BUDGET_NOTES)
+    assert run(capsys, BUDGET_STOP, tmp_path) == cold
     assert len(os.listdir(tmp_path)) == 1
 
 
@@ -586,7 +596,7 @@ EXIT_CLASSES = [
     (0, 1, ["ext", "--file", defpath("exterior1.def"), "--smax", "3"]),
     (1, 1, ["ext", "--file", defpath("ku2.def")]),
     (2, 1, ["hochschild", "--file", defpath("matrix.def"), "--budget", "1"]),
-    (2, 1, ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3", "--budget", "15"]),
+    (2, 1, BUDGET_STOP),
     (2, 0, ["ext", "--file", defpath("exterior1.def"), "--smax", "x"]),
     (3, 0, ["hochschild", "--file", defpath("exterior1.def"), "--nmax", "1"]),
 ]
@@ -980,10 +990,20 @@ def test_exit_two_on_window_too_small(capsys, tmp_path):
 
 
 def test_exit_two_on_hochschild_budget(capsys, tmp_path):
-    code, out, _ = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
-                                "--nmax", "3", "--budget", "15"], tmp_path)
+    code, out, _ = run(capsys, BUDGET_STOP, tmp_path)
     assert code == 2
     assert "budget" in out
+
+
+def test_a_separable_algebra_meets_any_budget_that_fits_degree_zero(capsys, tmp_path):
+    # the matrix algebras take the witness route: the bar is cut at n = 0,
+    # whose terms hold 4 and 12 cochain generators, and nothing above is built
+    argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3"]
+    plain = run(capsys, argv, tmp_path / "plain")
+    assert plain[0] == 0 and "note" not in plain[1]
+    assert run(capsys, argv + ["--budget", "12"], tmp_path / "12") == plain
+    assert run(capsys, argv + ["--budget", "11"], tmp_path / "11") == (
+        2, "", "error: budget too small for any cochain degree\n")
 
 
 def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, monkeypatch):
@@ -992,9 +1012,9 @@ def test_hochschild_exit_code_follows_the_typed_budget_field(capsys, tmp_path, m
     argv = ["hochschild", "--file", defpath("matrix.def"), "--nmax", "3"]
     code, out, _ = run(capsys, argv, tmp_path / "plain")
     assert code == 0 and "budget" not in out
-    code, out, _ = run(capsys, argv + ["--budget", "15"], tmp_path / "budget")
+    code, out, _ = run(capsys, BUDGET_STOP, tmp_path / "budget")
     assert code == 2
-    assert out.count("# note: budget exceeded: completed through n = 0\n") == 2
+    assert all(out.count(note) == 1 for note in BUDGET_NOTES)
     # a note that mentions a budget is text; only completed_through is a verdict
     real = hochschild.hochschild_cohomology
 
@@ -1031,6 +1051,23 @@ def test_polytrunc_runs_past_n2_on_anick_chains(capsys, tmp_path):
     assert eight.startswith(three)
 
 
+def test_matrix_def_runs_to_n40_on_the_separability_witness(capsys, tmp_path):
+    # M2(F3) and M2(F5) are separable: HH^0 alone, where the bar had 4 * 3^n
+    # cochain generators at term n and stopped on the default budget
+    argv = ["hochschild", "--file", defpath("matrix.def")]
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "hhalg.cli", *argv, "--nmax", "40",
+                           "--cache-dir", str(tmp_path / "cold")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    cold_s = time.perf_counter() - start
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, argv + ["--nmax", "3"], tmp_path)[1] == (
+        "# M2_F3\ns\tt\tfree_rank\ttorsion\n0\t0\t1\t-\n"
+        "# M2_F5\ns\tt\tfree_rank\ttorsion\n0\t0\t1\t-\n")
+    assert cold_s < 1, f"a cold hochschild --nmax 40 on matrix.def took {cold_s:.2f}s"
+
+
 def test_the_budget_help_counts_cochain_generators(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")
     with pytest.raises(SystemExit):
@@ -1063,7 +1100,8 @@ def test_exit_one_on_a_negative_bound(capsys, tmp_path, command, flag, value, mo
 
 def test_exit_three_when_the_bar_differential_fails_d_squared(capsys, tmp_path, monkeypatch):
     # flip the sign of the inner faces, the (1 (x) 1) coefficients of the bar
-    # differential: d^2 then fails on the noncommutative matrix algebras
+    # differential: d^2 then fails on the exterior algebras, which take the
+    # bar (the matrix algebras are separable and stop the bar at n = 0)
     real = hochschild.bar_resolution
 
     def inner_faces_flipped(A, Ae, top):
@@ -1075,7 +1113,7 @@ def test_exit_three_when_the_bar_differential_fails_d_squared(capsys, tmp_path, 
         return res
 
     monkeypatch.setattr(hochschild, "bar_resolution", inner_faces_flipped)
-    code, out, err = run(capsys, ["hochschild", "--file", defpath("matrix.def"),
+    code, out, err = run(capsys, ["hochschild", "--file", defpath("exterior_n.def"),
                                   "--nmax", "2"], tmp_path)
     assert (code, out) == (3, "")
     assert err.startswith("error: bar differential fails d^2 = 0 at n = ")

@@ -183,10 +183,20 @@ def test_hh_rejects_a_one_sided_module():
 
 
 def test_hh_budget_reports_completed_range():
-    t = hochschild_cohomology(m2_f3(), n_max=3, budget=15)
+    # Λ(x1, x2) is neither monomial nor separable: the bar's term 2 holds
+    # 3^2 * 4 = 36 > 15 cochain generators
+    t = hochschild_cohomology(lam_2_f3(), n_max=3, budget=15)
     assert t.notes and "n = 0" in t.notes[0]
-    assert n_ranks(t, 0) == 1
+    assert t.completed_through == 0
+    assert n_ranks(t, 0) == 4
     assert all(s == 0 for (s, _) in t.entries)
+
+
+def test_a_separable_algebra_is_complete_on_the_budget_of_degree_zero():
+    # M2(F3) has a witness, so only the bar's terms 0 and 1 are built
+    t = hochschild_cohomology(m2_f3(), n_max=3, budget=12)
+    assert (t.notes, t.completed_through) == ((), None)
+    assert t.entries == {(0, 0): SubquotientPresentation(1)}
 
 
 def test_bar_differential_squares_to_zero_with_signs():

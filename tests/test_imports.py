@@ -2,8 +2,9 @@
 knows how a matrix is stored, every definition and import in hhalg is used,
 every definition is reached from the command line or the benchmark or is a
 named cross-check, only the output and cache writers write, only the output
-writer serializes JSON, no module imports dataclasses, and a run that never
-touches Q loads no fractions."""
+writer serializes JSON, no module imports dataclasses, a run that never
+touches Q loads no fractions, and a run that draws no greedy resolution
+loads no random."""
 
 import ast
 import json
@@ -610,19 +611,27 @@ def test_importing_the_engine_loads_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
-# fractions loads decimal; only a ring over Q imports it
-FRACTIONS_PROBE = ("import sys\n"
-                   "from hhalg.cli import main\n"
-                   "main(['ext', '--file', sys.argv[1], '--cache-dir', sys.argv[2]])\n"
-                   "print(sorted(m for m in ('decimal', 'fractions') if m in sys.modules))")
+# a cold CLI run in a child: which of the named modules it loaded.  The child
+# runs without the site module (-S), whose path hooks may import modules such
+# as random (through tempfile) before hhalg is imported
+LOAD_PROBE = ("import sys\n"
+              "from hhalg.cli import main\n"
+              "command, definition, cache, *names = sys.argv[1:]\n"
+              "main(command.split() + ['--file', definition, '--cache-dir', cache])\n"
+              "print(sorted(m for m in names if m in sys.modules))")
 
 
-def loaded_number_modules(tmp_path, definition):
+def loaded_modules(tmp_path, command, definition, names):
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run([sys.executable, "-c", FRACTIONS_PROBE, str(definition),
-                          str(tmp_path / "cache")], capture_output=True, text=True, env=env,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-S", "-c", LOAD_PROBE, command, str(definition),
+                          str(tmp_path / "cache"), *names], capture_output=True, text=True,
+                         env=env, check=True).stdout
     return out.strip().splitlines()[-1]
+
+
+# fractions loads decimal; only a ring over Q imports it
+def loaded_number_modules(tmp_path, definition):
+    return loaded_modules(tmp_path, "ext", definition, ("decimal", "fractions"))
 
 
 def test_a_cold_run_over_f3_loads_no_fractions(tmp_path):
@@ -634,3 +643,14 @@ def test_the_fractions_probe_sees_a_run_over_q(tmp_path):
     over_q.write_text(json.dumps({"base": {"ground": "Q"}, "algebras": {
         "lam": {"generators": [["x", -1]], "relations": ["x^2"]}}}))
     assert loaded_number_modules(tmp_path, over_q) == "['decimal', 'fractions']"
+
+
+# random loads only where the seeded greedy chooser of free_resolution draws
+def test_a_cold_ext_run_loads_no_random(tmp_path):
+    assert loaded_modules(tmp_path, "ext", SRC / "data" / "exterior_n.def", ("random",)) == "[]"
+
+
+def test_the_random_probe_sees_a_greedy_resolution(tmp_path):
+    # the Morita completion resolves by free_resolution
+    assert loaded_modules(tmp_path, "morita --check completion", SRC / "data" / "etale.def",
+                          ("random",)) == "['random']"

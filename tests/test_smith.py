@@ -252,9 +252,17 @@ F3 = GroundRing.prime_field(3)
 
 
 def test_bar_hochschild_over_f3_builds_no_transforms(smith_forms):
+    # M2(F3) takes the witness route and Λ(x, y) the bar through n = 3; on
+    # both the one solve is the separability witness's, whose matrix has
+    # rank A + |S| rank(A)^2 rows, and every factorization of the bar is
+    # read for its rank alone
     M2 = endomorphism_algebra(GradedFreeModule(BaseRing(F3), (("e0", 0), ("e1", 0))))
-    hochschild_cohomology(M2, n_max=3)
-    assert smith_forms and not any(sf.transforms_built for sf in smith_forms)
+    for A in (M2, exterior(BaseRing(F3), (("x", 1), ("y", 1)))):
+        smith_forms.clear()
+        hochschild_cohomology(A, n_max=3)
+        solved = [sf.matrix.rows for sf in smith_forms if sf.transforms_built]
+        assert len(smith_forms) > 1
+        assert solved == [A.rank + len(A.generating_monomials) * A.rank ** 2]
     smith_forms.clear()
     hochschild_cohomology(trunc_poly(4, 1), n_max=4)
     assert smith_forms and not any(sf.transforms_built for sf in smith_forms)
