@@ -330,9 +330,10 @@ def separability_witness(A: GradedAlgebra, R: AModule) -> dict | None:
 
     R is regular_bimodule(A), over Ae = tensor(A, opposite(A)).  A witness
     is an e on Ae's degree-0 slice with mu(e) = e . 1_A = 1 and x e = 0 for
-    each x of _kernel_generators(A).  Right multiplication by e then splits
-    mu: Ae -> A, so A is a projective Ae-module and HH^n(A, M) = 0 for every
-    n >= 1 and every bimodule M (Auslander-Goldman, Trans. AMS 97, 1960).
+    each x of _kernel_generators(A).  Right multiplication by e, y |-> y e,
+    then kills ker mu, so it factors through mu: Ae -> A and splits it: A is
+    a projective Ae-module and HH^n(A, M) = 0 for every n >= 1 and every
+    bimodule M (Auslander-Goldman, Trans. AMS 97, 1960).
 
     The system is one factor(...).solve on columns read off mul_basis, one
     per unknown monomial; over Z the solve is integral, so an algebra whose
@@ -341,7 +342,7 @@ def separability_witness(A: GradedAlgebra, R: AModule) -> dict | None:
     multiplies it out.
     """
     Ae, g = R.algebra, A.base.ground
-    r, u, size = A.rank, A.unit_index, R.algebra.rank
+    r, u, size = A.rank, A.unit_index, Ae.rank
     unknowns = [m for m in range(size) if A.base.degree_key(Ae.degree(m)) == 0]
     kills = _kernel_generators(A)
     columns = []
