@@ -372,7 +372,7 @@ def is_separability_witness(A: GradedAlgebra, R: AModule, e: dict) -> bool:
     one = {u: g.one}
     mu = {}
     for m, c in e.items():
-        for k, x in R.act_map(m).apply_coords(one).items():
+        for k, x in R.act(m, one).items():
             mu[k] = mu.get(k, 0) + c * x
     return g.canonical(mu) == one and not any(Ae.mul_coords(x, e) for x in _kernel_generators(A))
 

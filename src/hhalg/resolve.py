@@ -4,20 +4,20 @@ AModule is the one class of finite modules: left or right modules, and
 through the enveloping algebra bimodules (hochschild) and Morita data
 (morita).  Its axioms are checked by the one action check,
 algebra.check_action.  FreeAModule is a free module given by its generator
-degrees, the stages of a resolution; it answers `module` and `act_map` like
-an AModule, so a generator chooser takes either.  An AModuleMap out of it
-is stored as its generator images; `flatten` is the one A-linear extension.
+degrees, the stages of a resolution; it answers `module` and `act(m,
+coords)` like an AModule, so a generator chooser takes either.  An
+AModuleMap out of it is stored as its generator images; `flatten` is the
+one A-linear extension.
 
-A minimal resolution acts through the algebra's generating monomials
-alone.  Every monomial is e_m = c^-1 s e_k for a generator s and a monomial
-k reached before it (GradedAlgebra.generation_steps), so in any left module
-e_m . v = c^-1 s . (e_k . v): `flatten` builds the column of e_m . g_j from
-that of e_k . g_j this way, and `_minimal_generators` spans I*K by the s . K,
-which is exact because each stage kernel K is taken on every slice the
-stage reaches, a whole A-submodule, so e_k . v never leaves K.  A
-FreeAModule therefore builds an act map only when asked for it: the
-generators' in a minimal resolution, every monomial's in the greedy one,
-which spans whole orbits.
+A stage acts through the algebra's table, A's products e_m e_k once per
+generator, and builds no map per monomial.  A minimal resolution acts
+through the generating monomials alone.  Every monomial is e_m = c^-1 s e_k
+for a generator s and a monomial k reached before it
+(GradedAlgebra.generation_steps), so in any left module e_m . v = c^-1 s .
+(e_k . v): `flatten` builds the column of e_m . g_j from that of e_k . g_j
+this way, and `_minimal_generators` spans I*K by the s . K, which is exact
+because each stage kernel K is taken on every slice the stage reaches, a
+whole A-submodule, so e_k . v never leaves K.
 
 One resolution loop, _resolve, covers a module and then each stage kernel;
 the two builders differ only in how they choose each cover's generators:
@@ -67,12 +67,9 @@ class FreeAModule(Value):
     """Free left module over a GradedAlgebra with generators in given degrees.
 
     Like an AModule it has `module` (here the flattened module) and
-    `act_map(m)`, so a generator chooser takes either.  The module is built
-    once, and each act map on its first request, and both are kept in the
-    instance dict, past the frozen `__setattr__`; equality and hashing read
-    the two fields alone.  Building act maps on request is what lets a
-    minimal resolution, which reads the generators' only (see the module
-    docstring), skip the other rank(A) - |generators| maps per stage.
+    `act(m, coords)`, read off A's table, so a generator chooser takes
+    either.  The module is built once and kept in the instance dict, past
+    the frozen `__setattr__`; equality and hashing read the two fields alone.
     """
 
     _fields = ("algebra", "gen_degrees")
@@ -97,20 +94,17 @@ class FreeAModule(Value):
     def flat_index(self, i, m):
         return i * self.algebra.rank + m
 
-    @cached_property
-    def _acts(self) -> dict:
-        return {}  # monomial -> its act map, filled by act_map
-
-    def act_map(self, m) -> HomogeneousMap:
-        """Left multiplication by basis monomial m on the flattened module."""
-        act = self._acts.get(m)
-        if act is None:
-            A = self.algebra
-            act = self._acts[m] = HomogeneousMap(self.module, self.module, A.degree(m), {
-                (self.flat_index(i, k), self.flat_index(i, m2)): c
-                for i in range(self.rank) for m2 in range(A.rank)
-                for k, c in A.mul_basis(m, m2).items()})
-        return act
+    def act(self, m, coords: dict) -> dict:
+        """e_m . v on the flattened module: x at (i, k) adds x (e_m e_k)[k'] at (i, k')."""
+        A = self.algebra
+        r, mul = A.rank, A.mul_basis
+        out = {}
+        for idx, x in coords.items():
+            k = idx % r
+            for k2, c in mul(m, k).items():
+                j = idx - k + k2
+                out[j] = out.get(j, 0) + c * x
+        return A.base.ground.canonical(out)
 
 
 class AModuleMap:
@@ -133,10 +127,10 @@ class AModuleMap:
         """The map on flattened modules, built once and kept with its slice factorizations.
 
         Column (j, unit) is images[j], and each step (m, s, k, c) of
-        A.generation_steps() gives column (j, m) as c^-1 act_map(s) applied
-        to column (j, k), so only the generators' act maps are read.  This
-        is exact: s e_k = c e_m, so e_m . v = c^-1 s . (e_k . v) in any left
-        module, and the steps reach every monomial from one reached before.
+        A.generation_steps() gives column (j, m) as c^-1 s . column (j, k),
+        so only the generators act.  This is exact: s e_k = c e_m, so e_m . v
+        = c^-1 s . (e_k . v) in any left module, and the steps reach every
+        monomial from one reached before.
         """
         if self._flat is None:
             src, tgt = self.source, self.target
@@ -144,12 +138,12 @@ class AModuleMap:
             g = A.base.ground
             columns = {A.unit_index: self.images}  # monomial m -> the columns (j, m)
             for m, s, k, c in A.generation_steps():
-                act, inv = tgt.act_map(s), g.inv(c)
+                inv = g.inv(c)
                 columns[m] = cols = []
                 for col in columns[k]:
                     if col and inv != 1:
                         col = {i: inv * x for i, x in col.items()}
-                    cols.append(act.apply_coords(col) if col else {})
+                    cols.append(tgt.act(s, col) if col else {})
             self._flat = HomogeneousMap(src.module, tgt.module, self.degree, {
                 (i, src.flat_index(j, m)): x for m, cols in columns.items()
                 for j, col in enumerate(cols) for i, x in col.items()})
@@ -180,6 +174,11 @@ class AModule:
         if m in self.action:
             return self.action[m]
         return HomogeneousMap.zero(self.module, self.module, self.algebra.degree(m))
+
+    def act(self, m, coords: dict) -> dict:
+        """e_m . v for v = coords, through the stored action (absent acts by zero)."""
+        act = self.action.get(m)
+        return act.apply_coords(coords) if act else {}
 
     def action_map(self) -> HomogeneousMap:
         """The degree-0 map algebra -> Hom(M, M) sending e_i to its action."""
@@ -299,22 +298,24 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8) -> Resolution:
 def _minimal_generators(target, vectors):
     """Complement of I*K inside K: the minimal generators of the span K.
 
-    K is a whole A-submodule (the vectors span it on every slice), and I*K
-    is spanned by s . K for s in A.generating_monomials: each monomial is
-    e_m = c^-1 s e_k, so e_m . v = c^-1 s . (e_k . v) with e_k . v in K.
+    K is a whole A-submodule (the independent vectors span it on every
+    slice), and I*K is spanned by s . K for s in A.generating_monomials:
+    each monomial is e_m = c^-1 s e_k, so e_m . v = c^-1 s . (e_k . v) with
+    e_k . v in K.  s . v lies in K's slice key(deg + |s|); once the span
+    fills a slice, a product landing there adds nothing and is skipped.
     """
     A = target.algebra
+    key = A.base.degree_key
     span = Echelon(A.base.ground)
-    if vectors:
-        for s in A.generating_monomials:
-            act = target.act_map(s)
-            for _, vec in vectors:
-                span.add(act.apply_coords(vec))
+    room = Counter(key(d) for d, _ in vectors)  # slice key -> dim K there minus span rows
+    for s in A.generating_monomials:
+        for deg, vec in vectors:
+            if room[t := key(deg + A.degree(s))]:
+                room[t] -= span.add(target.act(s, vec))
     gens = target.module.generators
     chosen = []
     for _, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
-        r = span.reduce(vec)
-        if r:
+        if r := span.reduce(vec):
             span.add(r)
             chosen.append((min(gens[i][1] for i in r), r))
     return chosen
@@ -377,10 +378,9 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
     for deg, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
         by_deg.setdefault(deg, []).append((vec, vec))
         room[key(deg)] = room.get(key(deg), 0) + 1
-    actions = [target.act_map(m) for m in range(A.rank)]
-    # per degree, the orbit's (slice, action) pairs that land on input
+    # per degree, the orbit's (slice, monomial) pairs that land on input
     # slices, and how many land on each
-    lands = {deg: [(t, act) for m, act in enumerate(actions)
+    lands = {deg: [(t, m) for m in range(A.rank)
                    if (t := key(deg + A.degree(m))) in room] for deg in by_deg}
     landing = {deg: Counter(t for t, _ in pairs) for deg, pairs in lands.items()}
     # coefficients are drawn below n as randrange(n) draws them, by
@@ -415,8 +415,8 @@ def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
                 continue
             residue = pairs[0][1] if cs is None else _combination(g, [r for _, r in pairs], cs)
             # the orbit's residues on slices not yet full, and the rank they add
-            orbit = [(t, span.reduce(act.apply_coords(residue)))
-                     for t, act in lands[deg] if room[t]]
+            orbit = [(t, span.reduce(target.act(m, residue)))
+                     for t, m in lands[deg] if room[t]]
             fresh = Echelon(g)
             gained = sum(fresh.add(w) for _, w in orbit)
             if best is None or gained > best[0]:

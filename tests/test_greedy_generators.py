@@ -27,6 +27,7 @@ from hhalg.base import BaseRing, LaurentGenerator
 from hhalg.ground import GroundRing
 from hhalg.linalg import Echelon
 from hhalg.resolve import GREEDY_TRIALS, AModule, ResolutionError, free_resolution
+from test_resolve import act_map_oracle
 
 QQ = GroundRing.rationals()
 
@@ -34,16 +35,6 @@ F2 = GroundRing.prime_field(2)
 F3 = GroundRing.prime_field(3)
 KU2 = BaseRing(F2, LaurentGenerator("v", 2))
 SEEDS = (0, 1, 7)
-
-
-def _act(module, acoords: dict, vec: dict) -> dict:
-    # the former AModule.act: sum over acoords of a * (action of m on vec)
-    g = module.algebra.base.ground
-    out = {}
-    for m, a in acoords.items():
-        for i, c in module.act_map(m).apply_coords(vec).items():
-            out[i] = g.normalize(out.get(i, g.zero) + a * c)
-    return {i: c for i, c in out.items() if c != 0}
 
 
 def greedy_generators_oracle(A, target, vectors, rng):
@@ -54,6 +45,8 @@ def greedy_generators_oracle(A, target, vectors, rng):
     A-span, which keeps stage ranks near-minimal in practice.
     """
     g = A.base.ground
+    # every monomial's act map on the target, materialized
+    actions = [act_map_oracle(target, m) for m in range(A.rank)]
     total = Echelon(g)
     for _, vec in vectors:
         total.add(vec)
@@ -66,7 +59,7 @@ def greedy_generators_oracle(A, target, vectors, rng):
 
     def a_span_gain(vec):
         # the rank of vec's A-orbit modulo the span, in a scratch echelon
-        orbit = [_act(target, {m: g.one}, vec) for m in range(A.rank)]
+        orbit = [act.apply_coords(vec) for act in actions]
         fresh = Echelon(g)
         for w in orbit:
             fresh.add(span.reduce(w))
@@ -185,8 +178,8 @@ def _orbits_stay_on_input_slices(A, target, vectors):
     slices = {key(d) for d, _ in vectors}
     gens = target.module.generators
     return all(key(gens[i][1]) in slices
-               for m in range(A.rank) for _, vec in vectors
-               for i in target.act_map(m).apply_coords(vec))
+               for act in (act_map_oracle(target, m) for m in range(A.rank))
+               for _, vec in vectors for i in act.apply_coords(vec))
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -400,6 +400,19 @@ def _oracle_flat_kernel(fmap):
     return out
 
 
+def act_map_oracle(module, m) -> HomogeneousMap:
+    """Left multiplication by monomial m as a map on module.module: an
+    AModule's stored map, or for a FreeAModule the map materialized from A's
+    table, entry ((i, k), (i, k2)) = (e_m e_k2)[k]."""
+    if isinstance(module, AModule):
+        return module.act_map(m)
+    A = module.algebra
+    return HomogeneousMap(module.module, module.module, A.degree(m), {
+        (module.flat_index(i, k), module.flat_index(i, m2)): c
+        for i in range(module.rank) for m2 in range(A.rank)
+        for k, c in A.mul_basis(m, m2).items()})
+
+
 def _oracle_stage_map(F, chosen):
     """d: F_next -> F sending generator j to chosen[j], flattened the former
     way: as A-element entries {(i, j): {m: c}} multiplied out by mul_coords."""
@@ -421,7 +434,7 @@ def _oracle_stage_map(F, chosen):
 def _oracle_minimal_generators(A, F, kernel):
     g = A.base.ground
     span = Echelon(g)
-    actions = {m: F.act_map(m) for m in range(A.rank) if m != A.unit_index}
+    actions = {m: act_map_oracle(F, m) for m in range(A.rank) if m != A.unit_index}
     for _, vec in kernel:
         for m, act in actions.items():
             w = act.apply_coords(vec)
@@ -579,12 +592,12 @@ def test_a_window_only_selects_the_reported_rows(case, seed):
 # -- flatten along the generation steps -----------------------------------------------
 
 def former_flatten(d):
-    """The former flatten: column (j, m) is act_map(m) applied to images[j],
+    """The former flatten: column (j, m) is m's act map applied to images[j],
     for every monomial m."""
     src, tgt = d.source, d.target
     flat = {}
     for m in range(src.algebra.rank):
-        act = tgt.act_map(m)
+        act = act_map_oracle(tgt, m)
         for j, image in enumerate(d.images):
             for i, c in act.apply_coords(image).items():
                 flat[(i, src.flat_index(j, m))] = c
@@ -657,12 +670,91 @@ def test_ext_table_applies_the_generators_only(monkeypatch):
     assert len(calls) <= 3000
 
 
-def test_minimal_resolution_builds_the_generators_act_maps_only():
-    A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(4)))
-    res = minimal_resolution(A, s_max=4)
-    built = [set(F._acts) for F in res.stages]
-    assert set().union(*built) == set(A.generating_monomials)
-    assert all(b <= set(A.generating_monomials) for b in built)
+def _endomorphisms_built(monkeypatch, build):
+    """The sources of the HomogeneousMaps that build() constructs from a module
+    to itself, and its result."""
+    built = []
+    real = HomogeneousMap.__init__
+
+    def recording(self, source, target, degree, entries):
+        if source is target:
+            built.append(source)
+        real(self, source, target, degree, entries)
+
+    monkeypatch.setattr(HomogeneousMap, "__init__", recording)
+    res = build()
+    monkeypatch.undo()
+    return built, res
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: minimal_resolution(
+        exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(4))), 4), id="minimal lam4/F3"),
+    pytest.param(lambda: free_resolution(
+        lam_tau(), AModule.trivial(lam_tau()), 5, seed=1), id="free lam(t)/F2[v^±1]"),
+    pytest.param(lambda: (lambda M: free_resolution(M.algebra, M, 3, seed=5))(
+        m2_f3_bimodule()), id="free M2(F3) over A^e"),
+])
+def test_no_stage_materializes_an_act_map(build, monkeypatch):
+    # a stage acts through A's table: no map from a stage's module to itself
+    built, res = _endomorphisms_built(monkeypatch, build)
+    assert len(res.stages) >= 4
+    assert not any(F.module is M for F in res.stages for M in built)
+    assert not hasattr(FreeAModule, "act_map")
+
+
+def test_the_endomorphism_detector_sees_a_materialized_act_map(monkeypatch):
+    res = minimal_resolution(exterior(BaseRing(F3), (("x", -1), ("y", -1))), 3)
+    built, _ = _endomorphisms_built(monkeypatch, lambda: act_map_oracle(res.stages[2], 1))
+    assert built == [res.stages[2].module]
+
+
+# -- a free stage's action against its materialized act map ------------------------
+
+def _random_scalar(rng, g):
+    if g.kind == "Fp":
+        return rng.randrange(1, g.p)
+    return rng.choice((-1, 1)) * QQ.one * rng.randint(1, 9) / rng.randint(1, 9)
+
+
+ACT_CASES = {
+    "lam3/F3": lambda: exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3))),
+    "lam3/Q": lambda: exterior(BaseRing(QQ), (("x", -1), ("y", 1), ("z", 2))),
+    "M2(F3) over A^e": lambda: m2_f3_bimodule().algebra,
+    "lam(t)/F2[v^±1]": lam_tau,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACT_CASES))
+def test_free_stage_act_matches_the_materialized_act_map(case):
+    A = ACT_CASES[case]()
+    g, rng = A.base.ground, random.Random(case)
+    F = FreeAModule(A, (0, 3, -1))
+    n = F.module.rank
+    for m in range(A.rank):
+        oracle = act_map_oracle(F, m)
+        # every basis vector: each product lands at its own flat index
+        for idx in range(n):
+            assert F.act(m, {idx: g.one}) == oracle.apply_coords({idx: g.one})
+        # seeded random vectors: the sums are accumulated and reduced
+        for _ in range(4):
+            v = {i: _random_scalar(rng, g) for i in rng.sample(range(n), rng.randint(1, n))}
+            assert F.act(m, v) == oracle.apply_coords(v)
+        assert F.act(m, {}) == {}
+    if case == "M2(F3) over A^e":
+        # products are read one at a time: the enveloping table stays lazy
+        assert "mult" not in vars(A)
+
+
+def test_amodule_act_is_its_stored_action_and_zero_when_absent():
+    M = m2_f3_bimodule()
+    A, rng = M.algebra, random.Random(3)
+    for m in range(A.rank):
+        v = {i: rng.randrange(3) for i in range(M.module.rank)}
+        assert M.act(m, v) == M.act_map(m).apply_coords(v)
+    k = AModule.trivial(lam_tau())
+    assert k.act(k.algebra.unit_index, {0: 1}) == {0: 1}
+    assert k.act(1, {0: 1}) == {}
 
 
 # -- minimal against greedy, on random small algebras ------------------------------
@@ -755,5 +847,6 @@ def test_free_resolution_flattens_each_stage_once(monkeypatch):
     during = len(built)
     for F in res.stages:
         assert F.module is F.module
-        assert F.act_map(0).source is F.module
+    for d in res.maps:
+        assert d.flatten().source is d.source.module and d.flatten().target is d.target.module
     assert 0 < during <= len(res.stages) == len(built)

@@ -171,6 +171,27 @@ def test_end_z3_has_the_integral_witness_of_its_matrix_units():
     assert is_separability_witness(E, regular_bimodule(E), e)
 
 
+@pytest.mark.parametrize("p,r", [(5, 5), (3, 6)], ids=["End(F5^5)", "End(F3^6)"])
+def test_bigger_matrix_algebras_have_a_verified_witness_and_hh_the_ground(p, r, monkeypatch):
+    # past the drawn family's r <= 4, where the bar's term n would hold
+    # (r^2 - 1)^n r^2 generators; the route's own witness is checked again
+    E = endomorphism_algebra(GradedFreeModule(
+        BaseRing(GroundRing.prime_field(p)), tuple((f"e{i}", 0) for i in range(r))))
+    found = []
+    real = hochschild.separability_witness
+
+    def spy(A, R):
+        found.append((R, real(A, R)))
+        return found[-1][1]
+
+    monkeypatch.setattr(hochschild, "separability_witness", spy)
+    table = hochschild_cohomology(E, n_max=4)
+    (R, e), = found
+    assert e is not None and is_separability_witness(E, R, e)
+    assert (table.completed_through, table.notes) == (None, ())
+    assert table.entries == {(0, 0): SubquotientPresentation(1)}
+
+
 def test_m2_through_n40_in_well_under_a_second():
     A = corpus_algebra("matrix.def", "M2_F3")
     t0 = time.perf_counter()
