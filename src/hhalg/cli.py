@@ -174,14 +174,14 @@ def cmd_morita(df, built, args):
                          torsion_roundtrip)
     from .resolve import AModule
 
-    window = args.window
+    lo, hi = window = args.window  # a class at (s, t) sits in degree -t (collapsed_ranks)
     sections = []
     for name, ctx in _morita_contexts(df, built):
         M = AModule.regular(ctx.R, "right")
         if args.check == "completion":
             table = completion(ctx, M, window, args.smax)
             table.notes = ("valid inside the window only",)
-            verdict = _verified(completion_matches(table, M.module, compare=window))
+            verdict = _verified(completion_matches(table, M.module, compare=(-hi, -lo)))
             sections.append((name, table, [("in-window equivalence", verdict)]))
         elif args.check == "roundtrip":
             if radical(ctx.A):
@@ -193,7 +193,7 @@ def cmd_morita(df, built, args):
             rec.append(("retract identity on E(x)M", _verified(retract_identity(ctx, M))))
             sections.append((name, None, rec))
         else:
-            ok = torsion_roundtrip(ctx, compare=(0, min(window[1], args.smax)),
+            ok = torsion_roundtrip(ctx, compare=(max(0, -hi), min(-lo, args.smax)),
                                    window=window, s_max=args.smax)
             sections.append((name, None, [("torsion roundtrip S(T(A)) ~ A", _verified(ok))]))
     return sections

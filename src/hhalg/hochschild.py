@@ -109,6 +109,13 @@ def regular_bimodule(A: GradedAlgebra, check=False) -> AModule:
     return AModule(tensor(A, opposite(A)), A.module, _regular_action(A), check=check)
 
 
+def _multiplication(A: GradedAlgebra, F0: FreeAModule) -> HomogeneousMap:
+    """mu: F_0 = Ae -> A, e_a (x) e_b |-> e_a e_b off A's table, the cover of A."""
+    return HomogeneousMap(F0.module, A.module, 0, {
+        (k, F0.flat_index(0, m)): c for m in range(F0.algebra.rank)
+        for k, c in A.mul_basis(*divmod(m, A.rank)).items()})
+
+
 def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
     """The normalized bar resolution B_0 <- ... <- B_top of A over Ae = tensor(A, opposite(A)).
 
@@ -118,7 +125,7 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
       d[a1|...|an] = (a1 (x) 1) [a2|...|an] + sum_{i<n} (-1)^i [...|a_i a_{i+1}|...]
                      + (-1)^{n + |an|(|a1|+...+|a_{n-1}|)} (1 (x) an) [a1|...|a_{n-1}],
 
-    the last face being [a1|...|a_{n-1}] . an written through Ae.
+    the last face being [a1|...|a_{n-1}] . an written through Ae; the cover is mu.
     """
     r, u = A.rank, A.unit_index
     reduced = [m for m in range(r) if m != u]
@@ -142,7 +149,7 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
                 image[idx] = image.get(idx, 0) + c
             images.append(image)
         maps.append(AModuleMap(stages[n], stages[n - 1], images))
-    return Resolution(Ae, stages, maps)
+    return Resolution(stages, maps, _multiplication(A, stages[0]))
 
 
 def _set_cochains(cx, A: GradedAlgebra, M: AModule, n_terms: int, resolution, name: str):
@@ -257,7 +264,7 @@ def bardzell_resolution(A: GradedAlgebra, Ae: GradedAlgebra, words: dict,
     with L q R = (-1)^{|R||q|} (L (x) R) q written through Ae, as
     bar_resolution writes its last face; a term whose L or R is not a
     basis word is zero.  Both differentials have degree 0, so no other
-    sign enters.
+    sign enters.  The cover is mu, as bar_resolution's.
     """
     r = A.rank
 
@@ -285,7 +292,7 @@ def bardzell_resolution(A: GradedAlgebra, Ae: GradedAlgebra, words: dict,
                     image[idx] = image.get(idx, 0) + c
             images.append(image)
         maps.append(AModuleMap(stages[n], stages[n - 1], images))
-    return Resolution(Ae, stages, maps)
+    return Resolution(stages, maps, _multiplication(A, stages[0]))
 
 
 class BardzellCochainComplex:

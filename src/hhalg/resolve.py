@@ -19,20 +19,21 @@ this way, and `_minimal_generators` spans I*K by the s . K, which is exact
 because each stage kernel K is taken on every slice the stage reaches, a
 whole A-submodule, so e_k . v never leaves K.
 
-One resolution loop, _resolve, covers a module and then each stage kernel;
-the two builders differ only in how they choose each cover's generators:
+One resolution loop, _resolve, covers a module M and then each stage
+kernel, and keeps the flattened cover F_0 -> M in the Resolution; the two
+builders differ only in how they choose each cover's generators:
 
   * minimal_resolution: the trivial module of an augmented algebra with
     nilpotent augmentation ideal, by _minimal_generators (a complement of
-    I*K in each kernel K), so Ext reads off generator counts.
+    I*K in each kernel K), so Ext reads off generator counts; it is checked
+    minimal, and exact from its cover on by _audit, on every slice.
   * free_resolution: any finite left module, by the seeded
     _greedy_generators, which keep stage ranks small; Ext and completion
     data are then the cohomology of the dualized complex.
 
-A window is not a parameter of a resolution: a stage is a finite free
-module over a finite-dimensional algebra, so it has finitely many slices,
-and the tables (ext_table, ext_with_coefficients) only choose which of
-them they report.
+A window is not a parameter of a resolution: a stage is a finite free module
+over a finite-dimensional algebra, with finitely many slices, and the tables
+(ext_table, ext_with_coefficients) only choose which of them they report.
 
 Bidegree convention: the Ext class dual to a stage-s generator of internal
 degree t is recorded at (s, t).
@@ -208,15 +209,15 @@ class AModule:
 
 
 class Resolution(Record):
-    """Stages F_0 <- F_1 <- ... with maps[s] = d_{s+1}: F_{s+1} -> F_s.
-
-    Any resolution gives Ext through hom_cochains.
+    """M <- F_0 <- F_1 <- ...: stages F_s, maps[s] = d_{s+1}: F_{s+1} -> F_s, and
+    cover, the flattened F_0 -> M.  Any resolution gives Ext through hom_cochains.
     """
 
-    _fields = ("algebra", "stages", "maps")
+    _fields = ("stages", "maps", "cover")
+    algebra = property(lambda self: self.stages[0].algebra)
 
-    def __init__(self, algebra: GradedAlgebra, stages: list, maps: list):
-        self.algebra, self.stages, self.maps = algebra, stages, maps
+    def __init__(self, stages: list, maps: list, cover: HomogeneousMap):
+        self.stages, self.maps, self.cover = stages, maps, cover
 
 
 def _flat_kernel(fmap: HomogeneousMap):
@@ -250,7 +251,7 @@ def _resolve(A: GradedAlgebra, M: AModule, s_max, choose) -> Resolution:
     covers = [cover(M, [(d, {i: g.one}) for i, (_, d) in enumerate(M.module.generators)])]
     for _ in range(s_max):
         covers.append(cover(covers[-1].source, _flat_kernel(covers[-1].flatten())))
-    return Resolution(A, [d.source for d in covers], covers[1:])
+    return Resolution([d.source for d in covers], covers[1:], covers[0].flatten())
 
 
 def _augmentation_checks(A: GradedAlgebra):
@@ -291,6 +292,8 @@ def minimal_resolution(A: GradedAlgebra, s_max: int = 8) -> Resolution:
         raise ResolutionError("resolutions require a field ground")
     _augmentation_checks(A)
     res = _resolve(A, AModule.trivial(A), s_max, _minimal_generators)
+    if any(idx % A.rank == A.unit_index for d in res.maps for image in d.images for idx in image):
+        raise ResolutionError("resolution is not minimal: unit entry in d")
     _audit(res)
     return res
 
@@ -443,21 +446,20 @@ def _combination(g, vecs, coeffs) -> dict:
 
 
 def _audit(res: Resolution):
-    """Hard exactness and minimality checks on a minimal resolution: exact
-    at every stage on every slice, at F_0 too (ker of the augmentation is
-    im d_1)."""
-    A = res.algebra
-    u = A.unit_index
-    for d in res.maps:
-        if any(idx % A.rank == u for image in d.images for idx in image):
-            raise ResolutionError("resolution is not minimal: unit entry in d")
-    # the augmentation F_0 -> k, then flats[s + 1]: F_{s+1} -> F_s
-    F0, k = res.stages[0], AModule.trivial(A).module
-    flats = [HomogeneousMap(F0.module, k, 0, {(0, F0.flat_index(0, u)): A.base.ground.one})]
-    flats += [d.flatten() for d in res.maps]
+    """ResolutionError unless M <- F_0 <- F_1 <- ... is exact on every slice: the
+    cover onto M, then ker = im at each F_s below the top (d o d != 0 fails too),
+    on the factorizations _resolve took for its kernels, bar the top map's."""
+    for key in res.cover.target.degree_support():
+        if not res.cover.factored(key).cokernel().is_zero:
+            raise ResolutionError(f"the cover is not onto M at slice {key}")
+    flats = [res.cover] + [d.flatten() for d in res.maps]
     for s, (outer, inner) in enumerate(zip(flats, flats[1:])):
         for key in outer.source.degree_support():
-            if not cohomology_at(outer, inner, key).is_zero:
+            try:
+                exact = cohomology_at(outer, inner, key).is_zero
+            except ValueError:  # d o d != 0 on this slice
+                exact = False
+            if not exact:
                 raise ResolutionError(f"exactness fails at stage {s}, slice {key}")
 
 

@@ -742,6 +742,35 @@ def test_morita_torsion_subcommand(capsys, tmp_path):
     assert code == 0 and "pass (corpus-verified)" in out
 
 
+# E_R = F3{e0, e1} in degrees 0 and 2 over R = F3<a, b>/(a^2, b^2, ab + ba - 1),
+# |a| = 2 and |b| = -2: the completion of R sits in degrees -2, 0, 2, so
+# its class at (0, t) is compared with R's degree -t
+GRADED_CLIFFORD = os.path.join(os.path.dirname(__file__), "data", "graded_clifford.def")
+
+
+@pytest.mark.parametrize("window", ["-1:5", "-5:1", "-16:16"])
+def test_morita_completion_compares_each_class_in_its_own_degree(capsys, tmp_path, window):
+    code, out, _ = run(capsys, ["morita", "--file", GRADED_CLIFFORD, "--check", "completion",
+                                f"--window={window}"], tmp_path)
+    assert code == 0 and "in-window equivalence\tpass (corpus-verified)" in out
+
+
+@pytest.mark.parametrize("window", ["-1:5", "-5:1", "-16:16"])
+def test_morita_torsion_passes_on_an_asymmetric_window(capsys, tmp_path, window):
+    code, out, _ = run(capsys, ["morita", "--file", GRADED_CLIFFORD, "--check", "torsion",
+                                f"--window={window}"], tmp_path)
+    assert code == 0 and "pass (corpus-verified)" in out
+
+
+def test_morita_torsion_and_completion_agree_on_a_window_of_positive_degrees(capsys,
+                                                                            tmp_path):
+    # 5:9 holds no class of etale.def: both verdicts compare empty ranges
+    for check in ("completion", "torsion"):
+        code, out, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check,
+                                    "--window=5:9"], tmp_path)
+        assert code == 0 and "pass (corpus-verified)" in out, check
+
+
 @pytest.mark.parametrize("check", ["completion", "roundtrip", "torsion"])
 def test_morita_emits_one_document_for_two_tasks(capsys, tmp_path, check):
     # a second task on a copy of E_R: JSON is one document holding both

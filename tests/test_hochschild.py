@@ -12,9 +12,7 @@ from hhalg.base import (
     GradedFreeModule,
     HomogeneousMap,
     LaurentGenerator,
-    cohomology_at,
     hom_pair_index,
-    slice_keys,
 )
 from hhalg.azumaya import check_classical_azumaya
 from hhalg.defs import build_algebra, parse_definition
@@ -33,7 +31,7 @@ from hhalg.hochschild import (
     regular_bimodule,
 )
 from hhalg.linalg import SubquotientPresentation, determinant
-from hhalg.resolve import AModule
+from hhalg.resolve import AModule, _audit
 from hhalg.tables import BigradedTable
 from test_algebra import TENSOR_CASES
 
@@ -231,19 +229,10 @@ def truncated_z():
 
 @pytest.mark.parametrize("make", [lam_2_f3, truncated_z, lam_tau], ids=lambda f: f.__name__)
 def test_bar_resolution_is_a_resolution(make):
-    # B_* -> A is exact, read on the flattened A^e-maps alone, apart from
-    # any Hom: d o d = 0, no homology at s >= 1, and coker(d_1) = A
+    # A <- B_0 <- B_1 <- ... is exact on the flattened A^e-maps alone, apart
+    # from any Hom: mu is onto A, and ker = im at every stage below the top
     A = make()
-    res = bar_resolution(A, regular_bimodule(A).algebra, 3)
-    flats = [d.flatten() for d in res.maps]
-    window = (-64, 64)
-    for s in range(1, len(flats)):
-        assert flats[s - 1].compose(flats[s]).is_zero()
-        keys = slice_keys(flats[s - 1].source, window)
-        assert keys and all(cohomology_at(flats[s - 1], flats[s], k).is_zero for k in keys)
-    for key in slice_keys(flats[0].target, window):
-        want = SubquotientPresentation(len(A.module.slice_indices(key)))
-        assert flats[0].factored(key).cokernel() == want
+    _audit(bar_resolution(A, regular_bimodule(A).algebra, 3))
 
 
 @pytest.mark.parametrize("k,deg,p", [(k, deg, p) for k in (3, 4) for deg in (1, 2)

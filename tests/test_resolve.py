@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import comb
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from hhalg import resolve
 from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgebra, opposite,
                            realize, tensor)
-from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator, cohomology_at, slice_keys
-from hhalg.ground import GroundRing
-from hhalg.hochschild import regular_bimodule
+from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
+from hhalg.ground import ZZ, GroundRing
+from hhalg.hochschild import (anick_chains, bar_resolution, bardzell_resolution, monomial_words,
+                               regular_bimodule)
 from hhalg.linalg import Echelon, SmithForm
 from hhalg.resolve import (
     AModule,
@@ -25,6 +27,7 @@ from hhalg.resolve import (
     minimal_resolution,
     yoneda_square,
 )
+from test_monomial_hh import corpus_algebra
 
 QQ = GroundRing.rationals()
 
@@ -386,6 +389,89 @@ def test_minimal_resolution_audit_catches_a_dropped_generator(make, stage, rank,
     with pytest.raises(ResolutionError, match=f"exactness fails at stage {stage - 1}"):
         minimal_resolution(make(), s_max=4)
     assert stages[stage] == rank
+
+
+# -- the audit reads each resolution's cover ------------------------------------------
+
+@pytest.mark.parametrize("filename, name, ranks", [
+    ("exterior1.def", "lam_x", [1, 1, 1, 1]),
+    ("exterior_n.def", "lam_2", [1, 2, 3, 4]),
+    ("exterior_n.def", "lam_3", [1, 3, 6, 10]),
+    ("polytrunc.def", "poly20", [1, 1, 1, 1]),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_audit_passes_a_minimal_resolution_of_a_over_its_enveloping_algebra(filename, name,
+                                                                          ranks):
+    # the cover F_0 -> A is A^e's own, so no hand-built augmentation F_0 -> k
+    # stands in for it (that one failed at stage 0 on all four)
+    M = regular_bimodule(corpus_algebra(filename, name))
+    res = resolve._resolve(M.algebra, M, 3, resolve._minimal_generators)
+    assert [F.rank for F in res.stages] == ranks
+    assert res.cover.target is M.module
+    resolve._audit(res)
+
+
+def _flip(d, j, idx):
+    """Negate the term at flat index idx in d's generator image j, in place."""
+    g = d.source.algebra.base.ground
+    d.images[j] = g.canonical({**d.images[j], idx: -d.images[j][idx]})
+
+
+def test_audit_catches_a_flipped_inner_face_of_the_bar_resolution():
+    # the inner faces [..|a_i a_{i+1}|..] are the terms on the A^e unit 1 (x) 1
+    A = exterior(BaseRing(F3), (("x1", -1), ("x2", -1)))
+    Ae = regular_bimodule(A).algebra
+    resolve._audit(bar_resolution(A, Ae, 3))
+    res = bar_resolution(A, Ae, 3)  # flatten keeps its map, so flip before any audit
+    unit = A.unit_index * A.rank + A.unit_index
+    d = res.maps[1]
+    j, idx = next((j, idx) for j, image in enumerate(d.images) for idx in image
+                  if idx % res.algebra.rank == unit)
+    _flip(d, j, idx)
+    with pytest.raises(ResolutionError, match="exactness fails at stage"):
+        resolve._audit(res)
+
+
+@pytest.mark.parametrize("base, letters, relations", [
+    (BaseRing(ZZ), (("y", 1),), ("yyy",)),
+    (BaseRing(F3), (("x", 0), ("y", 1)), ("xyx", "yy", "xxx")),
+], ids=["Z-y3", "F3-xyx"])
+def test_audit_catches_every_flipped_term_of_a_bardzell_resolution(base, letters, relations):
+    # over F2, -1 = 1 and a flip changes nothing, so these run over Z and F3
+    A = realize(AlgebraPresentation(base, letters,
+                                    tuple([(1, tuple(w), 0)] for w in relations)))
+    words = monomial_words(A)
+    chains = list(itertools.islice(anick_chains(words, A.generating_monomials), 4))
+    Ae = regular_bimodule(A).algebra
+    resolve._audit(bardzell_resolution(A, Ae, words, chains))
+    flipped = 0
+    for n in range(len(chains) - 1):
+        for j, image in enumerate(bardzell_resolution(A, Ae, words, chains).maps[n].images):
+            for idx in image:
+                res = bardzell_resolution(A, Ae, words, chains)
+                _flip(res.maps[n], j, idx)
+                with pytest.raises(ResolutionError):
+                    resolve._audit(res)
+                flipped += 1
+    assert flipped
+
+
+@pytest.mark.parametrize("build", ["minimal", "bar"])
+def test_audit_catches_a_cover_with_one_column_zeroed(build):
+    A = exterior(BaseRing(F3), (("x1", -1), ("x2", -1)))
+    if build == "minimal":
+        res = minimal_resolution(A, 3)
+    else:
+        res = bar_resolution(A, regular_bimodule(A).algebra, 3)
+    cover = res.cover
+    columns = sorted(cover.by_column())
+    assert columns
+    for j in columns:
+        res.cover = HomogeneousMap(cover.source, cover.target, 0,
+                                   {(i, k): c for (i, k), c in cover.entries.items() if k != j})
+        with pytest.raises(ResolutionError, match="not onto M|exactness fails at stage 0"):
+            resolve._audit(res)
+    res.cover = cover
+    resolve._audit(res)
 
 
 # -- the one loop against the former hand-written minimal loop ---------------------
@@ -793,10 +879,7 @@ def test_greedy_resolution_is_exact_in_a_clipped_window(w):
     k = AModule.trivial(A)
     s_max, window = 6, (-w, w)
     res = free_resolution(A, k, s_max)
-    flats = [d.flatten() for d in res.maps]
-    for s, (outer, inner) in enumerate(zip(flats, flats[1:]), 1):
-        for t in slice_keys(outer.source, window):
-            assert cohomology_at(outer, inner, t).is_zero, (s, t)
+    resolve._audit(res)
     key = A.base.degree_key
     want = {(s, -s): (comb(s + 2, 2), ()) for s in range(min(w, s_max - 1) + 1)}
     assert ext_table(A, s_max, window).by_slice(key, s_max - 1) == want

@@ -45,7 +45,7 @@ MUTABLE = [
     (IsoResult, (True, None), IsoResult(isomorphic=True, witness=None)),
     (QuasiIsoVerdict, (False, (1, 3)), QuasiIsoVerdict(is_quasi_iso=False, failures=(1, 3))),
     (QuotientDGA, ("dga", 1, 0, 2), QuotientDGA(dga="dga", x=1, w=0, x_degree=2)),
-    (Resolution, (DUAL, [], []), Resolution(algebra=DUAL, stages=[], maps=[])),
+    (Resolution, ([], [], None), Resolution(stages=[], maps=[], cover=None)),
     (DefinitionFile, (("F3", None), (), (), ()),
      DefinitionFile(base=("F3", None), algebras=(), modules=(), tasks=())),
     (Condition, ("mu", True, "w"), Condition(name="mu", verdict=True, witness="w")),
