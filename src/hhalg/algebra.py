@@ -302,14 +302,6 @@ class GradedAlgebra:
                 entries[(k, j)] = c
         return HomogeneousMap(M, M, self.degree(i), entries)
 
-    def right_mult(self, j) -> HomogeneousMap:
-        M = self.module
-        entries = {}
-        for i in range(self.rank):
-            for k, c in self.mul_basis(i, j).items():
-                entries[(k, i)] = c
-        return HomogeneousMap(M, M, self.degree(j), entries)
-
     # -- construction checks ---------------------------------------------
     def _product(self, i, j, vec) -> dict:
         """vec as the stored product e_i e_j: canonical, and degree-additive."""
@@ -372,18 +364,17 @@ class GradedAlgebra:
         )
 
 
-def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"):
-    """Raise ValueError unless e_i |-> maps[i] is a unital action of A on M.
+def check_action(A: GradedAlgebra, M: GradedFreeModule, maps):
+    """Raise ValueError unless e_i |-> maps[i] is a unital left action of A on M.
 
     maps holds HomogeneousMaps on M keyed by monomial index; absent
     monomials act by zero.  Every map's degree and the unit's action are
-    checked, and then only the pairs (x, y) of A.action_pairs(): a left
-    action rho must have rho(x y) = rho(x) o rho(y), a right one
-    rho(x y) = rho(y) o rho(x).  The action of the product is subtracted
-    from the composite, built off the first map's column index, in one
-    entry dict, and the pair fails unless that difference is canonically
-    zero.  A product may wrap a Laurent period; entries carry only ground
-    scalars, so both sides are read in the degree of the pair.
+    checked, and then only the pairs (x, y) of A.action_pairs(): the action
+    rho must have rho(x y) = rho(x) o rho(y).  The action of the product is
+    subtracted from the composite, built off the first map's column index,
+    in one entry dict, and the pair fails unless that difference is
+    canonically zero.  A product may wrap a Laurent period; entries carry
+    only ground scalars, so both sides are read in the degree of the pair.
 
     This is exact for an associative A.  A GradedAlgebra's pairs are (s, y)
     for s in A.generating_monomials.  The x with rho(x y) = rho(x) rho(y)
@@ -391,10 +382,10 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     under x |-> s x for a generator s:
         rho(s x y) = rho(s) rho(x y) = rho(s) rho(x) rho(y) = rho(s x) rho(y).
     The steps of A.generation_steps() reach every monomial from the unit,
-    so T = A; a right action reverses every composite.  On the left
-    multiplications of a table not yet known to be associative, the same
-    argument with T = {x : (x a) b = x (a b)} shows that the check is
-    associativity.  A tensor product's pairs are proved in its action_pairs.
+    so T = A.  On the left multiplications of a table not yet known to be
+    associative, the same argument with T = {x : (x a) b = x (a b)} shows
+    that the check is associativity.  A tensor product's pairs are proved
+    in its action_pairs.  A right S-module is a left opposite(S)-module.
     """
     g = A.base.ground
     key = A.base.degree_key
@@ -405,12 +396,10 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
     if (unit.entries if unit else {}) != {(k, k): g.one for k in range(M.rank)}:
         raise ValueError("unit does not act as identity")
     for x, y in A.action_pairs():
-        # the pair (i, k) composes maps[i] after maps[k]
-        i, k = (x, y) if side == "left" else (y, x)
-        diff = {}  # the composite minus the action of the product
-        if i in maps and k in maps:
-            columns = maps[i].by_column()
-            for (t, m), c in maps[k].entries.items():
+        diff = {}  # maps[x] o maps[y] minus the action of the product
+        if x in maps and y in maps:
+            columns = maps[x].by_column()
+            for (t, m), c in maps[y].entries.items():
                 for r, d in columns.get(t, ()):
                     diff[(r, m)] = diff.get((r, m), 0) + d * c
         for t, c in A.mul_basis(x, y).items():
@@ -418,7 +407,7 @@ def check_action(A: GradedAlgebra, M: GradedFreeModule, maps, side: str = "left"
                 for rm, v in maps[t].entries.items():
                     diff[rm] = diff.get(rm, 0) - c * v
         if g.canonical(diff):
-            raise ValueError(f"{side} action fails on pair ({i},{k})")
+            raise ValueError(f"left action fails on pair ({x},{y})")
 
 
 def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
@@ -490,7 +479,8 @@ def realize(p: AlgebraPresentation, max_rank: int = 4096) -> GradedAlgebra:
 
 
 def opposite(A: GradedAlgebra) -> GradedAlgebra:
-    """The Koszul-signed opposite: a o b = (-1)^{|a||b|} b a."""
+    """The Koszul-signed opposite: a o b = (-1)^{|a||b|} b a.  A right A-module is a
+    left opposite(A)-module by a o x = (-1)^{|a||x|} x a, so A_A is its regular module."""
     mult = {}
     for (i, j), vec in A.mult.items():
         odd = A.parity(i) and A.parity(j)
@@ -549,8 +539,7 @@ class _TensorAlgebra(GradedAlgebra):
           beta(t) alpha(s a) = +- alpha(s) beta(t) alpha(a) = +- alpha(s a) beta(t),
         then along B's to all a and b (the period is even: parities add).  So
         rho(a (x) b) rho(a' (x) b') = (-1)^{|b||a'|} alpha(a a') beta(b b'),
-        which is rho((a (x) b)(a' (x) b')).  For a right action every composite
-        reverses and the same lines prove it.  Each pair is compared through
+        which is rho((a (x) b)(a' (x) b')).  Each pair is compared through
         this algebra's own mul_basis, so a wrong composite or sign still fails.
         """
         A, B = self._factors

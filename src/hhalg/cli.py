@@ -168,7 +168,7 @@ def _verified(ok) -> str:
 
 
 def cmd_morita(df, built, args):
-    from .algebra import radical
+    from .algebra import opposite, radical
     from .defs import DefinitionError
     from .morita import (completion, completion_matches, retract_identity, roundtrip_FG,
                          torsion_roundtrip)
@@ -177,7 +177,7 @@ def cmd_morita(df, built, args):
     lo, hi = window = args.window  # a class at (s, t) sits in degree -t (collapsed_ranks)
     sections = []
     for name, ctx in _morita_contexts(df, built):
-        M = AModule.regular(ctx.R, "right")
+        M = AModule.regular(opposite(ctx.R))
         if args.check == "completion":
             table = completion(ctx, M, window, args.smax)
             table.notes = ("valid inside the window only",)

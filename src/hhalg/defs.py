@@ -364,9 +364,9 @@ def parse_definition(text: str) -> DefinitionFile:
         extra = set(m) - {"over", "side", "generators", "action"}
         if extra:
             raise DefinitionError(f"{where}: unknown keys {sorted(extra)}")
-        side = m.get("side", "left")
-        if side not in ("left", "right"):
-            raise DefinitionError(f"{where}: side must be 'left' or 'right'")
+        if m.get("side", "left") != "left":
+            raise DefinitionError(f"{where}: side must be 'left'; a right module over S "
+                                  "is a left module over the opposite of S")
         gens = _parse_generators(m.get("generators", []), where)
         if not isinstance(m.get("action") or {}, dict):
             raise DefinitionError(f"{where}: action maps generator names to entry lists")
@@ -388,8 +388,8 @@ def parse_definition(text: str) -> DefinitionFile:
                 if not all(0 <= i < len(gens) for i in row[:2]):
                     raise DefinitionError(f"{where}: action entry {list(row)} of "
                                           f"{gname!r} indexes outside 0..{len(gens) - 1}")
-        modules.append((name, {"over": m["over"], "side": side,
-                               "generators": gens, "action": tuple(action)}))
+        modules.append((name, {"over": m["over"], "generators": gens,
+                               "action": tuple(action)}))
 
     module_over = {n: spec["over"] for n, spec in modules}
     tasks = []
@@ -470,7 +470,7 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
 
     Generator actions, found by realize's labels of the generating monomials,
     extend along A.generation_steps(): s e_k = c e_m gives rho(e_m) =
-    c^-1 rho(s) o rho(e_k) on the left and c^-1 rho(e_k) o rho(s) on the right.
+    c^-1 rho(s) o rho(e_k).
     A generator that the relations rewrite away has no monomial of its own:
     in any module it acts as its normal form (A.rewritten) does, so its
     action is accepted exactly when it equals that one, once the module is
@@ -491,13 +491,12 @@ def build_module(df: DefinitionFile, name: str, built: dict) -> AModule:
     action = {A.unit_index: HomogeneousMap.identity(M)}
     for m, s, k, c in A.generation_steps():
         if s in gen_maps and k in action:
-            hm = (action[k].compose(gen_maps[s]) if spec["side"] == "right"
-                  else gen_maps[s].compose(action[k]))
+            hm = gen_maps[s].compose(action[k])
             if not hm.is_zero():
                 inv = A.base.ground.inv(c)
                 action[m] = HomogeneousMap(M, M, A.degree(m),
                                            {ij: inv * x for ij, x in hm.entries.items()})
-    module = AModule(A, M, action, spec["side"])
+    module = AModule(A, M, action)
     degree = dict(dict(df.algebras)[spec["over"]]["generators"])
     for gname, rows in spec["action"]:
         if gname in A.rewritten:

@@ -3,15 +3,16 @@
 The setting is a MoritaContext (R, A, E), built from E_R and E_A: E as a
 left R-module and as a left A-module on the same generators, with
 commuting actions (the bimodule of the Morita pair), as a definition's
-morita task names them (defs.parse_definition checks the task).  Every module here,
-E included, is a resolve.AModule tagged left or right.  F sends a right
-R-module X to the left A-module X (x)_R E; G sends a left A-module Y to
-the derived Hom_A(E, Y); the completion of X is G(F(X)).  T and S are the
-same pair with the roles of R and A swapped: F and T share one balanced
-tensor, _tensor_E, and G and S are resolve.derived_hom, the one derived
-Hom, which raises BudgetExceededError when s_max < 1.  G, S and the
-completion are plain BigradedTables of homology over an explicit window;
-completion_matches compares one with its module over an explicit range.
+morita task names them (defs.parse_definition checks the task).  Every
+module here is a left resolve.AModule, a right R-module one over
+opposite(R).  F sends a right R-module X to the A-module X (x)_R E; G
+sends an A-module Y to the derived Hom_A(E, Y); the completion of X is
+G(F(X)).  T and S are the same pair with the roles of R and A swapped: F
+and T share one balanced tensor, _tensor_E, and G and S are
+resolve.derived_hom, the one derived Hom, which raises
+BudgetExceededError when s_max < 1.  G, S and the completion are plain
+BigradedTables of homology over an explicit window; completion_matches
+compares one with its module over an explicit range.
 
 For semisimple A the derived Hom collapses to the plain one, and the plain
 kit is the adjunction's maps: the unit eta: X -> G(F X) and the counit
@@ -23,9 +24,10 @@ identity, exactly rather than at the level of ranks.
 
 from __future__ import annotations
 
-from .algebra import GradedAlgebra, radical
+from .algebra import GradedAlgebra, opposite, radical
 from .base import (GradedFreeModule, HomogeneousMap, graded_hom_module, hom_maps, hom_pair_index,
                    tensor_maps)
+from .ground import BudgetExceededError
 from .linalg import Echelon, ExactMatrix, kernel_basis
 from .resolve import AModule, derived_hom
 from .tables import BigradedTable
@@ -41,8 +43,6 @@ class MoritaContext:
     def __init__(self, E_R: AModule, E_A: AModule):
         if E_R.module.generators != E_A.module.generators:
             raise ValueError("E_R and E_A must present the same underlying module")
-        if E_R.side != "left" or E_A.side != "left":
-            raise ValueError("a Morita context takes E as a left R- and A-module")
         for r, fr in E_R.action.items():
             for a, fa in E_A.action.items():
                 if fr.compose(fa) != fa.compose(fr):
@@ -56,11 +56,11 @@ class MoritaContext:
 
 
 class BalancedTensor:
-    """X (x)_S E for a right S-module X and a left S-action on E.
+    """X (x)_S E for X over opposite(S) and a left S-action on E.
 
     Pair coordinates (i, j) = i * rank(E) + j are echelon-reduced modulo
-    the balancing relations (x.s (x) e) - (x (x) s.e); the surviving
-    non-pivot pairs form the basis of the quotient.
+    the balancing relations (x.s (x) e) - (x (x) s.e), x.s = (-1)^{|s||x|}
+    s o x; the surviving non-pivot pairs form the basis of the quotient.
     """
 
     def __init__(self, X: AModule, E: GradedFreeModule, s_action_on_E):
@@ -68,8 +68,6 @@ class BalancedTensor:
         g = S.base.ground
         if not g.is_field:
             raise ValueError("balanced tensor requires a field ground")
-        if X.side != "right":
-            raise ValueError("tensor takes a right module on the left")
         self.X = X
         self.E = E
         nE = E.rank
@@ -79,9 +77,10 @@ class BalancedTensor:
                 continue
             rho = X.act_map(m)
             lam = s_action_on_E.get(m)
-            for i in range(X.module.rank):
+            for i, (_, d) in enumerate(X.module.generators):
+                sign = -g.one if S.parity(m) and d % 2 else g.one
                 for j in range(nE):
-                    rel = {i2 * nE + j: c for i2, c in rho.apply_coords({i: g.one}).items()}
+                    rel = {i2 * nE + j: c for i2, c in rho.apply_coords({i: sign}).items()}
                     if lam is not None:
                         for j2, c in lam.apply_coords({j: g.one}).items():
                             rel[i * nE + j2] = rel.get(i * nE + j2, 0) - c
@@ -116,7 +115,7 @@ class BalancedTensor:
 
 
 def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
-    """X (x)_S E for a right S-module X, where `over` is E as an S-module.
+    """X (x)_S E for X over opposite(S), where `over` is E as an S-module.
 
     The result is a left module over the algebra of `acting`: a acts as
     tensor_maps(1, a), with the Koszul sign (-1)^{|a||x|}, on the pairs
@@ -136,19 +135,19 @@ def _tensor_E(X: AModule, over: AModule, acting: AModule) -> AModule:
 
 
 def functor_F(ctx: MoritaContext, X: AModule) -> AModule:
-    """X (x)_R E as a left A-module."""
+    """X (x)_R E as an A-module, for X over opposite(R)."""
     return _tensor_E(X, ctx.E_R, ctx.E_A)
 
 
 def functor_G(ctx: MoritaContext, Y: AModule, window=(-16, 16),
               s_max: int = 8) -> BigradedTable:
-    """G(Y) = derived Hom_A(E, Y) for a left A-module Y."""
+    """G(Y) = derived Hom_A(E, Y) for an A-module Y."""
     return derived_hom(ctx.E_A, Y, window, s_max)
 
 
 def completion(ctx: MoritaContext, M: AModule, window=(-16, 16),
                s_max: int = 8) -> BigradedTable:
-    """The completion G(F(M)) of a right R-module M."""
+    """The completion G(F(M)) of M over opposite(R)."""
     return functor_G(ctx, functor_F(ctx, M), window, s_max)
 
 
@@ -176,11 +175,14 @@ def completion_matches(table: BigradedTable, M: GradedFreeModule, compare) -> bo
     """Whether a completion table of M has M's collapsed degree ranks: the
     in-window test that the canonical map M -> G(F(M)) is an equivalence.
 
-    Compared over the explicit range `compare`; nothing is claimed outside it.
+    Compared over the explicit range `compare`; nothing is claimed outside
+    it, and a range with no degree on either side is BudgetExceededError.
     """
     lo, hi = compare
     got = {d: r for d, r in collapsed_ranks(table).items() if lo <= d <= hi}
-    return got == degree_ranks(M, lo, hi)
+    if not (want := degree_ranks(M, lo, hi)) and not got:
+        raise BudgetExceededError(f"no degree of the module or its table lies in {lo}..{hi}")
+    return got == want
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +225,10 @@ class HomBasis:
 
 
 def _hom_basis(E: AModule, Y: AModule) -> HomBasis:
-    """Hom_A(E, Y) for left A-modules: the kernel, slice by slice, of the
+    """Hom_A(E, Y) for A-modules: the kernel, slice by slice, of the
     maps z |-> lambda_Y(a) o z - (-1)^{|a||z|} z o lambda_E(a), a != 1."""
-    if E.side != "left" or Y.side != "left":
-        raise ValueError("hom takes left modules; got the wrong handedness")
+    if Y.algebra != E.algebra:
+        raise ValueError("hom takes two modules over one algebra")
     A = E.algebra
     g = A.base.ground
     one_E, one_Y = HomogeneousMap.identity(E.module), HomogeneousMap.identity(Y.module)
@@ -278,7 +280,8 @@ def endo_algebra(E: AModule) -> GradedAlgebra:
 def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
     """G(Y) = Hom_A(E, Y) as a right R-module, for semisimple A (underived).
 
-    r acts by plain precomposition, (w . r)(e) = w(r . e); the basis is
+    r acts by plain precomposition, (w . r)(e) = w(r . e), so the module is
+    over opposite(R), with r o z = (-1)^{|r||z|} z o rho_E(r); the basis is
     kept on the module as `hom_basis`.
     """
     if radical(ctx.A):
@@ -287,10 +290,11 @@ def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
     action = {}
     for m in range(ctx.R.rank):
         rho = ctx.E_R.act_map(m)
-        hm = basis.read(basis.module, ctx.R.degree(m), [z.compose(rho) for z in basis.maps])
+        hm = basis.read(basis.module, ctx.R.degree(m), [
+            z.compose(rho).scale((-1) ** (ctx.R.parity(m) * z.degree % 2)) for z in basis.maps])
         if not hm.is_zero():
             action[m] = hm
-    W = AModule(ctx.R, basis.module, action, "right")
+    W = AModule(opposite(ctx.R), basis.module, action)
     W.hom_basis = basis
     return W
 
@@ -361,18 +365,18 @@ def adjunction_triangles(ctx: MoritaContext, X: AModule,
 
 
 def torsion_T(ctx: MoritaContext, X: AModule) -> AModule:
-    """T(X) = X (x)_A E as a left R-module, for a right A-module X."""
+    """T(X) = X (x)_A E as an R-module, for X over opposite(A)."""
     return _tensor_E(X, ctx.E_A, ctx.E_R)
 
 
 def torsion_S(ctx: MoritaContext, M: AModule, window=(-16, 16),
               s_max: int = 8) -> BigradedTable:
-    """S(M) = derived Hom_R(E, M) for a left R-module M."""
+    """S(M) = derived Hom_R(E, M) for an R-module M."""
     return derived_hom(ctx.E_R, M, window, s_max)
 
 
 def torsion_roundtrip(ctx: MoritaContext, compare, window=(-16, 16),
                       s_max: int = 8) -> bool:
     """Whether S(T(A)) recovers A, as collapsed degree ranks over `compare`."""
-    TA = torsion_T(ctx, AModule.regular(ctx.A, "right"))
+    TA = torsion_T(ctx, AModule.regular(opposite(ctx.A)))
     return completion_matches(torsion_S(ctx, TA, window, s_max), ctx.A.module, compare)

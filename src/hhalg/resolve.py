@@ -1,13 +1,13 @@
 """Modules, free resolutions and bigraded Ext tables over graded algebras.
 
-AModule is the one class of finite modules: left or right modules, and
-through the enveloping algebra bimodules (hochschild) and Morita data
-(morita).  Its axioms are checked by the one action check,
-algebra.check_action.  FreeAModule is a free module given by its generator
-degrees, the stages of a resolution; it answers `module` and `act(m,
-coords)` like an AModule, so a generator chooser takes either.  An
-AModuleMap out of it is stored as its generator images; `flatten` is the
-one A-linear extension.
+AModule is the one class of finite modules, all of them left modules:
+a right S-module is one over opposite(S), and a bimodule one over the
+enveloping algebra (hochschild), as in the Morita data (morita).  Its
+axioms are checked by the one action check, algebra.check_action.
+FreeAModule is a free module given by its generator degrees, the stages
+of a resolution; it answers `module` and `act(m, coords)` like an
+AModule, so a generator chooser takes either.  An AModuleMap out of it is
+stored as its generator images; `flatten` is the one A-linear extension.
 
 A stage acts through the algebra's table, A's products e_m e_k once per
 generator, and builds no map per monomial.  A minimal resolution acts
@@ -27,7 +27,7 @@ builders differ only in how they choose each cover's generators:
     nilpotent augmentation ideal, by _minimal_generators (a complement of
     I*K in each kernel K), so Ext reads off generator counts; it is checked
     minimal, and exact from its cover on by _audit, on every slice.
-  * free_resolution: any finite left module, by the seeded
+  * free_resolution: any finite module, by the seeded
     _greedy_generators, which keep stage ranks small; Ext and completion
     data are then the cohomology of the dualized complex.
 
@@ -152,24 +152,22 @@ class AModuleMap:
 
 
 class AModule:
-    """A finite left or right module over a GradedAlgebra.
+    """A finite left module over a GradedAlgebra.
 
     action maps monomial indices to HomogeneousMaps on the ground module
     (absent monomials act by zero); unitality and associativity are
     checked by algebra.check_action unless check=False.  A bimodule is a
-    left module over tensor(A, opposite(A)) (see hochschild.bimodule).
+    left module over tensor(A, opposite(A)) (see hochschild.bimodule), and
+    a right S-module one over opposite(S) (see algebra.opposite).
     """
 
     def __init__(self, algebra: GradedAlgebra, module: GradedFreeModule, action,
-                 side: str = "left", check: bool = True):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
+                 check: bool = True):
         self.algebra = algebra
         self.module = module
         self.action = dict(action)  # monomial index -> HomogeneousMap
-        self.side = side
         if check:
-            check_action(algebra, module, self.action, side)
+            check_action(algebra, module, self.action)
 
     def act_map(self, m) -> HomogeneousMap:
         if m in self.action:
@@ -191,17 +189,16 @@ class AModule:
         return HomogeneousMap(self.algebra.module, graded_hom_module(M, M), 0, entries)
 
     @staticmethod
-    def regular(algebra: GradedAlgebra, side: str = "left") -> "AModule":
-        mult = algebra.left_mult if side == "left" else algebra.right_mult
-        act = {m: mult(m) for m in range(algebra.rank)}
-        return AModule(algebra, algebra.module, act, side, check=False)
+    def regular(algebra: GradedAlgebra) -> "AModule":
+        act = {m: algebra.left_mult(m) for m in range(algebra.rank)}
+        return AModule(algebra, algebra.module, act, check=False)
 
     @staticmethod
-    def trivial(algebra: GradedAlgebra, side: str = "left") -> "AModule":
+    def trivial(algebra: GradedAlgebra) -> "AModule":
         """The augmentation module: rank 1, non-unit monomials act by zero."""
         M = GradedFreeModule(algebra.base, (("k", 0),))
         act = {algebra.unit_index: HomogeneousMap.identity(M)}
-        return AModule(algebra, M, act, side, check=False)
+        return AModule(algebra, M, act, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +325,8 @@ def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8, seed: int = 0)
     """Resolution of M by free modules, greedy small stage ranks (seeded)."""
     if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
-    if M.side != "left":
-        raise ValueError("free_resolution takes a left module")
+    if M.algebra != A:
+        raise ValueError("free_resolution takes a module over A")
     import random  # only the greedy chooser draws, so other runs never load it
 
     rng = random.Random(seed)
@@ -487,10 +484,10 @@ def hom_cochains(res: Resolution, N: AModule):
     Term s has one generator per (stage generator, N generator); the
     functional dual to a stage generator of internal degree t, valued on
     the degree-d generator of N, sits in degree t - d, so trivial
-    coefficients land the class at (s, t).  N must be a left module.
+    coefficients land the class at (s, t).  N is over res.algebra.
     """
-    if N.side != "left":
-        raise ValueError("hom_cochains takes a left module")
+    if N.algebra != res.algebra:
+        raise ValueError("hom_cochains takes a module over the resolution's algebra")
     base = res.algebra.base
     terms = [GradedFreeModule(base, tuple(
         (f"h{i}.{name}", t - d) for i, t in enumerate(st.gen_degrees)
@@ -528,12 +525,12 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
 
 
 def derived_hom(E: AModule, Y: AModule, window, s_max: int, seed: int = 0) -> BigradedTable:
-    """Derived Hom(E, Y) over E's algebra, for left modules: the seeded
+    """Derived Hom(E, Y) for modules over one algebra: the seeded
     free_resolution of E through stage s_max, read by ext_with_coefficients
     over the window in degrees 0..s_max - 1, so s_max >= 1.
     """
-    if Y.side != "left":
-        raise ValueError("derived Hom takes left modules")
+    if Y.algebra != E.algebra:
+        raise ValueError("derived Hom takes two modules over one algebra")
     res = free_resolution(E.algebra, E, s_max=s_max, seed=seed)
     return ext_with_coefficients(res, Y, window)
 

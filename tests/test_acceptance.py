@@ -13,6 +13,7 @@ from hhalg.algebra import (
     AlgebraPresentation,
     algebra_isomorphic,
     endomorphism_algebra,
+    opposite,
     realize,
 )
 from hhalg.azumaya import check_generalized_azumaya, check_weak_azumaya
@@ -216,17 +217,18 @@ def test_criterion_10_morita_roundtrips():
         tmon = [i for i in range(R.rank) if i != R.unit_index][0]
         ctx = MoritaContext(AModule(R, E, {R.unit_index: ident, tmon: ident}),
                             AModule(A, E, {A.unit_index: ident}))
-        for Y in (AModule.regular(A, "left"), ctx.E_A):
+        for Y in (AModule.regular(A), ctx.E_A):
             assert roundtrip_FG(ctx, Y)
-        for X in (AModule.regular(R, "right"),
-                  AModule(R, E, ctx.E_R.action, "right")):
+        # right R-modules are left modules over opposite(R)
+        for X in (AModule.regular(opposite(R)),
+                  AModule(opposite(R), E, ctx.E_R.action)):
             assert retract_identity(ctx, X)
         # adic shadows: truncated polynomial and exterior lines
         trunc = lambda T: realize(AlgebraPresentation(
             BaseRing(F3), (("y", 1),), ([(1, ("y",) * T, 0)],)))
         lam = exterior(BaseRing(F3), (("x", -1),))
         ctx1, ctx2 = local_ctx(trunc(20), lam), local_ctx(lam, trunc(20))
-        reg = lambda c: AModule.regular(c.R, "right")
+        reg = lambda c: AModule.regular(opposite(c.R))
         # the exterior line is already complete: in-window equivalence
         X2 = reg(ctx2)
         assert completion_matches(completion(ctx2, X2), X2.module, compare=(-10, 10))

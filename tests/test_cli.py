@@ -109,13 +109,13 @@ def test_build_module_composes_generator_actions():
         df = parse_definition(fh.read())
     built = {n: build_algebra(df, n) for n, _ in df.algebras}
     E = build_module(df, "E_R", built)
-    assert E.module.rank == 1 and E.side == "left"
+    assert E.module.rank == 1 and E.algebra is built["R"]
 
 
 def build_module_by_names_oracle(df, name, built):
     """The former build_module, kept as a cross-check: it reads realize's
     monomial names ("1", "x1*x2") and composes each monomial's action along
-    its word, right to left on a left module and left to right on a right one."""
+    its word, right to left."""
     spec = dict(df.modules)[name]
     A = built[spec["over"]]
     M = GradedFreeModule(A.base, spec["generators"])
@@ -128,24 +128,23 @@ def build_module_by_names_oracle(df, name, built):
         if any(w not in gen_maps for w in word):
             continue
         hm = HomogeneousMap.identity(M)
-        for w in (word if spec["side"] == "right" else reversed(word)):
+        for w in reversed(word):
             hm = gen_maps[w].compose(hm)
         if not hm.is_zero():
             action[idx] = HomogeneousMap(M, M, mdeg, hm.entries)
-    return AModule(A, M, action, spec["side"], check=False)
+    return AModule(A, M, action, check=False)
 
 
-def regular_module_doc(file, algebra, side):
-    """file's definition with one module, M: the regular `side` module of
-    `algebra`, given by the multiplications by its generators."""
+def regular_module_doc(file, algebra):
+    """file's definition with one module, M: the regular module of
+    `algebra`, given by the left multiplications by its generators."""
     with open(defpath(file)) as fh:
         doc = json.load(fh)
     A = build_algebra(parse_definition(json.dumps(doc)), algebra)
-    mult = A.left_mult if side == "left" else A.right_mult
-    action = {A.monomials[s][0]: [[i, j, c] for (i, j), c in sorted(mult(s).entries.items())]
+    action = {A.monomials[s][0]: [[i, j, c] for (i, j), c in sorted(A.left_mult(s).entries.items())]
               for s in A.generating_monomials}
     doc.pop("tasks", None)
-    doc["modules"] = {"M": {"over": algebra, "side": side, "action": action,
+    doc["modules"] = {"M": {"over": algebra, "action": action,
                             "generators": [list(g) for g in A.monomials]}}
     return doc
 
@@ -158,15 +157,15 @@ AB_MODULE = {"base": {"ground": "F3"},
              "algebras": {"lam": {"generators": [["ab", -1]], "relations": ["ab^2"]}},
              "modules": {"M": {"over": "lam", "generators": [["a", 0], ["b", -1]],
                                "action": {"ab": [[1, 0, 1]]}}}}
-# every graded algebra of the corpus, its regular module on either side
-REGULAR_MODULES = [(file, algebra, side)
+# every graded algebra of the corpus, its regular module
+REGULAR_MODULES = [(file, algebra)
                    for file, algebras in (
                        ("etale.def", ("R", "A")), ("exterior1.def", ("lam_x",)),
                        ("exterior_n.def", ("lam_2", "lam_3")),
                        ("k1k1_trunc.def", ("sigma_1", "k1k1op_1", "sigma_2", "k1k1op_2")),
                        ("ku2.def", ("B2", "lam_tau")), ("matrix.def", ("M2_F3", "M2_F5")),
                        ("polytrunc.def", ("poly20",)))
-                   for algebra in algebras for side in ("left", "right")]
+                   for algebra in algebras]
 
 
 def corpus_doc(file):
@@ -177,7 +176,7 @@ def corpus_doc(file):
 @pytest.mark.parametrize("make", [
     lambda: corpus_doc("etale.def"), lambda: LAM_X_MODULE, lambda: AB_MODULE,
     *[lambda case=case: regular_module_doc(*case) for case in REGULAR_MODULES],
-], ids=["etale", "lam_x", "ab"] + ["-".join(case[1:]) for case in REGULAR_MODULES])
+], ids=["etale", "lam_x", "ab"] + [f"{algebra}-regular" for _, algebra in REGULAR_MODULES])
 def test_build_module_matches_the_name_walk_oracle(make):
     df = parse_definition(json.dumps(make()))
     built = {n: build_algebra(df, n) for n, _ in df.algebras}
@@ -275,6 +274,22 @@ def test_an_action_on_a_rewritten_generator_other_than_its_normal_form_exits_one
     code, out, err = run(capsys, ["morita", "--file", str(path)], tmp_path)
     assert (code, out, err) == (1, "", "error: module 'M': the action of 'y' differs from that "
                                        "of what the relations of 'B' rewrite it to\n")
+
+
+def test_a_right_module_exits_one_at_parse(capsys, tmp_path):
+    # the corpus files name "side": "left", which still parses; a right
+    # S-module is written as a left module over the opposite of S
+    doc = corpus_doc("etale.def")
+    assert {m["side"] for m in doc["modules"].values()} == {"left"}
+    parse_definition(json.dumps(doc))
+    doc["modules"]["E_R"]["side"] = "right"
+    path = tmp_path / "right.def"
+    path.write_text(json.dumps(doc))
+    for command in ("morita", "ext"):
+        code, out, err = run(capsys, [command, "--file", str(path)], tmp_path)
+        assert (code, out) == (1, "")
+        assert err == ("error: module 'E_R': side must be 'left'; a right module over S is "
+                       "a left module over the opposite of S\n")
 
 
 def test_unknown_reference_rejected():
@@ -764,11 +779,13 @@ def test_morita_torsion_passes_on_an_asymmetric_window(capsys, tmp_path, window)
 
 def test_morita_torsion_and_completion_agree_on_a_window_of_positive_degrees(capsys,
                                                                             tmp_path):
-    # 5:9 holds no class of etale.def: both verdicts compare empty ranges
-    for check in ("completion", "torsion"):
-        code, out, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check,
-                                    "--window=5:9"], tmp_path)
-        assert code == 0 and "pass (corpus-verified)" in out, check
+    # 5:9 holds no class of etale.def: both verdicts would compare empty
+    # ranges, completion over degrees -9..-5 and torsion over 0..-5
+    for check, span in (("completion", "-9..-5"), ("torsion", "0..-5")):
+        code, out, err = run(capsys, ["morita", "--file", defpath("etale.def"), "--check", check,
+                                      "--window=5:9"], tmp_path)
+        assert (code, out) == (2, ""), check
+        assert err == f"error: no degree of the module or its table lies in {span}\n"
 
 
 @pytest.mark.parametrize("check", ["completion", "roundtrip", "torsion"])
@@ -841,15 +858,15 @@ def test_morita_checks_each_module_once(capsys, tmp_path, monkeypatch):
     checked = []
     real = resolve.check_action
 
-    def counting(algebra, module, maps, side="left"):
-        checked.append((algebra.monomials, module.generators, side))
-        return real(algebra, module, maps, side)
+    def counting(algebra, module, maps):
+        checked.append((algebra.monomials, module.generators))
+        return real(algebra, module, maps)
 
     monkeypatch.setattr(resolve, "check_action", counting)
     code, _, _ = run(capsys, ["morita", "--file", defpath("etale.def")], tmp_path)
     assert code == 0
     # E_R over R = F3[t]/(t^2 - t) and E_A over the scalars, one check each
-    on_e = sorted(m for m, gens, _ in checked if gens == (("e", 0),))
+    on_e = sorted(m for m, gens in checked if gens == (("e", 0),))
     assert on_e == [(("1", 0),), (("1", 0), ("t", 0))]
 
 

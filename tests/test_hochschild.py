@@ -449,14 +449,32 @@ def corpus_algebra(file, name):
 ])
 def test_regular_bimodule_matches_the_composed_bimodule(make):
     # read off the table, e_a (x) e_b acts by x |-> +-(e_a x) e_b; the oracle
-    # composes left_mult(a) after right_mult(b) and checks the module axioms
+    # composes left_mult(a) after the right multiplication by b, read off
+    # mul_basis, and checks the module axioms
     A = make()
-    oracle = bimodule(A, A.module, {m: A.left_mult(m) for m in range(A.rank)},
-                      {m: A.right_mult(m) for m in range(A.rank)})
+    right = {j: HomogeneousMap(A.module, A.module, A.degree(j), {
+        (k, i): c for i in range(A.rank) for k, c in A.mul_basis(i, j).items()})
+        for j in range(A.rank)}
+    oracle = bimodule(A, A.module, {m: A.left_mult(m) for m in range(A.rank)}, right)
     action = regular_bimodule(A).action
     assert action.keys() == oracle.action.keys()
     for i, f in oracle.action.items():
         assert (action[i].degree, action[i].entries) == (f.degree, f.entries), i
+
+
+@pytest.mark.parametrize("file, name", corpus_algebras(),
+                         ids=[f"{f}:{n}" for f, n in corpus_algebras()])
+def test_the_regular_module_of_the_opposite_is_the_right_regular_module(file, name):
+    # a right A-module is a left opposite(A)-module by s o x = (-1)^{|s||x|} x s;
+    # on A itself that is the left multiplication of opposite(A), a checked action
+    A = corpus_algebra(file, name)
+    X = AModule.regular(opposite(A))
+    algebra.check_action(X.algebra, X.module, X.action)
+    for s in range(A.rank):
+        right = HomogeneousMap(A.module, A.module, A.degree(s), {
+            (k, i): -c if A.parity(s) and A.parity(i) else c
+            for i in range(A.rank) for k, c in A.mul_basis(i, s).items()})
+        assert X.act_map(s) == right, s
 
 
 @pytest.mark.parametrize("route, supported", [

@@ -242,7 +242,7 @@ def test_unit_kernel_and_mu_image_build_transforms(smith_forms):
 def test_morita_solves_over_z_build_transforms(smith_forms):
     base = BaseRing(ZZ)
     T = realize(AlgebraPresentation(base, (("y", 1),), ([(1, ("y",) * 3, 0)],)))
-    B = endo_algebra(AModule.regular(T, "left"))
+    B = endo_algebra(AModule.regular(T))
     # End_T(T) is T^op = T: the identity and right multiplications by y and y^2
     assert B.rank == 3 and sorted(d for _, d in B.monomials) == [0, 1, 2]
     assert smith_forms and all(sf.transforms_built for sf in smith_forms)
