@@ -16,9 +16,9 @@ resolve.hom_cochains, trying three routes in order:
   * every other algebra takes the normalized bar resolution through n_max,
     which the tests also hold the other two routes against.
 
-HH is computed independently as
-resolve.derived_hom(A, A) over A^e, the seeded greedy free resolution that
-the Morita functors G and S also read; check_enveloping_against_bar
+HH is computed independently as resolve.derived_hom(A, A) over A^e, the
+free resolution that the Morita functors G and S also read: minimal when A,
+so A^e, is local, else seeded greedy; check_enveloping_against_bar
 compares the two tables.  It also holds
 the action map mu from A^e to Hom(A, A) (the regular bimodule's
 AModule.action_map), and the homology image of the alpha class under mu
@@ -460,7 +460,7 @@ def mu_is_iso(A: GradedAlgebra) -> bool:
 def hochschild_via_enveloping(A: GradedAlgebra, n_max: int = 4,
                               window=(-16, 16), seed: int = 0) -> BigradedTable:
     """Ext_{A (x) A^op}(A, A) through n_max, as resolve.derived_hom(A, A)
-    resolved through stage n_max + 1 with the given seed.
+    resolved through stage n_max + 1 (seeded if A is not local).
 
     A stage generator of internal degree t is dual to a bar functional of
     degree -t, so this table's (n, t) is the bar table's (n, -t);

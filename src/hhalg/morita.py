@@ -301,10 +301,15 @@ def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
 
 def roundtrip_FG(ctx: MoritaContext, Y: AModule,
                  compare=(-16, 16)) -> bool:
-    """Whether F(G(Y)) has the same degree ranks as Y (semisimple A)."""
+    """Whether F(G(Y)) has the same degree ranks as Y (semisimple A) over the
+    range compare; BudgetExceededError if the range misses every degree of both,
+    which compares nothing unless both are zero."""
     FW = functor_F(ctx, plain_hom_A(ctx, Y))
     lo, hi = compare
-    return degree_ranks(FW.module, lo, hi) == degree_ranks(Y.module, lo, hi)
+    got, want = degree_ranks(FW.module, lo, hi), degree_ranks(Y.module, lo, hi)
+    if not got and not want and (FW.module.rank or Y.module.rank):
+        raise BudgetExceededError(f"no degree of Y or F(G(Y)) lies in {lo}..{hi}")
+    return got == want
 
 
 def _unit(FX: AModule, GFX: AModule) -> HomogeneousMap:

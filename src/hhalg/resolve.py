@@ -20,16 +20,18 @@ because each stage kernel K is taken on every slice the stage reaches, a
 whole A-submodule, so e_k . v never leaves K.
 
 One resolution loop, _resolve, covers a module M and then each stage
-kernel, and keeps the flattened cover F_0 -> M in the Resolution; the two
+kernel, and keeps the flattened cover F_0 -> M in the Resolution; the
 builders differ only in how they choose each cover's generators:
 
-  * minimal_resolution: the trivial module of an augmented algebra with
-    nilpotent augmentation ideal, by _minimal_generators (a complement of
-    I*K in each kernel K), so Ext reads off generator counts; it is checked
-    minimal, and exact from its cover on by _audit, on every slice.
-  * free_resolution: any finite module, by the seeded
+  * minimal_resolution: the trivial module of a local algebra, one whose
+    non-unit monomials span a nilpotent ideal I, by _minimal_generators (a
+    complement of I*K in each kernel K), so Ext reads off generator counts;
+    it is checked minimal, and exact from its cover on by _audit.
+  * free_resolution: any finite module, by _minimal_generators too over a
+    local algebra, and otherwise by _greedy_resolution, the seeded
     _greedy_generators, which keep stage ranks small; Ext and completion
-    data are then the cohomology of the dualized complex.
+    data are then the cohomology of the dualized complex.  The greedy
+    route is also the minimal one's cross-check (ext_base_change, tests).
 
 A window is not a parameter of a resolution: a stage is a finite free module
 over a finite-dimensional algebra, with finitely many slices, and the tables
@@ -256,31 +258,31 @@ def _augmentation_checks(A: GradedAlgebra):
     ideal.  Both tests multiply by the generating monomials s alone: along
     A.generation_steps(), e_m . I = c^-1 s . (e_k . I) lies in I when every s . I
     does, from e_unit . I = I on; and I^{k+1} = I . I^k is the sum of the s . I^k,
-    as e_m x = c^-1 s (e_k x) with e_k x in I^k."""
-    g = A.base.ground
-    u = A.unit_index
-    nonunit = [m for m in range(A.rank) if m != u]
-    for s in A.generating_monomials:
-        for j in nonunit:
-            if u in A.mul_basis(s, j):
-                raise ResolutionError(
-                    "algebra is not augmented: product of ideal elements hits the unit"
-                )
-    # nilpotency of the augmentation ideal
-    current = [{m: g.one} for m in nonunit]
-    for _ in range(A.rank + 1):
-        if not current:
-            return
-        nxt = []
-        step = Echelon(g)
-        for x in current:
-            for s in A.generating_monomials:
-                y = A.mul_coords({s: g.one}, x)
-                if y and step.add(y):
-                    nxt.append(y)
-        current = nxt
-    if current:
-        raise ResolutionError("augmentation ideal is not nilpotent")
+    as e_m x = c^-1 s (e_k x) with e_k x in I^k.
+
+    A tensor product A (x) B is decided on its factors, both "augmented" tests
+    first, so the message is the direct check's.  I is the kernel of the unit
+    coordinate, and (s (x) 1)(a (x) b) has one only if b = 1 and s a has one
+    (likewise 1 (x) t).  Then I = I_A (x) B + A (x) I_B meets A (x) 1 in I_A (x) 1,
+    and if I_A^p = I_B^q = 0, a product of p + q - 1 elements of I sorts, the
+    factors graded-commuting, into one with p in I_A or q in I_B: so I is
+    nilpotent exactly when I_A and I_B are.
+    """
+    factors = getattr(A, "_factors", (A,))  # a tensor's (see algebra._TensorAlgebra)
+    for F in factors:
+        if any(F.unit_index in F.mul_basis(s, j) for s in F.generating_monomials
+               for j in range(F.rank) if j != F.unit_index):
+            raise ResolutionError(
+                "algebra is not augmented: product of ideal elements hits the unit")
+    for F in factors:
+        g = F.base.ground
+        current = [{m: g.one} for m in range(F.rank) if m != F.unit_index]
+        for _ in range(F.rank + 1):  # a spanning set of each power of I in turn
+            step = Echelon(g)
+            current = [y for x in current for s in F.generating_monomials
+                       if (y := F.mul_coords({s: g.one}, x)) and step.add(y)]
+        if current:
+            raise ResolutionError("augmentation ideal is not nilpotent")
 
 
 def minimal_resolution(A: GradedAlgebra, s_max: int = 8) -> Resolution:
@@ -322,11 +324,24 @@ def _minimal_generators(target, vectors):
 
 
 def free_resolution(A: GradedAlgebra, M: AModule, s_max: int = 8, seed: int = 0) -> Resolution:
-    """Resolution of M by free modules, greedy small stage ranks (seeded)."""
+    """Resolution of M by free modules: minimal over a local algebra (one
+    passing _augmentation_checks), as by graded Nakayama the complement of
+    I*K generates K, M or a stage kernel, a whole A-submodule; otherwise
+    _greedy_resolution's, the one place seed matters."""
     if not A.base.ground.is_field:
         raise ResolutionError("resolutions require a field ground")
     if M.algebra != A:
         raise ValueError("free_resolution takes a module over A")
+    try:
+        _augmentation_checks(A)
+    except ResolutionError:
+        return _greedy_resolution(A, M, s_max, seed)
+    return _resolve(A, M, s_max, _minimal_generators)
+
+
+def _greedy_resolution(A: GradedAlgebra, M: AModule, s_max: int, seed: int) -> Resolution:
+    """The seeded greedy resolution: free_resolution's where Nakayama does
+    not apply, and the route the minimal one is cross-checked against."""
     import random  # only the greedy chooser draws, so other runs never load it
 
     rng = random.Random(seed)
@@ -525,9 +540,10 @@ def ext_with_coefficients(res: Resolution, N: AModule, window=(-16, 16)) -> Bigr
 
 
 def derived_hom(E: AModule, Y: AModule, window, s_max: int, seed: int = 0) -> BigradedTable:
-    """Derived Hom(E, Y) for modules over one algebra: the seeded
-    free_resolution of E through stage s_max, read by ext_with_coefficients
-    over the window in degrees 0..s_max - 1, so s_max >= 1.
+    """Derived Hom(E, Y) for modules over one algebra: the free_resolution
+    of E through stage s_max (seeded over a non-local algebra alone), read
+    by ext_with_coefficients over the window in degrees 0..s_max - 1, so
+    s_max >= 1.
     """
     if Y.algebra != E.algebra:
         raise ValueError("derived Hom takes two modules over one algebra")
@@ -546,8 +562,8 @@ def ext_base_change(A: GradedAlgebra, S: GradedAlgebra, inclusion: HomogeneousMa
     S must be semisimple and A free over S (verified by dimension count).
     The quotient of A by the two-sided ideal of S's augmentation ideal is
     built explicitly; its Ext table is computed via the minimal resolution
-    and cross-checked against derived_hom(k, k) with seed 1, the cohomology
-    of a non-minimal resolution.
+    and cross-checked against the cohomology of _greedy_resolution(k) with
+    seed 1, a non-minimal resolution.
     """
     g = A.base.ground
     if radical(S):
@@ -560,7 +576,7 @@ def ext_base_change(A: GradedAlgebra, S: GradedAlgebra, inclusion: HomogeneousMa
         )
     table = ext_table(Q, s_max, t_window)
     k = AModule.trivial(Q)
-    other = derived_hom(k, k, t_window, s_max, seed=1)
+    other = ext_with_coefficients(_greedy_resolution(Q, k, s_max, 1), k, t_window)
     # the non-minimal table stops below its top stage, which has no
     # outgoing differential
     key = Q.base.degree_key

@@ -788,6 +788,18 @@ def test_morita_torsion_and_completion_agree_on_a_window_of_positive_degrees(cap
         assert err == f"error: no degree of the module or its table lies in {span}\n"
 
 
+def test_morita_roundtrip_refuses_a_window_with_no_degree(capsys, tmp_path):
+    # neither F(G(Y)) nor Y has a degree in 5..9, on either module of etale.def:
+    # the two rank dicts would both be empty
+    code, out, err = run(capsys, ["morita", "--file", defpath("etale.def"), "--check",
+                                  "roundtrip", "--window=5:9"], tmp_path)
+    assert (code, out, err) == (2, "", "error: no degree of Y or F(G(Y)) lies in 5..9\n")
+    code, out, _ = run(capsys, ["morita", "--file", defpath("etale.def"), "--check",
+                                "roundtrip", "--window=0:9"], tmp_path)
+    assert code == 0 and out.count("roundtrip F.G on ") == 2
+    assert "fail" not in out
+
+
 @pytest.mark.parametrize("check", ["completion", "roundtrip", "torsion"])
 def test_morita_emits_one_document_for_two_tasks(capsys, tmp_path, check):
     # a second task on a copy of E_R: JSON is one document holding both

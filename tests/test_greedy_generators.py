@@ -12,8 +12,9 @@ orbit of a raw vector whole and stops when the span's rank reaches the
 input's.  The two agree where no orbit leaves the input slices, which
 holds because the resolution loop hands the chooser whole submodules, and
 test_the_oracle_cases_keep_every_orbit_on_input_slices asserts it for the
-cases here.  On every call that free_resolution makes (the cover and each
-kernel stage) both must choose the same generators and leave the seeded
+cases here.  On every call that resolve._greedy_resolution makes (the
+cover and each kernel stage), directly or through free_resolution over a
+non-local algebra, both must choose the same generators and leave the seeded
 rng in the same state.
 """
 
@@ -26,7 +27,7 @@ from hhalg.algebra import AlgebraPresentation, realize
 from hhalg.base import BaseRing, LaurentGenerator
 from hhalg.ground import GroundRing
 from hhalg.linalg import Echelon
-from hhalg.resolve import GREEDY_TRIALS, AModule, ResolutionError, free_resolution
+from hhalg.resolve import GREEDY_TRIALS, AModule, ResolutionError
 from test_resolve import act_map_oracle
 
 QQ = GroundRing.rationals()
@@ -127,11 +128,11 @@ def m2_f3():
 
 
 def _trivial(A, s_max, seed):
-    return free_resolution(A, AModule.trivial(A), s_max, seed=seed)
+    return resolve._greedy_resolution(A, AModule.trivial(A), s_max, seed)
 
 
 def _regular(A, s_max, seed):
-    return free_resolution(A, AModule.regular(A), s_max, seed=seed)
+    return resolve._greedy_resolution(A, AModule.regular(A), s_max, seed)
 
 
 # every other case has a degree with several vectors outside the span, so
@@ -198,3 +199,15 @@ def test_the_oracle_cases_keep_every_orbit_on_input_slices(case, seed, monkeypat
     monkeypatch.setattr(resolve, "_greedy_generators", checked)
     CASES[case](seed)
     assert len(calls) >= 3
+
+
+def test_the_oracle_fails_when_the_greedy_helper_takes_the_minimal_chooser(monkeypatch):
+    # a mutation: _greedy_resolution choosing by _minimal_generators would
+    # make every minimal-against-greedy cross-check compare a chooser with
+    # itself; the oracle comparison sees that it draws nothing
+    def minimal(A, target, vectors, rng):
+        return resolve._minimal_generators(target, vectors)
+
+    monkeypatch.setattr(resolve, "_greedy_generators", minimal)
+    with pytest.raises(AssertionError):
+        test_greedy_generators_match_the_oracle("lam3/F3 trivial", 0, monkeypatch)

@@ -376,14 +376,21 @@ def test_stage_helpers_are_called_only_from_the_loop(path):
 
 
 # The one derived Hom: a free resolution is read by ext_with_coefficients
-# only inside resolve.derived_hom, which G, S, the completion, the enveloping
-# route and the base-change cross-check all call.
+# only inside resolve.derived_hom, which G, S, the completion and the
+# enveloping route call.  The base-change cross-check reads the seeded greedy
+# resolution, the minimal route's independent oracle, by name, which only
+# it and free_resolution (off local algebras) call.
 DERIVED_HOM_PARTS = ("free_resolution", "ext_with_coefficients")
+ORACLE_READS = {"resolve.py": [("ext_base_change", "_greedy_resolution"),
+                               ("ext_base_change", "ext_with_coefficients"),
+                               ("free_resolution", "_greedy_resolution")]}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_free_resolutions_are_read_only_in_derived_hom(path):
-    assert uses_outside(ast.parse(path.read_text()), DERIVED_HOM_PARTS, "derived_hom") == []
+    found = uses_outside(ast.parse(path.read_text()),
+                         DERIVED_HOM_PARTS + ("_greedy_resolution",), "derived_hom")
+    assert sorted((func, name) for _, func, name in found) == ORACLE_READS.get(path.name, [])
 
 
 def test_stage_helper_detector_flags_offenders():
@@ -645,12 +652,20 @@ def test_the_fractions_probe_sees_a_run_over_q(tmp_path):
     assert loaded_number_modules(tmp_path, over_q) == "['decimal', 'fractions']"
 
 
-# random loads only where the seeded greedy chooser of free_resolution draws
+# random loads only where the seeded greedy chooser draws: free_resolution
+# off local algebras
 def test_a_cold_ext_run_loads_no_random(tmp_path):
     assert loaded_modules(tmp_path, "ext", SRC / "data" / "exterior_n.def", ("random",)) == "[]"
 
 
-def test_the_random_probe_sees_a_greedy_resolution(tmp_path):
-    # the Morita completion resolves by free_resolution
+def test_a_completion_over_a_local_algebra_loads_no_random(tmp_path):
+    # the completion resolves over etale's A = F3, which is local
     assert loaded_modules(tmp_path, "morita --check completion", SRC / "data" / "etale.def",
+                          ("random",)) == "[]"
+
+
+def test_the_random_probe_sees_a_greedy_resolution(tmp_path):
+    # the torsion round trip resolves over etale's R = F3[t]/(t^2 - t), whose
+    # augmentation ideal is not nilpotent
+    assert loaded_modules(tmp_path, "morita --check torsion", SRC / "data" / "etale.def",
                           ("random",)) == "['random']"

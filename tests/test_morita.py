@@ -7,7 +7,7 @@ from hhalg.algebra import (AlgebraPresentation, check_action, endomorphism_actio
                            endomorphism_algebra, opposite, realize)
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap
 from hhalg.defs import build_algebra, build_module, parse_definition
-from hhalg.ground import GroundRing
+from hhalg.ground import BudgetExceededError, GroundRing
 from hhalg.morita import (
     BalancedTensor,
     MoritaContext,
@@ -244,6 +244,18 @@ def test_roundtrip_fg_on_corpus():
               ctx.E_A,
               AModule(ctx.A, GradedFreeModule(ctx.A.base, ()), {}, check=False)):
         assert roundtrip_FG(ctx, Y)
+
+
+def test_roundtrip_fg_refuses_a_range_that_misses_every_degree():
+    # etale's modules sit in degree 0; the zero module has no degree anywhere,
+    # so its round trip compares zero with zero exactly
+    ctx = etale_ctx()
+    for Y in (AModule.regular(ctx.A), ctx.E_A):
+        with pytest.raises(BudgetExceededError, match=r"^no degree of Y or F\(G\(Y\)\) lies in 5"):
+            roundtrip_FG(ctx, Y, (5, 9))
+        assert roundtrip_FG(ctx, Y, (0, 9))
+    assert roundtrip_FG(ctx, AModule(ctx.A, GradedFreeModule(ctx.A.base, ()), {}, check=False),
+                        (5, 9))
 
 
 def test_plain_hom_requires_semisimple():

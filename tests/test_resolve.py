@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 from math import comb
 
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hhalg import resolve
 from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgebra, opposite,
                            realize, tensor)
-from hhalg.base import BaseRing, HomogeneousMap, LaurentGenerator
+from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from hhalg.ground import ZZ, GroundRing
 from hhalg.hochschild import (anick_chains, bar_resolution, bardzell_resolution, monomial_words,
                                regular_bimodule)
@@ -140,6 +142,66 @@ def test_augmentation_checks_multiply_by_the_generators_alone(monkeypatch):
             resolve._augmentation_checks(tensor(refused, opposite(refused)))
 
 
+def direct_augmentation_checks(A):
+    """The oracle: _augmentation_checks on A's own products, a tensor product's too."""
+    g, u = A.base.ground, A.unit_index
+    nonunit = [m for m in range(A.rank) if m != u]
+    if any(u in A.mul_basis(s, j) for s in A.generating_monomials for j in nonunit):
+        raise ResolutionError("algebra is not augmented: product of ideal elements hits the unit")
+    current = [{m: g.one} for m in nonunit]
+    for _ in range(A.rank + 1):
+        step = Echelon(g)
+        current = [y for x in current for s in A.generating_monomials
+                   if (y := A.mul_coords({s: g.one}, x)) and step.add(y)]
+    if current:
+        raise ResolutionError("augmentation ideal is not nilpotent")
+
+
+def augmentation_verdict(check, A):
+    try:
+        check(A)
+    except ResolutionError as e:
+        return str(e)
+    return None
+
+
+CORPUS_FIELD_ALGEBRAS = [("exterior1.def", "lam_x"), ("ku2.def", "lam_tau"), ("etale.def", "A"),
+                         ("ku2.def", "B2"), ("etale.def", "R"), ("k1k1_trunc.def", "sigma_1"),
+                         ("k1k1_trunc.def", "sigma_2"), ("k1k1_trunc.def", "k1k1op_1"),
+                         ("k1k1_trunc.def", "k1k1op_2"), ("matrix.def", "M2_F3"),
+                         ("matrix.def", "M2_F5"), ("exterior_n.def", "lam_2"),
+                         ("exterior_n.def", "lam_3")]
+
+
+def test_a_tensor_product_is_decided_on_its_factors_as_the_direct_check_decides():
+    # every pair of corpus algebras up to rank 16 over one base, with the
+    # second factor as it is and opposite; A (x) B's products are read by
+    # the oracle alone
+    algebras = [corpus_algebra(*name) for name in CORPUS_FIELD_ALGEBRAS]
+    verdicts = Counter()
+    for A, B in itertools.product(algebras, repeat=2):
+        if A.base != B.base or A.rank * B.rank > 16:
+            continue
+        for factor in (B, opposite(B)):
+            T = tensor(A, factor)
+            got = augmentation_verdict(resolve._augmentation_checks, T)
+            assert "mult" not in vars(T) and not T._slots
+            assert got == augmentation_verdict(direct_augmentation_checks, T)
+            verdicts[got] += 1
+    assert verdicts == {None: 28, "algebra is not augmented: product of ideal elements hits "
+                        "the unit": 38, "augmentation ideal is not nilpotent": 48}
+
+
+def test_the_enveloping_algebra_of_k1k1op_2_is_refused_on_its_factors():
+    # the direct check multiplies out rank 256 and takes seconds
+    A = corpus_algebra("k1k1_trunc.def", "k1k1op_2")
+    Ae = tensor(A, opposite(A))
+    start = time.perf_counter()
+    with pytest.raises(ResolutionError, match="^augmentation ideal is not nilpotent$"):
+        resolve._augmentation_checks(Ae)
+    assert time.perf_counter() - start < 0.1
+
+
 # -- ext tables ---------------------------------------------------------------
 
 def test_ext_exterior_tau_diagonal():
@@ -210,12 +272,22 @@ def test_free_resolution_of_regular_module():
     assert [st.rank for st in res.stages] == [1, 0, 0, 0]
 
 
+def greedy_resolution(A, M, s_max, seed=0):
+    """The seeded greedy resolution, the minimal route's independent cross-check."""
+    return resolve._greedy_resolution(A, M, s_max, seed)
+
+
+def greedy_ext(k, window, s_max, seed=0):
+    """Ext(k, k) off the greedy resolution, as derived_hom reads a resolution."""
+    return ext_with_coefficients(greedy_resolution(k.algebra, k, s_max, seed), k, window)
+
+
 def test_free_resolution_ext_matches_minimal():
     for A in (lam_tau(), trunc_poly(3, 2)):
         window = (-16, 40)
         s_max = 4
         mini = ext_table(A, s_max=s_max, t_window=window)
-        res = free_resolution(A, AModule.trivial(A), s_max=s_max)
+        res = greedy_resolution(A, AModule.trivial(A), s_max=s_max)
         via = ext_with_coefficients(res, AModule.trivial(A), window)
         for (s, t), p in via.entries.items():
             key = t % 2 if A.base.laurent else t
@@ -232,8 +304,8 @@ def test_free_resolution_ext_matches_minimal():
 
 def test_free_resolution_seed_determinism():
     A = trunc_poly(3, 2)
-    r1 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
-    r2 = free_resolution(A, AModule.trivial(A), s_max=3, seed=7)
+    r1 = greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
+    r2 = greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
     assert [st.rank for st in r1.stages] == [st.rank for st in r2.stages]
     assert [m.images for m in r1.maps] == [m.images for m in r2.maps]
 
@@ -649,7 +721,7 @@ def test_mixed_sign_ext_tables_in_clipped_windows(window):
         == [(s, t, n) for s, t, n in MIXED_SIGN_EXT if lo <= t <= hi]
     # the greedy route agrees below its top stage
     k, key = AModule.trivial(A), A.base.degree_key
-    assert table.by_slice(key, 3) == derived_hom(k, k, window, 4).by_slice(key, 3)
+    assert table.by_slice(key, 3) == greedy_ext(k, window, 4).by_slice(key, 3)
 
 
 @st.composite
@@ -671,7 +743,7 @@ def test_a_window_only_selects_the_reported_rows(case, seed):
     assert table.entries == {(s, t): p for (s, t), p in wide.entries.items()
                              if A.base.laurent or lo <= t <= hi}
     k, key = AModule.trivial(A), A.base.degree_key
-    greedy = derived_hom(k, k, (lo, hi), s_max, seed)
+    greedy = greedy_ext(k, (lo, hi), s_max, seed)
     assert table.by_slice(key, s_max - 1) == greedy.by_slice(key, s_max - 1)
 
 
@@ -865,7 +937,7 @@ def test_minimal_and_greedy_ext_agree(A, seed, window):
     s_max = 4
     k = AModule.trivial(A)
     minimal = ext_table(A, s_max, window)
-    greedy = derived_hom(k, k, window, s_max, seed)
+    greedy = greedy_ext(k, window, s_max, seed)
     key = A.base.degree_key
     assert minimal.by_slice(key, s_max - 1) == greedy.by_slice(key, s_max - 1)
 
@@ -878,7 +950,7 @@ def test_greedy_resolution_is_exact_in_a_clipped_window(w):
     A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3)))
     k = AModule.trivial(A)
     s_max, window = 6, (-w, w)
-    res = free_resolution(A, k, s_max)
+    res = greedy_resolution(A, k, s_max)
     resolve._audit(res)
     key = A.base.degree_key
     want = {(s, -s): (comb(s + 2, 2), ()) for s in range(min(w, s_max - 1) + 1)}
@@ -898,9 +970,94 @@ def test_greedy_resolution_applies_few_actions(monkeypatch):
 
     A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3)))
     monkeypatch.setattr(HomogeneousMap, "apply_coords", counting)
-    res = free_resolution(A, AModule.trivial(A), s_max=6, seed=1)
+    res = greedy_resolution(A, AModule.trivial(A), s_max=6, seed=1)
     assert [F.rank for F in res.stages] == [1, 3, 6, 10, 15, 21, 28]
     assert len(calls) <= 2000
+
+
+# -- free_resolution over a local algebra: the minimal chooser ---------------------
+
+def regular_plus_shifted_trivial(A, shift):
+    """A + k[shift], a module that needs two generators, in degrees 0 and shift."""
+    n, one = A.rank, A.base.ground.one
+    M = GradedFreeModule(A.base, A.monomials + (("k", shift),))
+    action = {}
+    for m in range(n):
+        entries = dict(A.left_mult(m).entries)
+        if m == A.unit_index:
+            entries[(n, n)] = one
+        action[m] = HomogeneousMap(M, M, A.degree(m), entries)
+    return AModule(A, M, action)
+
+
+def check_the_local_route(A, seed):
+    """free_resolution of the trivial, regular and A + k[1] modules of a local A:
+    minimal, exact, and with the greedy resolution's Ext(M, k) below the top."""
+    resolve._augmentation_checks(A)
+    s_max, window, key = 4, (-64, 64), A.base.degree_key
+    k = AModule.trivial(A)
+    for M in (k, AModule.regular(A), regular_plus_shifted_trivial(A, 1)):
+        res = free_resolution(A, M, s_max, seed)
+        assert not any(idx % A.rank == A.unit_index
+                       for d in res.maps for image in d.images for idx in image)
+        resolve._audit(res)
+        ext = ext_with_coefficients(res, k, window)
+        greedy = greedy_resolution(A, M, s_max, seed)
+        assert (ext.by_slice(key, s_max - 1)
+                == ext_with_coefficients(greedy, k, window).by_slice(key, s_max - 1))
+        # minimal: one Ext class per generator, and no stage larger than the greedy one's
+        ranks = [F.rank for F in res.stages]
+        assert [sum(p.free_rank for (s, _), p in ext.entries.items() if s == row)
+                 for row in range(s_max)] == ranks[:s_max]
+        assert all(a <= b for a, b in zip(ranks, (F.rank for F in greedy.stages)))
+    assert res.stages[0].rank == 2
+
+
+@settings(max_examples=12, deadline=None)
+@given(A=small_algebras(), seed=st.integers(0, 7))
+def test_free_resolution_over_a_drawn_local_algebra_is_minimal(A, seed):
+    check_the_local_route(A, seed)
+
+
+@pytest.mark.parametrize("A", seeded_span_cases(41, 12))
+def test_free_resolution_over_a_seeded_local_algebra_is_minimal(A):
+    check_the_local_route(A, 3)
+
+
+@pytest.mark.parametrize("A", [pytest.param(exterior(BaseRing(F3), (("x", -1), ("y", 2))),
+                                            id="lam(x, y)/F3"),
+                               pytest.param(lam_tau(), id="lam(t)/F2[v^±1]")])
+def test_free_resolution_over_a_local_algebra_never_calls_the_greedy_chooser(A, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the greedy chooser ran over a local algebra")
+
+    monkeypatch.setattr(resolve, "_greedy_generators", refuse)
+    for M in (AModule.trivial(A), AModule.regular(A), regular_plus_shifted_trivial(A, 1)):
+        assert free_resolution(A, M, 3, seed=5).maps
+    with pytest.raises(AssertionError, match="greedy chooser ran"):
+        greedy_resolution(A, AModule.trivial(A), 3, seed=5)
+
+
+def etale_R_trivial():
+    R = corpus_algebra("etale.def", "R")
+    return AModule.trivial(R)
+
+
+@pytest.mark.parametrize("module", [
+    pytest.param(m2_f3_bimodule, id="M2(F3) over A^e"),
+    pytest.param(etale_R_trivial, id="etale R trivial"),
+    pytest.param(lambda: AModule.regular(corpus_algebra("etale.def", "R")), id="etale R regular"),
+])
+def test_free_resolution_off_a_local_algebra_is_the_seeded_greedy_one(module):
+    M = module()
+    A = M.algebra
+    with pytest.raises(ResolutionError):
+        resolve._augmentation_checks(A)
+    runs = [free_resolution(A, M, 3, seed=7) for _ in range(2)]
+    runs.append(greedy_resolution(A, M, 3, seed=7))
+    assert len({tuple(F.gen_degrees for F in r.stages) for r in runs}) == 1
+    assert runs[0].maps[0].images == runs[1].maps[0].images == runs[2].maps[0].images
+    assert [d.images for d in runs[0].maps] == [d.images for d in runs[2].maps]
 
 
 def test_derived_hom_refuses_a_resolution_without_a_stage_past_degree_zero():
