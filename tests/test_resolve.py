@@ -272,14 +272,10 @@ def test_free_resolution_of_regular_module():
     assert [st.rank for st in res.stages] == [1, 0, 0, 0]
 
 
-def greedy_resolution(A, M, s_max, seed=0):
-    """The seeded greedy resolution, the minimal route's independent cross-check."""
-    return resolve._greedy_resolution(A, M, s_max, seed)
-
-
 def greedy_ext(k, window, s_max, seed=0):
-    """Ext(k, k) off the greedy resolution, as derived_hom reads a resolution."""
-    return ext_with_coefficients(greedy_resolution(k.algebra, k, s_max, seed), k, window)
+    """Ext(k, k) off the seeded greedy resolution, the minimal route's
+    independent cross-check, read as derived_hom reads a resolution."""
+    return ext_with_coefficients(resolve._greedy_resolution(k.algebra, k, s_max, seed), k, window)
 
 
 def test_free_resolution_ext_matches_minimal():
@@ -287,7 +283,7 @@ def test_free_resolution_ext_matches_minimal():
         window = (-16, 40)
         s_max = 4
         mini = ext_table(A, s_max=s_max, t_window=window)
-        res = greedy_resolution(A, AModule.trivial(A), s_max=s_max)
+        res = resolve._greedy_resolution(A, AModule.trivial(A), s_max, 0)
         via = ext_with_coefficients(res, AModule.trivial(A), window)
         for (s, t), p in via.entries.items():
             key = t % 2 if A.base.laurent else t
@@ -304,8 +300,8 @@ def test_free_resolution_ext_matches_minimal():
 
 def test_free_resolution_seed_determinism():
     A = trunc_poly(3, 2)
-    r1 = greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
-    r2 = greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
+    r1 = resolve._greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
+    r2 = resolve._greedy_resolution(A, AModule.trivial(A), s_max=3, seed=7)
     assert [st.rank for st in r1.stages] == [st.rank for st in r2.stages]
     assert [m.images for m in r1.maps] == [m.images for m in r2.maps]
 
@@ -950,7 +946,7 @@ def test_greedy_resolution_is_exact_in_a_clipped_window(w):
     A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3)))
     k = AModule.trivial(A)
     s_max, window = 6, (-w, w)
-    res = greedy_resolution(A, k, s_max)
+    res = resolve._greedy_resolution(A, k, s_max, 0)
     resolve._audit(res)
     key = A.base.degree_key
     want = {(s, -s): (comb(s + 2, 2), ()) for s in range(min(w, s_max - 1) + 1)}
@@ -970,7 +966,7 @@ def test_greedy_resolution_applies_few_actions(monkeypatch):
 
     A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3)))
     monkeypatch.setattr(HomogeneousMap, "apply_coords", counting)
-    res = greedy_resolution(A, AModule.trivial(A), s_max=6, seed=1)
+    res = resolve._greedy_resolution(A, AModule.trivial(A), s_max=6, seed=1)
     assert [F.rank for F in res.stages] == [1, 3, 6, 10, 15, 21, 28]
     assert len(calls) <= 2000
 
@@ -1002,7 +998,7 @@ def check_the_local_route(A, seed):
                        for d in res.maps for image in d.images for idx in image)
         resolve._audit(res)
         ext = ext_with_coefficients(res, k, window)
-        greedy = greedy_resolution(A, M, s_max, seed)
+        greedy = resolve._greedy_resolution(A, M, s_max, seed)
         assert (ext.by_slice(key, s_max - 1)
                 == ext_with_coefficients(greedy, k, window).by_slice(key, s_max - 1))
         # minimal: one Ext class per generator, and no stage larger than the greedy one's
@@ -1035,7 +1031,7 @@ def test_free_resolution_over_a_local_algebra_never_calls_the_greedy_chooser(A, 
     for M in (AModule.trivial(A), AModule.regular(A), regular_plus_shifted_trivial(A, 1)):
         assert free_resolution(A, M, 3, seed=5).maps
     with pytest.raises(AssertionError, match="greedy chooser ran"):
-        greedy_resolution(A, AModule.trivial(A), 3, seed=5)
+        resolve._greedy_resolution(A, AModule.trivial(A), 3, seed=5)
 
 
 def etale_R_trivial():
@@ -1054,7 +1050,7 @@ def test_free_resolution_off_a_local_algebra_is_the_seeded_greedy_one(module):
     with pytest.raises(ResolutionError):
         resolve._augmentation_checks(A)
     runs = [free_resolution(A, M, 3, seed=7) for _ in range(2)]
-    runs.append(greedy_resolution(A, M, 3, seed=7))
+    runs.append(resolve._greedy_resolution(A, M, 3, seed=7))
     assert len({tuple(F.gen_degrees for F in r.stages) for r in runs}) == 1
     assert runs[0].maps[0].images == runs[1].maps[0].images == runs[2].maps[0].images
     assert [d.images for d in runs[0].maps] == [d.images for d in runs[2].maps]
