@@ -163,26 +163,33 @@ def collapsed_ranks(table: BigradedTable) -> dict:
     return {d: r for d, r in out.items() if r}
 
 
-def degree_ranks(module: GradedFreeModule, lo=None, hi=None) -> dict:
+def degree_ranks(module: GradedFreeModule) -> dict:
     out = {}
     for d in module.degrees:
-        if (lo is None or d >= lo) and (hi is None or d <= hi):
-            out[d] = out.get(d, 0) + 1
+        out[d] = out.get(d, 0) + 1
     return out
+
+
+def _ranks_agree(got: dict, want: dict, compare, what: str) -> bool:
+    """Whether two degree-rank dicts agree over the range compare.  A range
+    missing every degree of both sides compares nothing and is
+    BudgetExceededError, unless both sides are zero: they agree everywhere."""
+    lo, hi = compare
+    got_in, want_in = ({d: r for d, r in ranks.items() if lo <= d <= hi} for ranks in (got, want))
+    if (got or want) and not got_in and not want_in:
+        raise BudgetExceededError(f"no degree of {what} lies in {lo}..{hi}")
+    return got_in == want_in
 
 
 def completion_matches(table: BigradedTable, M: GradedFreeModule, compare) -> bool:
     """Whether a completion table of M has M's collapsed degree ranks: the
     in-window test that the canonical map M -> G(F(M)) is an equivalence.
 
-    Compared over the explicit range `compare`; nothing is claimed outside
-    it, and a range with no degree on either side is BudgetExceededError.
+    Compared over the explicit range `compare` by _ranks_agree; nothing is
+    claimed outside it.
     """
-    lo, hi = compare
-    got = {d: r for d, r in collapsed_ranks(table).items() if lo <= d <= hi}
-    if not (want := degree_ranks(M, lo, hi)) and not got:
-        raise BudgetExceededError(f"no degree of the module or its table lies in {lo}..{hi}")
-    return got == want
+    return _ranks_agree(collapsed_ranks(table), degree_ranks(M), compare,
+                        "the module or its table")
 
 
 # ---------------------------------------------------------------------------
@@ -302,14 +309,10 @@ def plain_hom_A(ctx: MoritaContext, Y: AModule) -> AModule:
 def roundtrip_FG(ctx: MoritaContext, Y: AModule,
                  compare=(-16, 16)) -> bool:
     """Whether F(G(Y)) has the same degree ranks as Y (semisimple A) over the
-    range compare; BudgetExceededError if the range misses every degree of both,
-    which compares nothing unless both are zero."""
+    range compare, by _ranks_agree."""
     FW = functor_F(ctx, plain_hom_A(ctx, Y))
-    lo, hi = compare
-    got, want = degree_ranks(FW.module, lo, hi), degree_ranks(Y.module, lo, hi)
-    if not got and not want and (FW.module.rank or Y.module.rank):
-        raise BudgetExceededError(f"no degree of Y or F(G(Y)) lies in {lo}..{hi}")
-    return got == want
+    return _ranks_agree(degree_ranks(FW.module), degree_ranks(Y.module), compare,
+                        "Y or F(G(Y))")
 
 
 def _unit(FX: AModule, GFX: AModule) -> HomogeneousMap:

@@ -258,31 +258,31 @@ def _augmentation_checks(A: GradedAlgebra):
     ideal.  Both tests multiply by the generating monomials s alone: along
     A.generation_steps(), e_m . I = c^-1 s . (e_k . I) lies in I when every s . I
     does, from e_unit . I = I on; and I^{k+1} = I . I^k is the sum of the s . I^k,
-    as e_m x = c^-1 s (e_k x) with e_k x in I^k.
-
-    A tensor product A (x) B is decided on its factors, both "augmented" tests
-    first, so the message is the direct check's.  I is the kernel of the unit
-    coordinate, and (s (x) 1)(a (x) b) has one only if b = 1 and s a has one
-    (likewise 1 (x) t).  Then I = I_A (x) B + A (x) I_B meets A (x) 1 in I_A (x) 1,
-    and if I_A^p = I_B^q = 0, a product of p + q - 1 elements of I sorts, the
-    factors graded-commuting, into one with p in I_A or q in I_B: so I is
-    nilpotent exactly when I_A and I_B are.
-    """
-    factors = getattr(A, "_factors", (A,))  # a tensor's (see algebra._TensorAlgebra)
-    for F in factors:
-        if any(F.unit_index in F.mul_basis(s, j) for s in F.generating_monomials
-               for j in range(F.rank) if j != F.unit_index):
-            raise ResolutionError(
-                "algebra is not augmented: product of ideal elements hits the unit")
-    for F in factors:
-        g = F.base.ground
-        current = [{m: g.one} for m in range(F.rank) if m != F.unit_index]
-        for _ in range(F.rank + 1):  # a spanning set of each power of I in turn
-            step = Echelon(g)
-            current = [y for x in current for s in F.generating_monomials
-                       if (y := F.mul_coords({s: g.one}, x)) and step.add(y)]
-        if current:
-            raise ResolutionError("augmentation ideal is not nilpotent")
+    as e_m x = c^-1 s (e_k x) with e_k x in I^k."""
+    g = A.base.ground
+    u = A.unit_index
+    nonunit = [m for m in range(A.rank) if m != u]
+    for s in A.generating_monomials:
+        for j in nonunit:
+            if u in A.mul_basis(s, j):
+                raise ResolutionError(
+                    "algebra is not augmented: product of ideal elements hits the unit"
+                )
+    # nilpotency of the augmentation ideal
+    current = [{m: g.one} for m in nonunit]
+    for _ in range(A.rank + 1):
+        if not current:
+            return
+        nxt = []
+        step = Echelon(g)
+        for x in current:
+            for s in A.generating_monomials:
+                y = A.mul_coords({s: g.one}, x)
+                if y and step.add(y):
+                    nxt.append(y)
+        current = nxt
+    if current:
+        raise ResolutionError("augmentation ideal is not nilpotent")
 
 
 def minimal_resolution(A: GradedAlgebra, s_max: int = 8) -> Resolution:

@@ -258,6 +258,21 @@ def test_roundtrip_fg_refuses_a_range_that_misses_every_degree():
                         (5, 9))
 
 
+def test_completion_matches_takes_the_round_trip_rule_on_an_empty_range():
+    # one rule for both verdicts: the zero module's completion is the empty
+    # table, which agrees with it in every degree; a nonzero module over a
+    # range missing all its degrees compares nothing
+    ctx = etale_ctx()
+    Z = AModule(opposite(ctx.R), GradedFreeModule(ctx.R.base, ()), {}, check=False)
+    table = completion(ctx, Z)
+    assert not table.entries
+    assert completion_matches(table, Z.module, (-16, 16))
+    X = AModule.regular(opposite(ctx.R))
+    with pytest.raises(BudgetExceededError, match=r"^no degree of the module or its table lies "
+                       r"in 5\.\.9$"):
+        completion_matches(completion(ctx, X), X.module, (5, 9))
+
+
 def test_plain_hom_requires_semisimple():
     ctx = ctx_ex2()  # A is a truncated polynomial algebra, not semisimple
     with pytest.raises(ValueError):

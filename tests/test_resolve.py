@@ -1,7 +1,5 @@
 import itertools
 import random
-import time
-from collections import Counter
 from math import comb
 
 import pytest
@@ -140,66 +138,6 @@ def test_augmentation_checks_multiply_by_the_generators_alone(monkeypatch):
     for refused, message in ((sigma1(), "not nilpotent"), (b2(), "not augmented")):
         with pytest.raises(ResolutionError, match=message):
             resolve._augmentation_checks(tensor(refused, opposite(refused)))
-
-
-def direct_augmentation_checks(A):
-    """The oracle: _augmentation_checks on A's own products, a tensor product's too."""
-    g, u = A.base.ground, A.unit_index
-    nonunit = [m for m in range(A.rank) if m != u]
-    if any(u in A.mul_basis(s, j) for s in A.generating_monomials for j in nonunit):
-        raise ResolutionError("algebra is not augmented: product of ideal elements hits the unit")
-    current = [{m: g.one} for m in nonunit]
-    for _ in range(A.rank + 1):
-        step = Echelon(g)
-        current = [y for x in current for s in A.generating_monomials
-                   if (y := A.mul_coords({s: g.one}, x)) and step.add(y)]
-    if current:
-        raise ResolutionError("augmentation ideal is not nilpotent")
-
-
-def augmentation_verdict(check, A):
-    try:
-        check(A)
-    except ResolutionError as e:
-        return str(e)
-    return None
-
-
-CORPUS_FIELD_ALGEBRAS = [("exterior1.def", "lam_x"), ("ku2.def", "lam_tau"), ("etale.def", "A"),
-                         ("ku2.def", "B2"), ("etale.def", "R"), ("k1k1_trunc.def", "sigma_1"),
-                         ("k1k1_trunc.def", "sigma_2"), ("k1k1_trunc.def", "k1k1op_1"),
-                         ("k1k1_trunc.def", "k1k1op_2"), ("matrix.def", "M2_F3"),
-                         ("matrix.def", "M2_F5"), ("exterior_n.def", "lam_2"),
-                         ("exterior_n.def", "lam_3")]
-
-
-def test_a_tensor_product_is_decided_on_its_factors_as_the_direct_check_decides():
-    # every pair of corpus algebras up to rank 16 over one base, with the
-    # second factor as it is and opposite; A (x) B's products are read by
-    # the oracle alone
-    algebras = [corpus_algebra(*name) for name in CORPUS_FIELD_ALGEBRAS]
-    verdicts = Counter()
-    for A, B in itertools.product(algebras, repeat=2):
-        if A.base != B.base or A.rank * B.rank > 16:
-            continue
-        for factor in (B, opposite(B)):
-            T = tensor(A, factor)
-            got = augmentation_verdict(resolve._augmentation_checks, T)
-            assert "mult" not in vars(T) and not T._slots
-            assert got == augmentation_verdict(direct_augmentation_checks, T)
-            verdicts[got] += 1
-    assert verdicts == {None: 28, "algebra is not augmented: product of ideal elements hits "
-                        "the unit": 38, "augmentation ideal is not nilpotent": 48}
-
-
-def test_the_enveloping_algebra_of_k1k1op_2_is_refused_on_its_factors():
-    # the direct check multiplies out rank 256 and takes seconds
-    A = corpus_algebra("k1k1_trunc.def", "k1k1op_2")
-    Ae = tensor(A, opposite(A))
-    start = time.perf_counter()
-    with pytest.raises(ResolutionError, match="^augmentation ideal is not nilpotent$"):
-        resolve._augmentation_checks(Ae)
-    assert time.perf_counter() - start < 0.1
 
 
 # -- ext tables ---------------------------------------------------------------
