@@ -155,12 +155,11 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
 def _set_cochains(cx, A: GradedAlgebra, M: AModule, n_terms: int, resolution, name: str):
     """Set cx.completed = n_terms - 2 and cx.terms, cx.deltas = hom_cochains(resolution(), M).
 
-    M must be a bimodule.  The resolution has n_terms terms, one past the
-    top reported degree so that degree has its outgoing differential;
-    d^2 = 0 is asserted.
+    M must be a bimodule, a module over tensor(A, opposite(A)), which
+    hochschild_cohomology checks.  The resolution has n_terms terms, one
+    past the top reported degree so that degree has its outgoing
+    differential; d^2 = 0 is asserted.
     """
-    if M.algebra.rank != A.rank ** 2:
-        raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
     cx.completed = n_terms - 2
     if cx.completed < 0:
         raise BudgetExceededError("budget too small for any cochain degree")
@@ -403,6 +402,8 @@ def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
     R = regular_bimodule(A)
     if M is None:
         M = R
+    elif M.algebra != R.algebra:  # equality compares the tables, not the ranks
+        raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
     words, top = monomial_words(A), n_max
     if words is not None:
         cochains = BardzellCochainComplex(A, M, words, n_max, budget)

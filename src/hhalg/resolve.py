@@ -29,9 +29,11 @@ builders differ only in how they choose each cover's generators:
     it is checked minimal, and exact from its cover on by _audit.
   * free_resolution: any finite module, by _minimal_generators too over a
     local algebra, and otherwise by _greedy_resolution, the seeded
-    _greedy_generators, which keep stage ranks small; Ext and completion
-    data are then the cohomology of the dualized complex.  The greedy
-    route is also the minimal one's cross-check (ext_base_change, tests).
+    _greedy_generators: each round the candidate, a vector or a random
+    combination, whose A-orbit adds the most to the span; this keeps stage
+    ranks small, and Ext and completion data are then the cohomology of
+    the dualized complex.  The greedy route is also the minimal one's
+    cross-check (ext_base_change, tests).
 
 A window is not a parameter of a resolution: a stage is a finite free module
 over a finite-dimensional algebra, with finitely many slices, and the tables
@@ -58,7 +60,7 @@ class ResolutionError(ValueError):
     pass
 
 
-# random in-slice combinations tried per slice and round of the greedy choice
+# random combinations tried per degree and round of the greedy choice
 GREEDY_TRIALS = 6
 
 
@@ -350,111 +352,56 @@ def _greedy_resolution(A: GradedAlgebra, M: AModule, s_max: int, seed: int) -> R
 
 
 def _greedy_generators(A: GradedAlgebra, target, vectors, rng):
-    """Pick generators whose A-spans fill the span of the given vectors.
+    """Pick generators whose A-spans fill K, the span of the given vectors.
 
     The vectors must be linearly independent and span K, an A-submodule:
-    `_resolve` passes a module's generators or `_flat_kernel`'s per-slice
-    kernel bases on every slice of a stage.  An orbit's parts in slices
-    holding no input vector lie in K there, so they are zero and are not
-    computed, and the span is counted slice by slice: the loop ends when
-    every slice holds as many span rows as input vectors.  A dependent
-    input never fills its slice and ends in "generator selection stalled".
-
-    Candidates are, per degree, the first vector not yet in the span plus
-    GREEDY_TRIALS seeded random combinations of those not in it; each round
-    keeps the first candidate adding the largest A-span, which keeps stage
-    ranks near-minimal in practice.  The work is done on normal forms modulo
-    the span, each vector reduced once per round.  This is exact:
-
-      (a) a reduced echelon's normal form is the unique vector of v + span
-          zero at every pivot, so reducing last round's residue gives this
-          round's, and reduce only visits the new pivots in its support;
-      (b) the span is a sum of A-orbits, a graded A-submodule, so the
-          orbit of v modulo it is the orbit of v's residue;
-      (c) the residue of a combination is the same combination of residues:
-          the coefficients are drawn as for the vectors, and the combination
-          of the vectors themselves is built for the winner only (a zero
-          combination adds nothing, while the first candidate adds at
-          least its own residue, so a zero combination cannot win);
-      (d) a subspace has one reduced echelon, so adding the winner's orbit
-          residues gives the rows its raw orbit would;
-      (e) a degree-d residue's orbit lies in the slices t = key(d + |m|),
-          inside K_t, so it adds at most sum_t min(#{m landing in t},
-          dim K_t - span rows in t); a candidate whose bound is at most the
-          best gain so far cannot be the first with the largest gain, and
-          is skipped (its coefficients are drawn all the same, so the rng
-          ends where it would).  Orbit parts in full slices are zero and
-          are not computed.
+    `_resolve` passes a module's generators or a stage kernel, whole.  Each
+    round the candidates are, per degree, the first vector not yet in the
+    span plus GREEDY_TRIALS seeded random combinations of those not in it,
+    and the first candidate adding the largest A-span wins, which keeps
+    stage ranks near-minimal in practice.  The span grows inside K, so no
+    candidate adds more than the room left, len(vectors) - span rank: the
+    first to add that much wins, and the search stops there (every
+    candidate's coefficients are drawn all the same, so the rng ends where
+    it would).  A dependent input never fills its room and ends in
+    "generator selection stalled".
     """
     g = A.base.ground
-    key = A.base.degree_key
-    room = {}  # slice key -> input vectors there minus span rows there
-    by_deg = {}  # degree -> [(vector, residue)] for the vectors not in the span
+    n = g.p if g.kind == "Fp" else 2  # coefficients are drawn below n
+    by_deg = {}  # degree -> the vectors not yet in the span
     for deg, vec in sorted(vectors, key=lambda t: (t[0], sorted(t[1]))):
-        by_deg.setdefault(deg, []).append((vec, vec))
-        room[key(deg)] = room.get(key(deg), 0) + 1
-    # per degree, the orbit's (slice, monomial) pairs that land on input
-    # slices, and how many land on each
-    lands = {deg: [(t, m) for m in range(A.rank)
-                   if (t := key(deg + A.degree(m))) in room] for deg in by_deg}
-    landing = {deg: Counter(t for t, _ in pairs) for deg, pairs in lands.items()}
-    # coefficients are drawn below n as randrange(n) draws them, by
-    # getrandbits(n.bit_length()) until one falls below n: the same stream,
-    # without randrange's calls per draw (randint(0, 1) is randrange(2))
-    n = g.p if g.kind == "Fp" else 2
-    bits, draw = n.bit_length(), rng.getrandbits
+        by_deg.setdefault(deg, []).append(vec)
     span = Echelon(g)
     chosen = []
-    while any(room.values()):
-        candidates = []  # (degree, live pairs, coefficients or None)
-        bound = {}  # degree -> the most rank a residue of that degree adds, (e)
-        for deg, pairs in by_deg.items():
-            pairs = by_deg[deg] = [(v, r) for v, r in
-                                   ((v, span.reduce(r)) for v, r in pairs) if r]
-            if pairs:
-                candidates.append((deg, pairs, None))
-                bound[deg] = sum(min(n, room[t]) for t, n in landing[deg].items())
-        for deg, pairs in by_deg.items():
-            if len(pairs) > 1:
+    while room := len(vectors) - span.rank:
+        by_deg = {deg: live for deg, vecs in by_deg.items()
+                  if (live := [v for v in vecs if span.reduce(v)])}
+        candidates = [vecs[0] for vecs in by_deg.values()]
+        for vecs in by_deg.values():
+            if len(vecs) > 1:
                 for _ in range(GREEDY_TRIALS):
-                    cs = []
-                    for _ in pairs:
-                        c = draw(bits)
-                        while c >= n:
-                            c = draw(bits)
-                        cs.append(c)
-                    candidates.append((deg, pairs, cs))
+                    combo = {}
+                    for v in vecs:
+                        if c := rng.randrange(n):
+                            for i, x in v.items():
+                                combo[i] = combo.get(i, 0) + c * x
+                    candidates.append(g.canonical(combo))
         best = None
-        for deg, pairs, cs in candidates:
-            if best is not None and bound[deg] <= best[0]:
-                continue
-            residue = pairs[0][1] if cs is None else _combination(g, [r for _, r in pairs], cs)
-            # the orbit's residues on slices not yet full, and the rank they add
-            orbit = [(t, span.reduce(target.act(m, residue)))
-                     for t, m in lands[deg] if room[t]]
+        for vec in candidates:
+            orbit = [span.reduce(target.act(m, vec)) for m in range(A.rank)]
             fresh = Echelon(g)
-            gained = sum(fresh.add(w) for _, w in orbit)
+            gained = sum(fresh.add(w) for w in orbit)
             if best is None or gained > best[0]:
-                best = (gained, orbit, pairs, cs)
+                best = (gained, vec, orbit)
+                if gained == room:
+                    break
         if best is None:
             raise ResolutionError("generator selection stalled")
-        _, orbit, pairs, cs = best
-        for t, w in orbit:
-            room[t] -= span.add(w)
-        vec = pairs[0][0] if cs is None else _combination(g, [v for v, _ in pairs], cs)
-        gen_deg = min(target.module.generators[i][1] for i in vec)
-        chosen.append((gen_deg, vec))
+        _, vec, orbit = best
+        for w in orbit:
+            span.add(w)
+        chosen.append((min(target.module.generators[i][1] for i in vec), vec))
     return chosen
-
-
-def _combination(g, vecs, coeffs) -> dict:
-    """sum c * v over the vectors, reduced once at the end."""
-    out = {}
-    for v, c in zip(vecs, coeffs):
-        if c:
-            for i, x in v.items():
-                out[i] = out.get(i, 0) + c * x
-    return g.canonical(out)
 
 
 def _audit(res: Resolution):

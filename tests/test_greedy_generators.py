@@ -1,21 +1,21 @@
-"""The greedy stage choice against its oracle, the re-reducing version.
+"""The greedy stage choice against its oracle, the materializing version.
 
-resolve._greedy_generators works on normal forms modulo the span it has
-built: each vector's residue is kept across rounds, orbits are taken of
-residues, and a random combination's raw vector is built for the winner
-only.  It skips a candidate whose bound on the gain (monomials landing in
-each slice, capped by the room left there) cannot beat the best gain so
-far, and it keeps only the orbit parts on slices that hold input vectors.
-greedy_generators_oracle below is the implementation before all of this:
-it reduces every vector against the whole span in every round, takes every
-orbit of a raw vector whole and stops when the span's rank reaches the
-input's.  The two agree where no orbit leaves the input slices, which
-holds because the resolution loop hands the chooser whole submodules, and
-test_the_oracle_cases_keep_every_orbit_on_input_slices asserts it for the
-cases here.  On every call that resolve._greedy_resolution makes (the
-cover and each kernel stage), directly or through free_resolution over a
-non-local algebra, both must choose the same generators and leave the seeded
-rng in the same state.
+resolve._greedy_generators and greedy_generators_oracle below run the same
+rounds: per degree, the first vector not yet in the span plus GREEDY_TRIALS
+seeded combinations of those not in it, and the first candidate adding the
+largest A-span wins.  They differ in two ways alone.  The oracle builds every
+monomial's act map on the target and applies it, where the chooser calls
+target.act; and the oracle tries every candidate, where the chooser stops at
+the first whose gain equals the room left (input vectors minus span rank).
+That stop is exact because the resolution loop hands the chooser whole
+submodules, so no orbit leaves the input's span and no gain exceeds the
+room; test_the_oracle_cases_keep_every_orbit_on_input_slices checks that the
+orbits stay on the input slices for the cases here.  The cases cover every
+production caller of resolve._greedy_resolution, directly or through
+free_resolution over a non-local algebra: the enveloping algebras of M2(F3)
+and M2(F5) (hochschild_via_enveloping) and etale's R (morita --check
+torsion).  On every call (the cover and each kernel stage) both must choose
+the same generators and leave the seeded rng in the same state.
 """
 
 import random
@@ -28,6 +28,7 @@ from hhalg.base import BaseRing, LaurentGenerator
 from hhalg.ground import GroundRing
 from hhalg.linalg import Echelon
 from hhalg.resolve import GREEDY_TRIALS, AModule, ResolutionError
+from test_monomial_hh import corpus_algebra
 from test_resolve import act_map_oracle
 
 QQ = GroundRing.rationals()
@@ -42,7 +43,7 @@ def greedy_generators_oracle(A, target, vectors, rng):
     """Pick generators whose A-spans fill the span of the given vectors.
 
     Candidates are the vectors themselves plus GREEDY_TRIALS seeded random
-    combinations per slice; each round keeps the candidate adding the largest
+    combinations per degree; each round keeps the candidate adding the largest
     A-span, which keeps stage ranks near-minimal in practice.
     """
     g = A.base.ground
@@ -136,9 +137,9 @@ def _regular(A, s_max, seed):
 
 
 # every other case has a degree with several vectors outside the span, so
-# random combinations draw from the rng (randint over Q); these two have one
-# kernel vector per slice
-SINGLE = {"F3[y]/y^3 trivial", "lam(t)/F2[v^±1] trivial"}
+# random combinations draw from the rng (randint over Q); these have one
+# vector per slice
+SINGLE = {"F3[y]/y^3 trivial", "lam(t)/F2[v^±1] trivial", "etale R trivial"}
 CASES = {
     "lam3/F3 trivial": lambda seed: _trivial(exterior(BaseRing(F3), 3), 5, seed),
     "lam4/F3 trivial": lambda seed: _trivial(exterior(BaseRing(F3), 4), 3, seed),
@@ -147,6 +148,10 @@ CASES = {
     "lam2/F3 regular": lambda seed: _regular(exterior(BaseRing(F3), 2), 3, seed),
     "lam2/Q trivial": lambda seed: _trivial(exterior(BaseRing(QQ), 2), 4, seed),
     "M2(F3) enveloping": lambda seed: hochschild.hochschild_via_enveloping(m2_f3(), 2, seed=seed),
+    "M2(F5) enveloping": lambda seed: hochschild.hochschild_via_enveloping(
+        corpus_algebra("matrix.def", "M2_F5"), 2, seed=seed),
+    "etale R trivial": lambda seed: _trivial(corpus_algebra("etale.def", "R"), 4, seed),
+    "etale R regular": lambda seed: _regular(corpus_algebra("etale.def", "R"), 3, seed),
 }
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhalg import algebra, base, hochschild
-from hhalg.algebra import AlgebraPresentation, center, endomorphism_algebra, opposite, realize
+from hhalg.algebra import (AlgebraPresentation, GradedAlgebra, center, endomorphism_algebra,
+                           opposite, realize, tensor)
 from hhalg.base import (
     BaseRing,
     GradedFreeModule,
@@ -178,6 +179,39 @@ def test_hh_rejects_a_one_sided_module():
     A = dual_numbers_f3()
     with pytest.raises(ValueError, match="must be a bimodule"):
         hochschild_cohomology(A, AModule.regular(A))
+
+
+def test_hh_refuses_a_module_over_another_algebra_of_the_bimodule_rank():
+    # both algebras have rank (rank A)^2, so a rank test lets them through:
+    # M2(F3) (x) M2(F3) is not M2(F3) (x) M2(F3)^op as a table, and F3[t]/t^2
+    # with a module over M2(F3) ended in a failed d^2 = 0 check
+    A = m2_f3()
+    with pytest.raises(ValueError, match="must be a bimodule"):
+        hochschild_cohomology(A, AModule.regular(tensor(A, A)))
+    with pytest.raises(ValueError, match="must be a bimodule"):
+        hochschild_cohomology(dual_numbers_f3(), AModule.regular(A))
+
+
+def test_hh_takes_a_bimodule_over_an_equal_table():
+    # Λ(x1, x2) is graded-commutative, so A (x) A and A (x) A^op have one table
+    A = lam_2_f3()
+    M = AModule(tensor(A, A), A.module, regular_bimodule(A).action)
+    assert hochschild_cohomology(A, M, n_max=2) == hochschild_cohomology(A, n_max=2)
+
+
+def test_hh_on_its_default_module_compares_no_algebra_tables(monkeypatch):
+    compared = []
+    real = GradedAlgebra.__eq__
+
+    def eq(self, other):
+        if self is not other:
+            compared.append((self, other))
+        return real(self, other)
+
+    monkeypatch.setattr(GradedAlgebra, "__eq__", eq)
+    for A in (lam_2_f3(), m2_f3(), dual_numbers_f3()):
+        hochschild_cohomology(A, n_max=2)
+    assert compared == []
 
 
 def test_hh_budget_reports_completed_range():

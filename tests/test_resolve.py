@@ -11,8 +11,8 @@ from hhalg.algebra import (AlgebraPresentation, BudgetExceededError, GradedAlgeb
                            realize, tensor)
 from hhalg.base import BaseRing, GradedFreeModule, HomogeneousMap, LaurentGenerator
 from hhalg.ground import ZZ, GroundRing
-from hhalg.hochschild import (anick_chains, bar_resolution, bardzell_resolution, monomial_words,
-                               regular_bimodule)
+from hhalg.hochschild import (anick_chains, bar_resolution, bardzell_resolution,
+                               hochschild_via_enveloping, monomial_words, regular_bimodule)
 from hhalg.linalg import Echelon, SmithForm
 from hhalg.resolve import (
     AModule,
@@ -696,12 +696,16 @@ def former_flatten(d):
     return HomogeneousMap(src.module, tgt.module, d.degree, flat)
 
 
-def m2_f3_bimodule():
-    """M2(F3), by its Clifford presentation, as a bimodule over its enveloping algebra."""
-    A = realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
+def m2_f3():
+    """M2(F3) by its Clifford presentation."""
+    return realize(AlgebraPresentation(BaseRing(F3), (("x", 0), ("y", 0)), (
         [(1, ("x", "x"), 0), (-1, (), 0)], [(1, ("y", "y"), 0), (-1, (), 0)],
         [(1, ("y", "x"), 0), (1, ("x", "y"), 0)])))
-    return regular_bimodule(A, check=True)
+
+
+def m2_f3_bimodule():
+    """M2(F3) as a bimodule over its enveloping algebra."""
+    return regular_bimodule(m2_f3(), check=True)
 
 
 FLATTEN_CASES = {
@@ -893,20 +897,32 @@ def test_greedy_resolution_is_exact_in_a_clipped_window(w):
 
 
 def test_greedy_resolution_applies_few_actions(monkeypatch):
-    # candidates whose gain bound cannot beat the best so far are skipped,
-    # and orbit parts in full slices are not computed: 7,960 calls before
+    # the greedy chooser stops at the first candidate whose gain fills the
+    # room left: 141-157 stage actions per enveloping job, 477-493 when it
+    # tries every candidate
     calls = []
-    real = HomogeneousMap.apply_coords
+    real = FreeAModule.act
 
-    def counting(self, coeffs):
-        calls.append(coeffs)
-        return real(self, coeffs)
+    def counting(self, m, coords):
+        calls.append(m)
+        return real(self, m, coords)
 
+    monkeypatch.setattr(FreeAModule, "act", counting)
+    for seed in (0, 1, 7):
+        calls.clear()
+        hochschild_via_enveloping(m2_f3(), n_max=3, seed=seed)
+        assert len(calls) <= 160
     A = exterior(BaseRing(F3), tuple((f"x{i}", -1) for i in range(3)))
-    monkeypatch.setattr(HomogeneousMap, "apply_coords", counting)
     res = resolve._greedy_resolution(A, AModule.trivial(A), s_max=6, seed=1)
     assert [F.rank for F in res.stages] == [1, 3, 6, 10, 15, 21, 28]
-    assert len(calls) <= 2000
+
+
+def test_the_greedy_chooser_stalls_on_a_dependent_input():
+    # two vectors spanning one line leave room that no candidate fills
+    A = exterior(BaseRing(F3), (("x", -1), ("y", -1)))
+    with pytest.raises(ResolutionError, match="generator selection stalled"):
+        resolve._greedy_generators(A, AModule.trivial(A), [(0, {0: 1}), (0, {0: 2})],
+                                   random.Random(0))
 
 
 # -- free_resolution over a local algebra: the minimal chooser ---------------------
