@@ -155,11 +155,14 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
 def _set_cochains(cx, A: GradedAlgebra, M: AModule, n_terms: int, resolution, name: str):
     """Set cx.completed = n_terms - 2 and cx.terms, cx.deltas = hom_cochains(resolution(), M).
 
-    M must be a bimodule, a module over tensor(A, opposite(A)), which
-    hochschild_cohomology checks.  The resolution has n_terms terms, one
-    past the top reported degree so that degree has its outgoing
-    differential; d^2 = 0 is asserted.
+    M must be a bimodule, a module over tensor(A, opposite(A)): a module over
+    an algebra of another rank is refused here, and hochschild_cohomology
+    compares a given M's algebra as a table.  The resolution has n_terms
+    terms, one past the top reported degree so that degree has its
+    outgoing differential; d^2 = 0 is asserted.
     """
+    if M.algebra.rank != A.rank ** 2:
+        raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
     cx.completed = n_terms - 2
     if cx.completed < 0:
         raise BudgetExceededError("budget too small for any cochain degree")
