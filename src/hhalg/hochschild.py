@@ -2,8 +2,8 @@
 
 A bimodule over A is a left module (resolve.AModule) over A^e, with
 (a (x) b) . x = (-1)^{|b||x|} a . x . b, so HH^n(A, M) = Ext^n_{A^e}(A, M).
-hochschild_cohomology reads it off a resolution by the one Hom builder
-resolve.hom_cochains, trying three routes in order:
+hh_resolution picks the resolution of A over A^e, with cover mu, that
+HH is read off, trying three routes in order:
 
   * a monomial algebra (monomial_words) is resolved by Bardzell's
     resolution (J. Algebra 188, 1997), free on the chains of Anick (Trans.
@@ -13,16 +13,19 @@ resolve.hom_cochains, trying three routes in order:
     (separability_witness, verified by multiplication), is projective over
     A^e, so HH^n(A, M) = 0 for n >= 1 (Auslander-Goldman, Trans. AMS 97,
     1960) and HH^0 is read off the bar cut at n = 0;
-  * every other algebra takes the normalized bar resolution through n_max,
-    which the tests also hold the other two routes against.
+  * every other algebra takes the normalized bar resolution through n_max.
+
+One budget rule holds for every route: stage n is kept while its
+generators times rank M fit the budget.  hochschild_cohomology reads every
+route by one reader: resolve.hom_cochains, d^2 = 0, the cohomology table.
+BarCochainComplex, the bar whatever the route, is the tests' cross-check.
 
 HH is computed independently as resolve.derived_hom(A, A) over A^e, the
 free resolution that the Morita functors G and S also read: minimal when A,
 so A^e, is local, else seeded greedy; check_enveloping_against_bar
-compares the two tables.  It also holds
-the action map mu from A^e to Hom(A, A) (the regular bimodule's
-AModule.action_map), and the homology image of the alpha class under mu
-for the two-term quotient DGA family.
+compares the two tables.  It also holds the action map mu from A^e to
+Hom(A, A) (the regular bimodule's AModule.action_map), and the homology
+image of the alpha class under mu for the two-term quotient DGA family.
 
 The regular bimodule reads each action off A's structure table:
 e_a (x) e_b sends e_x to (-1)^{|b||x|} (e_a e_x) e_b, two mul_basis reads
@@ -152,46 +155,65 @@ def bar_resolution(A: GradedAlgebra, Ae: GradedAlgebra, top: int) -> Resolution:
     return Resolution(stages, maps, _multiplication(A, stages[0]))
 
 
-def _set_cochains(cx, A: GradedAlgebra, M: AModule, n_terms: int, resolution, name: str):
-    """Set cx.completed = n_terms - 2 and cx.terms, cx.deltas = hom_cochains(resolution(), M).
-
-    M must be a bimodule, a module over tensor(A, opposite(A)): a module over
-    an algebra of another rank is refused here, and hochschild_cohomology
-    compares a given M's algebra as a table.  The resolution has n_terms
-    terms, one past the top reported degree so that degree has its
-    outgoing differential; d^2 = 0 is asserted.
-    """
-    if M.algebra.rank != A.rank ** 2:
+def _check_bimodule(M: AModule, Ae: GradedAlgebra):
+    """Raise ValueError unless M is a module over Ae = tensor(A, opposite(A)) as a table:
+    a rank test would pass a module over another algebra of rank (rank A)^2."""
+    if M.algebra != Ae:
         raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
-    cx.completed = n_terms - 2
-    if cx.completed < 0:
+
+
+def _within_budget(levels, size, M: AModule, top: int, budget: int) -> list:
+    """The one budget rule: the leading levels, at most top + 2, each a stage
+    of size(level) generators with size(level) * rank M <= budget.  Fewer
+    than two stages fit no cochain degree."""
+    kept = list(itertools.takewhile(lambda level: size(level) * M.module.rank <= budget,
+                                    itertools.islice(levels, top + 2)))
+    if len(kept) < 2:
         raise BudgetExceededError("budget too small for any cochain degree")
-    cx.terms, cx.deltas = hom_cochains(resolution(), M)
-    for n in range(len(cx.deltas) - 1):
-        if not cx.deltas[n + 1].compose(cx.deltas[n]).is_zero():
-            raise InvariantError(f"{name} differential fails d^2 = 0 at n = {n}")
+    return kept
+
+
+def _bar_top(A: GradedAlgebra, M: AModule, top: int, budget: int) -> int:
+    """The last bar stage the budget keeps: B_n has (rank A - 1)^n generators,
+    counted in closed form, so no word of a stage over the budget is listed."""
+    return _within_budget(itertools.count(), lambda n: (A.rank - 1) ** n, M, top, budget)[-1]
+
+
+def _hh_read(A: GradedAlgebra, res: Resolution, M: AModule, route: str, top: int, window):
+    """The one reader: (the terms of hom_cochains(res, M), HH^n(A, M) for n <= top).
+
+    d^2 = 0 is asserted, naming the route.  The table is complete through
+    len(res.stages) - 2, with the budget note when that is short of top.  The
+    cochains sit in degree -t, so they are read on (-hi, -lo) and keyed by -t.
+    """
+    terms, deltas = hom_cochains(res, M)
+    for n in range(len(deltas) - 1):
+        if not deltas[n + 1].compose(deltas[n]).is_zero():
+            raise InvariantError(f"{route} differential fails d^2 = 0 at n = {n}")
+    completed, (lo, hi) = len(deltas) - 1, window
+    table = BigradedTable({(n, A.base.degree_key(-t)): p for (n, t), p in
+                           cohomology_table(deltas, completed, (-hi, -lo)).entries.items()})
+    if completed < top:
+        table.completed_through = completed
+        table.notes = (f"budget exceeded: completed through n = {completed}",)
+    return terms, table
 
 
 class BarCochainComplex:
-    """Normalized bar cochains C^n = Hom_{A^e}(B_n, M), with differentials.
-
-    M is a bimodule, an AModule over A^e.  B_n = A (x) Abar^{(x)n} (x) A,
-    with the differential and signs of bar_resolution(A, M.algebra, ...),
-    and the cochains are hom_cochains(B_*, M): terms[n] has one generator
-    per (word, M-coordinate), in degree deg(word) - deg(coordinate), the
-    negative of the bar functional's degree.  d^2 = 0 is asserted at
-    construction.  The budget bounds the generators of a term,
-    (rank A - 1)^n rank M.  This is the route for every algebra that is
-    neither monomial nor separable, with n_max = 0 the HH^0 of a separable
-    one, and the cross-check of the other two routes.
+    """The bar cross-check: HH^n(A, M), n <= n_max, off the normalized bar
+    resolution whichever route A takes, through the bimodule guard, the one
+    budget rule and the one reader.  terms are hom_cochains(B_*, M), one
+    generator per (word, M-coordinate) in degree deg(word) - deg(coordinate);
+    table is complete through `completed`.
     """
 
     def __init__(self, A: GradedAlgebra, M: AModule, n_max: int = 4,
-                 budget: int = 200000):
-        n_terms = next((n for n in range(n_max + 2)
-                        if (A.rank - 1) ** n * M.module.rank > budget), n_max + 2)
-        _set_cochains(self, A, M, n_terms, lambda: bar_resolution(A, M.algebra, n_terms - 1),
-                      "bar")
+                 budget: int = 200000, window=(-16, 16)):
+        _check_bimodule(M, tensor(A, opposite(A)))
+        top = _bar_top(A, M, n_max, budget)
+        self.completed = top - 1
+        self.terms, self.table = _hh_read(A, bar_resolution(A, M.algebra, top), M, "bar",
+                                          n_max, window)
 
 
 # ---------------------------------------------------------------------------
@@ -297,27 +319,6 @@ def bardzell_resolution(A: GradedAlgebra, Ae: GradedAlgebra, words: dict,
     return Resolution(stages, maps, _multiplication(A, stages[0]))
 
 
-class BardzellCochainComplex:
-    """Hom_{A^e}(P_n, M) over Bardzell's resolution of a monomial algebra A,
-    whose basis words `words` are monomial_words(A).
-
-    Terms, degrees, the d^2 = 0 check and the contract are
-    BarCochainComplex's, with P_n free on the n-chains (bardzell_resolution)
-    in place of the bar words.  The chains are built one level at a time,
-    and the budget bounds the generators of a term, |AP_n| rank M.
-    """
-
-    def __init__(self, A: GradedAlgebra, M: AModule, words: dict, n_max: int = 4,
-                 budget: int = 200000):
-        chains = []
-        for level in itertools.islice(anick_chains(words, A.generating_monomials), n_max + 2):
-            if len(level) * M.module.rank > budget:
-                break
-            chains.append(level)
-        _set_cochains(self, A, M, len(chains),
-                      lambda: bardzell_resolution(A, M.algebra, words, chains), "Bardzell")
-
-
 # ---------------------------------------------------------------------------
 # separable algebras: one witness for every n
 
@@ -386,43 +387,42 @@ def is_separability_witness(A: GradedAlgebra, R: AModule, e: dict) -> bool:
     return g.canonical(mu) == one and not any(Ae.mul_coords(x, e) for x in _kernel_generators(A))
 
 
+def hh_resolution(A: GradedAlgebra, R: AModule, M: AModule, n_max: int = 4,
+                  budget: int = 200000) -> tuple:
+    """(resolution, top, route): the resolution of A over A^e, cover mu,
+    that HH^n(A, M), n <= top, is read off, and the route's name.
+
+    R is regular_bimodule(A); M must be a bimodule, and the resolution is
+    over M.algebra.  The first route that applies is taken: "Bardzell" for
+    a monomial algebra (monomial_words), on Anick's chains; "separable" for
+    one with a verified separability_witness, the bar cut at top = 0, as
+    HH^n = 0 for n >= 1; "bar" for any other.  One budget rule holds for
+    every route: stage n is kept while its generators times rank M are at
+    most budget, and at most top + 2 stages are kept.
+    """
+    _check_bimodule(M, R.algebra)
+    words = monomial_words(A)
+    if words is not None:
+        chains = _within_budget(anick_chains(words, A.generating_monomials), len, M, n_max,
+                                budget)
+        return bardzell_resolution(A, M.algebra, words, chains), n_max, "Bardzell"
+    top, route = (0, "separable") if separability_witness(A, R) is not None else (n_max, "bar")
+    return bar_resolution(A, M.algebra, _bar_top(A, M, top, budget)), top, route
+
+
 def hochschild_cohomology(A: GradedAlgebra, M: AModule | None = None,
                           n_max: int = 4, window=(-16, 16),
                           budget: int = 200000) -> BigradedTable:
     """HH^n(A, M) per internal degree slice, keyed (n, t); M defaults to A.
 
-    The routes are tried in order.  A monomial algebra (monomial_words) is
-    resolved by Bardzell's resolution, one generator per Anick chain
-    (BardzellCochainComplex).  A separable algebra, one with a verified
-    separability_witness, has HH^n = 0 for every n >= 1, so the table is
-    complete through n_max with HH^0 from the bar cut at n = 0.  Any other
-    algebra takes the bar through n_max (BarCochainComplex).  The budget
-    bounds the cochain generators of each term.  The cochains sit in
-    degree -t, so their cohomology is read on the window (-hi, -lo) and
-    keyed back by -t.
+    hh_resolution picks the route's resolution under the one budget rule,
+    stage rank times rank M, and the one reader (_hh_read) makes the table.
     """
     _graded_only(A, "hochschild_cohomology")
     R = regular_bimodule(A)
-    if M is None:
-        M = R
-    elif M.algebra != R.algebra:  # equality compares the tables, not the ranks
-        raise ValueError("M must be a bimodule: a module over tensor(A, opposite(A))")
-    words, top = monomial_words(A), n_max
-    if words is not None:
-        cochains = BardzellCochainComplex(A, M, words, n_max, budget)
-    elif separability_witness(A, R) is not None:
-        cochains, top = BarCochainComplex(A, M, 0, budget), 0
-    else:
-        cochains = BarCochainComplex(A, M, n_max, budget)
-    lo, hi = window
-    table = BigradedTable()
-    for (n, t), p in cohomology_table(cochains.deltas, cochains.completed,
-                                      (-hi, -lo)).entries.items():
-        table.set(n, A.base.degree_key(-t), p)
-    if cochains.completed < top:
-        table.completed_through = cochains.completed
-        table.notes = (f"budget exceeded: completed through n = {cochains.completed}",)
-    return table
+    M = R if M is None else M
+    res, top, route = hh_resolution(A, R, M, n_max, budget)
+    return _hh_read(A, res, M, route, top, window)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hhalg.base import (
 from hhalg.azumaya import check_classical_azumaya
 from hhalg.defs import build_algebra, parse_definition
 from hhalg.dg import ChainMap, DGAlgebra, hom_complex, make_quotient_dga, tensor_complex
-from hhalg.ground import GroundRing, InvariantError, ZZ
+from hhalg.ground import BudgetExceededError, GroundRing, InvariantError, ZZ
 from hhalg.hochschild import (
     BarCochainComplex,
     action_map_mu,
@@ -190,6 +190,10 @@ def test_hh_refuses_a_module_over_another_algebra_of_the_bimodule_rank():
         hochschild_cohomology(A, AModule.regular(tensor(A, A)))
     with pytest.raises(ValueError, match="must be a bimodule"):
         hochschild_cohomology(dual_numbers_f3(), AModule.regular(A))
+    # the bar cross-check shares the table guard, where a rank test let it
+    # through to a failed d^2 = 0 check
+    with pytest.raises(ValueError, match="must be a bimodule"):
+        BarCochainComplex(dual_numbers_f3(), AModule.regular(A), 2)
 
 
 def test_hh_takes_a_bimodule_over_an_equal_table():
@@ -214,21 +218,44 @@ def test_hh_on_its_default_module_compares_no_algebra_tables(monkeypatch):
     assert compared == []
 
 
-def test_hh_budget_reports_completed_range():
-    # Λ(x1, x2) is neither monomial nor separable: the bar's term 2 holds
-    # 3^2 * 4 = 36 > 15 cochain generators
-    t = hochschild_cohomology(lam_2_f3(), n_max=3, budget=15)
-    assert t.notes and "n = 0" in t.notes[0]
-    assert t.completed_through == 0
-    assert n_ranks(t, 0) == 4
-    assert all(s == 0 for (s, _) in t.entries)
+def all_words_of_length_two_z():
+    # k<x, y>/(every word of length 2) has 2^n n-chains, as many as the bar
+    # has words, so the budget stops its chains and its bar at one term
+    return realize(AlgebraPresentation(BaseRing(ZZ), (("x", 1), ("y", 2)), tuple(
+        [(1, w, 0)] for w in (("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")))))
 
 
-def test_a_separable_algebra_is_complete_on_the_budget_of_degree_zero():
-    # M2(F3) has a witness, so only the bar's terms 0 and 1 are built
-    t = hochschild_cohomology(m2_f3(), n_max=3, budget=12)
-    assert (t.notes, t.completed_through) == ((), None)
-    assert t.entries == {(0, 0): SubquotientPresentation(1)}
+# {budget: the degree hochschild_cohomology(A, n_max=3, budget=budget) is
+# complete through}, "small" where no cochain degree fits and None where the
+# table is complete, per route: lam_2's bar terms have 4 * 3^n generators,
+# M2(F3)'s cut has 4 and 12, and the chains 3 * 2^n
+BUDGET_STOPS = {
+    "bar": (lam_2_f3, {11: "small", 12: 0, 35: 0, 36: 1, 323: 2, 324: None}),
+    "separable": (m2_f3, {11: "small", 12: None}),
+    "Bardzell": (all_words_of_length_two_z, {5: "small", 12: 1, 47: 2, 48: None}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BUDGET_STOPS))
+def test_one_budget_rule_stops_every_route(route):
+    make, stops = BUDGET_STOPS[route]
+    A = make()
+    R = regular_bimodule(A)
+    assert hochschild.hh_resolution(A, R, R, 3)[2] == route
+    full, key = hochschild_cohomology(A, n_max=3), A.base.degree_key
+    for budget, completed in stops.items():
+        if completed == "small":
+            with pytest.raises(BudgetExceededError, match="budget too small"):
+                hochschild_cohomology(A, n_max=3, budget=budget)
+            continue
+        t = hochschild_cohomology(A, n_max=3, budget=budget)
+        assert t.completed_through == completed
+        assert t.notes == (() if completed is None else
+                           (f"budget exceeded: completed through n = {completed}",))
+        top = 3 if completed is None else completed
+        assert t.by_slice(key, 3) == full.by_slice(key, top)
+        if route != "separable":  # the bar cross-check keeps the same stages
+            assert BarCochainComplex(A, R, 3, budget).completed == top
 
 
 def test_bar_differential_squares_to_zero_with_signs():

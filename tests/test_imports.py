@@ -2,9 +2,10 @@
 knows how a matrix is stored, every definition and import in hhalg is used,
 every definition is reached from the command line or the benchmark or is a
 named cross-check, only the output and cache writers write, only the output
-writer serializes JSON, no module imports dataclasses, a run that never
-touches Q loads no fractions, and a run that draws no greedy resolution
-loads no random."""
+writer serializes JSON, no module imports dataclasses, HH resolutions are
+built in one chooser and read by one reader, a run that never touches Q
+loads no fractions, and a run that draws no greedy resolution loads no
+random."""
 
 import ast
 import json
@@ -346,13 +347,16 @@ def test_factorization_internals_detector_flags_offenders():
 
 def uses_outside(tree, names, home):
     """Sorted (line, enclosing function, name) for each reference to one of
-    `names` outside the function `home`."""
+    `names` outside the function `home`; a method is named Class.method."""
     out = []
 
-    def visit(node, func):
+    def visit(node, func, owner=""):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+                visit(child, owner + child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, func, f"{owner}{child.name}.")
                 continue
             name = (child.id if isinstance(child, ast.Name)
                     else child.attr if isinstance(child, ast.Attribute) else None)
@@ -404,6 +408,45 @@ def test_stage_helper_detector_flags_offenders():
     assert uses_outside(ast.parse(code), STAGE_HELPERS, "_resolve") == [
         (5, "minimal_resolution", "_flat_kernel"), (6, "minimal_resolution", "_flat_kernel"),
         (7, "<module>", "_flat_kernel")]
+
+
+# One HH pipeline: a route's resolution is built only in `hh_resolution`, the
+# one chooser, and in the named bar cross-check, which builds the bar
+# whichever route an algebra takes; cochains are read only in `_hh_read`.
+HH_BUILDERS = ("bar_resolution", "bardzell_resolution", "anick_chains")
+HH_BUILDS = {"hochschild.py": [("BarCochainComplex.__init__", "bar_resolution")]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_hh_resolutions_are_built_only_in_the_chooser_and_the_bar_cross_check(path):
+    found = uses_outside(ast.parse(path.read_text()), HH_BUILDERS, "hh_resolution")
+    assert [(func, name) for _, func, name in found] == HH_BUILDS.get(path.name, [])
+
+
+def test_hh_cochains_are_read_only_in_the_one_reader():
+    tree = ast.parse((SRC / "hochschild.py").read_text())
+    assert uses_outside(tree, ("hom_cochains",), "_hh_read") == []
+
+
+def test_hh_pipeline_detector_flags_offenders():
+    code = ("def hh_resolution(A, R, M):\n"
+            "    return bar_resolution(A, M.algebra, 2)\n"
+            "def _hh_read(A, res, M):\n"
+            "    return hom_cochains(res, M)\n"
+            "class BarCochainComplex:\n"
+            "    def __init__(self, A, M):\n"
+            "        self.terms = hom_cochains(bar_resolution(A, M.algebra, 2), M)\n"
+            "class Spare:\n"
+            "    def __init__(self, A, words):\n"
+            "        self.chains = hochschild.anick_chains(words, A.generating_monomials)\n"
+            "def hochschild_cohomology(A, M):\n"
+            "    return bardzell_resolution(A, M.algebra, words, chains)\n")
+    tree = ast.parse(code)
+    assert uses_outside(tree, HH_BUILDERS, "hh_resolution") == [
+        (7, "BarCochainComplex.__init__", "bar_resolution"), (10, "Spare.__init__", "anick_chains"),
+        (12, "hochschild_cohomology", "bardzell_resolution")]
+    assert uses_outside(tree, ("hom_cochains",), "_hh_read") == [
+        (7, "BarCochainComplex.__init__", "hom_cochains")]
 
 
 # Every Azumaya flavor takes its mu condition from `_mu_condition`; a mu test
